@@ -13,12 +13,13 @@ equivalent backends (:mod:`repro.engine.stepper`):
 * ``scalar`` — a tight Python loop over integer state codes.
 
 :mod:`repro.engine.replicas` runs R independent replicas of the same
-(graph, protocol) pair through one compiled table set — by default as a
-replica-batched stack in which one ``repro_run_multi`` kernel call
-advances every replica through a whole certificate-cadence block (see
-:mod:`repro.runtime.execute`), with an exact sequential fallback when no
-C compiler is available.  The experiment harness routes repeated
-Monte-Carlo trials through the same execution plans.
+(graph, protocol) pair through one compiled table set — on the v6 epoch
+stack, in which one ``repro_run_epoch`` kernel call advances every
+replica, seeded streams drawn in-kernel, to its next certificate check
+(see :mod:`repro.runtime.execute`), with an exact per-replica fallback
+when the kernel is unavailable.  Single runs, harness measurements and
+orchestrator units of any width go through the same execution plans and
+so reach the same stack.
 
 All backends reproduce the reference simulator's sequential semantics
 bit-for-bit: same scheduler stream, same stabilization step, same output

@@ -168,8 +168,10 @@ class CompiledProtocol:
 
     def decode_codes(self, codes: Iterable[int]) -> List[Hashable]:
         """Decode integer codes back into state objects."""
+        if isinstance(codes, np.ndarray):
+            codes = codes.tolist()  # Python ints index a list far faster
         states = self.states
-        return [states[int(c)] for c in codes]
+        return [states[c] for c in codes]
 
     # ------------------------------------------------------------------
     # Table access

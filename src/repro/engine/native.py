@@ -4,10 +4,11 @@ The packed transition tables built by :mod:`repro.engine.compiler` are
 self-contained: applying one interaction is two array reads, one table read
 and two writes.  That inner loop is branch-light and memory-resident, so on
 machines with a system C compiler we compile a ~30-line kernel once, cache
-the shared object under ``src/repro/engine/_build/`` and drive it through
-:mod:`ctypes`.  This removes the interpreter from the hot path entirely
-(roughly two orders of magnitude over the reference interpreter) while
-executing the *same* table entries as the NumPy and scalar backends.
+the shared object under ``src/repro/engine/_build/`` (named by a digest of
+the source text and compiler flags) and drive it through :mod:`ctypes`.
+This removes the interpreter from the hot path entirely (roughly two
+orders of magnitude over the reference interpreter) while executing the
+*same* table entries as the NumPy and scalar backends.
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_DISABLE_NATIVE=1`` simply means :func:`get_kernel` returns ``None``
@@ -23,8 +24,10 @@ import hashlib
 import os
 import shutil
 import subprocess
+from typing import Sequence, Tuple
 
-_KERNEL_VERSION = 8
+#: Compiler flags of every kernel build (``REPRO_KERNEL_CFLAGS`` appends).
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 
 #: The v5 function set: protocol stepping, epidemics, influence — all fed
 #: pre-drawn pair indices from Python.  Compiles standalone (no pthread,
@@ -242,72 +245,6 @@ int64_t repro_broadcast_block(uint8_t *informed,
     }
     *count_io = count;
     return i;
-}
-
-/* One certificate-cadence block of R replica-batched protocol runs.
- *
- * Replica r owns row r of the (nrep x n) codes matrix and row r of the
- * (nrep x nsteps) draws matrix — its private scheduler stream as raw
- * directed pair indices, decoded through the shared endpoint tables
- * du/dv (length 2m).  Rows are fully independent; each is applied
- * strictly in order with the same table entries and bookkeeping as
- * repro_run_block, so results are bit-identical to nrep separate runs.
- *
- * positions[r] is the per-replica resume offset (0 on entry).  A row
- * stops early at a missing table entry; the caller fills the pair
- * (possibly growing the tables), refreshes dpack/k/kshift/seen and
- * re-invokes — rows already at nsteps are skipped for free.
- */
-void repro_run_multi(int64_t *codes,
-                     const int64_t *draws,
-                     const int64_t *du,
-                     const int64_t *dv,
-                     int64_t nrep,
-                     int64_t nsteps,
-                     int64_t n,
-                     const int32_t *dpack,
-                     int64_t k,
-                     int32_t kshift,
-                     uint8_t *seen,
-                     int64_t step0,
-                     int64_t *positions,
-                     int64_t *last_change,
-                     int64_t *leaders)
-{
-    const int64_t kmask = k - 1;
-    int64_t r;
-    for (r = 0; r < nrep; r++) {
-        int64_t *row_codes = codes + r * n;
-        const int64_t *row = draws + r * nsteps;
-        uint8_t *row_seen = seen + r * k;
-        int64_t last = last_change[r];
-        int64_t lead = leaders[r];
-        int64_t i;
-        for (i = positions[r]; i < nsteps; i++) {
-            int64_t idx = row[i];
-            int64_t u = du[idx];
-            int64_t v = dv[idx];
-            int64_t a = row_codes[u];
-            int64_t b = row_codes[v];
-            int32_t pk = dpack[a * k + b];
-            int64_t val, na, nb;
-            if (pk < 0)
-                break;
-            val = (int64_t)(pk >> 4);
-            na = val >> kshift;
-            nb = val & kmask;
-            row_codes[u] = na;
-            row_codes[v] = nb;
-            row_seen[na] = 1;
-            row_seen[nb] = 1;
-            if (pk & 1)
-                last = step0 + i + 1;
-            lead += ((pk >> 1) & 7) - 2;
-        }
-        positions[r] = i;
-        last_change[r] = last;
-        leaders[r] = lead;
-    }
 }
 
 /* One block of R replica-batched single-source epidemics.
@@ -739,8 +676,8 @@ void repro_source_fill(uint64_t *rng_state, int64_t *src_state,
  * set, boundaries where the kernel-maintained leader count is != 1 are
  * skipped — the certificate cannot hold there — so whole stretches of
  * the measurement run in one call.  Stream consumption (refill sizes and
- * draw order) is bit-identical to the Python InteractionSource fed
- * through the v5 per-block draws matrix. */
+ * draw order) is bit-identical to the Python InteractionSource read in
+ * min(check_interval, remaining) blocks, as the single-run engine does. */
 static void repro_run_epoch_row(
     int64_t *codes, uint64_t *rngw, int64_t *src, int64_t *buffer,
     const int64_t *du, const int64_t *dv, int64_t m,
@@ -1206,39 +1143,44 @@ def _extra_cflags():
     return os.environ.get("REPRO_KERNEL_CFLAGS", "").split()
 
 
+def _build_paths(build_dir: str, source: str, flags: Sequence[str]) -> Tuple[str, str]:
+    """The ``(.c, .so)`` paths of one build, named by a digest of its inputs.
+
+    Any edit to the embedded source or to the flags gives new file
+    names, so a stale shared object in the build cache is never loaded.
+    """
+    digest = hashlib.sha256("\0".join([source, *flags]).encode("utf-8")).hexdigest()[:16]
+    stem = os.path.join(build_dir, f"_kernel_{digest}")
+    return stem + ".c", stem + ".so"
+
+
 def _compile_kernel():
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
         return None
     build_dir = _build_directory()
-    extra = _extra_cflags()
-    tag = ""
-    if extra:
-        digest = hashlib.sha1(" ".join(extra).encode("utf-8")).hexdigest()[:8]
-        tag = f"_{digest}"
+    flags = [*_CFLAGS, *_extra_cflags()]
     # Try the full v6 source first (pthreads + 128-bit arithmetic); fall
     # back to the standalone v5 function set if it does not build here.
     variants = (
-        ("", _KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6, True),
-        ("_compat", _KERNEL_SOURCE_V5, False),
+        (_KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6, True),
+        (_KERNEL_SOURCE_V5, False),
     )
-    for suffix, source, with_v6 in variants:
-        src_path = os.path.join(build_dir, f"_kernel_v{_KERNEL_VERSION}{suffix}.c")
-        so_path = os.path.join(build_dir, f"_kernel_v{_KERNEL_VERSION}{suffix}{tag}.so")
+    for source, with_v6 in variants:
+        src_path, so_path = _build_paths(build_dir, source, flags)
         try:
             if not os.path.exists(so_path):
-                with open(src_path, "w", encoding="utf-8") as handle:
+                tmp = f".tmp{os.getpid()}"
+                with open(src_path + tmp, "w", encoding="utf-8") as handle:
                     handle.write(source)
-                tmp_path = so_path + f".tmp{os.getpid()}"
+                os.replace(src_path + tmp, src_path)
                 subprocess.run(
-                    [compiler, "-O2", "-shared", "-fPIC", "-pthread"]
-                    + extra
-                    + ["-o", tmp_path, src_path],
+                    [compiler, *flags, "-o", so_path + tmp, src_path],
                     check=True,
                     capture_output=True,
                     timeout=180,
                 )
-                os.replace(tmp_path, so_path)
+                os.replace(so_path + tmp, so_path)
             library = ctypes.CDLL(so_path)
             return _bind_kernels(library, with_v6)
         except Exception:
@@ -1435,25 +1377,6 @@ def _bind_kernels(library, with_v6):
         ctypes.c_void_p,  # counts (nrep)
         ctypes.c_void_p,  # finish (nrep)
     ]
-    run_multi = library.repro_run_multi
-    run_multi.restype = None
-    run_multi.argtypes = [
-        ctypes.c_void_p,  # codes (nrep x n)
-        ctypes.c_void_p,  # draws (nrep x nsteps)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
-        ctypes.c_int64,  # nrep
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen (nrep x k)
-        ctypes.c_int64,  # step0
-        ctypes.c_void_p,  # positions (nrep)
-        ctypes.c_void_p,  # last_change (nrep)
-        ctypes.c_void_p,  # leaders (nrep)
-    ]
     influence_multi = library.repro_influence_multi
     influence_multi.restype = ctypes.c_int64
     influence_multi.argtypes = [
@@ -1477,7 +1400,6 @@ def _bind_kernels(library, with_v6):
         "broadcast_block": broadcast_block,
         "broadcast_multi": broadcast_multi,
         "influence_multi": influence_multi,
-        "run_multi": run_multi,
     }
     if with_v6:
         kernels.update(_bind_v6(library))
@@ -1502,7 +1424,7 @@ def _v6_kernels():
     """The v6 function table, or ``None`` when disabled or unbuilt.
 
     ``REPRO_DISABLE_NATIVE_V6`` is consulted on every call (not cached)
-    so tests can force the v6→v5→NumPy fallback chain without rebuilding.
+    so tests can drop plans to the per-replica engine without rebuilding.
     """
     if os.environ.get("REPRO_DISABLE_NATIVE_V6"):
         return None
@@ -1546,12 +1468,6 @@ def get_influence_multi_kernel():
     """The compiled replica-batched influence entry point, or ``None``."""
     kernels = _kernels()
     return None if kernels is None else kernels["influence_multi"]
-
-
-def get_run_multi_kernel():
-    """The compiled replica-batched protocol-stepping entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["run_multi"]
 
 
 def get_run_epoch_kernel():

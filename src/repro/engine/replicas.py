@@ -4,21 +4,19 @@ Monte-Carlo experiments run the same protocol on the same graph many times
 with different seeds.  :func:`run_replicas` executes R such replicas as
 *one* :class:`~repro.runtime.plan.ExecutionPlan`: the plan compiles the
 protocol's transition tables once and the runtime executors
-(:mod:`repro.runtime.execute`) run every replica against them — either
-through the replica-batched stack, which advances all replicas one
-certificate-cadence block at a time with a single C-kernel call per
-block, or replica by replica through the compiled single-run engine.
+(:mod:`repro.runtime.execute`) run every replica against them — through
+the v6 epoch stack, which advances all replicas with in-kernel seeded
+streams, or, where the stack cannot serve the plan (no v6 kernel, an
+explicit ``"vector"``/``"scalar"`` backend, seeds the kernel cannot
+reproduce), replica by replica through the compiled single-run engine.
 Every replica draws from its own independent scheduler stream, so both
-strategies are bit-identical to R separate reference runs with the same
+paths are bit-identical to R separate reference runs with the same
 seeds.
 
 Stability certificates are evaluated at the same ``check_interval``
-cadence as the reference simulator; in the stacked path a replica whose
-certificate fires drops out of the stack (its scheduler stops being
-consumed) and the remaining replicas continue.  ``drain_width`` hands
-the last few stragglers to the sequential engine mid-run; with the
-kernel-blocked stack this is an optimisation knob only — results are
-identical for every value.
+cadence as the reference simulator; in the stack a replica whose
+certificate fires drops out (its stream stops being consumed) and the
+remaining replicas continue.
 """
 
 from __future__ import annotations
@@ -32,13 +30,6 @@ from .compiler import DEFAULT_MAX_STATES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.simulator import SimulationResult
 
-#: Historical default for handing lockstep stragglers to the sequential
-#: engine.  The kernel-blocked stack no longer needs a wide drain (its
-#: per-block overhead is paid once per stack, not per step), so the
-#: default plan drains only below this width when ``mode="lockstep"`` is
-#: requested explicitly; ``mode="auto"`` never drains.
-LOCKSTEP_DRAIN_WIDTH = 24
-
 
 def run_replicas(
     protocol: PopulationProtocol,
@@ -47,10 +38,8 @@ def run_replicas(
     max_steps: int,
     inputs: Optional[Sequence[Any]] = None,
     check_interval: Optional[int] = None,
-    mode: str = "auto",
     backend: str = "auto",
     max_states: int = DEFAULT_MAX_STATES,
-    drain_width: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> List["SimulationResult"]:
     """Run one replica per seed; results match the reference runs exactly.
@@ -63,20 +52,12 @@ def run_replicas(
         One scheduler seed (or generator) per replica.
     max_steps / inputs / check_interval:
         As in :meth:`repro.core.simulator.Simulator.run`.
-    mode:
-        ``"auto"`` (default) uses the replica-batched stack whenever the
-        multi-replica kernel is available and falls back to sequential
-        execution otherwise; ``"lockstep"`` requests the stack
-        explicitly (with the historical straggler drain); ``"sequential"``
-        runs replicas one at a time through the compiled single-run
-        engine.  All modes are exact — they differ in wall time only.
     backend:
-        Backend forwarded to single-replica runs (see
-        :class:`~repro.engine.stepper.CompiledRun`).
-    drain_width:
-        Stack width at or below which remaining replicas are handed to
-        the sequential engine (``mode="lockstep"`` defaults to
-        :data:`LOCKSTEP_DRAIN_WIDTH`, ``mode="auto"`` to 0).
+        ``"auto"`` (default) or ``"native"`` run the v6 epoch stack when
+        the kernel is available; ``"vector"`` / ``"scalar"`` run each
+        replica through that backend of
+        :class:`~repro.engine.stepper.CompiledRun`.  All are exact —
+        they differ in wall time only.
     threads:
         Replica-axis kernel threads for the v6 stack executor (``None``
         defers to ``REPRO_KERNEL_THREADS``).  Results are bit-identical
@@ -87,10 +68,6 @@ def run_replicas(
     seeds = list(seeds)
     if not seeds:
         return []
-    if mode not in ("auto", "lockstep", "sequential"):
-        raise ValueError(f"unknown replica mode {mode!r}")
-    if drain_width is None:
-        drain_width = LOCKSTEP_DRAIN_WIDTH if mode == "lockstep" else 0
     from ..runtime import compile_plan, execute_plan
 
     plan = compile_plan(
@@ -103,8 +80,6 @@ def run_replicas(
         check_interval=check_interval,
         inputs=inputs,
         max_states=max_states,
-        replica_mode=mode,
-        drain_width=int(drain_width),
         threads=threads,
     )
     return execute_plan(plan)

@@ -206,18 +206,6 @@ class CompiledRun:
             return int(self._seen_mask.sum())
         return int(np.count_nonzero(self._seen_u8))
 
-    def seen_codes_mask(self, minimum_length: int = 0) -> np.ndarray:
-        """Boolean mask over codes observed so far (for merging)."""
-        length = max(minimum_length, self.compiled.stride)
-        mask = np.zeros(length, dtype=bool)
-        if self.backend == "scalar":
-            mask[list(self._seen_set)] = True
-        elif self.backend == "vector":
-            mask[: self._seen_mask.shape[0]] |= self._seen_mask
-        else:
-            mask[: self._seen_u8.shape[0]] |= self._seen_u8.astype(bool)
-        return mask
-
     # ------------------------------------------------------------------
     # Scalar backend
     # ------------------------------------------------------------------

@@ -22,9 +22,12 @@ of it into three layers:
 * :mod:`repro.runtime.plan` / :mod:`repro.runtime.execute` —
   :class:`ExecutionPlan`, which compiles a run once (engine resolution,
   shared transition tables, per-replica seeds) and then executes it
-  through interchangeable executors: the reference interpreter, the
-  compiled single-run engine, or the replica-batched stack that steps
-  *all* replicas of a measurement through one C-kernel call per block.
+  through one executor chain, chosen from the plan's inputs: the v6
+  epoch stack (plans of any width, including 1, with the seeded streams
+  drawn in-kernel) → the per-replica compiled engine (dynamic
+  schedules, stream overrides, traces, seeds the kernel cannot
+  reproduce, explicit Python backends, hosts without the kernel) → the
+  reference interpreter.
 
 ``Simulator.run``, ``repro.engine.run_replicas`` and the experiment
 harness are thin wrappers over :func:`compile_plan` +

@@ -8,31 +8,31 @@ transition tables, the certificate cadence — as one immutable object.
 (:mod:`repro.runtime.execute`) then run the plan without re-deriving
 anything.
 
-Before this layer existed, the engine-selection logic below lived in
-four places with slightly different spellings: ``Simulator.run``
-(single runs), ``repro.engine.replicas.run_replicas`` (replica stacks),
-``repro.experiments.harness._run_measurement_batch`` (measurements) and
-``repro.orchestration.runner`` (sharded sweeps).  All four now call
+``Simulator.run`` (single runs), ``repro.engine.replicas.run_replicas``
+(replica stacks), ``repro.experiments.harness`` (measurements) and
+``repro.orchestration.runner`` (sweep units) all call
 :func:`compile_plan`; the resolution rules are:
 
 * ``engine="reference"`` — every replica runs the pure-Python
   interpreter (:data:`ExecutionPlan.mode` ``"reference"``).
 * ``engine="compiled"`` / ``"auto"`` with **homogeneous** replicas (same
-  ``compile_key``, static topology, no stream override, no trace) — one
-  table set is compiled up front and shared (``"shared"``); a
-  compilation failure raises for ``"compiled"`` and demotes the whole
-  plan to the reference interpreter for ``"auto"``, mirroring the
-  historical harness behaviour.
+  ``compile_key``, static topology, no stream override, no trace), at
+  any width including 1 — one table set is compiled up front and shared
+  (``"shared"``); a compilation failure raises for ``"compiled"`` and
+  demotes the whole plan to the reference interpreter for ``"auto"``.
 * everything else — per-replica resolution at execution time
   (``"single"``), preserving ``Simulator.run``'s lazy-compilation
   semantics including the mid-run fallback to the reference interpreter
   when lazy state discovery outgrows the table bound and the scheduler
   stream is re-creatable from its seed.
 
-Plans never change measured values: for any mode, replica ``i``'s result
-is bit-identical to a standalone ``Simulator.run`` with seed
-``seeds[i]`` (``tests/test_runtime_plan.py`` pins this property across
-engines, backends and topology schedules).
+The mode fixes *what* is shared, not which executor runs it: the
+executor is chosen from the plan's inputs (see
+:func:`repro.runtime.execute.execute_plan`).  Plans never change
+measured values: for any mode, replica ``i``'s result is bit-identical
+to a standalone reference run with seed ``seeds[i]``
+(``tests/test_runtime_plan.py`` pins this property across engines,
+backends and topology schedules).
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 #: Engine choices accepted by :func:`compile_plan` (and ``Simulator``).
 ENGINES = ("reference", "compiled", "auto")
-
-#: Replica execution strategies (see :mod:`repro.runtime.execute`).
-REPLICA_MODES = ("auto", "lockstep", "sequential")
 
 
 @dataclass
@@ -80,8 +77,6 @@ class ExecutionPlan:
     scheduler: Optional[Any] = None  # single-replica stream override (replay)
     record_leader_trace: bool = False
     trace_resolution: int = 64
-    replica_mode: str = "auto"
-    drain_width: int = 0
     #: Replica-axis kernel threads for the v6 stack executor; ``None``
     #: defers to ``REPRO_KERNEL_THREADS`` at execution time.  Purely a
     #: throughput dial — results are bit-identical for any value.
@@ -152,8 +147,6 @@ def compile_plan(
     scheduler: Optional[Any] = None,
     record_leader_trace: bool = False,
     trace_resolution: int = 64,
-    replica_mode: str = "auto",
-    drain_width: int = 0,
     threads: Optional[int] = None,
     shards: Optional[int] = None,
     shard_workers: Optional[int] = None,
@@ -179,8 +172,6 @@ def compile_plan(
         raise ValueError("graph must be non-empty")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if replica_mode not in REPLICA_MODES:
-        raise ValueError(f"unknown replica mode {replica_mode!r}")
     if threads is not None and int(threads) < 1:
         raise ValueError("threads must be positive")
     if shards is not None and int(shards) < 1:
@@ -208,12 +199,7 @@ def compile_plan(
     compiled = None
     if engine == "reference":
         mode = "reference"
-    elif (
-        len(protocols) > 1
-        and schedule is None
-        and scheduler is None
-        and not record_leader_trace
-    ):
+    elif schedule is None and scheduler is None and not record_leader_trace:
         from ..engine.compiler import (
             DEFAULT_MAX_STATES,
             ProtocolCompilationError,
@@ -252,8 +238,6 @@ def compile_plan(
         scheduler=scheduler,
         record_leader_trace=record_leader_trace,
         trace_resolution=trace_resolution,
-        replica_mode=replica_mode,
-        drain_width=drain_width,
         threads=None if threads is None else int(threads),
         shards=None if shards is None else int(shards),
         shard_workers=None if shard_workers is None else int(shard_workers),

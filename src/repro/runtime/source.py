@@ -30,10 +30,11 @@ bit-identical to the static one on the same seed.
 
 Internally the buffer holds raw directed pair indices; endpoints are
 decoded on consumption through the shared tables.  That lets the
-replica-batched executor (:mod:`repro.runtime.execute`) read undecoded
-indices with :meth:`next_pair_indices` and leave the decode to the C
-kernel, while ``next_batch`` / ``next_arrays`` reproduce the historical
-decoded streams exactly.
+sharded engine (:mod:`repro.sharding`) read undecoded indices with
+:meth:`next_pair_indices` and route them itself, while ``next_batch`` /
+``next_arrays`` reproduce the historical decoded streams exactly.
+:class:`KernelSource` is the same scheduler dialect with its state held
+in C, for the v6 epoch stack (:mod:`repro.runtime.execute`).
 """
 
 from __future__ import annotations
@@ -94,10 +95,9 @@ class InteractionSource:
             self._epoch_graph: Optional[Graph] = topology
             self._epoch_end: Optional[int] = None
             # Decode tables are built on first *decoded* consumption:
-            # undecoded readers (the stack executors' next_pair_indices
-            # paths and the sharded engine, which routes raw indices
-            # through memory-mapped per-shard tables) never materialise
-            # the resident 2m endpoint arrays.
+            # undecoded readers (the sharded engine, which routes raw
+            # indices through memory-mapped per-shard tables) never
+            # materialise the resident 2m endpoint arrays.
             self._du: Optional[np.ndarray] = None
             self._dv: Optional[np.ndarray] = None
             self._edge_count = topology.n_edges
@@ -240,15 +240,9 @@ class InteractionSource:
         Python-level gathers per block.  Only meaningful while the
         tables are constant, i.e. on a static topology.
         """
-        out = np.empty(size, dtype=np.int64)
-        self.next_pair_indices_into(out)
-        return out
-
-    def next_pair_indices_into(self, out: np.ndarray) -> None:
-        """:meth:`next_pair_indices` into a preallocated row (hot path)."""
-        size = out.shape[0]
         if size < 0:
             raise ValueError("batch size must be non-negative")
+        out = np.empty(size, dtype=np.int64)
         buffer = self._buffer
         cursor = self._cursor
         filled = 0
@@ -265,6 +259,7 @@ class InteractionSource:
             filled += take
             self._position += take
         self._cursor = cursor
+        return out
 
     # ------------------------------------------------------------------
     # The directed dialect (analytics trajectory streams)
@@ -356,9 +351,7 @@ class KernelSource:
     (``buffers``), all advanced *inside* the C kernel
     (``repro_run_epoch`` / ``repro_source_fill``).  Seeding, refill
     sizes and draw order are bit-identical to
-    ``InteractionSource(graph, np.random.default_rng(seed))``, so a
-    replica can leave the kernel mid-stream and continue in Python
-    (:meth:`python_source`) without perturbing a single draw.
+    ``InteractionSource(graph, np.random.default_rng(seed))``.
     """
 
     def __init__(
@@ -401,7 +394,7 @@ class KernelSource:
         self.buffers = np.ascontiguousarray(self.buffers[keep])
 
     def fill(self, row: int, out: np.ndarray) -> None:
-        """``next_pair_indices_into`` for one row, drawn in-kernel."""
+        """``InteractionSource.next_pair_indices`` for one row, drawn in-kernel into ``out``."""
         count = out.shape[0]
         if count > self.buffer_capacity:
             raise ValueError("draw exceeds the kernel buffer capacity")
@@ -414,27 +407,3 @@ class KernelSource:
             count,
             out.ctypes.data,
         )
-
-    def export_generator(self, row: int) -> np.random.Generator:
-        """A NumPy Generator continuing row ``row``'s stream exactly."""
-        generator = np.random.Generator(np.random.PCG64())
-        unpack_generator_state(generator, self.rng_state[row])
-        return generator
-
-    def python_source(self, row: int) -> InteractionSource:
-        """Hand row ``row`` back to Python mid-stream (straggler drain).
-
-        The returned :class:`InteractionSource` owns a Generator restored
-        from the kernel state and the row's unconsumed pre-sample buffer,
-        so subsequent draws are bit-identical to never having entered the
-        kernel at all.
-        """
-        source = InteractionSource(
-            self._graph, rng=self.export_generator(row), batch_size=self._batch
-        )
-        cursor = int(self.src_state[row, 0])
-        fill = int(self.src_state[row, 1])
-        source._buffer = self.buffers[row, :fill].copy()
-        source._cursor = cursor
-        source._position = int(self.src_state[row, 2])
-        return source

@@ -8,7 +8,7 @@ memory-mapped tables, and cross-shard pairs go through the explicit
 seeded stream, the ``min(check_interval, remaining)`` block sizes, the
 certificate cadence, the unique-leader precheck and all per-replica
 bookkeeping (last output change, leader count, distinct-code mask)
-mirror :func:`repro.runtime.execute._execute_stack` exactly, so results
+mirror :func:`repro.runtime.execute._execute_stack_v6` exactly, so results
 are bit-identical to the batched path — 1 shard vs the stack and
 k shards vs 1 shard are both gated in CI.
 

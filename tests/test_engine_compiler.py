@@ -175,3 +175,17 @@ class TestProtocolHooks:
         assert states is not None
         assert fast.initial_state(None) in set(states)
         assert len(set(states)) == len(list(states))
+
+
+class TestKernelBuildCache:
+    def test_build_paths_follow_source_and_flags(self):
+        from repro.engine.native import _CFLAGS, _build_paths
+
+        flags = list(_CFLAGS)
+        base = _build_paths("cache", "int f(void) { return 1; }\n", flags)
+        edited = _build_paths("cache", "int f(void) { return 2; }\n", flags)
+        sanitized = _build_paths("cache", "int f(void) { return 1; }\n", flags + ["-g"])
+        assert base == _build_paths("cache", "int f(void) { return 1; }\n", flags)
+        assert edited[0] != base[0] and edited[1] != base[1]
+        assert sanitized[1] != base[1]
+        assert base[0].endswith(".c") and base[1].endswith(".so")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.simulator import Simulator, default_max_steps
 from repro.engine import run_replicas
-from repro.graphs.families import clique, cycle, star
+from repro.graphs.families import clique
 from repro.protocols import StarLeaderElection, TokenLeaderElection
 
 MAX_STEPS = 80_000
@@ -36,35 +36,22 @@ def _assert_matches_reference(graph, protocol, seeds, results, context):
         ), (context, seed)
 
 
-@pytest.mark.parametrize("mode", ["sequential", "lockstep"])
-def test_replicas_match_reference_runs(mode):
+#: The two ways a replica plan executes, keyed by test id: one replica at
+#: a time through the per-replica engine (an explicit Python backend), or
+#: all replicas stacked on the epoch kernel (the default backend; the
+#: per-replica engine again on hosts without the kernel).
+_PATH_BACKENDS = {"sequential": "scalar", "lockstep": "auto"}
+
+
+@pytest.mark.parametrize("path", sorted(_PATH_BACKENDS))
+def test_replicas_match_reference_runs(path):
     graph = clique(30)
     protocol = TokenLeaderElection()
     seeds = list(range(8))
-    results = run_replicas(protocol, graph, seeds, max_steps=MAX_STEPS, mode=mode)
-    _assert_matches_reference(graph, protocol, seeds, results, mode)
-
-
-def test_pure_lockstep_without_drain_is_exact():
-    graph = cycle(14)
-    protocol = TokenLeaderElection()
-    seeds = list(range(6))
     results = run_replicas(
-        protocol, graph, seeds, max_steps=MAX_STEPS, mode="lockstep", drain_width=0
+        protocol, graph, seeds, max_steps=MAX_STEPS, backend=_PATH_BACKENDS[path]
     )
-    _assert_matches_reference(graph, protocol, seeds, results, "no-drain")
-
-
-def test_lockstep_drain_handoff_is_exact():
-    # A wide drain width forces the sequential handoff immediately after
-    # the first lockstep chunk, exercising the mid-run state transfer.
-    graph = clique(24)
-    protocol = TokenLeaderElection()
-    seeds = list(range(5))
-    results = run_replicas(
-        protocol, graph, seeds, max_steps=MAX_STEPS, mode="lockstep", drain_width=3
-    )
-    _assert_matches_reference(graph, protocol, seeds, results, "drain")
+    _assert_matches_reference(graph, protocol, seeds, results, path)
 
 
 def test_initially_stable_replicas_return_immediately():
@@ -74,9 +61,7 @@ def test_initially_stable_replicas_return_immediately():
     graph = clique(5)
     protocol = TokenLeaderElection()
     inputs = [1, 0, 0, 0, 0]
-    results = run_replicas(
-        protocol, graph, [0, 1], max_steps=1_000, inputs=inputs, mode="lockstep"
-    )
+    results = run_replicas(protocol, graph, [0, 1], max_steps=1_000, inputs=inputs)
     for seed, result in zip([0, 1], results):
         reference = Simulator(graph, protocol, rng=seed).run(
             max_steps=1_000, inputs=inputs
@@ -91,11 +76,6 @@ def test_empty_seed_list():
     assert run_replicas(TokenLeaderElection(), clique(5), [], max_steps=10) == []
 
 
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError):
-        run_replicas(TokenLeaderElection(), clique(5), [0], max_steps=10, mode="warp")
-
-
 def test_replica_results_independent_of_batching():
     """Stacked results equal per-seed runs through run_leader_election."""
     from repro.core.simulator import run_leader_election
@@ -104,7 +84,7 @@ def test_replica_results_independent_of_batching():
     protocol = TokenLeaderElection()
     seeds = [11, 12, 13]
     budget = default_max_steps(graph.n_nodes)
-    stacked = run_replicas(protocol, graph, seeds, max_steps=budget, mode="lockstep")
+    stacked = run_replicas(protocol, graph, seeds, max_steps=budget)
     for seed, result in zip(seeds, stacked):
         single = run_leader_election(protocol, graph, rng=seed, engine="compiled")
         assert result.steps_executed == single.steps_executed

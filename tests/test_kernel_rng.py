@@ -9,7 +9,7 @@ bounded sampling, and the scheduler-dialect refills of
 layer bit for bit: raw 64-bit words, bounded draws across chunk
 boundaries, decoded pair indices over randomized ``(seed, m, length)``
 triples including epoch-boundary caps at ``REFILL_SIZE``, and the
-mid-stream hand-off from kernel state back to a Python source.
+per-row stream independence that stack compaction relies on.
 """
 
 from __future__ import annotations
@@ -182,34 +182,6 @@ def test_generator_state_round_trip():
     assert (
         generator.integers(0, 2**63, size=16) == clone.integers(0, 2**63, size=16)
     ).all()
-
-
-def test_kernel_source_python_handoff_mid_stream():
-    """KernelSource → python_source continues the stream without a gap.
-
-    A replica that leaves the kernel mid-buffer (the straggler-drain
-    path) must keep producing the exact draws a never-kernelized
-    InteractionSource would have.
-    """
-    graph = cycle(37)
-    seeds = [derive_seed(MASTER_SEED, "handoff", r) for r in range(3)]
-    ksrc = KernelSource(graph, seeds)
-    # Refill sizes depend on consume-call sizes, so the kernel and the
-    # reference must chunk the prefix identically; the last short read
-    # leaves the kernel mid-buffer.
-    prefix_chunks = (REFILL_SIZE, 1000, 123)
-    for row in range(len(seeds)):
-        for count in prefix_chunks:
-            ksrc.fill(row, np.zeros(count, dtype=np.int64))
-    for row, seed in enumerate(seeds):
-        continued = ksrc.python_source(row)
-        reference = InteractionSource(graph, np.random.default_rng(seed))
-        for count in prefix_chunks:
-            reference.next_pair_indices(count)
-        for count in (1, 50, REFILL_SIZE):
-            got = continued.next_pair_indices(count)
-            want = reference.next_pair_indices(count)
-            assert (got == want).all(), f"hand-off diverges for seed {seed}"
 
 
 def test_kernel_source_compaction_preserves_rows():

@@ -5,34 +5,34 @@ changes measured values.  A single-replica :class:`ExecutionPlan` is
 bit-identical to the legacy ``Simulator.run`` entry point across the
 reference interpreter and every compiled backend (native where
 available, vector, scalar), on static and dynamic topologies alike; a
-multi-replica plan (the replica-batched stack) is bit-identical to the
-same trials run one at a time.  Cases are generated from a fixed master
-seed via the package's own SplitMix64 derivation, so the matrix is
-reproducible and every assertion message carries enough to replay a
-failure in isolation.
+multi-replica plan (the v6 epoch stack) is bit-identical to the same
+trials run one at a time through the reference interpreter.  The
+routing table — which plans the v6 stack serves and which stay on the
+per-replica engine — is pinned case by case.  Cases are generated from
+a fixed master seed via the package's own SplitMix64 derivation, so the
+matrix is reproducible and every assertion message carries enough to
+replay a failure in isolation.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
+import repro.runtime.execute as execute_module
+from repro.core.scheduler import RandomScheduler
 from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, default_check_interval
 from repro.dynamics import EpochSchedule
-from repro.engine.native import (
-    get_kernel,
-    get_run_epoch_kernel,
-    get_run_multi_kernel,
-    reset_kernel_cache,
-)
+from repro.engine.native import get_kernel, get_run_epoch_kernel, reset_kernel_cache
 from repro.graphs import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.protocols import StarLeaderElection, TokenLeaderElection
 from repro.protocols.identifier import IdentifierLeaderElection
 from repro.runtime import compile_plan, execute_plan
-from repro.runtime.execute import _execute_stack, _execute_stack_v6, _stack_v6_eligible
+from repro.runtime.execute import _stack_v6_eligible
 
 MASTER_SEED = 20260728 + 5  # PR-5 case stream, disjoint from the differential suite
 
@@ -138,12 +138,11 @@ def _stack_cases():
     return cases
 
 
-@pytest.mark.skipif(get_run_multi_kernel() is None, reason="multi-replica kernel unavailable")
 @pytest.mark.parametrize(
     "case", _stack_cases(), ids=lambda c: f"{c[0]}-n{c[1]}-{c[2]}-s{c[3] % 100000}"
 )
 def test_replica_stack_matches_per_trial_runs(case):
-    """The batched stack ≡ one Simulator.run per seed, field for field."""
+    """The batched stack ≡ one reference Simulator.run per seed, field for field."""
     graph_kind, size, protocol_kind, seed = case
     graph = _GRAPHS[graph_kind](size, derive_seed(seed, "graph"))
     protocol = _PROTOCOLS[protocol_kind](graph)
@@ -155,7 +154,7 @@ def test_replica_stack_matches_per_trial_runs(case):
     assert plan.mode == "shared"
     stacked = execute_plan(plan)
     for replica_seed, result in zip(seeds, stacked):
-        single = Simulator(graph, protocol, rng=replica_seed, engine="compiled").run(
+        single = Simulator(graph, protocol, rng=replica_seed, engine="reference").run(
             max_steps=max_steps
         )
         assert _result_tuple(result) == _result_tuple(single), (
@@ -163,7 +162,6 @@ def test_replica_stack_matches_per_trial_runs(case):
         )
 
 
-@pytest.mark.skipif(get_run_multi_kernel() is None, reason="multi-replica kernel unavailable")
 def test_stack_handles_lazily_compiled_tables():
     """Miss-resume: protocols without eager tables stay exact in the stack."""
     graph = cycle(12)
@@ -176,7 +174,7 @@ def test_stack_handles_lazily_compiled_tables():
     assert plan.mode == "shared"
     stacked = execute_plan(plan)
     for replica_seed, result in zip(seeds, stacked):
-        single = Simulator(graph, protocol, rng=replica_seed, engine="compiled").run(
+        single = Simulator(graph, protocol, rng=replica_seed, engine="reference").run(
             max_steps=max_steps
         )
         assert _result_tuple(result) == _result_tuple(single)
@@ -222,13 +220,80 @@ def test_plan_validation_errors():
         compile_plan([token], graph, [0], max_steps=-1)
     with pytest.raises(ValueError):
         compile_plan([token], graph, [0], max_steps=10, engine="warp")
-    with pytest.raises(ValueError):
-        compile_plan([token], graph, [0], max_steps=10, replica_mode="warp")
 
 
 # ----------------------------------------------------------------------
-# v6 epoch executor and the v6 → v5 → NumPy fallback chain
+# Executor routing and the v6 → per-replica → NumPy fallback chain
 # ----------------------------------------------------------------------
+def _spy_on_v6(monkeypatch):
+    """Record the width of every plan that enters the v6 epoch stack."""
+    calls = []
+    real = execute_module._execute_stack_v6
+
+    def spy(plan):
+        calls.append(plan.n_replicas)
+        return real(plan)
+
+    monkeypatch.setattr(execute_module, "_execute_stack_v6", spy)
+    return calls
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("engine", ["auto", "compiled"])
+def test_width_one_plans_run_on_v6(engine, monkeypatch):
+    """A single-replica plan (every sweep unit) is shared and runs v6."""
+    calls = _spy_on_v6(monkeypatch)
+    graph = torus(5, 5)
+    seed = derive_seed(MASTER_SEED, "width-one", engine)
+    plan = compile_plan([TokenLeaderElection()], graph, [seed], max_steps=50_000, engine=engine)
+    assert plan.mode == "shared" and plan.compiled is not None
+    via_plan = _result_tuple(execute_plan(plan)[0])
+    assert calls == [1]
+    reference = Simulator(graph, TokenLeaderElection(), rng=seed, engine="reference").run(
+        max_steps=50_000
+    )
+    assert via_plan == _result_tuple(reference)
+
+
+def _dynamic_schedule(graph):
+    return EpochSchedule.from_graphs([graph, cycle(graph.n_nodes)], epoch_length=96, repeat=True)
+
+
+#: Plans the v6 stack must leave to the per-replica engine: each entry
+#: builds fresh ``(protocols, seeds, compile_plan kwargs)`` for a graph
+#: (fresh, because a Generator or scheduler is consumed by a run).
+_PER_REPLICA_CASES = {
+    "schedule": lambda g: ([TokenLeaderElection()], [5], {"schedule": _dynamic_schedule(g)}),
+    "scheduler": lambda g: (
+        [TokenLeaderElection()], [None], {"scheduler": RandomScheduler(g, rng=5)}
+    ),
+    "trace": lambda g: ([TokenLeaderElection()], [5], {"record_leader_trace": True}),
+    "generator": lambda g: ([TokenLeaderElection()], [np.random.default_rng(5)], {}),
+    "wide-seed": lambda g: ([TokenLeaderElection()], [2**64 + 5], {}),
+    "vector": lambda g: ([TokenLeaderElection()], [5], {"backend": "vector"}),
+    "scalar": lambda g: ([TokenLeaderElection()] * 2, [5, 6], {"backend": "scalar"}),
+    "heterogeneous": lambda g: ([TokenLeaderElection(), StarLeaderElection()], [5, 6], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PER_REPLICA_CASES))
+def test_per_replica_cases_never_enter_v6(case, monkeypatch):
+    """Schedules, overrides, traces, odd seeds and Python backends skip v6."""
+    calls = _spy_on_v6(monkeypatch)
+    graph = clique(12)
+    protocols, seeds, kwargs = _PER_REPLICA_CASES[case](graph)
+    plan = compile_plan(protocols, graph, seeds, max_steps=20_000, engine="compiled", **kwargs)
+    assert not _stack_v6_eligible(plan)
+    via_plan = [_result_tuple(r) for r in execute_plan(plan)]
+    assert calls == []
+    protocols, seeds, kwargs = _PER_REPLICA_CASES[case](graph)
+    kwargs.pop("backend", None)
+    reference = compile_plan(
+        protocols, graph, seeds, max_steps=20_000, engine="reference", **kwargs
+    )
+    assert via_plan == [_result_tuple(r) for r in execute_plan(reference)]
+
+
 def _chain_plan():
     graph = clique(15)
     protocol = TokenLeaderElection()
@@ -239,18 +304,8 @@ def _chain_plan():
 
 
 @pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-def test_v6_executor_matches_v5_stack():
-    """The in-kernel-stream executor ≡ the v5 refill stack, field for field."""
-    plan = _chain_plan()
-    assert plan.mode == "shared" and _stack_v6_eligible(plan)
-    via_v6 = [_result_tuple(r) for r in _execute_stack_v6(_chain_plan())]
-    via_v5 = [_result_tuple(r) for r in _execute_stack(_chain_plan())]
-    assert via_v6 == via_v5
-
-
-@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
 def test_v6_requires_kernel_seedable_seeds():
-    """Seeds the kernel cannot reproduce drop the plan to the v5 stack."""
+    """Seeds the kernel cannot reproduce drop the plan to the per-replica engine."""
     graph = clique(12)
     protocol = TokenLeaderElection()
     seeds = [3, 2**64 + 5, 11]  # >64-bit entropy: NumPy-only seeding
@@ -259,38 +314,42 @@ def test_v6_requires_kernel_seedable_seeds():
     )
     assert plan.mode == "shared" and not _stack_v6_eligible(plan)
     for replica_seed, result in zip(seeds, execute_plan(plan)):
-        single = Simulator(graph, protocol, rng=replica_seed, engine="compiled").run(
+        single = Simulator(graph, protocol, rng=replica_seed, engine="reference").run(
             max_steps=50_000
         )
         assert _result_tuple(result) == _result_tuple(single)
 
 
 @pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-def test_fallback_chain_simulated_missing_kernels():
+def test_fallback_chain_simulated_missing_kernels(monkeypatch):
     """Disabling each kernel tier in turn never changes measured values.
 
-    ``REPRO_DISABLE_NATIVE_V6`` simulates a missing v6 ``.so`` (v5 stack
-    serves the plan); ``REPRO_DISABLE_NATIVE`` plus a cache reset
-    simulates no native kernel at all (per-replica NumPy backends).
+    ``REPRO_DISABLE_NATIVE_V6`` simulates a missing v6 ``.so`` (the
+    per-replica engine serves the plan on the native block kernel);
+    ``REPRO_DISABLE_NATIVE`` plus a cache reset simulates no native
+    kernel at all (per-replica NumPy backends).
     """
+    calls = _spy_on_v6(monkeypatch)
     baseline = [_result_tuple(r) for r in execute_plan(_chain_plan())]
+    assert calls == [7]
     try:
         os.environ["REPRO_DISABLE_NATIVE_V6"] = "1"
         plan = _chain_plan()
-        assert not _stack_v6_eligible(plan)
-        via_v5 = [_result_tuple(r) for r in execute_plan(plan)]
-        assert via_v5 == baseline, "v6→v5 fallback changed results"
+        assert not _stack_v6_eligible(plan) and get_kernel() is not None
+        via_single = [_result_tuple(r) for r in execute_plan(plan)]
+        assert via_single == baseline, "v6→per-replica fallback changed results"
 
         os.environ["REPRO_DISABLE_NATIVE"] = "1"
         reset_kernel_cache()
         plan = _chain_plan()
-        assert get_run_multi_kernel() is None
+        assert get_kernel() is None
         via_numpy = [_result_tuple(r) for r in execute_plan(plan)]
-        assert via_numpy == baseline, "v5→NumPy fallback changed results"
+        assert via_numpy == baseline, "native→NumPy fallback changed results"
     finally:
         os.environ.pop("REPRO_DISABLE_NATIVE_V6", None)
         os.environ.pop("REPRO_DISABLE_NATIVE", None)
         reset_kernel_cache()
+    assert calls == [7]
     assert get_run_epoch_kernel() is not None  # chain restored for later tests
 
 
