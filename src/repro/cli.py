@@ -156,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="graph shards per execution plan (partitioned executor)",
+        help="graph shards per execution plan (used with --shard-workers)",
     )
     sweep.add_argument(
         "--shard-workers",
         dest="shard_workers",
         type=int,
         default=None,
-        help="shard-worker processes per execution plan (0 = in-process)",
+        help="shard-worker processes per execution plan (0 = unsharded)",
     )
 
     serve = subparsers.add_parser(
@@ -294,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="graph shards per unit on the workers",
+        help="graph shards per unit on the workers (used with --shard-workers)",
     )
     submit.add_argument(
         "--shard-workers",
         dest="shard_workers",
         type=int,
         default=None,
-        help="shard-worker processes per unit on the workers (0 = in-process)",
+        help="shard-worker processes per unit on the workers (0 = unsharded)",
     )
     submit.add_argument(
         "--no-cache",

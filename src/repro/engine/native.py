@@ -29,10 +29,8 @@ from typing import Sequence, Tuple
 #: Compiler flags of every kernel build (``REPRO_KERNEL_CFLAGS`` appends).
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 
-#: The v5 function set: protocol stepping, epidemics, influence — all fed
-#: pre-drawn pair indices from Python.  Compiles standalone (no pthread,
-#: no 128-bit arithmetic) and serves as the fallback when the v6 source
-#: does not build on a platform.
+#: The v5 function set: protocol stepping, shard-local runs, epidemics,
+#: influence — all fed pre-drawn pair indices from Python.
 _KERNEL_SOURCE_V5 = r"""
 #include <stdint.h>
 
@@ -137,76 +135,6 @@ int64_t repro_run_shard_block(int64_t *codes,
         if (pk & 1)
             last = steps[i];
         leaders += ((pk >> 1) & 7) - 2;
-    }
-    *last_change_io = last;
-    *leaders_io = leaders;
-    return i;
-}
-
-/* One whole routed chunk of the sharded executor, global draw order.
- *
- * The in-process sharded path needs no run regrouping at all: node
- * state is one global code array, so every draw — shard-local or
- * boundary — applies in exact draw order with global endpoint indices,
- * and the chunk is a single kernel call.  The only thing the executor
- * still owes the shard fabric is the exchange accounting for the
- * boundary events, so for each chunk position listed in boundary_pos
- * (ascending) the kernel records into applied[] whether that draw's
- * transition was non-null (na != a || nb != b; the packed tables encode
- * a null transition as the identity with zero deltas) — the caller
- * bumps the posted/delivered matrices from that flag vector in one
- * vectorised pass.
- *
- * start > 0 resumes mid-chunk after a miss-resume table fill; steps are
- * step0 + i + 1 (the chunk is contiguous in the global stream).
- * Returns the chunk position of the first missing entry, or nsteps.
- */
-int64_t repro_run_sharded_chunk(int64_t *codes,
-                                const int64_t *iu,
-                                const int64_t *iv,
-                                int64_t start,
-                                int64_t nsteps,
-                                int64_t step0,
-                                const int64_t *boundary_pos,
-                                int64_t n_boundary,
-                                uint8_t *applied,
-                                const int32_t *dpack,
-                                int64_t k,
-                                int32_t kshift,
-                                uint8_t *seen,
-                                int64_t *last_change_io,
-                                int64_t *leaders_io)
-{
-    const int64_t kmask = k - 1;
-    int64_t last = *last_change_io;
-    int64_t leaders = *leaders_io;
-    int64_t j = 0;
-    int64_t i;
-    while (j < n_boundary && boundary_pos[j] < start)
-        j++;
-    for (i = start; i < nsteps; i++) {
-        int64_t u = iu[i];
-        int64_t v = iv[i];
-        int64_t a = codes[u];
-        int64_t b = codes[v];
-        int32_t pk = dpack[a * k + b];
-        int64_t val, na, nb;
-        if (pk < 0)
-            break;
-        val = (int64_t)(pk >> 4);
-        na = val >> kshift;
-        nb = val & kmask;
-        codes[u] = na;
-        codes[v] = nb;
-        seen[na] = 1;
-        seen[nb] = 1;
-        if (pk & 1)
-            last = step0 + i + 1;
-        leaders += ((pk >> 1) & 7) - 2;
-        if (j < n_boundary && boundary_pos[j] == i) {
-            applied[j] = (na != a || nb != b);
-            j++;
-        }
     }
     *last_change_io = last;
     *leaders_io = leaders;
@@ -1158,34 +1086,24 @@ def _compile_kernel():
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
         return None
-    build_dir = _build_directory()
     flags = [*_CFLAGS, *_extra_cflags()]
-    # Try the full v6 source first (pthreads + 128-bit arithmetic); fall
-    # back to the standalone v5 function set if it does not build here.
-    variants = (
-        (_KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6, True),
-        (_KERNEL_SOURCE_V5, False),
-    )
-    for source, with_v6 in variants:
-        src_path, so_path = _build_paths(build_dir, source, flags)
-        try:
-            if not os.path.exists(so_path):
-                tmp = f".tmp{os.getpid()}"
-                with open(src_path + tmp, "w", encoding="utf-8") as handle:
-                    handle.write(source)
-                os.replace(src_path + tmp, src_path)
-                subprocess.run(
-                    [compiler, *flags, "-o", so_path + tmp, src_path],
-                    check=True,
-                    capture_output=True,
-                    timeout=180,
-                )
-                os.replace(so_path + tmp, so_path)
-            library = ctypes.CDLL(so_path)
-            return _bind_kernels(library, with_v6)
-        except Exception:
-            continue
-    return None
+    # One build: a host that cannot compile the full source (pthreads,
+    # 128-bit arithmetic) gets no kernel and runs the NumPy backends.
+    source = _KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6
+    src_path, so_path = _build_paths(_build_directory(), source, flags)
+    if not os.path.exists(so_path):
+        tmp = f".tmp{os.getpid()}"
+        with open(src_path + tmp, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        os.replace(src_path + tmp, src_path)
+        subprocess.run(
+            [compiler, *flags, "-o", so_path + tmp, src_path],
+            check=True,
+            capture_output=True,
+            timeout=180,
+        )
+        os.replace(so_path + tmp, so_path)
+    return _bind_kernels(ctypes.CDLL(so_path))
 
 
 def _bind_v6(library):
@@ -1303,7 +1221,7 @@ def _bind_v6(library):
     }
 
 
-def _bind_kernels(library, with_v6):
+def _bind_kernels(library):
     run_block = library.repro_run_block
     run_block.restype = ctypes.c_int64
     run_block.argtypes = [
@@ -1327,25 +1245,6 @@ def _bind_kernels(library, with_v6):
         ctypes.c_void_p,  # iv (shard-local responder indices)
         ctypes.c_void_p,  # steps (per-draw global step numbers)
         ctypes.c_int64,  # nsteps
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen
-        ctypes.POINTER(ctypes.c_int64),  # last_change_io
-        ctypes.POINTER(ctypes.c_int64),  # leaders_io
-    ]
-    run_sharded_chunk = library.repro_run_sharded_chunk
-    run_sharded_chunk.restype = ctypes.c_int64
-    run_sharded_chunk.argtypes = [
-        ctypes.c_void_p,  # codes (the global code array)
-        ctypes.c_void_p,  # iu (global initiator indices, draw order)
-        ctypes.c_void_p,  # iv (global responder indices, draw order)
-        ctypes.c_int64,  # start (resume offset within the chunk)
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # step0
-        ctypes.c_void_p,  # boundary_pos (ascending chunk positions)
-        ctypes.c_int64,  # n_boundary
-        ctypes.c_void_p,  # applied (out: non-null flag per boundary)
         ctypes.c_void_p,  # dpack
         ctypes.c_int64,  # k
         ctypes.c_int32,  # kshift
@@ -1393,17 +1292,14 @@ def _bind_kernels(library, with_v6):
         ctypes.c_void_p,  # counts (nrep)
         ctypes.c_void_p,  # finish (nrep)
     ]
-    kernels = {
+    return {
         "run_block": run_block,
         "run_shard_block": run_shard_block,
-        "run_sharded_chunk": run_sharded_chunk,
         "broadcast_block": broadcast_block,
         "broadcast_multi": broadcast_multi,
         "influence_multi": influence_multi,
+        **_bind_v6(library),
     }
-    if with_v6:
-        kernels.update(_bind_v6(library))
-    return kernels
 
 
 def _kernels():
@@ -1420,20 +1316,6 @@ def _kernels():
     return _cached_kernel
 
 
-def _v6_kernels():
-    """The v6 function table, or ``None`` when disabled or unbuilt.
-
-    ``REPRO_DISABLE_NATIVE_V6`` is consulted on every call (not cached)
-    so tests can drop plans to the per-replica engine without rebuilding.
-    """
-    if os.environ.get("REPRO_DISABLE_NATIVE_V6"):
-        return None
-    kernels = _kernels()
-    if kernels is None or "run_epoch" not in kernels:
-        return None
-    return kernels
-
-
 def get_kernel():
     """The compiled protocol-stepping entry point, or ``None``."""
     kernels = _kernels()
@@ -1444,12 +1326,6 @@ def get_run_shard_kernel():
     """The shard-local block-run entry point (explicit step array), or ``None``."""
     kernels = _kernels()
     return None if kernels is None else kernels["run_shard_block"]
-
-
-def get_run_sharded_chunk_kernel():
-    """The whole-chunk sharded entry point (global indices), or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["run_sharded_chunk"]
 
 
 def get_broadcast_kernel():
@@ -1472,19 +1348,19 @@ def get_influence_multi_kernel():
 
 def get_run_epoch_kernel():
     """The v6 whole-epoch protocol kernel (in-kernel streams), or ``None``."""
-    kernels = _v6_kernels()
+    kernels = _kernels()
     return None if kernels is None else kernels["run_epoch"]
 
 
 def get_broadcast_epoch_kernel():
     """The v6 epidemic kernel with in-kernel draws, or ``None``."""
-    kernels = _v6_kernels()
+    kernels = _kernels()
     return None if kernels is None else kernels["broadcast_epoch"]
 
 
 def get_influence_epoch_kernel():
     """The v6 all-pairs influence kernel with in-kernel draws, or ``None``."""
-    kernels = _v6_kernels()
+    kernels = _kernels()
     return None if kernels is None else kernels["influence_epoch"]
 
 
@@ -1494,7 +1370,7 @@ def get_rng_kernels():
     Keys: ``splitmix64``, ``derive_seed``, ``pcg64_init``, ``pcg64_raw``,
     ``bounded_fill``, ``source_fill``.
     """
-    kernels = _v6_kernels()
+    kernels = _kernels()
     if kernels is None:
         return None
     return {

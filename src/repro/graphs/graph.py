@@ -31,9 +31,7 @@ class GraphError(ValueError):
 #: be materialised.  Above this, ``(n, n)`` bool + int16 scratch is
 #: multiple gigabytes (a ~1 TB request at n = 10^6) and dies in the
 #: allocator with an opaque ``MemoryError``; eccentricities route to
-#: per-source BFS instead, and million-node simulations should use the
-#: sharded engine (:mod:`repro.sharding`), which never needs all-pairs
-#: distances.
+#: per-source BFS instead.
 DENSE_DISTANCE_MATRIX_LIMIT = 8192
 
 
@@ -374,10 +372,7 @@ class Graph:
                 f"all-pairs distance matrix on {n} nodes needs two (n, n) "
                 f"arrays (~{n * n * 3 / 1e9:.0f} GB) and is refused above "
                 f"n={DENSE_DISTANCE_MATRIX_LIMIT}; use per-source "
-                "bfs_distances() for the few sources you need, or run "
-                "large sparse topologies through the sharded engine "
-                "(repro.sharding), which never builds dense distance "
-                "tables"
+                "bfs_distances() for the few sources you need"
             )
         # Boolean semiring: numpy's bool matmul is a logical OR of ANDs,
         # so the frontier product cannot wrap no matter how many (256 or

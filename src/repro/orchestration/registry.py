@@ -165,16 +165,15 @@ register_scenario(
 register_scenario(
     Scenario(
         name="torus-million",
-        description="Million-node 2-D torus, token protocol on the sharded engine (capacity demo)",
+        description="Million-node 2-D torus, token protocol (capacity demo)",
         workload="torus",
         sizes=(1_000_000,),
         protocols=_TOKEN_ONLY,
         repetitions=1,
         # The point is capacity, not convergence: ~150k steps of a
-        # 10^6-node torus demonstrate the memory-bounded path without
-        # taking hours (multiplier·n²·log n + 10_000).
+        # 10^6-node torus exercise the million-node build and run
+        # without taking hours (multiplier·n²·log n + 10_000).
         step_budget_multiplier=1e-8,
-        shards=8,
     )
 )
 register_scenario(

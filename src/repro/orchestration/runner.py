@@ -157,12 +157,11 @@ class UnitPlan:
     #: results are bit-identical for any value (hence not part of the
     #: unit's identity or the scenario content hash).
     threads: Optional[int] = None
-    #: Shard count for the partitioned executor (:mod:`repro.sharding`);
-    #: like ``threads``, a capacity dial only — never part of the unit's
-    #: identity.
+    #: Shard count for the shard-worker pool (:mod:`repro.sharding`);
+    #: like ``threads``, never part of the unit's identity.
     shards: Optional[int] = None
-    #: Shard-worker process count for the sharded executor's fork-based
-    #: pool (``None``/``0`` = in-process); a throughput dial only —
+    #: Shard-worker process count for the fork-based pool
+    #: (``None``/``0`` = unsharded); a throughput dial only —
     #: byte-identical for any value, never part of the unit's identity.
     shard_workers: Optional[int] = None
 

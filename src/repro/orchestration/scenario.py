@@ -299,19 +299,19 @@ class Scenario:
         the content hash — cached results are shared across thread
         counts, exactly as they are across worker counts.
     shards:
-        Optional shard count for the partitioned executor
+        Optional shard count for the shard-worker pool
         (:mod:`repro.sharding`), forwarded to every execution plan the
-        scenario produces.  Like ``threads`` it is purely a capacity
-        dial — results are bit-identical for any value (gated by
-        ``tests/test_sharding.py``), so it too is *excluded* from
-        :meth:`config_dict` and the content hash.
-    shard_workers:
-        Optional process count for the sharded executor's fork-based
-        shard-worker pool (``0``/``None`` = in-process, the default).
-        Purely a throughput dial riding on ``shards``: results are
-        byte-identical for any worker count and an unavailable pool
-        silently demotes to the in-process sharded path, so it too is
+        scenario produces; without ``shard_workers`` it changes
+        nothing.  Results are bit-identical for any value (gated by
+        ``tests/test_sharding.py``), so like ``threads`` it is
         *excluded* from :meth:`config_dict` and the content hash.
+    shard_workers:
+        Optional process count for the fork-based shard-worker pool
+        (``0``/``None`` = unsharded, the default).  Purely a throughput
+        dial riding on ``shards``: results are byte-identical for any
+        worker count and a plan the pool cannot serve runs unsharded,
+        so it too is *excluded* from :meth:`config_dict` and the
+        content hash.
     schedule:
         Optional declarative topology schedule (:class:`ScheduleConfig`).
         ``None`` (the default) runs on the static workload graph; a
@@ -371,7 +371,7 @@ class Scenario:
             if self.shard_workers < 0:
                 raise ScenarioError(
                     f"scenario {self.name!r}: shard_workers must be non-negative "
-                    "(0 = in-process)"
+                    "(0 = unsharded)"
                 )
 
     # ------------------------------------------------------------------

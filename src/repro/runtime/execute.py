@@ -28,6 +28,11 @@ plan, from the plan's inputs alone:
 * **reference** — the pure-Python interpreter (the semantic ground
   truth), for ``engine="reference"`` and for protocols that ``auto``
   declines to compile.
+
+A plan with ``shard_workers`` set goes to the shard-worker pool
+(:func:`repro.sharding.execute_sharded`) instead when the pool can
+serve it; the pool hands any replica it cannot finish back to this
+chain (:func:`execute_unsharded`).
 """
 
 from __future__ import annotations
@@ -50,11 +55,16 @@ _BUDGET, _BOUNDARY, _MISS = 0, 1, 2
 
 def execute_plan(plan: ExecutionPlan) -> List["SimulationResult"]:
     """Run every replica of ``plan`` and return results in replica order."""
-    if plan.shards is not None:
+    if plan.shard_workers:
         from ..sharding.executor import execute_sharded, sharded_eligible
 
         if sharded_eligible(plan):
             return execute_sharded(plan)
+    return execute_unsharded(plan)
+
+
+def execute_unsharded(plan: ExecutionPlan) -> List["SimulationResult"]:
+    """The unsharded chain: v6 stack, else the per-replica executors."""
     if _stack_v6_eligible(plan):
         return _execute_stack_v6(plan)
     return [_execute_single(plan, index) for index in range(plan.n_replicas)]

@@ -81,18 +81,17 @@ class ExecutionPlan:
     #: defers to ``REPRO_KERNEL_THREADS`` at execution time.  Purely a
     #: throughput dial — results are bit-identical for any value.
     threads: Optional[int] = None
-    #: Shard count for the partitioned executor
-    #: (:mod:`repro.sharding`); ``None`` keeps the plan on the batched
-    #: stack.  Purely a capacity dial — results are bit-identical for
-    #: any value, and ineligible plans fall through unchanged.
+    #: Shard count for the shard-worker pool (:mod:`repro.sharding`);
+    #: it takes effect only together with ``shard_workers``.  Results
+    #: are bit-identical for any value.
     shards: Optional[int] = None
-    #: Process count for the sharded executor's fork-based shard-worker
-    #: pool; ``None`` or ``0`` runs the shards in-process (the default).
-    #: Purely a throughput dial — results are byte-identical for any
-    #: value, and an unavailable pool (no fork, incomplete tables, a
-    #: killed worker) silently demotes to the in-process sharded path.
+    #: Process count for the fork-based shard-worker pool; ``None`` or
+    #: ``0`` (the default) runs the plan unsharded, whatever ``shards``
+    #: says.  Purely a throughput dial — results are byte-identical for
+    #: any value, and a plan the pool cannot serve (one shard, no fork,
+    #: incomplete tables, a killed worker) runs unsharded.
     shard_workers: Optional[int] = None
-    #: Opt-in per-shard observability: when set, the sharded executor
+    #: Opt-in per-shard observability: when set, the shard-worker pool
     #: attaches a ``shard_stats`` dict to every ``SimulationResult``
     #: (excluded from canonical aggregates — it never affects measured
     #: values or cache bytes).
@@ -177,7 +176,7 @@ def compile_plan(
     if shards is not None and int(shards) < 1:
         raise ValueError("shards must be positive")
     if shard_workers is not None and int(shard_workers) < 0:
-        raise ValueError("shard_workers must be non-negative (0 = in-process)")
+        raise ValueError("shard_workers must be non-negative (0 = unsharded)")
     if schedule is not None:
         if scheduler is not None:
             raise ValueError("pass either schedule or scheduler, not both")

@@ -31,7 +31,7 @@ bit-identical to the static one on the same seed.
 Internally the buffer holds raw directed pair indices; endpoints are
 decoded on consumption through the shared tables.  That lets the
 sharded engine (:mod:`repro.sharding`) read undecoded indices with
-:meth:`next_pair_indices` and route them itself, while ``next_batch`` /
+:meth:`next_pair_indices` and resolve them itself, while ``next_batch`` /
 ``next_arrays`` reproduce the historical decoded streams exactly.
 :class:`KernelSource` is the same scheduler dialect with its state held
 in C, for the v6 epoch stack (:mod:`repro.runtime.execute`).
@@ -95,8 +95,8 @@ class InteractionSource:
             self._epoch_graph: Optional[Graph] = topology
             self._epoch_end: Optional[int] = None
             # Decode tables are built on first *decoded* consumption:
-            # undecoded readers (the sharded engine, which routes raw
-            # indices through memory-mapped per-shard tables) never
+            # undecoded readers (the sharded engine, which resolves raw
+            # indices against the graph's edge arrays) never
             # materialise the resident 2m endpoint arrays.
             self._du: Optional[np.ndarray] = None
             self._dv: Optional[np.ndarray] = None

@@ -1,24 +1,24 @@
-"""Sharded graph engine: million-node topologies behind the runtime seam.
+"""Sharded graph engine: the fork-based shard-worker pool.
 
-The package splits a topology into per-shard CSR adjacency blocks
-(:class:`PartitionedGraph`), routes the global seeded ``[0, 2m)`` pair
-stream to owning shards through memory-mapped routing tables
-(:class:`ShardedInteractionSource`) with explicit boundary-pair exchange
-queues (:class:`ExchangeQueue`), and executes plans shard-locally
-(:func:`execute_sharded`) behind the same probe-and-fallback seam as the
-v6 → v5 → NumPy executor chain.  Execution follows the *span*
-schedule (:class:`SpanBlock`): the whole routed chunk runs in draw order
-as native-kernel calls against a global code array — in-process as one
-call per chunk, or split per owning worker across the fork-based
-:class:`ShardWorkerPool` (``shard_workers=``) — and only boundary events
-stay order-critical.
+The package partitions a topology's nodes across shards
+(:class:`PartitionedGraph`), resolves the global seeded ``[0, 2m)`` pair
+stream to global endpoints annotated with their owning shards
+(:class:`ShardedInteractionSource`), and runs a plan on a persistent
+fork-based :class:`ShardWorkerPool` (:func:`execute_sharded`).  Execution
+follows the *span* schedule (:class:`SpanBlock`): every routed chunk is
+split per owning worker into shard-local runs, executed as native-kernel
+calls against a shared global code array, while the boundary events —
+the only order-critical draws — apply in the parent in global draw order
+through explicit exchange queues (:class:`ExchangeQueue`).
 
-The determinism contract (gated by ``tests/test_sharding.py`` and
-``scripts/ci_parallel_equivalence.py``): 1-shard execution is
-byte-identical to the batched path for any seed, and k-shard execution
-is byte-identical to 1-shard for any k.  Sharding is a *capacity* dial —
-it bounds resident memory so sparse families reach n >= 10^6 — never a
-semantics dial.
+The pool serves a plan only when :func:`sharded_eligible` accepts it
+(``shard_workers >= 1``, at least two shards, complete tables, a built
+kernel, fork); every other plan — ``shards`` without workers included —
+runs on the unsharded executor chain.  The determinism contract (gated
+by ``tests/test_sharding.py`` and ``scripts/ci_parallel_equivalence.py``):
+a pool run is byte-identical to the same plan without ``shards`` for any
+seed, shard count and worker count.  Neither dial ever changes what is
+measured.
 """
 
 from .executor import execute_sharded, sharded_eligible

@@ -1,20 +1,11 @@
-"""Graph partitioning with memory-mapped per-shard tables.
+"""Graph partitioning: which shard owns each node.
 
 A :class:`PartitionedGraph` splits a :class:`~repro.graphs.graph.Graph`
 into ``k`` shards: every node is owned by exactly one shard (contiguous
-``range`` assignment or seeded ``hash`` assignment), every shard holds
-the CSR adjacency block of its members, and the directed ``[0, 2m)``
-pair-index space carries four parallel *routing tables* mapping each
-pair index to (initiator shard, initiator local id, responder shard,
-responder local id).
-
-All per-shard and per-pair tables live in ``np.memmap`` files under a
-spool directory, so the resident footprint of a partitioned million-node
-topology is a few small index arrays — the page cache, not the heap,
-holds the edge data.  This is what lets the sharded executor run sparse
-families at n >= 10^6 without the resident dense endpoint tables of
-:func:`repro.runtime.pairs.directed_tables` (see
-``benchmarks/bench_sharding.py`` for the gated RSS ceiling).
+``range`` assignment or seeded ``hash`` assignment).  The shard-worker
+pool gives each worker the shards it owns, and the span schedule
+(:meth:`~repro.sharding.source.ShardedInteractionSource.next_spans`)
+reads the assignment to find the boundary draws.
 
 The node assignment is deterministic in ``(mode, shards, seed, graph)``
 and digested into :attr:`PartitionedGraph.fingerprint`, so a drifting
@@ -26,11 +17,7 @@ fingerprint.
 from __future__ import annotations
 
 import hashlib
-import shutil
-import tempfile
-import weakref
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
@@ -39,13 +26,8 @@ from ..graphs.graph import Graph, GraphError
 #: Supported node-assignment modes.
 PARTITION_MODES = ("range", "hash")
 
-#: Routing tables are written in chunks of this many pair indices, so
-#: building them never materialises whole-``2m`` temporaries beyond the
-#: chunk itself.
-_ROUTE_CHUNK = 1 << 18
-
-#: Upper bound on the shard count (int16 shard ids in the routing
-#: tables; far above any sensible machine anyway).
+#: Upper bound on the shard count (int16 shard ids in the node
+#: assignment; far above any sensible machine anyway).
 MAX_SHARDS = 4096
 
 
@@ -93,7 +75,7 @@ def node_assignment(
 
 
 class PartitionedGraph:
-    """A graph split into per-shard CSR blocks plus pair routing tables.
+    """A graph's nodes split across shards.
 
     Parameters
     ----------
@@ -103,19 +85,10 @@ class PartitionedGraph:
         Number of shards ``k`` (``1 <= k <= min(n, MAX_SHARDS)``).
     mode / seed:
         Node-assignment policy (see :func:`node_assignment`).
-    spool_dir:
-        Directory for the memory-mapped tables.  ``None`` (the default)
-        creates a private temporary directory removed when the partition
-        is garbage-collected.
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        shards: int,
-        mode: str = "range",
-        seed: int = 0,
-        spool_dir: Union[str, Path, None] = None,
+        self, graph: Graph, shards: int, mode: str = "range", seed: int = 0
     ) -> None:
         if graph.n_edges == 0:
             raise GraphError("cannot partition an edgeless graph")
@@ -125,101 +98,8 @@ class PartitionedGraph:
         self.n_shards = int(shards)
         self.assignment = node_assignment(graph.n_nodes, self.n_shards, mode, seed)
         self.assignment.flags.writeable = False
-
-        if spool_dir is None:
-            spool = Path(tempfile.mkdtemp(prefix="repro-shards-"))
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, str(spool), ignore_errors=True
-            )
-        else:
-            spool = Path(spool_dir)
-            spool.mkdir(parents=True, exist_ok=True)
-            self._finalizer = None
-        self.spool_dir = spool
-
-        # Local ids: each shard's members keep their global order, so
-        # local id = rank of the node among its shard's members.
-        n = graph.n_nodes
-        self._members: List[np.ndarray] = [
-            np.flatnonzero(self.assignment == s) for s in range(self.n_shards)
-        ]
-        local = np.empty(n, dtype=np.int32)
-        for members in self._members:
-            local[members] = np.arange(members.size, dtype=np.int32)
-        self.shard_sizes = np.array([m.size for m in self._members], dtype=np.int64)
-
-        self._build_shard_csr()
-        self._build_routing_tables(local)
+        self.shard_sizes = np.bincount(self.assignment, minlength=self.n_shards)
         self._fingerprint: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # Table construction (memory-mapped)
-    # ------------------------------------------------------------------
-    def _mmap(self, name: str, dtype, length: int) -> np.ndarray:
-        return np.memmap(
-            self.spool_dir / name, dtype=dtype, mode="w+", shape=(max(length, 1),)
-        )
-
-    def _build_shard_csr(self) -> None:
-        """Per-shard CSR adjacency blocks (neighbor lists in global ids)."""
-        indptr, indices = self.graph._csr()
-        self._csr_indptr: List[np.ndarray] = []
-        self._csr_indices: List[np.ndarray] = []
-        for s, members in enumerate(self._members):
-            counts = indptr[members + 1] - indptr[members]
-            total = int(counts.sum())
-            shard_ptr = self._mmap(f"csr-indptr-{s:04d}.mm", np.int64, members.size + 1)
-            shard_ptr[0] = 0
-            np.cumsum(counts, out=shard_ptr[1 : members.size + 1])
-            shard_idx = self._mmap(f"csr-indices-{s:04d}.mm", np.int64, total)
-            if total:
-                within = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                shard_idx[:total] = indices[np.repeat(indptr[members], counts) + within]
-            self._csr_indptr.append(shard_ptr)
-            self._csr_indices.append(shard_idx)
-
-    def _build_routing_tables(self, local: np.ndarray) -> None:
-        """Pair index -> (init shard, init local, resp shard, resp local)."""
-        m = self.graph.n_edges
-        self.pair_init_shard = self._mmap("route-init-shard.mm", np.int16, 2 * m)
-        self.pair_init_local = self._mmap("route-init-local.mm", np.int32, 2 * m)
-        self.pair_resp_shard = self._mmap("route-resp-shard.mm", np.int16, 2 * m)
-        self.pair_resp_local = self._mmap("route-resp-local.mm", np.int32, 2 * m)
-        assignment = self.assignment
-        edges_u, edges_v = self.graph.edges_u, self.graph.edges_v
-        for lo in range(0, m, _ROUTE_CHUNK):
-            hi = min(lo + _ROUTE_CHUNK, m)
-            u, v = edges_u[lo:hi], edges_v[lo:hi]
-            # Index r < m: edge r in stored orientation (u -> v) …
-            self.pair_init_shard[lo:hi] = assignment[u]
-            self.pair_init_local[lo:hi] = local[u]
-            self.pair_resp_shard[lo:hi] = assignment[v]
-            self.pair_resp_local[lo:hi] = local[v]
-            # … index r >= m: the reverse (v -> u).
-            self.pair_init_shard[m + lo : m + hi] = assignment[v]
-            self.pair_init_local[m + lo : m + hi] = local[v]
-            self.pair_resp_shard[m + lo : m + hi] = assignment[u]
-            self.pair_resp_local[m + lo : m + hi] = local[u]
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-    def shard_members(self, shard: int) -> np.ndarray:
-        """Global node ids owned by ``shard``, in local-id order."""
-        return self._members[shard]
-
-    def shard_csr(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The shard's CSR adjacency block ``(indptr, neighbor ids)``.
-
-        ``indptr`` is indexed by local id; neighbor ids are *global* (a
-        neighbor may live on any shard — that is what the exchange
-        queues are for).
-        """
-        members = self._members[shard]
-        indptr = self._csr_indptr[shard][: members.size + 1]
-        return indptr, self._csr_indices[shard][: int(indptr[members.size])]
 
     def boundary_matrix(self) -> np.ndarray:
         """Directed boundary-pair counts: entry ``(i, j)`` is the number

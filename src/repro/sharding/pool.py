@@ -3,16 +3,15 @@
 :class:`ShardWorkerPool` turns the sharded executor's span schedule into
 actual process parallelism: the global ``int64`` code block lives in
 :mod:`multiprocessing.shared_memory` (node state indexed by global node
-id — exactly the in-process layout), a fixed set of fork-based workers
-owns the shards (shard ``s`` belongs to worker ``s % n_workers``), and
-each routed chunk becomes one *super-step* — the parent draws and
-annotates the chunk (the single global seeded stream never leaves the
-parent) and ships each worker its whole program at once: the draws it
-owns as flat endpoint arrays, split into runs at the boundary events
-that touch its shards.  The workers execute their runs concurrently,
-one native-kernel call per run against the shared block; between two
-handshakes each worker writes only its own shards' nodes, so concurrent
-runs touch disjoint state.
+id), a fixed set of fork-based workers owns the shards (shard ``s``
+belongs to worker ``s % n_workers``), and each routed chunk becomes
+one *super-step* — the parent draws and annotates the chunk (the single
+global seeded stream never leaves the parent) and ships each worker its
+whole program at once: the draws it owns as flat endpoint arrays, split
+into runs at the boundary events that touch its shards.  The workers
+execute their runs concurrently, one native-kernel call per run against
+the shared block; between two handshakes each worker writes only its
+own shards' nodes, so concurrent runs touch disjoint state.
 
 Determinism comes from the schedule, not from timing: within a segment
 the shard-local runs commute (disjoint state), and every order-critical
@@ -23,14 +22,14 @@ the barrier is pairwise, not global).  The parent's
 :class:`~repro.sharding.source.ExchangeQueue` posted/delivered matrices
 and its per-chunk quiescence assert are the cross-process contract: a
 lost or reordered hand-off shows up as a non-quiescent fabric, not as a
-silently wrong result.  Results are byte-identical to the in-process
-sharded path for any worker count.
+silently wrong result.  Results are byte-identical to the unsharded
+executors for any worker count.
 
 The pool requires *complete* transition tables (parallel lazy state
 discovery would assign codes in process-dependent order); any breakage
 at run time — a worker killed mid-super-step, a closed pipe, a table
 miss — raises :class:`ShardPoolError`, which the executor answers by
-closing the pool and rerunning the replica in-process, byte-identically
+closing the pool and rerunning the replica unsharded, byte-identically
 (the stream is re-creatable from its seed).
 ``REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS=<n>`` makes every worker die at
 the start of its ``n``-th super-step (0-based) — the failure-path tests
@@ -59,7 +58,7 @@ class ShardPoolError(RuntimeError):
     """The worker pool broke (dead worker, closed pipe, table miss).
 
     Always recoverable: the executor closes the pool and reruns the
-    replica in-process from its seed, byte-identically.
+    replica unsharded from its seed, byte-identically.
     """
 
 
@@ -189,8 +188,8 @@ class ShardWorkerPool:
 
     Construction forks the workers immediately (the compiled tables and
     the shared-memory views ride the fork — nothing is pickled); any
-    failure to fork (non-fork platform, daemonic parent) raises, which
-    the executor's probe treats as "no pool".  The pool is reused across
+    failure to fork (non-fork platform, daemonic parent) raises, and the
+    executor runs the plan unsharded instead.  The pool is reused across
     all replicas of a plan and must be :meth:`close`\\ d.
     """
 
@@ -215,9 +214,9 @@ class ShardWorkerPool:
             shm = shared_memory.SharedMemory(create=True, size=max(8 * int(n_nodes), 8))
             self._shm.append(shm)
             #: The single global code block, shared with every worker
-            #: (node state indexed by global node id, exactly the
-            #: in-process layout — workers address it with global ids,
-            #: and between two handshakes they write disjoint nodes).
+            #: (node state indexed by global node id — workers address
+            #: it with global ids, and between two handshakes they
+            #: write disjoint nodes).
             self.codes = np.frombuffer(shm.buf, dtype=np.int64, count=int(n_nodes))
             self._finalizer = weakref.finalize(self, _release_shm, self._shm)
 
@@ -315,18 +314,13 @@ class _PoolBackend:
     across workers.
     """
 
-    name = "pool"
-
     def __init__(self, pool: ShardWorkerPool) -> None:
         self._pool = pool
         self.codes = pool.codes
         self._block: SpanBlock = None
         self._involved: List[List[int]] = []
 
-    def reset_replica(self, initial_codes: np.ndarray) -> None:
-        self.codes[:] = initial_codes
-
-    def begin_chunk(self, routed, size: int, base_step: int, state: Any) -> SpanBlock:
+    def begin_chunk(self, routed, size: int, base_step: int) -> SpanBlock:
         block = routed.next_spans(size)
         self._block = block
         pool = self._pool
@@ -362,9 +356,6 @@ class _PoolBackend:
             )
         return block
 
-    def run_segment(self, seg: int, state: Any) -> None:
-        pass  # the workers run ahead on their own programs
-
     def boundary(self, seg: int):
         """``(init shard, resp shard, init node, resp node, a, b)``."""
         block = self._block
@@ -376,12 +367,12 @@ class _PoolBackend:
         self._cursor = (gi, gj)
         return si, sj, gi, gj, int(self.codes[gi]), int(self.codes[gj])
 
-    def write_boundary(self, seg: int, na: int, nb: int) -> None:
+    def write_boundary(self, na: int, nb: int) -> None:
         gi, gj = self._cursor
         self.codes[gi] = na
         self.codes[gj] = nb
 
-    def assemble(self, partition) -> np.ndarray:
+    def assemble(self) -> np.ndarray:
         return self.codes.copy()
 
     def sync_boundary(self, seg: int) -> None:

@@ -2,13 +2,12 @@
 
 :class:`ShardedInteractionSource` wraps the package's single seeded
 stream (:class:`~repro.runtime.source.InteractionSource`, consumed
-*undecoded* through ``next_pair_indices``) and routes every drawn pair
-index through the partition's memory-mapped routing tables — the same
-draws, in the same global order, annotated with the owning shards and
-local node ids.  Because the wrapped source is THE seeded stream, a
-sharded run consumes bit-for-bit the refill sequence a batched run
-consumes; partitioning decides *where* a pair is applied, never *which*
-pair is drawn.
+*undecoded* through ``next_pair_indices``) and resolves every drawn pair
+index to its global endpoints and their owning shards — the same draws,
+in the same global order.  Because the wrapped source is THE seeded
+stream, a sharded run consumes bit-for-bit the refill sequence an
+unsharded run consumes; partitioning decides *where* a pair is applied,
+never *which* pair is drawn.
 
 :class:`ExchangeQueue` is the explicit inter-shard message fabric (the
 Network element of the PE-grid decomposition): a boundary pair — one
@@ -85,14 +84,12 @@ class SpanBlock:
     """One routed chunk in original draw order, annotated for spans.
 
     The draws strictly between two boundary events are contiguous in
-    draw order and all shard-local, so the in-process kernel backend
-    executes each such *span* as a single native call against the global
-    code array, and the worker pool splits the same draw-order arrays
-    per owning worker — no per-shard regrouping, no argsort, an order of
-    magnitude fewer kernel invocations than per-run dispatch.  Endpoints
-    are **global** node ids (``gu``/``gv``); the per-draw shard
-    annotations locate the boundary events, assign owners, and feed the
-    opt-in shard statistics.
+    draw order and all shard-local, so the worker pool splits each such
+    *span* per owning worker and runs it as native-kernel calls against
+    the shared global code array — no per-shard regrouping, no argsort.
+    Endpoints are **global** node ids (``gu``/``gv``); the per-draw
+    shard annotations locate the boundary events, assign owners, and
+    feed the opt-in shard statistics.
     """
 
     size: int
@@ -120,8 +117,8 @@ class ShardedInteractionSource:
         ``next_pair_indices(size)`` — an ``InteractionSource`` or a
         ``RandomScheduler``).
     partition:
-        The :class:`PartitionedGraph` whose routing tables annotate the
-        draws.
+        The :class:`PartitionedGraph` whose node assignment annotates
+        the draws.
     """
 
     def __init__(self, source: InteractionSource, partition: PartitionedGraph) -> None:
@@ -132,42 +129,20 @@ class ShardedInteractionSource:
     def steps_emitted(self) -> int:
         return self.source.steps_emitted
 
-    def next_routed(
-        self, size: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``size`` global draws, annotated with their routing.
-
-        Returns ``(indices, init_shard, init_local, resp_shard,
-        resp_local)``; the gathers read only the routing-table pages the
-        block touches (the tables are memory-mapped).
-        """
-        indices = self.source.next_pair_indices(size)
-        p = self.partition
-        return (
-            indices,
-            np.take(p.pair_init_shard, indices),
-            np.take(p.pair_init_local, indices),
-            np.take(p.pair_resp_shard, indices),
-            np.take(p.pair_resp_local, indices),
-        )
-
     def next_spans(self, size: int) -> SpanBlock:
         """The next ``size`` draws with global endpoints, in draw order.
 
-        Consumes exactly the draws :meth:`next_routed` would consume,
-        but resolves them straight to **global** node ids from the
-        graph's edge arrays and the in-memory node assignment — the
-        memory-mapped routing tables are never touched, and no
-        regrouping happens.  This is the fast in-process schedule: the
-        contiguous stretch between two boundary positions is shard-local
-        by construction, so it runs as one native-kernel call.
+        Resolves the draws to **global** node ids from the graph's edge
+        arrays and to owning shards from the node assignment; no
+        regrouping happens.  The contiguous stretch between two boundary
+        positions is shard-local by construction.
         """
         indices = self.source.next_pair_indices(size)
         p = self.partition
         graph = p.graph
         m = graph.n_edges
-        # Index r < m is edge r in stored orientation (u -> v);
-        # r >= m is its reverse — the same decode the routing tables froze.
+        # Index r < m is edge r in stored orientation (u -> v); r >= m
+        # is its reverse (the encoding of repro.runtime.pairs).
         rev = indices >= m
         edge = np.where(rev, indices - m, indices)
         u = np.take(graph.edges_u, edge)

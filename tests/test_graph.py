@@ -249,14 +249,13 @@ class TestDenseMatrixGuard:
 
         Monkeypatching the limit down lets a 6-node clique stand in for
         the million-node graph that motivated the guard; the error must
-        be actionable (name the per-source alternative and the sharded
-        engine).
+        be actionable (name the per-source alternative).
         """
         from repro.graphs import graph as graph_module
 
         g = clique(6)
         monkeypatch.setattr(graph_module, "DENSE_DISTANCE_MATRIX_LIMIT", 4)
-        with pytest.raises(GraphError, match=r"bfs_distances|sharded"):
+        with pytest.raises(GraphError, match=r"bfs_distances"):
             g._eccentricities_matrix()
 
     def test_eccentricities_route_around_the_guard(self, monkeypatch):

@@ -1,15 +1,14 @@
-"""Differential and structural tests for the sharded graph engine.
+"""Differential, routing and structural tests for the sharded graph engine.
 
-The determinism contract of :mod:`repro.sharding` has two halves, both
-gated here (and, across process placements, by
-``scripts/ci_parallel_equivalence.py``):
-
-* **1-shard == batched** — a plan executed with ``shards=1`` is
-  byte-identical to the replica-batched stack (and hence to standalone
-  reference runs, by the runtime plan's own invariant) for any seed;
-* **k-shard == 1-shard** — cutting the node set into any number of
-  shards never changes a measured value, because partitioning decides
-  *where* a pair is applied, never *which* pair is drawn.
+The determinism contract of :mod:`repro.sharding` is gated here (and,
+across process placements, by ``scripts/ci_parallel_equivalence.py``):
+a plan run on the shard-worker pool is byte-identical to the same plan
+without ``shards`` — for any seed, shard count, worker count and node
+assignment — because partitioning decides *where* a pair is applied,
+never *which* pair is drawn.  Every plan the pool cannot serve
+(``shards`` without workers, one shard, lazy tables, a disabled pool, a
+killed worker) runs on the unsharded chain instead, with the same
+results.
 
 The structural half pins the partitioner itself: a seeded golden
 fixture freezes the hash assignment and the partition fingerprint, so
@@ -19,10 +18,15 @@ loudly instead of silently re-routing pairs.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.runtime.execute as execute_module
+from repro.core.scheduler import RandomScheduler
 from repro.dynamics import EpochSchedule
+from repro.engine.native import get_run_shard_kernel
 from repro.graphs import GraphError, clique, cycle, star, torus
 from repro.protocols import StarLeaderElection, TokenLeaderElection
 from repro.protocols.identifier import IdentifierLeaderElection
@@ -32,10 +36,17 @@ from repro.sharding import (
     ExchangeQueue,
     PartitionedGraph,
     ShardedInteractionSource,
+    ShardWorkerPool,
     sharded_eligible,
 )
 from repro.sharding.partition import node_assignment
 from repro.sharding.source import ExchangeError
+
+#: Tests that assert which executor ran (byte-identity tests pass either
+#: way: without the kernel every plan runs unsharded).
+requires_kernel = pytest.mark.skipif(
+    get_run_shard_kernel() is None, reason="native kernel unavailable"
+)
 
 SEED = 20260808  # PR-9 case stream
 
@@ -74,27 +85,46 @@ def _plan(graph, protocol_kind, seeds, **kwargs):
     return compile_plan(protocols, graph, list(seeds), max_steps=5000, **kwargs)
 
 
+def _run(plan):
+    return [result_tuple(r) for r in execute_plan(plan)]
+
+
+#: Token inputs for star(8) with a single candidate: stable from step 0.
+_ONE_CANDIDATE = [1] + [0] * 7
+
+
+def _spy_on_v6(monkeypatch):
+    """Record the width of every plan that enters the v6 epoch stack."""
+    widths = []
+    real = execute_module._execute_stack_v6
+
+    def spy(plan):
+        widths.append(plan.n_replicas)
+        return real(plan)
+
+    monkeypatch.setattr(execute_module, "_execute_stack_v6", spy)
+    return widths
+
+
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("graph_kind", sorted(_GRAPHS))
     @pytest.mark.parametrize("protocol_kind", sorted(_PROTOCOLS))
     def test_one_shard_matches_batched_path(self, graph_kind, protocol_kind):
+        """One shard leaves nothing to split: the plan runs unsharded."""
         graph = _GRAPHS[graph_kind]()
         seeds = [SEED + index for index in range(3)]
-        batched = [
-            result_tuple(r) for r in execute_plan(_plan(graph, protocol_kind, seeds))
-        ]
-        sharded_plan = _plan(graph, protocol_kind, seeds, shards=1)
-        assert sharded_eligible(sharded_plan)
-        sharded = [result_tuple(r) for r in execute_plan(sharded_plan)]
-        assert sharded == batched
+        batched = _run(_plan(graph, protocol_kind, seeds))
+        sharded_plan = _plan(graph, protocol_kind, seeds, shards=1, shard_workers=2)
+        assert not sharded_eligible(sharded_plan)
+        assert _run(sharded_plan) == batched
 
     @pytest.mark.parametrize("k", [2, 4, 7])
     @pytest.mark.parametrize("graph_kind", sorted(_GRAPHS))
     def test_k_shards_match_one_shard(self, k, graph_kind):
         graph = _GRAPHS[graph_kind]()
         seeds = [SEED + 100 + index for index in range(3)]
-        one = [result_tuple(r) for r in execute_plan(_plan(graph, "token", seeds, shards=1))]
-        many = [result_tuple(r) for r in execute_plan(_plan(graph, "token", seeds, shards=k))]
+        one = _run(_plan(graph, "token", seeds, shards=1))
+        many = _run(_plan(graph, "token", seeds, shards=k, shard_workers=2))
         assert many == one
 
     def test_hash_partition_matches_range_partition(self):
@@ -103,36 +133,41 @@ class TestExecutorEquivalence:
 
         graph = torus(3, 4)
         seeds = [SEED + 200 + index for index in range(2)]
-        plan = _plan(graph, "token", seeds, shards=3)
+        plan = _plan(graph, "token", seeds, shards=3, shard_workers=2)
         by_range = [result_tuple(r) for r in execute_sharded(plan)]
         hashed = PartitionedGraph(graph, 3, mode="hash", seed=7)
         by_hash = [result_tuple(r) for r in execute_sharded(plan, partition=hashed)]
-        assert by_hash == by_range
+        assert by_hash == by_range == _run(_plan(graph, "token", seeds))
 
     def test_single_replica_plan(self):
         graph = clique(10)
         seeds = [SEED + 300]
-        plain = [result_tuple(r) for r in execute_plan(_plan(graph, "token", seeds))]
-        sharded = [result_tuple(r) for r in execute_plan(_plan(graph, "token", seeds, shards=3))]
+        plain = _run(_plan(graph, "token", seeds))
+        sharded = _run(_plan(graph, "token", seeds, shards=3, shard_workers=2))
         assert sharded == plain
 
     def test_initially_stable_and_zero_budget(self):
         graph = star(8)
         seeds = [SEED + 400, SEED + 401]
-        # StarLeaderElection stabilizes from the initial configuration on
-        # a star; also pin the max_steps=0 branch with token.
-        protocols = [StarLeaderElection() for _ in seeds]
-        base = compile_plan(protocols, graph, seeds, max_steps=5000)
-        shard = compile_plan(protocols, graph, seeds, max_steps=5000, shards=2)
-        assert [result_tuple(r) for r in execute_plan(shard)] == [
-            result_tuple(r) for r in execute_plan(base)
-        ]
+        # One initial candidate: the token protocol's initial
+        # configuration is already stable.  Also pin max_steps=0.
         tokens = [TokenLeaderElection() for _ in seeds]
+        base = compile_plan(tokens, graph, seeds, max_steps=5000, inputs=_ONE_CANDIDATE)
+        shard = compile_plan(
+            tokens,
+            graph,
+            seeds,
+            max_steps=5000,
+            inputs=_ONE_CANDIDATE,
+            shards=2,
+            shard_workers=2,
+        )
+        stable = _run(shard)
+        assert stable == _run(base)
+        assert all(result[0] and result[3] == 0 for result in stable)
         base0 = compile_plan(tokens, graph, seeds, max_steps=0)
-        shard0 = compile_plan(tokens, graph, seeds, max_steps=0, shards=2)
-        assert [result_tuple(r) for r in execute_plan(shard0)] == [
-            result_tuple(r) for r in execute_plan(base0)
-        ]
+        shard0 = compile_plan(tokens, graph, seeds, max_steps=0, shards=2, shard_workers=2)
+        assert _run(shard0) == _run(base0)
 
 
 class TestFallbackChain:
@@ -144,33 +179,74 @@ class TestFallbackChain:
         tokens = [TokenLeaderElection() for _ in seeds]
         base = compile_plan(tokens, graph, seeds, max_steps=3000, schedule=schedule)
         shard = compile_plan(
-            tokens, graph, seeds, max_steps=3000, schedule=schedule, shards=4
+            tokens, graph, seeds, max_steps=3000, schedule=schedule, shards=4, shard_workers=2
         )
         assert not sharded_eligible(shard)
-        assert [result_tuple(r) for r in execute_plan(shard)] == [
-            result_tuple(r) for r in execute_plan(base)
-        ]
+        assert _run(shard) == _run(base)
 
+    @requires_kernel
     def test_disable_env_var_falls_back(self, monkeypatch):
         graph = clique(10)
         seeds = [SEED + 600, SEED + 601]
-        plan = _plan(graph, "token", seeds, shards=4)
-        monkeypatch.setenv("REPRO_DISABLE_SHARDING", "1")
+        plan = _plan(graph, "token", seeds, shards=4, shard_workers=2)
+        monkeypatch.setenv("REPRO_DISABLE_SHARD_WORKERS", "1")
         assert not sharded_eligible(plan)
-        disabled = [result_tuple(r) for r in execute_plan(plan)]
-        monkeypatch.delenv("REPRO_DISABLE_SHARDING")
+        disabled = _run(plan)
+        monkeypatch.delenv("REPRO_DISABLE_SHARD_WORKERS")
         assert sharded_eligible(plan)
-        assert [result_tuple(r) for r in execute_plan(plan)] == disabled
+        assert _run(plan) == disabled
 
     def test_reference_engine_is_ineligible(self):
         graph = cycle(8)
         seeds = [SEED + 700, SEED + 701]
         tokens = [TokenLeaderElection() for _ in seeds]
         plan = compile_plan(
-            tokens, graph, seeds, max_steps=2000, engine="reference", shards=2
+            tokens, graph, seeds, max_steps=2000, engine="reference", shards=2, shard_workers=2
         )
         assert not sharded_eligible(plan)
         execute_plan(plan)  # must run through the reference path, not raise
+
+
+_UNSERVED_CASES = {
+    # ``shards`` without workers changes nothing.
+    "shards-alone": ("token", {"shards": 4}, {}),
+    # Lazy state discovery must never run across processes.
+    "lazy-tables": ("identifier", {"shards": 4, "shard_workers": 2}, {}),
+    "pool-disabled": (
+        "token",
+        {"shards": 4, "shard_workers": 2},
+        {"REPRO_DISABLE_SHARD_WORKERS": "1"},
+    ),
+}
+
+
+@requires_kernel
+@pytest.mark.parametrize("case", sorted(_UNSERVED_CASES))
+def test_unserved_shard_plans_run_unsharded_on_v6(case, monkeypatch):
+    """A plan the pool cannot serve runs on the v6 stack and is never
+    partitioned."""
+    protocol_kind, dials, env = _UNSERVED_CASES[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    graph = torus(3, 4)
+    seeds = [SEED + 750 + index for index in range(3)]
+    plain = _run(_plan(graph, protocol_kind, seeds, engine="compiled"))
+
+    partitions = []
+    real_init = PartitionedGraph.__init__
+
+    def spy_init(self, *args, **kwargs):
+        partitions.append(args)
+        real_init(self, *args, **kwargs)
+
+    v6_widths = _spy_on_v6(monkeypatch)
+    monkeypatch.setattr(PartitionedGraph, "__init__", spy_init)
+    plan = _plan(graph, protocol_kind, seeds, engine="compiled", **dials)
+    if case == "lazy-tables":
+        assert not plan.compiled.tables_complete
+    assert _run(plan) == plain
+    assert v6_widths == [len(seeds)]
+    assert partitions == []
 
 
 class TestPartitionStructure:
@@ -209,37 +285,6 @@ class TestPartitionStructure:
         }
         assert len(fingerprints) == 4
 
-    def test_routing_tables_match_directed_tables(self):
-        """Every pair index routes to exactly the endpoint the scheduler
-        dialect assigns it (initiator = du[r], responder = dv[r])."""
-        graph = torus(3, 4)
-        partition = PartitionedGraph(graph, 3, mode="hash", seed=5)
-        du, dv = directed_tables(graph)
-        for r in range(2 * graph.n_edges):
-            u, v = int(du[r]), int(dv[r])
-            assert partition.pair_init_shard[r] == partition.assignment[u]
-            assert partition.pair_resp_shard[r] == partition.assignment[v]
-            members_u = partition.shard_members(int(partition.assignment[u]))
-            members_v = partition.shard_members(int(partition.assignment[v]))
-            assert members_u[int(partition.pair_init_local[r])] == u
-            assert members_v[int(partition.pair_resp_local[r])] == v
-
-    def test_shard_csr_unions_to_the_graph(self):
-        graph = torus(3, 4)
-        partition = PartitionedGraph(graph, 4, mode="hash", seed=9)
-        seen_edges = set()
-        for s in range(partition.n_shards):
-            members = partition.shard_members(s)
-            indptr, indices = partition.shard_csr(s)
-            assert indptr.shape[0] == members.size + 1
-            for local, node in enumerate(members.tolist()):
-                neighbors = indices[indptr[local] : indptr[local + 1]].tolist()
-                assert neighbors == list(graph.neighbors(node))
-                seen_edges.update(
-                    (min(node, w), max(node, w)) for w in neighbors
-                )
-        assert len(seen_edges) == graph.n_edges
-
     def test_validation_errors(self):
         with pytest.raises(GraphError, match="partition mode"):
             node_assignment(10, 2, mode="bogus")
@@ -249,12 +294,6 @@ class TestPartitionStructure:
             node_assignment(10, 11)
         with pytest.raises(GraphError, match="edgeless"):
             PartitionedGraph(clique(1), 1)
-
-    def test_spool_dir_override(self, tmp_path):
-        partition = PartitionedGraph(cycle(8), 2, spool_dir=tmp_path / "spool")
-        assert (tmp_path / "spool").is_dir()
-        assert any((tmp_path / "spool").iterdir())
-        assert partition._finalizer is None  # caller owns the directory
 
 
 class TestExchangeQueue:
@@ -283,38 +322,36 @@ class TestExchangeQueue:
 
     def test_boundary_traffic_is_accounted(self):
         """A sharded run's exchange volume equals its boundary-pair draws."""
-        from repro.core.scheduler import RandomScheduler
-
         graph = cycle(16)
         partition = PartitionedGraph(graph, 4, mode="range")
         routed = ShardedInteractionSource(
             RandomScheduler(graph, rng=SEED), partition
         )
-        _, init_shard, _, resp_shard, _ = routed.next_routed(512)
-        crossings = int((init_shard != resp_shard).sum())
-        assert crossings > 0  # a 4-cut cycle always has boundary edges
+        block = routed.next_spans(512)
+        assert block.n_boundary > 0  # a 4-cut cycle always has boundary edges
         queue = ExchangeQueue(4)
-        for src, dst in zip(init_shard.tolist(), resp_shard.tolist()):
+        for src, dst in zip(block.init_shard.tolist(), block.resp_shard.tolist()):
             if src != dst:
                 queue.post(src, dst, (0, 0))
                 queue.deliver(src, dst)
-        assert int(queue.posted.sum()) == crossings
+        assert int(queue.posted.sum()) == block.n_boundary
         queue.assert_quiescent()
 
 
 class TestRoutedSource:
     def test_routed_stream_is_the_global_stream(self):
-        """Routing must not perturb the seeded draw sequence."""
-        from repro.core.scheduler import RandomScheduler
-
+        """Routing must not perturb the seeded draw sequence, however the
+        stream is chunked."""
         graph = torus(3, 4)
         plain = RandomScheduler(graph, rng=SEED).next_pair_indices(256)
+        du, dv = directed_tables(graph)
         routed = ShardedInteractionSource(
             RandomScheduler(graph, rng=SEED),
             PartitionedGraph(graph, 3, mode="hash", seed=3),
         )
-        indices, *_ = routed.next_routed(256)
-        assert (indices == plain).all()
+        blocks = [routed.next_spans(size) for size in (100, 156)]
+        assert (np.concatenate([b.gu for b in blocks]) == du[plain]).all()
+        assert (np.concatenate([b.gv for b in blocks]) == dv[plain]).all()
 
 
 class TestScenarioDial:
@@ -330,7 +367,7 @@ class TestScenarioDial:
         scenario = get_scenario("torus-million")
         scenario.validate()
         assert scenario.sizes == (1_000_000,)
-        assert scenario.shards == 8
+        assert scenario.shards is None
 
     def test_unit_plan_wire_round_trip_carries_shards(self):
         from repro.orchestration.runner import (
@@ -360,38 +397,31 @@ class TestSpanSchedule:
     annotated so that only the boundary events are order-critical."""
 
     def _twin_sources(self, graph, shards, seed_offset=0):
-        from repro.core.scheduler import RandomScheduler
-
+        """A plain seeded stream and its span-scheduled twin."""
         partition = PartitionedGraph(graph, shards, mode="hash", seed=3)
-        routed = ShardedInteractionSource(
-            RandomScheduler(graph, rng=SEED + seed_offset), partition
-        )
+        twin = RandomScheduler(graph, rng=SEED + seed_offset)
         spans = ShardedInteractionSource(
             RandomScheduler(graph, rng=SEED + seed_offset), partition
         )
-        return routed, spans, partition
+        return twin, spans, partition
 
     def test_span_schedule_matches_the_routed_twin(self):
+        """The span block equals its twin's draws routed by hand through
+        ``directed_tables`` and the node assignment."""
         graph = torus(3, 4)
-        routed, spans, partition = self._twin_sources(graph, 3)
-        _, si, li, sj, lj = routed.next_routed(512)
+        twin, spans, partition = self._twin_sources(graph, 3)
+        indices = twin.next_pair_indices(512)
+        du, dv = directed_tables(graph)
+        si = partition.assignment[du[indices]]
+        sj = partition.assignment[dv[indices]]
         block = spans.next_spans(512)
 
         assert block.size == 512 and block.gu.size == 512
-        # Shard annotations agree draw for draw with the memory-mapped
-        # routing tables, and the boundary positions are exactly the
-        # cross-shard draws.
+        assert (block.gu == du[indices]).all()
+        assert (block.gv == dv[indices]).all()
         assert (block.init_shard == si).all()
         assert (block.resp_shard == sj).all()
         assert block.boundary_pos.tolist() == np.flatnonzero(si != sj).tolist()
-        # The global endpoints decode to the same nodes the routing
-        # tables localised: shard_members[shard][local] == global id.
-        for s in range(partition.n_shards):
-            members = partition.shard_members(s)
-            mask = si == s
-            assert (block.gu[mask] == members[li[mask]]).all()
-            mask = sj == s
-            assert (block.gv[mask] == members[lj[mask]]).all()
 
     def test_spans_between_boundaries_are_shard_local(self):
         graph = cycle(24)
@@ -401,15 +431,13 @@ class TestSpanSchedule:
         local[block.boundary_pos] = False
         # Every non-boundary draw has both endpoints on one shard: the
         # stretch between two boundary positions commutes per shard, so
-        # it may run as one native call (or fan out across workers).
+        # it may run on any worker.
         assert (block.init_shard[local] == block.resp_shard[local]).all()
         assert block.n_boundary == int((block.init_shard != block.resp_shard).sum())
 
     def test_single_shard_yields_no_boundaries(self):
         graph = clique(10)
         partition = PartitionedGraph(graph, 1)
-        from repro.core.scheduler import RandomScheduler
-
         source = ShardedInteractionSource(
             RandomScheduler(graph, rng=SEED), partition
         )
@@ -418,28 +446,9 @@ class TestSpanSchedule:
         assert (block.init_shard == 0).all()
 
 
-class TestKernelShardLoops:
-    """The kernel-backed shard loop is byte-identical to the per-pair
-    Python loop (the PR-9 path, kept behind REPRO_DISABLE_SHARD_KERNEL)."""
-
-    @pytest.mark.parametrize("graph_kind", sorted(_GRAPHS))
-    @pytest.mark.parametrize("protocol_kind", sorted(_PROTOCOLS))
-    def test_kernel_loop_matches_python_loop(
-        self, graph_kind, protocol_kind, monkeypatch
-    ):
-        graph = _GRAPHS[graph_kind]()
-        seeds = [SEED + 800 + index for index in range(2)]
-        plan = _plan(graph, protocol_kind, seeds, shards=4)
-        kernel = [result_tuple(r) for r in execute_plan(plan)]
-        monkeypatch.setenv("REPRO_DISABLE_SHARD_KERNEL", "1")
-        python = [result_tuple(r) for r in execute_plan(plan)]
-        assert kernel == python
-
-
 class TestShardWorkerPool:
     """Byte-identity of the fork-based worker pool for every worker
-    count, against both the in-process sharded path and the unsharded
-    batched stack (the ISSUE-10 differential suite)."""
+    count, against the same plan without shards."""
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("graph_kind", sorted(_GRAPHS))
@@ -447,49 +456,37 @@ class TestShardWorkerPool:
     def test_worker_counts_are_byte_identical(self, k, graph_kind, protocol_kind):
         graph = _GRAPHS[graph_kind]()
         seeds = [SEED + 900 + index for index in range(2)]
-        batched = [
-            result_tuple(r) for r in execute_plan(_plan(graph, protocol_kind, seeds))
-        ]
-        in_process = [
-            result_tuple(r)
-            for r in execute_plan(_plan(graph, protocol_kind, seeds, shards=k))
-        ]
-        assert in_process == batched
-        for workers in (0, 2, 4):
-            pooled = [
-                result_tuple(r)
-                for r in execute_plan(
-                    _plan(
-                        graph, protocol_kind, seeds, shards=k, shard_workers=workers
-                    )
-                )
-            ]
-            assert pooled == in_process, (k, graph_kind, protocol_kind, workers)
+        unsharded = _run(_plan(graph, protocol_kind, seeds))
+        for workers in (2, 4):
+            pooled = _run(
+                _plan(graph, protocol_kind, seeds, shards=k, shard_workers=workers)
+            )
+            assert pooled == unsharded, (k, graph_kind, protocol_kind, workers)
 
     def test_pool_requires_complete_tables(self):
-        """Lazy-discovery protocols demote to in-process silently (the
-        worker pool must never assign state codes concurrently)."""
-        from repro.sharding.executor import _maybe_start_pool, _resolve_compiled
+        """Lazy-discovery protocols run unsharded (the worker pool must
+        never assign state codes concurrently) — before their first run
+        too, when the empty table set is vacuously complete."""
+        from repro.engine.compiler import CompiledProtocol
 
         graph = cycle(9)
         seeds = [SEED + 950]
-        plan = _plan(graph, "identifier", seeds, shards=3, shard_workers=2)
-        compiled = _resolve_compiled(plan)
-        assert compiled is not None and not compiled.tables_complete
-        partition = PartitionedGraph(graph, 3)
-        assert _maybe_start_pool(plan, partition, compiled) is None
+        plan = _plan(
+            graph, "identifier", seeds, shards=3, shard_workers=2, engine="compiled"
+        )
+        fresh = dataclasses.replace(plan, compiled=CompiledProtocol(plan.protocols[0]))
+        assert fresh.compiled.tables_complete and not sharded_eligible(fresh)
+        execute_plan(plan)  # discovers states lazily, leaving the tables open
+        assert not plan.compiled.tables_complete
+        assert not sharded_eligible(plan)
 
+    @requires_kernel
     def test_pool_used_when_eligible(self):
-        from repro.sharding.executor import _maybe_start_pool, _resolve_compiled
-
         graph = torus(3, 4)
         seeds = [SEED + 960]
         plan = _plan(graph, "token", seeds, shards=3, shard_workers=2)
-        compiled = _resolve_compiled(plan)
-        assert compiled is not None and compiled.tables_complete
-        partition = PartitionedGraph(graph, 3)
-        pool = _maybe_start_pool(plan, partition, compiled)
-        assert pool is not None
+        assert plan.compiled.tables_complete and sharded_eligible(plan)
+        pool = ShardWorkerPool(PartitionedGraph(graph, 3), plan.compiled, n_workers=2)
         try:
             assert pool.n_workers == 2
         finally:
@@ -497,58 +494,50 @@ class TestShardWorkerPool:
 
 
 class TestWorkerPoolFailure:
-    """Failure paths: a broken or unavailable pool demotes to the
-    in-process sharded path byte-identically."""
+    """Failure paths: a broken or unavailable pool hands its replicas to
+    the unsharded chain byte-identically."""
 
+    @requires_kernel
     def test_disable_env_var_skips_the_pool(self, monkeypatch):
-        from repro.sharding.executor import _maybe_start_pool, _resolve_compiled
-
         graph = torus(3, 4)
         seeds = [SEED + 1000, SEED + 1001]
-        plan = _plan(graph, "token", seeds, shards=4, shard_workers=2)
-        base = [result_tuple(r) for r in execute_plan(plan)]
+        plan = _plan(
+            graph, "token", seeds, shards=4, shard_workers=2, collect_shard_stats=True
+        )
+        pooled = execute_plan(plan)
+        assert all(r.shard_stats is not None for r in pooled)
         monkeypatch.setenv("REPRO_DISABLE_SHARD_WORKERS", "1")
-        compiled = _resolve_compiled(plan)
-        assert _maybe_start_pool(plan, PartitionedGraph(graph, 4), compiled) is None
-        disabled = [result_tuple(r) for r in execute_plan(plan)]
-        assert disabled == base
+        disabled = execute_plan(plan)
+        assert all(r.shard_stats is None for r in disabled)
+        assert [result_tuple(r) for r in disabled] == [result_tuple(r) for r in pooled]
 
+    @requires_kernel
     def test_worker_killed_mid_super_step_demotes_identically(self, monkeypatch):
         graph = torus(3, 4)
         seeds = [SEED + 1100 + index for index in range(3)]
-        base = [
-            result_tuple(r)
-            for r in execute_plan(_plan(graph, "token", seeds, shards=4))
-        ]
+        base = _run(_plan(graph, "token", seeds))
         # Every worker os._exit(1)s at the start of its third super-step:
         # the parent sees the dead pipe mid-chunk, closes the pool and
-        # reruns the replica (and all later ones) in-process.
+        # reruns the replica (and all later ones) unsharded.
         monkeypatch.setenv("REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS", "2")
-        killed = [
-            result_tuple(r)
-            for r in execute_plan(
-                _plan(graph, "token", seeds, shards=4, shard_workers=2)
-            )
-        ]
+        widths = _spy_on_v6(monkeypatch)
+        killed = _run(_plan(graph, "token", seeds, shards=4, shard_workers=2))
         assert killed == base
+        assert len(widths) == 1 and 1 <= widths[0] <= len(seeds)
 
+    @requires_kernel
     def test_worker_killed_immediately_demotes_identically(self, monkeypatch):
         graph = cycle(16)
         seeds = [SEED + 1200]
-        base = [
-            result_tuple(r)
-            for r in execute_plan(_plan(graph, "token", seeds, shards=4))
-        ]
+        base = _run(_plan(graph, "token", seeds))
         monkeypatch.setenv("REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS", "0")
-        killed = [
-            result_tuple(r)
-            for r in execute_plan(
-                _plan(graph, "token", seeds, shards=4, shard_workers=4)
-            )
-        ]
+        widths = _spy_on_v6(monkeypatch)
+        killed = _run(_plan(graph, "token", seeds, shards=4, shard_workers=4))
         assert killed == base
+        assert widths == [1]
 
 
+@requires_kernel
 class TestPerReplicaTiming:
     """wall_time_seconds is measured per replica, never smeared."""
 
@@ -567,7 +556,7 @@ class TestPerReplicaTiming:
 
         graph = torus(3, 4)
         seeds = [SEED + 1300 + index for index in range(3)]
-        plan = _plan(graph, "token", seeds, shards=3)
+        plan = _plan(graph, "token", seeds, shards=3, shard_workers=2)
         self._tick(monkeypatch)
         results = execute_sharded(plan)
         # The fake clock advances 1.0 per call; each replica makes
@@ -580,33 +569,48 @@ class TestPerReplicaTiming:
 
         graph = star(8)
         seeds = [SEED + 1400, SEED + 1401]
-        protocols = [StarLeaderElection() for _ in seeds]
-        plan = compile_plan(protocols, graph, seeds, max_steps=5000, shards=2)
+        protocols = [TokenLeaderElection() for _ in seeds]
+        plan = compile_plan(
+            protocols,
+            graph,
+            seeds,
+            max_steps=5000,
+            inputs=_ONE_CANDIDATE,
+            shards=2,
+            shard_workers=2,
+        )
         self._tick(monkeypatch)
         results = execute_sharded(plan)
+        assert [r.steps_executed for r in results] == [0, 0]
         assert [r.wall_time_seconds for r in results] == [1.0, 1.0]
 
 
+@requires_kernel
 class TestShardStats:
     """Opt-in per-shard observability (never part of canonical records)."""
 
     def test_stats_absent_by_default(self):
         graph = torus(3, 4)
-        plan = _plan(graph, "token", [SEED + 1500], shards=3)
+        plan = _plan(graph, "token", [SEED + 1500], shards=3, shard_workers=2)
         (result,) = execute_plan(plan)
         assert result.shard_stats is None
 
     def test_stats_shape_and_accounting(self):
         graph = torus(3, 4)
         plan = _plan(
-            graph, "token", [SEED + 1500], shards=3, collect_shard_stats=True
+            graph,
+            "token",
+            [SEED + 1500],
+            shards=3,
+            shard_workers=2,
+            collect_shard_stats=True,
         )
         (result,) = execute_plan(plan)
         stats = result.shard_stats
         assert stats is not None
-        assert stats["path"] == "kernel"
+        assert stats["path"] == "pool"
         assert stats["shards"] == 3
-        assert stats["workers"] == 0
+        assert stats["workers"] == 2
         assert len(stats["steps_applied"]) == 3
         # Every local draw counts once, every boundary draw once per
         # touched shard; local + boundary = total steps executed.
@@ -624,6 +628,27 @@ class TestShardStats:
         assert stats["exchange_in_flight"] == 0
 
     def test_pool_stats_report_the_pool_path(self):
+        def stats_for(workers):
+            plan = _plan(
+                torus(3, 4),
+                "token",
+                [SEED + 1500],
+                shards=3,
+                shard_workers=workers,
+                collect_shard_stats=True,
+            )
+            return execute_plan(plan)[0].shard_stats
+
+        two, three = stats_for(2), stats_for(3)
+        assert two["path"] == three["path"] == "pool"
+        assert (two["workers"], three["workers"]) == (2, 3)
+        # The schedule — hence the stats — is placement-invariant.
+        for key in ("steps_applied", "boundary_pairs", "run_length_histogram"):
+            assert two[key] == three[key]
+
+    def test_stats_excluded_from_trial_records(self):
+        from repro.experiments.harness import trial_record_from_result
+
         graph = torus(3, 4)
         plan = _plan(
             graph,
@@ -634,23 +659,7 @@ class TestShardStats:
             collect_shard_stats=True,
         )
         (result,) = execute_plan(plan)
-        baseline = execute_plan(
-            _plan(graph, "token", [SEED + 1500], shards=3, collect_shard_stats=True)
-        )[0]
-        assert result.shard_stats["path"] == "pool"
-        assert result.shard_stats["workers"] == 2
-        # The schedule — hence the stats — is placement-invariant.
-        for key in ("steps_applied", "boundary_pairs", "run_length_histogram"):
-            assert result.shard_stats[key] == baseline.shard_stats[key]
-
-    def test_stats_excluded_from_trial_records(self):
-        from repro.experiments.harness import trial_record_from_result
-
-        graph = torus(3, 4)
-        plan = _plan(
-            graph, "token", [SEED + 1500], shards=3, collect_shard_stats=True
-        )
-        (result,) = execute_plan(plan)
+        assert result.shard_stats is not None
         record = trial_record_from_result(result)
         assert "shard_stats" not in record
 
