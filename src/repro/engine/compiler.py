@@ -161,9 +161,18 @@ class CompiledProtocol:
         return code
 
     def encode(self, states: Iterable[Hashable]) -> np.ndarray:
-        """Encode a state sequence into an ``int64`` code array."""
+        """Encode a state sequence into an ``int64`` code array.
+
+        New states are registered in first-seen order, exactly as a
+        per-element :meth:`code_for` loop would (including the prefix
+        registered before a :class:`ProtocolCompilationError`); the codes
+        are then looked up in one C-level pass.
+        """
+        states = list(states)
+        for state in dict.fromkeys(states):
+            self.code_for(state)
         return np.fromiter(
-            (self.code_for(s) for s in states), dtype=np.int64
+            map(self.index.__getitem__, states), dtype=np.int64, count=len(states)
         )
 
     def decode_codes(self, codes: Iterable[int]) -> List[Hashable]:

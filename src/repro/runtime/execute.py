@@ -406,13 +406,14 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     initial_states = plan.initial_states()
     initial_codes = compiled.encode(initial_states)
     initial_leaders = compiled.leader_count(initial_codes)
+    present = (np.bincount(initial_codes, minlength=compiled.stride) > 0).astype(np.uint8)
 
     results: List[Optional["SimulationResult"]] = [None] * replica_count
 
     initially_stable = protocol.is_output_stable_configuration(initial_states, graph)
     if initially_stable or max_steps == 0:
         wall = time.perf_counter() - start_time
-        distinct = int(np.unique(initial_codes).size)
+        distinct = int(present.sum())
         decoded = compiled.decode_codes(initial_codes)
         for index in range(replica_count):
             result = _stack_result(decoded, initially_stable, 0, 0, distinct, initial_leaders)
@@ -423,8 +424,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     ksrc = KernelSource(graph, plan.seeds, buffer_capacity=check_interval)
     directed_u, directed_v = directed_tables(graph)
     codes = np.tile(np.ascontiguousarray(initial_codes, dtype=np.int64), (replica_count, 1))
-    seen = np.zeros((replica_count, compiled.stride), dtype=np.uint8)
-    seen[:, np.unique(initial_codes)] = 1
+    seen = np.tile(present, (replica_count, 1))
     steps = np.zeros(replica_count, dtype=np.int64)
     last_change = np.zeros(replica_count, dtype=np.int64)
     leaders = np.full(replica_count, initial_leaders, dtype=np.int64)

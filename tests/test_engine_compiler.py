@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.protocol import FOLLOWER, LEADER, PopulationProtocol
 from repro.engine.compiler import (
@@ -130,6 +134,65 @@ class TestCompiledProtocol:
     def test_max_states_capped_at_packing_limit(self):
         compiled = compile_protocol(TokenLeaderElection(), max_states=10**9)
         assert compiled.max_states <= 8192
+
+
+def _encode_by_code_for(compiled, states):
+    """Reference encoder: one ``code_for`` call per element."""
+    return np.fromiter((compiled.code_for(s) for s in states), dtype=np.int64)
+
+
+def _registry(compiled):
+    return (
+        compiled.states,
+        compiled.index,
+        compiled.out_codes,
+        compiled.is_leader_list,
+        compiled.stride,
+        compiled.out_np.tolist(),
+        compiled.leader_np.tolist(),
+    )
+
+
+class TestEncode:
+    """``encode`` is byte-identical to a per-element ``code_for`` loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=st.lists(st.integers(min_value=0, max_value=90), max_size=80),
+        known=st.lists(st.integers(min_value=0, max_value=90), max_size=5),
+        max_states=st.integers(min_value=1, max_value=100),
+    )
+    def test_matches_per_element_loop(self, states, known, max_states):
+        """Same codes, same registration order, same error and prefix."""
+        fast = compile_protocol(CountingProtocol(), max_states=max_states)
+        slow = compile_protocol(CountingProtocol(), max_states=max_states)
+        for compiled in (fast, slow):
+            for state in known[:max_states]:
+                compiled.code_for(state)
+        try:
+            expected = _encode_by_code_for(slow, states)
+        except ProtocolCompilationError as error:
+            with pytest.raises(ProtocolCompilationError, match=re.escape(str(error))):
+                fast.encode(states)
+        else:
+            codes = fast.encode(states)
+            assert codes.dtype == np.int64
+            assert codes.tolist() == expected.tolist()
+        assert _registry(fast) == _registry(slow)
+
+    def test_generator_input(self):
+        states = [4, 1, 4, 0, 1, 9, 4]
+        fast = compile_protocol(CountingProtocol())
+        slow = compile_protocol(CountingProtocol())
+        codes = fast.encode(state for state in states)
+        assert codes.tolist() == _encode_by_code_for(slow, states).tolist() == [0, 1, 0, 2, 1, 3, 0]
+        assert fast.states == slow.states == [4, 1, 0, 9]
+
+    def test_overflow_keeps_first_seen_prefix(self):
+        compiled = compile_protocol(CountingProtocol(), max_states=3)
+        with pytest.raises(ProtocolCompilationError, match="max_states=3"):
+            compiled.encode([7, 5, 7, 2, 5, 8, 1])
+        assert compiled.states == [7, 5, 2]
 
 
 class TestCompilationCache:

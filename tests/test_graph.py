@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, GraphError, clique, cycle, path, star
+from repro.graphs import Graph, GraphError, clique, cycle, path, star, torus
 
 
 class TestConstruction:
@@ -270,3 +270,139 @@ class TestDenseMatrixGuard:
         g = cycle(9)
         bfs = tuple(int(g.bfs_distances(v).max()) for v in range(g.n_nodes))
         assert g.eccentricities() == bfs
+
+
+class TestFromEdgeArrays:
+    """Validation and output of the vectorised constructor."""
+
+    def test_edges_oriented_min_max_in_input_order(self):
+        u = np.array([3, 0, 2, 4])
+        v = np.array([1, 4, 1, 3])
+        g = Graph.from_edge_arrays(5, u, v)
+        assert g.edges_u.dtype == np.int64 and g.edges_v.dtype == np.int64
+        assert g.edges_u.tolist() == [1, 0, 1, 3]
+        assert g.edges_v.tolist() == [3, 4, 2, 4]
+        tupled = Graph(5, list(zip(u.tolist(), v.tolist())))
+        assert g.edges_u.tolist() == tupled.edges_u.tolist()
+        assert g.edges_v.tolist() == tupled.edges_v.tolist()
+
+    def test_single_node_without_edges(self):
+        empty = np.zeros(0, dtype=np.int64)
+        g = Graph.from_edge_arrays(1, empty, empty)
+        assert g.n_nodes == 1 and g.n_edges == 0
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 0])],
+        ids=["same-orientation", "reversed"],
+    )
+    def test_rejects_duplicate_edge(self, u, v):
+        with pytest.raises(GraphError, match=r"^duplicate edge in endpoint arrays$"):
+            Graph.from_edge_arrays(3, np.array(u), np.array(v))
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(GraphError, match=r"^self-loop on node 2 is not allowed$"):
+            Graph.from_edge_arrays(3, np.array([0, 2]), np.array([1, 2]))
+
+    @pytest.mark.parametrize(
+        "u, v", [([-1, 0], [1, 2]), ([0, 1], [1, 3])], ids=["negative", "at-n"]
+    )
+    def test_rejects_out_of_range_endpoint(self, u, v):
+        with pytest.raises(GraphError, match=r"^edge endpoint out of range for n=3$"):
+            Graph.from_edge_arrays(3, np.array(u), np.array(v))
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [([0, 1], [1]), ([[0, 1]], [[1, 2]])],
+        ids=["not-parallel", "two-dimensional"],
+    )
+    def test_rejects_malformed_arrays(self, u, v):
+        with pytest.raises(GraphError, match=r"^edge endpoint arrays must be parallel 1-d arrays$"):
+            Graph.from_edge_arrays(3, np.array(u), np.array(v))
+
+
+def _random_edge_arrays(n, density, seed):
+    """A random simple graph's edges, shuffled and randomly oriented."""
+    rng = np.random.default_rng(seed)
+    low, high = np.triu_indices(n, k=1)
+    keep = rng.random(low.size) < density
+    low, high = low[keep], high[keep]
+    order = rng.permutation(low.size)
+    low, high = low[order], high[order]
+    flip = rng.random(low.size) < 0.5
+    return np.where(flip, high, low), np.where(flip, low, high)
+
+
+def _lexsort_csr(graph):
+    """The CSR as a ``np.lexsort`` over both orientations builds it."""
+    src = np.concatenate((graph.edges_u, graph.edges_v))
+    dst = np.concatenate((graph.edges_v, graph.edges_u))
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(graph.n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=graph.n_nodes), out=indptr[1:])
+    return indptr, np.ascontiguousarray(dst[order])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_csr_matches_lexsort_construction(n, density, seed):
+    """Property: the key-sort CSR equals the lexsort one, array for array."""
+    u, v = _random_edge_arrays(n, density, seed)
+    g = Graph.from_edge_arrays(n, u, v, check_connected=False)
+    indptr, indices = g._csr()
+    ref_indptr, ref_indices = _lexsort_csr(g)
+    assert indptr.dtype == ref_indptr.dtype and indices.dtype == ref_indices.dtype
+    assert indptr.tolist() == ref_indptr.tolist()
+    assert indices.tolist() == ref_indices.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    density=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bfs_distances_match_networkx(n, density, seed):
+    """Property: BFS distances equal networkx's from every source.
+
+    The graphs run from forests (deep BFS, unreachable nodes at -1) to
+    dense connected graphs whose frontier nodes share neighbours, which
+    is what the per-level dedupe must collapse.
+    """
+    import networkx as nx
+
+    u, v = _random_edge_arrays(n, density, seed)
+    g = Graph.from_edge_arrays(n, u, v, check_connected=False)
+    nx_graph = g.to_networkx()
+    for source in range(n):
+        expected = nx.single_source_shortest_path_length(nx_graph, source)
+        dist = g.bfs_distances(source)
+        assert dist.dtype == np.int64
+        assert dist.tolist() == [expected.get(node, -1) for node in range(n)]
+
+
+def test_graph_build_never_calls_np_unique(monkeypatch):
+    """Regression guard: building a graph must not call ``np.unique``.
+
+    On NumPy >= 2.3 a flag-less ``np.unique`` of an integer array
+    dedupes through a hash table at about 1 µs per distinct element:
+    seconds for the 2 M edge keys of the million-node torus, which paid
+    it twice, against hundredths of a second for ``np.sort``, plus one
+    call per level of the connectivity BFS.  The build therefore dedupes
+    by sorting and comparing neighbours.  ``np.unique(sorted=False)`` is
+    no way out: it does not exist before NumPy 2.3 and the package
+    supports ``numpy>=1.21``.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called while building a graph")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    g = torus(40, 40)
+    indptr, indices = g._csr()
+    assert indptr[-1] == indices.size == 4 * g.n_nodes
+    assert int(g.bfs_distances(0).max()) == 40

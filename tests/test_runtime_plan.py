@@ -255,6 +255,38 @@ def test_width_one_plans_run_on_v6(engine, monkeypatch):
     assert via_plan == _result_tuple(reference)
 
 
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("max_steps", [0, 50_000], ids=["zero-budget", "run"])
+def test_v6_setup_counts_initial_states_without_np_unique(max_steps, monkeypatch):
+    """The v6 set-up finds the initial states' codes with ``np.bincount``.
+
+    ``np.unique`` hashes integers on NumPy >= 2.3 (see the graph-build
+    guard in ``test_graph.py``).  With it refused, the zero-budget exit
+    and a full run both still equal the reference interpreter,
+    ``distinct_states_observed`` included.
+    """
+    graph = torus(5, 5)
+    inputs = [node % 4 == 0 for node in range(graph.n_nodes)]
+    seeds = [derive_seed(MASTER_SEED, "no-unique", r) for r in range(3)]
+
+    def plan(engine):
+        return compile_plan(
+            [TokenLeaderElection()] * len(seeds), graph, seeds,
+            max_steps=max_steps, inputs=inputs, engine=engine,
+        )
+
+    reference = [_result_tuple(r) for r in execute_plan(plan("reference"))]
+    calls = _spy_on_v6(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called in the v6 set-up")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    assert [_result_tuple(r) for r in execute_plan(plan("compiled"))] == reference
+    assert calls == [len(seeds)]
+    assert reference[0][5] >= 2  # candidates and non-candidates
+
+
 def _dynamic_schedule(graph):
     return EpochSchedule.from_graphs([graph, cycle(graph.n_nodes)], epoch_length=96, repeat=True)
 
