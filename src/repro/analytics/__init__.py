@@ -6,7 +6,8 @@ walks for hitting and meeting times — in lockstep, each trajectory on a
 private SplitMix64-child-seeded scheduler stream.  Results are a pure
 function of ``(base seed, trajectory identity)``: bit-identical for any
 replica-batch width and identical across the C-kernel, NumPy and scalar
-execution paths.
+execution paths (on the kernel, epidemic and influence streams live only
+in C-seeded RNG rows).
 
 The public estimators stay where they always were
 (:mod:`repro.propagation.broadcast`, :mod:`repro.propagation.influence`,
@@ -25,6 +26,7 @@ from .estimators import (
     batched_broadcast_estimates,
     batched_broadcast_samples,
     broadcast_trajectory_seed,
+    broadcast_trajectory_seeds,
     select_sources,
 )
 from .streams import (
@@ -50,6 +52,7 @@ __all__ = [
     "batched_broadcast_samples",
     "block_size",
     "broadcast_trajectory_seed",
+    "broadcast_trajectory_seeds",
     "directed_pairs",
     "default_walk_budget",
     "iter_width_chunks",

@@ -12,19 +12,27 @@ built from two stochastic processes:
 This module runs ``R`` independent trajectories of either process in
 lockstep: epidemics as an ``(R, n)`` uint8 informed matrix, influence as
 an ``(R, n, ⌈n/64⌉)`` packed uint64 bitset tensor.  Each trajectory reads
-its private scheduler stream (:mod:`repro.analytics.streams`), one block
-per round, and finished replicas are compacted out of the stack so
-stabilized stragglers do not drag the batch.
+its private stream (:mod:`repro.analytics.streams`), one block per round,
+and finished replicas are compacted out of the stack so stabilized
+stragglers do not drag the batch.
 
-Three execution paths produce bit-identical results:
+Two legs produce bit-identical results:
 
-* the multi-replica C kernels (:func:`repro.engine.native.get_broadcast_multi_kernel`,
-  :func:`~repro.engine.native.get_influence_multi_kernel`) — interpreter-free
-  inner loops over the whole ``(R, block)`` matrix;
-* a vectorized NumPy path — a Python loop over the block's steps with all
-  replica-axis work done in array operations (the no-compiler fallback);
-* a scalar path for tiny stacks (``R < 4``), where per-element NumPy
-  overhead would exceed a plain Python loop.
+* the v6 kernels (:func:`repro.engine.native.get_broadcast_epoch_kernel`,
+  :func:`~repro.engine.native.get_influence_epoch_kernel`) when every
+  seed is kernel-seedable: the streams live only in ``(R,
+  RNG_STATE_WORDS)`` rows seeded in C (``repro_pcg64_init``), are drawn
+  inside the kernel, and a row stops drawing at its finishing step;
+* the no-kernel leg (no compiler, or a seed outside ``[0, 2**64)``): one
+  NumPy-drawn :class:`~repro.analytics.streams.TrajectoryStream` per
+  trajectory, applied by a vectorized NumPy block or, for tiny stacks
+  (``R < 4``), a scalar loop.
+
+:func:`run_single_epidemic` alone runs on a stream its caller holds (a
+shared generator).  On the kernel its PCG64 state is packed into a row,
+and when the row leaves the stack the state is written back and the rest
+of the block is drawn on the caller's generator, so the generator ends
+exactly where the no-kernel leg, which draws whole blocks, leaves it.
 """
 
 from __future__ import annotations
@@ -36,13 +44,15 @@ import numpy as np
 from ..engine.native import (
     RNG_STATE_WORDS,
     get_broadcast_epoch_kernel,
-    get_broadcast_multi_kernel,
     get_influence_epoch_kernel,
-    get_influence_multi_kernel,
     kernel_thread_count,
 )
 from ..graphs.graph import Graph
-from ..runtime.source import pack_generator_state, unpack_generator_state
+from ..runtime.source import (
+    kernel_rng_rows,
+    pack_generator_state,
+    unpack_generator_state,
+)
 from .streams import (
     TrajectoryStream,
     block_size,
@@ -64,11 +74,14 @@ BUDGET_EXHAUSTED = -1
 
 
 def _pack_stream_states(streams: Sequence[TrajectoryStream]) -> Optional[np.ndarray]:
-    """Export the streams' PCG64 states into kernel RNG rows.
+    """Export caller-held streams' PCG64 states into kernel RNG rows.
 
-    Returns ``None`` (keeping the stream on the NumPy draw path) if any
-    stream rides a bit generator the kernel cannot continue.
+    Returns ``None`` (keeping the streams on the NumPy leg) when the
+    kernel is not built or a stream rides a bit generator the kernel
+    cannot continue.
     """
+    if get_broadcast_epoch_kernel() is None:
+        return None
     rows = np.zeros((len(streams), RNG_STATE_WORDS), dtype=np.uint64)
     try:
         for j, stream in enumerate(streams):
@@ -79,17 +92,26 @@ def _pack_stream_states(streams: Sequence[TrajectoryStream]) -> Optional[np.ndar
 
 
 def _writeback_stream_states(
-    streams: Sequence[TrajectoryStream], rows: np.ndarray, mask: np.ndarray
+    streams: Sequence[TrajectoryStream],
+    rows: np.ndarray,
+    mask: np.ndarray,
+    draws_left: Optional[np.ndarray] = None,
+    bound: int = 0,
 ) -> None:
-    """Import kernel RNG rows back into the streams selected by ``mask``.
+    """Import kernel RNG rows back into the caller-held streams in ``mask``.
 
-    The v6 kernels burn a finished replica's remaining block draws, so
-    the written-back generator state is exactly where the NumPy path
-    (which pre-draws whole blocks) would have left it.
+    The kernel stops drawing at a row's finishing step, while the NumPy
+    leg draws whole blocks up front.  ``draws_left[j]`` (the rest of the
+    block) is drawn here with one ``integers(0, bound)`` call on the
+    caller's generator.  Bounded ``integers`` is prefix-stable, buffered
+    32-bit half-word included, so the generator ends exactly where a
+    whole-block draw leaves it.
     """
-    for j, stream in enumerate(streams):
-        if mask[j]:
-            unpack_generator_state(stream.generator, rows[j])
+    for j in np.flatnonzero(mask):
+        generator = streams[j].generator
+        unpack_generator_state(generator, rows[j])
+        if draws_left is not None and draws_left[j] > 0:
+            generator.integers(0, bound, size=int(draws_left[j]))
 
 
 def _active_tables(
@@ -155,12 +177,14 @@ def run_epidemic_batch(
             raise ValueError("source out of range")
     results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
-        schedulers = make_streams(graph, [seeds[t] for t in chunk])
+        chunk_seeds = [seeds[t] for t in chunk]
+        rng_rows = kernel_rng_rows(chunk_seeds)
         chunk_sources = [int(sources[t]) for t in chunk]
         chunk_masks = None if stopmasks is None else stopmasks[list(chunk)]
         _run_epidemic_stack(
             graph,
-            schedulers,
+            rng_rows,
+            make_streams(graph, chunk_seeds) if rng_rows is None else None,
             chunk_sources,
             chunk_masks,
             max_steps,
@@ -178,22 +202,27 @@ def run_single_epidemic(
     max_steps: int,
     stopmask: Optional[np.ndarray] = None,
 ) -> Optional[int]:
-    """One epidemic on a caller-provided stream (shared-generator wrappers).
+    """One epidemic on a caller-held stream (shared-generator wrappers).
 
     Consumes the stream with the same block schedule as the batched
-    engine, so e.g. a distance-``k`` run and a full broadcast with the
-    same seed share their interaction schedule step for step.
+    engine, whole blocks included, so e.g. a distance-``k`` run and a full
+    broadcast with the same seed share their interaction schedule step
+    for step, and a shared generator ends in the same state on every leg.
     """
     results = np.full(1, BUDGET_EXHAUSTED, dtype=np.int64)
     masks = None if stopmask is None else np.ascontiguousarray(stopmask, dtype=np.uint8)[None, :]
-    _run_epidemic_stack(graph, [stream], [int(source)], masks, max_steps, results, 0)
+    streams = [stream]
+    _run_epidemic_stack(
+        graph, _pack_stream_states(streams), streams, [int(source)], masks, max_steps, results, 0
+    )
     steps = int(results[0])
     return None if steps == BUDGET_EXHAUSTED else steps
 
 
 def _run_epidemic_stack(
     graph: Graph,
-    schedulers: List[TrajectoryStream],
+    rng_rows: Optional[np.ndarray],
+    streams: Optional[List[TrajectoryStream]],
     sources: List[int],
     stopmasks: Optional[np.ndarray],
     max_steps: int,
@@ -201,9 +230,15 @@ def _run_epidemic_stack(
     result_offset: int,
     schedule: Optional["TopologySchedule"] = None,
 ) -> None:
-    """Run one wave of co-resident epidemics to completion or budget."""
+    """Run one wave of co-resident epidemics to completion or budget.
+
+    With ``rng_rows`` the kernel draws; ``streams`` are then the
+    caller-held streams behind the rows (``None`` for private rows) and
+    get their state back as they leave the stack.  Without ``rng_rows``
+    the ``streams`` draw each block in NumPy.
+    """
     n = graph.n_nodes
-    active = len(schedulers)
+    active = len(sources)
     informed = np.zeros((active, n), dtype=np.uint8)
     informed[np.arange(active), np.asarray(sources, dtype=np.int64)] = 1
     counts = np.ones(active, dtype=np.int64)
@@ -213,26 +248,20 @@ def _run_epidemic_stack(
         if stopmasks is None
         else np.ascontiguousarray(stopmasks, dtype=np.uint8)
     )
-    kernel = get_broadcast_multi_kernel()
-    epoch_kernel = get_broadcast_epoch_kernel()
-    # v6: draw inside the kernel.  Stream states move into RNG rows and
-    # are written back whenever a stream leaves the stack, so callers
-    # holding the stream (run_single_epidemic) observe exactly the state
-    # the NumPy draw path would have left.
-    rng_rows = None if epoch_kernel is None else _pack_stream_states(schedulers)
+    kernel = None if rng_rows is None else get_broadcast_epoch_kernel()
     threads = kernel_thread_count()
     consumed = 0
     round_index = 0
-    while schedulers and consumed < max_steps:
+    while indices.size and consumed < max_steps:
         block = min(block_size(round_index), max_steps - consumed)
         directed_u, directed_v, pair_count, block = _active_tables(
             graph, schedule, consumed, block
         )
-        a = len(schedulers)
+        a = indices.shape[0]
         finish = np.full(a, -1, dtype=np.int64)
-        if rng_rows is not None:
-            bound = 2 * graph.n_edges if pair_count is None else pair_count
-            epoch_kernel(
+        bound = 2 * graph.n_edges if pair_count is None else pair_count
+        if kernel is not None:
+            kernel(
                 informed.ctypes.data,
                 rng_rows.ctypes.data,
                 directed_u.ctypes.data,
@@ -248,21 +277,8 @@ def _run_epidemic_stack(
             )
         else:
             draws = np.empty((a, block), dtype=np.int64)
-            fill_draw_rows(schedulers, draws, pair_count)
-            if kernel is not None:
-                kernel(
-                    informed.ctypes.data,
-                    draws.ctypes.data,
-                    directed_u.ctypes.data,
-                    directed_v.ctypes.data,
-                    a,
-                    block,
-                    n,
-                    masks.ctypes.data if masks is not None else None,
-                    counts.ctypes.data,
-                    finish.ctypes.data,
-                )
-            elif a >= _SCALAR_MAX_REPLICAS:
+            fill_draw_rows(streams, draws, pair_count)
+            if a >= _SCALAR_MAX_REPLICAS:
                 iu = directed_u.take(draws)
                 iv = directed_v.take(draws)
                 _numpy_epidemic_block(informed, iu, iv, counts, finish, n, masks)
@@ -275,20 +291,20 @@ def _run_epidemic_stack(
             results[indices[done]] = consumed + finish[done]
             keep = ~done
             if rng_rows is not None:
-                _writeback_stream_states(schedulers, rng_rows, done)
+                if streams is not None:
+                    _writeback_stream_states(streams, rng_rows, done, block - finish, bound)
                 rng_rows = np.ascontiguousarray(rng_rows[keep])
             informed = np.ascontiguousarray(informed[keep])
             counts = counts[keep]
             indices = indices[keep]
             if masks is not None:
                 masks = np.ascontiguousarray(masks[keep])
-            schedulers = [s for s, k in zip(schedulers, keep) if k]
+            if streams is not None:
+                streams = [s for s, k in zip(streams, keep) if k]
         consumed += block
         round_index += 1
-    if rng_rows is not None and schedulers:
-        _writeback_stream_states(
-            schedulers, rng_rows, np.ones(len(schedulers), dtype=bool)
-        )
+    if rng_rows is not None and streams:
+        _writeback_stream_states(streams, rng_rows, np.ones(len(streams), dtype=bool))
 
 
 def _numpy_epidemic_block(
@@ -394,14 +410,14 @@ def _run_influence_stack(
     schedule: Optional["TopologySchedule"] = None,
 ) -> None:
     n = graph.n_nodes
-    kernel = get_influence_multi_kernel()
-    if kernel is None and len(seeds) < _SCALAR_MAX_REPLICAS and schedule is None:
+    rng_rows = kernel_rng_rows(seeds)
+    if rng_rows is None and len(seeds) < _SCALAR_MAX_REPLICAS and schedule is None:
         # The tiny-stack fallback decodes draws through its stream's own
         # static tables, so dynamic runs take the generic path instead.
         _scalar_influence(graph, seeds, max_steps, results, result_offset)
         return
-    schedulers = make_streams(graph, seeds)
-    active = len(schedulers)
+    streams = make_streams(graph, seeds) if rng_rows is None else None
+    active = len(seeds)
     words = (n + 63) // 64
     bits = np.zeros((active, n, words), dtype=np.uint64)
     node_ids = np.arange(n)
@@ -414,21 +430,20 @@ def _run_influence_stack(
     flags = np.zeros((active, n), dtype=np.uint8)
     counts = np.zeros(active, dtype=np.int64)
     indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
-    epoch_kernel = get_influence_epoch_kernel()
-    rng_rows = None if epoch_kernel is None else _pack_stream_states(schedulers)
+    kernel = None if rng_rows is None else get_influence_epoch_kernel()
     threads = kernel_thread_count()
     consumed = 0
     round_index = 0
-    while schedulers and consumed < max_steps:
+    while indices.size and consumed < max_steps:
         block = min(block_size(round_index), max_steps - consumed)
         directed_u, directed_v, pair_count, block = _active_tables(
             graph, schedule, consumed, block
         )
-        a = len(schedulers)
+        a = indices.shape[0]
         finish = np.full(a, -1, dtype=np.int64)
-        if rng_rows is not None:
+        if kernel is not None:
             bound = 2 * graph.n_edges if pair_count is None else pair_count
-            epoch_kernel(
+            kernel(
                 bits.ctypes.data,
                 rng_rows.ctypes.data,
                 directed_u.ctypes.data,
@@ -446,37 +461,22 @@ def _run_influence_stack(
             )
         else:
             draws = np.empty((a, block), dtype=np.int64)
-            fill_draw_rows(schedulers, draws, pair_count)
-            if kernel is not None:
-                kernel(
-                    bits.ctypes.data,
-                    draws.ctypes.data,
-                    directed_u.ctypes.data,
-                    directed_v.ctypes.data,
-                    a,
-                    block,
-                    n,
-                    words,
-                    full.ctypes.data,
-                    flags.ctypes.data,
-                    counts.ctypes.data,
-                    finish.ctypes.data,
-                )
-            else:
-                iu = directed_u.take(draws)
-                iv = directed_v.take(draws)
-                _numpy_influence_block(bits, iu, iv, full, flags, counts, finish, n)
+            fill_draw_rows(streams, draws, pair_count)
+            iu = directed_u.take(draws)
+            iv = directed_v.take(draws)
+            _numpy_influence_block(bits, iu, iv, full, flags, counts, finish, n)
         done = finish >= 0
         if done.any():
             results[indices[done]] = consumed + finish[done]
             keep = ~done
             if rng_rows is not None:
                 rng_rows = np.ascontiguousarray(rng_rows[keep])
+            else:
+                streams = [s for s, k in zip(streams, keep) if k]
             bits = np.ascontiguousarray(bits[keep])
             flags = np.ascontiguousarray(flags[keep])
             counts = counts[keep]
             indices = indices[keep]
-            schedulers = [s for s, k in zip(schedulers, keep) if k]
         consumed += block
         round_index += 1
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.seeds import derive_seed
+from ..core.seeds import derive_seed, prefixed_seed, seed_prefix
 from ..graphs.graph import Graph
 from .epidemics import run_epidemic_batch
 
@@ -72,6 +72,21 @@ def broadcast_trajectory_seed(base: int, source: int, repetition: int) -> int:
     return derive_seed(base, BROADCAST_TAG, source, repetition)
 
 
+def broadcast_trajectory_seeds(
+    base: int, sources: Sequence[int], repetitions: int
+) -> List[int]:
+    """:func:`broadcast_trajectory_seed` of every ``(source, repetition)``.
+
+    Source-major order; the shared ``(base, "bcast", source)`` prefix is
+    folded once per source.
+    """
+    seeds: List[int] = []
+    for source in sources:
+        prefix = seed_prefix(base, BROADCAST_TAG, source)
+        seeds.extend([prefixed_seed(prefix, repetition) for repetition in range(repetitions)])
+    return seeds
+
+
 def batched_broadcast_samples(
     graph: Graph,
     sources: Sequence[int],
@@ -80,29 +95,24 @@ def batched_broadcast_samples(
     max_steps: int,
     replica_batch: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
-) -> Dict[int, np.ndarray]:
-    """Per-source arrays of broadcast-step samples, one replica stack.
+) -> np.ndarray:
+    """Broadcast-step samples of every source, one replica stack.
 
-    Raises :class:`RuntimeError` if any trajectory exhausts ``max_steps``
-    (matching the serial estimators' budget contract).  ``schedule`` runs
-    the epidemics on a time-varying topology (see
-    :func:`repro.analytics.epidemics.run_epidemic_batch`).
+    Returns a ``(len(sources), repetitions)`` int64 matrix; row ``i``
+    holds the samples of ``sources[i]``.  Per-source means taken with
+    ``mean(axis=1)`` are exact: a row's sum of integer step counts stays
+    far below ``2**53``.  Raises :class:`RuntimeError` if any trajectory
+    exhausts ``max_steps`` (matching the serial estimators' budget
+    contract).  ``schedule`` runs the epidemics on a time-varying
+    topology (see :func:`repro.analytics.epidemics.run_epidemic_batch`).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
-    for source in sources:
-        if not (0 <= int(source) < graph.n_nodes):
-            raise ValueError("source out of range")
-    trajectory_sources: List[int] = []
-    seeds: List[int] = []
-    for source in sources:
-        for repetition in range(repetitions):
-            trajectory_sources.append(int(source))
-            seeds.append(broadcast_trajectory_seed(base, int(source), repetition))
+    sources = [int(source) for source in sources]
     steps = run_epidemic_batch(
         graph,
-        trajectory_sources,
-        seeds,
+        [source for source in sources for _ in range(repetitions)],
+        broadcast_trajectory_seeds(base, sources, repetitions),
         max_steps,
         replica_batch=replica_batch,
         schedule=schedule,
@@ -111,11 +121,7 @@ def batched_broadcast_samples(
         raise RuntimeError(
             "broadcast did not complete within the step budget; increase max_steps"
         )
-    by_source: Dict[int, np.ndarray] = {}
-    for position, source in enumerate(sources):
-        lo = position * repetitions
-        by_source[int(source)] = steps[lo : lo + repetitions].astype(np.float64)
-    return by_source
+    return steps.reshape(len(sources), repetitions)
 
 
 #: Plain-data form of one ``B(G)`` estimate: (value, per-source means,
@@ -139,16 +145,16 @@ def batched_broadcast_estimates(
     Entry ``i`` is bit-identical to the estimate a standalone call with
     ``bases[i]`` produces.
     """
-    plans: List[Tuple[int, List[int]]] = []
+    if repetitions < 1:
+        raise ValueError("repetitions must be positive")
+    plans: List[List[int]] = []
     trajectory_sources: List[int] = []
     seeds: List[int] = []
     for base in bases:
         sources = select_sources(graph, max_sources, int(base))
-        plans.append((int(base), sources))
-        for source in sources:
-            for repetition in range(repetitions):
-                trajectory_sources.append(source)
-                seeds.append(broadcast_trajectory_seed(int(base), source, repetition))
+        plans.append(sources)
+        trajectory_sources.extend(source for source in sources for _ in range(repetitions))
+        seeds.extend(broadcast_trajectory_seeds(int(base), sources, repetitions))
     steps = run_epidemic_batch(
         graph, trajectory_sources, seeds, max_steps, replica_batch=replica_batch
     )
@@ -156,14 +162,10 @@ def batched_broadcast_estimates(
         raise RuntimeError(
             "broadcast did not complete within the step budget; increase max_steps"
         )
+    means = iter(steps.reshape(-1, repetitions).mean(axis=1).tolist())
     estimates: List[EstimateData] = []
-    cursor = 0
-    for _base, sources in plans:
-        per_source: Dict[int, float] = {}
-        for source in sources:
-            samples = steps[cursor : cursor + repetitions]
-            per_source[source] = float(samples.mean())
-            cursor += repetitions
+    for sources in plans:
+        per_source = dict(zip(sources, means))
         estimates.append(
             (max(per_source.values()), per_source, tuple(sources), repetitions)
         )

@@ -19,9 +19,11 @@ trajectories in lockstep, and each trajectory owns a private
 
 A ``TrajectoryStream`` is the *directed dialect* of the runtime's
 unified :class:`~repro.runtime.source.InteractionSource`: one
-bounded-integers draw over ``[0, 2m)`` per block, decoded (when needed
-at all — the C kernels decode themselves) through the shared directed
-endpoint tables of :mod:`repro.runtime.pairs`.  That is ~3 array
+bounded-integers draw over ``[0, 2m)`` per block, decoded through the
+shared directed endpoint tables of :mod:`repro.runtime.pairs`.  On the
+C kernel the epidemic and influence stacks build no ``TrajectoryStream``
+at all: the same draws are made in C from rows seeded by
+``repro_pcg64_init`` (:mod:`repro.analytics.epidemics`).  That is ~3 array
 operations per block against the general scheduler's seven, and draws
 are demand-sized — a trajectory that finishes after 900 steps has
 sampled ~1.5k interactions, not a full pre-sample buffer.  Protocol
@@ -102,9 +104,9 @@ class TrajectoryStream(InteractionSource):
     def draws_into(self, out: np.ndarray, count: Optional[int] = None) -> None:
         """Fill a preallocated row with raw ordered-pair indices.
 
-        The undecoded form: the C kernels decode indices through the
-        directed endpoint tables themselves, saving two Python-level
-        gathers per stream per block.  ``count`` overrides the draw bound
+        The undecoded form: the stack decodes a whole ``(R, block)``
+        draws matrix with one gather per endpoint table instead of two
+        per stream.  ``count`` overrides the draw bound
         (the dynamic-topology stacks pass the active epoch's ``2m_k``);
         the default is the stream graph's own ``2m``.
         """

@@ -40,6 +40,7 @@ import zlib
 from typing import Iterable, List, Union
 
 _MASK64 = (1 << 64) - 1
+_SEED_MASK = _MASK64 >> 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 SeedWord = Union[int, str]
@@ -60,6 +61,28 @@ def _word_to_int(word: SeedWord) -> int:
     return int(word) & _MASK64
 
 
+def _fold(state: int, words: Iterable[SeedWord]) -> int:
+    """Fold ``words`` into a SplitMix64 chain state (the one folding loop)."""
+    for word in words:
+        state = _splitmix64(state ^ _word_to_int(word))
+    return state
+
+
+def seed_prefix(base: SeedWord, *words: SeedWord) -> int:
+    """The full 64-bit chain state after folding ``base`` and ``words``.
+
+    ``derive_seed(base, *words, *more) == prefixed_seed(seed_prefix(base,
+    *words), *more)``, so seeds that share a prefix (one estimate's
+    trajectories, say) fold it once.
+    """
+    return _fold(_splitmix64(_word_to_int(base)), words)
+
+
+def prefixed_seed(prefix: int, *words: SeedWord) -> int:
+    """:func:`derive_seed` continued from a :func:`seed_prefix` state."""
+    return _fold(prefix, words) & _SEED_MASK
+
+
 def derive_seed(base: SeedWord, *words: SeedWord) -> int:
     """Mix ``base`` and ``words`` into one well-spread 63-bit seed.
 
@@ -68,10 +91,7 @@ def derive_seed(base: SeedWord, *words: SeedWord) -> int:
     value a valid seed for every consumer (numpy accepts any non-negative
     integer).
     """
-    state = _splitmix64(_word_to_int(base))
-    for word in words:
-        state = _splitmix64(state ^ _word_to_int(word))
-    return state & (_MASK64 >> 1)
+    return seed_prefix(base, *words) & _SEED_MASK
 
 
 def trial_seed(measure_base: SeedWord, trial_index: int) -> int:

@@ -29,8 +29,8 @@ from typing import Sequence, Tuple
 #: Compiler flags of every kernel build (``REPRO_KERNEL_CFLAGS`` appends).
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 
-#: The v5 function set: protocol stepping, shard-local runs, epidemics,
-#: influence — all fed pre-drawn pair indices from Python.
+#: The v5 function set: protocol stepping, shard-local runs and the
+#: single-epidemic block — all fed pre-drawn pairs from Python.
 _KERNEL_SOURCE_V5 = r"""
 #include <stdint.h>
 
@@ -141,7 +141,8 @@ int64_t repro_run_shard_block(int64_t *codes,
     return i;
 }
 
-/* One block of the single-source epidemic (broadcast-time estimator).
+/* One block of the single-source epidemic on pre-drawn pairs (served only
+ * to the trajectory-serial baselines of the analytics benchmarks).
  *
  * Spreads the informed flag across interactions until either the block is
  * exhausted or all n nodes are informed.  Returns the number of
@@ -173,126 +174,6 @@ int64_t repro_broadcast_block(uint8_t *informed,
     }
     *count_io = count;
     return i;
-}
-
-/* One block of R replica-batched single-source epidemics.
- *
- * Each replica r owns row r of the (nrep x n) informed matrix and row r
- * of the (nrep x nsteps) draws matrix — its private scheduler stream as
- * raw ordered-pair indices, decoded here through the directed endpoint
- * tables du/dv (length 2m).  A replica finishes when either every node
- * is informed (stopmask == NULL) or a newly informed node has its
- * stopmask bit set (distance-k propagation; stopmask is nrep x n).
- * finish[r] is -1 on entry and is set to the 1-based offset of the
- * finishing interaction within this block; unfinished replicas consume
- * the whole block.  Returns the number of replicas that finished.
- */
-int64_t repro_broadcast_multi(uint8_t *informed,
-                              const int64_t *draws,
-                              const int64_t *du,
-                              const int64_t *dv,
-                              int64_t nrep,
-                              int64_t nsteps,
-                              int64_t n,
-                              const uint8_t *stopmask,
-                              int64_t *counts,
-                              int64_t *finish)
-{
-    int64_t done = 0;
-    int64_t r;
-    for (r = 0; r < nrep; r++) {
-        uint8_t *inf = informed + r * n;
-        const uint8_t *stop = stopmask ? stopmask + r * n : 0;
-        const int64_t *row = draws + r * nsteps;
-        int64_t count = counts[r];
-        int64_t i;
-        for (i = 0; i < nsteps; i++) {
-            int64_t u = du[row[i]];
-            int64_t v = dv[row[i]];
-            uint8_t a = inf[u];
-            uint8_t b = inf[v];
-            if (a != b) {
-                int64_t fresh = a ? v : u;
-                inf[u] = 1;
-                inf[v] = 1;
-                count++;
-                if (stop ? stop[fresh] : (count == n)) {
-                    finish[r] = i + 1;
-                    done++;
-                    break;
-                }
-            }
-        }
-        counts[r] = count;
-    }
-    return done;
-}
-
-/* One block of R replica-batched all-pairs influence processes.
- *
- * bits is (nrep x n x w) packed uint64 influencer bitsets: word j of node
- * u in replica r holds sources 64j..64j+63.  full is the w-word mask with
- * the low n bits set; full_flags (nrep x n) caches which nodes already
- * hold it so the word compare runs only on improving merges.  A replica
- * finishes when all n nodes are fully informed (counts[r] == n);
- * finish[r] gets the 1-based offset as above.  Returns the number of
- * replicas that finished in this block.
- */
-int64_t repro_influence_multi(uint64_t *bits,
-                              const int64_t *draws,
-                              const int64_t *du,
-                              const int64_t *dv,
-                              int64_t nrep,
-                              int64_t nsteps,
-                              int64_t n,
-                              int64_t w,
-                              const uint64_t *full,
-                              uint8_t *full_flags,
-                              int64_t *counts,
-                              int64_t *finish)
-{
-    int64_t done = 0;
-    int64_t r;
-    for (r = 0; r < nrep; r++) {
-        uint64_t *rb = bits + r * n * w;
-        uint8_t *flags = full_flags + r * n;
-        const int64_t *row = draws + r * nsteps;
-        int64_t count = counts[r];
-        int64_t i;
-        for (i = 0; i < nsteps; i++) {
-            int64_t u = du[row[i]];
-            int64_t v = dv[row[i]];
-            uint8_t fu = flags[u];
-            uint8_t fv = flags[v];
-            uint64_t *pu, *pv;
-            int64_t j;
-            int alleq;
-            if (fu && fv)
-                continue;
-            pu = rb + u * w;
-            pv = rb + v * w;
-            alleq = 1;
-            for (j = 0; j < w; j++) {
-                uint64_t merged = pu[j] | pv[j];
-                pu[j] = merged;
-                pv[j] = merged;
-                if (merged != full[j])
-                    alleq = 0;
-            }
-            if (alleq) {
-                count += (fu == 0) + (fv == 0);
-                flags[u] = 1;
-                flags[v] = 1;
-                if (count == n) {
-                    finish[r] = i + 1;
-                    done++;
-                    break;
-                }
-            }
-        }
-        counts[r] = count;
-    }
-    return done;
 }
 """
 
@@ -792,10 +673,14 @@ void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
 /* ---- Analytics epochs: in-kernel directed-dialect streams -------- */
 
 /* One lockstep block of the single-source epidemic with draws generated
- * in-kernel (integers(0, bound) per step, the directed dialect).  A
- * finished replica keeps drawing to the end of the block — the numpy
- * path draws whole rows up front — so its exported generator state stays
- * bit-identical to the Python engine's. */
+ * in-kernel (integers(0, bound) per step, the directed dialect).  Row r
+ * starts from informed row r, counts[r] informed nodes and stopmask row r
+ * (NULL: finish when all n nodes are informed; else when a newly informed
+ * node has its stop bit set — distance-k propagation).  finish[r] gets
+ * the 1-based offset of the finishing step, or -1.  A row stops drawing
+ * at its finishing step, so its RNG row has advanced by exactly
+ * finish[r] draws (the whole block when unfinished); a caller that holds
+ * the stream completes the block itself. */
 typedef struct {
     uint8_t *informed;
     uint64_t *rng_state;
@@ -824,16 +709,12 @@ static void *repro_bcast_worker(void *arg)
         int64_t fin = -1;
         int64_t i;
         repro_pcg64_load(job->rng_state + r * REPRO_RNG_WORDS, &p);
-        for (i = 0; i < job->block; i++) {
+        for (i = 0; i < job->block && fin < 0; i++) {
             int64_t idx = (int64_t)repro_bounded64(&p, rng);
-            int64_t u, v;
-            uint8_t a, b;
-            if (fin >= 0)
-                continue; /* burn the rest of the block's draws */
-            u = job->du[idx];
-            v = job->dv[idx];
-            a = inf[u];
-            b = inf[v];
+            int64_t u = job->du[idx];
+            int64_t v = job->dv[idx];
+            uint8_t a = inf[u];
+            uint8_t b = inf[v];
             if (a != b) {
                 int64_t fresh = a ? v : u;
                 inf[u] = 1;
@@ -903,7 +784,13 @@ void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
     }
 }
 
-/* All-pairs influence block with in-kernel draws; same burn semantics. */
+/* All-pairs influence block with in-kernel draws.  bits is (nrep x n x w)
+ * packed uint64 influencer bitsets (word j of node u holds sources
+ * 64j..64j+63); full is the w-word mask with the low n bits set;
+ * full_flags (nrep x n) caches which nodes already hold it, so the word
+ * compare runs only on merges that can improve.  A row finishes when all
+ * n nodes are full (counts[r] == n); finish[] and the stop-at-finish RNG
+ * contract are as in repro_broadcast_epoch. */
 typedef struct {
     uint64_t *bits;
     uint64_t *rng_state;
@@ -934,14 +821,12 @@ static void *repro_infl_worker(void *arg)
         int64_t fin = -1;
         int64_t i;
         repro_pcg64_load(job->rng_state + r * REPRO_RNG_WORDS, &p);
-        for (i = 0; i < job->block; i++) {
+        for (i = 0; i < job->block && fin < 0; i++) {
             int64_t idx = (int64_t)repro_bounded64(&p, rng);
             int64_t u, v, j;
             uint8_t fu, fv;
             uint64_t *pu, *pv;
             int alleq;
-            if (fin >= 0)
-                continue;
             u = job->du[idx];
             v = job->dv[idx];
             fu = flags[u];
@@ -1262,42 +1147,10 @@ def _bind_kernels(library):
         ctypes.c_int64,  # n
         ctypes.POINTER(ctypes.c_int64),  # count_io
     ]
-    broadcast_multi = library.repro_broadcast_multi
-    broadcast_multi.restype = ctypes.c_int64
-    broadcast_multi.argtypes = [
-        ctypes.c_void_p,  # informed (nrep x n)
-        ctypes.c_void_p,  # draws (nrep x nsteps)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
-        ctypes.c_int64,  # nrep
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.c_void_p,  # stopmask (nrep x n) or None
-        ctypes.c_void_p,  # counts (nrep)
-        ctypes.c_void_p,  # finish (nrep)
-    ]
-    influence_multi = library.repro_influence_multi
-    influence_multi.restype = ctypes.c_int64
-    influence_multi.argtypes = [
-        ctypes.c_void_p,  # bits (nrep x n x w)
-        ctypes.c_void_p,  # draws (nrep x nsteps)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
-        ctypes.c_int64,  # nrep
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # w
-        ctypes.c_void_p,  # full (w)
-        ctypes.c_void_p,  # full_flags (nrep x n)
-        ctypes.c_void_p,  # counts (nrep)
-        ctypes.c_void_p,  # finish (nrep)
-    ]
     return {
         "run_block": run_block,
         "run_shard_block": run_shard_block,
         "broadcast_block": broadcast_block,
-        "broadcast_multi": broadcast_multi,
-        "influence_multi": influence_multi,
         **_bind_v6(library),
     }
 
@@ -1332,18 +1185,6 @@ def get_broadcast_kernel():
     """The compiled single-source-epidemic entry point, or ``None``."""
     kernels = _kernels()
     return None if kernels is None else kernels["broadcast_block"]
-
-
-def get_broadcast_multi_kernel():
-    """The compiled replica-batched epidemic entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["broadcast_multi"]
-
-
-def get_influence_multi_kernel():
-    """The compiled replica-batched influence entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["influence_multi"]
 
 
 def get_run_epoch_kernel():

@@ -96,8 +96,8 @@ def expected_broadcast_time_from(
         max_steps,
         replica_batch=replica_batch,
         schedule=schedule,
-    )[int(source)]
-    return summarize_samples(samples.tolist())
+    )[0]
+    return summarize_samples([float(s) for s in samples])
 
 
 def broadcast_time_estimate(
@@ -133,7 +133,7 @@ def broadcast_time_estimate(
     sources = select_sources(graph, max_sources, base)
     if max_steps is None:
         max_steps = _budget(graph)
-    by_source = batched_broadcast_samples(
+    samples = batched_broadcast_samples(
         graph,
         sources,
         repetitions,
@@ -142,7 +142,7 @@ def broadcast_time_estimate(
         replica_batch=replica_batch,
         schedule=schedule,
     )
-    per_source = {source: float(samples.mean()) for source, samples in by_source.items()}
+    per_source = dict(zip(sources, samples.mean(axis=1).tolist()))
     value = max(per_source.values())
     return BroadcastTimeEstimate(
         value=value, per_source=per_source, repetitions=repetitions, sources=tuple(sources)

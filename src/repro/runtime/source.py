@@ -342,6 +342,24 @@ def kernel_seedable(seed) -> bool:
     return isinstance(seed, (int, np.integer)) and 0 <= int(seed) < (1 << 64)
 
 
+def kernel_rng_rows(seeds) -> Optional[np.ndarray]:
+    """One kernel RNG state row per seed, seeded in C, or ``None``.
+
+    Row ``r`` holds the state of ``np.random.default_rng(seeds[r])``
+    (``repro_pcg64_init``: one call, no Python generator).  ``None`` when
+    the kernel is not built or a seed is not :func:`kernel_seedable`.
+    """
+    from ..engine.native import RNG_STATE_WORDS, get_rng_kernels
+
+    kernels = get_rng_kernels()
+    if kernels is None or not all(map(kernel_seedable, seeds)):
+        return None
+    rows = np.zeros((len(seeds), RNG_STATE_WORDS), dtype=np.uint64)
+    words = np.array([int(seed) for seed in seeds], dtype=np.uint64)
+    kernels["pcg64_init"](words.ctypes.data, len(seeds), rows.ctypes.data)
+    return rows
+
+
 class KernelSource:
     """Replica-batched scheduler-dialect streams living in kernel state.
 
@@ -361,23 +379,24 @@ class KernelSource:
         batch_size: int = REFILL_SIZE,
         buffer_capacity: Optional[int] = None,
     ) -> None:
-        from ..engine.native import RNG_STATE_WORDS, SRC_STATE_WORDS, get_rng_kernels
+        from ..engine.native import SRC_STATE_WORDS, get_rng_kernels
 
-        kernels = get_rng_kernels()
-        if kernels is None:
-            raise RuntimeError("kernel v6 is unavailable; use InteractionSource")
+        rng_state = kernel_rng_rows(seeds)
+        if rng_state is None:
+            raise RuntimeError(
+                "kernel v6 is unavailable or a seed is not kernel-seedable; "
+                "use InteractionSource"
+            )
         if graph.n_edges == 0:
             raise ValueError("cannot schedule interactions on an edgeless graph")
         self._graph = graph
         self._batch = int(batch_size)
-        self._kernels = kernels
+        self._kernels = get_rng_kernels()
         capacity = max(self._batch, int(buffer_capacity or 0))
         count = len(seeds)
-        self.rng_state = np.zeros((count, RNG_STATE_WORDS), dtype=np.uint64)
+        self.rng_state = rng_state
         self.src_state = np.zeros((count, SRC_STATE_WORDS), dtype=np.int64)
         self.buffers = np.zeros((count, capacity), dtype=np.int64)
-        seed_words = np.ascontiguousarray([int(seed) for seed in seeds], dtype=np.uint64)
-        kernels["pcg64_init"](seed_words.ctypes.data, count, self.rng_state.ctypes.data)
 
     @property
     def batch_size(self) -> int:

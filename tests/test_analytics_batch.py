@@ -4,8 +4,11 @@ The engine's contract (see :mod:`repro.analytics`):
 
 * **width invariance** — every batched estimator returns bit-identical
   values for replica-batch widths 1, 3 and R;
-* **path invariance** — the multi-replica C kernels, the vectorized
-  NumPy blocks and the scalar loops compute identical results;
+* **path invariance** — the v6 epoch kernels, the vectorized NumPy
+  blocks and the scalar loops compute identical results;
+* **kernel-resident streams** — on the kernel, private trajectory streams
+  are seeded in C and never exist as Python generators, while a
+  caller-held generator ends in the same state on every path;
 * **seed purity** — a batched trajectory equals the standalone
   single-trajectory run with the same child seed;
 * **distributional fidelity** — batched estimator means match the exact
@@ -17,18 +20,29 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytics import (
+    TrajectoryStream,
+    batched_broadcast_estimates,
     run_epidemic_batch,
     run_influence_batch,
     run_hitting_batch,
+    run_single_epidemic,
 )
-from repro.analytics.estimators import broadcast_trajectory_seed
+from repro.analytics import epidemics, streams
+from repro.analytics.estimators import (
+    broadcast_trajectory_seed,
+    broadcast_trajectory_seeds,
+)
 from repro.core.scheduler import RandomScheduler
-from repro.engine.native import get_broadcast_multi_kernel, reset_kernel_cache
+from repro.core.seeds import derive_seed
+from repro.engine.native import get_broadcast_epoch_kernel, reset_kernel_cache
 from repro.graphs import Graph, clique, cycle, path, star, torus
 from repro.propagation import (
     broadcast_time_estimate,
+    distance_k_propagation_steps,
     expected_broadcast_time_from,
     full_information_time,
     single_source_broadcast_steps,
@@ -116,42 +130,37 @@ class TestPathInvariance:
 
     def test_epidemic_paths(self, no_native):
         reset_kernel_cache()
-        assert get_broadcast_multi_kernel() is None
+        assert get_broadcast_epoch_kernel() is None
         g, sources, seeds, budget, fallback = self._epidemic_all_paths()
         scalar = run_epidemic_batch(g, sources, seeds, budget, replica_batch=2)
         assert fallback.tolist() == scalar.tolist()
 
-    def test_epidemic_native_vs_fallback(self):
-        if get_broadcast_multi_kernel() is None:
+    def test_epidemic_native_vs_fallback(self, monkeypatch):
+        if get_broadcast_epoch_kernel() is None:
             pytest.skip("no C compiler available")
         g, sources, seeds, budget, native = self._epidemic_all_paths()
-        reset_kernel_cache()
-        import os
-
-        os.environ["REPRO_DISABLE_NATIVE"] = "1"
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         try:
             reset_kernel_cache()
             fallback = run_epidemic_batch(g, sources, seeds, budget)
             scalar = run_epidemic_batch(g, sources, seeds, budget, replica_batch=1)
         finally:
-            del os.environ["REPRO_DISABLE_NATIVE"]
+            monkeypatch.undo()
             reset_kernel_cache()
         assert native.tolist() == fallback.tolist() == scalar.tolist()
 
-    def test_influence_native_vs_fallback(self):
+    def test_influence_native_vs_fallback(self, monkeypatch):
         g = clique(9)
         seeds = [31, 41, 59, 26, 53]
         budget = default_broadcast_budget(g)
         native = run_influence_batch(g, seeds, budget)
-        import os
-
-        os.environ["REPRO_DISABLE_NATIVE"] = "1"
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         try:
             reset_kernel_cache()
             fallback = run_influence_batch(g, seeds, budget)
             scalar = run_influence_batch(g, seeds, budget, replica_batch=1)
         finally:
-            del os.environ["REPRO_DISABLE_NATIVE"]
+            monkeypatch.undo()
             reset_kernel_cache()
         assert native.tolist() == fallback.tolist() == scalar.tolist()
         # The packed-bitset engine must agree with a naive frozenset
@@ -187,6 +196,121 @@ class TestSeedPurity:
         g = cycle(30)
         steps = run_epidemic_batch(g, [0, 1], [5, 6], max_steps=3)
         assert (steps == -1).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.integers(min_value=-(2**64), max_value=2**65),
+        sources=st.lists(st.integers(min_value=0, max_value=10**6), max_size=6),
+        repetitions=st.integers(min_value=0, max_value=6),
+    )
+    def test_prefix_folded_seeds_match_derive_seed(self, base, sources, repetitions):
+        """Folding ``(base, "bcast", source)`` once per source changes no seed."""
+        assert broadcast_trajectory_seeds(base, sources, repetitions) == [
+            derive_seed(base, "bcast", source, repetition)
+            for source in sources
+            for repetition in range(repetitions)
+        ]
+
+    def test_wide_seeds_run_and_negative_seeds_raise(self):
+        """Seeds outside ``[0, 2**64)`` keep the NumPy ``Generator`` leg."""
+        g = torus(4, 4)
+        budget = default_broadcast_budget(g)
+        wide = [2**64 + 5, 2**70 + 1, 5]
+        steps = run_epidemic_batch(g, [0, 6, 9], wide, budget)
+        replayed = [
+            run_single_epidemic(g, source, TrajectoryStream(g, seed), budget)
+            for source, seed in zip([0, 6, 9], wide)
+        ]
+        assert steps.tolist() == replayed
+        assert steps[2] == run_epidemic_batch(g, [9], [5], budget)[0]
+        influence = run_influence_batch(g, wide, budget)
+        assert influence.tolist() == [
+            _reference_influence_steps(g, seed, budget) for seed in wide
+        ]
+        with pytest.raises(ValueError):
+            run_epidemic_batch(g, [0, 1], [3, -1], budget)
+        with pytest.raises(ValueError):
+            run_influence_batch(g, [-3], budget)
+
+
+@pytest.mark.skipif(get_broadcast_epoch_kernel() is None, reason="no C compiler available")
+def test_kernel_leg_builds_no_python_streams(monkeypatch):
+    """On the kernel, private streams are seeded in C: no Generator exists."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Python stream was built on the kernel leg")
+
+    monkeypatch.setattr(epidemics, "make_streams", refuse)
+    monkeypatch.setattr(streams, "make_streams", refuse)
+    monkeypatch.setattr(TrajectoryStream, "__init__", refuse)
+    g = torus(5, 5)
+    budget = default_broadcast_budget(g)
+    assert broadcast_time_estimate(g, repetitions=3, max_sources=4, rng=9).value > 0
+    assert len(batched_broadcast_estimates(g, [1, 2], 3, 4, budget)) == 2
+    stopmasks = np.zeros((4, g.n_nodes), dtype=np.uint8)
+    stopmasks[:, 12] = 1
+    assert (run_epidemic_batch(g, [0, 3, 7, 24], [1, 2, 3, 4], budget) > 0).all()
+    assert (
+        run_epidemic_batch(g, [0, 3, 7, 24], [1, 2, 3, 4], budget, stopmasks=stopmasks) > 0
+    ).all()
+    for seeds in ([11, 12], [11, 12, 13, 14, 15]):
+        assert (run_influence_batch(g, seeds, budget) > 0).all()
+
+
+def _shared_generator_run(generator):
+    """Shared-generator wrappers in a loop; returns results + final state.
+
+    Covers epidemics that finish mid-block (in the first and in later
+    blocks), distance-``k`` stops, budget exhaustion across several
+    blocks, and the no-draw early returns.
+    """
+    outputs = []
+    for graph in (cycle(40), torus(6, 6), clique(12)):
+        for source in (0, graph.n_nodes // 2):
+            outputs.append(single_source_broadcast_steps(graph, source, rng=generator))
+            outputs.append(distance_k_propagation_steps(graph, source, 1, rng=generator))
+            outputs.append(distance_k_propagation_steps(graph, source, 3, rng=generator))
+            outputs.append(distance_k_propagation_steps(graph, source, 0, rng=generator))
+            outputs.append(
+                single_source_broadcast_steps(graph, source, rng=generator, max_steps=700)
+            )
+    outputs.append(single_source_broadcast_steps(cycle(80), 5, rng=generator))
+    outputs.append(single_source_broadcast_steps(cycle(200), 5, rng=generator, max_steps=5000))
+    return outputs, _plain(generator.bit_generator.state)
+
+
+def _plain(value):
+    """A bit-generator state with its arrays (Philox) as lists, for ``==``."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("bit_generator", ["pcg64", "philox"])
+def test_caller_held_generator_matches_fallback(bit_generator, monkeypatch):
+    """A shared Generator ends exactly where the NumPy leg leaves it.
+
+    The kernel stops drawing at a finished row; the caller's generator
+    must still end on a whole-block boundary, so both the returned steps
+    and the final ``bit_generator.state`` equal the no-kernel run's.
+    """
+
+    def make():
+        if bit_generator == "philox":
+            return np.random.Generator(np.random.Philox(2024))
+        return np.random.default_rng(2024)
+
+    kernel_outputs, kernel_state = _shared_generator_run(make())
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    reset_kernel_cache()
+    try:
+        fallback_outputs, fallback_state = _shared_generator_run(make())
+    finally:
+        monkeypatch.undo()
+        reset_kernel_cache()
+    assert kernel_outputs == fallback_outputs
+    assert kernel_outputs[-2] > 1024 and kernel_outputs[-1] is None
+    assert kernel_state == fallback_state
 
 
 class TestDistributionalFidelity:

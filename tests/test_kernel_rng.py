@@ -9,7 +9,8 @@ bounded sampling, and the scheduler-dialect refills of
 layer bit for bit: raw 64-bit words, bounded draws across chunk
 boundaries, decoded pair indices over randomized ``(seed, m, length)``
 triples including epoch-boundary caps at ``REFILL_SIZE``, and the
-per-row stream independence that stack compaction relies on.
+per-row stream independence that stack compaction relies on, and the
+analytics kernels' stop-at-finish contract.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ import numpy as np
 import pytest
 
 from repro.core.seeds import _word_to_int, derive_seed
-from repro.engine.native import RNG_STATE_WORDS, get_rng_kernels
-from repro.graphs import cycle
+from repro.engine.native import (
+    RNG_STATE_WORDS,
+    get_broadcast_epoch_kernel,
+    get_influence_epoch_kernel,
+    get_rng_kernels,
+)
+from repro.graphs import clique, cycle
+from repro.runtime.pairs import directed_tables
 from repro.runtime.source import (
     REFILL_SIZE,
     InteractionSource,
     KernelSource,
+    kernel_rng_rows,
     pack_generator_state,
     unpack_generator_state,
 )
@@ -200,3 +208,72 @@ def test_kernel_source_compaction_preserves_rows():
         reference = InteractionSource(graph, np.random.default_rng(seed))
         reference.next_pair_indices(10)
         assert (out == reference.next_pair_indices(25)).all()
+
+
+def _bounded_state(seed: int, bound: int, count: int) -> np.ndarray:
+    """The RNG row of ``seed`` after ``count`` ``bounded_fill`` draws."""
+    state = _init_state(seed)
+    out = np.zeros(max(count, 1), dtype=np.int64)
+    KERNELS["bounded_fill"](_ptr(state), bound, count, _ptr(out))
+    return state[0]
+
+
+def _epoch_call(process, graph, rows, block, ready):
+    """One analytics epoch call; rows in ``ready`` start one merge from done.
+
+    Epidemic rows in ``ready`` start with every node but one informed;
+    influence rows in ``ready`` start with every node full but two.  The
+    other rows start from scratch, which ``block`` is too short to finish.
+    """
+    n = graph.n_nodes
+    du, dv = directed_tables(graph)
+    nrep = rows.shape[0]
+    finish = np.full(nrep, -1, dtype=np.int64)
+    bound = 2 * graph.n_edges
+    if process == "broadcast":
+        informed = np.zeros((nrep, n), dtype=np.uint8)
+        informed[:, 0] = 1
+        informed[ready, :-1] = 1
+        counts = informed.sum(axis=1).astype(np.int64)
+        get_broadcast_epoch_kernel()(
+            _ptr(informed), _ptr(rows), _ptr(du), _ptr(dv), bound, nrep, block, n,
+            None, _ptr(counts), _ptr(finish), 2,
+        )
+    else:
+        full = np.array([(1 << n) - 1], dtype=np.uint64)
+        bits = np.zeros((nrep, n, 1), dtype=np.uint64)
+        bits[:, np.arange(n), 0] = np.uint64(1) << np.arange(n).astype(np.uint64)
+        flags = np.zeros((nrep, n), dtype=np.uint8)
+        bits[ready, 2:, 0] = full[0]
+        bits[ready, 0, 0] = full[0] ^ np.uint64(2)
+        bits[ready, 1, 0] = np.uint64(2)
+        flags[ready, 2:] = 1
+        counts = flags.sum(axis=1).astype(np.int64)
+        get_influence_epoch_kernel()(
+            _ptr(bits), _ptr(rows), _ptr(du), _ptr(dv), bound, nrep, block, n, 1,
+            _ptr(full), _ptr(flags), _ptr(counts), _ptr(finish), 2,
+        )
+    return finish
+
+
+@pytest.mark.parametrize("process", ["broadcast", "influence"])
+def test_epoch_rows_stop_drawing_at_finish(process):
+    """A row finishing at step ``f`` has drawn exactly ``f`` values.
+
+    ``repro_broadcast_epoch`` / ``repro_influence_epoch`` stop a row's
+    draws at its finishing step (a caller holding the stream completes
+    the block itself); an unfinished row draws the whole block.  Each row
+    must equal ``bounded_fill`` of the same seed advanced by that count.
+    """
+    graph = clique(8) if process == "broadcast" else cycle(8)
+    seeds = [derive_seed(MASTER_SEED, "stop-at-finish", process, r) for r in range(8)]
+    ready = np.array([r % 2 == 0 for r in range(len(seeds))])
+    rows = kernel_rng_rows(seeds)
+    block = 6
+    finish = _epoch_call(process, graph, rows, block, ready)
+    assert (finish[~ready] == -1).all()
+    assert ((finish >= 1) & (finish < block)).any(), "no row finished mid-block"
+    for r, seed in enumerate(seeds):
+        drawn = int(finish[r]) if finish[r] >= 0 else block
+        expected = _bounded_state(seed, 2 * graph.n_edges, drawn)
+        assert (rows[r] == expected).all(), f"row {r} drew past its finish"

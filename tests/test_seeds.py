@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.seeds import derive_seed, graph_seed, measure_seed, trial_seed, trial_seeds
+from repro.core.seeds import (
+    derive_seed,
+    graph_seed,
+    measure_seed,
+    prefixed_seed,
+    seed_prefix,
+    trial_seed,
+    trial_seeds,
+)
+
+_WORDS = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=8))
 
 
 class TestDeriveSeed:
@@ -61,6 +73,13 @@ class TestDeriveSeed:
             folded = np.array([_word_to_int(w) for w in words], dtype=np.uint64)
             got = int(kernels["derive_seed"](folded.ctypes.data, folded.shape[0]))
             assert got == derive_seed(words[0], *words[1:])
+
+    @settings(max_examples=80, deadline=None)
+    @given(base=_WORDS, head=st.lists(_WORDS, max_size=3), tail=st.lists(_WORDS, max_size=3))
+    def test_prefix_then_suffix_equals_one_fold(self, base, head, tail):
+        assert prefixed_seed(seed_prefix(base, *head), *tail) == derive_seed(
+            base, *head, *tail
+        )
 
     def test_feeds_numpy(self):
         rng = np.random.default_rng(derive_seed(0, "trial", 0))
