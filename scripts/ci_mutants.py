@@ -1,0 +1,274 @@
+"""Mutation gate: every listed mutant must make its test selection fail.
+
+Each row of :data:`MUTANTS` names a file, an exact text in it, the text
+that replaces it, and the pytest selection that must catch the change.
+For each mutant the script copies the repository's ``src/``, ``tests/``
+and ``conftest.py`` into a fresh temporary directory, applies that one
+replacement there, and runs the selection against the copy (the
+working tree is never touched).  The gate fails when
+
+* an old text is missing from its file, or occurs more than once (the
+  table went stale — update it together with the code it mutates);
+* a selection fails on the unmutated copy (it could not tell a mutant
+  from the original);
+* a mutant survives: its selection still passes.
+
+Mutants of the C kernel rebuild it in the copy (the build cache is keyed
+by a digest of the source); unmutated sources reuse the cached build.
+
+Usage::
+
+    PYTHONPATH=src python scripts/ci_mutants.py            # the whole table
+    PYTHONPATH=src python scripts/ci_mutants.py --list
+    PYTHONPATH=src python scripts/ci_mutants.py NAME [NAME ...]
+
+Every change that adds a contract adds the mutants that break it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import List, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+NATIVE = "src/repro/engine/native.py"
+EXECUTE = "src/repro/runtime/execute.py"
+GRAPH = "src/repro/graphs/graph.py"
+
+IDENTIFIER_TESTS = ("tests/test_identifier_kernel.py",)
+STOP_AT_FINISH = ("tests/test_kernel_rng.py::test_epoch_rows_stop_drawing_at_finish",)
+CALLER_HELD = ("tests/test_analytics_batch.py::test_caller_held_generator_matches_fallback",)
+GRAPH_NO_UNIQUE = ("tests/test_graph.py::test_graph_build_never_calls_np_unique",)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    selection: Tuple[str, ...]
+
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # -- The identifier rule of repro_run_epoch ------------------------
+    Mutant(
+        "identifier-rule2-post-rule1-id",
+        NATIVE,
+        "    if (ida < pre_b && pre_b >= threshold) {\n        ida = pre_b;",
+        "    if (ida < idb && idb >= threshold) {\n        ida = idb;",
+        IDENTIFIER_TESTS,
+    ),
+    Mutant(
+        "identifier-drops-output-change",
+        NATIVE,
+        "    return ((dl + 2) << 1) | chg;",
+        "    return (dl + 2) << 1;",
+        IDENTIFIER_TESTS,
+    ),
+    Mutant(
+        "identifier-skips-log-write",
+        NATIVE,
+        "                if (nb != b)\n                    log[nlog++] = nb;\n",
+        "",
+        IDENTIFIER_TESTS,
+    ),
+    Mutant(
+        "identifier-precheck-too-strong",
+        NATIVE,
+        "        if ((codes[i] >> 3) != id)",
+        "        if (codes[i] != codes[0])",
+        IDENTIFIER_TESTS,
+    ),
+    Mutant(
+        "identifier-log-fold-np-unique",
+        EXECUTE,
+        "    codes = np.sort(codes)\n    keep = np.empty(codes.size, dtype=bool)\n"
+        "    keep[:1] = True\n    np.not_equal(codes[1:], codes[:-1], out=keep[1:])\n"
+        "    return codes[keep]",
+        "    return np.unique(codes)",
+        IDENTIFIER_TESTS,
+    ),
+    # -- Kernel-seeded analytics streams (stop at finish) --------------
+    Mutant(
+        "epidemic-draws-past-finish",
+        NATIVE,
+        "        for (i = 0; i < job->block && fin < 0; i++) {\n"
+        "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
+        "            int64_t u = job->du[idx];",
+        "        for (i = 0; i < job->block; i++) {\n"
+        "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
+        "            if (fin >= 0)\n                break;\n"
+        "            int64_t u = job->du[idx];",
+        STOP_AT_FINISH + CALLER_HELD,
+    ),
+    Mutant(
+        "influence-draws-past-finish",
+        NATIVE,
+        "        for (i = 0; i < job->block && fin < 0; i++) {\n"
+        "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
+        "            int64_t u, v, j;",
+        "        for (i = 0; i < job->block; i++) {\n"
+        "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
+        "            if (fin >= 0)\n                break;\n"
+        "            int64_t u, v, j;",
+        STOP_AT_FINISH,
+    ),
+    Mutant(
+        "caller-stream-skips-block-completion",
+        "src/repro/analytics/epidemics.py",
+        "        if draws_left is not None and draws_left[j] > 0:\n"
+        "            generator.integers(0, bound, size=int(draws_left[j]))\n",
+        "",
+        CALLER_HELD,
+    ),
+    Mutant(
+        "kernel-rows-accept-wide-seeds",
+        "src/repro/runtime/source.py",
+        "    if kernels is None or not all(map(kernel_seedable, seeds)):",
+        "    if kernels is None:",
+        ("tests/test_analytics_batch.py::TestSeedPurity::test_wide_seeds_run_and_negative_seeds_raise",),
+    ),
+    # -- Hash-free builds: no np.unique on graph build or v6 set-up ----
+    Mutant(
+        "torus-keys-np-unique",
+        "src/repro/graphs/families.py",
+        "    keys = np.sort(low * np.int64(n) + high)",
+        "    keys = np.unique(low * np.int64(n) + high)",
+        GRAPH_NO_UNIQUE,
+    ),
+    Mutant(
+        "edge-arrays-duplicates-np-unique",
+        GRAPH,
+        "            keys.sort()\n            if bool((keys[1:] == keys[:-1]).any()):",
+        "            if np.unique(keys).size != keys.size:",
+        GRAPH_NO_UNIQUE,
+    ),
+    Mutant(
+        "csr-keys-np-unique",
+        GRAPH,
+        "            keys.sort()\n            indptr = np.zeros(self._n + 1, dtype=np.int64)",
+        "            keys = np.unique(keys)\n            indptr = np.zeros(self._n + 1, dtype=np.int64)",
+        GRAPH_NO_UNIQUE,
+    ),
+    Mutant(
+        "bfs-frontier-np-unique",
+        GRAPH,
+        "            fresh.sort()\n            keep = np.empty(fresh.size, dtype=bool)\n"
+        "            keep[0] = True\n            np.not_equal(fresh[1:], fresh[:-1], out=keep[1:])\n"
+        "            frontier = fresh[keep]",
+        "            frontier = np.unique(fresh)",
+        GRAPH_NO_UNIQUE,
+    ),
+    Mutant(
+        "v6-initial-codes-np-unique",
+        EXECUTE,
+        "        present = (np.bincount(initial_codes, minlength=rule.stride) > 0).astype(np.uint8)",
+        "        present = np.zeros(rule.stride, dtype=np.uint8)\n"
+        "        present[np.unique(initial_codes)] = 1",
+        ("tests/test_runtime_plan.py::test_v6_setup_counts_initial_states_without_np_unique",),
+    ),
+)
+
+
+def _copy_tree(destination: Path) -> None:
+    """The parts of the repository a test selection reads."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis", "*.tmp*")
+    shutil.copytree(ROOT / "src", destination / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", destination / "tests", ignore=ignore)
+    shutil.copy2(ROOT / "conftest.py", destination / "conftest.py")
+
+
+def _pytest(copy: Path, selection: Sequence[str]) -> subprocess.CompletedProcess:
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(copy / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
+        cwd=copy,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+
+
+def _stale(mutant: Mutant) -> str:
+    """Why the mutant no longer applies to the working tree, or ``""``."""
+    text = (ROOT / mutant.path).read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"old text found {count} times in {mutant.path}"
+    return ""
+
+
+def main(argv: Sequence[str] = ()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="run only these mutants")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(list(argv))
+    if args.list:
+        for mutant in MUTANTS:
+            print(f"{mutant.name:40s} {mutant.path}  ->  {' '.join(mutant.selection)}")
+        return 0
+    unknown = set(args.names) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+
+    failures: List[str] = []
+    for mutant in chosen:
+        reason = _stale(mutant)
+        if reason:
+            failures.append(f"{mutant.name}: stale ({reason})")
+    if failures:
+        print("\n".join(failures))
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="repro-mutants-") as workdir:
+        baseline = Path(workdir) / "baseline"
+        _copy_tree(baseline)
+        for selection in dict.fromkeys(mutant.selection for mutant in chosen):
+            run = _pytest(baseline, selection)
+            if run.returncode != 0:
+                print(run.stdout[-3000:])
+                failures.append(f"{' '.join(selection)}: fails without any mutant")
+        if failures:
+            print("\n".join(failures))
+            return 1
+        # The unmutated build cache saves every Python-only mutant a
+        # kernel compile; C mutants get a new digest and rebuild.
+        for index, mutant in enumerate(chosen):
+            copy = Path(workdir) / f"mutant{index}"
+            shutil.copytree(baseline, copy)
+            target = copy / mutant.path
+            target.write_text(
+                target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                encoding="utf-8",
+            )
+            start = time.perf_counter()
+            run = _pytest(copy, mutant.selection)
+            verdict = "killed" if run.returncode == 1 else (
+                "SURVIVED" if run.returncode == 0 else f"ERROR (pytest exit {run.returncode})"
+            )
+            print(f"{mutant.name:40s} {verdict:10s} {time.perf_counter() - start:6.1f} s")
+            if verdict != "killed":
+                print(run.stdout[-3000:])
+                failures.append(f"{mutant.name}: {verdict}")
+            shutil.rmtree(copy)
+    if failures:
+        print("mutation gate FAILED:\n  " + "\n  ".join(failures))
+        return 1
+    print(f"mutation gate passed: {len(chosen)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -108,6 +108,19 @@ class PopulationProtocol(abc.ABC, Generic[State]):
         """
         return None
 
+    def kernel_rule(self) -> Optional[Any]:
+        """An arithmetic transition rule of the v6 epoch kernel, if any.
+
+        A protocol whose states outnumber any transition table may
+        compute ``Ξ`` in C on integer codes instead (the identifier
+        protocol: :meth:`repro.protocols.identifier.IdentifierLeaderElection.kernel_rule`).
+        The rule must reproduce :meth:`transition` and :meth:`output`
+        exactly; ``engine="auto"`` then runs eligible plans on it
+        (:func:`repro.runtime.compile_plan`).  ``None`` (the default)
+        leaves the protocol to the transition tables.
+        """
+        return None
+
     def is_output_stable_configuration(self, states: Sequence[State], graph) -> bool:
         """Protocol-specific certificate that a configuration is stable.
 

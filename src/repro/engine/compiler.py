@@ -17,11 +17,17 @@ interaction without calling back into Python::
 
 A missing entry is the sentinel ``-1``.  Entries are filled lazily, the
 first time a state pair is observed, so protocols with astronomically large
-state *universes* but small reachable sets (the identifier protocol's
-``O(n^4)`` states, of which a run touches a few thousand) compile fine.
-Protocols that know their full state space implement
+state *universes* but small reachable sets compile correctly.  Protocols
+that know their full state space implement
 :meth:`~repro.core.protocol.PopulationProtocol.enumerate_states`, which lets
 the compiler pre-register codes and size the tables once.
+
+Correct is not always fast: the identifier protocol's ``O(n^4)`` states
+with random identifiers make a run meet new state pairs on most steps,
+so lazy discovery costs more than it saves.  ``engine="auto"`` therefore
+runs it without tables, on the v6 kernel's arithmetic rule
+(:meth:`~repro.core.protocol.PopulationProtocol.kernel_rule`);
+``engine="compiled"`` still compiles it here.
 
 When state discovery outgrows the current stride the tables are re-packed
 to the next power of two, up to ``max_states``; beyond that the compiler
@@ -55,6 +61,10 @@ class ProtocolCompilationError(RuntimeError):
 class CompiledProtocol:
     """Dense-table representation of a population protocol.
 
+    On the v6 epoch stack the tables are one of the kernel's transition
+    rules (:data:`rule_id`); the other is a protocol's own arithmetic
+    kernel rule (:meth:`~repro.core.protocol.PopulationProtocol.kernel_rule`).
+
     Parameters
     ----------
     protocol:
@@ -64,6 +74,10 @@ class CompiledProtocol:
         Bound on the number of distinct states tracked before compilation
         fails (capped at :data:`HARD_MAX_STATES`).
     """
+
+    #: ``repro_run_epoch``'s packed-table rule (``RULE_TABLE`` in
+    #: :mod:`repro.engine.native`).
+    rule_id = 0
 
     def __init__(self, protocol: PopulationProtocol, max_states: int = DEFAULT_MAX_STATES) -> None:
         if not protocol.cacheable_transitions:
@@ -355,7 +369,9 @@ def compilation_worthwhile(
     (e.g. the identifier protocol at full width) lazy pair discovery can
     cost more than a short interpreted run saves.  Compilation is
     considered worthwhile when the state space is known to be enumerable
-    within the table bound.  ``engine="compiled"`` ignores this heuristic.
+    within the table bound.  ``engine="compiled"`` ignores this heuristic,
+    and ``compile_plan`` consults it only for protocols whose plan does
+    not run on a kernel rule.
     """
     if not protocol.cacheable_transitions:
         return False

@@ -204,6 +204,11 @@ typedef unsigned __int128 repro_u128;
 #define REPRO_EPOCH_BUDGET 0
 #define REPRO_EPOCH_BOUNDARY 1
 #define REPRO_EPOCH_MISS 2
+#define REPRO_EPOCH_LOG 3
+
+/* Epoch-runner transition rules (mirrored in repro.engine.native). */
+#define REPRO_RULE_TABLE 0
+#define REPRO_RULE_IDENTIFIER 1
 
 /* ---- SplitMix64 (the finalizer behind repro.core.seeds) ---------- */
 
@@ -478,81 +483,74 @@ void repro_source_fill(uint64_t *rng_state, int64_t *src_state,
 
 /* ---- The v6 epoch runner ----------------------------------------- */
 
-/* Advance one replica until its next stop event: a certificate-cadence
- * boundary that needs a Python certificate check (BOUNDARY), a missing
- * transition-table entry (MISS; buffer[cursor] holds the undecoded pair
- * index, nothing consumed), or the step budget (BUDGET).  With precheck
- * set, boundaries where the kernel-maintained leader count is != 1 are
- * skipped — the certificate cannot hold there — so whole stretches of
- * the measurement run in one call.  Stream consumption (refill sizes and
- * draw order) is bit-identical to the Python InteractionSource read in
- * min(check_interval, remaining) blocks, as the single-run engine does. */
-static void repro_run_epoch_row(
-    int64_t *codes, uint64_t *rngw, int64_t *src, int64_t *buffer,
-    const int64_t *du, const int64_t *dv, int64_t m,
-    const int32_t *dpack, int64_t k, int32_t kshift, uint8_t *seen,
-    int64_t batch, int64_t check_interval, int64_t max_steps,
-    int64_t *step_io, int64_t *last_io, int64_t *lead_io, uint8_t *status,
-    int32_t precheck)
+/* Theorem 21 (repro.protocols.identifier) on codes id << 3 | sub, where
+ * sub indexes ALL_TOKEN_STATES.  Rule (1) extends an identifier below the
+ * threshold 2^k with the role bit (a candidate once it reaches 2^k); rule
+ * (2) adopts the partner's larger, fully generated *pre-interaction*
+ * identifier (as a follower); rule (3) runs the token step when both
+ * sides end in one instance.  tab holds the token semantics, built in
+ * Python from token_transition and output: [0, 64) the token step,
+ * entry sa << 3 | sb = nsa << 3 | nsb; [64, 72) the leader flag per sub;
+ * 72 / 73 the subs of init(candidate) / init(follower).  Returns the
+ * flag bits of a packed table entry, ((leader delta + 2) << 1) | output
+ * changed, from the old and new subs. */
+#define REPRO_ID_LEADER 64
+#define REPRO_ID_CANDIDATE 72
+#define REPRO_ID_FOLLOWER 73
+
+static inline int32_t repro_identifier_pair(int64_t a, int64_t b,
+                                            const int32_t *tab, int64_t threshold,
+                                            int64_t *na, int64_t *nb)
 {
-    repro_pcg64 p;
-    const int64_t kmask = k - 1;
-    int64_t cursor = src[0];
-    int64_t fill = src[1];
-    int64_t position = src[2];
-    int64_t step = *step_io;
-    int64_t last = *last_io;
-    int64_t lead = *lead_io;
-    repro_pcg64_load(rngw, &p);
-    while (step < max_steps) {
-        int64_t block_end = (step / check_interval + 1) * check_interval;
-        if (block_end > max_steps)
-            block_end = max_steps;
-        while (step < block_end) {
-            int64_t idx, u, v, a, b, val, na, nb;
-            int32_t pk;
-            if (cursor >= fill) {
-                fill = repro_source_refill(&p, buffer, batch, block_end - step, m);
-                cursor = 0;
-            }
-            idx = buffer[cursor];
-            u = du[idx];
-            v = dv[idx];
-            a = codes[u];
-            b = codes[v];
-            pk = dpack[a * k + b];
-            if (pk < 0) {
-                *status = REPRO_EPOCH_MISS;
-                goto done;
-            }
-            cursor++;
-            position++;
-            val = (int64_t)(pk >> 4);
-            na = val >> kshift;
-            nb = val & kmask;
-            codes[u] = na;
-            codes[v] = nb;
-            seen[na] = 1;
-            seen[nb] = 1;
-            step++;
-            if (pk & 1)
-                last = step;
-            lead += ((pk >> 1) & 7) - 2;
-        }
-        if (!precheck || lead == 1) {
-            *status = REPRO_EPOCH_BOUNDARY;
-            goto done;
-        }
+    const int32_t *lead = tab + REPRO_ID_LEADER;
+    const int64_t pre_a = a >> 3;
+    const int64_t pre_b = b >> 3;
+    int64_t ida = pre_a, idb = pre_b;
+    int32_t sa = (int32_t)(a & 7), sb = (int32_t)(b & 7);
+    int32_t dl, chg;
+    if (ida < threshold) {
+        ida = 2 * ida;
+        if (ida >= threshold)
+            sa = tab[REPRO_ID_CANDIDATE];
     }
-    *status = REPRO_EPOCH_BUDGET;
-done:
-    repro_pcg64_store(&p, rngw);
-    src[0] = cursor;
-    src[1] = fill;
-    src[2] = position;
-    *step_io = step;
-    *last_io = last;
-    *lead_io = lead;
+    if (idb < threshold) {
+        idb = 2 * idb + 1;
+        if (idb >= threshold)
+            sb = tab[REPRO_ID_CANDIDATE];
+    }
+    if (ida < pre_b && pre_b >= threshold) {
+        ida = pre_b;
+        sa = tab[REPRO_ID_FOLLOWER];
+    }
+    if (idb < pre_a && pre_a >= threshold) {
+        idb = pre_a;
+        sb = tab[REPRO_ID_FOLLOWER];
+    }
+    if (ida == idb && ida >= threshold) {
+        int32_t tok = tab[(sa << 3) | sb];
+        sa = tok >> 3;
+        sb = tok & 7;
+    }
+    *na = (ida << 3) | sa;
+    *nb = (idb << 3) | sb;
+    dl = lead[sa] - lead[a & 7] + lead[sb] - lead[b & 7];
+    chg = lead[sa] != lead[a & 7] || lead[sb] != lead[b & 7];
+    return ((dl + 2) << 1) | chg;
+}
+
+/* Whether every node holds the same identifier >= threshold.  With one
+ * leader, this is the identifier certificate's other necessary
+ * condition, so a boundary failing either cannot certify. */
+static int repro_identifier_agreed(const int64_t *codes, int64_t n, int64_t threshold)
+{
+    const int64_t id = codes[0] >> 3;
+    int64_t i;
+    if (id < threshold)
+        return 0;
+    for (i = 1; i < n; i++)
+        if ((codes[i] >> 3) != id)
+            return 0;
+    return 1;
 }
 
 typedef struct {
@@ -565,10 +563,14 @@ typedef struct {
     const int64_t *dv;
     int64_t m;
     int64_t n;
+    int32_t rule;
     const int32_t *dpack;
     int64_t k;
     int32_t kshift;
     uint8_t *seen;
+    int64_t *log;
+    int64_t *log_len;
+    int64_t log_cap;
     int64_t batch;
     int64_t check_interval;
     int64_t max_steps;
@@ -581,33 +583,165 @@ typedef struct {
     int64_t hi;
 } repro_epoch_job;
 
+/* Advance replica r until its next stop event: a certificate-cadence
+ * boundary that needs a Python certificate check (BOUNDARY), a missing
+ * transition-table entry (MISS; buffer[cursor] holds the undecoded pair
+ * index, nothing consumed), a full written-code log (LOG; likewise
+ * nothing consumed), or the step budget (BUDGET).  With precheck set,
+ * boundaries where the kernel-maintained leader count is != 1 (for the
+ * identifier rule, also where the identifiers differ or lie below 2^k)
+ * are skipped — the certificate cannot hold there — so whole stretches
+ * of the measurement run in one call.  Stream consumption (refill sizes
+ * and draw order) is bit-identical to the Python InteractionSource read
+ * in min(check_interval, remaining) blocks, as the single-run engine
+ * does.
+ *
+ * rule is a compile-time constant at each call site, so the table rule
+ * (dpack lookups, the dense seen bitmap) and the identifier rule (k is
+ * the threshold 2^bits, dpack its table; each written code is appended
+ * to the row's log) each get their own loop. */
+static inline __attribute__((always_inline)) void repro_run_epoch_row(
+    const repro_epoch_job *job, int64_t r, const int32_t rule)
+{
+    int64_t *codes = job->codes + r * job->n;
+    uint64_t *rngw = job->rng_state + r * REPRO_RNG_WORDS;
+    int64_t *src = job->src_state + r * REPRO_SRC_WORDS;
+    int64_t *buffer = job->buffers + r * job->buf_cap;
+    const int64_t *du = job->du;
+    const int64_t *dv = job->dv;
+    const int64_t m = job->m;
+    const int32_t *dpack = job->dpack;
+    const int64_t k = job->k;
+    const int32_t kshift = job->kshift;
+    const int64_t kmask = k - 1;
+    uint8_t *seen = rule == REPRO_RULE_TABLE ? job->seen + r * k : 0;
+    int64_t *log = rule == REPRO_RULE_TABLE ? 0 : job->log + r * job->log_cap;
+    const int64_t log_cap = job->log_cap;
+    const int64_t batch = job->batch;
+    const int64_t check_interval = job->check_interval;
+    const int64_t max_steps = job->max_steps;
+    const int32_t precheck = job->precheck;
+    uint8_t *status = job->status + r;
+    repro_pcg64 p;
+    int64_t cursor = src[0];
+    int64_t fill = src[1];
+    int64_t position = src[2];
+    int64_t step = job->steps[r];
+    int64_t last = job->last_change[r];
+    int64_t lead = job->leaders[r];
+    int64_t nlog = rule == REPRO_RULE_TABLE ? 0 : job->log_len[r];
+    repro_pcg64_load(rngw, &p);
+    while (step < max_steps) {
+        int64_t block_end = (step / check_interval + 1) * check_interval;
+        if (block_end > max_steps)
+            block_end = max_steps;
+        while (step < block_end) {
+            int64_t idx, u, v, a, b, na, nb;
+            int32_t pk;
+            if (cursor >= fill) {
+                fill = repro_source_refill(&p, buffer, batch, block_end - step, m);
+                cursor = 0;
+            }
+            idx = buffer[cursor];
+            u = du[idx];
+            v = dv[idx];
+            a = codes[u];
+            b = codes[v];
+            if (rule == REPRO_RULE_TABLE) {
+                int64_t val;
+                pk = dpack[a * k + b];
+                if (pk < 0) {
+                    *status = REPRO_EPOCH_MISS;
+                    goto done;
+                }
+                val = (int64_t)(pk >> 4);
+                na = val >> kshift;
+                nb = val & kmask;
+            } else {
+                if (nlog > log_cap - 2) {
+                    *status = REPRO_EPOCH_LOG;
+                    goto done;
+                }
+                pk = repro_identifier_pair(a, b, dpack, k, &na, &nb);
+            }
+            cursor++;
+            position++;
+            codes[u] = na;
+            codes[v] = nb;
+            if (rule == REPRO_RULE_TABLE) {
+                seen[na] = 1;
+                seen[nb] = 1;
+            } else {
+                if (na != a)
+                    log[nlog++] = na;
+                if (nb != b)
+                    log[nlog++] = nb;
+            }
+            step++;
+            if (pk & 1)
+                last = step;
+            lead += ((pk >> 1) & 7) - 2;
+        }
+        if (!precheck
+            || (lead == 1
+                && (rule == REPRO_RULE_TABLE
+                    || repro_identifier_agreed(codes, job->n, k)))) {
+            *status = REPRO_EPOCH_BOUNDARY;
+            goto done;
+        }
+    }
+    *status = REPRO_EPOCH_BUDGET;
+done:
+    repro_pcg64_store(&p, rngw);
+    src[0] = cursor;
+    src[1] = fill;
+    src[2] = position;
+    job->steps[r] = step;
+    job->last_change[r] = last;
+    job->leaders[r] = lead;
+    if (rule != REPRO_RULE_TABLE)
+        job->log_len[r] = nlog;
+}
+
+/* One specialised row loop per rule, each compiled on its own. */
+static __attribute__((noinline)) void repro_run_epoch_row_table(
+    const repro_epoch_job *job, int64_t r)
+{
+    repro_run_epoch_row(job, r, REPRO_RULE_TABLE);
+}
+
+static __attribute__((noinline)) void repro_run_epoch_row_identifier(
+    const repro_epoch_job *job, int64_t r)
+{
+    repro_run_epoch_row(job, r, REPRO_RULE_IDENTIFIER);
+}
+
 static void *repro_epoch_worker(void *arg)
 {
     repro_epoch_job *job = (repro_epoch_job *)arg;
     int64_t r;
-    for (r = job->lo; r < job->hi; r++)
-        repro_run_epoch_row(
-            job->codes + r * job->n,
-            job->rng_state + r * REPRO_RNG_WORDS,
-            job->src_state + r * REPRO_SRC_WORDS,
-            job->buffers + r * job->buf_cap,
-            job->du, job->dv, job->m,
-            job->dpack, job->k, job->kshift,
-            job->seen + r * job->k,
-            job->batch, job->check_interval, job->max_steps,
-            job->steps + r, job->last_change + r, job->leaders + r,
-            job->status + r, job->precheck);
+    for (r = job->lo; r < job->hi; r++) {
+        if (job->rule == REPRO_RULE_IDENTIFIER)
+            repro_run_epoch_row_identifier(job, r);
+        else
+            repro_run_epoch_row_table(job, r);
+    }
     return 0;
 }
 
 /* Replica ranges are contiguous and every row touches only its own
- * state, so any thread count (including 1) produces identical output. */
+ * state, so any thread count (including 1) produces identical output.
+ * Table rule: seen is the (nrep x k) code bitmap; log and log_len are
+ * unused.  Identifier rule: log is (nrep x log_cap) and log_len (nrep)
+ * counts each row's entries (the caller empties it after LOG); seen is
+ * unused. */
 void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
                      int64_t *buffers, int64_t buf_cap,
                      const int64_t *du, const int64_t *dv, int64_t m,
                      int64_t nrep, int64_t n,
-                     const int32_t *dpack, int64_t k, int32_t kshift,
-                     uint8_t *seen, int64_t batch, int64_t check_interval,
+                     int32_t rule, const int32_t *dpack, int64_t k, int32_t kshift,
+                     uint8_t *seen, int64_t *log, int64_t *log_len, int64_t log_cap,
+                     int64_t batch, int64_t check_interval,
                      int64_t max_steps, int64_t *steps, int64_t *last_change,
                      int64_t *leaders, uint8_t *status, int32_t precheck,
                      int64_t n_threads)
@@ -627,10 +761,14 @@ void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
     shared.dv = dv;
     shared.m = m;
     shared.n = n;
+    shared.rule = rule;
     shared.dpack = dpack;
     shared.k = k;
     shared.kshift = kshift;
     shared.seen = seen;
+    shared.log = log;
+    shared.log_len = log_len;
+    shared.log_cap = log_cap;
     shared.batch = batch;
     shared.check_interval = check_interval;
     shared.max_steps = max_steps;
@@ -926,6 +1064,11 @@ RNG_STATE_WORDS = 8
 SRC_STATE_WORDS = 3
 #: Upper bound on the kernel's pthread fan-out (mirrors REPRO_MAX_THREADS).
 MAX_KERNEL_THREADS = 64
+#: ``repro_run_epoch`` transition rules (mirror REPRO_RULE_*): packed
+#: table lookups (:class:`repro.engine.compiler.CompiledProtocol`), or
+#: Theorem 21 computed arithmetically on codes ``id << 3 | sub``
+#: (:meth:`repro.protocols.identifier.IdentifierLeaderElection.kernel_rule`).
+RULE_TABLE, RULE_IDENTIFIER = 0, 1
 
 
 def kernel_thread_count() -> int:
@@ -1045,10 +1188,14 @@ def _bind_v6(library):
         ctypes.c_int64,  # m
         ctypes.c_int64,  # nrep
         ctypes.c_int64,  # n
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
+        ctypes.c_int32,  # rule (RULE_TABLE / RULE_IDENTIFIER)
+        ctypes.c_void_p,  # dpack (table rule) or the identifier rule's table
+        ctypes.c_int64,  # k (table stride) or the identifier threshold 2^bits
         ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen (nrep x k)
+        ctypes.c_void_p,  # seen (nrep x k; table rule)
+        ctypes.c_void_p,  # log (nrep x log_cap; identifier rule)
+        ctypes.c_void_p,  # log_len (nrep; identifier rule)
+        ctypes.c_int64,  # log_cap
         ctypes.c_int64,  # batch
         ctypes.c_int64,  # check_interval
         ctypes.c_int64,  # max_steps

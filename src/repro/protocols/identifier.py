@@ -24,8 +24,11 @@ Faithfulness notes (see DESIGN.md):
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.protocol import FOLLOWER, LEADER, LeaderElectionProtocol
 from .tokens import (
@@ -38,6 +41,79 @@ from .tokens import (
 )
 
 IdentifierState = Tuple[int, TokenState]
+
+#: Sub-state code of each token state (its index in ``ALL_TOKEN_STATES``).
+_SUB_CODES = {state: code for code, state in enumerate(ALL_TOKEN_STATES)}
+
+
+def _token_rule_table() -> np.ndarray:
+    """The token semantics of the kernel rule, as the C side reads them.
+
+    ``[0, 64)``: ``token_transition`` on sub codes, entry
+    ``sa << 3 | sb`` = ``nsa << 3 | nsb``; ``[64, 72)``: the leader flag
+    per sub; ``72`` / ``73``: the subs of ``init(candidate)`` /
+    ``init(follower)`` (``REPRO_ID_*`` in :mod:`repro.engine.native`).
+    It depends on neither ``n`` nor ``k``, and the output (hence the
+    kernel's output-change flag) is ``LEADER`` or ``FOLLOWER`` by the
+    token state alone.
+    """
+    output = IdentifierLeaderElection(1).output
+    table = np.zeros(74, dtype=np.int32)
+    for sa, state_a in enumerate(ALL_TOKEN_STATES):
+        for sb, state_b in enumerate(ALL_TOKEN_STATES):
+            next_a, next_b = token_transition(state_a, state_b)
+            table[(sa << 3) | sb] = (_SUB_CODES[next_a] << 3) | _SUB_CODES[next_b]
+        table[64 + sa] = output((1, state_a)) == LEADER
+    table[72] = _SUB_CODES[token_initial_state(True)]
+    table[73] = _SUB_CODES[token_initial_state(False)]
+    table.flags.writeable = False
+    return table
+
+
+class IdentifierKernelRule:
+    """Theorem 21 as an arithmetic rule of the v6 epoch kernel.
+
+    A state ``(id, token)`` is the ``int64`` code ``id << 3 | sub``, with
+    ``sub`` the token state's index in ``ALL_TOKEN_STATES``; identifiers
+    stay below ``2^(k+1)``, so codes fit while ``k + 4 <= 63``.  The
+    kernel (``repro_identifier_pair``) applies rules (1)–(3) on the codes
+    and reads the token step and leader flags from :attr:`table`.
+    """
+
+    def __init__(self, identifier_bits: int) -> None:
+        from ..engine.native import RULE_IDENTIFIER
+
+        self.rule_id = RULE_IDENTIFIER
+        self.threshold = 1 << identifier_bits
+        self.table = _token_rule_table()
+
+    def encode(self, states: Iterable[IdentifierState]) -> np.ndarray:
+        """The ``int64`` codes of a configuration."""
+        states = list(states)
+        sub_codes = _SUB_CODES
+        return np.fromiter(
+            ((identifier << 3) | sub_codes[sub] for identifier, sub in states),
+            dtype=np.int64,
+            count=len(states),
+        )
+
+    def decode_codes(self, codes: np.ndarray) -> List[IdentifierState]:
+        """The configuration of a code row."""
+        subs = ALL_TOKEN_STATES
+        return [
+            (identifier, subs[sub])
+            for identifier, sub in zip((codes >> 3).tolist(), (codes & 7).tolist())
+        ]
+
+    def leader_count(self, codes: np.ndarray) -> int:
+        """Number of codes whose output is ``LEADER``."""
+        return int(self.table[64 + (codes & 7)].sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_rule(identifier_bits: int) -> IdentifierKernelRule:
+    """One rule per width, so its table is built once, not per plan."""
+    return IdentifierKernelRule(identifier_bits)
 
 
 def default_identifier_bits(n_nodes: int, regular: bool = False) -> int:
@@ -127,12 +203,25 @@ class IdentifierLeaderElection(LeaderElectionProtocol):
         # one of the 6 token states.
         return (2 ** (self.identifier_bits + 1) - 1) * len(ALL_TOKEN_STATES)
 
+    def kernel_rule(self) -> Optional[IdentifierKernelRule]:
+        """The v6 kernel's arithmetic Theorem-21 rule, while codes fit.
+
+        ``engine="auto"`` runs this protocol on it (no transition
+        tables); ``None`` when ``k + 4 > 63``, where ``id << 3 | sub``
+        overflows ``int64`` (``n > 16,384`` at ``k = 4⌈log₂ n⌉``).
+        """
+        if self.identifier_bits + 4 > 63:
+            return None
+        return _kernel_rule(self.identifier_bits)
+
     def enumerate_states(self) -> Optional[Sequence[IdentifierState]]:
         """Full enumeration only for small ``k``.
 
-        At realistic widths the state universe is ``O(n^4)`` while a run
-        touches a few thousand states, so the compiled engine's lazy
-        discovery is the right mode and we return ``None``.
+        This matters only to the transition tables, which serve the
+        protocol under ``engine="compiled"`` (``"auto"`` runs it on
+        :meth:`kernel_rule`).  At realistic widths the state universe is
+        ``O(n^4)`` while a run touches a few hundred states, so the
+        tables discover states lazily and we return ``None``.
         """
         size = self.state_space_size()
         if size is None or size > 2048:

@@ -8,16 +8,22 @@ plan, from the plan's inputs alone:
 * **v6 epoch stack** (:func:`_execute_stack_v6`) — every ``"shared"``
   plan of any width, including 1, whose seeds the kernel can reproduce
   (plain integers in ``[0, 2**64)``), when the ``backend`` is ``"auto"``
-  or ``"native"`` and the v6 kernel is built.  The codes of the whole
-  plan live in one ``(R, n)`` matrix and one ``repro_run_epoch`` call
-  advances every active replica, with its seeded stream drawn
-  in-kernel, to its next stop event.  For protocols that declare
-  ``certificate_requires_unique_leader`` the kernel-maintained leader
-  count gates the Python certificate — a configuration with ``!= 1``
-  leaders cannot satisfy those protocols' certificates, so the decode +
-  certificate call is skipped without affecting when certification
-  fires.  Replicas whose certificate fires are compacted out of the
-  stack.
+  or ``"native"`` and the v6 kernel is built
+  (:func:`~repro.runtime.plan.v6_servable`).
+  The codes of the whole plan live in one ``(R, n)`` matrix and one
+  ``repro_run_epoch`` call advances every active replica, with its
+  seeded stream drawn in-kernel, to its next stop event.  The kernel
+  applies either the plan's transition tables or, for a protocol with a
+  :meth:`~repro.core.protocol.PopulationProtocol.kernel_rule` (the
+  identifier protocol under ``engine="auto"``), that arithmetic rule.
+  For protocols that declare ``certificate_requires_unique_leader`` the
+  kernel-maintained leader count gates the Python certificate — a
+  configuration with ``!= 1`` leaders cannot satisfy those protocols'
+  certificates, so the decode + certificate call is skipped without
+  affecting when certification fires; the identifier rule also skips
+  boundaries where the nodes' identifiers differ or lie below ``2^k``,
+  which its certificate equally requires.  Replicas whose certificate
+  fires are compacted out of the stack.
 * **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`
   blocks, one replica at a time) — everything the stack cannot take:
   dynamic schedules, stream overrides, leader traces, Generator or
@@ -27,7 +33,10 @@ plan, from the plan's inputs alone:
   mid-run fallback to the reference interpreter.
 * **reference** — the pure-Python interpreter (the semantic ground
   truth), for ``engine="reference"`` and for protocols that ``auto``
-  declines to compile.
+  declines to compile (among them a kernel-rule protocol whose plan the
+  v6 stack cannot take: :func:`~repro.runtime.plan.compile_plan` picks
+  a kernel rule only for plans the stack serves, so a rule plan never
+  reaches the per-replica engine).
 
 A plan with ``shard_workers`` set goes to the shard-worker pool
 (:func:`repro.sharding.execute_sharded`) instead when the pool can
@@ -43,14 +52,19 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from .pairs import directed_tables
-from .plan import ExecutionPlan
+from .plan import ExecutionPlan, v6_servable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.simulator import SimulationResult
     from ..engine.compiler import CompiledProtocol
 
 #: ``repro_run_epoch`` row statuses (mirrors the kernel's REPRO_EPOCH_*).
-_BUDGET, _BOUNDARY, _MISS = 0, 1, 2
+_BUDGET, _BOUNDARY, _MISS, _LOG = 0, 1, 2, 3
+
+#: Per-row capacity of the kernel's written-code log (kernel-rule plans;
+#: at least 2, one step's writes).  A full log stops the row (``_LOG``)
+#: and Python folds it into the row's distinct codes.
+_LOG_CAPACITY = 4096
 
 
 def execute_plan(plan: ExecutionPlan) -> List["SimulationResult"]:
@@ -74,19 +88,10 @@ def _stack_v6_eligible(plan: ExecutionPlan) -> bool:
     """Whether the v6 epoch stack can serve this plan.
 
     ``"shared"`` mode already guarantees a static topology, no stream
-    override and no trace.  An explicit ``"vector"``/``"scalar"``
-    backend means that backend; a missing or disabled v6 kernel, or any
-    seed the kernel cannot reproduce (a live Generator, or an integer
-    outside ``[0, 2**64)``), leaves the plan to the per-replica engine.
+    override and no trace; everything else is :func:`v6_servable`.  A
+    plan it declines goes to the per-replica engine.
     """
-    if plan.mode != "shared" or plan.backend not in ("auto", "native"):
-        return False
-    from ..engine.native import get_run_epoch_kernel
-    from .source import kernel_seedable
-
-    if get_run_epoch_kernel() is None:
-        return False
-    return all(kernel_seedable(seed) for seed in plan.seeds)
+    return plan.mode == "shared" and v6_servable(plan.backend, plan.seeds)
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +375,16 @@ def _stack_result(
     )
 
 
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """``codes`` sorted, without repeats: one sort and an adjacent compare
+    (``np.unique`` hashes integers on NumPy >= 2.3)."""
+    codes = np.sort(codes)
+    keep = np.empty(codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     """The v6 stack: whole epochs per kernel call, streams in-kernel.
 
@@ -378,21 +393,31 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     (drawing pair indices, applying one block, calling the certificate)
     collapses into one ``repro_run_epoch`` call that advances *every*
     active replica to its next stop event: a certificate boundary that
-    needs Python (``_BOUNDARY``), a missing table entry (``_MISS``), or
-    the step budget (``_BUDGET``).  Replicas advance independently, so
-    their per-row steps become heterogeneous; each row's sequence of
-    blocks, certificate checks and draws is still exactly the single-run
-    one, which keeps every result bit-identical to standalone runs
-    (pinned by ``tests/test_runtime_plan.py`` and
-    ``tests/test_kernel_rng.py``).
+    needs Python (``_BOUNDARY``), a missing table entry (``_MISS``), a
+    full code log (``_LOG``), or the step budget (``_BUDGET``).
+    Replicas advance independently, so their per-row steps become
+    heterogeneous; each row's sequence of blocks, certificate checks and
+    draws is still exactly the single-run one, which keeps every result
+    bit-identical to standalone runs (pinned by
+    ``tests/test_runtime_plan.py``, ``tests/test_kernel_rng.py`` and
+    ``tests/test_identifier_kernel.py``).
+
+    ``plan.compiled`` picks the kernel's transition rule.  Transition
+    tables (:class:`~repro.engine.compiler.CompiledProtocol`) count
+    distinct codes in a dense per-row bitmap and resolve misses here.  A
+    protocol's arithmetic kernel rule has too many codes for a bitmap:
+    each row logs every code it writes, and the log is folded into the
+    row's sorted distinct codes when it fills (``_LOG``) and when the
+    row finishes.
     """
-    from ..engine.native import get_run_epoch_kernel, kernel_thread_count
+    from ..engine.native import RULE_TABLE, get_run_epoch_kernel, kernel_thread_count
     from .source import KernelSource
 
     graph = plan.graph
     protocol = plan.protocols[0]
-    compiled = plan.compiled
-    assert compiled is not None
+    rule = plan.compiled
+    assert rule is not None
+    tables = rule.rule_id == RULE_TABLE
     kernel = get_run_epoch_kernel()
     assert kernel is not None
     n = graph.n_nodes
@@ -404,17 +429,20 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
 
     start_time = time.perf_counter()
     initial_states = plan.initial_states()
-    initial_codes = compiled.encode(initial_states)
-    initial_leaders = compiled.leader_count(initial_codes)
-    present = (np.bincount(initial_codes, minlength=compiled.stride) > 0).astype(np.uint8)
+    initial_codes = rule.encode(initial_states)
+    initial_leaders = rule.leader_count(initial_codes)
+    if tables:
+        present = (np.bincount(initial_codes, minlength=rule.stride) > 0).astype(np.uint8)
+    else:
+        initial_known = _sorted_distinct(initial_codes)
 
     results: List[Optional["SimulationResult"]] = [None] * replica_count
 
     initially_stable = protocol.is_output_stable_configuration(initial_states, graph)
     if initially_stable or max_steps == 0:
         wall = time.perf_counter() - start_time
-        distinct = int(present.sum())
-        decoded = compiled.decode_codes(initial_codes)
+        distinct = int(present.sum()) if tables else initial_known.size
+        decoded = rule.decode_codes(initial_codes)
         for index in range(replica_count):
             result = _stack_result(decoded, initially_stable, 0, 0, distinct, initial_leaders)
             result.wall_time_seconds = wall / replica_count
@@ -424,7 +452,15 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     ksrc = KernelSource(graph, plan.seeds, buffer_capacity=check_interval)
     directed_u, directed_v = directed_tables(graph)
     codes = np.tile(np.ascontiguousarray(initial_codes, dtype=np.int64), (replica_count, 1))
-    seen = np.tile(present, (replica_count, 1))
+    if tables:
+        seen = np.tile(present, (replica_count, 1))
+        log = log_len = None
+    else:
+        assert _LOG_CAPACITY >= 2
+        seen = None
+        log = np.zeros((replica_count, _LOG_CAPACITY), dtype=np.int64)
+        log_len = np.zeros(replica_count, dtype=np.int64)
+        known = [initial_known] * replica_count  # per replica id
     steps = np.zeros(replica_count, dtype=np.int64)
     last_change = np.zeros(replica_count, dtype=np.int64)
     leaders = np.full(replica_count, initial_leaders, dtype=np.int64)
@@ -432,12 +468,28 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     replica_ids = np.arange(replica_count, dtype=np.int64)
     precheck = bool(getattr(protocol, "certificate_requires_unique_leader", False))
 
+    def fold_log(row: int) -> None:
+        replica = int(replica_ids[row])
+        written = log[row, : log_len[row]]
+        known[replica] = _sorted_distinct(np.concatenate((known[replica], written)))
+        log_len[row] = 0
+
     while replica_ids.size:
         width = replica_ids.size
-        if seen.shape[1] < compiled.stride:
-            grown = np.zeros((width, compiled.stride), dtype=np.uint8)
-            grown[:, : seen.shape[1]] = seen
-            seen = grown
+        if tables:
+            if seen.shape[1] < rule.stride:
+                grown = np.zeros((width, rule.stride), dtype=np.uint8)
+                grown[:, : seen.shape[1]] = seen
+                seen = grown
+            rule_args = (
+                rule.rule_id, rule.dpack.ctypes.data, rule.stride, rule.kshift,
+                seen.ctypes.data, None, None, 0,
+            )
+        else:
+            rule_args = (
+                rule.rule_id, rule.table.ctypes.data, rule.threshold, 0,
+                None, log.ctypes.data, log_len.ctypes.data, log.shape[1],
+            )
         kernel(
             codes.ctypes.data,
             ksrc.rng_state.ctypes.data,
@@ -449,10 +501,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             graph.n_edges,
             width,
             n,
-            compiled.dpack.ctypes.data,
-            compiled.stride,
-            compiled.kshift,
-            seen.ctypes.data,
+            *rule_args,
             ksrc.batch_size,
             check_interval,
             max_steps,
@@ -463,40 +512,48 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             int(precheck),
             threads,
         )
-        for row in np.nonzero(status == _MISS)[0].tolist():
-            # Missing table entry: the row stopped *before* consuming the
-            # draw; fill the entry (possibly growing the tables) and let
-            # the next kernel call resume mid-block.
-            index = int(ksrc.buffers[row, ksrc.src_state[row, 0]])
-            compiled.scalar_entry(
-                int(codes[row, directed_u[index]]), int(codes[row, directed_v[index]])
-            )
+        # A row that stopped *before* consuming its draw resumes mid-block
+        # in the next kernel call: after its missing table entry is filled
+        # (possibly growing the tables), or after its full log is folded.
+        for row in np.nonzero(status == (_MISS if tables else _LOG))[0].tolist():
+            if tables:
+                index = int(ksrc.buffers[row, ksrc.src_state[row, 0]])
+                rule.scalar_entry(
+                    int(codes[row, directed_u[index]]), int(codes[row, directed_v[index]])
+                )
+            else:
+                fold_log(row)
         finished_rows: List[int] = []
-        for row in np.nonzero(status != _MISS)[0].tolist():
-            # A certificate boundary (leader-count prefiltered in-kernel
-            # for precheck protocols, every cadence block otherwise) or
-            # the exhausted step budget.
-            decoded = compiled.decode_codes(codes[row])
+        for row in np.nonzero(status <= _BOUNDARY)[0].tolist():
+            # The exhausted step budget, or a certificate boundary
+            # (prefiltered in-kernel for precheck protocols, every
+            # cadence block otherwise).
+            decoded = rule.decode_codes(codes[row])
             stabilized = bool(status[row] == _BOUNDARY) and bool(
                 protocol.is_output_stable_configuration(decoded, graph)
             )
             if stabilized or steps[row] >= max_steps:
+                if tables:
+                    distinct = int(np.count_nonzero(seen[row]))
+                else:
+                    fold_log(row)
+                    distinct = known[int(replica_ids[row])].size
                 results[int(replica_ids[row])] = _stack_result(
                     decoded,
                     stabilized,
                     int(steps[row]),
                     int(last_change[row]),
-                    int(np.count_nonzero(seen[row])),
+                    distinct,
                     int(leaders[row]),
                 )
                 finished_rows.append(row)
         if finished_rows:
             keep = np.ones(width, dtype=bool)
             keep[finished_rows] = False
-            codes, seen, steps, last_change, leaders, status, replica_ids = (
-                np.ascontiguousarray(array[keep])
-                for array in (codes, seen, steps, last_change, leaders, status, replica_ids)
-            )
+            arrays = (codes, seen, log, log_len, steps, last_change, leaders, status, replica_ids)
+            (
+                codes, seen, log, log_len, steps, last_change, leaders, status, replica_ids
+            ) = (None if array is None else np.ascontiguousarray(array[keep]) for array in arrays)
             ksrc.compact(keep)
 
     wall = time.perf_counter() - start_time

@@ -15,11 +15,21 @@ anything.
 
 * ``engine="reference"`` — every replica runs the pure-Python
   interpreter (:data:`ExecutionPlan.mode` ``"reference"``).
+* ``engine="auto"`` for a protocol with a
+  :meth:`~repro.core.protocol.PopulationProtocol.kernel_rule` (the
+  identifier protocol while ``k + 4 <= 63``), when the v6 stack can
+  serve the plan — homogeneous replicas, static topology, no stream
+  override, no trace, backend ``"auto"``/``"native"``, the v6 kernel
+  built, every seed kernel-seedable — shares that rule (``"shared"``,
+  :attr:`ExecutionPlan.compiled` is the rule): the kernel computes the
+  transitions, and no table is built.
 * ``engine="compiled"`` / ``"auto"`` with **homogeneous** replicas (same
   ``compile_key``, static topology, no stream override, no trace), at
   any width including 1 — one table set is compiled up front and shared
   (``"shared"``); a compilation failure raises for ``"compiled"`` and
   demotes the whole plan to the reference interpreter for ``"auto"``.
+  ``"auto"`` compiles only protocols that
+  :func:`~repro.engine.compiler.compilation_worthwhile` accepts.
 * everything else — per-replica resolution at execution time
   (``"single"``), preserving ``Simulator.run``'s lazy-compilation
   semantics including the mid-run fallback to the reference interpreter
@@ -45,7 +55,6 @@ from ..graphs.graph import Graph
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..core.protocol import PopulationProtocol
     from ..dynamics.schedule import TopologySchedule
-    from ..engine.compiler import CompiledProtocol
 
 #: Engine choices accepted by :func:`compile_plan` (and ``Simulator``).
 ENGINES = ("reference", "compiled", "auto")
@@ -59,7 +68,8 @@ class ExecutionPlan:
     :func:`repro.runtime.execute.execute_plan`; the fields are resolved
     values, not requests (``mode`` instead of a raw engine string,
     ``check_interval`` always concrete, ``compiled`` already built for
-    shared-table plans).
+    shared plans: a :class:`~repro.engine.compiler.CompiledProtocol`
+    table set, or the protocol's kernel rule).
     """
 
     graph: Graph
@@ -73,7 +83,7 @@ class ExecutionPlan:
     schedule: Optional["TopologySchedule"] = None
     inputs: Optional[Sequence[Any]] = None
     max_states: Optional[int] = None
-    compiled: Optional["CompiledProtocol"] = None
+    compiled: Optional[Any] = None  # CompiledProtocol or a kernel rule
     scheduler: Optional[Any] = None  # single-replica stream override (replay)
     record_leader_trace: bool = False
     trace_resolution: int = 64
@@ -130,6 +140,24 @@ def _homogeneous(protocols: Sequence["PopulationProtocol"]) -> bool:
         return True
     keys = [protocol.compile_key() for protocol in protocols]
     return keys[0] is not None and all(key == keys[0] for key in keys)
+
+
+def v6_servable(backend: str, seeds: Sequence[Any]) -> bool:
+    """Whether the v6 kernel can run these streams on this backend.
+
+    An explicit ``"vector"``/``"scalar"`` backend means that backend; a
+    missing or disabled v6 kernel, or any seed the kernel cannot
+    reproduce (a live Generator, or an integer outside ``[0, 2**64)``),
+    rules the kernel out.
+    """
+    if backend not in ("auto", "native"):
+        return False
+    from ..engine.native import get_run_epoch_kernel
+    from .source import kernel_seedable
+
+    if get_run_epoch_kernel() is None:
+        return False
+    return all(kernel_seedable(seed) for seed in seeds)
 
 
 def compile_plan(
@@ -195,7 +223,7 @@ def compile_plan(
     check_interval = max(1, int(check_interval))
 
     mode = "single"
-    compiled = None
+    compiled: Any = None
     if engine == "reference":
         mode = "reference"
     elif schedule is None and scheduler is None and not record_leader_trace:
@@ -206,10 +234,13 @@ def compile_plan(
             get_compiled,
         )
 
-        worthwhile = engine == "compiled" or compilation_worthwhile(
-            protocols[0], max_states
-        )
-        if worthwhile and _homogeneous(protocols):
+        rule = protocols[0].kernel_rule() if engine == "auto" else None
+        if rule is not None and _homogeneous(protocols) and v6_servable(backend, seeds):
+            # The v6 kernel computes the transitions: no tables to build.
+            mode, compiled = "shared", rule
+        elif (
+            engine == "compiled" or compilation_worthwhile(protocols[0], max_states)
+        ) and _homogeneous(protocols):
             try:
                 compiled = get_compiled(
                     protocols[0],

@@ -65,7 +65,10 @@ def sharded_eligible(plan: ExecutionPlan) -> bool:
     chain can take over any replica byte-identically), transition
     tables complete over every reachable state (parallel lazy state
     discovery would assign codes in process-dependent order), a
-    forkable platform and ``REPRO_DISABLE_SHARD_WORKERS`` unset.
+    forkable platform and ``REPRO_DISABLE_SHARD_WORKERS`` unset.  The
+    workers apply table entries only, so a plan on a protocol's kernel
+    rule (the identifier protocol under ``engine="auto"``) runs
+    unsharded on the v6 stack.
     """
     if not plan.shard_workers or _shard_count(plan) < 2:
         return False
@@ -75,9 +78,13 @@ def sharded_eligible(plan: ExecutionPlan) -> bool:
 
     if not _stack_v6_eligible(plan):
         return False
+    from ..engine.compiler import CompiledProtocol
+
+    compiled = plan.compiled
+    if not isinstance(compiled, CompiledProtocol):
+        return False
     # Complete over the discovered states, and the initial states are
     # among them (an empty table set is vacuously complete).
-    compiled = plan.compiled
     if not compiled.tables_complete or not compiled.index.keys() >= set(plan.initial_states()):
         return False
     return "fork" in multiprocessing.get_all_start_methods()

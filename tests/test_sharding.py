@@ -212,6 +212,8 @@ _UNSERVED_CASES = {
     "shards-alone": ("token", {"shards": 4}, {}),
     # Lazy state discovery must never run across processes.
     "lazy-tables": ("identifier", {"shards": 4, "shard_workers": 2}, {}),
+    # The workers apply table entries; the kernel's identifier rule has none.
+    "kernel-rule": ("identifier", {"engine": "auto", "shards": 4, "shard_workers": 2}, {}),
     "pool-disabled": (
         "token",
         {"shards": 4, "shard_workers": 2},
@@ -241,9 +243,11 @@ def test_unserved_shard_plans_run_unsharded_on_v6(case, monkeypatch):
 
     v6_widths = _spy_on_v6(monkeypatch)
     monkeypatch.setattr(PartitionedGraph, "__init__", spy_init)
-    plan = _plan(graph, protocol_kind, seeds, engine="compiled", **dials)
+    plan = _plan(graph, protocol_kind, seeds, **{"engine": "compiled", **dials})
     if case == "lazy-tables":
         assert not plan.compiled.tables_complete
+    if case == "kernel-rule":
+        assert plan.compiled is plan.protocols[0].kernel_rule()
     assert _run(plan) == plain
     assert v6_widths == [len(seeds)]
     assert partitions == []
