@@ -9,8 +9,9 @@ and reports the wall-clock ratio.
 
 Acceptance target of the engine work: on a clique with ``n = 100`` the
 compiled engine is at least 5× faster than the reference engine.  That
-holds with the native C kernel backend (measured 6–8× on the development
-machine); the pure-NumPy/scalar fallback reaches ~3–5×.  The assertions
+holds with the v6 epoch kernel (the ``native`` backend; measured 21–28×
+on a 2-vCPU container); the pure-NumPy/scalar fallback reaches ~2.8×
+there.  The assertions
 below use conservative floors so the benchmark stays robust on slow or
 heavily loaded CI machines; the measured ratio is printed either way.
 """

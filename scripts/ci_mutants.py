@@ -47,6 +47,10 @@ IDENTIFIER_TESTS = ("tests/test_identifier_kernel.py",)
 STOP_AT_FINISH = ("tests/test_kernel_rng.py::test_epoch_rows_stop_drawing_at_finish",)
 CALLER_HELD = ("tests/test_analytics_batch.py::test_caller_held_generator_matches_fallback",)
 GRAPH_NO_UNIQUE = ("tests/test_graph.py::test_graph_build_never_calls_np_unique",)
+DYNAMIC_ENGINES = (
+    "tests/test_dynamics.py::TestSimulatorSchedules::test_dynamic_run_identical_across_engines",
+)
+DYNAMIC_V6 = ("tests/test_dynamics.py::test_dynamic_plans_on_v6_match_reference",)
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,42 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        present = np.zeros(rule.stride, dtype=np.uint8)\n"
         "        present[np.unique(initial_codes)] = 1",
         ("tests/test_runtime_plan.py::test_v6_setup_counts_initial_states_without_np_unique",),
+    ),
+    # -- Topology schedules and key groups on the v6 stack -------------
+    Mutant(
+        "epoch-refill-uncapped",
+        NATIVE,
+        "    if (size > limit)\n        size = limit;\n",
+        "",
+        DYNAMIC_ENGINES,
+    ),
+    Mutant(
+        "epoch-switch-one-draw-late",
+        NATIVE,
+        "                if (position >= job->epoch_end) {",
+        "                if (position > job->epoch_end) {",
+        DYNAMIC_V6,
+    ),
+    Mutant(
+        "key-groups-in-group-order",
+        EXECUTE,
+        "        results: List[Any] = [None] * plan.n_replicas\n"
+        "        for indices in groups:\n"
+        "            for index, result in zip(indices, execute_unsharded(_group_plan(plan, indices))):\n"
+        "                results[index] = result\n"
+        "        return results\n",
+        "        return [\n"
+        "            result for indices in groups\n"
+        "            for result in execute_unsharded(_group_plan(plan, indices))\n"
+        "        ]\n",
+        ("tests/test_runtime_plan.py::test_key_groups_return_results_in_replica_order",),
+    ),
+    Mutant(
+        "sharding-accepts-schedules",
+        "src/repro/sharding/executor.py",
+        "    if not plan.shard_workers or plan.schedule is not None or _shard_count(plan) < 2:",
+        "    if not plan.shard_workers or _shard_count(plan) < 2:",
+        ("tests/test_sharding.py::TestFallbackChain::test_dynamic_schedule_is_ineligible_and_identical",),
     ),
 )
 

@@ -737,7 +737,8 @@ def _cmd_engines() -> int:
         },
         {
             "engine": "compiled",
-            "description": "table-driven engine; backends: " + ", ".join(backends),
+            "description": "table-driven: the v6 epoch kernel (native) where it "
+            "serves the plan, else per replica; backends: " + ", ".join(backends),
         },
         {
             "engine": "auto",

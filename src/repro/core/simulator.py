@@ -135,8 +135,11 @@ class Simulator:
           faster; raises if the protocol cannot be compiled;
         * ``"auto"`` — compiled when possible, reference otherwise.
     backend:
-        Compiled-engine backend (``"auto"``, ``"native"``, ``"vector"``,
-        ``"scalar"``); see :class:`repro.engine.stepper.CompiledRun`.
+        Compiled-engine backend: ``"auto"`` (the v6 epoch stack where it
+        can serve the run, else the per-replica engine), ``"native"``
+        (the v6 stack only; raises where it cannot serve the run),
+        ``"vector"`` or ``"scalar"`` (see
+        :class:`repro.engine.stepper.CompiledRun`).
     max_states:
         Bound on the compiled state table size (default
         :data:`repro.engine.compiler.DEFAULT_MAX_STATES`).

@@ -4,20 +4,23 @@ The engine turns a :class:`~repro.core.protocol.PopulationProtocol` whose
 transition function is a pure function of the two interacting states into
 dense lookup tables (:mod:`repro.engine.compiler`), and then executes
 scheduler batches against those tables with three interchangeable, exactly
-equivalent backends (:mod:`repro.engine.stepper`):
+equivalent backends:
 
-* ``native`` — a small C kernel compiled on demand with the system C
-  compiler and driven through :mod:`ctypes`;
+* ``native`` — the v6 epoch stack: a C kernel (:mod:`repro.engine.native`)
+  compiled on demand with the system C compiler and driven through
+  :mod:`ctypes`, in which one ``repro_run_epoch`` call advances every
+  replica of a plan, seeded streams drawn in-kernel, to its next
+  certificate check or topology epoch switch (see
+  :mod:`repro.runtime.execute`);
 * ``vector`` — NumPy block application with a conflict-splitting pass that
-  partitions each 64k-interaction block into node-disjoint segments;
-* ``scalar`` — a tight Python loop over integer state codes.
+  partitions each 64k-interaction block into node-disjoint segments
+  (:mod:`repro.engine.stepper`, one replica at a time);
+* ``scalar`` — a tight Python loop over integer state codes (likewise).
 
 :mod:`repro.engine.replicas` runs R independent replicas of the same
 (graph, protocol) pair through one compiled table set — on the v6 epoch
-stack, in which one ``repro_run_epoch`` kernel call advances every
-replica, seeded streams drawn in-kernel, to its next certificate check
-(see :mod:`repro.runtime.execute`), with an exact per-replica fallback
-when the kernel is unavailable.  Single runs, harness measurements and
+stack, with an exact per-replica fallback on the Python backends when
+the kernel is unavailable.  Single runs, harness measurements and
 orchestrator units of any width go through the same execution plans and
 so reach the same stack.
 

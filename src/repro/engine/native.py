@@ -1,20 +1,23 @@
 """Optional C kernel for the compiled engine.
 
-The packed transition tables built by :mod:`repro.engine.compiler` are
-self-contained: applying one interaction is two array reads, one table read
-and two writes.  That inner loop is branch-light and memory-resident, so on
-machines with a system C compiler we compile a ~30-line kernel once, cache
-the shared object under ``src/repro/engine/_build/`` (named by a digest of
-the source text and compiler flags) and drive it through :mod:`ctypes`.
-This removes the interpreter from the hot path entirely (roughly two
-orders of magnitude over the reference interpreter) while executing the
-*same* table entries as the NumPy and scalar backends.
+One shared object holds every native entry point: the v6 epoch runner
+(``repro_run_epoch``), which advances a whole stack of protocol replicas
+with their seeded pair streams drawn in C; the analytics epidemics; the
+RNG primitives behind them; and two block functions fed pre-drawn pairs
+from Python (the shard-worker pool's ``repro_run_shard_block`` and the
+stand-in serial baselines' ``repro_broadcast_block``).  On machines with
+a system C compiler the source below is compiled once, the shared object
+is cached under ``src/repro/engine/_build/`` (named by a digest of the
+source text and compiler flags) and driven through :mod:`ctypes`.  The
+kernel executes the *same* table entries as the NumPy and scalar
+backends of :class:`~repro.engine.stepper.CompiledRun`.
 
 Everything degrades gracefully: no compiler, a failed build, or
-``REPRO_DISABLE_NATIVE=1`` simply means :func:`get_kernel` returns ``None``
-and the stepper falls back to the NumPy/scalar backends.  The kernel stops
-at the first table miss and returns how far it got, so lazy pair discovery
-(and table growth) stays in Python.
+``REPRO_DISABLE_NATIVE=1`` simply means every getter here (for example
+:func:`get_run_epoch_kernel`) returns ``None``, and plans run on the
+per-replica engine's NumPy/scalar backends.  The epoch runner stops a
+row at the first table miss, so lazy pair discovery (and table growth)
+stays in Python.
 """
 
 from __future__ import annotations
@@ -29,64 +32,17 @@ from typing import Sequence, Tuple
 #: Compiler flags of every kernel build (``REPRO_KERNEL_CFLAGS`` appends).
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 
-#: The v5 function set: protocol stepping, shard-local runs and the
-#: single-epidemic block — all fed pre-drawn pairs from Python.
+#: The v5 function set: shard-local runs and the single-epidemic block,
+#: both fed pre-drawn pairs from Python.
 _KERNEL_SOURCE_V5 = r"""
 #include <stdint.h>
 
-/* Applies interactions [0, nsteps) sequentially against the packed table.
+/* A shard-local run: applies interactions [0, nsteps) sequentially
+ * against the packed table and one shard's contiguous code block, with
+ * an explicit per-draw global step number.
  *
  * Packed entry layout (see repro/engine/compiler.py):
  *   entry = ((na * k + nb) << 4) | ((dl + 2) << 1) | chg,  -1 == missing.
- *
- * Returns the number of interactions applied; a return value < nsteps
- * means entry (iu[ret], iv[ret]) is missing and must be filled by the
- * caller before resuming at offset ret.
- */
-int64_t repro_run_block(int64_t *codes,
-                        const int64_t *iu,
-                        const int64_t *iv,
-                        int64_t nsteps,
-                        const int32_t *dpack,
-                        int64_t k,
-                        int32_t kshift,
-                        uint8_t *seen,
-                        int64_t step0,
-                        int64_t *last_change_io,
-                        int64_t *leaders_io)
-{
-    const int64_t kmask = k - 1;
-    int64_t last = *last_change_io;
-    int64_t leaders = *leaders_io;
-    int64_t i;
-    for (i = 0; i < nsteps; i++) {
-        int64_t u = iu[i];
-        int64_t v = iv[i];
-        int64_t a = codes[u];
-        int64_t b = codes[v];
-        int32_t pk = dpack[a * k + b];
-        int64_t val, na, nb;
-        if (pk < 0)
-            break;
-        val = (int64_t)(pk >> 4);
-        na = val >> kshift;
-        nb = val & kmask;
-        codes[u] = na;
-        codes[v] = nb;
-        seen[na] = 1;
-        seen[nb] = 1;
-        if (pk & 1)
-            last = step0 + i + 1;
-        leaders += ((pk >> 1) & 7) - 2;
-    }
-    *last_change_io = last;
-    *leaders_io = leaders;
-    return i;
-}
-
-/* A shard-local run: repro_run_block against one shard's contiguous code
- * block, with an explicit per-draw global step number instead of the
- * step0 + i + 1 arithmetic.
  *
  * The sharded executor reorders commuting draws (all of one shard's
  * local interactions between two boundary events run back to back), so
@@ -205,6 +161,7 @@ typedef unsigned __int128 repro_u128;
 #define REPRO_EPOCH_BOUNDARY 1
 #define REPRO_EPOCH_MISS 2
 #define REPRO_EPOCH_LOG 3
+#define REPRO_EPOCH_SWITCH 4
 
 /* Epoch-runner transition rules (mirrored in repro.engine.native). */
 #define REPRO_RULE_TABLE 0
@@ -430,15 +387,20 @@ void repro_bounded_fill(uint64_t *rng_state, uint64_t bound, int64_t count,
 
 /* ---- The scheduler dialect (InteractionSource._refill in C) ------ */
 
-/* One refill: size = max(batch, minimum); all edge draws first, then all
- * orientation draws (the two-call order is part of the seeded-stream
- * definition); encoded as index = edge + (1 - orientation) * m. */
+/* One refill: size = max(batch, minimum), capped at limit (the draws
+ * left before the topology's next epoch boundary); all edge draws
+ * first, then all orientation draws (the two-call order is part of the
+ * seeded-stream definition); encoded as
+ * index = edge + (1 - orientation) * m. */
 static int64_t repro_source_refill(repro_pcg64 *p, int64_t *buffer,
-                                   int64_t batch, int64_t minimum, int64_t m)
+                                   int64_t batch, int64_t minimum, int64_t limit,
+                                   int64_t m)
 {
     int64_t size = batch > minimum ? batch : minimum;
     uint64_t erng = (uint64_t)m - 1;
     int64_t i;
+    if (size > limit)
+        size = limit;
     for (i = 0; i < size; i++)
         buffer[i] = (int64_t)repro_bounded64(p, erng);
     for (i = 0; i < size; i++) {
@@ -465,7 +427,7 @@ void repro_source_fill(uint64_t *rng_state, int64_t *src_state,
         int64_t available = fill - cursor;
         int64_t take;
         if (available == 0) {
-            fill = repro_source_refill(&p, buffer, batch, count - filled, m);
+            fill = repro_source_refill(&p, buffer, batch, count - filled, INT64_MAX, m);
             cursor = 0;
             available = fill;
         }
@@ -562,6 +524,7 @@ typedef struct {
     const int64_t *du;
     const int64_t *dv;
     int64_t m;
+    int64_t epoch_end;
     int64_t n;
     int32_t rule;
     const int32_t *dpack;
@@ -587,7 +550,12 @@ typedef struct {
  * boundary that needs a Python certificate check (BOUNDARY), a missing
  * transition-table entry (MISS; buffer[cursor] holds the undecoded pair
  * index, nothing consumed), a full written-code log (LOG; likewise
- * nothing consumed), or the step budget (BUDGET).  With precheck set,
+ * nothing consumed), the topology epoch's end (SWITCH: the row's next
+ * draw belongs to the next epoch, whose tables the caller swaps in), or
+ * the step budget (BUDGET).  du/dv/m are the active epoch's directed
+ * tables and edge count; epoch_end is that epoch's exclusive end in
+ * draws (INT64_MAX on a static topology), and every refill is capped
+ * there, as InteractionSource._refill caps it.  With precheck set,
  * boundaries where the kernel-maintained leader count is != 1 (for the
  * identifier rule, also where the identifiers differ or lie below 2^k)
  * are skipped — the certificate cannot hold there — so whole stretches
@@ -639,7 +607,12 @@ static inline __attribute__((always_inline)) void repro_run_epoch_row(
             int64_t idx, u, v, a, b, na, nb;
             int32_t pk;
             if (cursor >= fill) {
-                fill = repro_source_refill(&p, buffer, batch, block_end - step, m);
+                if (position >= job->epoch_end) {
+                    *status = REPRO_EPOCH_SWITCH;
+                    goto done;
+                }
+                fill = repro_source_refill(&p, buffer, batch, block_end - step,
+                                           job->epoch_end - position, m);
                 cursor = 0;
             }
             idx = buffer[cursor];
@@ -734,11 +707,13 @@ static void *repro_epoch_worker(void *arg)
  * Table rule: seen is the (nrep x k) code bitmap; log and log_len are
  * unused.  Identifier rule: log is (nrep x log_cap) and log_len (nrep)
  * counts each row's entries (the caller empties it after LOG); seen is
- * unused. */
+ * unused.  All rows share one topology epoch: a row that stopped at
+ * SWITCH stops there again, drawing nothing, until the caller passes the
+ * next epoch's tables. */
 void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
                      int64_t *buffers, int64_t buf_cap,
                      const int64_t *du, const int64_t *dv, int64_t m,
-                     int64_t nrep, int64_t n,
+                     int64_t epoch_end, int64_t nrep, int64_t n,
                      int32_t rule, const int32_t *dpack, int64_t k, int32_t kshift,
                      uint8_t *seen, int64_t *log, int64_t *log_len, int64_t log_cap,
                      int64_t batch, int64_t check_interval,
@@ -760,6 +735,7 @@ void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
     shared.du = du;
     shared.dv = dv;
     shared.m = m;
+    shared.epoch_end = epoch_end;
     shared.n = n;
     shared.rule = rule;
     shared.dpack = dpack;
@@ -1069,6 +1045,9 @@ MAX_KERNEL_THREADS = 64
 #: Theorem 21 computed arithmetically on codes ``id << 3 | sub``
 #: (:meth:`repro.protocols.identifier.IdentifierLeaderElection.kernel_rule`).
 RULE_TABLE, RULE_IDENTIFIER = 0, 1
+#: ``repro_run_epoch``'s ``epoch_end`` on a static topology (INT64_MAX:
+#: no refill is capped and no row stops to switch epochs).
+NO_EPOCH_END = (1 << 63) - 1
 
 
 def kernel_thread_count() -> int:
@@ -1185,7 +1164,8 @@ def _bind_v6(library):
         ctypes.c_int64,  # buf_cap
         ctypes.c_void_p,  # du (2m)
         ctypes.c_void_p,  # dv (2m)
-        ctypes.c_int64,  # m
+        ctypes.c_int64,  # m (the active epoch's edge count)
+        ctypes.c_int64,  # epoch_end (the active epoch's end; NO_EPOCH_END if none)
         ctypes.c_int64,  # nrep
         ctypes.c_int64,  # n
         ctypes.c_int32,  # rule (RULE_TABLE / RULE_IDENTIFIER)
@@ -1254,21 +1234,6 @@ def _bind_v6(library):
 
 
 def _bind_kernels(library):
-    run_block = library.repro_run_block
-    run_block.restype = ctypes.c_int64
-    run_block.argtypes = [
-        ctypes.c_void_p,  # codes
-        ctypes.c_void_p,  # iu
-        ctypes.c_void_p,  # iv
-        ctypes.c_int64,  # nsteps
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen
-        ctypes.c_int64,  # step0
-        ctypes.POINTER(ctypes.c_int64),  # last_change_io
-        ctypes.POINTER(ctypes.c_int64),  # leaders_io
-    ]
     run_shard_block = library.repro_run_shard_block
     run_shard_block.restype = ctypes.c_int64
     run_shard_block.argtypes = [
@@ -1295,7 +1260,6 @@ def _bind_kernels(library):
         ctypes.POINTER(ctypes.c_int64),  # count_io
     ]
     return {
-        "run_block": run_block,
         "run_shard_block": run_shard_block,
         "broadcast_block": broadcast_block,
         **_bind_v6(library),
@@ -1314,12 +1278,6 @@ def _kernels():
     except Exception:
         _cached_kernel = None
     return _cached_kernel
-
-
-def get_kernel():
-    """The compiled protocol-stepping entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["run_block"]
 
 
 def get_run_shard_kernel():

@@ -8,7 +8,8 @@ protocol's transition tables once and the runtime executors
 the v6 epoch stack, which advances all replicas with in-kernel seeded
 streams, or, where the stack cannot serve the plan (no v6 kernel, an
 explicit ``"vector"``/``"scalar"`` backend, seeds the kernel cannot
-reproduce), replica by replica through the compiled single-run engine.
+reproduce), replica by replica through the per-replica engine's
+NumPy/scalar backends.
 Every replica draws from its own independent scheduler stream, so both
 paths are bit-identical to R separate reference runs with the same
 seeds.
@@ -53,8 +54,10 @@ def run_replicas(
     max_steps / inputs / check_interval:
         As in :meth:`repro.core.simulator.Simulator.run`.
     backend:
-        ``"auto"`` (default) or ``"native"`` run the v6 epoch stack when
-        the kernel is available; ``"vector"`` / ``"scalar"`` run each
+        ``"auto"`` (default) runs the v6 epoch stack when the kernel is
+        available and the seeds allow it, else the per-replica engine;
+        ``"native"`` insists on the stack (it raises where the stack
+        cannot serve the plan); ``"vector"`` / ``"scalar"`` run each
         replica through that backend of
         :class:`~repro.engine.stepper.CompiledRun`.  All are exact —
         they differ in wall time only.

@@ -1,13 +1,13 @@
-"""Block execution of compiled protocols (single run).
+"""Block execution of compiled protocols (single run, no C kernel).
 
 A :class:`CompiledRun` holds the integer-coded configuration of one
 execution and applies scheduler blocks against the packed tables of a
-:class:`~repro.engine.compiler.CompiledProtocol`.  Three backends implement
-the same sequential semantics:
-
-``native``
-    The ctypes C kernel (:mod:`repro.engine.native`); fastest, used
-    whenever a system C compiler is available.
+:class:`~repro.engine.compiler.CompiledProtocol`.  It is the per-replica
+engine of :mod:`repro.runtime.execute`, for the runs the v6 epoch stack
+cannot serve (leader traces, scheduler overrides, seeds the kernel
+cannot reproduce, an explicit Python backend, hosts without the
+kernel); the C kernel runs only whole plans, on that stack.  Two
+backends implement the same sequential semantics:
 
 ``vector``
     NumPy block application with a *conflict-splitting pass*: a block of
@@ -34,26 +34,30 @@ set and the optional leader trace) matches the reference simulator exactly;
 
 from __future__ import annotations
 
-import ctypes
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Tuple
 
 import numpy as np
 
 from .compiler import CompiledProtocol, _SCALAR_STRIDE
-from .native import get_kernel
+from .native import get_run_epoch_kernel
 
 #: Below this node count the scalar backend outruns NumPy fancy indexing
 #: (conflict segments have expected length Θ(√n), so vectors are tiny).
 VECTOR_MIN_NODES = 1024
 
-_BACKENDS = ("native", "vector", "scalar")
+_BACKENDS = ("vector", "scalar")
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this environment, fastest first."""
-    if get_kernel() is not None:
-        return _BACKENDS
-    return _BACKENDS[1:]
+    """Compiled-engine backends usable in this environment, fastest first.
+
+    ``"native"`` is the v6 epoch stack (:mod:`repro.runtime.execute`),
+    listed when the kernel is built; ``"vector"`` and ``"scalar"`` are
+    this module's per-replica backends.
+    """
+    if get_run_epoch_kernel() is not None:
+        return ("native",) + _BACKENDS
+    return _BACKENDS
 
 
 def segment_cuts(iu: np.ndarray, iv: np.ndarray) -> List[int]:
@@ -96,11 +100,12 @@ class CompiledRun:
     initial_codes:
         Initial per-node state codes (``int64`` array of length ``n``).
     backend:
-        ``"auto"`` (default) picks the fastest available exact backend;
-        ``"native"`` / ``"vector"`` / ``"scalar"`` force one.
+        ``"auto"`` (default) picks the faster exact backend for the
+        graph size; ``"vector"`` / ``"scalar"`` force one.  ``"native"``
+        raises: the C kernel runs only on the v6 epoch stack.
     record_trace / trace_every:
         Leader-trace checkpoints, matching the reference simulator's
-        step-exact recording.  Unsupported by the native backend.
+        step-exact recording.
     """
 
     def __init__(
@@ -122,26 +127,18 @@ class CompiledRun:
         self.trace: List[Tuple[int, int]] = []
         self.leader_count = compiled.leader_count(initial_codes)
 
-        self._auto_promote = False
         if backend == "auto":
-            kernel_ready = not record_trace and get_kernel() is not None
-            if kernel_ready and compiled.tables_complete:
-                # Fully compiled tables can never miss: go native directly.
-                backend = "native"
-            else:
-                # Table misses cost ~25µs through the kernel's
-                # stop-fill-resume cycle but only ~3µs in the scalar loop,
-                # so start in a Python backend and promote to the kernel
-                # once a whole block runs without discovering new pairs.
-                self._auto_promote = kernel_ready
-                backend = "vector" if self.n >= VECTOR_MIN_NODES else "scalar"
+            backend = "vector" if self.n >= VECTOR_MIN_NODES else "scalar"
+        if backend == "native":
+            if get_run_epoch_kernel() is None:
+                raise RuntimeError("native engine backend unavailable (no C compiler)")
+            raise ValueError(
+                "backend='native' runs only on the v6 epoch stack, which cannot "
+                "serve this run (a leader trace, a scheduler override or a seed "
+                "the kernel cannot reproduce); use backend='auto'"
+            )
         if backend not in _BACKENDS:
             raise ValueError(f"unknown engine backend {backend!r}")
-        if backend == "native":
-            if get_kernel() is None:
-                raise RuntimeError("native engine backend unavailable (no C compiler)")
-            if record_trace:
-                raise ValueError("the native backend does not record leader traces")
         self.backend = backend
 
         if self.record_trace:
@@ -153,12 +150,8 @@ class CompiledRun:
             self._seen_set = set(self.codes_list)
         else:
             self.codes = np.ascontiguousarray(initial_codes, dtype=np.int64)
-            if backend == "vector":
-                self._seen_mask = np.zeros(compiled.stride, dtype=bool)
-                self._seen_mask[self.codes] = True
-            else:
-                self._seen_u8 = np.zeros(compiled.stride, dtype=np.uint8)
-                self._seen_u8[self.codes] = 1
+            self._seen_mask = np.zeros(compiled.stride, dtype=bool)
+            self._seen_mask[self.codes] = True
 
     # ------------------------------------------------------------------
     # Public interface
@@ -167,29 +160,10 @@ class CompiledRun:
         """Apply one scheduler block (ordered interaction arrays)."""
         if iu.shape[0] == 0:
             return
-        if self.backend == "native":
-            self._apply_native(iu, iv)
-            return
-        fills_before = self.compiled.filled_pairs
         if self.backend == "vector":
             self._apply_vector(iu, iv)
         else:
             self._apply_scalar(iu, iv)
-        if self._auto_promote and self.compiled.filled_pairs == fills_before:
-            self._promote_to_native()
-
-    def _promote_to_native(self) -> None:
-        """Switch a warmed-up auto run onto the C kernel."""
-        compiled = self.compiled
-        seen = np.zeros(compiled.stride, dtype=np.uint8)
-        if self.backend == "scalar":
-            self.codes = np.ascontiguousarray(self.codes_list, dtype=np.int64)
-            seen[list(self._seen_set)] = 1
-        else:
-            seen[: self._seen_mask.shape[0]] = self._seen_mask
-        self._seen_u8 = seen
-        self.backend = "native"
-        self._auto_promote = False
 
     def current_states(self) -> List[Hashable]:
         """Decode the configuration into protocol state objects."""
@@ -202,9 +176,7 @@ class CompiledRun:
         """Number of distinct state values present at any point so far."""
         if self.backend == "scalar":
             return len(self._seen_set)
-        if self.backend == "vector":
-            return int(self._seen_mask.sum())
-        return int(np.count_nonzero(self._seen_u8))
+        return int(self._seen_mask.sum())
 
     # ------------------------------------------------------------------
     # Scalar backend
@@ -313,49 +285,3 @@ class CompiledRun:
         successors = packed >> 4
         mask[successors >> kshift] = True
         mask[successors & (stride - 1)] = True
-
-    # ------------------------------------------------------------------
-    # Native backend
-    # ------------------------------------------------------------------
-    def _apply_native(self, iu: np.ndarray, iv: np.ndarray) -> None:
-        comp = self.compiled
-        kernel = get_kernel()
-        block = int(iu.shape[0])
-        codes = self.codes
-        iu = np.ascontiguousarray(iu, dtype=np.int64)
-        iv = np.ascontiguousarray(iv, dtype=np.int64)
-        last = ctypes.c_int64(self.last_change)
-        leaders = ctypes.c_int64(self.leader_count)
-        codes_ptr = codes.ctypes.data
-        iu_ptr = iu.ctypes.data
-        iv_ptr = iv.ctypes.data
-        position = 0
-        while position < block:
-            seen = self._seen_u8
-            if seen.shape[0] < comp.stride:
-                grown = np.zeros(comp.stride, dtype=np.uint8)
-                grown[: seen.shape[0]] = seen
-                self._seen_u8 = seen = grown
-            done = kernel(
-                codes_ptr,
-                iu_ptr + 8 * position,
-                iv_ptr + 8 * position,
-                block - position,
-                comp.dpack.ctypes.data,
-                comp.stride,
-                comp.kshift,
-                seen.ctypes.data,
-                self.step + position,
-                ctypes.byref(last),
-                ctypes.byref(leaders),
-            )
-            position += int(done)
-            if position < block:
-                # The kernel stopped on a missing table entry: fill it
-                # (possibly growing the tables) and resume in place.
-                u = int(iu[position])
-                v = int(iv[position])
-                comp.scalar_entry(int(codes[u]), int(codes[v]))
-        self.step += block
-        self.last_change = int(last.value)
-        self.leader_count = int(leaders.value)

@@ -347,10 +347,11 @@ def run_trials_with_seeds(
     one replica stack — and execution goes through a single
     :class:`~repro.runtime.plan.ExecutionPlan`: one engine resolution,
     one shared table set, and by default the replica-batched stack that
-    advances every trial of the measurement in lockstep blocks
-    (heterogeneous protocol instances, dynamic topologies and the
-    reference engine fall back to per-trial execution inside the same
-    plan).  Results are bit-identical for every execution strategy.
+    advances every trial of the measurement in lockstep blocks, on
+    static and dynamic topologies alike (trials whose protocol instances
+    differ in ``compile_key`` run as one stack per key; the reference
+    engine runs trial by trial).  Results are bit-identical for every
+    execution strategy.
     """
     run_seeds = list(run_seeds)
     if spec.batch_factory is not None and len(run_seeds) > 1:

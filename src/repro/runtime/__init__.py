@@ -23,11 +23,13 @@ of it into three layers:
   :class:`ExecutionPlan`, which compiles a run once (engine resolution,
   shared transition tables, per-replica seeds) and then executes it
   through one executor chain, chosen from the plan's inputs: the v6
-  epoch stack (plans of any width, including 1, with the seeded streams
-  drawn in-kernel) → the per-replica compiled engine (dynamic
-  schedules, stream overrides, traces, seeds the kernel cannot
-  reproduce, explicit Python backends, hosts without the kernel) → the
-  reference interpreter.
+  epoch stack (plans of any width, including 1, on static graphs and
+  topology schedules, with the seeded streams drawn in-kernel; a plan
+  of several ``compile_key`` groups runs one stack per group) → the
+  per-replica compiled engine on its NumPy/scalar backends (stream
+  overrides, traces, seeds the kernel cannot reproduce, explicit
+  Python backends, hosts without the kernel) → the reference
+  interpreter.
 
 ``Simulator.run``, ``repro.engine.run_replicas`` and the experiment
 harness are thin wrappers over :func:`compile_plan` +

@@ -6,16 +6,20 @@ same seeds.  :func:`execute_plan` picks the first that can serve the
 plan, from the plan's inputs alone:
 
 * **v6 epoch stack** (:func:`_execute_stack_v6`) — every ``"shared"``
-  plan of any width, including 1, whose seeds the kernel can reproduce
-  (plain integers in ``[0, 2**64)``), when the ``backend`` is ``"auto"``
-  or ``"native"`` and the v6 kernel is built
-  (:func:`~repro.runtime.plan.v6_servable`).
+  plan of any width, including 1, on a static graph or a topology
+  schedule, whose seeds the kernel can reproduce (plain integers in
+  ``[0, 2**64)``), when the ``backend`` is ``"auto"`` or ``"native"``
+  and the v6 kernel is built (:func:`~repro.runtime.plan.v6_servable`).
   The codes of the whole plan live in one ``(R, n)`` matrix and one
   ``repro_run_epoch`` call advances every active replica, with its
   seeded stream drawn in-kernel, to its next stop event.  The kernel
   applies either the plan's transition tables or, for a protocol with a
   :meth:`~repro.core.protocol.PopulationProtocol.kernel_rule` (the
   identifier protocol under ``engine="auto"``), that arithmetic rule.
+  On a schedule every refill is capped at the active epoch's end and a
+  row stops there before its next draw; once every active row waits at
+  that boundary the next epoch's tables are swapped in.  Certificates
+  are evaluated against the schedule's union graph.
   For protocols that declare ``certificate_requires_unique_leader`` the
   kernel-maintained leader count gates the Python certificate — a
   configuration with ``!= 1`` leaders cannot satisfy those protocols'
@@ -25,11 +29,11 @@ plan, from the plan's inputs alone:
   which its certificate equally requires.  Replicas whose certificate
   fires are compacted out of the stack.
 * **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`
-  blocks, one replica at a time) — everything the stack cannot take:
-  dynamic schedules, stream overrides, leader traces, Generator or
-  wider-than-64-bit seeds, an explicit ``"vector"``/``"scalar"``
-  backend, heterogeneous replicas, and hosts without the v6 kernel.  It
-  keeps the historical lazy-compilation semantics, including the
+  blocks on its NumPy/scalar backends, one replica at a time) —
+  everything the stack cannot take: stream overrides, leader traces,
+  Generator or wider-than-64-bit seeds, an explicit
+  ``"vector"``/``"scalar"`` backend, and hosts without the v6 kernel.
+  It keeps the historical lazy-compilation semantics, including the
   mid-run fallback to the reference interpreter.
 * **reference** — the pure-Python interpreter (the semantic ground
   truth), for ``engine="reference"`` and for protocols that ``auto``
@@ -37,6 +41,12 @@ plan, from the plan's inputs alone:
   v6 stack cannot take: :func:`~repro.runtime.plan.compile_plan` picks
   a kernel rule only for plans the stack serves, so a rule plan never
   reaches the per-replica engine).
+
+A plan whose replicas carry different ``compile_key``s (the fast
+protocol's per-trial ``B(G)`` calibration) runs each key group as a plan
+of its own, so every group can reach the stack; results come back in
+replica order.  A v6 row does not depend on the stack's width, so this
+is byte-identical to per-replica execution.
 
 A plan with ``shard_workers`` set goes to the shard-worker pool
 (:func:`repro.sharding.execute_sharded`) instead when the pool can
@@ -59,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.compiler import CompiledProtocol
 
 #: ``repro_run_epoch`` row statuses (mirrors the kernel's REPRO_EPOCH_*).
-_BUDGET, _BOUNDARY, _MISS, _LOG = 0, 1, 2, 3
+_BUDGET, _BOUNDARY, _MISS, _LOG, _SWITCH = 0, 1, 2, 3, 4
 
 #: Per-row capacity of the kernel's written-code log (kernel-rule plans;
 #: at least 2, one step's writes).  A full log stops the row (``_LOG``)
@@ -78,20 +88,67 @@ def execute_plan(plan: ExecutionPlan) -> List["SimulationResult"]:
 
 
 def execute_unsharded(plan: ExecutionPlan) -> List["SimulationResult"]:
-    """The unsharded chain: v6 stack, else the per-replica executors."""
+    """The unsharded chain: v6 stack, else the per-replica executors.
+
+    A plan of several ``compile_key`` groups runs group by group.
+    """
     if _stack_v6_eligible(plan):
         return _execute_stack_v6(plan)
+    groups = _key_groups(plan)
+    if len(groups) > 1:
+        results: List[Any] = [None] * plan.n_replicas
+        for indices in groups:
+            for index, result in zip(indices, execute_unsharded(_group_plan(plan, indices))):
+                results[index] = result
+        return results
     return [_execute_single(plan, index) for index in range(plan.n_replicas)]
 
 
 def _stack_v6_eligible(plan: ExecutionPlan) -> bool:
     """Whether the v6 epoch stack can serve this plan.
 
-    ``"shared"`` mode already guarantees a static topology, no stream
+    ``"shared"`` mode already guarantees homogeneous replicas, no stream
     override and no trace; everything else is :func:`v6_servable`.  A
     plan it declines goes to the per-replica engine.
     """
     return plan.mode == "shared" and v6_servable(plan.backend, plan.seeds)
+
+
+def _key_groups(plan: ExecutionPlan) -> List[List[int]]:
+    """Replica indices of a ``"single"`` plan grouped by ``compile_key``.
+
+    Groups appear in order of their first replica.  A ``None`` key
+    shares no tables, so its replica is a group of its own.  Any other
+    plan is one group.
+    """
+    if plan.mode != "single":
+        return [list(range(plan.n_replicas))]
+    groups: Dict[Hashable, List[int]] = {}
+    for index, protocol in enumerate(plan.protocols):
+        key = protocol.compile_key()
+        groups.setdefault(object() if key is None else key, []).append(index)
+    return list(groups.values())
+
+
+def _group_plan(plan: ExecutionPlan, indices: List[int]) -> ExecutionPlan:
+    """The plan of replicas ``indices`` alone, resolved afresh."""
+    from .plan import compile_plan
+
+    return compile_plan(
+        [plan.protocols[index] for index in indices],
+        plan.graph,
+        [plan.seeds[index] for index in indices],
+        max_steps=plan.max_steps,
+        engine=plan.engine,
+        backend=plan.backend,
+        check_interval=plan.check_interval,
+        schedule=plan.schedule,
+        inputs=plan.inputs,
+        max_states=plan.max_states,
+        record_leader_trace=plan.record_leader_trace,
+        trace_resolution=plan.trace_resolution,
+        threads=plan.threads,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +442,25 @@ def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
+def _epoch_tables(plan: ExecutionPlan, position: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """``(du, dv, m, end)`` of the topology epoch that draw ``position`` falls in.
+
+    A static graph is one epoch without end (``NO_EPOCH_END``).  An
+    edgeless epoch graph raises ``ValueError`` here, before the kernel
+    could draw from an empty edge range.
+    """
+    from ..engine.native import NO_EPOCH_END
+
+    schedule = plan.schedule
+    if schedule is None:
+        graph, end = plan.graph, None
+    else:
+        index, _, end = schedule.epoch_at(position)
+        graph = schedule.epoch_graph(index)
+    du, dv = directed_tables(graph)
+    return du, dv, graph.n_edges, NO_EPOCH_END if end is None else end
+
+
 def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     """The v6 stack: whole epochs per kernel call, streams in-kernel.
 
@@ -394,7 +470,8 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     collapses into one ``repro_run_epoch`` call that advances *every*
     active replica to its next stop event: a certificate boundary that
     needs Python (``_BOUNDARY``), a missing table entry (``_MISS``), a
-    full code log (``_LOG``), or the step budget (``_BUDGET``).
+    full code log (``_LOG``), the end of the topology epoch
+    (``_SWITCH``), or the step budget (``_BUDGET``).
     Replicas advance independently, so their per-row steps become
     heterogeneous; each row's sequence of blocks, certificate checks and
     draws is still exactly the single-run one, which keeps every result
@@ -409,11 +486,18 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     each row logs every code it writes, and the log is folded into the
     row's sorted distinct codes when it fills (``_LOG``) and when the
     row finishes.
+
+    On a topology schedule every row draws from the same epoch's tables.
+    Epoch boundaries are step counts, so each row stops at the same one
+    (``_SWITCH``); the next epoch's tables are passed once no active row
+    is short of it.
     """
     from ..engine.native import RULE_TABLE, get_run_epoch_kernel, kernel_thread_count
     from .source import KernelSource
 
-    graph = plan.graph
+    # A schedule's union graph holds every edge an epoch can activate:
+    # certificates are evaluated against it, as in the other executors.
+    graph = plan.schedule.union_graph() if plan.schedule is not None else plan.graph
     protocol = plan.protocols[0]
     rule = plan.compiled
     assert rule is not None
@@ -449,8 +533,8 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             results[index] = result
         return results  # type: ignore[return-value]
 
+    directed_u, directed_v, edge_count, epoch_end = _epoch_tables(plan, 0)
     ksrc = KernelSource(graph, plan.seeds, buffer_capacity=check_interval)
-    directed_u, directed_v = directed_tables(graph)
     codes = np.tile(np.ascontiguousarray(initial_codes, dtype=np.int64), (replica_count, 1))
     if tables:
         seen = np.tile(present, (replica_count, 1))
@@ -498,7 +582,8 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             ksrc.buffer_capacity,
             directed_u.ctypes.data,
             directed_v.ctypes.data,
-            graph.n_edges,
+            edge_count,
+            epoch_end,
             width,
             n,
             *rule_args,
@@ -555,6 +640,8 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
                 codes, seen, log, log_len, steps, last_change, leaders, status, replica_ids
             ) = (None if array is None else np.ascontiguousarray(array[keep]) for array in arrays)
             ksrc.compact(keep)
+        if replica_ids.size and bool((status == _SWITCH).all()):
+            directed_u, directed_v, edge_count, epoch_end = _epoch_tables(plan, epoch_end)
 
     wall = time.perf_counter() - start_time
     for result in results:

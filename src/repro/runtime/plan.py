@@ -18,23 +18,28 @@ anything.
 * ``engine="auto"`` for a protocol with a
   :meth:`~repro.core.protocol.PopulationProtocol.kernel_rule` (the
   identifier protocol while ``k + 4 <= 63``), when the v6 stack can
-  serve the plan — homogeneous replicas, static topology, no stream
-  override, no trace, backend ``"auto"``/``"native"``, the v6 kernel
-  built, every seed kernel-seedable — shares that rule (``"shared"``,
+  serve the plan — homogeneous replicas, no stream override, no trace,
+  backend ``"auto"``/``"native"``, the v6 kernel built, every seed
+  kernel-seedable — shares that rule (``"shared"``,
   :attr:`ExecutionPlan.compiled` is the rule): the kernel computes the
   transitions, and no table is built.
 * ``engine="compiled"`` / ``"auto"`` with **homogeneous** replicas (same
-  ``compile_key``, static topology, no stream override, no trace), at
-  any width including 1 — one table set is compiled up front and shared
-  (``"shared"``); a compilation failure raises for ``"compiled"`` and
-  demotes the whole plan to the reference interpreter for ``"auto"``.
-  ``"auto"`` compiles only protocols that
-  :func:`~repro.engine.compiler.compilation_worthwhile` accepts.
+  ``compile_key``, no stream override, no trace), at any width including
+  1 — one table set is compiled up front and shared (``"shared"``); a
+  compilation failure raises for ``"compiled"`` and demotes the whole
+  plan to the reference interpreter for ``"auto"``.  ``"auto"`` compiles
+  only protocols that :func:`~repro.engine.compiler.compilation_worthwhile`
+  accepts.
 * everything else — per-replica resolution at execution time
   (``"single"``), preserving ``Simulator.run``'s lazy-compilation
   semantics including the mid-run fallback to the reference interpreter
   when lazy state discovery outgrows the table bound and the scheduler
-  stream is re-creatable from its seed.
+  stream is re-creatable from its seed.  A ``"single"`` plan of several
+  ``compile_key`` groups is resolved again group by group at execution
+  time, so each group can be shared.
+
+A topology schedule does not change the mode: the v6 stack and the
+per-replica engine both run ``"shared"`` schedule plans.
 
 The mode fixes *what* is shared, not which executor runs it: the
 executor is chosen from the plan's inputs (see
@@ -226,7 +231,7 @@ def compile_plan(
     compiled: Any = None
     if engine == "reference":
         mode = "reference"
-    elif schedule is None and scheduler is None and not record_leader_trace:
+    elif scheduler is None and not record_leader_trace:
         from ..engine.compiler import (
             DEFAULT_MAX_STATES,
             ProtocolCompilationError,

@@ -24,11 +24,11 @@ inside a per-chunk super-step barrier.
 
 :func:`repro.runtime.execute.execute_plan` sends a plan here only when
 :func:`sharded_eligible` accepts it; everything else — ``shards``
-without workers included — runs on the unsharded chain (v6 stack →
-per-replica engine → reference).  A pool that will not start, or a
-worker that dies mid-run, hands the affected replica and every later one
-to that same chain; the streams are re-creatable from their seeds, so
-the results do not change.
+without workers and topology schedules included — runs on the
+unsharded chain (v6 stack → per-replica engine → reference).  A pool
+that will not start, or a worker that dies mid-run, hands the affected
+replica and every later one to that same chain; the streams are
+re-creatable from their seeds, so the results do not change.
 """
 
 from __future__ import annotations
@@ -59,10 +59,11 @@ def _shard_count(plan: ExecutionPlan) -> int:
 def sharded_eligible(plan: ExecutionPlan) -> bool:
     """Whether the shard-worker pool can serve this plan (the probe).
 
-    The pool needs ``shard_workers >= 1``, at least two shards, a plan
-    the v6 stack would serve (one compiled table set, a static topology,
-    kernel-seedable seeds, the native kernel built — so the unsharded
-    chain can take over any replica byte-identically), transition
+    The pool needs ``shard_workers >= 1``, at least two shards, a static
+    topology (the pool has no epoch logic), a plan the v6 stack would
+    serve (one compiled table set, kernel-seedable seeds, the native
+    kernel built — so the unsharded chain can take over any replica
+    byte-identically), transition
     tables complete over every reachable state (parallel lazy state
     discovery would assign codes in process-dependent order), a
     forkable platform and ``REPRO_DISABLE_SHARD_WORKERS`` unset.  The
@@ -70,7 +71,7 @@ def sharded_eligible(plan: ExecutionPlan) -> bool:
     rule (the identifier protocol under ``engine="auto"``) runs
     unsharded on the v6 stack.
     """
-    if not plan.shard_workers or _shard_count(plan) < 2:
+    if not plan.shard_workers or plan.schedule is not None or _shard_count(plan) < 2:
         return False
     if os.environ.get("REPRO_DISABLE_SHARD_WORKERS") or plan.graph.n_edges == 0:
         return False

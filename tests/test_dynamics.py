@@ -7,7 +7,9 @@ The two load-bearing invariants:
    stream, simulator engines, analytics stacks, orchestrator).
 2. **Execution-plan invariance** — dynamic runs are bit-identical across
    engine backends, replica-batch widths, native/NumPy analytics paths
-   and orchestrator worker counts.
+   and orchestrator worker counts.  Dynamic protocol plans run on the
+   v6 epoch stack's epoch switches; a table-driven differential pins
+   them to the reference interpreter.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.native as native
+import repro.runtime.execute as execute_module
 from repro.analytics.epidemics import run_epidemic_batch, run_influence_batch
 from repro.core.scheduler import RandomScheduler
+from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, run_leader_election
 from repro.dynamics import (
     DynamicScheduler,
@@ -25,12 +30,19 @@ from repro.dynamics import (
     NodeChurnSchedule,
     ScheduleError,
     StaticSchedule,
+    TopologySchedule,
 )
-from repro.engine.native import get_kernel, reset_kernel_cache
-from repro.graphs import clique, cycle, star, torus
+from repro.engine.native import get_run_epoch_kernel, reset_kernel_cache
+from repro.graphs import Graph, clique, cycle, star, torus
 from repro.orchestration import ScheduleConfig, get_scenario, run_scenario
 from repro.propagation.broadcast import broadcast_time_estimate, full_information_time
+from repro.protocols import FastLeaderElection, IdentifierLeaderElection, StarLeaderElection
 from repro.protocols.tokens import TokenLeaderElection
+from repro.runtime import compile_plan, execute_plan
+
+requires_kernel = pytest.mark.skipif(
+    get_run_epoch_kernel() is None, reason="kernel v6 unavailable"
+)
 
 
 def result_tuple(result):
@@ -204,7 +216,7 @@ class TestSimulatorSchedules:
         )
         outcomes = []
         engines = [("reference", "auto"), ("compiled", "scalar"), ("compiled", "vector")]
-        if get_kernel() is not None:
+        if get_run_epoch_kernel() is not None:
             engines.append(("compiled", "native"))
         for engine, backend in engines:
             result = run_leader_election(
@@ -249,6 +261,139 @@ class TestSimulatorSchedules:
         simulator = Simulator(clique(8), TokenLeaderElection())
         with pytest.raises(ValueError, match="universe"):
             simulator.run(max_steps=10, schedule=StaticSchedule(clique(10)))
+
+
+# ----------------------------------------------------------------------
+# Dynamic plans on the v6 stack
+# ----------------------------------------------------------------------
+#: Topology setups ``(n, schedule factory)``.  Every epoch length is a
+#: prime, so none is a multiple of the certificate cadence
+#: (``default_check_interval``: 9, 16, 19 and 22 for these cliques).
+_V6_SCHEDULES = {
+    "epochs-repeat": (12, lambda n: EpochSchedule.from_graphs(
+        [clique(n), cycle(n), star(n)], epoch_length=37, repeat=True
+    )),
+    "epochs-once": (9, lambda n: EpochSchedule(
+        [(cycle(n), 43), (star(n), 29), (clique(n), None)], repeat=False
+    )),
+    "edge-churn": (14, lambda n: EdgeChurnSchedule(clique(n), 0.4, epoch_length=53, seed=n)),
+    "node-churn": (13, lambda n: NodeChurnSchedule(
+        clique(n), [n // 2, n - 2, n], epoch_length=41, repeat=True
+    )),
+}
+
+#: Protocol factories and the engine each runs under: the identifier
+#: protocol runs once on the kernel's arithmetic rule (``auto``) and
+#: once on lazily discovered tables (``compiled``: table misses inside
+#: epochs).
+_V6_PROTOCOLS = {
+    "token": (lambda g: TokenLeaderElection(), "auto"),
+    "star": (lambda g: StarLeaderElection(), "auto"),
+    "fast": (lambda g: FastLeaderElection.practical_for_graph(g, 2.0 * g.n_nodes), "auto"),
+    "identifier-rule": (lambda g: IdentifierLeaderElection(g.n_nodes), "auto"),
+    "identifier-tables": (
+        lambda g: IdentifierLeaderElection(g.n_nodes, identifier_bits=5), "compiled"
+    ),
+}
+
+#: ``(width, budget, threads)`` runs per case; the budget is 0, inside
+#: the second epoch, exactly at its end, or enough to finish.
+_V6_RUNS = ((1, "full", 1), (4, "full", 4), (3, "mid", 4), (4, "end", 1), (3, "zero", 1))
+
+
+def _v6_budget(schedule, kind):
+    first_end = schedule.epoch_at(0)[2]
+    second_end = schedule.epoch_at(first_end)[2]
+    return {
+        "zero": 0,
+        "mid": (first_end + second_end) // 2,
+        "end": second_end,
+        "full": 30_000,
+    }[kind]
+
+
+@pytest.mark.parametrize("protocol_kind", sorted(_V6_PROTOCOLS))
+@pytest.mark.parametrize("schedule_kind", sorted(_V6_SCHEDULES))
+def test_dynamic_plans_on_v6_match_reference(schedule_kind, protocol_kind, monkeypatch):
+    """Every field of a dynamic v6 plan equals the reference interpreter.
+
+    The spy proves each plan ran as one stack of its full width (without
+    the kernel, on the per-replica engine instead: no stack at all).
+    """
+    n, build_schedule = _V6_SCHEDULES[schedule_kind]
+    build_protocol, engine = _V6_PROTOCOLS[protocol_kind]
+    schedule = build_schedule(n)
+    graph = clique(n)
+    widths = []
+    real = execute_module._execute_stack_v6
+
+    def spy(plan):
+        widths.append(plan.n_replicas)
+        return real(plan)
+
+    monkeypatch.setattr(execute_module, "_execute_stack_v6", spy)
+    for width, budget_kind, threads in _V6_RUNS:
+        budget = _v6_budget(schedule, budget_kind)
+        seeds = [derive_seed(20261017, schedule_kind, protocol_kind, r) for r in range(width)]
+        where = f"{schedule_kind}/{protocol_kind} width {width}, budget {budget}, {threads} threads"
+
+        def run(chosen):
+            protocols = [build_protocol(graph)] * width
+            plan = compile_plan(
+                protocols, graph, seeds, max_steps=budget, engine=chosen,
+                schedule=schedule, threads=threads,
+            )
+            return [result_tuple(r) for r in execute_plan(plan)]
+
+        reference = run("reference")
+        widths.clear()
+        assert run(engine) == reference, where
+        assert widths == ([width] if get_run_epoch_kernel() is not None else []), where
+
+
+class _SecondEpochEdgeless(TopologySchedule):
+    """A user schedule whose second epoch graph has no edges."""
+
+    def __init__(self, graph: Graph) -> None:
+        super().__init__(graph.n_nodes)
+        self._graph = graph
+        self._empty = Graph(graph.n_nodes, [], check_connected=False)
+
+    def epoch_graph(self, index):
+        return self._graph if index == 0 else self._empty
+
+    def epoch_length(self, index):
+        return 50 if index == 0 else None
+
+    def union_graph(self):
+        return self._graph
+
+
+@requires_kernel
+def test_edgeless_epoch_raises_before_the_kernel_draws(monkeypatch):
+    """Like ``InteractionSource``, the stack refuses an edgeless epoch.
+
+    The kernel is never called with ``m = 0``: its edge draw bound is
+    the unsigned ``m - 1``.
+    """
+    graph = cycle(8)
+    schedule = _SecondEpochEdgeless(graph)
+    edge_counts = []
+    kernel = get_run_epoch_kernel()
+
+    def counting_kernel(*args):
+        edge_counts.append(args[7])  # m
+        return kernel(*args)
+
+    monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
+    for engine in ("reference", "compiled"):
+        plan = compile_plan(
+            [TokenLeaderElection()], graph, [3], max_steps=10_000,
+            engine=engine, schedule=schedule,
+        )
+        with pytest.raises(ValueError):
+            execute_plan(plan)
+    assert edge_counts and all(m == graph.n_edges for m in edge_counts)
 
 
 # ----------------------------------------------------------------------

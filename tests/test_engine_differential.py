@@ -28,7 +28,7 @@ from repro.analytics.epidemics import run_epidemic_batch
 from repro.core.seeds import derive_seed
 from repro.core.simulator import run_leader_election
 from repro.dynamics import EpochSchedule
-from repro.engine.native import get_kernel, get_run_epoch_kernel
+from repro.engine.native import get_run_epoch_kernel
 from repro.engine.replicas import run_replicas
 from repro.graphs import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
@@ -113,7 +113,7 @@ def test_engines_bit_identical(case):
     graph = _GRAPH_BUILDERS[graph_kind](size, derive_seed(seed, "graph"))
     max_steps = 6000
     variants = [("reference", "auto"), ("compiled", "vector"), ("compiled", "scalar")]
-    if get_kernel() is not None:
+    if get_run_epoch_kernel() is not None:
         variants.append(("compiled", "native"))
     outcomes = {}
     for engine, backend in variants:
@@ -214,9 +214,9 @@ def test_thread_counts_bit_identical(protocol_kind):
 def test_thread_env_invariance_dynamic_schedule():
     """REPRO_KERNEL_THREADS never changes measured values, dynamic included.
 
-    The dynamic schedule rides the per-replica path and the analytics
-    batch rides the epoch kernels; both must ignore the thread dial in
-    everything but wall time.
+    The dynamic schedule rides the v6 stack's epoch switches and the
+    analytics batch rides the epoch kernels; both must ignore the thread
+    dial in everything but wall time.
     """
     graph = clique(16)
     n = graph.n_nodes

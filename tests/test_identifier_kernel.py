@@ -15,7 +15,10 @@ on transition tables.  Three layers are pinned here:
   budgets, seeds, stack widths, thread counts and a log small enough to
   fill mid-block;
 * **routing** — rule plans never reach the reference interpreter, and
-  every plan the kernel cannot serve still does, with equal results.
+  every plan the kernel cannot serve still does, with equal results
+  (rule plans on topology schedules run on the stack too; see
+  ``tests/test_runtime_plan.py::test_plans_served_by_v6`` and
+  ``tests/test_dynamics.py``).
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import repro.runtime.execute as execute_module
 from repro.core.protocol import LEADER
 from repro.core.seeds import derive_seed
 from repro.core.simulator import default_check_interval
-from repro.dynamics import EpochSchedule
-from repro.engine.native import get_run_epoch_kernel, reset_kernel_cache
+from repro.engine.native import NO_EPOCH_END, get_run_epoch_kernel, reset_kernel_cache
 from repro.graphs import clique, cycle, path, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.protocols.identifier import IdentifierKernelRule, IdentifierLeaderElection
@@ -65,9 +67,10 @@ def _kernel_step(bits, pairs):
 
     Row ``r`` is a two-node configuration ``[a, b]``.  Both directed
     indices of the single edge name node 0 the initiator, so every row
-    applies exactly ``Ξ(a, b)``.  The budget and the cadence are one
-    step, with the unique-leader precheck on: the row status says
-    whether the kernel would hand that boundary to Python.
+    applies exactly ``Ξ(a, b)``.  The topology is static, the budget and
+    the cadence are one step, with the unique-leader precheck on: the
+    row status says whether the kernel would hand that boundary to
+    Python.
     """
     rule = IdentifierKernelRule(bits)
     nrep = len(pairs)
@@ -87,7 +90,7 @@ def _kernel_step(bits, pairs):
     get_run_epoch_kernel()(
         codes.ctypes.data, rng_state.ctypes.data, src_state.ctypes.data,
         buffers.ctypes.data, 1, initiator.ctypes.data, responder.ctypes.data, 1,
-        nrep, 2, rule.rule_id, rule.table.ctypes.data, rule.threshold, 0,
+        NO_EPOCH_END, nrep, 2, rule.rule_id, rule.table.ctypes.data, rule.threshold, 0,
         None, log.ctypes.data, log_len.ctypes.data, 2,
         1, 1, 1, steps.ctypes.data, last_change.ctypes.data, leaders.ctypes.data,
         status.ctypes.data, 1, 1,
@@ -329,10 +332,6 @@ def _spy_on_reference(monkeypatch):
     return calls
 
 
-def _schedule(graph):
-    return EpochSchedule.from_graphs([graph, cycle(graph.n_nodes)], epoch_length=96, repeat=True)
-
-
 #: ``engine="auto"`` identifier plans the kernel rule cannot serve: each
 #: entry builds fresh ``(protocol, seed, compile_plan kwargs)``.
 _REFERENCE_CASES = {
@@ -341,7 +340,6 @@ _REFERENCE_CASES = {
     "vector": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"backend": "vector"}),
     "bits-60": lambda g: (IdentifierLeaderElection(g.n_nodes, identifier_bits=60), 5, {}),
     "trace": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"record_leader_trace": True}),
-    "schedule": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"schedule": _schedule(g)}),
 }
 
 

@@ -7,8 +7,9 @@ reference interpreter and every compiled backend (native where
 available, vector, scalar), on static and dynamic topologies alike; a
 multi-replica plan (the v6 epoch stack) is bit-identical to the same
 trials run one at a time through the reference interpreter.  The
-routing table — which plans the v6 stack serves and which stay on the
-per-replica engine — is pinned case by case.  Cases are generated from
+routing table — which plans the v6 stack serves, schedules and
+``compile_key`` groups included, and which stay on the per-replica
+engine — is pinned case by case.  Cases are generated from
 a fixed master seed via the package's own SplitMix64 derivation, so the
 matrix is reproducible and every assertion message carries enough to
 replay a failure in isolation.
@@ -26,9 +27,11 @@ from repro.core.scheduler import RandomScheduler
 from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, default_check_interval
 from repro.dynamics import EpochSchedule
-from repro.engine.native import get_kernel, get_run_epoch_kernel, reset_kernel_cache
+from repro.engine.native import get_run_epoch_kernel, reset_kernel_cache
+from repro.experiments.harness import fast_protocol_spec, measure_protocol_on_graph
 from repro.graphs import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
+from repro.orchestration import get_scenario, run_scenario
 from repro.protocols import StarLeaderElection, TokenLeaderElection
 from repro.protocols.identifier import IdentifierLeaderElection
 from repro.runtime import compile_plan, execute_plan
@@ -67,7 +70,7 @@ def _result_tuple(result):
 
 def _engine_variants():
     variants = [("reference", "auto"), ("compiled", "vector"), ("compiled", "scalar")]
-    if get_kernel() is not None:
+    if get_run_epoch_kernel() is not None:
         variants.append(("compiled", "native"))
     return variants
 
@@ -203,10 +206,15 @@ def test_plan_resolution_modes():
     plan = compile_plan([token] * 3, graph, [0, 1, 2], max_steps=100, engine="compiled")
     assert plan.mode == "shared" and plan.compiled is not None
     assert plan.check_interval == default_check_interval(graph)
-    # Heterogeneous compile keys fall back to per-replica resolution.
+    # Heterogeneous compile keys are resolved per key group at execution.
     hetero = [TokenLeaderElection(), StarLeaderElection(), TokenLeaderElection()]
     plan = compile_plan(hetero, graph, [0, 1, 2], max_steps=100, engine="auto")
     assert plan.mode == "single"
+    # A topology schedule is shared like a static graph.
+    plan = compile_plan(
+        [token] * 3, graph, [0, 1, 2], max_steps=100, schedule=_dynamic_schedule(graph)
+    )
+    assert plan.mode == "shared" and plan.compiled is not None
 
 
 def test_plan_validation_errors():
@@ -295,7 +303,6 @@ def _dynamic_schedule(graph):
 #: builds fresh ``(protocols, seeds, compile_plan kwargs)`` for a graph
 #: (fresh, because a Generator or scheduler is consumed by a run).
 _PER_REPLICA_CASES = {
-    "schedule": lambda g: ([TokenLeaderElection()], [5], {"schedule": _dynamic_schedule(g)}),
     "scheduler": lambda g: (
         [TokenLeaderElection()], [None], {"scheduler": RandomScheduler(g, rng=5)}
     ),
@@ -304,13 +311,12 @@ _PER_REPLICA_CASES = {
     "wide-seed": lambda g: ([TokenLeaderElection()], [2**64 + 5], {}),
     "vector": lambda g: ([TokenLeaderElection()], [5], {"backend": "vector"}),
     "scalar": lambda g: ([TokenLeaderElection()] * 2, [5, 6], {"backend": "scalar"}),
-    "heterogeneous": lambda g: ([TokenLeaderElection(), StarLeaderElection()], [5, 6], {}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PER_REPLICA_CASES))
 def test_per_replica_cases_never_enter_v6(case, monkeypatch):
-    """Schedules, overrides, traces, odd seeds and Python backends skip v6."""
+    """Overrides, traces, odd seeds and Python backends skip v6."""
     calls = _spy_on_v6(monkeypatch)
     graph = clique(12)
     protocols, seeds, kwargs = _PER_REPLICA_CASES[case](graph)
@@ -324,6 +330,141 @@ def test_per_replica_cases_never_enter_v6(case, monkeypatch):
         protocols, graph, seeds, max_steps=20_000, engine="reference", **kwargs
     )
     assert via_plan == [_result_tuple(r) for r in execute_plan(reference)]
+
+
+#: Plans the v6 stack serves although no one static table set covers
+#: them: each entry builds fresh ``(protocols, seeds, compile_plan
+#: kwargs)`` for a graph, next to the widths of the stacks it runs as.
+_V6_CASES = {
+    "schedule": (
+        lambda g: ([TokenLeaderElection()], [5], {"schedule": _dynamic_schedule(g)}),
+        [1],
+    ),
+    "heterogeneous": (
+        lambda g: ([TokenLeaderElection(), StarLeaderElection()], [5, 6], {}),
+        [1, 1],
+    ),
+    "identifier-schedule": (
+        lambda g: (
+            [IdentifierLeaderElection(g.n_nodes)],
+            [5],
+            {"schedule": _dynamic_schedule(g), "engine": "auto"},
+        ),
+        [1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_V6_CASES))
+def test_plans_served_by_v6(case, monkeypatch):
+    """Schedules and ``compile_key`` groups run on the stack, equal to the reference.
+
+    Without the kernel they run on the per-replica engine, equally.
+    """
+    calls = _spy_on_v6(monkeypatch)
+    graph = clique(12)
+    build, widths = _V6_CASES[case]
+    protocols, seeds, kwargs = build(graph)
+    kwargs.setdefault("engine", "compiled")
+    plan = compile_plan(protocols, graph, seeds, max_steps=50_000, **kwargs)
+    via_plan = [_result_tuple(r) for r in execute_plan(plan)]
+    assert calls == (widths if get_run_epoch_kernel() is not None else [])
+    protocols, seeds, kwargs = build(graph)
+    kwargs["engine"] = "reference"
+    reference = compile_plan(protocols, graph, seeds, max_steps=50_000, **kwargs)
+    assert via_plan == [_result_tuple(r) for r in execute_plan(reference)]
+
+
+class _KeylessToken(TokenLeaderElection):
+    """The token protocol without a ``compile_key``: no table sharing."""
+
+    def compile_key(self):
+        return None
+
+
+@pytest.mark.parametrize("engine", ["auto", "compiled"])
+def test_key_groups_return_results_in_replica_order(engine, monkeypatch):
+    """Interleaved keys A, B, A, C, B run as one stack per key, and every
+    result lands at its replica's index; each ``None``-key replica is a
+    group of its own.  Without the kernel the groups run per replica."""
+    graph = clique(14)
+    protocols = [
+        TokenLeaderElection(),
+        StarLeaderElection(),
+        TokenLeaderElection(),
+        IdentifierLeaderElection(graph.n_nodes),
+        StarLeaderElection(),
+        _KeylessToken(),
+        _KeylessToken(),
+    ]
+    seeds = [derive_seed(MASTER_SEED, "key-groups", r) for r in range(len(protocols))]
+    calls = _spy_on_v6(monkeypatch)
+    plan = compile_plan(protocols, graph, seeds, max_steps=50_000, engine=engine)
+    assert plan.mode == "single"
+    grouped = [_result_tuple(r) for r in execute_plan(plan)]
+    assert calls == ([2, 2, 1, 1, 1] if get_run_epoch_kernel() is not None else [])
+    for protocol, seed, result in zip(protocols, seeds, grouped):
+        single = Simulator(graph, protocol, rng=seed, engine="reference").run(max_steps=50_000)
+        assert result == _result_tuple(single), type(protocol).__name__
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+def test_scenarios_and_measurements_never_reach_the_per_replica_engine(monkeypatch):
+    """The package's own entry points keep every plan on the stack: the
+    ``dynamic-*`` scenarios, and fast-protocol measurements whose trials
+    calibrate to different ``compile_key``s (run as key groups)."""
+    singles, groups = [], []
+    real_single, real_group = execute_module._execute_single, execute_module._group_plan
+
+    def single(plan, index):
+        singles.append(plan.protocols[index])
+        return real_single(plan, index)
+
+    def group(plan, indices):
+        groups.append(indices)
+        return real_group(plan, indices)
+
+    monkeypatch.setattr(execute_module, "_execute_single", single)
+    monkeypatch.setattr(execute_module, "_group_plan", group)
+    for name in ("dynamic-epoch-mix", "dynamic-edge-churn", "dynamic-torus-flicker", "dynamic-grow"):
+        scenario = get_scenario(name).with_overrides(sizes=(16,), repetitions=2)
+        run_scenario(scenario, jobs=1, cache=False)
+    for graph in (cycle(12), torus(4, 4)):
+        measure_protocol_on_graph(fast_protocol_spec(), graph, repetitions=8, seed=0)
+    assert groups, "no measurement split into compile_key groups"
+    assert singles == []
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+def test_native_backend_runs_only_on_the_stack():
+    """``backend="native"`` names the v6 stack: a plan the stack cannot
+    serve raises rather than running elsewhere, and so does a host
+    without the kernel (``RuntimeError``)."""
+    graph = clique(10)
+    for seeds, kwargs in (
+        ([np.random.default_rng(5)], {}),
+        ([5], {"record_leader_trace": True}),
+        ([5], {"scheduler": RandomScheduler(graph, rng=5)}),
+    ):
+        plan = compile_plan(
+            [TokenLeaderElection()], graph, seeds, max_steps=1000,
+            engine="compiled", backend="native", **kwargs,
+        )
+        with pytest.raises(ValueError, match="v6 epoch stack"):
+            execute_plan(plan)
+    try:
+        os.environ["REPRO_DISABLE_NATIVE"] = "1"
+        reset_kernel_cache()
+        plan = compile_plan(
+            [TokenLeaderElection()], graph, [5], max_steps=1000,
+            engine="compiled", backend="native",
+        )
+        with pytest.raises(RuntimeError, match="unavailable"):
+            execute_plan(plan)
+    finally:
+        os.environ.pop("REPRO_DISABLE_NATIVE", None)
+        reset_kernel_cache()
+    assert get_run_epoch_kernel() is not None  # restored for later tests
 
 
 def _chain_plan():
@@ -358,9 +499,7 @@ def test_fallback_chain_simulated_missing_kernels(monkeypatch):
 
     ``REPRO_DISABLE_NATIVE`` plus a cache reset simulates a host that
     cannot build the kernel: the plan drops from the v6 stack to the
-    per-replica engine on the NumPy backends.  (The per-replica engine
-    on the native block kernel is covered by
-    ``test_v6_requires_kernel_seedable_seeds``.)
+    per-replica engine on the NumPy backends.
     """
     calls = _spy_on_v6(monkeypatch)
     baseline = [_result_tuple(r) for r in execute_plan(_chain_plan())]
@@ -369,7 +508,7 @@ def test_fallback_chain_simulated_missing_kernels(monkeypatch):
         os.environ["REPRO_DISABLE_NATIVE"] = "1"
         reset_kernel_cache()
         plan = _chain_plan()
-        assert not _stack_v6_eligible(plan) and get_kernel() is None
+        assert not _stack_v6_eligible(plan) and get_run_epoch_kernel() is None
         via_numpy = [_result_tuple(r) for r in execute_plan(plan)]
         assert via_numpy == baseline, "v6→NumPy fallback changed results"
     finally:
