@@ -12,12 +12,18 @@ Table-1 clique-100 workload, so the ratio isolates what batching the
 trials of a cell adds over the best single-trial path:
 
 * ``test_batched_measurement_speedup`` (token protocol, 64 trials) must
-  show **≥ 2×** with the v6 kernel.  Without it both sides execute
+  show **≥ 1.2×** with the v6 kernel.  Without it both sides execute
   trial by trial on the per-replica engine; the gate then only requires
   no regression (≥ 0.7×).
 * ``test_fast_protocol_measurement`` adds the fast protocol, whose
   measurement additionally batches all trials' ``B(G)`` epidemics into
-  one replica stack (v6 floor 1.4×).
+  one replica stack (v6 floor 1.4×, no-kernel floor 0.6×).
+
+The native floors sit below every ratio recorded on a 2-vCPU host
+(token 1.29–1.85×, fast 1.63–1.97×, twelve runs of min-of-12 rounds;
+``docs/BENCHMARKS.md``).  The token floor was 2× until a width-1 plan's
+fixed cost fell: that made the trial-serial side, not the batched one,
+faster.
 
 Every test first asserts the batched path's results are **bit-identical**
 to the trial-serial ones (wall time aside) — the speedup must never come
@@ -47,6 +53,8 @@ from _helpers import run_once
 
 N = 100
 BASE_SEED = 0
+#: Interleaved timing rounds per side; each side reports its minimum.
+ROUNDS = 12
 
 
 def _strip_wall(record):
@@ -68,14 +76,14 @@ def _measure_dispatch(spec, repetitions):
         spec.factory(graph, seeds[0]), graph, rng=seeds[0], max_steps=budget, engine="auto"
     )
 
-    # Interleaved min-of-4 rounds: transient machine load (a noisy CI
+    # Interleaved min-of-ROUNDS: transient machine load (a noisy CI
     # neighbour, a GC pause) hits both paths alike instead of biasing
     # whichever side happened to run during it.
     batched_seconds = float("inf")
     serial_seconds = float("inf")
     batched = None
     serial = None
-    for _ in range(4):
+    for _ in range(ROUNDS):
         start = time.perf_counter()
         batched, _ = run_measurement_trials(
             spec, graph, range(repetitions), seed=BASE_SEED, max_steps=budget
@@ -125,7 +133,7 @@ def _report_row(report, title, repetitions, batched_s, serial_s, results, native
 
 @pytest.mark.benchmark(group="runtime-dispatch")
 def test_batched_measurement_speedup(benchmark, report):
-    """Batched harness measurements must beat trial-serial ≥2× (native)."""
+    """Batched harness measurements must beat trial-serial ≥1.2× (native)."""
     native = get_run_epoch_kernel() is not None
     batched_s, serial_s, results, _ = run_once(
         benchmark, _measure_dispatch, token_protocol_spec(), 64
@@ -139,7 +147,7 @@ def test_batched_measurement_speedup(benchmark, report):
         results,
         native,
     )
-    floor = 2.0 if native else 0.7
+    floor = 1.2 if native else 0.7
     assert speedup >= floor, f"speedup {speedup:.2f}x below the {floor}x gate"
 
 

@@ -51,6 +51,8 @@ DYNAMIC_ENGINES = (
     "tests/test_dynamics.py::TestSimulatorSchedules::test_dynamic_run_identical_across_engines",
 )
 DYNAMIC_V6 = ("tests/test_dynamics.py::test_dynamic_plans_on_v6_match_reference",)
+EPIDEMICS = "src/repro/analytics/epidemics.py"
+ONE_CALL = ("tests/test_analytics_batch.py::test_one_call_stack_matches_rounds_and_fallback",)
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,55 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            for result in execute_unsharded(_group_plan(plan, indices))\n"
         "        ]\n",
         ("tests/test_runtime_plan.py::test_key_groups_return_results_in_replica_order",),
+    ),
+    # -- One-trial unit set-up: one-call stacks, uniform encode, memos --
+    Mutant(
+        "one-call-for-caller-held-streams",
+        EPIDEMICS,
+        "    if kernel is not None and streams is None and schedule is None:",
+        "    if kernel is not None and schedule is None:",
+        CALLER_HELD,
+    ),
+    Mutant(
+        "one-call-block-past-budget",
+        EPIDEMICS,
+        "        # (BUDGET_EXHAUSTED), straight into the row's result slot.\n"
+        "        if max_steps > 0:\n"
+        "            directed_u, directed_v = directed_pairs(graph)\n"
+        "            finish = results[result_offset : result_offset + active]\n"
+        "            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps, finish)",
+        "        # (BUDGET_EXHAUSTED), straight into the row's result slot.\n"
+        "        if max_steps > 0:\n"
+        "            directed_u, directed_v = directed_pairs(graph)\n"
+        "            finish = results[result_offset : result_offset + active]\n"
+        "            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps + 1, finish)",
+        ONE_CALL,
+    ),
+    Mutant(
+        "uniform-encode-with-inputs",
+        EXECUTE,
+        "    uniform = plan.inputs is None",
+        "    uniform = True",
+        ("tests/test_runtime_plan.py::test_v6_encodes_a_uniform_initial_configuration_once",),
+    ),
+    Mutant(
+        "forced-sources-keyed-by-n",
+        "src/repro/analytics/estimators.py",
+        "    key = id(graph)\n    entry = _FORCED_CACHE.get(key)\n"
+        "    if entry is not None and entry[0] is graph:",
+        "    key = graph.n_nodes\n    entry = _FORCED_CACHE.get(key)\n"
+        "    if entry is not None:",
+        ("tests/test_analytics_batch.py::test_select_sources_memo_keeps_graphs_apart",),
+    ),
+    Mutant(
+        "stack-exit-with-active-rows",
+        EXECUTE,
+        "            if len(finished_rows) == width:",
+        "            if finished_rows:",
+        (
+            "tests/test_runtime_plan.py::"
+            "test_stack_rows_finishing_in_different_calls_keep_replica_order",
+        ),
     ),
     Mutant(
         "sharding-accepts-schedules",

@@ -9,12 +9,10 @@ built from two stochastic processes:
 * the **all-pairs influence process**: one ``n``-bit influencer set per
   node, merged pairwise until every node is influenced by every node.
 
-This module runs ``R`` independent trajectories of either process in
-lockstep: epidemics as an ``(R, n)`` uint8 informed matrix, influence as
-an ``(R, n, ⌈n/64⌉)`` packed uint64 bitset tensor.  Each trajectory reads
-its private stream (:mod:`repro.analytics.streams`), one block per round,
-and finished replicas are compacted out of the stack so stabilized
-stragglers do not drag the batch.
+This module runs ``R`` independent trajectories of either process as
+one stack: epidemics as an ``(R, n)`` uint8 informed matrix, influence
+as an ``(R, n, ⌈n/64⌉)`` packed uint64 bitset tensor.  Each trajectory
+reads its private stream (:mod:`repro.analytics.streams`).
 
 Two legs produce bit-identical results:
 
@@ -22,11 +20,19 @@ Two legs produce bit-identical results:
   :func:`~repro.engine.native.get_influence_epoch_kernel`) when every
   seed is kernel-seedable: the streams live only in ``(R,
   RNG_STATE_WORDS)`` rows seeded in C (``repro_pcg64_init``), are drawn
-  inside the kernel, and a row stops drawing at its finishing step;
+  inside the kernel, and a row stops drawing at its finishing step.  So
+  on a static topology one kernel call per width chunk runs every row
+  to its finish or the step budget;
 * the no-kernel leg (no compiler, or a seed outside ``[0, 2**64)``): one
   NumPy-drawn :class:`~repro.analytics.streams.TrajectoryStream` per
   trajectory, applied by a vectorized NumPy block or, for tiny stacks
   (``R < 4``), a scalar loop.
+
+The no-kernel leg, a topology schedule (blocks end at epoch switches)
+and a caller-held stream (below) advance the stack in lockstep rounds,
+one block per round (:func:`~repro.analytics.streams.block_size`);
+finished replicas are compacted out between rounds so stabilized
+stragglers do not drag the batch.
 
 :func:`run_single_epidemic` alone runs on a stream its caller holds (a
 shared generator).  On the kernel its PCG64 state is packed into a row,
@@ -43,6 +49,7 @@ import numpy as np
 
 from ..engine.native import (
     RNG_STATE_WORDS,
+    data_address,
     get_broadcast_epoch_kernel,
     get_influence_epoch_kernel,
     kernel_thread_count,
@@ -177,9 +184,9 @@ def run_epidemic_batch(
             raise ValueError("source out of range")
     results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
-        chunk_seeds = [seeds[t] for t in chunk]
+        chunk_seeds = seeds[chunk.start : chunk.stop]
         rng_rows = kernel_rng_rows(chunk_seeds)
-        chunk_sources = [int(sources[t]) for t in chunk]
+        chunk_sources = [int(source) for source in sources[chunk.start : chunk.stop]]
         chunk_masks = None if stopmasks is None else stopmasks[list(chunk)]
         _run_epidemic_stack(
             graph,
@@ -242,7 +249,6 @@ def _run_epidemic_stack(
     informed = np.zeros((active, n), dtype=np.uint8)
     informed[np.arange(active), np.asarray(sources, dtype=np.int64)] = 1
     counts = np.ones(active, dtype=np.int64)
-    indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
     masks = (
         None
         if stopmasks is None
@@ -250,6 +256,35 @@ def _run_epidemic_stack(
     )
     kernel = None if rng_rows is None else get_broadcast_epoch_kernel()
     threads = kernel_thread_count()
+
+    def advance(directed_u, directed_v, bound: int, block: int, finish: np.ndarray) -> None:
+        """Every row up to ``block`` draws, in one kernel call."""
+        kernel(
+            data_address(informed),
+            data_address(rng_rows),
+            data_address(directed_u),
+            data_address(directed_v),
+            bound,
+            finish.shape[0],
+            block,
+            n,
+            None if masks is None else data_address(masks),
+            data_address(counts),
+            data_address(finish),
+            threads,
+        )
+
+    if kernel is not None and streams is None and schedule is None:
+        # Private rows on a static topology: one call over the whole
+        # budget draws what the rounds would (a row stops drawing at its
+        # finish) and writes each finishing step, or -1
+        # (BUDGET_EXHAUSTED), straight into the row's result slot.
+        if max_steps > 0:
+            directed_u, directed_v = directed_pairs(graph)
+            finish = results[result_offset : result_offset + active]
+            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps, finish)
+        return
+    indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
     consumed = 0
     round_index = 0
     while indices.size and consumed < max_steps:
@@ -261,20 +296,7 @@ def _run_epidemic_stack(
         finish = np.full(a, -1, dtype=np.int64)
         bound = 2 * graph.n_edges if pair_count is None else pair_count
         if kernel is not None:
-            kernel(
-                informed.ctypes.data,
-                rng_rows.ctypes.data,
-                directed_u.ctypes.data,
-                directed_v.ctypes.data,
-                bound,
-                a,
-                block,
-                n,
-                masks.ctypes.data if masks is not None else None,
-                counts.ctypes.data,
-                finish.ctypes.data,
-                threads,
-            )
+            advance(directed_u, directed_v, bound, block, finish)
         else:
             draws = np.empty((a, block), dtype=np.int64)
             fill_draw_rows(streams, draws, pair_count)
@@ -429,9 +451,36 @@ def _run_influence_stack(
     )
     flags = np.zeros((active, n), dtype=np.uint8)
     counts = np.zeros(active, dtype=np.int64)
-    indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
     kernel = None if rng_rows is None else get_influence_epoch_kernel()
     threads = kernel_thread_count()
+
+    def advance(directed_u, directed_v, bound: int, block: int, finish: np.ndarray) -> None:
+        """Every row up to ``block`` draws, in one kernel call."""
+        kernel(
+            data_address(bits),
+            data_address(rng_rows),
+            data_address(directed_u),
+            data_address(directed_v),
+            bound,
+            finish.shape[0],
+            block,
+            n,
+            words,
+            data_address(full),
+            data_address(flags),
+            data_address(counts),
+            data_address(finish),
+            threads,
+        )
+
+    if kernel is not None and schedule is None:
+        # One call to finish or budget, as for private epidemic rows.
+        if max_steps > 0:
+            directed_u, directed_v = directed_pairs(graph)
+            finish = results[result_offset : result_offset + active]
+            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps, finish)
+        return
+    indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
     consumed = 0
     round_index = 0
     while indices.size and consumed < max_steps:
@@ -443,22 +492,7 @@ def _run_influence_stack(
         finish = np.full(a, -1, dtype=np.int64)
         if kernel is not None:
             bound = 2 * graph.n_edges if pair_count is None else pair_count
-            kernel(
-                bits.ctypes.data,
-                rng_rows.ctypes.data,
-                directed_u.ctypes.data,
-                directed_v.ctypes.data,
-                bound,
-                a,
-                block,
-                n,
-                words,
-                full.ctypes.data,
-                flags.ctypes.data,
-                counts.ctypes.data,
-                finish.ctypes.data,
-                threads,
-            )
+            advance(directed_u, directed_v, bound, block, finish)
         else:
             draws = np.empty((a, block), dtype=np.int64)
             fill_draw_rows(streams, draws, pair_count)

@@ -16,11 +16,12 @@ fast-protocol trials arbitrarily.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.seeds import derive_seed, prefixed_seed, seed_prefix
+from ..core.seeds import derive_seed, prefixed_seed_grid, seed_prefix
 from ..graphs.graph import Graph
 from .epidemics import run_epidemic_batch
 
@@ -36,6 +37,37 @@ HITTING_TAG = "hit"
 MEETING_TAG = "meet"
 
 
+#: The graph-only part of :func:`select_sources` per graph: the forced
+#: nodes and the candidates the seeded draw picks from.  Keyed by object
+#: identity (the entry holds the graph, so a live key is never recycled)
+#: and evicted LRU-style, like ``runtime.pairs._DIRECTED_CACHE``.
+_FORCED_CACHE: "OrderedDict[int, Tuple[Graph, FrozenSet[int], np.ndarray]]" = OrderedDict()
+_FORCED_CACHE_LIMIT = 16
+
+
+def _forced_sources(graph: Graph) -> Tuple[FrozenSet[int], np.ndarray]:
+    """``(forced nodes, remaining candidates)`` of ``graph``, memoised."""
+    key = id(graph)
+    entry = _FORCED_CACHE.get(key)
+    if entry is not None and entry[0] is graph:
+        _FORCED_CACHE.move_to_end(key)
+        return entry[1], entry[2]
+    while len(_FORCED_CACHE) >= _FORCED_CACHE_LIMIT:
+        _FORCED_CACHE.popitem(last=False)
+    degrees = graph.degrees
+    forced = frozenset(
+        (
+            int(np.argmin(degrees)),
+            int(np.argmax(degrees)),
+            int(np.argmax(graph.eccentricities())),
+        )
+    )
+    remaining = np.array([v for v in range(graph.n_nodes) if v not in forced], dtype=np.int64)
+    remaining.flags.writeable = False
+    _FORCED_CACHE[key] = (graph, forced, remaining)
+    return forced, remaining
+
+
 def select_sources(graph: Graph, max_sources: int, base: int) -> List[int]:
     """The estimate's source sample: all nodes, or a degree-stratified draw.
 
@@ -43,28 +75,22 @@ def select_sources(graph: Graph, max_sources: int, base: int) -> List[int]:
     node, so the sample always includes the minimum/maximum-degree and
     maximum-eccentricity nodes; the remainder is drawn from a dedicated
     child stream so the sample depends only on ``(graph, max_sources,
-    base)``.
+    base)``.  Only that draw is per call; the rest is computed once per
+    graph.
     """
     n = graph.n_nodes
     if n <= max_sources:
         return list(range(n))
-    degrees = graph.degrees
-    eccentricities = graph.eccentricities()
-    forced = {
-        int(np.argmin(degrees)),
-        int(np.argmax(degrees)),
-        int(np.argmax(eccentricities)),
-    }
-    remaining = [v for v in range(n) if v not in forced]
+    forced, remaining = _forced_sources(graph)
     extra_count = max(max_sources - len(forced), 0)
-    if remaining and extra_count:
+    if remaining.size and extra_count:
         rng = np.random.default_rng(derive_seed(base, SOURCES_TAG))
         extra = rng.choice(
-            remaining, size=min(extra_count, len(remaining)), replace=False
+            remaining, size=min(extra_count, remaining.size), replace=False
         ).tolist()
     else:
         extra = []
-    return sorted(forced | set(int(v) for v in extra))
+    return sorted(forced.union(extra))
 
 
 def broadcast_trajectory_seed(base: int, source: int, repetition: int) -> int:
@@ -77,14 +103,22 @@ def broadcast_trajectory_seeds(
 ) -> List[int]:
     """:func:`broadcast_trajectory_seed` of every ``(source, repetition)``.
 
-    Source-major order; the shared ``(base, "bcast", source)`` prefix is
-    folded once per source.
+    Source-major order, as Python integers (see
+    :func:`broadcast_trajectory_seed_array`).
     """
-    seeds: List[int] = []
-    for source in sources:
-        prefix = seed_prefix(base, BROADCAST_TAG, source)
-        seeds.extend([prefixed_seed(prefix, repetition) for repetition in range(repetitions)])
-    return seeds
+    return broadcast_trajectory_seed_array(base, sources, repetitions).tolist()
+
+
+def broadcast_trajectory_seed_array(
+    base: int, sources: Sequence[int], repetitions: int
+) -> np.ndarray:
+    """:func:`broadcast_trajectory_seeds` as one ``uint64`` array.
+
+    The ``(base, "bcast")`` prefix is folded once and every
+    ``(source, repetition)`` in one vectorised pass; the array seeds the
+    kernel's RNG rows as it is.
+    """
+    return prefixed_seed_grid(seed_prefix(base, BROADCAST_TAG), sources, repetitions)
 
 
 def batched_broadcast_samples(
@@ -112,7 +146,7 @@ def batched_broadcast_samples(
     steps = run_epidemic_batch(
         graph,
         [source for source in sources for _ in range(repetitions)],
-        broadcast_trajectory_seeds(base, sources, repetitions),
+        broadcast_trajectory_seed_array(base, sources, repetitions),
         max_steps,
         replica_batch=replica_batch,
         schedule=schedule,
@@ -149,14 +183,18 @@ def batched_broadcast_estimates(
         raise ValueError("repetitions must be positive")
     plans: List[List[int]] = []
     trajectory_sources: List[int] = []
-    seeds: List[int] = []
+    seeds: List[np.ndarray] = []
     for base in bases:
         sources = select_sources(graph, max_sources, int(base))
         plans.append(sources)
         trajectory_sources.extend(source for source in sources for _ in range(repetitions))
-        seeds.extend(broadcast_trajectory_seeds(int(base), sources, repetitions))
+        seeds.append(broadcast_trajectory_seed_array(int(base), sources, repetitions))
     steps = run_epidemic_batch(
-        graph, trajectory_sources, seeds, max_steps, replica_batch=replica_batch
+        graph,
+        trajectory_sources,
+        np.concatenate(seeds) if seeds else np.zeros(0, dtype=np.uint64),
+        max_steps,
+        replica_batch=replica_batch,
     )
     if (steps < 0).any():
         raise RuntimeError(

@@ -37,7 +37,9 @@ All derived seeds are integers in ``[0, 2^63)`` and feed
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, List, Union
+from typing import Iterable, List, Sequence, Union
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _SEED_MASK = _MASK64 >> 1
@@ -52,6 +54,25 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+_U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+
+
+def splitmix64_array(values: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array (array arithmetic wraps
+    silently; numpy's *scalar* uint64 arithmetic would warn)."""
+    shift30, shift27, shift31 = _U64_SHIFTS
+    z = values + _U64_GOLDEN
+    z ^= z >> shift30
+    z *= _U64_MIX1
+    z ^= z >> shift27
+    z *= _U64_MIX2
+    z ^= z >> shift31
+    return z
 
 
 def _word_to_int(word: SeedWord) -> int:
@@ -81,6 +102,19 @@ def seed_prefix(base: SeedWord, *words: SeedWord) -> int:
 def prefixed_seed(prefix: int, *words: SeedWord) -> int:
     """:func:`derive_seed` continued from a :func:`seed_prefix` state."""
     return _fold(prefix, words) & _SEED_MASK
+
+
+def prefixed_seed_grid(prefix: int, outer: Sequence[int], inner: int) -> np.ndarray:
+    """``prefixed_seed(prefix, a, b)`` for ``a`` in ``outer``, ``b`` in ``range(inner)``.
+
+    Row-major (``outer``-major) as one ``uint64`` array, folded in a
+    single vectorised pass: the same seeds as the scalar chain, without
+    a Python fold per seed.
+    """
+    words = np.array([int(word) & _MASK64 for word in outer], dtype=np.uint64)
+    rows = splitmix64_array(words ^ np.uint64(prefix))
+    grid = splitmix64_array(rows[:, None] ^ np.arange(inner, dtype=np.uint64))
+    return grid.ravel() & np.uint64(_SEED_MASK)
 
 
 def derive_seed(base: SeedWord, *words: SeedWord) -> int:

@@ -1050,6 +1050,21 @@ RULE_TABLE, RULE_IDENTIFIER = 0, 1
 NO_EPOCH_END = (1 << 63) - 1
 
 
+def data_address(array) -> int:
+    """The address of a NumPy array's data, for a kernel argument.
+
+    ``ctypes.c_char.from_buffer`` reads it through the buffer protocol
+    for about a third of what ``array.ctypes.data`` costs (which builds a
+    ctypes helper object per lookup).  It accepts only writable,
+    C-contiguous, non-empty arrays; anything else takes
+    ``array.ctypes.data``.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
+
+
 def kernel_thread_count() -> int:
     """Replica-axis thread count requested via ``REPRO_KERNEL_THREADS``.
 
@@ -1233,6 +1248,17 @@ def _bind_v6(library):
     }
 
 
+#: The v6 RNG/stream primitives :func:`get_rng_kernels` hands out.
+_RNG_KERNEL_NAMES = (
+    "splitmix64",
+    "derive_seed",
+    "pcg64_init",
+    "pcg64_raw",
+    "bounded_fill",
+    "source_fill",
+)
+
+
 def _bind_kernels(library):
     run_shard_block = library.repro_run_shard_block
     run_shard_block.restype = ctypes.c_int64
@@ -1259,11 +1285,13 @@ def _bind_kernels(library):
         ctypes.c_int64,  # n
         ctypes.POINTER(ctypes.c_int64),  # count_io
     ]
-    return {
+    kernels = {
         "run_shard_block": run_shard_block,
         "broadcast_block": broadcast_block,
         **_bind_v6(library),
     }
+    kernels["rng"] = {name: kernels[name] for name in _RNG_KERNEL_NAMES}
+    return kernels
 
 
 def _kernels():
@@ -1314,22 +1342,11 @@ def get_rng_kernels():
     """The v6 RNG/stream primitives for the differential tests, or ``None``.
 
     Keys: ``splitmix64``, ``derive_seed``, ``pcg64_init``, ``pcg64_raw``,
-    ``bounded_fill``, ``source_fill``.
+    ``bounded_fill``, ``source_fill``.  One dict per kernel build,
+    shared by every caller.
     """
     kernels = _kernels()
-    if kernels is None:
-        return None
-    return {
-        name: kernels[name]
-        for name in (
-            "splitmix64",
-            "derive_seed",
-            "pcg64_init",
-            "pcg64_raw",
-            "bounded_fill",
-            "source_fill",
-        )
-    }
+    return None if kernels is None else kernels["rng"]
 
 
 def reset_kernel_cache() -> None:

@@ -184,10 +184,22 @@ class UnitPlan:
 def build_unit_plans(
     scenario: Scenario, units: Sequence[WorkUnit]
 ) -> List[UnitPlan]:
-    """Compile work units into self-contained plans (all seeds derived here)."""
+    """Compile work units into self-contained plans (all seeds derived here).
+
+    A size cell's measurement, graph and schedule seeds are derived once,
+    for all of its units.
+    """
     plans: List[UnitPlan] = []
+    cell_seeds: Dict[int, Tuple[int, int, int]] = {}
     for unit in units:
-        measure_base = measure_seed(scenario.seed, unit.size_index)
+        seeds = cell_seeds.get(unit.size_index)
+        if seeds is None:
+            seeds = cell_seeds[unit.size_index] = (
+                measure_seed(scenario.seed, unit.size_index),
+                graph_seed(scenario.seed, unit.size_index),
+                scenario.schedule_seed(unit.size_index),
+            )
+        measure_base, cell_graph_seed, cell_schedule_seed = seeds
         protocol = scenario.protocols[unit.spec_index]
         plans.append(
             UnitPlan(
@@ -196,7 +208,7 @@ def build_unit_plans(
                 trial_hi=unit.trial_hi,
                 workload=scenario.workload,
                 size=scenario.sizes[unit.size_index],
-                graph_seed=graph_seed(scenario.seed, unit.size_index),
+                graph_seed=cell_graph_seed,
                 protocol=(protocol.builder, tuple(protocol.params)),
                 run_seeds=tuple(
                     trial_seed(measure_base, index)
@@ -210,7 +222,7 @@ def build_unit_plans(
                     if scenario.schedule is not None
                     else None
                 ),
-                schedule_seed=scenario.schedule_seed(unit.size_index),
+                schedule_seed=cell_schedule_seed,
                 threads=scenario.threads,
                 shards=scenario.shards,
                 shard_workers=scenario.shard_workers,

@@ -18,11 +18,12 @@ the scenario and are part of the cache key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.seeds import derive_seed
 from ..dynamics.schedule import (
@@ -63,6 +64,21 @@ class ScenarioError(ValueError):
     """A scenario is malformed or references unknown components."""
 
 
+@functools.lru_cache(maxsize=32)
+def _builder_defaults(
+    builder: Callable[..., Any], skip: Tuple[str, ...] = ()
+) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, default)`` of every parameter of ``builder`` not in ``skip``.
+
+    Read from the signature once per builder, not once per config.
+    """
+    return tuple(
+        (name, parameter.default)
+        for name, parameter in inspect.signature(builder).parameters.items()
+        if name not in skip
+    )
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Declarative protocol choice: a builder name plus keyword parameters.
@@ -84,10 +100,7 @@ class ProtocolConfig:
             raise ScenarioError(
                 f"unknown protocol builder {self.builder!r}; known builders: {known}"
             )
-        signature = inspect.signature(_SPEC_BUILDERS[self.builder])
-        canonical = {
-            name: parameter.default for name, parameter in signature.parameters.items()
-        }
+        canonical = dict(_builder_defaults(_SPEC_BUILDERS[self.builder]))
         for key, value in self.params:
             if key not in canonical:
                 raise ScenarioError(
@@ -232,12 +245,9 @@ class ScheduleConfig:
             raise ScenarioError(
                 f"unknown schedule kind {self.kind!r}; known kinds: {known}"
             )
-        signature = inspect.signature(_SCHEDULE_BUILDERS[self.kind])
-        canonical = {
-            name: parameter.default
-            for name, parameter in signature.parameters.items()
-            if name not in ("base_graph", "seed")
-        }
+        canonical = dict(
+            _builder_defaults(_SCHEDULE_BUILDERS[self.kind], ("base_graph", "seed"))
+        )
         for key, value in self.params:
             if key not in canonical:
                 raise ScenarioError(

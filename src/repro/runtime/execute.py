@@ -10,8 +10,9 @@ plan, from the plan's inputs alone:
   schedule, whose seeds the kernel can reproduce (plain integers in
   ``[0, 2**64)``), when the ``backend`` is ``"auto"`` or ``"native"``
   and the v6 kernel is built (:func:`~repro.runtime.plan.v6_servable`).
-  The codes of the whole plan live in one ``(R, n)`` matrix and one
-  ``repro_run_epoch`` call advances every active replica, with its
+  The codes of the whole plan live in one ``(R, n)`` matrix (a plan
+  without ``inputs`` starts every node in one state, encoded once) and
+  one ``repro_run_epoch`` call advances every active replica, with its
   seeded stream drawn in-kernel, to its next stop event.  The kernel
   applies either the plan's transition tables or, for a protocol with a
   :meth:`~repro.core.protocol.PopulationProtocol.kernel_rule` (the
@@ -27,7 +28,8 @@ plan, from the plan's inputs alone:
   affecting when certification fires; the identifier rule also skips
   boundaries where the nodes' identifiers differ or lie below ``2^k``,
   which its certificate equally requires.  Replicas whose certificate
-  fires are compacted out of the stack.
+  fires are compacted out of the stack; the loop ends, without a
+  compaction, when the last rows finish.
 * **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`
   blocks on its NumPy/scalar backends, one replica at a time) —
   everything the stack cannot take: stream overrides, leader traces,
@@ -61,8 +63,12 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.configuration import Configuration
+from ..engine import native
+from ..engine.native import NO_EPOCH_END, RULE_TABLE, data_address, kernel_thread_count
 from .pairs import directed_tables
 from .plan import ExecutionPlan, v6_servable
+from .source import KernelSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.simulator import SimulationResult
@@ -108,10 +114,13 @@ def _stack_v6_eligible(plan: ExecutionPlan) -> bool:
     """Whether the v6 epoch stack can serve this plan.
 
     ``"shared"`` mode already guarantees homogeneous replicas, no stream
-    override and no trace; everything else is :func:`v6_servable`.  A
-    plan it declines goes to the per-replica engine.
+    override and no trace; everything else is :func:`v6_servable`, which
+    :func:`~repro.runtime.plan.compile_plan` already checked for a
+    kernel-rule plan.  A plan it declines goes to the per-replica engine.
     """
-    return plan.mode == "shared" and v6_servable(plan.backend, plan.seeds)
+    if plan.mode != "shared":
+        return False
+    return plan.compiled.rule_id != RULE_TABLE or v6_servable(plan.backend, plan.seeds)
 
 
 def _key_groups(plan: ExecutionPlan) -> List[List[int]]:
@@ -214,7 +223,6 @@ def _initial_states_for(plan: ExecutionPlan, protocol) -> List[Hashable]:
 
 def _run_reference(plan: ExecutionPlan, protocol, seed: Any) -> "SimulationResult":
     """The pure-Python interpreter (the package's semantic reference)."""
-    from ..core.configuration import Configuration
     from ..core.protocol import LEADER
     from ..core.simulator import SimulationResult
 
@@ -339,7 +347,6 @@ def _run_compiled_single(
     cadence.  Only the inner per-interaction application is replaced by
     :class:`repro.engine.stepper.CompiledRun`.
     """
-    from ..core.configuration import Configuration
     from ..core.simulator import SimulationResult
     from ..engine.compiler import DEFAULT_MAX_STATES, get_compiled
     from ..engine.stepper import CompiledRun
@@ -416,7 +423,6 @@ def _stack_result(
     leaders: int,
 ) -> "SimulationResult":
     """One finished stack row (its decoded states) as a :class:`SimulationResult`."""
-    from ..core.configuration import Configuration
     from ..core.simulator import SimulationResult
 
     return SimulationResult(
@@ -449,8 +455,6 @@ def _epoch_tables(plan: ExecutionPlan, position: int) -> Tuple[np.ndarray, np.nd
     edgeless epoch graph raises ``ValueError`` here, before the kernel
     could draw from an empty edge range.
     """
-    from ..engine.native import NO_EPOCH_END
-
     schedule = plan.schedule
     if schedule is None:
         graph, end = plan.graph, None
@@ -492,9 +496,6 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     (``_SWITCH``); the next epoch's tables are passed once no active row
     is short of it.
     """
-    from ..engine.native import RULE_TABLE, get_run_epoch_kernel, kernel_thread_count
-    from .source import KernelSource
-
     # A schedule's union graph holds every edge an epoch can activate:
     # certificates are evaluated against it, as in the other executors.
     graph = plan.schedule.union_graph() if plan.schedule is not None else plan.graph
@@ -502,7 +503,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     rule = plan.compiled
     assert rule is not None
     tables = rule.rule_id == RULE_TABLE
-    kernel = get_run_epoch_kernel()
+    kernel = native.get_run_epoch_kernel()
     assert kernel is not None
     n = graph.n_nodes
     replica_count = plan.n_replicas
@@ -513,12 +514,16 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
 
     start_time = time.perf_counter()
     initial_states = plan.initial_states()
-    initial_codes = rule.encode(initial_states)
-    initial_leaders = rule.leader_count(initial_codes)
+    # Without ``inputs`` every node starts in one state: encode it once.
+    uniform = plan.inputs is None
+    initial_codes = rule.encode(initial_states[:1] if uniform else initial_states)
+    initial_leaders = rule.leader_count(initial_codes) * (n if uniform else 1)
     if tables:
         present = (np.bincount(initial_codes, minlength=rule.stride) > 0).astype(np.uint8)
     else:
         initial_known = _sorted_distinct(initial_codes)
+    if uniform:
+        initial_codes = np.full(n, initial_codes[0], dtype=np.int64)
 
     results: List[Optional["SimulationResult"]] = [None] * replica_count
 
@@ -534,10 +539,14 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
         return results  # type: ignore[return-value]
 
     directed_u, directed_v, edge_count, epoch_end = _epoch_tables(plan, 0)
-    ksrc = KernelSource(graph, plan.seeds, buffer_capacity=check_interval)
-    codes = np.tile(np.ascontiguousarray(initial_codes, dtype=np.int64), (replica_count, 1))
+    # The plan's seeds passed v6_servable: as uint64 words they seed the
+    # kernel rows without a second per-seed check.
+    ksrc = KernelSource(
+        graph, np.array(plan.seeds, dtype=np.uint64), buffer_capacity=check_interval
+    )
+    codes = initial_codes[None, :].repeat(replica_count, axis=0)
     if tables:
-        seen = np.tile(present, (replica_count, 1))
+        seen = present[None, :].repeat(replica_count, axis=0)
         log = log_len = None
     else:
         assert _LOG_CAPACITY >= 2
@@ -558,7 +567,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
         known[replica] = _sorted_distinct(np.concatenate((known[replica], written)))
         log_len[row] = 0
 
-    while replica_ids.size:
+    while True:
         width = replica_ids.size
         if tables:
             if seen.shape[1] < rule.stride:
@@ -566,22 +575,22 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
                 grown[:, : seen.shape[1]] = seen
                 seen = grown
             rule_args = (
-                rule.rule_id, rule.dpack.ctypes.data, rule.stride, rule.kshift,
-                seen.ctypes.data, None, None, 0,
+                rule.rule_id, data_address(rule.dpack), rule.stride, rule.kshift,
+                data_address(seen), None, None, 0,
             )
         else:
             rule_args = (
                 rule.rule_id, rule.table.ctypes.data, rule.threshold, 0,
-                None, log.ctypes.data, log_len.ctypes.data, log.shape[1],
+                None, data_address(log), data_address(log_len), log.shape[1],
             )
         kernel(
-            codes.ctypes.data,
-            ksrc.rng_state.ctypes.data,
-            ksrc.src_state.ctypes.data,
-            ksrc.buffers.ctypes.data,
+            data_address(codes),
+            data_address(ksrc.rng_state),
+            data_address(ksrc.src_state),
+            data_address(ksrc.buffers),
             ksrc.buffer_capacity,
-            directed_u.ctypes.data,
-            directed_v.ctypes.data,
+            data_address(directed_u),
+            data_address(directed_v),
             edge_count,
             epoch_end,
             width,
@@ -590,10 +599,10 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             ksrc.batch_size,
             check_interval,
             max_steps,
-            steps.ctypes.data,
-            last_change.ctypes.data,
-            leaders.ctypes.data,
-            status.ctypes.data,
+            data_address(steps),
+            data_address(last_change),
+            data_address(leaders),
+            data_address(status),
             int(precheck),
             threads,
         )
@@ -633,6 +642,8 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
                 )
                 finished_rows.append(row)
         if finished_rows:
+            if len(finished_rows) == width:
+                break  # the last rows finished: nothing left to compact
             keep = np.ones(width, dtype=bool)
             keep[finished_rows] = False
             arrays = (codes, seen, log, log_len, steps, last_change, leaders, status, replica_ids)
@@ -640,7 +651,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
                 codes, seen, log, log_len, steps, last_change, leaders, status, replica_ids
             ) = (None if array is None else np.ascontiguousarray(array[keep]) for array in arrays)
             ksrc.compact(keep)
-        if replica_ids.size and bool((status == _SWITCH).all()):
+        if bool((status == _SWITCH).all()):
             directed_u, directed_v, edge_count, epoch_end = _epoch_tables(plan, epoch_end)
 
     wall = time.perf_counter() - start_time

@@ -55,7 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
+from ..engine import native
 from ..graphs.graph import Graph
+from .source import kernel_seedable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..core.protocol import PopulationProtocol
@@ -155,14 +157,9 @@ def v6_servable(backend: str, seeds: Sequence[Any]) -> bool:
     reproduce (a live Generator, or an integer outside ``[0, 2**64)``),
     rules the kernel out.
     """
-    if backend not in ("auto", "native"):
+    if backend not in ("auto", "native") or native.get_run_epoch_kernel() is None:
         return False
-    from ..engine.native import get_run_epoch_kernel
-    from .source import kernel_seedable
-
-    if get_run_epoch_kernel() is None:
-        return False
-    return all(kernel_seedable(seed) for seed in seeds)
+    return all(map(kernel_seedable, seeds))
 
 
 def compile_plan(

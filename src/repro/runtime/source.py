@@ -43,6 +43,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.native import RNG_STATE_WORDS, SRC_STATE_WORDS, data_address, get_rng_kernels
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike, as_rng
 from .pairs import decode_pairs, directed_tables, encode_oriented
@@ -348,15 +349,19 @@ def kernel_rng_rows(seeds) -> Optional[np.ndarray]:
     Row ``r`` holds the state of ``np.random.default_rng(seeds[r])``
     (``repro_pcg64_init``: one call, no Python generator).  ``None`` when
     the kernel is not built or a seed is not :func:`kernel_seedable`.
+    A ``uint64`` array is taken as it is: every word is seedable.
     """
-    from ..engine.native import RNG_STATE_WORDS, get_rng_kernels
-
     kernels = get_rng_kernels()
-    if kernels is None or not all(map(kernel_seedable, seeds)):
-        return None
-    rows = np.zeros((len(seeds), RNG_STATE_WORDS), dtype=np.uint64)
-    words = np.array([int(seed) for seed in seeds], dtype=np.uint64)
-    kernels["pcg64_init"](words.ctypes.data, len(seeds), rows.ctypes.data)
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        if kernels is None:
+            return None
+        words = np.ascontiguousarray(seeds)
+    else:
+        if kernels is None or not all(map(kernel_seedable, seeds)):
+            return None
+        words = np.array([int(seed) for seed in seeds], dtype=np.uint64)
+    rows = np.zeros((words.size, RNG_STATE_WORDS), dtype=np.uint64)
+    kernels["pcg64_init"](data_address(words), words.size, data_address(rows))
     return rows
 
 
@@ -379,8 +384,6 @@ class KernelSource:
         batch_size: int = REFILL_SIZE,
         buffer_capacity: Optional[int] = None,
     ) -> None:
-        from ..engine.native import SRC_STATE_WORDS, get_rng_kernels
-
         rng_state = kernel_rng_rows(seeds)
         if rng_state is None:
             raise RuntimeError(

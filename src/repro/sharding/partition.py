@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.seeds import splitmix64_array
 from ..graphs.graph import Graph, GraphError
 
 #: Supported node-assignment modes.
@@ -29,14 +30,6 @@ PARTITION_MODES = ("range", "hash")
 #: Upper bound on the shard count (int16 shard ids in the node
 #: assignment; far above any sensible machine anyway).
 MAX_SHARDS = 4096
-
-
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """Vectorised SplitMix64 finaliser (the package's seeded-hash idiom)."""
-    z = values + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 def node_assignment(
@@ -66,10 +59,10 @@ def node_assignment(
         # The seed mixes in as a 1-element array: numpy's *scalar* uint64
         # arithmetic warns on the (intentional) wrapping multiplies,
         # array arithmetic wraps silently.
-        seed_mix = _splitmix64(
+        seed_mix = splitmix64_array(
             np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         )
-        mixed = _splitmix64(nodes.astype(np.uint64) ^ seed_mix)
+        mixed = splitmix64_array(nodes.astype(np.uint64) ^ seed_mix)
         assignment = (mixed % np.uint64(shards)).astype(np.int64)
     return assignment.astype(np.int16)
 

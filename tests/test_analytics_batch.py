@@ -31,14 +31,18 @@ from repro.analytics import (
     run_hitting_batch,
     run_single_epidemic,
 )
-from repro.analytics import epidemics, streams
+from repro.analytics import epidemics, estimators, streams
 from repro.analytics.estimators import (
     broadcast_trajectory_seed,
+    broadcast_trajectory_seed_array,
     broadcast_trajectory_seeds,
+    select_sources,
 )
 from repro.core.scheduler import RandomScheduler
 from repro.core.seeds import derive_seed
+from repro.dynamics import StaticSchedule
 from repro.engine.native import get_broadcast_epoch_kernel, reset_kernel_cache
+from repro.experiments.workloads import get_workload
 from repro.graphs import Graph, clique, cycle, path, star, torus
 from repro.propagation import (
     broadcast_time_estimate,
@@ -169,6 +173,131 @@ class TestPathInvariance:
         assert native.tolist() == reference
 
 
+def _epidemic_legs(graph, sources, seeds, budget, stopmasks, widths):
+    """Steps of every trajectory on every leg, as lists keyed by leg.
+
+    ``one-call`` legs are private static stacks (one kernel call per width
+    chunk on the kernel); ``rounds`` is the same stack under a
+    single-epoch schedule (kernel rounds); ``caller-held`` replays each
+    trajectory on its own stream (kernel rounds with state write-back).
+    """
+    legs = {}
+    for width in widths:
+        legs[f"one-call/{width}"] = run_epidemic_batch(
+            graph, sources, seeds, budget, stopmasks=stopmasks, replica_batch=width
+        ).tolist()
+    legs["rounds"] = run_epidemic_batch(
+        graph, sources, seeds, budget, stopmasks=stopmasks, schedule=StaticSchedule(graph)
+    ).tolist()
+    legs["caller-held"] = [
+        epidemics.BUDGET_EXHAUSTED if steps is None else steps
+        for steps in (
+            run_single_epidemic(
+                graph,
+                source,
+                TrajectoryStream(graph, seed),
+                budget,
+                None if stopmasks is None else stopmasks[index],
+            )
+            for index, (source, seed) in enumerate(zip(sources, seeds))
+        )
+    ]
+    return legs
+
+
+def _renitent_star():
+    return get_workload("renitent-star").build(96, seed=0)
+
+
+#: name -> (graph builder, sources, budget, stop-mask column or None).
+#: The budget is None (the default budget), a step count, or "cut": one
+#: draw before the median trajectory's finish.
+_ONE_CALL_CASES = {
+    "renitent-star-96": (_renitent_star, [0, 5, 50, 91, 17, 33], None, None),
+    "renitent-star-96-cut": (_renitent_star, [0, 5, 50, 91, 17, 33], "cut", None),
+    "cycle-24": (lambda: cycle(24), [0, 5, 11, 23, 7], None, None),
+    "cycle-80": (lambda: cycle(80), [0, 40, 79], None, None),
+    "cycle-80-budget": (lambda: cycle(80), [0, 40, 79, 12], 3400, None),
+    "torus-5x5-stopmask": (lambda: torus(5, 5), [0, 3, 7, 11, 17, 24], None, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_CALL_CASES))
+def test_one_call_stack_matches_rounds_and_fallback(case, monkeypatch):
+    """Private static stacks run to finish or budget in one kernel call.
+
+    The samples equal the kernel's round-by-round legs and the no-kernel
+    leg for every width cap, including trajectories the budget cuts off
+    (``BUDGET_EXHAUSTED``) and one that would finish one draw past it.
+    """
+    build, sources, budget, stop_column = _ONE_CALL_CASES[case]
+    graph = build()
+    seeds = [derive_seed(4242, case, index) for index in range(len(sources))]
+    stopmasks = None
+    if stop_column is not None:
+        stopmasks = np.zeros((len(sources), graph.n_nodes), dtype=np.uint8)
+        stopmasks[:, stop_column] = 1
+    if budget is None:
+        budget = default_broadcast_budget(graph)
+    elif budget == "cut":
+        finished = sorted(
+            run_epidemic_batch(graph, sources, seeds, default_broadcast_budget(graph)).tolist()
+        )
+        budget = finished[len(finished) // 2] - 1
+        assert budget >= 1024, "the cut should fall after the first round"
+    widths = (None, 1, 4)
+    native = _epidemic_legs(graph, sources, seeds, budget, stopmasks, widths)
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    reset_kernel_cache()
+    try:
+        fallback = _epidemic_legs(graph, sources, seeds, budget, stopmasks, widths)
+    finally:
+        monkeypatch.undo()
+        reset_kernel_cache()
+    expected = fallback["one-call/None"]
+    for legs in (native, fallback):
+        for leg, steps in legs.items():
+            assert steps == expected, f"{case}: {leg} differs"
+    if case.endswith(("-cut", "-budget")):
+        assert epidemics.BUDGET_EXHAUSTED in expected
+        assert any(steps > 0 for steps in expected)
+    else:
+        assert all(steps > 0 for steps in expected)
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["full", "cut"])
+def test_influence_one_call_matches_rounds_and_fallback(cut, monkeypatch):
+    """Influence stacks take the one-call path too, budget cuts included."""
+    graph = cycle(20)
+    seeds = [derive_seed(4242, "influence", index) for index in range(5)]
+    budget = default_broadcast_budget(graph)
+    if cut:
+        finished = sorted(run_influence_batch(graph, seeds, budget).tolist())
+        budget = finished[len(finished) // 2] - 1
+
+    def legs():
+        runs = {
+            f"one-call/{width}": run_influence_batch(graph, seeds, budget, replica_batch=width)
+            for width in (None, 2)
+        }
+        runs["rounds"] = run_influence_batch(
+            graph, seeds, budget, schedule=StaticSchedule(graph)
+        )
+        return {leg: steps.tolist() for leg, steps in runs.items()}
+
+    native = legs()
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    reset_kernel_cache()
+    try:
+        fallback = legs()
+    finally:
+        monkeypatch.undo()
+        reset_kernel_cache()
+    expected = fallback["one-call/None"]
+    assert native == fallback == {leg: expected for leg in native}
+    assert (epidemics.BUDGET_EXHAUSTED in expected) == cut
+
+
 class TestSeedPurity:
     """A batched trajectory equals the standalone run with its child seed."""
 
@@ -211,6 +340,21 @@ class TestSeedPurity:
             for repetition in range(repetitions)
         ]
 
+    @pytest.mark.parametrize("base", [0, 1, 2**62 + 7, 2**63, 2**63 + 12345, 2**64 - 1])
+    def test_seed_array_matches_per_trajectory_seeds(self, base):
+        """The one-pass ``uint64`` seeds equal :func:`broadcast_trajectory_seed`."""
+        sources = [0, 3, 17, 2**40, 5]
+        repetitions = 7
+        seeds = broadcast_trajectory_seed_array(base, sources, repetitions)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [
+            broadcast_trajectory_seed(base, source, repetition)
+            for source in sources
+            for repetition in range(repetitions)
+        ]
+        assert broadcast_trajectory_seed_array(base, [], repetitions).size == 0
+        assert broadcast_trajectory_seed_array(base, sources, 0).size == 0
+
     def test_wide_seeds_run_and_negative_seeds_raise(self):
         """Seeds outside ``[0, 2**64)`` keep the NumPy ``Generator`` leg."""
         g = torus(4, 4)
@@ -231,6 +375,42 @@ class TestSeedPurity:
             run_epidemic_batch(g, [0, 1], [3, -1], budget)
         with pytest.raises(ValueError):
             run_influence_batch(g, [-3], budget)
+
+
+def _select_sources_reference(graph, max_sources, base):
+    """:func:`select_sources` as written before its graph-only part was memoised."""
+    n = graph.n_nodes
+    if n <= max_sources:
+        return list(range(n))
+    forced = {
+        int(np.argmin(graph.degrees)),
+        int(np.argmax(graph.degrees)),
+        int(np.argmax(graph.eccentricities())),
+    }
+    remaining = [v for v in range(n) if v not in forced]
+    extra_count = max(max_sources - len(forced), 0)
+    extra = []
+    if remaining and extra_count:
+        rng = np.random.default_rng(derive_seed(base, estimators.SOURCES_TAG))
+        extra = rng.choice(remaining, size=min(extra_count, len(remaining)), replace=False)
+    return sorted(forced | {int(v) for v in extra})
+
+
+def test_select_sources_memo_keeps_graphs_apart():
+    """Alternating graphs of one size each get their own sample.
+
+    clique-16 and cycle-16 force the same nodes; star-16 forces two, so a
+    memo keyed by ``n`` rather than by the graph would hand it theirs.
+    """
+    graphs = [clique(16), cycle(16), star(16), path(16)]
+    estimators._FORCED_CACHE.clear()
+    for round_index in range(3):
+        for graph in graphs:
+            for max_sources, base in ((6, round_index), (4, 2**63 + round_index), (40, 7)):
+                assert select_sources(graph, max_sources, base) == _select_sources_reference(
+                    graph, max_sources, base
+                ), (graph.name, max_sources, base)
+    assert len(estimators._FORCED_CACHE) == len(graphs)
 
 
 @pytest.mark.skipif(get_broadcast_epoch_kernel() is None, reason="no C compiler available")

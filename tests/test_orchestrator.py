@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro.orchestration.runner as runner_module
+from repro.core.seeds import graph_seed, measure_seed, trial_seed
 from repro.experiments.harness import (
     default_step_budget,
     star_protocol_spec,
@@ -25,8 +26,14 @@ from repro.orchestration import (
     ProtocolConfig,
     ResultStore,
     Scenario,
+    ScenarioError,
+    ScheduleConfig,
+    build_unit_plans,
     build_work_units,
+    execute_unit_plan,
     run_scenario,
+    unit_plan_from_wire,
+    unit_plan_to_wire,
 )
 
 
@@ -70,6 +77,72 @@ class TestWorkUnits:
         units = build_work_units(token_clique_scenario(repetitions=7, trials_per_shard=3))
         keys = [unit.key for unit in units]
         assert len(set(keys)) == len(keys)
+
+
+    @pytest.mark.parametrize("trials_per_shard", [1, 2])
+    def test_unit_plan_seeds_follow_the_cell(self, trials_per_shard):
+        """Cell seeds derived once per size give each unit the seeds of
+        its own cell and trials."""
+        scenario = token_clique_scenario(
+            protocols=(ProtocolConfig("token"), ProtocolConfig("star")),
+            trials_per_shard=trials_per_shard,
+            schedule=ScheduleConfig("edge-churn"),
+        )
+        units = build_work_units(scenario)
+        for unit, plan in zip(units, build_unit_plans(scenario, units)):
+            base = measure_seed(scenario.seed, unit.size_index)
+            assert plan.graph_seed == graph_seed(scenario.seed, unit.size_index)
+            assert plan.schedule_seed == scenario.schedule_seed(unit.size_index)
+            assert plan.run_seeds == tuple(
+                trial_seed(base, trial) for trial in range(unit.trial_lo, unit.trial_hi)
+            )
+
+
+#: Each builder's non-default parameters (the defaults are the other case).
+_BUILDER_PARAMS = {
+    "token": (),
+    "identifier": (("identifier_bits", 12),),
+    "fast": (("broadcast_repetitions", 2), ("tau", 0.75)),
+    "star": (),
+}
+
+
+class TestUnitPlanSpecs:
+    """Builder defaults are read once per builder; validation still runs."""
+
+    @pytest.mark.parametrize("builder", sorted(_BUILDER_PARAMS))
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_unit_plan_spec_equals_config_spec(self, builder, explicit):
+        params = _BUILDER_PARAMS[builder] if explicit else ()
+        config = ProtocolConfig(builder, params)
+        scenario = token_clique_scenario(protocols=(config,), repetitions=1)
+        (plan,) = build_unit_plans(scenario, build_work_units(scenario)[:1])
+        for spec in (plan.build_spec(), unit_plan_from_wire(unit_plan_to_wire(plan)).build_spec()):
+            expected = ProtocolConfig(builder, params).build_spec()
+            assert (spec.name, spec.spec_config, spec.paper_bound) == (
+                expected.name,
+                expected.spec_config,
+                expected.paper_bound,
+            )
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            {"builder": "token", "params": [["tau", 0.5]]},
+            {"builder": "fast", "params": [["tau", 0.5], ["bogus", 1]]},
+            {"builder": "warp", "params": []},
+        ],
+    )
+    def test_wire_plan_with_unknown_protocol_raises(self, protocol):
+        scenario = token_clique_scenario(repetitions=1)
+        (plan,) = build_unit_plans(scenario, build_work_units(scenario)[:1])
+        wire = unit_plan_to_wire(plan)
+        wire["protocol"] = protocol
+        received = unit_plan_from_wire(wire)
+        with pytest.raises(ScenarioError):
+            received.build_spec()
+        with pytest.raises(ScenarioError):
+            execute_unit_plan(received)
 
 
 class TestBitIdentity:

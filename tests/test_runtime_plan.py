@@ -22,18 +22,20 @@ import os
 import numpy as np
 import pytest
 
+import repro.engine.native as native
 import repro.runtime.execute as execute_module
 from repro.core.scheduler import RandomScheduler
 from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, default_check_interval
 from repro.dynamics import EpochSchedule
+from repro.engine.compiler import CompiledProtocol
 from repro.engine.native import get_run_epoch_kernel, reset_kernel_cache
 from repro.experiments.harness import fast_protocol_spec, measure_protocol_on_graph
 from repro.graphs import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.orchestration import get_scenario, run_scenario
 from repro.protocols import StarLeaderElection, TokenLeaderElection
-from repro.protocols.identifier import IdentifierLeaderElection
+from repro.protocols.identifier import IdentifierKernelRule, IdentifierLeaderElection
 from repro.runtime import compile_plan, execute_plan
 from repro.runtime.execute import _stack_v6_eligible
 
@@ -293,6 +295,101 @@ def test_v6_setup_counts_initial_states_without_np_unique(max_steps, monkeypatch
     assert [_result_tuple(r) for r in execute_plan(plan("compiled"))] == reference
     assert calls == [len(seeds)]
     assert reference[0][5] >= 2  # candidates and non-candidates
+
+
+#: Per transition rule of the stack: (protocol of a graph, engine, the
+#: rule class whose ``encode`` builds the initial codes).
+_RULE_CASES = {
+    "table": (lambda graph: TokenLeaderElection(), "compiled", CompiledProtocol),
+    "kernel-rule": (
+        lambda graph: IdentifierLeaderElection(graph.n_nodes, regular=graph.is_regular()),
+        "auto",
+        IdentifierKernelRule,
+    ),
+}
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("rule", sorted(_RULE_CASES))
+def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
+    """Without ``inputs`` the stack encodes one state, not one per node.
+
+    A plan with ``inputs`` still takes the per-node encode, and both
+    equal the reference interpreter.
+    """
+    make, engine, rule_class = _RULE_CASES[rule]
+    graph = torus(5, 5)
+    seeds = [derive_seed(MASTER_SEED, "uniform-encode", r) for r in range(2)]
+    encoded = []
+    real_encode = rule_class.encode
+
+    def counting_encode(self, states):
+        states = list(states)
+        encoded.append(len(states))
+        return real_encode(self, states)
+
+    monkeypatch.setattr(rule_class, "encode", counting_encode)
+    for inputs in (None, [node % 4 == 0 for node in range(graph.n_nodes)]):
+
+        def plan(plan_engine):
+            return compile_plan(
+                [make(graph)] * len(seeds), graph, seeds,
+                max_steps=50_000, inputs=inputs, engine=plan_engine,
+            )
+
+        reference = [_result_tuple(r) for r in execute_plan(plan("reference"))]
+        encoded.clear()
+        assert [_result_tuple(r) for r in execute_plan(plan(engine))] == reference
+        assert encoded == [1 if inputs is None else graph.n_nodes]
+
+
+class _EveryBoundaryToken(TokenLeaderElection):
+    """The token protocol without the kernel's one-leader prefilter."""
+
+    certificate_requires_unique_leader = False
+
+
+class _EveryBoundaryIdentifier(IdentifierLeaderElection):
+    """The identifier protocol without the kernel's prefilter."""
+
+    certificate_requires_unique_leader = False
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("rule", sorted(_RULE_CASES))
+def test_stack_rows_finishing_in_different_calls_keep_replica_order(rule, monkeypatch):
+    """A width-3 stack whose rows finish in different kernel calls.
+
+    Without the prefilter every cadence block returns to Python, so the
+    rows certify, and leave the stack, at different calls; the stack
+    exits once the last row is done, and every result is its replica's.
+    """
+    graph = cycle(10)
+    make = {
+        "table": _EveryBoundaryToken,
+        "kernel-rule": lambda: _EveryBoundaryIdentifier(graph.n_nodes, regular=True),
+    }[rule]
+    engine = _RULE_CASES[rule][1]
+    seeds = [derive_seed(20261017, "finish-order", r) for r in range(3)]
+    widths = []
+    kernel = get_run_epoch_kernel()
+
+    def counting_kernel(*args):
+        widths.append(args[9])  # the active rows
+        return kernel(*args)
+
+    monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
+    plan = compile_plan(
+        [make()] * len(seeds), graph, seeds, max_steps=50_000, engine=engine, check_interval=8
+    )
+    stacked = [_result_tuple(r) for r in execute_plan(plan)]
+    assert widths[0] == 3 and widths[-1] < 3, widths
+    assert len({result[1] for result in stacked}) > 1  # different certified steps
+    for seed, result in zip(seeds, stacked):
+        single = compile_plan(
+            [make()], graph, [seed], max_steps=50_000, engine="reference", check_interval=8
+        )
+        assert result == _result_tuple(execute_plan(single)[0])
 
 
 def _dynamic_schedule(graph):
