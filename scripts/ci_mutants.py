@@ -47,6 +47,7 @@ IDENTIFIER_TESTS = ("tests/test_identifier_kernel.py",)
 STOP_AT_FINISH = ("tests/test_kernel_rng.py::test_epoch_rows_stop_drawing_at_finish",)
 CALLER_HELD = ("tests/test_analytics_batch.py::test_caller_held_generator_matches_fallback",)
 GRAPH_NO_UNIQUE = ("tests/test_graph.py::test_graph_build_never_calls_np_unique",)
+CONNECTIVITY = ("tests/test_graph.py::test_is_connected_agrees_with_bfs_and_networkx",)
 DYNAMIC_ENGINES = (
     "tests/test_dynamics.py::TestSimulatorSchedules::test_dynamic_run_identical_across_engines",
 )
@@ -145,17 +146,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     # -- Hash-free builds: no np.unique on graph build or v6 set-up ----
     Mutant(
-        "torus-keys-np-unique",
-        "src/repro/graphs/families.py",
-        "    keys = np.sort(low * np.int64(n) + high)",
-        "    keys = np.unique(low * np.int64(n) + high)",
-        GRAPH_NO_UNIQUE,
-    ),
-    Mutant(
         "edge-arrays-duplicates-np-unique",
         GRAPH,
-        "            keys.sort()\n            if bool((keys[1:] == keys[:-1]).any()):",
-        "            if np.unique(keys).size != keys.size:",
+        "                keys.sort()\n                if bool((keys[1:] == keys[:-1]).any()):",
+        "                if np.unique(keys).size != keys.size:",
         GRAPH_NO_UNIQUE,
     ),
     Mutant(
@@ -181,6 +175,47 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        present = np.zeros(rule.stride, dtype=np.uint8)\n"
         "        present[np.unique(initial_codes)] = 1",
         ("tests/test_runtime_plan.py::test_v6_setup_counts_initial_states_without_np_unique",),
+    ),
+    # -- Graph build: ordered torus, union-find connectivity -----------
+    Mutant(
+        "torus-row-right-after-left-wrap",
+        "src/repro/graphs/families.py",
+        "        (c + 1, c < cols - 1),  # right\n"
+        "        (c + cols - 1, c == 0),  # left-wrap\n",
+        "        (c + cols - 1, c == 0),  # left-wrap\n"
+        "        (c + 1, c < cols - 1),  # right\n",
+        ("tests/test_families.py::test_torus_edges_match_sorted_set_reference",),
+    ),
+    Mutant(
+        "edge-arrays-ordered-path-accepts-ties",
+        GRAPH,
+        "            if not bool((keys[1:] > keys[:-1]).all()):",
+        "            if not bool((keys[1:] >= keys[:-1]).all()):",
+        ("tests/test_graph.py::TestFromEdgeArrays::test_rejects_duplicate_edge",),
+    ),
+    Mutant(
+        "is-connected-any-component-count",
+        GRAPH,
+        "        return components == 1",
+        "        return components >= 1",
+        CONNECTIVITY,
+    ),
+    Mutant(
+        "union-find-drops-count-decrement",
+        NATIVE,
+        "            parent[a] = b;\n        components--;\n",
+        "            parent[a] = b;\n",
+        CONNECTIVITY,
+    ),
+    Mutant(
+        "step-zero-precheck-inverted",
+        EXECUTE,
+        "    initially_stable = (not precheck or initial_leaders == 1) and bool(",
+        "    initially_stable = (not precheck or initial_leaders != 1) and bool(",
+        (
+            "tests/test_runtime_plan.py::"
+            "test_v6_step_zero_certificate_behind_the_one_leader_precheck",
+        ),
     ),
     # -- Topology schedules and key groups on the v6 stack -------------
     Mutant(

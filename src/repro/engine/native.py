@@ -3,9 +3,11 @@
 One shared object holds every native entry point: the v6 epoch runner
 (``repro_run_epoch``), which advances a whole stack of protocol replicas
 with their seeded pair streams drawn in C; the analytics epidemics; the
-RNG primitives behind them; and two block functions fed pre-drawn pairs
+RNG primitives behind them; two block functions fed pre-drawn pairs
 from Python (the shard-worker pool's ``repro_run_shard_block`` and the
-stand-in serial baselines' ``repro_broadcast_block``).  On machines with
+stand-in serial baselines' ``repro_broadcast_block``); and the graph
+layer's union-find component count (``repro_count_components``, behind
+:meth:`repro.graphs.graph.Graph.is_connected`).  On machines with
 a system C compiler the source below is compiled once, the shared object
 is cached under ``src/repro/engine/_build/`` (named by a digest of the
 source text and compiler flags) and driven through :mod:`ctypes`.  The
@@ -14,8 +16,9 @@ backends of :class:`~repro.engine.stepper.CompiledRun`.
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_DISABLE_NATIVE=1`` simply means every getter here (for example
-:func:`get_run_epoch_kernel`) returns ``None``, and plans run on the
-per-replica engine's NumPy/scalar backends.  The epoch runner stops a
+:func:`get_run_epoch_kernel`) returns ``None``, plans run on the
+per-replica engine's NumPy/scalar backends, and connectivity checks
+take a NumPy BFS.  The epoch runner stops a
 row at the first table miss, so lazy pair discovery (and table growth)
 stays in Python.
 """
@@ -1028,6 +1031,45 @@ void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
 }
 """
 
+#: Graph-layer helpers: the connectivity check of every graph build.
+_KERNEL_SOURCE_GRAPH = r"""
+/* Number of connected components of the graph on nodes [0, n) with the
+ * m undirected edges (eu[i], ev[i]): union-find with path halving, each
+ * union linking the larger root under the smaller.  parent is
+ * caller-owned scratch of n words; it holds a forest on return. */
+int64_t repro_count_components(const int64_t *eu,
+                               const int64_t *ev,
+                               int64_t m,
+                               int64_t n,
+                               int64_t *parent)
+{
+    int64_t components = n;
+    int64_t i;
+    for (i = 0; i < n; i++)
+        parent[i] = i;
+    for (i = 0; i < m; i++) {
+        int64_t a = eu[i];
+        int64_t b = ev[i];
+        while (parent[a] != a) {
+            parent[a] = parent[parent[a]];
+            a = parent[a];
+        }
+        while (parent[b] != b) {
+            parent[b] = parent[parent[b]];
+            b = parent[b];
+        }
+        if (a == b)
+            continue;
+        if (a < b)
+            parent[b] = a;
+        else
+            parent[a] = b;
+        components--;
+    }
+    return components;
+}
+"""
+
 _UNSET = object()
 _cached_kernel = _UNSET
 
@@ -1111,7 +1153,7 @@ def _compile_kernel():
     flags = [*_CFLAGS, *_extra_cflags()]
     # One build: a host that cannot compile the full source (pthreads,
     # 128-bit arithmetic) gets no kernel and runs the NumPy backends.
-    source = _KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6
+    source = _KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6 + _KERNEL_SOURCE_GRAPH
     src_path, so_path = _build_paths(_build_directory(), source, flags)
     if not os.path.exists(so_path):
         tmp = f".tmp{os.getpid()}"
@@ -1285,9 +1327,19 @@ def _bind_kernels(library):
         ctypes.c_int64,  # n
         ctypes.POINTER(ctypes.c_int64),  # count_io
     ]
+    count_components = library.repro_count_components
+    count_components.restype = ctypes.c_int64
+    count_components.argtypes = [
+        ctypes.c_void_p,  # eu (m)
+        ctypes.c_void_p,  # ev (m)
+        ctypes.c_int64,  # m
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # parent (n; scratch)
+    ]
     kernels = {
         "run_shard_block": run_shard_block,
         "broadcast_block": broadcast_block,
+        "count_components": count_components,
         **_bind_v6(library),
     }
     kernels["rng"] = {name: kernels[name] for name in _RNG_KERNEL_NAMES}
@@ -1336,6 +1388,12 @@ def get_influence_epoch_kernel():
     """The v6 all-pairs influence kernel with in-kernel draws, or ``None``."""
     kernels = _kernels()
     return None if kernels is None else kernels["influence_epoch"]
+
+
+def get_components_kernel():
+    """The union-find connected-component count over an edge list, or ``None``."""
+    kernels = _kernels()
+    return None if kernels is None else kernels["count_components"]
 
 
 def get_rng_kernels():

@@ -69,28 +69,44 @@ def torus(rows: int, cols: int) -> Graph:
     """
     if rows < 3 or cols < 3:
         raise GraphError("torus requires both dimensions >= 3")
-    n = rows * cols
 
     # Vectorised build (a million-node torus has four million endpoints;
     # the historical per-cell Python loop cost gigabytes of transient
-    # tuples).  Edge ordering is bit-compatible with the historical
-    # ``sorted({(min(u, v), max(u, v)), ...})``: normalise every wrap
-    # edge to (min, max), then sort lexicographically via the scalar key
-    # ``u * n + v``.  With rows, cols >= 3 no duplicates can arise (and
-    # ``from_edge_arrays`` still rejects them), so a plain sort gives that
-    # set.  ``np.unique`` would hash every key on NumPy >= 2.3: 1.6 s
-    # against 0.02 s for the sort on a 1000x1000 torus (2-vCPU host).
-    cells = np.arange(n, dtype=np.int64)
-    r, c = cells // cols, cells % cols
-    down = ((r + 1) % rows) * cols + c
-    right = r * cols + (c + 1) % cols
-    src = np.concatenate((cells, cells))
-    dst = np.concatenate((down, right))
-    low, high = np.minimum(src, dst), np.maximum(src, dst)
-    keys = np.sort(low * np.int64(n) + high)
-    return Graph.from_edge_arrays(
-        n, keys // n, keys % n, name=f"torus-{rows}x{cols}"
+    # tuples).  The seeded pair streams index edges by position, so the
+    # order is the historical ``sorted({(min(u, v), max(u, v)), ...})``,
+    # emitted directly instead of sorted: row ``r``'s edges are one row
+    # pattern shifted by ``r * cols``, and only the first and last rows
+    # have patterns of their own.  ``from_edge_arrays`` sees strictly
+    # increasing keys and skips its duplicate sort.
+    first = _torus_row(rows, cols, down=True, up_wrap=True)
+    middle = _torus_row(rows, cols, down=True, up_wrap=False)
+    last = _torus_row(rows, cols, down=False, up_wrap=False)
+    shifts = np.arange(cols, (rows - 1) * cols, cols, dtype=np.int64)[:, None]
+    low, high = (
+        np.concatenate((top, (inner + shifts).ravel(), bottom + (rows - 1) * cols))
+        for top, inner, bottom in zip(first, middle, last)
     )
+    return Graph.from_edge_arrays(rows * cols, low, high, name=f"torus-{rows}x{cols}")
+
+
+def _torus_row(rows: int, cols: int, down: bool, up_wrap: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Row 0's torus edges ``(low, high)`` in key order, under one row type.
+
+    Each cell ``c`` lists its higher neighbours in increasing order (with
+    ``rows, cols >= 3`` no two coincide): right, unless ``c`` is the last
+    column; left-wrap, from column 0 only; down, unless the row is the
+    last; up-wrap, from row 0 only.
+    """
+    c = np.arange(cols, dtype=np.int64)
+    candidates = (
+        (c + 1, c < cols - 1),  # right
+        (c + cols - 1, c == 0),  # left-wrap
+        (c + cols, np.full(cols, down)),  # down
+        (c + (rows - 1) * cols, np.full(cols, up_wrap)),  # up-wrap
+    )
+    high = np.stack([neighbour for neighbour, _ in candidates], axis=1)
+    keep = np.stack([present for _, present in candidates], axis=1)
+    return np.broadcast_to(c[:, None], high.shape)[keep], high[keep]
 
 
 def grid(rows: int, cols: int) -> Graph:

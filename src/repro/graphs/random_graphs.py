@@ -48,10 +48,8 @@ def erdos_renyi(
     for _ in range(max_attempts):
         edges = _sample_gnp_edges(n, p, generator)
         graph = Graph(n, edges, name=f"gnp-{n}-{p:g}", check_connected=False)
-        if not require_connected or n == 1 or _connected(graph):
-            if require_connected and n > 1 and not _connected(graph):
-                continue
-            return Graph(n, edges, name=f"gnp-{n}-{p:g}", check_connected=require_connected)
+        if not require_connected or graph.is_connected():
+            return graph
     raise GraphError(
         f"failed to sample a connected G({n}, {p}) in {max_attempts} attempts"
     )
@@ -63,14 +61,6 @@ def _sample_gnp_edges(n: int, p: float, generator: np.random.Generator) -> List[
     upper_u, upper_v = np.triu_indices(n, k=1)
     mask = generator.random(upper_u.shape[0]) < p
     return list(zip(upper_u[mask].tolist(), upper_v[mask].tolist()))
-
-
-def _connected(graph: Graph) -> bool:
-    if graph.n_nodes <= 1:
-        return True
-    if graph.n_edges == 0:
-        return False
-    return bool((graph.bfs_distances(0) >= 0).all())
 
 
 def random_regular(
@@ -100,8 +90,8 @@ def random_regular(
         if edges is None:
             continue
         graph = Graph(n, edges, name=f"random-regular-{n}-{degree}", check_connected=False)
-        if _connected(graph):
-            return Graph(n, edges, name=f"random-regular-{n}-{degree}")
+        if graph.is_connected():
+            return graph
     raise GraphError(
         f"failed to sample a connected {degree}-regular graph on {n} nodes"
     )
@@ -152,8 +142,8 @@ def random_geometric(
         mask = close[upper_u, upper_v]
         edges = list(zip(upper_u[mask].tolist(), upper_v[mask].tolist()))
         graph = Graph(n, edges, name=f"geometric-{n}-{radius:g}", check_connected=False)
-        if n == 1 or _connected(graph):
-            return Graph(n, edges, name=f"geometric-{n}-{radius:g}")
+        if graph.is_connected():
+            return graph
     raise GraphError(
         f"failed to sample a connected geometric graph with n={n}, radius={radius}"
     )

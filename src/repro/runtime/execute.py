@@ -22,14 +22,14 @@ plan, from the plan's inputs alone:
   that boundary the next epoch's tables are swapped in.  Certificates
   are evaluated against the schedule's union graph.
   For protocols that declare ``certificate_requires_unique_leader`` the
-  kernel-maintained leader count gates the Python certificate — a
-  configuration with ``!= 1`` leaders cannot satisfy those protocols'
-  certificates, so the decode + certificate call is skipped without
-  affecting when certification fires; the identifier rule also skips
-  boundaries where the nodes' identifiers differ or lie below ``2^k``,
-  which its certificate equally requires.  Replicas whose certificate
-  fires are compacted out of the stack; the loop ends, without a
-  compaction, when the last rows finish.
+  kernel-maintained leader count gates the Python certificate, the
+  initial one included — a configuration with ``!= 1`` leaders cannot
+  satisfy those protocols' certificates, so the decode + certificate
+  call is skipped without affecting when certification fires; the
+  identifier rule also skips boundaries where the nodes' identifiers
+  differ or lie below ``2^k``, which its certificate equally requires.
+  Replicas whose certificate fires are compacted out of the stack; the
+  loop ends, without a compaction, when the last rows finish.
 * **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`
   blocks on its NumPy/scalar backends, one replica at a time) —
   everything the stack cannot take: stream overrides, leader traces,
@@ -469,7 +469,8 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     """The v6 stack: whole epochs per kernel call, streams in-kernel.
 
     Control flow mirrors :func:`_run_compiled_single` — same initial
-    certificate check, same cadence — but the per-block Python work
+    certificate check (behind the kernel's one-leader precheck, as at
+    every boundary), same cadence — but the per-block Python work
     (drawing pair indices, applying one block, calling the certificate)
     collapses into one ``repro_run_epoch`` call that advances *every*
     active replica to its next stop event: a certificate boundary that
@@ -527,7 +528,12 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
 
     results: List[Optional["SimulationResult"]] = [None] * replica_count
 
-    initially_stable = protocol.is_output_stable_configuration(initial_states, graph)
+    # The kernel's one-leader precheck, applied to the initial
+    # certificate too: an all-candidate start pays no certificate call.
+    precheck = bool(getattr(protocol, "certificate_requires_unique_leader", False))
+    initially_stable = (not precheck or initial_leaders == 1) and bool(
+        protocol.is_output_stable_configuration(initial_states, graph)
+    )
     if initially_stable or max_steps == 0:
         wall = time.perf_counter() - start_time
         distinct = int(present.sum()) if tables else initial_known.size
@@ -559,7 +565,6 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     leaders = np.full(replica_count, initial_leaders, dtype=np.int64)
     status = np.zeros(replica_count, dtype=np.uint8)
     replica_ids = np.arange(replica_count, dtype=np.int64)
-    precheck = bool(getattr(protocol, "certificate_requires_unique_leader", False))
 
     def fold_log(row: int) -> None:
         replica = int(replica_ids[row])

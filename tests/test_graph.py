@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.native as native
 from repro.graphs import Graph, GraphError, clique, cycle, path, star, torus
 
 
@@ -293,8 +294,8 @@ class TestFromEdgeArrays:
 
     @pytest.mark.parametrize(
         "u, v",
-        [([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 0])],
-        ids=["same-orientation", "reversed"],
+        [([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 0]), ([0, 0, 1], [1, 1, 2])],
+        ids=["same-orientation", "reversed", "sorted"],
     )
     def test_rejects_duplicate_edge(self, u, v):
         with pytest.raises(GraphError, match=r"^duplicate edge in endpoint arrays$"):
@@ -390,12 +391,13 @@ def test_graph_build_never_calls_np_unique(monkeypatch):
 
     On NumPy >= 2.3 a flag-less ``np.unique`` of an integer array
     dedupes through a hash table at about 1 µs per distinct element:
-    seconds for the 2 M edge keys of the million-node torus, which paid
-    it twice, against hundredths of a second for ``np.sort``, plus one
-    call per level of the connectivity BFS.  The build therefore dedupes
-    by sorting and comparing neighbours.  ``np.unique(sorted=False)`` is
-    no way out: it does not exist before NumPy 2.3 and the package
-    supports ``numpy>=1.21``.
+    seconds for the 2 M edge keys of the million-node torus, against
+    hundredths of a second for ``np.sort``, plus one call per level of
+    a BFS.  The build therefore dedupes by sorting and comparing
+    neighbours, as do the CSR and each BFS level.  The torus takes the
+    ordered path of ``from_edge_arrays``; its edges reversed take the
+    sort.  ``np.unique(sorted=False)`` is no way out: it does not exist
+    before NumPy 2.3 and the package supports ``numpy>=1.21``.
     """
 
     def refuse(*args, **kwargs):
@@ -403,6 +405,62 @@ def test_graph_build_never_calls_np_unique(monkeypatch):
 
     monkeypatch.setattr(np, "unique", refuse)
     g = torus(40, 40)
+    reversed_edges = Graph.from_edge_arrays(g.n_nodes, g.edges_v[::-1], g.edges_u[::-1])
+    assert reversed_edges == g
     indptr, indices = g._csr()
     assert indptr[-1] == indices.size == 4 * g.n_nodes
     assert int(g.bfs_distances(0).max()) == 40
+
+
+@pytest.mark.skipif(native.get_components_kernel() is None, reason="native kernel unavailable")
+def test_build_with_kernel_makes_no_csr():
+    """With the kernel the connectivity check is a union-find pass: the
+    CSR stays unbuilt until a distance query needs it."""
+    g = torus(40, 40)
+    assert g._csr_cache is None
+    assert g.is_connected() and g._csr_cache is None
+    assert int(g.bfs_distances(0).max()) == 40 and g._csr_cache is not None
+
+
+def _connectivity_cases():
+    """``(n, density, seed)``: one node, isolated nodes, forests, several
+    components, and sparse to dense graphs on up to 60 nodes."""
+    densities = (0.0, 0.01, 0.03, 0.06, 0.1, 0.2, 0.5, 0.9)
+    cases = [(1, 0.0, 0), (2, 0.0, 0), (2, 1.0, 0)]
+    cases += [(2 + seed % 59, densities[seed % len(densities)], seed) for seed in range(400)]
+    return cases
+
+
+def test_is_connected_agrees_with_bfs_and_networkx(monkeypatch):
+    """Kernel union-find, the NumPy BFS (kernel getter patched to
+    ``None``) and ``networkx.is_connected`` agree on every graph."""
+    import networkx as nx
+
+    graphs = []
+    expected = []
+    kinds = set()
+    for n, density, seed in _connectivity_cases():
+        u, v = _random_edge_arrays(n, density, seed)
+        g = Graph.from_edge_arrays(n, u, v, check_connected=False)
+        nx_graph = g.to_networkx()
+        graphs.append(g)
+        expected.append(nx.is_connected(nx_graph))
+        components = nx.number_connected_components(nx_graph)
+        kinds.add("connected" if components == 1 else "disconnected")
+        if n == 1:
+            kinds.add("one node")
+        elif g.min_degree == 0:
+            kinds.add("isolated nodes")
+        if g.n_edges and nx.is_forest(nx_graph):
+            kinds.add("forest")
+        if components >= 3:
+            kinds.add("several components")
+        if n >= 10 and 4 * g.n_edges >= n * (n - 1):
+            kinds.add("dense")
+    assert kinds == {
+        "connected", "disconnected", "one node", "isolated nodes", "forest",
+        "several components", "dense",
+    }
+    assert [g.is_connected() for g in graphs] == expected
+    monkeypatch.setattr(native, "get_components_kernel", lambda: None)
+    assert [g.is_connected() for g in graphs] == expected

@@ -392,6 +392,57 @@ def test_stack_rows_finishing_in_different_calls_keep_replica_order(rule, monkey
         assert result == _result_tuple(execute_plan(single)[0])
 
 
+#: Step-0 certificate cases: (protocol, inputs of a graph, expected
+#: step-0 certificate calls).  The one-leader precheck spares an
+#: all-candidate start; a one-candidate token start certifies at step 0.
+_STEP_ZERO_CASES = {
+    "all-candidates": (TokenLeaderElection, lambda graph: None, 0),
+    "one-candidate": (TokenLeaderElection, lambda graph: [v == 0 for v in graph.nodes], 1),
+    "no-precheck": (_EveryBoundaryToken, lambda graph: None, 1),
+}
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("case", sorted(_STEP_ZERO_CASES))
+def test_v6_step_zero_certificate_behind_the_one_leader_precheck(case, monkeypatch):
+    """The stack applies its kernel's one-leader precheck to the initial
+    certificate: it calls the certificate at step 0 only when one leader
+    holds, or when the protocol declares no precheck.  Results equal the
+    reference interpreter's, which checks step 0 unconditionally."""
+    make, inputs_of, step_zero_calls = _STEP_ZERO_CASES[case]
+    graph = torus(5, 5)
+    seeds = [derive_seed(MASTER_SEED, "step-zero", r) for r in range(2)]
+
+    def plan(engine):
+        return compile_plan(
+            [make()] * len(seeds), graph, seeds,
+            max_steps=50_000, inputs=inputs_of(graph), engine=engine,
+        )
+
+    reference = [_result_tuple(r) for r in execute_plan(plan("reference"))]
+    kernel_calls = []
+    certificate_calls = []  # kernel calls made before each certificate call
+    kernel = get_run_epoch_kernel()
+    certificate = TokenLeaderElection.is_output_stable_configuration
+
+    def counting_kernel(*args):
+        kernel_calls.append(1)
+        return kernel(*args)
+
+    def counting_certificate(self, states, graph):
+        certificate_calls.append(len(kernel_calls))
+        return certificate(self, states, graph)
+
+    monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
+    monkeypatch.setattr(TokenLeaderElection, "is_output_stable_configuration", counting_certificate)
+    assert [_result_tuple(r) for r in execute_plan(plan("compiled"))] == reference
+    assert certificate_calls.count(0) == step_zero_calls
+    # Every run stabilizes, at step 0 exactly when one candidate starts.
+    at_start = case == "one-candidate"
+    assert [(r[0], r[1] == 0) for r in reference] == [(True, at_start)] * len(seeds)
+    assert (kernel_calls == []) == at_start
+
+
 def _dynamic_schedule(graph):
     return EpochSchedule.from_graphs([graph, cycle(graph.n_nodes)], epoch_length=96, repeat=True)
 
