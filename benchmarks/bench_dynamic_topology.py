@@ -117,7 +117,7 @@ def _measure_dynamic(graph, schedule, budget):
     plan_sources, plan_seeds = _trajectory_plan(graph)
 
     # Untimed warm-up of both paths: kernel compilation and the
-    # directed-pair / epoch-graph caches land outside the measurement.
+    # epoch-graph cache land outside the measurement.
     _serial_single_source(schedule, plan_sources[0], plan_seeds[0], budget)
     run_epidemic_batch(graph, plan_sources[:2], plan_seeds[:2], budget, schedule=schedule)
 

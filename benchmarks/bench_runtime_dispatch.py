@@ -69,8 +69,8 @@ def _measure_dispatch(spec, repetitions):
     budget = default_step_budget(graph)
     seeds = [trial_seed(BASE_SEED, index) for index in range(repetitions)]
 
-    # Untimed warm-up of both paths: kernel + table compilation and the
-    # directed-pair caches land outside the measurement.
+    # Untimed warm-up of both paths: kernel + table compilation land
+    # outside the measurement.
     run_measurement_trials(spec, graph, range(2), seed=BASE_SEED, max_steps=budget)
     run_leader_election(
         spec.factory(graph, seeds[0]), graph, rng=seeds[0], max_steps=budget, engine="auto"

@@ -42,6 +42,8 @@ ROOT = Path(__file__).resolve().parents[1]
 NATIVE = "src/repro/engine/native.py"
 EXECUTE = "src/repro/runtime/execute.py"
 GRAPH = "src/repro/graphs/graph.py"
+ESTIMATORS = "src/repro/analysis/estimators.py"
+CONFIGURATION = "src/repro/core/configuration.py"
 
 IDENTIFIER_TESTS = ("tests/test_identifier_kernel.py",)
 STOP_AT_FINISH = ("tests/test_kernel_rng.py::test_epoch_rows_stop_drawing_at_finish",)
@@ -97,11 +99,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "identifier-log-fold-np-unique",
-        EXECUTE,
-        "    codes = np.sort(codes)\n    keep = np.empty(codes.size, dtype=bool)\n"
-        "    keep[:1] = True\n    np.not_equal(codes[1:], codes[:-1], out=keep[1:])\n"
-        "    return codes[keep]",
-        "    return np.unique(codes)",
+        GRAPH,
+        "    values = np.sort(values)\n    keep = np.empty(values.size, dtype=bool)\n"
+        "    keep[:1] = True\n    np.not_equal(values[1:], values[:-1], out=keep[1:])\n"
+        "    return values[keep]",
+        "    return np.unique(values)",
         IDENTIFIER_TESTS,
     ),
     # -- Kernel-seeded analytics streams (stop at finish) --------------
@@ -162,11 +164,16 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "bfs-frontier-np-unique",
         GRAPH,
-        "            fresh.sort()\n            keep = np.empty(fresh.size, dtype=bool)\n"
-        "            keep[0] = True\n            np.not_equal(fresh[1:], fresh[:-1], out=keep[1:])\n"
-        "            frontier = fresh[keep]",
+        "            frontier = _sorted_distinct(fresh)",
         "            frontier = np.unique(fresh)",
         GRAPH_NO_UNIQUE,
+    ),
+    Mutant(
+        "lookup-block-misses-np-unique",
+        "src/repro/engine/compiler.py",
+        "            for flat in _sorted_distinct(pair[missing]).tolist():",
+        "            for flat in np.unique(pair[missing]).tolist():",
+        ("tests/test_engine_compiler.py::test_vector_backend_fills_misses_without_np_unique",),
     ),
     Mutant(
         "v6-initial-codes-np-unique",
@@ -294,6 +301,35 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_runtime_plan.py::"
             "test_stack_rows_finishing_in_different_calls_keep_replica_order",
         ),
+    ),
+    # -- Cold million-node run: lazy finals, one endpoint buffer, q90 --
+    Mutant(
+        "budget-row-reads-row-zero",
+        EXECUTE,
+        "                    row_codes = codes[row] if width == 1 else codes[row].copy()",
+        "                    row_codes = codes[0] if width == 1 else codes[0].copy()",
+        ("tests/test_runtime_plan.py::test_budget_rows_decode_on_demand",),
+    ),
+    Mutant(
+        "from-codes-drops-step",
+        CONFIGURATION,
+        "        config._decode = decode\n        config.step = int(step)",
+        "        config._decode = decode\n        config.step = 0",
+        ("tests/test_configuration.py::TestLazyConfiguration",),
+    ),
+    Mutant(
+        "endpoint-tail-copies-v",
+        GRAPH,
+        "        endpoints[2 * m :] = endpoints[:m]",
+        "        endpoints[2 * m :] = endpoints[m : 2 * m]",
+        ("tests/test_runtime_pairs.py::test_tables_equal_the_concatenation_reference",),
+    ),
+    Mutant(
+        "q90-halfway-takes-low-branch",
+        ESTIMATORS,
+        "    if g >= 0.5:",
+        "    if g > 0.5:",
+        ("tests/test_estimators.py::TestOrderStatistics::test_six_samples_put_q90_exactly_halfway",),
     ),
     Mutant(
         "sharding-accepts-schedules",

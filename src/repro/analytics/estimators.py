@@ -40,7 +40,8 @@ MEETING_TAG = "meet"
 #: The graph-only part of :func:`select_sources` per graph: the forced
 #: nodes and the candidates the seeded draw picks from.  Keyed by object
 #: identity (the entry holds the graph, so a live key is never recycled)
-#: and evicted LRU-style, like ``runtime.pairs._DIRECTED_CACHE``.
+#: and evicted LRU-style: a hit refreshes its entry and a full memo drops
+#: only its oldest one.
 _FORCED_CACHE: "OrderedDict[int, Tuple[Graph, FrozenSet[int], np.ndarray]]" = OrderedDict()
 _FORCED_CACHE_LIMIT = 16
 

@@ -43,6 +43,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..core.protocol import LEADER, PopulationProtocol
+from ..graphs.graph import _sorted_distinct
 
 #: Default bound on the number of distinct states the compiler will track.
 DEFAULT_MAX_STATES = 4096
@@ -245,7 +246,8 @@ class CompiledProtocol:
             missing = packed < 0
             if not missing.any():
                 return packed
-            for flat in np.unique(pair[missing]).tolist():
+            # Ascending, like np.unique, which would hash on NumPy >= 2.3.
+            for flat in _sorted_distinct(pair[missing]).tolist():
                 a, b = divmod(int(flat), stride)
                 self.fill_pair(a, b)
                 if self._K != stride:

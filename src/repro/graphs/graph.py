@@ -7,6 +7,9 @@ operation the simulator needs is "sample a uniformly random edge, then a
 uniformly random orientation of it".  :class:`Graph` therefore stores the
 edge list as flat ``numpy`` arrays (for vectorised batch sampling) next to
 plain-Python adjacency lists (for the propagation and random-walk modules).
+The endpoint arrays are two thirds of one ``int64`` buffer ``[u | v | u]``
+of ``3m`` words, whose first and last ``2m`` words are the directed pair
+tables of :func:`repro.runtime.pairs.directed_tables`.
 
 The class is deliberately immutable: every protocol run, broadcast
 simulation and random-walk experiment shares a single graph object, and the
@@ -35,6 +38,16 @@ class GraphError(ValueError):
 DENSE_DISTANCE_MATRIX_LIMIT = 8192
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted, without repeats: one sort and an adjacent compare
+    (``np.unique`` hashes integers on NumPy >= 2.3)."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class Graph:
     """An immutable, connected, simple undirected graph on nodes ``0..n-1``.
 
@@ -56,6 +69,7 @@ class Graph:
 
     __slots__ = (
         "_n",
+        "_endpoints",
         "_edges_u",
         "_edges_v",
         "_adjacency_cache",
@@ -77,14 +91,13 @@ class Graph:
         if n_nodes <= 0:
             raise GraphError("a graph must have at least one node")
         edge_list = self._normalise_edges(n_nodes, edges)
+        m = len(edge_list)
+        endpoints = np.empty(3 * m, dtype=np.int64)
         if edge_list:
             arr = np.asarray(edge_list, dtype=np.int64)
-            edges_u = np.ascontiguousarray(arr[:, 0])
-            edges_v = np.ascontiguousarray(arr[:, 1])
-        else:
-            edges_u = np.zeros(0, dtype=np.int64)
-            edges_v = np.zeros(0, dtype=np.int64)
-        self._init_from_arrays(int(n_nodes), edges_u, edges_v, str(name), check_connected)
+            endpoints[:m] = arr[:, 0]
+            endpoints[m : 2 * m] = arr[:, 1]
+        self._init_from_endpoints(int(n_nodes), endpoints, str(name), check_connected)
 
     @classmethod
     def from_edge_arrays(
@@ -105,6 +118,11 @@ class Graph:
         edge *order* is taken as given, so callers own the ordering
         contract the seeded pair streams depend on.
 
+        The ``(min, max)`` orientation is written straight into the
+        graph's ``3m``-word endpoint buffer (``np.minimum`` /
+        ``np.maximum`` with ``out=``): the inputs are only read, and the
+        oriented endpoints are never copied again.
+
         Edge keys ``low * n + high`` that are already strictly increasing
         (the order ``torus`` emits) hold no duplicates, so they skip the
         sort.  Any other order finds duplicates by sorting the keys and
@@ -119,9 +137,11 @@ class Graph:
         edges_v = np.ascontiguousarray(edges_v, dtype=np.int64)
         if edges_u.shape != edges_v.shape or edges_u.ndim != 1:
             raise GraphError("edge endpoint arrays must be parallel 1-d arrays")
-        if edges_u.size:
-            low = np.minimum(edges_u, edges_v)
-            high = np.maximum(edges_u, edges_v)
+        m = edges_u.size
+        endpoints = np.empty(3 * m, dtype=np.int64)
+        if m:
+            low = np.minimum(edges_u, edges_v, out=endpoints[:m])
+            high = np.maximum(edges_u, edges_v, out=endpoints[m : 2 * m])
             if int(low.min()) < 0 or int(high.max()) >= n_nodes:
                 raise GraphError(f"edge endpoint out of range for n={n_nodes}")
             if bool((low == high).any()):
@@ -132,29 +152,30 @@ class Graph:
                 keys.sort()
                 if bool((keys[1:] == keys[:-1]).any()):
                     raise GraphError("duplicate edge in endpoint arrays")
-            edges_u, edges_v = np.ascontiguousarray(low), np.ascontiguousarray(high)
         graph = cls.__new__(cls)
-        graph._init_from_arrays(
-            int(n_nodes), edges_u, edges_v, str(name), check_connected
-        )
+        graph._init_from_endpoints(int(n_nodes), endpoints, str(name), check_connected)
         return graph
 
-    def _init_from_arrays(
+    def _init_from_endpoints(
         self,
         n_nodes: int,
-        edges_u: np.ndarray,
-        edges_v: np.ndarray,
+        endpoints: np.ndarray,
         name: str,
         check_connected: bool,
     ) -> None:
+        """Adopt ``endpoints``, a ``3m``-word buffer whose first two
+        thirds hold the validated ``u`` and ``v`` arrays; its last third
+        becomes a copy of ``u``."""
+        m = endpoints.size // 3
+        endpoints[2 * m :] = endpoints[:m]
         self._n = n_nodes
         self._name = name
-        self._edges_u = edges_u
-        self._edges_v = edges_v
-        counts = np.bincount(edges_u, minlength=self._n) + np.bincount(
-            edges_v, minlength=self._n
+        self._endpoints = endpoints
+        self._edges_u = endpoints[:m]
+        self._edges_v = endpoints[m : 2 * m]
+        self._degrees = np.bincount(endpoints[: 2 * m], minlength=n_nodes).astype(
+            np.int64, copy=False
         )
-        self._degrees = counts.astype(np.int64)
         # Adjacency tuples, the edge-index dict and the CSR used by BFS
         # are derived lazily: at million-node scale the Python-object
         # forms cost gigabytes, and the vectorised paths never need them.
@@ -349,13 +370,8 @@ class Graph:
             if fresh.size == 0:
                 break
             dist[fresh] = d
-            # Sorted and deduplicated, without np.unique's hash path:
-            # a node reached from several frontier nodes appears once.
-            fresh.sort()
-            keep = np.empty(fresh.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(fresh[1:], fresh[:-1], out=keep[1:])
-            frontier = fresh[keep]
+            # A node reached from several frontier nodes appears once.
+            frontier = _sorted_distinct(fresh)
         return dist
 
     def distance(self, u: int, v: int) -> int:

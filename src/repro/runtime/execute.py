@@ -66,6 +66,7 @@ import numpy as np
 from ..core.configuration import Configuration
 from ..engine import native
 from ..engine.native import NO_EPOCH_END, RULE_TABLE, data_address, kernel_thread_count
+from ..graphs.graph import _sorted_distinct
 from .pairs import directed_tables
 from .plan import ExecutionPlan, v6_servable
 from .source import KernelSource
@@ -415,37 +416,26 @@ def _run_compiled_single(
 # The v6 epoch stack
 # ----------------------------------------------------------------------
 def _stack_result(
-    decoded: List[Hashable],
+    final: Configuration,
     stabilized: bool,
-    step: int,
     last: int,
     distinct: int,
     leaders: int,
 ) -> "SimulationResult":
-    """One finished stack row (its decoded states) as a :class:`SimulationResult`."""
+    """One finished stack row as a :class:`SimulationResult`."""
     from ..core.simulator import SimulationResult
 
     return SimulationResult(
         stabilized=stabilized,
-        certified_step=step,
+        certified_step=final.step,
         last_output_change_step=last,
-        steps_executed=step,
+        steps_executed=final.step,
         leaders=leaders,
-        final_configuration=Configuration(decoded, step=step),
+        final_configuration=final,
         distinct_states_observed=distinct,
         leader_trace=[],
         wall_time_seconds=0.0,
     )
-
-
-def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
-    """``codes`` sorted, without repeats: one sort and an adjacent compare
-    (``np.unique`` hashes integers on NumPy >= 2.3)."""
-    codes = np.sort(codes)
-    keep = np.empty(codes.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
 
 
 def _epoch_tables(plan: ExecutionPlan, position: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
@@ -476,7 +466,10 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     active replica to its next stop event: a certificate boundary that
     needs Python (``_BOUNDARY``), a missing table entry (``_MISS``), a
     full code log (``_LOG``), the end of the topology epoch
-    (``_SWITCH``), or the step budget (``_BUDGET``).
+    (``_SWITCH``), or the step budget (``_BUDGET``).  Codes are decoded
+    only for a certificate: a row that ends on its budget gets a final
+    :class:`~repro.core.configuration.Configuration` that decodes its
+    codes on first use (:meth:`~repro.core.configuration.Configuration.from_codes`).
     Replicas advance independently, so their per-row steps become
     heterogeneous; each row's sequence of blocks, certificate checks and
     draws is still exactly the single-run one, which keeps every result
@@ -537,9 +530,9 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     if initially_stable or max_steps == 0:
         wall = time.perf_counter() - start_time
         distinct = int(present.sum()) if tables else initial_known.size
-        decoded = rule.decode_codes(initial_codes)
         for index in range(replica_count):
-            result = _stack_result(decoded, initially_stable, 0, 0, distinct, initial_leaders)
+            final = Configuration.from_codes(initial_codes, rule.decode_codes)
+            result = _stack_result(final, initially_stable, 0, distinct, initial_leaders)
             result.wall_time_seconds = wall / replica_count
             results[index] = result
         return results  # type: ignore[return-value]
@@ -626,21 +619,33 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
         for row in np.nonzero(status <= _BOUNDARY)[0].tolist():
             # The exhausted step budget, or a certificate boundary
             # (prefiltered in-kernel for precheck protocols, every
-            # cadence block otherwise).
-            decoded = rule.decode_codes(codes[row])
-            stabilized = bool(status[row] == _BOUNDARY) and bool(
-                protocol.is_output_stable_configuration(decoded, graph)
-            )
-            if stabilized or steps[row] >= max_steps:
+            # cadence block otherwise).  Only a boundary decodes, for
+            # its certificate.
+            step = int(steps[row])
+            decoded = None
+            stabilized = False
+            if status[row] == _BOUNDARY:
+                decoded = rule.decode_codes(codes[row])
+                stabilized = bool(protocol.is_output_stable_configuration(decoded, graph))
+            if stabilized or step >= max_steps:
+                if decoded is not None:
+                    final = Configuration(decoded, step=step)
+                else:
+                    # A budget row's codes are never written again:
+                    # compaction copies the surviving rows, and the loop
+                    # ends when the last rows finish.  A wider stack's
+                    # row is copied, so the result does not keep its
+                    # siblings' codes alive.
+                    row_codes = codes[row] if width == 1 else codes[row].copy()
+                    final = Configuration.from_codes(row_codes, rule.decode_codes, step)
                 if tables:
                     distinct = int(np.count_nonzero(seen[row]))
                 else:
                     fold_log(row)
                     distinct = known[int(replica_ids[row])].size
                 results[int(replica_ids[row])] = _stack_result(
-                    decoded,
+                    final,
                     stabilized,
-                    int(steps[row]),
                     int(last_change[row]),
                     distinct,
                     int(leaders[row]),

@@ -9,9 +9,9 @@ exactly the population-model scheduler's ordered-pair distribution.
 This module is the single home of that encoding.  It provides
 
 * :func:`directed_tables` — the two parallel endpoint tables
-  ``(initiators, responders)`` of length ``2m``, cached per graph (the
-  analytics engine's C kernels and the multi-replica protocol kernel
-  decode raw indices through them);
+  ``(initiators, responders)`` of length ``2m``, views of the graph's
+  own endpoint buffer ``[u | v | u]`` (the analytics engine's C kernels
+  and the multi-replica protocol kernel decode raw indices through them);
 * :func:`encode_oriented` — how the population scheduler's two-call draw
   (uniform edge index, then uniform orientation) maps into the index
   space, preserving the historical decode ``initiator = u if oriented
@@ -24,21 +24,11 @@ Everything here is pure array arithmetic; the seeded RNG calls stay in
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
 
 from ..graphs.graph import Graph
-
-#: Directed endpoint tables per graph, keyed by object identity (the
-#: entry holds the graph so a live key can never be recycled).  Bounded
-#: like the orchestrator's graph memo, but evicted LRU-style: a hit
-#: refreshes the entry and a full cache drops only its oldest entry, so
-#: a hot graph survives any number of cold inserts (per-shard subgraphs
-#: would otherwise thrash the whole cache every 16 builds).
-_DIRECTED_CACHE: "OrderedDict[int, Tuple[Graph, np.ndarray, np.ndarray]]" = OrderedDict()
-_DIRECTED_CACHE_LIMIT = 16
 
 
 def directed_pair_count(graph: Graph) -> int:
@@ -52,22 +42,18 @@ def directed_tables(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     Index ``r < m`` is edge ``r`` in stored orientation, ``r >= m`` the
     reverse — so a uniform draw over ``[0, 2m)`` is exactly the
     population-model scheduler's ordered-pair distribution (Section 2.2).
-    Tables are cached per graph object and shared by every consumer
-    (trajectory streams, schedulers, C kernels).
+
+    The tables are ``concat(u, v)`` and ``concat(v, u)`` without a copy:
+    the first and last ``2m`` words of the graph's endpoint buffer
+    ``[u | v | u]``, so they live exactly as long as the graph.  They are
+    the graph's own storage, handed out writable so the kernels' address
+    lookup stays on its fast path: never write them.
     """
-    if graph.n_edges == 0:
+    m = graph.n_edges
+    if m == 0:
         raise ValueError("cannot schedule interactions on an edgeless graph")
-    key = id(graph)
-    entry = _DIRECTED_CACHE.get(key)
-    if entry is not None and entry[0] is graph:
-        _DIRECTED_CACHE.move_to_end(key)
-        return entry[1], entry[2]
-    while len(_DIRECTED_CACHE) >= _DIRECTED_CACHE_LIMIT:
-        _DIRECTED_CACHE.popitem(last=False)
-    initiators = np.concatenate((graph.edges_u, graph.edges_v))
-    responders = np.concatenate((graph.edges_v, graph.edges_u))
-    _DIRECTED_CACHE[key] = (graph, initiators, responders)
-    return initiators, responders
+    endpoints = graph._endpoints
+    return endpoints[: 2 * m], endpoints[m:]
 
 
 def encode_oriented(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,79 @@ class TestInitialConfigurations:
         config = initial_configuration_from_inputs(protocol, [True, False, True])
         assert config.count(protocol.initial_state(True)) == 2
         assert config.count(protocol.initial_state(False)) == 1
+
+
+class TestLazyConfiguration:
+    """``Configuration.from_codes``: a code row decoded on first use."""
+
+    STATES = ("a", "b", "a", "c", "a", "b", "c", "a")
+
+    def lazy(self, step=5):
+        decodes = []
+
+        def decode(codes):
+            decodes.append(codes)
+            return [self.STATES[c] for c in codes]
+
+        return Configuration.from_codes(list(range(len(self.STATES))), decode, step), decodes
+
+    def test_equals_its_eager_twin_under_every_public_method(self):
+        eager = Configuration(self.STATES, step=5)
+        protocol = TokenLeaderElection()
+        probes = {
+            "states": lambda c: c.states,
+            "getitem": lambda c: (c[0], c[3], c[-1]),
+            "len": len,
+            "iter": list,
+            "state_counts": lambda c: c.state_counts(),
+            "count": lambda c: c.count("a"),
+            "distinct_states": lambda c: c.distinct_states(),
+            "nodes_in_state": lambda c: c.nodes_in_state("b"),
+            "density": lambda c: c.density("a"),
+            "is_alpha_dense": lambda c: c.is_alpha_dense(["a", "b"], 0.25),
+            "is_fully_alpha_dense": lambda c: c.is_fully_alpha_dense(["a", "b", "c"], 0.2),
+            "outputs": lambda c: c.outputs(protocol),
+            "replace": lambda c: (c.replace({1: "z"}), c.replace({1: "z"}).step),
+            "replace-step": lambda c: c.replace({}, step=9).step,
+            "hash": hash,
+            "repr": repr,
+        }
+        for name, probe in probes.items():
+            lazy, decodes = self.lazy()
+            assert probe(lazy) == probe(eager), name
+            assert len(decodes) == 1, name
+
+    def test_equality_both_ways(self):
+        eager = Configuration(self.STATES, step=5)
+        assert self.lazy()[0] == eager
+        assert eager == self.lazy()[0]
+        assert self.lazy()[0] == self.lazy()[0]
+        assert self.lazy()[0] != Configuration(self.STATES[::-1])
+        assert Configuration(self.STATES[::-1]) != self.lazy()[0]
+        assert len({self.lazy()[0], eager}) == 1
+
+    def test_pickle_round_trip_carries_decoded_states(self):
+        lazy, decodes = self.lazy(step=12)
+        restored = pickle.loads(pickle.dumps(lazy))
+        assert len(decodes) == 1
+        assert restored == Configuration(self.STATES)
+        assert restored.step == 12
+        assert restored._codes is None and restored._decode is None
+
+    def test_decode_runs_at_most_once(self):
+        lazy, decodes = self.lazy()
+        assert decodes == []
+        for _ in range(3):
+            assert lazy.states == self.STATES
+            assert len(lazy) == len(self.STATES)
+            hash(lazy)
+        assert len(decodes) == 1
+        assert lazy._codes is None and lazy._decode is None
+
+    def test_step_is_kept(self):
+        lazy, decodes = self.lazy(step=17)
+        assert lazy.step == 17 and decodes == []
+        assert Configuration.from_codes([0], lambda codes: ["a"]).step == 0
 
 
 @settings(max_examples=30, deadline=None)

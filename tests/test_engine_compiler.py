@@ -153,6 +153,47 @@ def _registry(compiled):
     )
 
 
+def test_vector_backend_fills_misses_without_np_unique(monkeypatch):
+    """Regression guard: ``lookup_block`` fills a block's missing table
+    entries in ascending pair order by sorting, not with ``np.unique``
+    (which hashes integers on NumPy >= 2.3 and imports ``numpy.ma``).
+
+    A per-replica ``backend="vector"`` plan of the lazily compiled
+    identifier protocol misses on most blocks and must still give the
+    reference interpreter's results (see
+    ``test_graph.py::test_graph_build_never_calls_np_unique``).
+    """
+    from repro.graphs import cycle
+    from repro.protocols.identifier import IdentifierLeaderElection
+    from repro.runtime import compile_plan, execute_plan
+
+    graph = cycle(10)
+    seeds = [5, 6]
+
+    def run(engine, backend="auto"):
+        protocol = IdentifierLeaderElection(graph.n_nodes, identifier_bits=7)
+        plan = compile_plan(
+            [protocol] * len(seeds), graph, seeds, max_steps=20_000,
+            engine=engine, backend=backend,
+        )
+        return [
+            (r.stabilized, r.steps_executed, r.leaders, r.distinct_states_observed,
+             r.final_configuration.states)
+            for r in execute_plan(plan)
+        ], protocol
+
+    reference, _ = run("reference")
+    clear_compilation_cache()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called while filling table misses")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    vector, protocol = run("compiled", backend="vector")
+    assert vector == reference
+    assert get_compiled(protocol).filled_pairs > 50  # the run missed, often
+
+
 class TestEncode:
     """``encode`` is byte-identical to a per-element ``code_for`` loop."""
 

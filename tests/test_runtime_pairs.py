@@ -5,7 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs import clique, cycle, star
+from repro.graphs import (
+    barbell,
+    binary_tree,
+    circulant,
+    clique,
+    complete_bipartite,
+    cycle,
+    cycle_with_chords,
+    double_star,
+    erdos_renyi,
+    grid,
+    hypercube,
+    lollipop,
+    path,
+    random_regular,
+    star,
+    torus,
+)
+from repro.graphs.families import all_named_families
+from repro.graphs.graph import Graph
 from repro.runtime.pairs import (
     decode_pairs,
     directed_pair_count,
@@ -34,21 +53,92 @@ class TestDirectedTables:
         for u, v in graph.edges():
             assert (u, v) in pairs and (v, u) in pairs
 
-    def test_tables_are_cached_per_graph(self):
+    def test_tables_are_views_of_the_graph_buffer(self):
+        """No copy: both tables are views of the one endpoint buffer that
+        also holds ``edges_u`` and ``edges_v``."""
         graph = star(9)
-        first = directed_tables(graph)
-        second = directed_tables(graph)
-        assert first[0] is second[0] and first[1] is second[1]
+        du, dv = directed_tables(graph)
+        assert np.shares_memory(du, graph.edges_u)
+        assert np.shares_memory(dv, graph.edges_v)
+        assert du.base is graph.edges_u.base and dv.base is graph.edges_u.base
+        # Two calls return views of the same words.
+        again = directed_tables(graph)
+        assert again[0].ctypes.data == du.ctypes.data
+        assert again[1].ctypes.data == dv.ctypes.data
 
     def test_edgeless_graph_rejected(self):
-        from repro.graphs.graph import Graph
-
         with pytest.raises(ValueError):
             directed_tables(Graph(3, [], check_connected=False))
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError):
+            directed_tables(Graph.from_edge_arrays(3, empty, empty, check_connected=False))
 
     def test_pair_count(self):
         graph = clique(5)
         assert directed_pair_count(graph) == 2 * graph.n_edges
+
+
+_FAMILY_GRAPHS = {
+    "clique": lambda: clique(7),
+    "cycle": lambda: cycle(9),
+    "path": lambda: path(6),
+    "star": lambda: star(8),
+    "complete_bipartite": lambda: complete_bipartite(3, 4),
+    "torus": lambda: torus(4, 5),
+    "grid": lambda: grid(3, 4),
+    "hypercube": lambda: hypercube(4),
+    "lollipop": lambda: lollipop(5, 3),
+    "barbell": lambda: barbell(4, 2),
+    "cycle_with_chords": lambda: cycle_with_chords(12, 3),
+    "circulant": lambda: circulant(11, (1, 3)),
+    "binary_tree": lambda: binary_tree(3),
+    "double_star": lambda: double_star(3, 4),
+}
+
+
+def _from_torus_arrays(unordered: bool) -> Graph:
+    """A torus rebuilt by ``from_edge_arrays``: in key order (the
+    ordered path), or reversed with flipped endpoints (the sorted path)."""
+    ordered = torus(5, 6)
+    u, v = ordered.edges_u.copy(), ordered.edges_v.copy()
+    if unordered:
+        u, v = v[::-1], u[::-1]
+    return Graph.from_edge_arrays(ordered.n_nodes, u, v)
+
+
+#: Every way a graph is built: the edge-list constructor,
+#: ``from_edge_arrays`` on ordered, unordered and int32 endpoints, the
+#: random families and every named family.
+_BUILDS = {
+    "constructor": lambda: Graph(6, [(4, 1), (0, 1), (5, 2), (2, 3), (3, 4), (0, 5)]),
+    "from-edge-arrays-ordered": lambda: _from_torus_arrays(False),
+    "from-edge-arrays-unordered": lambda: _from_torus_arrays(True),
+    "from-edge-arrays-int32": lambda: Graph.from_edge_arrays(
+        6, np.int32([3, 1, 0]), np.int32([1, 2, 5]), check_connected=False
+    ),
+    "erdos-renyi": lambda: erdos_renyi(20, 0.3, rng=4),
+    "random-regular": lambda: random_regular(16, 3, rng=2),
+    **_FAMILY_GRAPHS,
+}
+
+
+def test_family_list_is_covered():
+    assert sorted(_FAMILY_GRAPHS) == sorted(all_named_families())
+
+
+@pytest.mark.parametrize("label", sorted(_BUILDS))
+def test_tables_equal_the_concatenation_reference(label):
+    """Every build path lays out ``[u | v | u]``: the tables are exactly
+    ``concat(u, v)`` and ``concat(v, u)``."""
+    graph = _BUILDS[label]()
+    du, dv = directed_tables(graph)
+    u, v = np.asarray(graph.edges_u), np.asarray(graph.edges_v)
+    expected_u = np.concatenate((u, v))
+    expected_v = np.concatenate((v, u))
+    assert du.dtype == dv.dtype == np.int64
+    assert du.flags.c_contiguous and dv.flags.c_contiguous
+    assert np.array_equal(du, expected_u) and np.array_equal(dv, expected_v)
+    assert np.array_equal(graph.degrees, np.bincount(expected_u, minlength=graph.n_nodes))
 
 
 class TestEncodeDecode:
@@ -136,35 +226,3 @@ class TestEncodeOrientedPurity:
         edges = np.array([0, 3, 7], dtype=np.int64)
         orientations = np.array([1, 0, 1], dtype=np.int64)
         assert encode_oriented(edges, orientations, 9).tolist() == [0, 12, 7]
-
-
-class TestDirectedCacheLRU:
-    def test_hot_graph_survives_cold_insert_storm(self):
-        """A recently used graph's tables must not be evicted by churn.
-
-        The cache is bounded; eviction must be least-recently-used, so a
-        graph that is touched between inserts keeps its identical table
-        objects while untouched cold entries age out.
-        """
-        from repro.runtime import pairs
-
-        hot = cycle(9)
-        hot_tables = directed_tables(hot)
-        for size in range(3, 3 + pairs._DIRECTED_CACHE_LIMIT + 4):
-            directed_tables(clique(size))
-            refreshed = directed_tables(hot)
-            assert refreshed[0] is hot_tables[0]
-            assert refreshed[1] is hot_tables[1]
-
-    def test_untouched_entries_age_out(self):
-        from repro.runtime import pairs
-
-        cold = star(6)
-        cold_tables = directed_tables(cold)
-        for size in range(3, 3 + pairs._DIRECTED_CACHE_LIMIT + 4):
-            directed_tables(cycle(3 * size))
-        assert id(cold) not in pairs._DIRECTED_CACHE
-        # A re-request rebuilds (fresh arrays, same values).
-        rebuilt = directed_tables(cold)
-        assert rebuilt[0] is not cold_tables[0]
-        assert (rebuilt[0] == cold_tables[0]).all()

@@ -28,7 +28,7 @@ from repro.core.scheduler import RandomScheduler
 from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, default_check_interval
 from repro.dynamics import EpochSchedule
-from repro.engine.compiler import CompiledProtocol
+from repro.engine.compiler import CompiledProtocol, clear_compilation_cache
 from repro.engine.native import get_run_epoch_kernel, reset_kernel_cache
 from repro.experiments.harness import fast_protocol_spec, measure_protocol_on_graph
 from repro.graphs import clique, cycle, star, torus
@@ -343,6 +343,19 @@ def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
         assert encoded == [1 if inputs is None else graph.n_nodes]
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` (a method) to log its calls; returns the log."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class _EveryBoundaryToken(TokenLeaderElection):
     """The token protocol without the kernel's one-leader prefilter."""
 
@@ -365,11 +378,12 @@ def test_stack_rows_finishing_in_different_calls_keep_replica_order(rule, monkey
     exits once the last row is done, and every result is its replica's.
     """
     graph = cycle(10)
+    protocol_class = {"table": _EveryBoundaryToken, "kernel-rule": _EveryBoundaryIdentifier}[rule]
     make = {
         "table": _EveryBoundaryToken,
         "kernel-rule": lambda: _EveryBoundaryIdentifier(graph.n_nodes, regular=True),
     }[rule]
-    engine = _RULE_CASES[rule][1]
+    _, engine, rule_class = _RULE_CASES[rule]
     seeds = [derive_seed(20261017, "finish-order", r) for r in range(3)]
     widths = []
     kernel = get_run_epoch_kernel()
@@ -379,17 +393,91 @@ def test_stack_rows_finishing_in_different_calls_keep_replica_order(rule, monkey
         return kernel(*args)
 
     monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
+    decodes = _count_calls(monkeypatch, rule_class, "decode_codes")
+    certificates = _count_calls(monkeypatch, protocol_class, "is_output_stable_configuration")
     plan = compile_plan(
         [make()] * len(seeds), graph, seeds, max_steps=50_000, engine=engine, check_interval=8
     )
     stacked = [_result_tuple(r) for r in execute_plan(plan)]
     assert widths[0] == 3 and widths[-1] < 3, widths
     assert len({result[1] for result in stacked}) > 1  # different certified steps
+    # Every boundary certificate reads its row's decoded states; the
+    # step-0 certificate reads the initial states.
+    assert len(decodes) == len(certificates) - 1 > 0
     for seed, result in zip(seeds, stacked):
         single = compile_plan(
             [make()], graph, [seed], max_steps=50_000, engine="reference", check_interval=8
         )
         assert result == _result_tuple(execute_plan(single)[0])
+
+
+#: Stacks that end on their step budget, per transition rule: (protocol
+#: of a graph, engine, rule class, budget).  On a 5x5 torus the
+#: identifier protocol's rows reach these budgets without a certificate
+#: due (none holds one leader, or, on the kernel rule, one agreed
+#: identifier).  A width-4 stack's rows end in different kernel calls:
+#: table rows stop on misses of freshly compiled tables, kernel-rule
+#: rows on a full (shortened) code log.
+_BUDGET_CASES = {
+    "table": (
+        lambda graph: IdentifierLeaderElection(graph.n_nodes, identifier_bits=9),
+        "compiled",
+        CompiledProtocol,
+        80,
+    ),
+    "kernel-rule": (
+        lambda graph: IdentifierLeaderElection(graph.n_nodes, regular=True),
+        "auto",
+        IdentifierKernelRule,
+        160,
+    ),
+}
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("width", (1, 4))
+@pytest.mark.parametrize("rule", sorted(_BUDGET_CASES))
+def test_budget_rows_decode_on_demand(rule, width, monkeypatch):
+    """The stack decodes a row only for a certificate.  A row that ends
+    on its budget gets a final configuration that decodes once, on first
+    use, to the reference interpreter's."""
+    make, engine, rule_class, max_steps = _BUDGET_CASES[rule]
+    graph = torus(5, 5)
+    seeds = [derive_seed(MASTER_SEED, "budget-decode", r) for r in range(width)]
+    references = [
+        execute_plan(
+            compile_plan([make(graph)], graph, [seed], max_steps=max_steps, engine="reference")
+        )[0]
+        for seed in seeds
+    ]
+    clear_compilation_cache()
+    monkeypatch.setattr(execute_module, "_LOG_CAPACITY", 8)
+    widths = []
+    kernel = get_run_epoch_kernel()
+
+    def counting_kernel(*args):
+        widths.append(args[9])  # the active rows
+        return kernel(*args)
+
+    monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
+    decodes = _count_calls(monkeypatch, rule_class, "decode_codes")
+    certificates = _count_calls(
+        monkeypatch, IdentifierLeaderElection, "is_output_stable_configuration"
+    )
+    plan = compile_plan(
+        [make(graph)] * width, graph, seeds, max_steps=max_steps, engine=engine
+    )
+    results = execute_plan(plan)
+    assert len(decodes) == len(certificates)
+    if width > 1:
+        assert widths[0] == width and widths[-1] < width, widths
+    boundary_decodes = len(decodes)
+    for result, reference in zip(results, references):
+        assert not result.stabilized and result.steps_executed == max_steps
+        assert result.final_configuration.step == max_steps
+        assert result.final_configuration == reference.final_configuration
+        assert _result_tuple(result) == _result_tuple(reference)
+    assert len(decodes) - boundary_decodes == width
 
 
 #: Step-0 certificate cases: (protocol, inputs of a graph, expected
