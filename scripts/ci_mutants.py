@@ -56,6 +56,7 @@ DYNAMIC_ENGINES = (
 DYNAMIC_V6 = ("tests/test_dynamics.py::test_dynamic_plans_on_v6_match_reference",)
 EPIDEMICS = "src/repro/analytics/epidemics.py"
 ONE_CALL = ("tests/test_analytics_batch.py::test_one_call_stack_matches_rounds_and_fallback",)
+REFILL_HALVES = ("tests/test_kernel_rng.py::test_source_fill_rejections_and_carried_half_words",)
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,29 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    return values[keep]",
         "    return np.unique(values)",
         IDENTIFIER_TESTS,
+    ),
+    # -- The scheduler-dialect refill: half-words two per LCG step -----
+    Mutant(
+        "refill-accepts-every-half",
+        NATIVE,
+        "    threshold = (0u - m32) % m32;\n",
+        "    threshold = 0;\n",
+        REFILL_HALVES,
+    ),
+    Mutant(
+        "orientation-tail-buffers-low-half",
+        NATIVE,
+        "        g.buf = (uint32_t)(word >> 32);\n        g.has = 1;\n",
+        "        g.buf = (uint32_t)word;\n        g.has = 1;\n",
+        REFILL_HALVES,
+    ),
+    Mutant(
+        "orientation-leaves-buf-stale",
+        NATIVE,
+        "        buffer[i + 1] += (1 - (int64_t)(word >> 63)) * m;\n"
+        "        g.buf = (uint32_t)(word >> 32);\n",
+        "        buffer[i + 1] += (1 - (int64_t)(word >> 63)) * m;\n",
+        REFILL_HALVES,
     ),
     # -- Kernel-seeded analytics streams (stop at finish) --------------
     Mutant(

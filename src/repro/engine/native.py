@@ -277,7 +277,10 @@ static void repro_pcg64_store(const repro_pcg64 *p, uint64_t *w)
     w[5] = p->buf;
 }
 
-static uint64_t repro_pcg64_next64(repro_pcg64 *p)
+/* The three draw helpers are forced inline: a caller's generator then
+ * lives in registers for its whole loop instead of round-tripping its
+ * 128-bit state through memory on every draw. */
+static inline __attribute__((always_inline)) uint64_t repro_pcg64_next64(repro_pcg64 *p)
 {
     uint64_t hi, lo, x;
     unsigned rot;
@@ -289,7 +292,7 @@ static uint64_t repro_pcg64_next64(repro_pcg64 *p)
     return (x >> rot) | (x << ((64 - rot) & 63));
 }
 
-static uint32_t repro_pcg64_next32(repro_pcg64 *p)
+static inline __attribute__((always_inline)) uint32_t repro_pcg64_next32(repro_pcg64 *p)
 {
     uint64_t v;
     if (p->has) {
@@ -337,7 +340,8 @@ void repro_pcg64_raw(uint64_t *rng_state, int64_t count, uint64_t *out)
 
 /* Generator.integers(0, rng + 1) — Lemire's bounded sampling with the
  * buffered 32-bit fast path, exactly as in numpy's distributions.c. */
-static uint64_t repro_bounded64(repro_pcg64 *p, uint64_t rng)
+static inline __attribute__((always_inline)) uint64_t repro_bounded64(repro_pcg64 *p,
+                                                                      uint64_t rng)
 {
     if (rng == 0)
         return 0;
@@ -394,22 +398,87 @@ void repro_bounded_fill(uint64_t *rng_state, uint64_t bound, int64_t count,
  * left before the topology's next epoch boundary); all edge draws
  * first, then all orientation draws (the two-call order is part of the
  * seeded-stream definition); encoded as
- * index = edge + (1 - orientation) * m. */
+ * index = edge + (1 - orientation) * m.
+ *
+ * For 2 <= m < 2^32 both calls run on 32-bit half-words, and the loops
+ * below take them exactly as next32 hands them out, with the generator
+ * in locals: each LCG advance yields its low half, then its high half.
+ * An edge half is Lemire's draw over [0, m), rejected (and the next half
+ * tried, as numpy retries) when the low word of half * m falls below
+ * (2^32 - m) mod m; an orientation half is integers(0, 2), its top bit,
+ * never rejected.  A half buffered on entry is the first edge half; an
+ * edge phase ending on a low half hands its high half to the first
+ * orientation; an orientation phase ending on a low half leaves its high
+ * half buffered.  buf is always the high half of the last word drawn, as
+ * numpy's uinteger is, so the state row equals PCG64().state word for
+ * word.  m == 1 draws no edge, and m >= 2^32 takes numpy's full-range
+ * and 64-bit paths: both keep the per-draw loops.  Callers refill only
+ * when a draw is due, so size >= 1. */
 static int64_t repro_source_refill(repro_pcg64 *p, int64_t *buffer,
                                    int64_t batch, int64_t minimum, int64_t limit,
                                    int64_t m)
 {
     int64_t size = batch > minimum ? batch : minimum;
-    uint64_t erng = (uint64_t)m - 1;
+    repro_pcg64 g;
+    uint32_t m32, threshold;
+    uint64_t word, prod;
     int64_t i;
     if (size > limit)
         size = limit;
-    for (i = 0; i < size; i++)
-        buffer[i] = (int64_t)repro_bounded64(p, erng);
-    for (i = 0; i < size; i++) {
-        int64_t orient = (int64_t)repro_bounded64(p, 1);
-        buffer[i] += (1 - orient) * m;
+    if (m < 2 || m > 0xFFFFFFFFLL) {
+        uint64_t erng = (uint64_t)m - 1;
+        for (i = 0; i < size; i++)
+            buffer[i] = (int64_t)repro_bounded64(p, erng);
+        for (i = 0; i < size; i++) {
+            int64_t orient = (int64_t)repro_bounded64(p, 1);
+            buffer[i] += (1 - orient) * m;
+        }
+        return size;
     }
+    g = *p;
+    m32 = (uint32_t)m;
+    threshold = (0u - m32) % m32;
+    /* Edge draws: integers(0, m) per slot. */
+    i = 0;
+    if (g.has) {
+        g.has = 0;
+        prod = (uint64_t)g.buf * m32;
+        if ((uint32_t)prod >= threshold)
+            buffer[i++] = (int64_t)(prod >> 32);
+    }
+    while (i < size) {
+        word = repro_pcg64_next64(&g);
+        g.buf = (uint32_t)(word >> 32);
+        prod = (uint64_t)(uint32_t)word * m32;
+        if ((uint32_t)prod >= threshold)
+            buffer[i++] = (int64_t)(prod >> 32);
+        if (i == size) {
+            g.has = 1;
+            break;
+        }
+        prod = (uint64_t)g.buf * m32;
+        if ((uint32_t)prod >= threshold)
+            buffer[i++] = (int64_t)(prod >> 32);
+    }
+    /* Orientation draws: integers(0, 2) per slot. */
+    i = 0;
+    if (g.has) {
+        g.has = 0;
+        buffer[i++] += (1 - (int64_t)(g.buf >> 31)) * m;
+    }
+    for (; i + 1 < size; i += 2) {
+        word = repro_pcg64_next64(&g);
+        buffer[i] += (1 - (int64_t)((uint32_t)word >> 31)) * m;
+        buffer[i + 1] += (1 - (int64_t)(word >> 63)) * m;
+        g.buf = (uint32_t)(word >> 32);
+    }
+    if (i < size) {
+        word = repro_pcg64_next64(&g);
+        g.buf = (uint32_t)(word >> 32);
+        g.has = 1;
+        buffer[i] += (1 - (int64_t)((uint32_t)word >> 31)) * m;
+    }
+    *p = g;
     return size;
 }
 
@@ -1070,6 +1139,9 @@ int64_t repro_count_components(const int64_t *eu,
 }
 """
 
+#: The whole translation unit of the one kernel build.
+_KERNEL_SOURCE = _KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6 + _KERNEL_SOURCE_GRAPH
+
 _UNSET = object()
 _cached_kernel = _UNSET
 
@@ -1153,12 +1225,11 @@ def _compile_kernel():
     flags = [*_CFLAGS, *_extra_cflags()]
     # One build: a host that cannot compile the full source (pthreads,
     # 128-bit arithmetic) gets no kernel and runs the NumPy backends.
-    source = _KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6 + _KERNEL_SOURCE_GRAPH
-    src_path, so_path = _build_paths(_build_directory(), source, flags)
+    src_path, so_path = _build_paths(_build_directory(), _KERNEL_SOURCE, flags)
     if not os.path.exists(so_path):
         tmp = f".tmp{os.getpid()}"
         with open(src_path + tmp, "w", encoding="utf-8") as handle:
-            handle.write(source)
+            handle.write(_KERNEL_SOURCE)
         os.replace(src_path + tmp, src_path)
         subprocess.run(
             [compiler, *flags, "-o", so_path + tmp, src_path],

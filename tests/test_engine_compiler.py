@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -293,3 +296,36 @@ class TestKernelBuildCache:
         assert edited[0] != base[0] and edited[1] != base[1]
         assert sanitized[1] != base[1]
         assert base[0].endswith(".c") and base[1].endswith(".so")
+
+
+_COMPILER = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
+@pytest.mark.skipif(
+    bool(os.environ.get("REPRO_DISABLE_NATIVE")) or _COMPILER is None,
+    reason="native kernel disabled or no C compiler on PATH",
+)
+def test_kernel_builds_warning_free_where_a_compiler_is_present(tmp_path):
+    """With a C compiler on PATH the kernel must build, and build clean.
+
+    A failed build is not an error at run time: every getter returns
+    ``None`` and plans take the slower fallback, so every kernel test
+    skips.  This test is the one that fails, with the compiler's message.
+    """
+    from repro.engine import native
+
+    if native.get_run_epoch_kernel() is None:
+        try:
+            native._compile_kernel()
+        except subprocess.CalledProcessError as error:
+            pytest.fail(f"kernel build failed:\n{error.stderr.decode(errors='replace')}")
+        pytest.fail("kernel unavailable although a C compiler is on PATH")
+    source = tmp_path / "kernel.c"
+    source.write_text(native._KERNEL_SOURCE, encoding="utf-8")
+    check = subprocess.run(
+        [_COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert check.returncode == 0, f"kernel source has warnings:\n{check.stderr}"

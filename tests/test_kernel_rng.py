@@ -8,8 +8,9 @@ bounded sampling, and the scheduler-dialect refills of
 :class:`repro.runtime.source.InteractionSource`.  These tests pin each
 layer bit for bit: raw 64-bit words, bounded draws across chunk
 boundaries, decoded pair indices over randomized ``(seed, m, length)``
-triples including epoch-boundary caps at ``REFILL_SIZE``, and the
-per-row stream independence that stack compaction relies on, and the
+triples including epoch-boundary caps at ``REFILL_SIZE``, refills that
+reject half-words or start on a buffered one (whole state rows compared),
+the per-row stream independence that stack compaction relies on, and the
 analytics kernels' stop-at-finish contract.
 """
 
@@ -28,7 +29,7 @@ from repro.engine.native import (
     get_rng_kernels,
 )
 from repro.graphs import clique, cycle
-from repro.runtime.pairs import directed_tables
+from repro.runtime.pairs import directed_tables, encode_oriented
 from repro.runtime.source import (
     REFILL_SIZE,
     InteractionSource,
@@ -145,6 +146,77 @@ def test_source_stream_matches_interaction_source(case):
     )
     assert (kernel_stream >= 0).all() and (kernel_stream < 2 * m).all()
     assert int(source_state[2]) == sum(chunks) == reference_source.steps_emitted
+
+
+#: Edge counts the refill sees (no graph is built: the kernel only reads
+#: ``m``).  1 draws no edge; 288 is a 12x12 torus; at 3 * 2^30 Lemire
+#: rejects a quarter of all half-words and at 2^31 + 1 about half; 2^32 - 1
+#: is the top of the half-word path, 2^32 numpy's full-range 32-bit draw
+#: and 2^32 + 1 its 64-bit path.
+REFILL_EDGE_COUNTS = (1, 2, 3, 288, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1)
+#: Odd refill sizes leave a half-word buffered between the two calls of a
+#: refill and between refills.
+REFILL_CHUNKS = (REFILL_SIZE + 17, 5, 3, REFILL_SIZE - 1, 2 * REFILL_SIZE + 1)
+
+
+def _reference_source_fill(generator: np.random.Generator, m: int, chunks) -> np.ndarray:
+    """``InteractionSource``'s reads of ``chunks`` on ``m`` edges, without a graph.
+
+    A refill happens on an empty buffer and makes ``_refill``'s two
+    ``integers`` calls for ``max(REFILL_SIZE, draws still needed)``
+    draws, encoded with :func:`encode_oriented`.
+    """
+    buffer = np.empty(0, dtype=np.int64)
+    cursor = 0
+    pieces = []
+    for count in chunks:
+        needed = count
+        while needed:
+            if cursor == buffer.shape[0]:
+                size = max(REFILL_SIZE, needed)
+                edges = generator.integers(0, m, size=size)
+                orientations = generator.integers(0, 2, size=size)
+                buffer = encode_oriented(edges, orientations, m)
+                cursor = 0
+            take = min(buffer.shape[0] - cursor, needed)
+            pieces.append(buffer[cursor : cursor + take])
+            cursor += take
+            needed -= take
+    return np.concatenate(pieces)
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried-half"])
+@pytest.mark.parametrize("m", REFILL_EDGE_COUNTS)
+def test_source_fill_rejections_and_carried_half_words(m, carried):
+    """Refills that reject half-words or start on a buffered one ≡ NumPy.
+
+    The kernel takes both halves of each PCG64 word, and hands a half left
+    over between the edge and orientation calls, or between refills, on
+    as numpy's ``next32`` does.  The stream starts either fresh or after
+    one ``integers(0, 2**31)``, which leaves a half-word buffered, and
+    after the last chunk the whole state row must equal the reference
+    Generator's, ``uinteger`` included.
+    """
+    generator = np.random.default_rng(derive_seed(MASTER_SEED, "refill-halves", m))
+    if carried:
+        generator.integers(0, 2**31)
+    assert generator.bit_generator.state["has_uint32"] == int(carried)
+    row = np.zeros(RNG_STATE_WORDS, dtype=np.uint64)
+    pack_generator_state(generator, row)
+    source_state = np.zeros(3, dtype=np.int64)
+    buffer = np.zeros(max(REFILL_CHUNKS), dtype=np.int64)
+    pieces = []
+    for count in REFILL_CHUNKS:
+        out = np.zeros(count, dtype=np.int64)
+        KERNELS["source_fill"](
+            _ptr(row), _ptr(source_state), _ptr(buffer), m, REFILL_SIZE, count, _ptr(out)
+        )
+        pieces.append(out)
+    reference = _reference_source_fill(generator, m, REFILL_CHUNKS)
+    assert (np.concatenate(pieces) == reference).all(), f"stream diverges for m={m}"
+    expected = np.zeros(RNG_STATE_WORDS, dtype=np.uint64)
+    pack_generator_state(generator, expected)
+    assert row.tolist() == expected.tolist(), f"state row diverges for m={m}"
 
 
 def test_derive_seed_folding_matches_c():
