@@ -11,7 +11,9 @@ this size:
   A subprocess is mandatory: ``ru_maxrss`` is a process-lifetime
   high-water mark, so measuring in the pytest process would report the
   residue of whatever ran before.  The ceiling defaults to 2048 MB
-  (``REPRO_BENCH_RSS_MB`` to tune); the graph build sets the peak.
+  (``REPRO_BENCH_RSS_MB`` to tune).  The graph build sets the peak: its
+  endpoint buffer, degrees and union-find scratch; the run stays below
+  it.
 
 **Throughput record** — the shard-worker pool against the best existing
 path, width-1 v6 (a one-replica plan on the kernel-v6 epoch stack):

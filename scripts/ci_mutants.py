@@ -42,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 NATIVE = "src/repro/engine/native.py"
 EXECUTE = "src/repro/runtime/execute.py"
 GRAPH = "src/repro/graphs/graph.py"
+FAMILIES = "src/repro/graphs/families.py"
 ESTIMATORS = "src/repro/analysis/estimators.py"
 CONFIGURATION = "src/repro/core/configuration.py"
 
@@ -50,6 +51,12 @@ STOP_AT_FINISH = ("tests/test_kernel_rng.py::test_epoch_rows_stop_drawing_at_fin
 CALLER_HELD = ("tests/test_analytics_batch.py::test_caller_held_generator_matches_fallback",)
 GRAPH_NO_UNIQUE = ("tests/test_graph.py::test_graph_build_never_calls_np_unique",)
 CONNECTIVITY = ("tests/test_graph.py::test_is_connected_agrees_with_bfs_and_networkx",)
+BUILD_PATHS_AGREE = ("tests/test_graph.py::test_build_paths_agree_on_faulty_edge_arrays",)
+TORUS_REFERENCE = ("tests/test_families.py::test_torus_edges_match_sorted_set_reference",)
+CONCATENATION = ("tests/test_runtime_pairs.py::test_tables_equal_the_concatenation_reference",)
+STEP_ZERO = (
+    "tests/test_runtime_plan.py::test_v6_step_zero_certificate_behind_the_one_leader_precheck",
+)
 DYNAMIC_ENGINES = (
     "tests/test_dynamics.py::TestSimulatorSchedules::test_dynamic_run_identical_across_engines",
 )
@@ -174,8 +181,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "edge-arrays-duplicates-np-unique",
         GRAPH,
-        "                keys.sort()\n                if bool((keys[1:] == keys[:-1]).any()):",
-        "                if np.unique(keys).size != keys.size:",
+        "            keys.sort()\n            if bool((keys[1:] == keys[:-1]).any()):",
+        "            if np.unique(keys).size != keys.size:",
         GRAPH_NO_UNIQUE,
     ),
     Mutant(
@@ -207,35 +214,88 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        present[np.unique(initial_codes)] = 1",
         ("tests/test_runtime_plan.py::test_v6_setup_counts_initial_states_without_np_unique",),
     ),
-    # -- Graph build: ordered torus, union-find connectivity -----------
+    # -- Graph build: in-place torus, one edge pass and its NumPy twin --
     Mutant(
         "torus-row-right-after-left-wrap",
-        "src/repro/graphs/families.py",
+        FAMILIES,
         "        (c + 1, c < cols - 1),  # right\n"
         "        (c + cols - 1, c == 0),  # left-wrap\n",
         "        (c + cols - 1, c == 0),  # left-wrap\n"
         "        (c + 1, c < cols - 1),  # right\n",
-        ("tests/test_families.py::test_torus_edges_match_sorted_set_reference",),
+        TORUS_REFERENCE,
+    ),
+    Mutant(
+        "torus-bottom-row-block-one-slot-early",
+        FAMILIES,
+        "            np.add(bottom, (rows - 1) * cols, out=out[body_end:])",
+        "            np.add(bottom, (rows - 1) * cols, out=out[body_end - 1 : -1])",
+        TORUS_REFERENCE,
     ),
     Mutant(
         "edge-arrays-ordered-path-accepts-ties",
         GRAPH,
-        "            if not bool((keys[1:] > keys[:-1]).all()):",
-        "            if not bool((keys[1:] >= keys[:-1]).all()):",
+        "    increasing = bool((keys[1:] > keys[:-1]).all())",
+        "    increasing = bool((keys[1:] >= keys[:-1]).all())",
+        ("tests/test_graph.py::TestFromEdgeArraysNumPy::test_rejects_duplicate_edge",),
+    ),
+    Mutant(
+        "edge-pass-order-test-accepts-ties",
+        NATIVE,
+        "        if (lo < prev_lo || (lo == prev_lo && hi <= prev_hi))",
+        "        if (lo < prev_lo || (lo == prev_lo && hi < prev_hi))",
         ("tests/test_graph.py::TestFromEdgeArrays::test_rejects_duplicate_edge",),
+    ),
+    Mutant(
+        "edge-pass-range-lets-n-through",
+        NATIVE,
+        "        if (lo < 0 || hi >= n)\n            break;",
+        "        if (lo < 0 || hi > n)\n            break;",
+        ("tests/test_graph.py::test_edge_pass_stops_before_indexing_an_out_of_range_end",),
+    ),
+    Mutant(
+        "edge-pass-degrees-at-one-end",
+        NATIVE,
+        "            degrees[lo]++;\n            degrees[hi]++;\n",
+        "            degrees[lo]++;\n",
+        CONCATENATION,
+    ),
+    Mutant(
+        "edge-pass-tail-copies-hi",
+        NATIVE,
+        "            out[2 * m + i] = lo;\n",
+        "            out[2 * m + i] = hi;\n",
+        CONCATENATION,
+    ),
+    Mutant(
+        "numpy-twin-orients-min-then-max-in-place",
+        GRAPH,
+        "    np.minimum(edges_u, edges_v, out=tail)\n"
+        "    np.maximum(edges_u, edges_v, out=high)\n"
+        "    low[...] = tail\n",
+        "    np.minimum(edges_u, edges_v, out=low)\n"
+        "    np.maximum(edges_u, edges_v, out=high)\n"
+        "    tail[...] = low\n",
+        BUILD_PATHS_AGREE,
+    ),
+    Mutant(
+        "node-count-truncated",
+        GRAPH,
+        "        n = operator.index(n_nodes)",
+        "        n = int(n_nodes)",
+        ("tests/test_graph.py::test_non_integral_inputs_raise",),
     ),
     Mutant(
         "is-connected-any-component-count",
         GRAPH,
-        "        return components == 1",
-        "        return components >= 1",
+        "        return int(info[2]) == 1",
+        "        return int(info[2]) >= 1",
         CONNECTIVITY,
     ),
     Mutant(
         "union-find-drops-count-decrement",
         NATIVE,
-        "            parent[a] = b;\n        components--;\n",
-        "            parent[a] = b;\n",
+        "                parent[lo] = hi;\n            components--;\n",
+        "                parent[lo] = hi;\n",
         CONNECTIVITY,
     ),
     Mutant(
@@ -243,10 +303,14 @@ MUTANTS: Tuple[Mutant, ...] = (
         EXECUTE,
         "    initially_stable = (not precheck or initial_leaders == 1) and bool(",
         "    initially_stable = (not precheck or initial_leaders != 1) and bool(",
-        (
-            "tests/test_runtime_plan.py::"
-            "test_v6_step_zero_certificate_behind_the_one_leader_precheck",
-        ),
+        STEP_ZERO,
+    ),
+    Mutant(
+        "v6-uniform-start-builds-initial-states",
+        EXECUTE,
+        "        [protocol.initial_state(None)] if uniform else plan.initial_states()",
+        "        plan.initial_states()[:1] if uniform else plan.initial_states()",
+        STEP_ZERO,
     ),
     # -- Topology schedules and key groups on the v6 stack -------------
     Mutant(
@@ -344,9 +408,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "endpoint-tail-copies-v",
         GRAPH,
-        "        endpoints[2 * m :] = endpoints[:m]",
-        "        endpoints[2 * m :] = endpoints[m : 2 * m]",
-        ("tests/test_runtime_pairs.py::test_tables_equal_the_concatenation_reference",),
+        "    low[...] = tail\n",
+        "    low[...] = tail\n    tail[...] = high\n",
+        TORUS_REFERENCE + BUILD_PATHS_AGREE,
     ),
     Mutant(
         "q90-halfway-takes-low-branch",

@@ -1,13 +1,24 @@
 """Optional C kernel for the compiled engine.
 
-One shared object holds every native entry point: the v6 epoch runner
-(``repro_run_epoch``), which advances a whole stack of protocol replicas
-with their seeded pair streams drawn in C; the analytics epidemics; the
-RNG primitives behind them; two block functions fed pre-drawn pairs
-from Python (the shard-worker pool's ``repro_run_shard_block`` and the
-stand-in serial baselines' ``repro_broadcast_block``); and the graph
-layer's union-find component count (``repro_count_components``, behind
-:meth:`repro.graphs.graph.Graph.is_connected`).  On machines with
+One shared object holds every native entry point:
+
+* ``repro_run_epoch``, the v6 epoch runner, which advances a whole stack
+  of protocol replicas with their seeded pair streams drawn in C;
+* the analytics epidemics ``repro_broadcast_epoch`` and
+  ``repro_influence_epoch``;
+* the RNG primitives behind them (``repro_splitmix64``,
+  ``repro_derive_seed``, ``repro_pcg64_init``, ``repro_pcg64_raw``,
+  ``repro_bounded_fill``, ``repro_source_fill``);
+* two block functions fed pre-drawn pairs from Python: the shard-worker
+  pool's ``repro_run_shard_block`` and the stand-in serial baselines'
+  ``repro_broadcast_block``;
+* the graph layer's ``repro_edge_pass``, one pass over a graph's edges
+  that orients and checks them, fills its endpoint buffer and degrees,
+  and counts its components with a union-find (behind every
+  :class:`repro.graphs.graph.Graph` build and
+  :meth:`~repro.graphs.graph.Graph.is_connected`).
+
+On machines with
 a system C compiler the source below is compiled once, the shared object
 is cached under ``src/repro/engine/_build/`` (named by a digest of the
 source text and compiler flags) and driven through :mod:`ctypes`.  The
@@ -17,8 +28,8 @@ backends of :class:`~repro.engine.stepper.CompiledRun`.
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_DISABLE_NATIVE=1`` simply means every getter here (for example
 :func:`get_run_epoch_kernel`) returns ``None``, plans run on the
-per-replica engine's NumPy/scalar backends, and connectivity checks
-take a NumPy BFS.  The epoch runner stops a
+per-replica engine's NumPy/scalar backends, and graph builds take their
+NumPy twin (connectivity by a BFS).  The epoch runner stops a
 row at the first table miss, so lazy pair discovery (and table growth)
 stays in Python.
 """
@@ -1100,42 +1111,84 @@ void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
 }
 """
 
-#: Graph-layer helpers: the connectivity check of every graph build.
+#: The graph layer's one pass over a graph's edges: every build's
+#: validation, endpoint buffer, degrees and connectivity check.
 _KERNEL_SOURCE_GRAPH = r"""
-/* Number of connected components of the graph on nodes [0, n) with the
- * m undirected edges (eu[i], ev[i]): union-find with path halving, each
- * union linking the larger root under the smaller.  parent is
- * caller-owned scratch of n words; it holds a forest on return. */
-int64_t repro_count_components(const int64_t *eu,
-                               const int64_t *ev,
-                               int64_t m,
-                               int64_t n,
-                               int64_t *parent)
+/* One pass over the m undirected edges (eu[i], ev[i]) of a graph on
+ * nodes [0, n), in input order.  Edge i is oriented to (lo, hi), and,
+ * when out is given, written to out[i], out[m + i] and out[2m + i]: out
+ * is the graph's 3m-word endpoint buffer [lo | hi | lo].  eu and ev may
+ * be its first two thirds, because each edge is read before its slots
+ * are written.  The pass stops at the first edge with an end outside
+ * [0, n), before anything is indexed with it, and returns that edge's
+ * index; otherwise it returns m.  degrees (n words, zeroed by the
+ * caller, or NULL) counts both ends of every edge; parent (n words of
+ * scratch, or NULL) runs a union-find with path halving, each union
+ * linking the larger root under the smaller.
+ *
+ * info[0]: the node of the first self-loop, or -1;
+ * info[1]: 1 when every (lo, hi) strictly follows the one before it,
+ *          lexicographically (the edges then hold no duplicate), else 0;
+ * info[2]: the number of connected components (n without parent). */
+int64_t repro_edge_pass(const int64_t *eu,
+                        const int64_t *ev,
+                        int64_t m,
+                        int64_t n,
+                        int64_t *out,
+                        int64_t *degrees,
+                        int64_t *parent,
+                        int64_t *info)
 {
-    int64_t components = n;
+    int64_t self_loop = -1, increasing = 1, components = n;
+    int64_t prev_lo = -1, prev_hi = -1;
     int64_t i;
-    for (i = 0; i < n; i++)
-        parent[i] = i;
+    if (parent)
+        for (i = 0; i < n; i++)
+            parent[i] = i;
     for (i = 0; i < m; i++) {
         int64_t a = eu[i];
         int64_t b = ev[i];
-        while (parent[a] != a) {
-            parent[a] = parent[parent[a]];
-            a = parent[a];
+        int64_t lo = a < b ? a : b;
+        int64_t hi = a < b ? b : a;
+        if (lo < 0 || hi >= n)
+            break;
+        if (out) {
+            out[i] = lo;
+            out[m + i] = hi;
+            out[2 * m + i] = lo;
         }
-        while (parent[b] != b) {
-            parent[b] = parent[parent[b]];
-            b = parent[b];
+        if (lo == hi && self_loop < 0)
+            self_loop = lo;
+        if (lo < prev_lo || (lo == prev_lo && hi <= prev_hi))
+            increasing = 0;
+        prev_lo = lo;
+        prev_hi = hi;
+        if (degrees) {
+            degrees[lo]++;
+            degrees[hi]++;
         }
-        if (a == b)
-            continue;
-        if (a < b)
-            parent[b] = a;
-        else
-            parent[a] = b;
-        components--;
+        if (parent) {
+            while (parent[lo] != lo) {
+                parent[lo] = parent[parent[lo]];
+                lo = parent[lo];
+            }
+            while (parent[hi] != hi) {
+                parent[hi] = parent[parent[hi]];
+                hi = parent[hi];
+            }
+            if (lo == hi)
+                continue;
+            if (lo < hi)
+                parent[hi] = lo;
+            else
+                parent[lo] = hi;
+            components--;
+        }
     }
-    return components;
+    info[0] = self_loop;
+    info[1] = increasing;
+    info[2] = components;
+    return i;
 }
 """
 
@@ -1398,19 +1451,22 @@ def _bind_kernels(library):
         ctypes.c_int64,  # n
         ctypes.POINTER(ctypes.c_int64),  # count_io
     ]
-    count_components = library.repro_count_components
-    count_components.restype = ctypes.c_int64
-    count_components.argtypes = [
+    edge_pass = library.repro_edge_pass
+    edge_pass.restype = ctypes.c_int64
+    edge_pass.argtypes = [
         ctypes.c_void_p,  # eu (m)
         ctypes.c_void_p,  # ev (m)
         ctypes.c_int64,  # m
         ctypes.c_int64,  # n
-        ctypes.c_void_p,  # parent (n; scratch)
+        ctypes.c_void_p,  # out (3m) or None
+        ctypes.c_void_p,  # degrees (n; zeroed) or None
+        ctypes.c_void_p,  # parent (n; scratch) or None
+        ctypes.c_void_p,  # info (3)
     ]
     kernels = {
         "run_shard_block": run_shard_block,
         "broadcast_block": broadcast_block,
-        "count_components": count_components,
+        "edge_pass": edge_pass,
         **_bind_v6(library),
     }
     kernels["rng"] = {name: kernels[name] for name in _RNG_KERNEL_NAMES}
@@ -1461,10 +1517,11 @@ def get_influence_epoch_kernel():
     return None if kernels is None else kernels["influence_epoch"]
 
 
-def get_components_kernel():
-    """The union-find connected-component count over an edge list, or ``None``."""
+def get_edge_pass_kernel():
+    """The graph layer's one pass over an edge list (orientation, checks,
+    endpoint buffer, degrees, union-find), or ``None``."""
     kernels = _kernels()
-    return None if kernels is None else kernels["count_components"]
+    return None if kernels is None else kernels["edge_pass"]
 
 
 def get_rng_kernels():

@@ -76,17 +76,24 @@ def torus(rows: int, cols: int) -> Graph:
     # order is the historical ``sorted({(min(u, v), max(u, v)), ...})``,
     # emitted directly instead of sorted: row ``r``'s edges are one row
     # pattern shifted by ``r * cols``, and only the first and last rows
-    # have patterns of their own.  ``from_edge_arrays`` sees strictly
-    # increasing keys and skips its duplicate sort.
+    # have patterns of their own.  The row blocks are written straight
+    # into the graph's endpoint buffer, where the edge pass finds them
+    # strictly increasing and needs no duplicate sort.
     first = _torus_row(rows, cols, down=True, up_wrap=True)
     middle = _torus_row(rows, cols, down=True, up_wrap=False)
     last = _torus_row(rows, cols, down=False, up_wrap=False)
     shifts = np.arange(cols, (rows - 1) * cols, cols, dtype=np.int64)[:, None]
-    low, high = (
-        np.concatenate((top, (inner + shifts).ravel(), bottom + (rows - 1) * cols))
-        for top, inner, bottom in zip(first, middle, last)
+
+    def fill(low: np.ndarray, high: np.ndarray) -> None:
+        for out, top, inner, bottom in zip((low, high), first, middle, last):
+            body_end = top.size + shifts.size * inner.size
+            out[: top.size] = top
+            np.add(inner, shifts, out=out[top.size : body_end].reshape(shifts.size, inner.size))
+            np.add(bottom, (rows - 1) * cols, out=out[body_end:])
+
+    return Graph._from_filled_endpoints(
+        rows * cols, 2 * rows * cols, fill, name=f"torus-{rows}x{cols}"
     )
-    return Graph.from_edge_arrays(rows * cols, low, high, name=f"torus-{rows}x{cols}")
 
 
 def _torus_row(rows: int, cols: int, down: bool, up_wrap: bool) -> Tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,8 @@ bounds) on it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +47,76 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _node_count(n_nodes) -> int:
+    """``n_nodes`` as a positive ``int``.
+
+    It goes through ``operator.index``, so ``3.5`` raises instead of
+    passing a range check against ``3.5`` and sizing buffers for 3.
+    """
+    try:
+        n = operator.index(n_nodes)
+    except TypeError:
+        raise GraphError(f"the node count must be an integer, not {n_nodes!r}") from None
+    if n <= 0:
+        raise GraphError("a graph must have at least one node")
+    return n
+
+
+def _edge_pass_native(kernel, n, edges_u, edges_v, endpoints, connectivity):
+    """The C edge pass (``repro_edge_pass``) for :meth:`Graph._adopt`.
+
+    Returns ``(in_range, self_loop, increasing, degrees, components)``:
+    whether every end lies in ``[0, n)``, the node of the first
+    self-loop or ``-1``, whether the oriented edges strictly increase,
+    the degrees, and the component count (``None`` unless
+    ``connectivity`` asked for the union-find).
+    """
+    from ..engine.native import data_address
+
+    m = endpoints.size // 3
+    degrees = np.zeros(n, dtype=np.int64)
+    parent = np.empty(n, dtype=np.int64) if connectivity else None
+    info = np.empty(3, dtype=np.int64)
+    passed = kernel(
+        data_address(edges_u),
+        data_address(edges_v),
+        m,
+        n,
+        data_address(endpoints),
+        data_address(degrees),
+        None if parent is None else data_address(parent),
+        data_address(info),
+    )
+    self_loop, increasing, components = info.tolist()
+    return passed == m, self_loop, bool(increasing), degrees, components if connectivity else None
+
+
+def _edge_pass_numpy(n, edges_u, edges_v, endpoints):
+    """The NumPy twin of :func:`_edge_pass_native`, in whole-array passes.
+
+    It has no union-find: its ``components`` is ``None``, and the
+    connectivity check takes a BFS.  The minimum goes to the tail
+    first, because ``edges_u`` and ``edges_v`` may be the buffer's own
+    first two thirds: both ufuncs read every input before it is
+    overwritten, and the tail is then already the copy of ``u``.
+    """
+    m = endpoints.size // 3
+    low, high, tail = endpoints[:m], endpoints[m : 2 * m], endpoints[2 * m :]
+    if m == 0:
+        return True, -1, True, np.zeros(n, dtype=np.int64), None
+    np.minimum(edges_u, edges_v, out=tail)
+    np.maximum(edges_u, edges_v, out=high)
+    low[...] = tail
+    if int(low.min()) < 0 or int(high.max()) >= n:
+        return False, -1, False, None, None
+    loops = np.flatnonzero(low == high)
+    self_loop = int(low[loops[0]]) if loops.size else -1
+    keys = low * np.int64(n) + high
+    increasing = bool((keys[1:] > keys[:-1]).all())
+    degrees = np.bincount(endpoints[: 2 * m], minlength=n).astype(np.int64, copy=False)
+    return True, self_loop, increasing, degrees, None
 
 
 class Graph:
@@ -88,16 +159,16 @@ class Graph:
         name: str = "graph",
         check_connected: bool = True,
     ) -> None:
-        if n_nodes <= 0:
-            raise GraphError("a graph must have at least one node")
-        edge_list = self._normalise_edges(n_nodes, edges)
+        n = _node_count(n_nodes)
+        edge_list = self._normalise_edges(n, edges)
         m = len(edge_list)
         endpoints = np.empty(3 * m, dtype=np.int64)
+        edges_u, edges_v = endpoints[:m], endpoints[m : 2 * m]
         if edge_list:
             arr = np.asarray(edge_list, dtype=np.int64)
-            endpoints[:m] = arr[:, 0]
-            endpoints[m : 2 * m] = arr[:, 1]
-        self._init_from_endpoints(int(n_nodes), endpoints, str(name), check_connected)
+            edges_u[:] = arr[:, 0]
+            edges_v[:] = arr[:, 1]
+        self._adopt(n, edges_u, edges_v, endpoints, str(name), check_connected)
 
     @classmethod
     def from_edge_arrays(
@@ -113,69 +184,102 @@ class Graph:
         The vectorised twin of the constructor for large sparse families
         (a million-node torus has four million endpoints; normalising them
         tuple by tuple costs hundreds of megabytes of transient Python
-        objects).  Validation — range, self-loop and duplicate checks,
-        ``(min, max)`` orientation — happens in whole-array operations;
-        edge *order* is taken as given, so callers own the ordering
-        contract the seeded pair streams depend on.
+        objects).  Edge *order* is taken as given, so callers own the
+        ordering contract the seeded pair streams depend on.  The arrays
+        must hold integers; they are only read, and the graph never
+        aliases them.
 
-        The ``(min, max)`` orientation is written straight into the
-        graph's ``3m``-word endpoint buffer (``np.minimum`` /
-        ``np.maximum`` with ``out=``): the inputs are only read, and the
-        oriented endpoints are never copied again.
-
-        Edge keys ``low * n + high`` that are already strictly increasing
-        (the order ``torus`` emits) hold no duplicates, so they skip the
-        sort.  Any other order finds duplicates by sorting the keys and
-        comparing neighbours, not with ``np.unique``: on NumPy >= 2.3 a
-        flag-less ``np.unique`` of integers builds a hash table at about
-        1 µs per distinct key, tens of times slower than the sort on the
-        2 M edges of a million-node torus.
+        Validation — range, self-loop and duplicate checks, ``(min,
+        max)`` orientation, degrees and connectivity — is one pass over
+        the edges in C, which writes the oriented endpoints straight into
+        the graph's ``3m``-word endpoint buffer (see :meth:`_adopt`).
+        Duplicates need a second pass only when the oriented edges are
+        not strictly increasing (the order ``torus`` emits holds no
+        duplicate): their keys ``low * n + high`` are then sorted and
+        neighbours compared, not deduplicated with ``np.unique``, which
+        on NumPy >= 2.3 builds a hash table at about 1 µs per distinct
+        key.  Without the kernel, a NumPy twin makes the same checks in
+        whole-array passes, and connectivity takes a BFS.
         """
-        if n_nodes <= 0:
-            raise GraphError("a graph must have at least one node")
+        n = _node_count(n_nodes)
+        edges_u, edges_v = np.asarray(edges_u), np.asarray(edges_v)
+        for array in (edges_u, edges_v):
+            if array.size and array.dtype.kind not in "iu":
+                raise GraphError(f"edge endpoint arrays must hold integers, not {array.dtype}")
         edges_u = np.ascontiguousarray(edges_u, dtype=np.int64)
         edges_v = np.ascontiguousarray(edges_v, dtype=np.int64)
         if edges_u.shape != edges_v.shape or edges_u.ndim != 1:
             raise GraphError("edge endpoint arrays must be parallel 1-d arrays")
-        m = edges_u.size
-        endpoints = np.empty(3 * m, dtype=np.int64)
-        if m:
-            low = np.minimum(edges_u, edges_v, out=endpoints[:m])
-            high = np.maximum(edges_u, edges_v, out=endpoints[m : 2 * m])
-            if int(low.min()) < 0 or int(high.max()) >= n_nodes:
-                raise GraphError(f"edge endpoint out of range for n={n_nodes}")
-            if bool((low == high).any()):
-                node = int(low[low == high][0])
-                raise GraphError(f"self-loop on node {node} is not allowed")
-            keys = low * np.int64(n_nodes) + high
-            if not bool((keys[1:] > keys[:-1]).all()):
-                keys.sort()
-                if bool((keys[1:] == keys[:-1]).any()):
-                    raise GraphError("duplicate edge in endpoint arrays")
         graph = cls.__new__(cls)
-        graph._init_from_endpoints(int(n_nodes), endpoints, str(name), check_connected)
+        endpoints = np.empty(3 * edges_u.size, dtype=np.int64)
+        graph._adopt(n, edges_u, edges_v, endpoints, str(name), check_connected)
         return graph
 
-    def _init_from_endpoints(
+    @classmethod
+    def _from_filled_endpoints(
+        cls, n_nodes: int, n_edges: int, fill: Callable[[np.ndarray, np.ndarray], None], name: str
+    ) -> "Graph":
+        """Build a connected graph whose builder writes its edges in place.
+
+        ``fill(edges_u, edges_v)`` writes the ``n_edges`` edges, in order,
+        into two ``int64`` arrays that are the first two thirds of the
+        graph's endpoint buffer; :meth:`_adopt` then validates and
+        orients them there, with no copy.  Every check of
+        :meth:`from_edge_arrays` runs.
+        """
+        n = _node_count(n_nodes)
+        endpoints = np.empty(3 * n_edges, dtype=np.int64)
+        edges_u, edges_v = endpoints[:n_edges], endpoints[n_edges : 2 * n_edges]
+        fill(edges_u, edges_v)
+        graph = cls.__new__(cls)
+        graph._adopt(n, edges_u, edges_v, endpoints, str(name), True)
+        return graph
+
+    def _adopt(
         self,
         n_nodes: int,
+        edges_u: np.ndarray,
+        edges_v: np.ndarray,
         endpoints: np.ndarray,
         name: str,
         check_connected: bool,
     ) -> None:
-        """Adopt ``endpoints``, a ``3m``-word buffer whose first two
-        thirds hold the validated ``u`` and ``v`` arrays; its last third
-        becomes a copy of ``u``."""
+        """Validate the edges ``(edges_u[i], edges_v[i])`` and adopt them.
+
+        ``endpoints`` is a fresh ``3m``-word buffer; it ends up holding
+        ``[u | v | u]``, edge ``i`` oriented ``(min, max)`` in every
+        third.  ``edges_u`` and ``edges_v`` are ``int64`` arrays of ``m``
+        words: inputs that are only read, or the buffer's own first two
+        thirds, oriented in place.  Both build paths meet here, and this
+        is where the C pass or its NumPy twin is chosen.  Errors come in
+        this order: an end out of range; a self-loop (naming the node of
+        the first one); a duplicate edge; no edges, or not connected.
+        """
+        from ..engine.native import get_edge_pass_kernel
+
         m = endpoints.size // 3
-        endpoints[2 * m :] = endpoints[:m]
+        connectivity = n_nodes > 1 and check_connected and m > 0
+        kernel = get_edge_pass_kernel()
+        if kernel is None:
+            checks = _edge_pass_numpy(n_nodes, edges_u, edges_v, endpoints)
+        else:
+            checks = _edge_pass_native(kernel, n_nodes, edges_u, edges_v, endpoints, connectivity)
+        in_range, self_loop, increasing, degrees, components = checks
+        if not in_range:
+            raise GraphError(f"edge endpoint out of range for n={n_nodes}")
+        if self_loop >= 0:
+            raise GraphError(f"self-loop on node {self_loop} is not allowed")
+        if not increasing:
+            keys = endpoints[:m] * np.int64(n_nodes) + endpoints[m : 2 * m]
+            keys.sort()
+            if bool((keys[1:] == keys[:-1]).any()):
+                raise GraphError("duplicate edge in endpoint arrays")
         self._n = n_nodes
         self._name = name
         self._endpoints = endpoints
         self._edges_u = endpoints[:m]
         self._edges_v = endpoints[m : 2 * m]
-        self._degrees = np.bincount(endpoints[: 2 * m], minlength=n_nodes).astype(
-            np.int64, copy=False
-        )
+        self._degrees = degrees
         # Adjacency tuples, the edge-index dict and the CSR used by BFS
         # are derived lazily: at million-node scale the Python-object
         # forms cost gigabytes, and the vectorised paths never need them.
@@ -186,9 +290,9 @@ class Graph:
         self._diameter_cache: int | None = None
         self._eccentricity_cache: Tuple[int, ...] | None = None
         if self._n > 1 and check_connected:
-            if self.n_edges == 0:
+            if m == 0:
                 raise GraphError("a multi-node connected graph must have at least one edge")
-            if not self._is_connected():
+            if not (self.is_connected() if components is None else components == 1):
                 raise GraphError(f"graph {name!r} is not connected")
 
     # ------------------------------------------------------------------
@@ -238,7 +342,10 @@ class Graph:
         seen = set()
         result: List[Edge] = []
         for raw in edges:
-            u, v = int(raw[0]), int(raw[1])
+            try:
+                u, v = operator.index(raw[0]), operator.index(raw[1])
+            except TypeError:
+                raise GraphError(f"edge {tuple(raw)!r} has a non-integer endpoint") from None
             if u == v:
                 raise GraphError(f"self-loop on node {u} is not allowed")
             if not (0 <= u < n_nodes and 0 <= v < n_nodes):
@@ -516,26 +623,31 @@ class Graph:
         graphs built with ``check_connected=False`` — e.g. the sampled
         epoch graphs of an edge-churn topology schedule.
 
-        With the native kernel this is one union-find pass over the edge
-        arrays: no CSR and no pass per BFS level (a 1000×1000 torus has
-        1000 levels).  Without it, a BFS from node 0.
+        With the native kernel this is the union-find of the C edge pass
+        alone (no endpoint writes, no degrees): no CSR and no pass per
+        BFS level (a 1000×1000 torus has 1000 levels).  Without it, a BFS
+        from node 0.
         """
         if self._n <= 1:
             return True
-        from ..engine.native import data_address, get_components_kernel
+        from ..engine.native import data_address, get_edge_pass_kernel
 
-        count_components = get_components_kernel()
-        if count_components is None:
+        kernel = get_edge_pass_kernel()
+        if kernel is None:
             return int((self.bfs_distances(0) >= 0).sum()) == self._n
         parent = np.empty(self._n, dtype=np.int64)
-        components = count_components(
+        info = np.empty(3, dtype=np.int64)
+        kernel(
             data_address(self._edges_u),
             data_address(self._edges_v),
             self.n_edges,
             self._n,
+            None,
+            None,
             data_address(parent),
+            data_address(info),
         )
-        return components == 1
+        return int(info[2]) == 1
 
     # Backwards-compatible private alias (pre-dates the public method).
     _is_connected = is_connected

@@ -507,17 +507,17 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     threads = max(1, int(threads))
 
     start_time = time.perf_counter()
-    initial_states = plan.initial_states()
-    # Without ``inputs`` every node starts in one state: encode it once.
+    # Without ``inputs`` every node starts in one state: encode it once,
+    # and build no per-node state list unless the certificate needs it.
     uniform = plan.inputs is None
-    initial_codes = rule.encode(initial_states[:1] if uniform else initial_states)
+    initial_codes = rule.encode(
+        [protocol.initial_state(None)] if uniform else plan.initial_states()
+    )
     initial_leaders = rule.leader_count(initial_codes) * (n if uniform else 1)
     if tables:
         present = (np.bincount(initial_codes, minlength=rule.stride) > 0).astype(np.uint8)
     else:
         initial_known = _sorted_distinct(initial_codes)
-    if uniform:
-        initial_codes = np.full(n, initial_codes[0], dtype=np.int64)
 
     results: List[Optional["SimulationResult"]] = [None] * replica_count
 
@@ -525,9 +525,11 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     # certificate too: an all-candidate start pays no certificate call.
     precheck = bool(getattr(protocol, "certificate_requires_unique_leader", False))
     initially_stable = (not precheck or initial_leaders == 1) and bool(
-        protocol.is_output_stable_configuration(initial_states, graph)
+        protocol.is_output_stable_configuration(plan.initial_states(), graph)
     )
     if initially_stable or max_steps == 0:
+        if uniform:
+            initial_codes = np.full(n, initial_codes[0], dtype=np.int64)
         wall = time.perf_counter() - start_time
         distinct = int(present.sum()) if tables else initial_known.size
         for index in range(replica_count):
@@ -543,7 +545,8 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     ksrc = KernelSource(
         graph, np.array(plan.seeds, dtype=np.uint64), buffer_capacity=check_interval
     )
-    codes = initial_codes[None, :].repeat(replica_count, axis=0)
+    codes = np.empty((replica_count, n), dtype=np.int64)
+    codes[...] = initial_codes  # one code per node, or the uniform one broadcast
     if tables:
         seen = present[None, :].repeat(replica_count, axis=0)
         log = log_len = None

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.engine.native as native
 from repro.graphs import (
     GraphError,
     barbell,
@@ -235,7 +237,37 @@ def test_torus_edges_match_sorted_set_reference(rows, cols):
             for v in (((r + 1) % rows) * cols + c, r * cols + (c + 1) % cols):
                 edges.add((min(u, v), max(u, v)))
     reference = sorted(edges)
-    g = torus(rows, cols)
-    assert g.edges_u.dtype == np.int64 and g.edges_v.dtype == np.int64
-    assert g.edges_u.tolist() == [u for u, _ in reference]
-    assert g.edges_v.tolist() == [v for _, v in reference]
+    sides = [True] if native.get_edge_pass_kernel() is None else [False, True]
+    for numpy_twin in sides:
+        with pytest.MonkeyPatch.context() as patch:
+            if numpy_twin:
+                patch.setattr(native, "get_edge_pass_kernel", lambda: None)
+            g = torus(rows, cols)
+        assert g.edges_u.dtype == np.int64 and g.edges_v.dtype == np.int64
+        assert g.edges_u.tolist() == [u for u, _ in reference]
+        assert g.edges_v.tolist() == [v for _, v in reference]
+        assert g._endpoints[2 * g.n_edges :].tolist() == g.edges_u.tolist()
+        assert g.degrees.dtype == np.int64 and g.degrees.tolist() == [4] * g.n_nodes
+
+
+@pytest.mark.skipif(native.get_edge_pass_kernel() is None, reason="native kernel unavailable")
+def test_torus_build_peak_memory_is_its_buffers():
+    """Memory guard: a torus build allocates its endpoint buffer, its
+    degrees and the union-find scratch, and little else.
+
+    The row blocks are written straight into the graph's ``3m``-word
+    endpoint buffer, and the C edge pass validates them there, so the
+    traced peak stays within ``3m + 2n`` words plus 64 KiB for the row
+    patterns.  NumPy reports its data allocations to ``tracemalloc``.
+    """
+    rows, cols = 200, 300
+    n, m = rows * cols, 2 * rows * cols
+    torus(rows, cols)  # the kernel is loaded outside the trace
+    tracemalloc.start()
+    try:
+        g = torus(rows, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == m
+    assert peak <= 8 * (3 * m + 2 * n) + 64 * 1024, peak / (8 * m)

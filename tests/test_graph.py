@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,34 @@ from hypothesis import strategies as st
 
 import repro.engine.native as native
 from repro.graphs import Graph, GraphError, clique, cycle, path, star, torus
+
+
+def _build_paths():
+    """The graph-build paths this host has: the C edge pass where the
+    kernel is built, and always its NumPy twin."""
+    return ("kernel", "numpy") if native.get_edge_pass_kernel() is not None else ("numpy",)
+
+
+@contextlib.contextmanager
+def _build_path(side):
+    """Graph builds and connectivity checks inside take the C edge pass
+    (``"kernel"``: the host's default) or its NumPy twin (``"numpy"``:
+    the kernel getter patched to ``None``)."""
+    if side == "kernel":
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "get_edge_pass_kernel", lambda: None)
+        yield
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def build_path(request):
+    """Each test that takes it runs on both build paths."""
+    if request.param not in _build_paths():
+        pytest.skip("native kernel unavailable")
+    with _build_path(request.param):
+        yield request.param
 
 
 class TestConstruction:
@@ -60,6 +90,45 @@ class TestConstruction:
         g = Graph(2, [(0, 1)], name="tiny")
         assert g.name == "tiny"
         assert "tiny" in repr(g)
+
+
+class TestConstructionNumPy(TestConstruction):
+    """The constructor's cases on the NumPy twin of the edge pass."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_twin(self):
+        with _build_path("numpy"):
+            yield
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_edge_arrays(3.5, [0, 1, 2], [1, 2, 3]),
+        lambda: Graph(3.5, [(0, 1), (1, 2), (2, 3)]),
+        lambda: Graph.from_edge_arrays(3, [0.0, 1.7], [1.2, 2.9]),
+        lambda: Graph(3, [(0.0, 1.7), (1.2, 2.9)]),
+    ],
+    ids=["edge-arrays-float-n", "tuples-float-n", "float-endpoint-arrays", "float-endpoint-tuples"],
+)
+def test_non_integral_inputs_raise(build, build_path):
+    """A node count or an endpoint that is not an integer raises.
+
+    With ``n = 3.5``, node 3 would pass the range check while the
+    buffers are sized for ``int(3.5) == 3``, and the kernel would write
+    past its degrees and union-find scratch.  Float endpoints must not
+    be truncated to other nodes.
+    """
+    with pytest.raises(GraphError, match="integer"):
+        build()
+
+
+def test_integer_likes_are_accepted(build_path):
+    """NumPy integers pass ``operator.index``; narrow integer arrays are widened."""
+    g = Graph(np.int64(3), [(np.int32(0), np.int64(1)), (1, 2)])
+    h = Graph.from_edge_arrays(np.uint8(3), np.array([0, 1], np.int32), np.array([1, 2], np.uint16))
+    assert g == h and g.n_nodes == h.n_nodes == 3 and type(h.n_nodes) is int
+    assert h.edges_u.dtype == np.int64 and h.degrees.tolist() == [1, 2, 1]
 
 
 class TestAccessors:
@@ -321,6 +390,23 @@ class TestFromEdgeArrays:
         with pytest.raises(GraphError, match=r"^edge endpoint arrays must be parallel 1-d arrays$"):
             Graph.from_edge_arrays(3, np.array(u), np.array(v))
 
+    def test_graph_never_aliases_its_inputs(self):
+        u = np.array([0, 2, 1])
+        v = np.array([1, 1, 3])
+        g = Graph.from_edge_arrays(4, u, v)
+        assert not np.shares_memory(g.edges_u, u) and not np.shares_memory(g.edges_v, v)
+        u[:] = 0
+        assert g.edges_u.tolist() == [0, 1, 1] and g.edges_v.tolist() == [1, 2, 3]
+
+
+class TestFromEdgeArraysNumPy(TestFromEdgeArrays):
+    """The vectorised constructor's cases on the NumPy twin of the edge pass."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_twin(self):
+        with _build_path("numpy"):
+            yield
+
 
 def _random_edge_arrays(n, density, seed):
     """A random simple graph's edges, shuffled and randomly oriented."""
@@ -351,14 +437,109 @@ def _lexsort_csr(graph):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_csr_matches_lexsort_construction(n, density, seed):
-    """Property: the key-sort CSR equals the lexsort one, array for array."""
+    """Property: the key-sort CSR equals the lexsort one, array for array,
+    on a graph from either build path."""
     u, v = _random_edge_arrays(n, density, seed)
-    g = Graph.from_edge_arrays(n, u, v, check_connected=False)
-    indptr, indices = g._csr()
-    ref_indptr, ref_indices = _lexsort_csr(g)
-    assert indptr.dtype == ref_indptr.dtype and indices.dtype == ref_indices.dtype
-    assert indptr.tolist() == ref_indptr.tolist()
-    assert indices.tolist() == ref_indices.tolist()
+    for side in _build_paths():
+        with _build_path(side):
+            g = Graph.from_edge_arrays(n, u, v, check_connected=False)
+        indptr, indices = g._csr()
+        ref_indptr, ref_indices = _lexsort_csr(g)
+        assert indptr.dtype == ref_indptr.dtype and indices.dtype == ref_indices.dtype
+        assert indptr.tolist() == ref_indptr.tolist()
+        assert indices.tolist() == ref_indices.tolist()
+
+
+#: Faults injected into random edge arrays: an end out of range (``n``
+#: or ``-1``), a self-loop, an edge repeated in the same or the reverse
+#: orientation, and a self-loop followed later by an end out of range
+#: (the range error must win: it is checked first).
+_FAULTS = (
+    "none", "end-at-n", "negative-end", "self-loop", "duplicate", "reversed-duplicate",
+    "self-loop-then-out-of-range",
+)
+
+
+def _inject(u, v, n, fault, data):
+    """``(u, v)`` with ``fault`` inserted at positions drawn from ``data``."""
+    u, v = u.tolist(), v.tolist()
+
+    def insert(a, b, after=0):
+        at = data.draw(st.integers(min_value=after, max_value=len(u)))
+        u.insert(at, a)
+        v.insert(at, b)
+        return at
+
+    node = data.draw(st.integers(min_value=0, max_value=n - 1))
+    if fault == "end-at-n":
+        insert(node, n)
+    elif fault == "negative-end":
+        insert(-1, node)
+    elif fault == "self-loop":
+        insert(node, node)
+    elif fault == "self-loop-then-out-of-range":
+        insert(n, node, after=insert(node, node) + 1)
+    elif fault in ("duplicate", "reversed-duplicate") and u:
+        j = data.draw(st.integers(min_value=0, max_value=len(u) - 1))
+        a, b = (u[j], v[j]) if fault == "duplicate" else (v[j], u[j])
+        insert(a, b)
+    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+
+
+def _outcome(build):
+    """A build's graph as ``(endpoints, degrees)``, or its error."""
+    try:
+        g = build()
+    except GraphError as error:
+        return type(error), str(error)
+    return g._endpoints.tolist(), g.degrees.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    fault=st.sampled_from(_FAULTS),
+    ordered=st.booleans(),
+    check_connected=st.booleans(),
+    data=st.data(),
+)
+def test_build_paths_agree_on_faulty_edge_arrays(
+    n, density, seed, fault, ordered, check_connected, data
+):
+    """Property: the C edge pass and its NumPy twin, copying the arrays
+    in or (with the connectivity check) adopting them in place
+    unoriented, give the same endpoint buffer and degrees, or the same
+    error class and message.
+
+    ``ordered`` sorts the edges by their oriented key first (keeping
+    each edge's orientation), so duplicates sit side by side and the
+    build's strictly-increasing test must catch the tie.
+    """
+    u, v = _inject(*_random_edge_arrays(n, density, seed), n, fault, data)
+    if ordered:
+        order = np.argsort(np.minimum(u, v) * (n + 1) + np.maximum(u, v), kind="stable")
+        u, v = u[order], v[order]
+
+    def fill(edges_u, edges_v):
+        edges_u[:] = u
+        edges_v[:] = v
+
+    outcomes = {}
+    for side in _build_paths():
+        with _build_path(side):
+            outcomes[side, "copy-in"] = _outcome(
+                lambda: Graph.from_edge_arrays(n, u, v, check_connected=check_connected)
+            )
+            if check_connected:
+                outcomes[side, "in-place"] = _outcome(
+                    lambda: Graph._from_filled_endpoints(n, u.size, fill, "graph")
+                )
+    first = next(iter(outcomes.values()))
+    assert all(outcome == first for outcome in outcomes.values()), outcomes
+    if fault == "self-loop-then-out-of-range":
+        assert first == (GraphError, f"edge endpoint out of range for n={n}")
 
 
 @settings(max_examples=40, deadline=None)
@@ -412,14 +593,41 @@ def test_graph_build_never_calls_np_unique(monkeypatch):
     assert int(g.bfs_distances(0).max()) == 40
 
 
-@pytest.mark.skipif(native.get_components_kernel() is None, reason="native kernel unavailable")
+@pytest.mark.skipif(native.get_edge_pass_kernel() is None, reason="native kernel unavailable")
 def test_build_with_kernel_makes_no_csr():
-    """With the kernel the connectivity check is a union-find pass: the
-    CSR stays unbuilt until a distance query needs it."""
+    """With the kernel the connectivity check is the edge pass's
+    union-find: the CSR stays unbuilt until a distance query needs it."""
     g = torus(40, 40)
     assert g._csr_cache is None
     assert g.is_connected() and g._csr_cache is None
     assert int(g.bfs_distances(0).max()) == 40 and g._csr_cache is not None
+
+
+@pytest.mark.skipif(native.get_edge_pass_kernel() is None, reason="native kernel unavailable")
+@pytest.mark.parametrize("bad", [(1, 3), (3, 1), (-1, 2), (2, -1), (3, 3)])
+def test_edge_pass_stops_before_indexing_an_out_of_range_end(bad):
+    """The C pass returns the index of the first edge with an end
+    outside ``[0, n)`` and indexes nothing with it.
+
+    Every buffer is one word longer than the pass may touch, so a pass
+    that let the end through shows up in a sentinel instead of
+    corrupting the heap.
+    """
+    n, u, v = 3, np.array([0, 1, bad[0], 0]), np.array([1, 2, bad[1], 2])
+    m = u.size
+    out = np.full(3 * m + 1, -7, dtype=np.int64)
+    degrees = np.zeros(n + 1, dtype=np.int64)
+    parent = np.full(n + 1, n, dtype=np.int64)
+    info = np.full(3, -7, dtype=np.int64)
+    passed = native.get_edge_pass_kernel()(
+        native.data_address(u), native.data_address(v), m, n, native.data_address(out),
+        native.data_address(degrees), native.data_address(parent), native.data_address(info),
+    )
+    assert passed == 2
+    assert degrees.tolist() == [1, 2, 1, 0]
+    assert parent[n] == n
+    assert out[:-1].reshape(3, m)[:, 2:].tolist() == [[-7, -7]] * 3
+    assert out[-1] == -7
 
 
 def _connectivity_cases():
@@ -431,36 +639,39 @@ def _connectivity_cases():
     return cases
 
 
-def test_is_connected_agrees_with_bfs_and_networkx(monkeypatch):
-    """Kernel union-find, the NumPy BFS (kernel getter patched to
-    ``None``) and ``networkx.is_connected`` agree on every graph."""
+def test_is_connected_agrees_with_bfs_and_networkx():
+    """The kernel's union-find, the NumPy BFS (kernel getter patched to
+    ``None``) and ``networkx.is_connected`` agree on every graph, built
+    on either build path."""
     import networkx as nx
 
-    graphs = []
+    cases = []
     expected = []
     kinds = set()
     for n, density, seed in _connectivity_cases():
         u, v = _random_edge_arrays(n, density, seed)
-        g = Graph.from_edge_arrays(n, u, v, check_connected=False)
-        nx_graph = g.to_networkx()
-        graphs.append(g)
+        nx_graph = Graph.from_edge_arrays(n, u, v, check_connected=False).to_networkx()
+        cases.append((n, u, v))
         expected.append(nx.is_connected(nx_graph))
         components = nx.number_connected_components(nx_graph)
         kinds.add("connected" if components == 1 else "disconnected")
         if n == 1:
             kinds.add("one node")
-        elif g.min_degree == 0:
+        elif min(degree for _, degree in nx_graph.degree()) == 0:
             kinds.add("isolated nodes")
-        if g.n_edges and nx.is_forest(nx_graph):
+        if u.size and nx.is_forest(nx_graph):
             kinds.add("forest")
         if components >= 3:
             kinds.add("several components")
-        if n >= 10 and 4 * g.n_edges >= n * (n - 1):
+        if n >= 10 and 4 * u.size >= n * (n - 1):
             kinds.add("dense")
     assert kinds == {
         "connected", "disconnected", "one node", "isolated nodes", "forest",
         "several components", "dense",
     }
-    assert [g.is_connected() for g in graphs] == expected
-    monkeypatch.setattr(native, "get_components_kernel", lambda: None)
-    assert [g.is_connected() for g in graphs] == expected
+    for build_side in _build_paths():
+        with _build_path(build_side):
+            graphs = [Graph.from_edge_arrays(n, u, v, check_connected=False) for n, u, v in cases]
+        for check_side in _build_paths():
+            with _build_path(check_side):
+                assert [g.is_connected() for g in graphs] == expected

@@ -496,7 +496,12 @@ def test_v6_step_zero_certificate_behind_the_one_leader_precheck(case, monkeypat
     """The stack applies its kernel's one-leader precheck to the initial
     certificate: it calls the certificate at step 0 only when one leader
     holds, or when the protocol declares no precheck.  Results equal the
-    reference interpreter's, which checks step 0 unconditionally."""
+    reference interpreter's, which checks step 0 unconditionally.
+
+    A start without ``inputs`` is encoded from one state, so when the
+    precheck skips step 0 the plan's per-node initial state list is
+    never built.
+    """
     make, inputs_of, step_zero_calls = _STEP_ZERO_CASES[case]
     graph = torus(5, 5)
     seeds = [derive_seed(MASTER_SEED, "step-zero", r) for r in range(2)]
@@ -523,8 +528,10 @@ def test_v6_step_zero_certificate_behind_the_one_leader_precheck(case, monkeypat
 
     monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
     monkeypatch.setattr(TokenLeaderElection, "is_output_stable_configuration", counting_certificate)
-    assert [_result_tuple(r) for r in execute_plan(plan("compiled"))] == reference
+    compiled = plan("compiled")
+    assert [_result_tuple(r) for r in execute_plan(compiled)] == reference
     assert certificate_calls.count(0) == step_zero_calls
+    assert (compiled._initial_states is not None) == (step_zero_calls > 0)
     # Every run stabilizes, at step 0 exactly when one candidate starts.
     at_start = case == "one-candidate"
     assert [(r[0], r[1] == 0) for r in reference] == [(True, at_start)] * len(seeds)
