@@ -64,6 +64,13 @@ DYNAMIC_V6 = ("tests/test_dynamics.py::test_dynamic_plans_on_v6_match_reference"
 EPIDEMICS = "src/repro/analytics/epidemics.py"
 ONE_CALL = ("tests/test_analytics_batch.py::test_one_call_stack_matches_rounds_and_fallback",)
 REFILL_HALVES = ("tests/test_kernel_rng.py::test_source_fill_rejections_and_carried_half_words",)
+ECCENTRICITIES = (
+    "tests/test_graph.py::test_eccentricities_agree_on_named_families",
+    "tests/test_graph.py::test_eccentricities_agree_on_connected_graphs",
+)
+RUN_PATH_IMPORTS = (
+    "tests/test_imports.py::test_scenario_runs_import_nothing_after_the_orchestration_package",
+)
 
 
 @dataclass(frozen=True)
@@ -374,10 +381,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "forced-sources-keyed-by-n",
         "src/repro/analytics/estimators.py",
-        "    key = id(graph)\n    entry = _FORCED_CACHE.get(key)\n"
-        "    if entry is not None and entry[0] is graph:",
-        "    key = graph.n_nodes\n    entry = _FORCED_CACHE.get(key)\n"
-        "    if entry is not None:",
+        "    return graph._forced_sources_cache\n",
+        "    return _forced_sources.__dict__.setdefault(graph.n_nodes, graph._forced_sources_cache)\n",
         ("tests/test_analytics_batch.py::test_select_sources_memo_keeps_graphs_apart",),
     ),
     Mutant(
@@ -418,6 +423,55 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    if g >= 0.5:",
         "    if g > 0.5:",
         ("tests/test_estimators.py::TestOrderStatistics::test_six_samples_put_q90_exactly_halfway",),
+    ),
+    # -- Cold start: the C eccentricity pass, lazy package surfaces ----
+    Mutant(
+        "eccentricity-distance-counts-from-one",
+        NATIVE,
+        "        dist[s] = 0;\n        queue[0] = s;\n",
+        "        dist[s] = 1;\n        queue[0] = s;\n",
+        ECCENTRICITIES,
+    ),
+    Mutant(
+        "eccentricity-scratch-not-reset",
+        NATIVE,
+        "        for (k = 0; k < tail; k++)\n            dist[queue[k]] = -1;\n",
+        "",
+        ECCENTRICITIES,
+    ),
+    Mutant(
+        "eccentricity-bfs-skips-last-neighbour",
+        NATIVE,
+        "            for (k = indptr[u]; k < indptr[u + 1]; k++) {",
+        "            for (k = indptr[u]; k < indptr[u + 1] - 1; k++) {",
+        ECCENTRICITIES,
+    ),
+    Mutant(
+        "root-imports-lowerbounds-eagerly",
+        "src/repro/__init__.py",
+        "from ._lazy import lazy_exports\n",
+        "from ._lazy import lazy_exports\nfrom . import lowerbounds  # noqa: F401\n",
+        ("tests/test_imports.py::test_import_repro_loads_only_the_lazy_helper",),
+    ),
+    Mutant(
+        "orchestration-runner-on-first-use",
+        "src/repro/orchestration/__init__.py",
+        "from .runner import (\n"
+        "    ScenarioResult,\n"
+        "    UnitPlan,\n"
+        "    WorkUnit,\n"
+        "    aggregate_unit_payloads,\n"
+        "    build_unit_plans,\n"
+        "    build_work_units,\n"
+        "    execute_unit_plan,\n"
+        "    run_scenario,\n"
+        "    unit_plan_from_wire,\n"
+        "    unit_plan_to_wire,\n"
+        ")\n",
+        "def __getattr__(name):\n"
+        "    from . import runner\n\n"
+        "    return getattr(runner, name)\n",
+        RUN_PATH_IMPORTS,
     ),
     Mutant(
         "sharding-accepts-schedules",

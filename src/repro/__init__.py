@@ -27,6 +27,9 @@ A library-quality reproduction of Alistarh, Rybicki and Voitovych,
 * :mod:`repro.orchestration` — declarative sweep scenarios, the sharded
   parallel runner and the persistent result store (``.repro_cache/``).
 
+Subpackages and the names below import on first use (``repro._lazy``),
+so ``import repro`` alone loads none of them.
+
 Quickstart::
 
     from repro import graphs, protocols, run_leader_election
@@ -36,65 +39,44 @@ Quickstart::
     print(result.stabilization_step, result.leaders)
 """
 
-from . import (
-    analysis,
-    core,
-    engine,
-    experiments,
-    graphs,
-    lowerbounds,
-    orchestration,
-    propagation,
-    protocols,
-    runtime,
-    walks,
-)
-from .engine import run_replicas
-from .core import (
-    FOLLOWER,
-    LEADER,
-    LeaderElectionProtocol,
-    PopulationProtocol,
-    RandomScheduler,
-    SimulationResult,
-    Simulator,
-    run_leader_election,
-)
-from .graphs import Graph
-from .protocols import (
-    FastLeaderElection,
-    IdentifierLeaderElection,
-    StarLeaderElection,
-    TokenLeaderElection,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "FOLLOWER",
-    "FastLeaderElection",
-    "Graph",
-    "IdentifierLeaderElection",
-    "LEADER",
-    "LeaderElectionProtocol",
-    "PopulationProtocol",
-    "RandomScheduler",
-    "SimulationResult",
-    "Simulator",
-    "StarLeaderElection",
-    "TokenLeaderElection",
-    "__version__",
-    "analysis",
-    "core",
-    "engine",
-    "experiments",
-    "graphs",
-    "lowerbounds",
-    "orchestration",
-    "propagation",
-    "protocols",
-    "run_leader_election",
-    "run_replicas",
-    "runtime",
-    "walks",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "FOLLOWER",
+            "LEADER",
+            "LeaderElectionProtocol",
+            "PopulationProtocol",
+            "RandomScheduler",
+            "SimulationResult",
+            "Simulator",
+            "run_leader_election",
+        ),
+        "engine": ("run_replicas",),
+        "graphs": ("Graph",),
+        "protocols": (
+            "FastLeaderElection",
+            "IdentifierLeaderElection",
+            "StarLeaderElection",
+            "TokenLeaderElection",
+        ),
+    },
+    modules=(
+        "analysis",
+        "core",
+        "engine",
+        "experiments",
+        "graphs",
+        "lowerbounds",
+        "orchestration",
+        "propagation",
+        "protocols",
+        "runtime",
+        "walks",
+    ),
+)
+__all__.append("__version__")

@@ -16,54 +16,38 @@ wired onto, plus the batched multi-trial entry points the experiment
 harness uses directly.
 """
 
-from .epidemics import (
-    BUDGET_EXHAUSTED,
-    run_epidemic_batch,
-    run_influence_batch,
-    run_single_epidemic,
-)
-from .estimators import (
-    batched_broadcast_estimates,
-    batched_broadcast_samples,
-    broadcast_trajectory_seed,
-    broadcast_trajectory_seeds,
-    select_sources,
-)
-from .streams import (
-    TrajectoryStream,
-    block_size,
-    directed_pairs,
-    iter_width_chunks,
-    make_streams,
-    resolve_base_seed,
-)
-from .walks import (
-    default_walk_budget,
-    run_hitting_batch,
-    run_meeting_batch,
-    run_single_hitting,
-    run_single_meeting,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BUDGET_EXHAUSTED",
-    "TrajectoryStream",
-    "batched_broadcast_estimates",
-    "batched_broadcast_samples",
-    "block_size",
-    "broadcast_trajectory_seed",
-    "broadcast_trajectory_seeds",
-    "directed_pairs",
-    "default_walk_budget",
-    "iter_width_chunks",
-    "make_streams",
-    "resolve_base_seed",
-    "run_epidemic_batch",
-    "run_hitting_batch",
-    "run_influence_batch",
-    "run_meeting_batch",
-    "run_single_epidemic",
-    "run_single_hitting",
-    "run_single_meeting",
-    "select_sources",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "epidemics": (
+            "BUDGET_EXHAUSTED",
+            "run_epidemic_batch",
+            "run_influence_batch",
+            "run_single_epidemic",
+        ),
+        "estimators": (
+            "batched_broadcast_estimates",
+            "batched_broadcast_samples",
+            "broadcast_trajectory_seed",
+            "broadcast_trajectory_seeds",
+            "select_sources",
+        ),
+        "streams": (
+            "TrajectoryStream",
+            "block_size",
+            "directed_pairs",
+            "iter_width_chunks",
+            "make_streams",
+            "resolve_base_seed",
+        ),
+        "walks": (
+            "default_walk_budget",
+            "run_hitting_batch",
+            "run_meeting_batch",
+            "run_single_hitting",
+            "run_single_meeting",
+        ),
+    },
+)

@@ -16,7 +16,6 @@ fast-protocol trials arbitrarily.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,36 +36,23 @@ HITTING_TAG = "hit"
 MEETING_TAG = "meet"
 
 
-#: The graph-only part of :func:`select_sources` per graph: the forced
-#: nodes and the candidates the seeded draw picks from.  Keyed by object
-#: identity (the entry holds the graph, so a live key is never recycled)
-#: and evicted LRU-style: a hit refreshes its entry and a full memo drops
-#: only its oldest one.
-_FORCED_CACHE: "OrderedDict[int, Tuple[Graph, FrozenSet[int], np.ndarray]]" = OrderedDict()
-_FORCED_CACHE_LIMIT = 16
-
-
 def _forced_sources(graph: Graph) -> Tuple[FrozenSet[int], np.ndarray]:
-    """``(forced nodes, remaining candidates)`` of ``graph``, memoised."""
-    key = id(graph)
-    entry = _FORCED_CACHE.get(key)
-    if entry is not None and entry[0] is graph:
-        _FORCED_CACHE.move_to_end(key)
-        return entry[1], entry[2]
-    while len(_FORCED_CACHE) >= _FORCED_CACHE_LIMIT:
-        _FORCED_CACHE.popitem(last=False)
-    degrees = graph.degrees
-    forced = frozenset(
-        (
-            int(np.argmin(degrees)),
-            int(np.argmax(degrees)),
-            int(np.argmax(graph.eccentricities())),
+    """``(forced nodes, remaining candidates)`` of ``graph``: the
+    graph-only part of :func:`select_sources`, computed once and kept on
+    the graph for as long as it lives."""
+    if graph._forced_sources_cache is None:
+        degrees = graph.degrees
+        forced = frozenset(
+            (
+                int(np.argmin(degrees)),
+                int(np.argmax(degrees)),
+                int(np.argmax(graph.eccentricities())),
+            )
         )
-    )
-    remaining = np.array([v for v in range(graph.n_nodes) if v not in forced], dtype=np.int64)
-    remaining.flags.writeable = False
-    _FORCED_CACHE[key] = (graph, forced, remaining)
-    return forced, remaining
+        remaining = np.array([v for v in range(graph.n_nodes) if v not in forced], dtype=np.int64)
+        remaining.flags.writeable = False
+        graph._forced_sources_cache = (forced, remaining)
+    return graph._forced_sources_cache
 
 
 def select_sources(graph: Graph, max_sources: int, base: int) -> List[int]:

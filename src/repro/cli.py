@@ -64,13 +64,8 @@ from .experiments.harness import (
     star_protocol_spec,
     token_protocol_spec,
 )
-from .experiments.reporting import render_comparison, render_table
-from .experiments.table1 import graph_parameters_for, run_table1_family
 from .experiments.workloads import available_workloads, get_workload
 from .orchestration import available_scenarios, get_scenario, run_scenario
-from .graphs.properties import summarize
-from .propagation.bounds import broadcast_bounds
-from .propagation.broadcast import broadcast_time_estimate
 
 _PROTOCOL_CHOICES = {
     "token": token_protocol_spec,
@@ -436,6 +431,8 @@ def _build_graph(args: argparse.Namespace):
 
 
 def _cmd_workloads() -> int:
+    from .experiments.reporting import render_table
+
     rows = []
     for name in available_workloads():
         workload = get_workload(name)
@@ -445,6 +442,8 @@ def _cmd_workloads() -> int:
 
 
 def _cmd_scenarios() -> int:
+    from .experiments.reporting import render_table
+
     rows = []
     for name in available_scenarios():
         scenario = get_scenario(name)
@@ -506,6 +505,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _print_scenario_result(scenario, result) -> None:
     """Render the per-protocol sweep tables (shared by sweep and submit)."""
+    from .experiments.reporting import render_table
+
     for sweep in result.sweeps:
         rows = []
         for size, measurement in zip(sweep.sizes, sweep.measurements):
@@ -664,6 +665,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from .experiments.reporting import render_table
     from .resilience import FaultSpec, default_fault_spec, run_chaos_soak
 
     scenario = get_scenario(args.scenario)
@@ -728,6 +730,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_engines() -> int:
     from .engine import available_backends
+    from .experiments.reporting import render_table
 
     backends = available_backends()
     rows = [
@@ -750,6 +753,8 @@ def _cmd_engines() -> int:
 
 
 def _cmd_elect(args: argparse.Namespace) -> int:
+    from .experiments.reporting import render_table
+
     graph = _build_graph(args)
     spec = _PROTOCOL_CHOICES[args.protocol]()
     measurement = measure_protocol_on_graph(
@@ -765,6 +770,8 @@ def _cmd_elect(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .experiments.reporting import render_comparison
+
     graph = _build_graph(args)
     measurements = compare_protocols_on_graph(
         default_protocol_specs(),
@@ -779,6 +786,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .experiments.table1 import run_table1_family
+
     group = run_table1_family(
         args.family,
         args.sizes,
@@ -792,6 +801,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_broadcast(args: argparse.Namespace) -> int:
+    from .experiments.reporting import render_table
+    from .propagation.bounds import broadcast_bounds
+    from .propagation.broadcast import broadcast_time_estimate
+
     graph = _build_graph(args)
     estimate = broadcast_time_estimate(graph, repetitions=args.repetitions, rng=args.seed)
     bounds = broadcast_bounds(graph)
@@ -809,6 +822,10 @@ def _cmd_broadcast(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_info(args: argparse.Namespace) -> int:
+    from .experiments.reporting import render_table
+    from .experiments.table1 import graph_parameters_for
+    from .graphs.properties import summarize
+
     graph = _build_graph(args)
     rows = [summarize(graph)]
     print(render_table(rows, title="Graph properties"))

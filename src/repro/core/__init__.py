@@ -5,55 +5,48 @@ the paper: anonymous finite-state agents on a connected interaction graph,
 activated in ordered pairs by a uniform edge-sampling scheduler.
 """
 
-from .configuration import (
-    Configuration,
-    initial_configuration_from_inputs,
-    uniform_initial_configuration,
-)
-from .protocol import FOLLOWER, LEADER, LeaderElectionProtocol, PopulationProtocol
-from .scheduler import (
-    Interaction,
-    RandomScheduler,
-    Scheduler,
-    SequenceScheduler,
-    all_ordered_pairs,
-)
-from .seeds import derive_seed, graph_seed, measure_seed, trial_seed, trial_seeds
-from .simulator import SimulationResult, Simulator, run_leader_election
-from .stability import (
-    StabilityVerdict,
-    StateSpaceTooLarge,
-    always_reaches_single_leader,
-    certificate_is_sound_on,
-    check_stability_by_reachability,
-    reachable_configurations,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Configuration",
-    "FOLLOWER",
-    "Interaction",
-    "LEADER",
-    "LeaderElectionProtocol",
-    "PopulationProtocol",
-    "RandomScheduler",
-    "Scheduler",
-    "SequenceScheduler",
-    "SimulationResult",
-    "Simulator",
-    "StabilityVerdict",
-    "StateSpaceTooLarge",
-    "all_ordered_pairs",
-    "always_reaches_single_leader",
-    "certificate_is_sound_on",
-    "check_stability_by_reachability",
-    "derive_seed",
-    "graph_seed",
-    "initial_configuration_from_inputs",
-    "measure_seed",
-    "trial_seed",
-    "trial_seeds",
-    "reachable_configurations",
-    "run_leader_election",
-    "uniform_initial_configuration",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "configuration": (
+            "Configuration",
+            "initial_configuration_from_inputs",
+            "uniform_initial_configuration",
+        ),
+        "protocol": (
+            "FOLLOWER",
+            "LEADER",
+            "LeaderElectionProtocol",
+            "PopulationProtocol",
+        ),
+        "scheduler": (
+            "Interaction",
+            "RandomScheduler",
+            "Scheduler",
+            "SequenceScheduler",
+            "all_ordered_pairs",
+        ),
+        "seeds": (
+            "derive_seed",
+            "graph_seed",
+            "measure_seed",
+            "trial_seed",
+            "trial_seeds",
+        ),
+        "simulator": (
+            "SimulationResult",
+            "Simulator",
+            "run_leader_election",
+        ),
+        "stability": (
+            "StabilityVerdict",
+            "StateSpaceTooLarge",
+            "always_reaches_single_leader",
+            "certificate_is_sound_on",
+            "check_stability_by_reachability",
+            "reachable_configurations",
+        ),
+    },
+)

@@ -140,8 +140,18 @@ def trial_seed(measure_base: SeedWord, trial_index: int) -> int:
 
 
 def trial_seeds(measure_base: SeedWord, trial_indices: Iterable[int]) -> List[int]:
-    """Seeds for an arbitrary subset of trial indices (shard streams)."""
-    return [trial_seed(measure_base, index) for index in trial_indices]
+    """:func:`trial_seed` of every index in ``trial_indices`` (shard streams).
+
+    The ``(measure_base, "trial")`` prefix is folded once; each seed then
+    costs one SplitMix64 round.
+    """
+    prefix = seed_prefix(measure_base, "trial")
+    seeds = []
+    for index in trial_indices:
+        if index < 0:
+            raise ValueError("trial_index must be non-negative")
+        seeds.append(prefixed_seed(prefix, index))
+    return seeds
 
 
 def graph_seed(base: SeedWord, size_index: int) -> int:

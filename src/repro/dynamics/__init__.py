@@ -10,22 +10,19 @@ engines, the replica-batched analytics stacks and the orchestrator
 consume schedules.
 """
 
-from .schedule import (
-    EdgeChurnSchedule,
-    EpochSchedule,
-    NodeChurnSchedule,
-    ScheduleError,
-    StaticSchedule,
-    TopologySchedule,
-)
-from .scheduler import DynamicScheduler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DynamicScheduler",
-    "EdgeChurnSchedule",
-    "EpochSchedule",
-    "NodeChurnSchedule",
-    "ScheduleError",
-    "StaticSchedule",
-    "TopologySchedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "schedule": (
+            "EdgeChurnSchedule",
+            "EpochSchedule",
+            "NodeChurnSchedule",
+            "ScheduleError",
+            "StaticSchedule",
+            "TopologySchedule",
+        ),
+        "scheduler": ("DynamicScheduler",),
+    },
+)

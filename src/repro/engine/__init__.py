@@ -30,25 +30,29 @@ history.  ``tests/test_engine_equivalence.py`` enforces this for every
 bundled protocol.
 """
 
-from .compiler import (
-    CompiledProtocol,
-    ProtocolCompilationError,
-    clear_compilation_cache,
-    compilation_worthwhile,
-    compile_protocol,
-    get_compiled,
-)
-from .replicas import run_replicas
-from .stepper import CompiledRun, available_backends
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompiledProtocol",
-    "CompiledRun",
-    "ProtocolCompilationError",
-    "available_backends",
-    "clear_compilation_cache",
-    "compilation_worthwhile",
-    "compile_protocol",
-    "get_compiled",
-    "run_replicas",
-]
+# Every compiled run reaches the compiler through imports inside
+# functions (``compile_plan``, the runner's table warm-up): it loads with
+# the package, so that no run pays for importing it.
+from . import compiler  # noqa: F401
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "native": (),
+        "compiler": (
+            "CompiledProtocol",
+            "ProtocolCompilationError",
+            "clear_compilation_cache",
+            "compilation_worthwhile",
+            "compile_protocol",
+            "get_compiled",
+        ),
+        "replicas": ("run_replicas",),
+        "stepper": (
+            "CompiledRun",
+            "available_backends",
+        ),
+    },
+)

@@ -16,7 +16,9 @@ One shared object holds every native entry point:
   that orients and checks them, fills its endpoint buffer and degrees,
   and counts its components with a union-find (behind every
   :class:`repro.graphs.graph.Graph` build and
-  :meth:`~repro.graphs.graph.Graph.is_connected`).
+  :meth:`~repro.graphs.graph.Graph.is_connected`), and
+  ``repro_eccentricities``, one queue BFS per node over the graph's CSR
+  rows (behind :meth:`~repro.graphs.graph.Graph.eccentricities`).
 
 On machines with
 a system C compiler the source below is compiled once, the shared object
@@ -28,8 +30,9 @@ backends of :class:`~repro.engine.stepper.CompiledRun`.
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_DISABLE_NATIVE=1`` simply means every getter here (for example
 :func:`get_run_epoch_kernel`) returns ``None``, plans run on the
-per-replica engine's NumPy/scalar backends, and graph builds take their
-NumPy twin (connectivity by a BFS).  The epoch runner stops a
+per-replica engine's NumPy/scalar backends, graph builds take their
+NumPy twin (connectivity by a BFS), and eccentricities their NumPy
+matrix or per-source BFS forms.  The epoch runner stops a
 row at the first table miss, so lazy pair discovery (and table growth)
 stays in Python.
 """
@@ -1111,8 +1114,9 @@ void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
 }
 """
 
-#: The graph layer's one pass over a graph's edges: every build's
-#: validation, endpoint buffer, degrees and connectivity check.
+#: The graph layer's one pass over a graph's edges (every build's
+#: validation, endpoint buffer, degrees and connectivity check) and its
+#: all-sources BFS (every node's eccentricity).
 _KERNEL_SOURCE_GRAPH = r"""
 /* One pass over the m undirected edges (eu[i], ev[i]) of a graph on
  * nodes [0, n), in input order.  Edge i is oriented to (lo, hi), and,
@@ -1189,6 +1193,46 @@ int64_t repro_edge_pass(const int64_t *eu,
     info[1] = increasing;
     info[2] = components;
     return i;
+}
+
+/* The eccentricity of every node of a graph on nodes [0, n), given as
+ * compressed sparse rows: the neighbours of v are indices[indptr[v]]
+ * up to indices[indptr[v + 1] - 1].  One queue BFS per source, which
+ * stops scanning rows once all n nodes are queued (on a dense graph,
+ * after a row or two).  The queue holds nodes in order of distance, so
+ * ecc[s] is the distance of the last node queued: the largest finite
+ * distance from s (0 for an isolated node).  dist and queue are n words
+ * of scratch: dist is -1 for every node between two sources, because
+ * each BFS resets exactly the nodes it reached. */
+void repro_eccentricities(const int64_t *indptr,
+                          const int64_t *indices,
+                          int64_t n,
+                          int64_t *dist,
+                          int64_t *queue,
+                          int64_t *ecc)
+{
+    int64_t s, k;
+    for (s = 0; s < n; s++)
+        dist[s] = -1;
+    for (s = 0; s < n; s++) {
+        int64_t head = 0, tail = 1;
+        dist[s] = 0;
+        queue[0] = s;
+        while (head < tail && tail < n) {
+            int64_t u = queue[head++];
+            int64_t next = dist[u] + 1;
+            for (k = indptr[u]; k < indptr[u + 1]; k++) {
+                int64_t w = indices[k];
+                if (dist[w] < 0) {
+                    dist[w] = next;
+                    queue[tail++] = w;
+                }
+            }
+        }
+        ecc[s] = dist[queue[tail - 1]];
+        for (k = 0; k < tail; k++)
+            dist[queue[k]] = -1;
+    }
 }
 """
 
@@ -1463,10 +1507,21 @@ def _bind_kernels(library):
         ctypes.c_void_p,  # parent (n; scratch) or None
         ctypes.c_void_p,  # info (3)
     ]
+    eccentricities = library.repro_eccentricities
+    eccentricities.restype = None
+    eccentricities.argtypes = [
+        ctypes.c_void_p,  # indptr (n + 1)
+        ctypes.c_void_p,  # indices (2m)
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # dist (n; scratch)
+        ctypes.c_void_p,  # queue (n; scratch)
+        ctypes.c_void_p,  # ecc (n)
+    ]
     kernels = {
         "run_shard_block": run_shard_block,
         "broadcast_block": broadcast_block,
         "edge_pass": edge_pass,
+        "eccentricities": eccentricities,
         **_bind_v6(library),
     }
     kernels["rng"] = {name: kernels[name] for name in _RNG_KERNEL_NAMES}
@@ -1522,6 +1577,13 @@ def get_edge_pass_kernel():
     endpoint buffer, degrees, union-find), or ``None``."""
     kernels = _kernels()
     return None if kernels is None else kernels["edge_pass"]
+
+
+def get_eccentricity_kernel():
+    """The graph layer's all-sources BFS over a graph's CSR rows (every
+    node's eccentricity in one call), or ``None``."""
+    kernels = _kernels()
+    return None if kernels is None else kernels["eccentricities"]
 
 
 def get_rng_kernels():

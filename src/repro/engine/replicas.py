@@ -22,14 +22,15 @@ remaining replicas continue.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..core.protocol import PopulationProtocol
+
+# The simulator module brings the runtime with it: a first call of
+# run_replicas then imports nothing.
+from ..core.simulator import SimulationResult
 from ..graphs.graph import Graph
 from .compiler import DEFAULT_MAX_STATES
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.simulator import SimulationResult
 
 
 def run_replicas(

@@ -1,79 +1,56 @@
 """Experiment harness: workloads, sweeps and Table 1 drivers."""
 
-from .figures import (
-    broadcast_scaling_series,
-    fit_series_exponents,
-    hitting_time_scaling_series,
-    read_csv,
-    stabilization_scaling_series,
-    write_csv,
-    write_json,
-)
-from .harness import (
-    DegenerateSweepError,
-    Measurement,
-    ProtocolSpec,
-    SweepResult,
-    compare_protocols_on_graph,
-    default_protocol_specs,
-    default_step_budget,
-    fast_protocol_spec,
-    identifier_protocol_spec,
-    measure_protocol_on_graph,
-    measurement_from_records,
-    run_measurement_trials,
-    star_protocol_spec,
-    sweep_protocol_over_sizes,
-    token_protocol_spec,
-    trial_record_from_result,
-)
-from .reporting import format_number, render_comparison, render_markdown_table, render_table
-from .table1 import (
-    Table1Row,
-    Table1RowGroup,
-    expected_exponents,
-    graph_parameters_for,
-    run_star_row,
-    run_table1_family,
-)
-from .workloads import Workload, available_workloads, get_workload, renitent_star_construction
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DegenerateSweepError",
-    "Measurement",
-    "broadcast_scaling_series",
-    "fit_series_exponents",
-    "hitting_time_scaling_series",
-    "read_csv",
-    "stabilization_scaling_series",
-    "write_csv",
-    "write_json",
-    "ProtocolSpec",
-    "SweepResult",
-    "Table1Row",
-    "Table1RowGroup",
-    "Workload",
-    "available_workloads",
-    "compare_protocols_on_graph",
-    "default_protocol_specs",
-    "default_step_budget",
-    "expected_exponents",
-    "fast_protocol_spec",
-    "format_number",
-    "get_workload",
-    "graph_parameters_for",
-    "identifier_protocol_spec",
-    "measure_protocol_on_graph",
-    "measurement_from_records",
-    "render_comparison",
-    "render_markdown_table",
-    "render_table",
-    "renitent_star_construction",
-    "run_measurement_trials",
-    "run_star_row",
-    "run_table1_family",
-    "star_protocol_spec",
-    "sweep_protocol_over_sizes",
-    "token_protocol_spec",
-    "trial_record_from_result",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "figures": (
+            "broadcast_scaling_series",
+            "fit_series_exponents",
+            "hitting_time_scaling_series",
+            "read_csv",
+            "stabilization_scaling_series",
+            "write_csv",
+            "write_json",
+        ),
+        "harness": (
+            "DegenerateSweepError",
+            "Measurement",
+            "ProtocolSpec",
+            "SweepResult",
+            "compare_protocols_on_graph",
+            "default_protocol_specs",
+            "default_step_budget",
+            "fast_protocol_spec",
+            "identifier_protocol_spec",
+            "measure_protocol_on_graph",
+            "measurement_from_records",
+            "run_measurement_trials",
+            "star_protocol_spec",
+            "sweep_protocol_over_sizes",
+            "token_protocol_spec",
+            "trial_record_from_result",
+        ),
+        "reporting": (
+            "format_number",
+            "render_comparison",
+            "render_markdown_table",
+            "render_table",
+        ),
+        "table1": (
+            "Table1Row",
+            "Table1RowGroup",
+            "expected_exponents",
+            "graph_parameters_for",
+            "run_star_row",
+            "run_table1_family",
+        ),
+        "workloads": (
+            "Workload",
+            "available_workloads",
+            "get_workload",
+            "renitent_star_construction",
+        ),
+    },
+)

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..analysis.estimators import SummaryStatistics, summarize_samples
 from ..analysis.scaling import PowerLawFit, fit_power_law
 from ..core.protocol import PopulationProtocol
-from ..core.seeds import graph_seed, measure_seed, trial_seed
+from ..core.seeds import graph_seed, measure_seed, trial_seeds
 from ..core.simulator import SimulationResult, default_max_steps
 from ..graphs.graph import Graph
 from ..propagation.broadcast import broadcast_time_estimate
@@ -310,7 +310,7 @@ def run_measurement_trials(
     size (the second half of a :class:`Measurement`; the orchestrator
     persists it alongside the trial records).
     """
-    run_seeds = [trial_seed(seed, index) for index in trial_indices]
+    run_seeds = trial_seeds(seed, trial_indices)
     return run_trials_with_seeds(
         spec,
         graph,

@@ -6,77 +6,56 @@ families, structural properties (expansion, conductance, diameter), spectral
 quantities and the renitent-graph constructions of Section 6.
 """
 
-from .graph import Edge, Graph, GraphError
-from .families import (
-    barbell,
-    binary_tree,
-    circulant,
-    clique,
-    complete_bipartite,
-    cycle,
-    cycle_with_chords,
-    double_star,
-    grid,
-    hypercube,
-    lollipop,
-    path,
-    star,
-    torus,
-)
-from .properties import (
-    ExpansionEstimate,
-    conductance,
-    edge_expansion_estimate,
-    edge_expansion_exact,
-    summarize,
-)
-from .random_graphs import erdos_renyi, preferential_attachment, random_geometric, random_regular
-from .renitent import (
-    RenitentConstruction,
-    cycle_cover,
-    four_copies_construction,
-    renitent_family_graph,
-    torus_cover,
-)
-from .spectral import (
-    cheeger_bounds,
-    normalized_laplacian_spectral_gap,
-    normalized_laplacian_spectrum,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Edge",
-    "Graph",
-    "GraphError",
-    "ExpansionEstimate",
-    "RenitentConstruction",
-    "barbell",
-    "binary_tree",
-    "cheeger_bounds",
-    "circulant",
-    "clique",
-    "complete_bipartite",
-    "conductance",
-    "cycle",
-    "cycle_cover",
-    "cycle_with_chords",
-    "double_star",
-    "edge_expansion_estimate",
-    "edge_expansion_exact",
-    "erdos_renyi",
-    "four_copies_construction",
-    "grid",
-    "hypercube",
-    "lollipop",
-    "normalized_laplacian_spectral_gap",
-    "normalized_laplacian_spectrum",
-    "path",
-    "preferential_attachment",
-    "random_geometric",
-    "random_regular",
-    "renitent_family_graph",
-    "star",
-    "summarize",
-    "torus",
-    "torus_cover",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "graph": (
+            "Edge",
+            "Graph",
+            "GraphError",
+        ),
+        "families": (
+            "barbell",
+            "binary_tree",
+            "circulant",
+            "clique",
+            "complete_bipartite",
+            "cycle",
+            "cycle_with_chords",
+            "double_star",
+            "grid",
+            "hypercube",
+            "lollipop",
+            "path",
+            "star",
+            "torus",
+        ),
+        "properties": (
+            "ExpansionEstimate",
+            "conductance",
+            "edge_expansion_estimate",
+            "edge_expansion_exact",
+            "summarize",
+        ),
+        "random_graphs": (
+            "erdos_renyi",
+            "preferential_attachment",
+            "random_geometric",
+            "random_regular",
+        ),
+        "renitent": (
+            "RenitentConstruction",
+            "cycle_cover",
+            "four_copies_construction",
+            "renitent_family_graph",
+            "torus_cover",
+        ),
+        "spectral": (
+            "cheeger_bounds",
+            "normalized_laplacian_spectral_gap",
+            "normalized_laplacian_spectrum",
+        ),
+    },
+)

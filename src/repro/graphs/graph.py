@@ -150,6 +150,7 @@ class Graph:
         "_csr_cache",
         "_diameter_cache",
         "_eccentricity_cache",
+        "_forced_sources_cache",
     )
 
     def __init__(
@@ -289,6 +290,10 @@ class Graph:
         self._csr_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._diameter_cache: int | None = None
         self._eccentricity_cache: Tuple[int, ...] | None = None
+        # The graph-only part of a B(G) source sample
+        # (repro.analytics.estimators.select_sources), kept for the
+        # graph's lifetime.
+        self._forced_sources_cache: Optional[tuple] = None
         if self._n > 1 and check_connected:
             if m == 0:
                 raise GraphError("a multi-node connected graph must have at least one edge")
@@ -486,17 +491,26 @@ class Graph:
         return int(self.bfs_distances(u)[v])
 
     def eccentricities(self) -> Tuple[int, ...]:
-        """Eccentricity of every node (cached).
+        """Eccentricity of every node (cached): its largest finite
+        distance, so an isolated node has 0.
 
-        Dense low-diameter graphs use all-sources BFS in level-synchronous
+        With the native kernel, every graph of two or more nodes takes one
+        call of ``repro_eccentricities``: a queue BFS per source over
+        :meth:`_csr`, with two ``n``-word scratch arrays.  Without it,
+        dense low-diameter graphs use all-sources BFS in level-synchronous
         matrix form (one matrix product per level); the cost of that form
         scales with the diameter, so sparse high-diameter graphs (cycles,
         paths, renitent constructions) keep the per-source BFS walk.
         """
         if self._eccentricity_cache is None:
+            from ..engine.native import get_eccentricity_kernel
+
             n = self._n
+            kernel = get_eccentricity_kernel()
             if n <= 1:
                 self._eccentricity_cache = tuple(0 for _ in range(n))
+            elif kernel is not None:
+                self._eccentricity_cache = self._eccentricities_native(kernel)
             elif n <= DENSE_DISTANCE_MATRIX_LIMIT and self.n_edges * 8 >= n * (n - 1):
                 # Dense graphs have small diameters: a handful of matrix
                 # levels beats n BFS walks.  Above the size limit the
@@ -510,6 +524,24 @@ class Graph:
                     eccs.append(int(dist.max()))
                 self._eccentricity_cache = tuple(eccs)
         return self._eccentricity_cache
+
+    def _eccentricities_native(self, kernel) -> Tuple[int, ...]:
+        """Every eccentricity from one ``repro_eccentricities`` call."""
+        from ..engine.native import data_address
+
+        indptr, indices = self._csr()
+        dist = np.empty(self._n, dtype=np.int64)
+        queue = np.empty(self._n, dtype=np.int64)
+        ecc = np.empty(self._n, dtype=np.int64)
+        kernel(
+            data_address(indptr),
+            data_address(indices),
+            self._n,
+            data_address(dist),
+            data_address(queue),
+            data_address(ecc),
+        )
+        return tuple(ecc.tolist())
 
     def _eccentricities_matrix(self) -> Tuple[int, ...]:
         n = self._n

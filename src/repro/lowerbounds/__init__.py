@@ -1,71 +1,46 @@
 """Lower-bound machinery of Sections 6 and 7 of the paper."""
 
-from .covers import (
-    Cover,
-    CoverCheck,
-    IsolationEstimate,
-    check_cover,
-    estimate_isolation_time,
-    theorem34_lower_bound,
-)
-from .density import (
-    DensityReport,
-    InfluencerGrowthReport,
-    UntouchedNodesReport,
-    lemma41_size_bound,
-    lemma42_untouched_bound,
-    measure_density_evolution,
-    measure_influencer_growth,
-    measure_untouched_nodes,
-)
-from .influence_multigraph import (
-    AbstractPattern,
-    InfluencerMultigraph,
-    build_influencer_multigraph,
-    fresh_nodes,
-    pattern_from_multigraph,
-    tree_embeds_in_fresh_nodes,
-    unfold_once,
-    unfold_to_tree,
-)
-from .surgery import (
-    GuardedGeneratorReport,
-    can_generate_leader_on_clique,
-    find_bottlenecks,
-    leader_generating_sets,
-    low_count_states,
-    reachable_states,
-    stable_configuration_has_guarded_generators,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AbstractPattern",
-    "Cover",
-    "CoverCheck",
-    "DensityReport",
-    "GuardedGeneratorReport",
-    "InfluencerGrowthReport",
-    "InfluencerMultigraph",
-    "IsolationEstimate",
-    "UntouchedNodesReport",
-    "build_influencer_multigraph",
-    "can_generate_leader_on_clique",
-    "check_cover",
-    "estimate_isolation_time",
-    "find_bottlenecks",
-    "fresh_nodes",
-    "leader_generating_sets",
-    "lemma41_size_bound",
-    "lemma42_untouched_bound",
-    "low_count_states",
-    "measure_density_evolution",
-    "measure_influencer_growth",
-    "measure_untouched_nodes",
-    "pattern_from_multigraph",
-    "reachable_states",
-    "stable_configuration_has_guarded_generators",
-    "theorem34_lower_bound",
-    "tree_embeds_in_fresh_nodes",
-    "unfold_once",
-    "unfold_to_tree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "covers": (
+            "Cover",
+            "CoverCheck",
+            "IsolationEstimate",
+            "check_cover",
+            "estimate_isolation_time",
+            "theorem34_lower_bound",
+        ),
+        "density": (
+            "DensityReport",
+            "InfluencerGrowthReport",
+            "UntouchedNodesReport",
+            "lemma41_size_bound",
+            "lemma42_untouched_bound",
+            "measure_density_evolution",
+            "measure_influencer_growth",
+            "measure_untouched_nodes",
+        ),
+        "influence_multigraph": (
+            "AbstractPattern",
+            "InfluencerMultigraph",
+            "build_influencer_multigraph",
+            "fresh_nodes",
+            "pattern_from_multigraph",
+            "tree_embeds_in_fresh_nodes",
+            "unfold_once",
+            "unfold_to_tree",
+        ),
+        "surgery": (
+            "GuardedGeneratorReport",
+            "can_generate_leader_on_clique",
+            "find_bottlenecks",
+            "leader_generating_sets",
+            "low_count_states",
+            "reachable_states",
+            "stable_configuration_has_guarded_generators",
+        ),
+    },
+)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.seeds import graph_seed, measure_seed, trial_seed
+from ..core.seeds import graph_seed, measure_seed, trial_seeds
 from ..experiments.harness import (
     DegenerateSweepError,
     Measurement,
@@ -186,20 +186,26 @@ def build_unit_plans(
 ) -> List[UnitPlan]:
     """Compile work units into self-contained plans (all seeds derived here).
 
-    A size cell's measurement, graph and schedule seeds are derived once,
-    for all of its units.
+    A size cell's graph and schedule seeds are derived once, for all of
+    its units, and its trial seeds in one :func:`trial_seeds` call over
+    the span of its units' trials, which folds the cell's prefix once.
     """
-    plans: List[UnitPlan] = []
-    cell_seeds: Dict[int, Tuple[int, int, int]] = {}
+    spans: Dict[int, Tuple[int, int]] = {}
     for unit in units:
-        seeds = cell_seeds.get(unit.size_index)
-        if seeds is None:
-            seeds = cell_seeds[unit.size_index] = (
-                measure_seed(scenario.seed, unit.size_index),
-                graph_seed(scenario.seed, unit.size_index),
-                scenario.schedule_seed(unit.size_index),
-            )
-        measure_base, cell_graph_seed, cell_schedule_seed = seeds
+        lo, hi = spans.get(unit.size_index, (unit.trial_lo, unit.trial_hi))
+        spans[unit.size_index] = (min(lo, unit.trial_lo), max(hi, unit.trial_hi))
+    cells = {
+        size_index: (
+            lo,
+            trial_seeds(measure_seed(scenario.seed, size_index), range(lo, hi)),
+            graph_seed(scenario.seed, size_index),
+            scenario.schedule_seed(size_index),
+        )
+        for size_index, (lo, hi) in spans.items()
+    }
+    plans: List[UnitPlan] = []
+    for unit in units:
+        lo, cell_run_seeds, cell_graph_seed, cell_schedule_seed = cells[unit.size_index]
         protocol = scenario.protocols[unit.spec_index]
         plans.append(
             UnitPlan(
@@ -210,10 +216,7 @@ def build_unit_plans(
                 size=scenario.sizes[unit.size_index],
                 graph_seed=cell_graph_seed,
                 protocol=(protocol.builder, tuple(protocol.params)),
-                run_seeds=tuple(
-                    trial_seed(measure_base, index)
-                    for index in range(unit.trial_lo, unit.trial_hi)
-                ),
+                run_seeds=tuple(cell_run_seeds[unit.trial_lo - lo : unit.trial_hi - lo]),
                 engine=scenario.engine,
                 backend=scenario.backend,
                 step_budget_multiplier=scenario.step_budget_multiplier,

@@ -1,67 +1,45 @@
 """Information propagation in the population model (Section 3 of the paper)."""
 
-from .bounds import (
-    BroadcastBounds,
-    bounded_degree_broadcast_order,
-    broadcast_bounds,
-    broadcast_lower_bound,
-    broadcast_upper_bound_diameter,
-    broadcast_upper_bound_expansion,
-    dense_random_graph_broadcast_order,
-    propagation_lower_bound_threshold,
-    trivial_broadcast_lower_bound,
-)
-from .broadcast import (
-    BroadcastTimeEstimate,
-    broadcast_time_estimate,
-    expected_broadcast_time_from,
-    full_information_time,
-)
-from .node_dynamics import (
-    DynamicsComparison,
-    NodeSamplingScheduler,
-    compare_broadcast_dynamics,
-    interaction_rate_imbalance,
-    node_sampling_broadcast_steps,
-)
-from .influence import (
-    InfluenceProcess,
-    InfluenceSnapshot,
-    distance_k_propagation_steps,
-    single_source_broadcast_steps,
-)
-from .propagation_time import (
-    PropagationTimeEstimate,
-    empirical_violation_rate,
-    propagation_time_estimate,
-    propagation_time_from,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BroadcastBounds",
-    "DynamicsComparison",
-    "NodeSamplingScheduler",
-    "compare_broadcast_dynamics",
-    "interaction_rate_imbalance",
-    "node_sampling_broadcast_steps",
-    "BroadcastTimeEstimate",
-    "InfluenceProcess",
-    "InfluenceSnapshot",
-    "PropagationTimeEstimate",
-    "bounded_degree_broadcast_order",
-    "broadcast_bounds",
-    "broadcast_lower_bound",
-    "broadcast_time_estimate",
-    "broadcast_upper_bound_diameter",
-    "broadcast_upper_bound_expansion",
-    "dense_random_graph_broadcast_order",
-    "distance_k_propagation_steps",
-    "empirical_violation_rate",
-    "expected_broadcast_time_from",
-    "full_information_time",
-    "propagation_lower_bound_threshold",
-    "propagation_time_estimate",
-    "propagation_time_from",
-    "single_source_broadcast_steps",
-    "trivial_broadcast_lower_bound",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bounds": (
+            "BroadcastBounds",
+            "bounded_degree_broadcast_order",
+            "broadcast_bounds",
+            "broadcast_lower_bound",
+            "broadcast_upper_bound_diameter",
+            "broadcast_upper_bound_expansion",
+            "dense_random_graph_broadcast_order",
+            "propagation_lower_bound_threshold",
+            "trivial_broadcast_lower_bound",
+        ),
+        "broadcast": (
+            "BroadcastTimeEstimate",
+            "broadcast_time_estimate",
+            "expected_broadcast_time_from",
+            "full_information_time",
+        ),
+        "node_dynamics": (
+            "DynamicsComparison",
+            "NodeSamplingScheduler",
+            "compare_broadcast_dynamics",
+            "interaction_rate_imbalance",
+            "node_sampling_broadcast_steps",
+        ),
+        "influence": (
+            "InfluenceProcess",
+            "InfluenceSnapshot",
+            "distance_k_propagation_steps",
+            "single_source_broadcast_steps",
+        ),
+        "propagation_time": (
+            "PropagationTimeEstimate",
+            "empirical_violation_rate",
+            "propagation_time_estimate",
+            "propagation_time_from",
+        ),
+    },
+)

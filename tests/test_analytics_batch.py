@@ -403,14 +403,37 @@ def test_select_sources_memo_keeps_graphs_apart():
     memo keyed by ``n`` rather than by the graph would hand it theirs.
     """
     graphs = [clique(16), cycle(16), star(16), path(16)]
-    estimators._FORCED_CACHE.clear()
     for round_index in range(3):
         for graph in graphs:
             for max_sources, base in ((6, round_index), (4, 2**63 + round_index), (40, 7)):
                 assert select_sources(graph, max_sources, base) == _select_sources_reference(
                     graph, max_sources, base
                 ), (graph.name, max_sources, base)
-    assert len(estimators._FORCED_CACHE) == len(graphs)
+    assert len({id(graph._forced_sources_cache) for graph in graphs}) == len(graphs)
+
+
+def test_select_sources_memo_survives_a_cycle_of_twenty_graphs(monkeypatch):
+    """Each graph keeps its forced sources for as long as it lives.
+
+    Twenty distinct connected graphs, more than a table1 sweep draws
+    ``B(G)`` sources on, go through :func:`select_sources` in a cycle
+    twice: the second pass recomputes nothing (no degree or
+    eccentricity read), where a bounded LRU memo would miss every time.
+    """
+    graphs = [cycle(n) for n in range(7, 12)] + [path(n) for n in range(7, 12)]
+    graphs += [star(n) for n in range(7, 12)] + [clique(n) for n in range(7, 12)]
+    assert len({id(graph) for graph in graphs}) == 20
+    first = [select_sources(graph, 4, 11) for graph in graphs]
+    reads = []
+    for name in ("eccentricities", "degrees"):
+        original = getattr(Graph, name)
+        if isinstance(original, property):
+            spy = property(lambda graph, original=original: reads.append(graph) or original.fget(graph))
+        else:
+            spy = lambda graph, original=original: reads.append(graph) or original(graph)  # noqa: E731
+        monkeypatch.setattr(Graph, name, spy)
+    assert [select_sources(graph, 4, 11) for graph in graphs] == first
+    assert reads == []
 
 
 @pytest.mark.skipif(get_broadcast_epoch_kernel() is None, reason="no C compiler available")

@@ -675,3 +675,156 @@ def test_is_connected_agrees_with_bfs_and_networkx():
         for check_side in _build_paths():
             with _build_path(check_side):
                 assert [g.is_connected() for g in graphs] == expected
+
+
+# ----------------------------------------------------------------------
+# Eccentricities: the C all-sources BFS and its NumPy forms
+# ----------------------------------------------------------------------
+def _eccentricity_forms(graph):
+    """Every form of ``graph``'s eccentricities, by name: the C pass
+    where the kernel is built, the per-source walk, the matrix form
+    below its size limit, and networkx (largest finite distance)."""
+    import networkx as nx
+
+    n = graph.n_nodes
+    forms = {
+        "walk": tuple(int(graph.bfs_distances(v).max()) for v in range(n)),
+        "matrix": graph._eccentricities_matrix(),
+    }
+    kernel = native.get_eccentricity_kernel()
+    if kernel is not None:
+        forms["kernel"] = graph._eccentricities_native(kernel)
+    nx_graph = graph.to_networkx()
+    forms["networkx"] = tuple(
+        max(nx.single_source_shortest_path_length(nx_graph, v).values()) for v in range(n)
+    )
+    return forms
+
+
+def _assert_eccentricities_agree(graph):
+    forms = _eccentricity_forms(graph)
+    assert len(set(forms.values())) == 1, (graph.name, forms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "get_eccentricity_kernel", lambda: None)
+        graph._eccentricity_cache = None
+        without_kernel = graph.eccentricities()
+    graph._eccentricity_cache = None
+    assert graph.eccentricities() == without_kernel == forms["walk"]
+    assert all(type(e) is int for e in graph.eccentricities())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=48),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eccentricities_agree_on_connected_graphs(n, density, seed):
+    """Property: on connected graphs, sparse to complete, the C pass, the
+    per-source walk, the matrix form and networkx agree, and the public
+    method gives the same tuple with and without the kernel."""
+    u, v = _random_edge_arrays(n, density, seed)
+    # A random spanning path makes every draw connected.
+    order = np.random.default_rng(seed).permutation(n)
+    u, v = np.concatenate((u, order[:-1])), np.concatenate((v, order[1:]))
+    keys = sorted({(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())})
+    graph = Graph(n, keys, name=f"connected-{n}")
+    _assert_eccentricities_agree(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    density=st.floats(min_value=0.0, max_value=0.15),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eccentricities_of_disconnected_graphs_are_largest_finite_distances(n, density, seed):
+    """On ``check_connected=False`` graphs an unreachable node never
+    counts and an isolated node has eccentricity 0, in every form."""
+    u, v = _random_edge_arrays(n, density, seed)
+    graph = Graph.from_edge_arrays(n, u, v, check_connected=False)
+    _assert_eccentricities_agree(graph)
+    for node in np.flatnonzero(graph.degrees == 0).tolist():
+        assert graph.eccentricities()[node] == 0
+
+
+def test_eccentricities_agree_on_named_families():
+    """One node, paths, stars, cycles, cliques, tori and the renitent
+    constructions (long paths between star copies) in every form."""
+    from repro.experiments.workloads import renitent_star_construction
+    from repro.graphs.renitent import cycle_cover, four_copies_construction
+
+    assert Graph(1, []).eccentricities() == (0,)
+    graphs = [path(2), path(9), path(40), star(2), star(12), cycle(11), clique(7), torus(5, 7)]
+    graphs += [renitent_star_construction(n).graph for n in (48, 64, 96)]
+    graphs += [four_copies_construction(star(5), 3).graph, cycle_cover(20).graph]
+    for graph in graphs:
+        _assert_eccentricities_agree(graph)
+    assert path(40).eccentricities()[0] == 39 and star(12).eccentricities()[0] == 1
+
+
+@pytest.mark.skipif(native.get_eccentricity_kernel() is None, reason="native kernel unavailable")
+def test_eccentricities_with_the_kernel_is_one_c_call(monkeypatch):
+    """With the kernel, ``eccentricities()`` makes exactly one C call and
+    no ``bfs_distances`` call, on sparse and dense graphs alike."""
+    kernel = native.get_eccentricity_kernel()
+    calls = []
+    monkeypatch.setattr(
+        native, "get_eccentricity_kernel", lambda: lambda *args: calls.append(kernel(*args))
+    )
+    monkeypatch.setattr(Graph, "bfs_distances", lambda self, source: pytest.fail("BFS walk"))
+    for graph, expected in ((cycle(30), 15), (clique(52), 1), (torus(6, 6), 6)):
+        calls.clear()
+        assert graph.diameter() == expected
+        assert len(calls) == 1
+        graph.eccentricities()
+        assert len(calls) == 1
+
+
+@pytest.mark.skipif(native.get_eccentricity_kernel() is None, reason="native kernel unavailable")
+def test_eccentricity_pass_stays_inside_its_buffers():
+    """The C pass reads ``indptr[0..n]`` and ``indices[0..2m)`` only and
+    writes ``n`` words of each scratch array and of the result.
+
+    Every buffer is one word longer than the pass may touch.  The word
+    past ``indptr`` would extend the last row, and the word past
+    ``indices`` names node ``n``, so a pass that read either would write
+    the sentinel slot of ``dist``; the other sentinels catch writes.
+    """
+    graph = path(6)
+    indptr, indices = graph._csr()
+    n = graph.n_nodes
+    indptr_padded = np.append(indptr, indptr[-1] + 1)
+    indices_padded = np.append(indices, n)
+    dist = np.full(n + 1, -7, dtype=np.int64)
+    queue = np.full(n + 1, -7, dtype=np.int64)
+    ecc = np.full(n + 1, -7, dtype=np.int64)
+    native.get_eccentricity_kernel()(
+        native.data_address(indptr_padded), native.data_address(indices_padded), n,
+        native.data_address(dist), native.data_address(queue), native.data_address(ecc),
+    )
+    assert ecc[:n].tolist() == [5, 4, 3, 3, 4, 5]
+    assert dist[:n].tolist() == [-1] * n
+    assert (dist[n], queue[n], ecc[n]) == (-7, -7, -7)
+
+
+@pytest.mark.skipif(native.get_eccentricity_kernel() is None, reason="native kernel unavailable")
+def test_eccentricity_pass_is_not_slower_than_the_matrix_form():
+    """On dense graphs, where the matrix form was chosen, the C pass
+    (CSR build included) takes no longer: each BFS stops once every node
+    is queued."""
+    import timeit
+
+    from repro.graphs import erdos_renyi
+
+    kernel = native.get_eccentricity_kernel()
+    for graph in (clique(52), erdos_renyi(160, 0.5, rng=3)):
+
+        def c_pass():
+            graph._csr_cache = None
+            return graph._eccentricities_native(kernel)
+
+        assert c_pass() == graph._eccentricities_matrix()
+        c_best = min(timeit.repeat(c_pass, number=1, repeat=15))
+        matrix_best = min(timeit.repeat(graph._eccentricities_matrix, number=1, repeat=15))
+        assert c_best <= matrix_best, (graph.name, c_best, matrix_best)

@@ -135,3 +135,14 @@ class TestTrialSeeds:
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError):
             trial_seed(0, -1)
+        with pytest.raises(ValueError):
+            trial_seeds(0, [3, -1])
+
+    @pytest.mark.parametrize("base", [0, 1, 2**62 + 7, 2**63, 2**64 - 1])
+    def test_prefix_folded_once_equals_trial_seed(self, base):
+        """One fold of the ``(base, "trial")`` prefix gives every seed
+        :func:`trial_seed` gives, in the order of the indices."""
+        indices = [0, 1, 2, 7, 0, 2**31, 2**32 + 5, 2**62, 2**63 + 1, 2**64 - 1, 2**70 + 3]
+        assert trial_seeds(base, indices) == [trial_seed(base, t) for t in indices]
+        assert trial_seeds(base, range(990)) == [trial_seed(base, t) for t in range(990)]
+        assert trial_seeds(base, []) == []
