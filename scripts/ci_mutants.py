@@ -61,8 +61,11 @@ DYNAMIC_ENGINES = (
     "tests/test_dynamics.py::TestSimulatorSchedules::test_dynamic_run_identical_across_engines",
 )
 DYNAMIC_V6 = ("tests/test_dynamics.py::test_dynamic_plans_on_v6_match_reference",)
-EPIDEMICS = "src/repro/analytics/epidemics.py"
+STREAMS = "src/repro/analytics/streams.py"
 ONE_CALL = ("tests/test_analytics_batch.py::test_one_call_stack_matches_rounds_and_fallback",)
+ANALYTICS_THREADS = (
+    "tests/test_analytics_batch.py::test_kernel_threads_never_change_analytics_results",
+)
 REFILL_HALVES = ("tests/test_kernel_rng.py::test_source_fill_rejections_and_carried_half_words",)
 ECCENTRICITIES = (
     "tests/test_graph.py::test_eccentricities_agree_on_named_families",
@@ -171,7 +174,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "caller-stream-skips-block-completion",
-        "src/repro/analytics/epidemics.py",
+        STREAMS,
         "        if draws_left is not None and draws_left[j] > 0:\n"
         "            generator.integers(0, bound, size=int(draws_left[j]))\n",
         "",
@@ -351,25 +354,36 @@ MUTANTS: Tuple[Mutant, ...] = (
     # -- One-trial unit set-up: one-call stacks, uniform encode, memos --
     Mutant(
         "one-call-for-caller-held-streams",
-        EPIDEMICS,
-        "    if kernel is not None and streams is None and schedule is None:",
-        "    if kernel is not None and schedule is None:",
+        STREAMS,
+        "    if rng_rows is not None and streams is None and schedule is None:",
+        "    if rng_rows is not None and schedule is None:",
         CALLER_HELD,
     ),
     Mutant(
         "one-call-block-past-budget",
-        EPIDEMICS,
-        "        # (BUDGET_EXHAUSTED), straight into the row's result slot.\n"
+        STREAMS,
         "        if max_steps > 0:\n"
-        "            directed_u, directed_v = directed_pairs(graph)\n"
-        "            finish = results[result_offset : result_offset + active]\n"
-        "            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps, finish)",
-        "        # (BUDGET_EXHAUSTED), straight into the row's result slot.\n"
+        "            directed_u, directed_v = directed_tables(graph)\n"
+        "            kernel_step(rows, rng_rows, directed_u, directed_v, max_steps, out)",
         "        if max_steps > 0:\n"
-        "            directed_u, directed_v = directed_pairs(graph)\n"
-        "            finish = results[result_offset : result_offset + active]\n"
-        "            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps + 1, finish)",
+        "            directed_u, directed_v = directed_tables(graph)\n"
+        "            kernel_step(rows, rng_rows, directed_u, directed_v, max_steps + 1, out)",
         ONE_CALL,
+    ),
+    # -- One lockstep driver, one replica fan-out ----------------------
+    Mutant(
+        "lockstep-compaction-keeps-finished-rows",
+        STREAMS,
+        "            rows = [_compact(row, keep) for row in rows]\n",
+        "",
+        ONE_CALL,
+    ),
+    Mutant(
+        "fan-out-drops-remainder-rows",
+        NATIVE,
+        "        lo += base + (t < rem ? 1 : 0);",
+        "        lo += base;",
+        ANALYTICS_THREADS,
     ),
     Mutant(
         "uniform-encode-with-inputs",

@@ -37,7 +37,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "streams": (
             "TrajectoryStream",
             "block_size",
-            "directed_pairs",
             "iter_width_chunks",
             "make_streams",
             "resolve_base_seed",

@@ -25,14 +25,18 @@ Two legs produce bit-identical results:
   to its finish or the step budget;
 * the no-kernel leg (no compiler, or a seed outside ``[0, 2**64)``): one
   NumPy-drawn :class:`~repro.analytics.streams.TrajectoryStream` per
-  trajectory, applied by a vectorized NumPy block or, for tiny stacks
-  (``R < 4``), a scalar loop.
+  trajectory, applied by a vectorized NumPy block or, in a round of
+  fewer than four rows, a scalar loop.
 
+Both stacks run on the lockstep driver of :mod:`repro.analytics.streams`
+and supply only their state, their kernel call and their block step.
 The no-kernel leg, a topology schedule (blocks end at epoch switches)
 and a caller-held stream (below) advance the stack in lockstep rounds,
 one block per round (:func:`~repro.analytics.streams.block_size`);
 finished replicas are compacted out between rounds so stabilized
-stragglers do not drag the batch.
+stragglers do not drag the batch.  Influence picks its state once, when
+the stack starts: fewer than four rows without the kernel keep Python-int
+bitsets, any other stack packed words.
 
 :func:`run_single_epidemic` alone runs on a stream its caller holds (a
 shared generator).  On the kernel its PCG64 state is packed into a row,
@@ -43,7 +47,7 @@ exactly where the no-kernel leg, which draws whole blocks, leaves it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,19 +59,8 @@ from ..engine.native import (
     kernel_thread_count,
 )
 from ..graphs.graph import Graph
-from ..runtime.source import (
-    kernel_rng_rows,
-    pack_generator_state,
-    unpack_generator_state,
-)
-from .streams import (
-    TrajectoryStream,
-    block_size,
-    directed_pairs,
-    fill_draw_rows,
-    iter_width_chunks,
-    make_streams,
-)
+from ..runtime.source import kernel_rng_rows, pack_generator_state
+from .streams import TrajectoryStream, _run_lockstep, iter_width_chunks, make_streams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dynamics.schedule import TopologySchedule
@@ -96,53 +89,6 @@ def _pack_stream_states(streams: Sequence[TrajectoryStream]) -> Optional[np.ndar
     except (KeyError, TypeError, ValueError):
         return None
     return rows
-
-
-def _writeback_stream_states(
-    streams: Sequence[TrajectoryStream],
-    rows: np.ndarray,
-    mask: np.ndarray,
-    draws_left: Optional[np.ndarray] = None,
-    bound: int = 0,
-) -> None:
-    """Import kernel RNG rows back into the caller-held streams in ``mask``.
-
-    The kernel stops drawing at a row's finishing step, while the NumPy
-    leg draws whole blocks up front.  ``draws_left[j]`` (the rest of the
-    block) is drawn here with one ``integers(0, bound)`` call on the
-    caller's generator.  Bounded ``integers`` is prefix-stable, buffered
-    32-bit half-word included, so the generator ends exactly where a
-    whole-block draw leaves it.
-    """
-    for j in np.flatnonzero(mask):
-        generator = streams[j].generator
-        unpack_generator_state(generator, rows[j])
-        if draws_left is not None and draws_left[j] > 0:
-            generator.integers(0, bound, size=int(draws_left[j]))
-
-
-def _active_tables(
-    graph: Graph,
-    schedule: Optional["TopologySchedule"],
-    consumed: int,
-    block: int,
-) -> Tuple[np.ndarray, np.ndarray, Optional[int], int]:
-    """Directed endpoint tables + draw bound for the block at ``consumed``.
-
-    On a static run (``schedule is None``) this is the graph's own tables
-    and the block size is untouched.  On a dynamic run the block is
-    clipped at the next epoch boundary, so every draw in it is made — and
-    decoded — against one epoch's edge table, and all co-resident
-    replicas cross the epoch switch together (they share ``consumed``).
-    """
-    if schedule is None:
-        directed_u, directed_v = directed_pairs(graph)
-        return directed_u, directed_v, None, block
-    index, _, end = schedule.epoch_at(consumed)
-    if end is not None:
-        block = min(block, end - consumed)
-    directed_u, directed_v = directed_pairs(schedule.epoch_graph(index))
-    return directed_u, directed_v, int(directed_u.shape[0]), block
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +141,7 @@ def run_epidemic_batch(
             chunk_sources,
             chunk_masks,
             max_steps,
-            results,
-            chunk.start,
+            results[chunk.start : chunk.stop],
             schedule,
         )
     return results
@@ -220,7 +165,7 @@ def run_single_epidemic(
     masks = None if stopmask is None else np.ascontiguousarray(stopmask, dtype=np.uint8)[None, :]
     streams = [stream]
     _run_epidemic_stack(
-        graph, _pack_stream_states(streams), streams, [int(source)], masks, max_steps, results, 0
+        graph, _pack_stream_states(streams), streams, [int(source)], masks, max_steps, results
     )
     steps = int(results[0])
     return None if steps == BUDGET_EXHAUSTED else steps
@@ -233,38 +178,32 @@ def _run_epidemic_stack(
     sources: List[int],
     stopmasks: Optional[np.ndarray],
     max_steps: int,
-    results: np.ndarray,
-    result_offset: int,
+    out: np.ndarray,
     schedule: Optional["TopologySchedule"] = None,
 ) -> None:
     """Run one wave of co-resident epidemics to completion or budget.
 
     With ``rng_rows`` the kernel draws; ``streams`` are then the
-    caller-held streams behind the rows (``None`` for private rows) and
-    get their state back as they leave the stack.  Without ``rng_rows``
-    the ``streams`` draw each block in NumPy.
+    caller-held streams behind the rows (``None`` for private rows).
+    Without ``rng_rows`` the ``streams`` draw each block in NumPy.
     """
     n = graph.n_nodes
     active = len(sources)
     informed = np.zeros((active, n), dtype=np.uint8)
     informed[np.arange(active), np.asarray(sources, dtype=np.int64)] = 1
-    counts = np.ones(active, dtype=np.int64)
-    masks = (
-        None
-        if stopmasks is None
-        else np.ascontiguousarray(stopmasks, dtype=np.uint8)
-    )
-    kernel = None if rng_rows is None else get_broadcast_epoch_kernel()
+    masks = None if stopmasks is None else np.ascontiguousarray(stopmasks, dtype=np.uint8)
+    kernel = get_broadcast_epoch_kernel()
     threads = kernel_thread_count()
 
-    def advance(directed_u, directed_v, bound: int, block: int, finish: np.ndarray) -> None:
+    def advance(rows, rng_rows, directed_u, directed_v, block: int, finish: np.ndarray) -> None:
         """Every row up to ``block`` draws, in one kernel call."""
+        informed, counts, masks = rows
         kernel(
             data_address(informed),
             data_address(rng_rows),
             data_address(directed_u),
             data_address(directed_v),
-            bound,
+            directed_u.shape[0],
             finish.shape[0],
             block,
             n,
@@ -274,69 +213,25 @@ def _run_epidemic_stack(
             threads,
         )
 
-    if kernel is not None and streams is None and schedule is None:
-        # Private rows on a static topology: one call over the whole
-        # budget draws what the rounds would (a row stops drawing at its
-        # finish) and writes each finishing step, or -1
-        # (BUDGET_EXHAUSTED), straight into the row's result slot.
-        if max_steps > 0:
-            directed_u, directed_v = directed_pairs(graph)
-            finish = results[result_offset : result_offset + active]
-            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps, finish)
-        return
-    indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
-    consumed = 0
-    round_index = 0
-    while indices.size and consumed < max_steps:
-        block = min(block_size(round_index), max_steps - consumed)
-        directed_u, directed_v, pair_count, block = _active_tables(
-            graph, schedule, consumed, block
-        )
-        a = indices.shape[0]
-        finish = np.full(a, -1, dtype=np.int64)
-        bound = 2 * graph.n_edges if pair_count is None else pair_count
-        if kernel is not None:
-            advance(directed_u, directed_v, bound, block, finish)
+    def apply(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
+        """One NumPy-drawn block; a narrow round takes the scalar loop."""
+        if finish.shape[0] >= _SCALAR_MAX_REPLICAS:
+            _numpy_epidemic_block(*rows, iu, iv, finish, n)
         else:
-            draws = np.empty((a, block), dtype=np.int64)
-            fill_draw_rows(streams, draws, pair_count)
-            if a >= _SCALAR_MAX_REPLICAS:
-                iu = directed_u.take(draws)
-                iv = directed_v.take(draws)
-                _numpy_epidemic_block(informed, iu, iv, counts, finish, n, masks)
-            else:
-                _scalar_epidemic_block(
-                    informed, draws, directed_u, directed_v, counts, finish, n, masks
-                )
-        done = finish >= 0
-        if done.any():
-            results[indices[done]] = consumed + finish[done]
-            keep = ~done
-            if rng_rows is not None:
-                if streams is not None:
-                    _writeback_stream_states(streams, rng_rows, done, block - finish, bound)
-                rng_rows = np.ascontiguousarray(rng_rows[keep])
-            informed = np.ascontiguousarray(informed[keep])
-            counts = counts[keep]
-            indices = indices[keep]
-            if masks is not None:
-                masks = np.ascontiguousarray(masks[keep])
-            if streams is not None:
-                streams = [s for s, k in zip(streams, keep) if k]
-        consumed += block
-        round_index += 1
-    if rng_rows is not None and streams:
-        _writeback_stream_states(streams, rng_rows, np.ones(len(streams), dtype=bool))
+            _scalar_epidemic_block(*rows, iu, iv, finish, n)
+
+    rows = [informed, np.ones(active, dtype=np.int64), masks]
+    _run_lockstep(graph, rows, apply, out, max_steps, streams, rng_rows, advance, schedule)
 
 
 def _numpy_epidemic_block(
     informed: np.ndarray,
+    counts: np.ndarray,
+    masks: Optional[np.ndarray],
     iu: np.ndarray,
     iv: np.ndarray,
-    counts: np.ndarray,
     finish: np.ndarray,
     n: int,
-    masks: Optional[np.ndarray],
 ) -> None:
     a, block = iu.shape
     rows = np.arange(a)
@@ -366,21 +261,20 @@ def _numpy_epidemic_block(
 
 def _scalar_epidemic_block(
     informed: np.ndarray,
-    draws: np.ndarray,
-    directed_u: np.ndarray,
-    directed_v: np.ndarray,
     counts: np.ndarray,
+    masks: Optional[np.ndarray],
+    iu: np.ndarray,
+    iv: np.ndarray,
     finish: np.ndarray,
     n: int,
-    masks: Optional[np.ndarray],
 ) -> None:
-    a, block = draws.shape
+    a, block = iu.shape
     for r in range(a):
         inf = informed[r]
         stop = None if masks is None else masks[r]
         count = int(counts[r])
-        row_u = directed_u.take(draws[r]).tolist()
-        row_v = directed_v.take(draws[r]).tolist()
+        row_u = iu[r].tolist()
+        row_v = iv[r].tolist()
         for i in range(block):
             u = row_u[i]
             v = row_v[i]
@@ -419,7 +313,9 @@ def run_influence_batch(
     results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
         chunk_seeds = [int(seeds[t]) for t in chunk]
-        _run_influence_stack(graph, chunk_seeds, max_steps, results, chunk.start, schedule)
+        _run_influence_stack(
+            graph, chunk_seeds, max_steps, results[chunk.start : chunk.stop], schedule
+        )
     return results
 
 
@@ -427,19 +323,20 @@ def _run_influence_stack(
     graph: Graph,
     seeds: List[int],
     max_steps: int,
-    results: np.ndarray,
-    result_offset: int,
+    out: np.ndarray,
     schedule: Optional["TopologySchedule"] = None,
 ) -> None:
     n = graph.n_nodes
-    rng_rows = kernel_rng_rows(seeds)
-    if rng_rows is None and len(seeds) < _SCALAR_MAX_REPLICAS and schedule is None:
-        # The tiny-stack fallback decodes draws through its stream's own
-        # static tables, so dynamic runs take the generic path instead.
-        _scalar_influence(graph, seeds, max_steps, results, result_offset)
-        return
-    streams = make_streams(graph, seeds) if rng_rows is None else None
     active = len(seeds)
+    rng_rows = kernel_rng_rows(seeds)
+    streams = make_streams(graph, seeds) if rng_rows is None else None
+    if rng_rows is None and active < _SCALAR_MAX_REPLICAS:
+        bitsets = [[1 << v for v in range(n)] for _ in range(active)]
+        rows = [bitsets, np.zeros(active, dtype=np.int64)]
+        _run_lockstep(
+            graph, rows, _scalar_influence_block, out, max_steps, streams, schedule=schedule
+        )
+        return
     words = (n + 63) // 64
     bits = np.zeros((active, n, words), dtype=np.uint64)
     node_ids = np.arange(n)
@@ -449,19 +346,18 @@ def _run_influence_stack(
     full = np.array(
         [(1 << min(64, n - 64 * j)) - 1 for j in range(words)], dtype=np.uint64
     )
-    flags = np.zeros((active, n), dtype=np.uint8)
-    counts = np.zeros(active, dtype=np.int64)
-    kernel = None if rng_rows is None else get_influence_epoch_kernel()
+    kernel = get_influence_epoch_kernel()
     threads = kernel_thread_count()
 
-    def advance(directed_u, directed_v, bound: int, block: int, finish: np.ndarray) -> None:
+    def advance(rows, rng_rows, directed_u, directed_v, block: int, finish: np.ndarray) -> None:
         """Every row up to ``block`` draws, in one kernel call."""
+        bits, flags, counts = rows
         kernel(
             data_address(bits),
             data_address(rng_rows),
             data_address(directed_u),
             data_address(directed_v),
-            bound,
+            directed_u.shape[0],
             finish.shape[0],
             block,
             n,
@@ -473,55 +369,20 @@ def _run_influence_stack(
             threads,
         )
 
-    if kernel is not None and schedule is None:
-        # One call to finish or budget, as for private epidemic rows.
-        if max_steps > 0:
-            directed_u, directed_v = directed_pairs(graph)
-            finish = results[result_offset : result_offset + active]
-            advance(directed_u, directed_v, 2 * graph.n_edges, max_steps, finish)
-        return
-    indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
-    consumed = 0
-    round_index = 0
-    while indices.size and consumed < max_steps:
-        block = min(block_size(round_index), max_steps - consumed)
-        directed_u, directed_v, pair_count, block = _active_tables(
-            graph, schedule, consumed, block
-        )
-        a = indices.shape[0]
-        finish = np.full(a, -1, dtype=np.int64)
-        if kernel is not None:
-            bound = 2 * graph.n_edges if pair_count is None else pair_count
-            advance(directed_u, directed_v, bound, block, finish)
-        else:
-            draws = np.empty((a, block), dtype=np.int64)
-            fill_draw_rows(streams, draws, pair_count)
-            iu = directed_u.take(draws)
-            iv = directed_v.take(draws)
-            _numpy_influence_block(bits, iu, iv, full, flags, counts, finish, n)
-        done = finish >= 0
-        if done.any():
-            results[indices[done]] = consumed + finish[done]
-            keep = ~done
-            if rng_rows is not None:
-                rng_rows = np.ascontiguousarray(rng_rows[keep])
-            else:
-                streams = [s for s, k in zip(streams, keep) if k]
-            bits = np.ascontiguousarray(bits[keep])
-            flags = np.ascontiguousarray(flags[keep])
-            counts = counts[keep]
-            indices = indices[keep]
-        consumed += block
-        round_index += 1
+    def apply(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
+        _numpy_influence_block(*rows, iu, iv, full, finish, n)
+
+    rows = [bits, np.zeros((active, n), dtype=np.uint8), np.zeros(active, dtype=np.int64)]
+    _run_lockstep(graph, rows, apply, out, max_steps, streams, rng_rows, advance, schedule)
 
 
 def _numpy_influence_block(
     bits: np.ndarray,
+    flags: np.ndarray,
+    counts: np.ndarray,
     iu: np.ndarray,
     iv: np.ndarray,
     full: np.ndarray,
-    flags: np.ndarray,
-    counts: np.ndarray,
     finish: np.ndarray,
     n: int,
 ) -> None:
@@ -554,39 +415,20 @@ def _numpy_influence_block(
                 return
 
 
-def _scalar_influence(
-    graph: Graph,
-    seeds: List[int],
-    max_steps: int,
-    results: np.ndarray,
-    result_offset: int,
-) -> None:
-    """Tiny-stack fallback: Python-int bitsets on the same streams/schedule."""
-    n = graph.n_nodes
+def _scalar_influence_block(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
+    """Tiny-stack block: Python-int influencer bitsets, one per node."""
+    bitsets, full_counts = rows
+    n = len(bitsets[0])
     full_mask = (1 << n) - 1
-    for offset, seed in enumerate(seeds):
-        stream = make_streams(graph, [seed])[0]
-        bitsets = [1 << v for v in range(n)]
-        full_count = 1 if n == 1 else 0
-        consumed = 0
-        round_index = 0
-        while consumed < max_steps:
-            block = min(block_size(round_index), max_steps - consumed)
-            iu = np.empty(block, dtype=np.int64)
-            iv = np.empty(block, dtype=np.int64)
-            stream.next_into(iu, iv)
-            finish = -1
-            for i, (u, v) in enumerate(zip(iu.tolist(), iv.tolist()), start=1):
-                merged = bitsets[u] | bitsets[v]
-                if merged == full_mask:
-                    full_count += (bitsets[u] != full_mask) + (bitsets[v] != full_mask)
-                bitsets[u] = merged
-                bitsets[v] = merged
-                if full_count == n:
-                    finish = i
-                    break
-            if finish >= 0:
-                results[result_offset + offset] = consumed + finish
+    for r, sets in enumerate(bitsets):
+        full_count = int(full_counts[r])
+        for i, (u, v) in enumerate(zip(iu[r].tolist(), iv[r].tolist()), start=1):
+            merged = sets[u] | sets[v]
+            if merged == full_mask:
+                full_count += (sets[u] != full_mask) + (sets[v] != full_mask)
+            sets[u] = merged
+            sets[v] = merged
+            if full_count == n:
+                finish[r] = i
                 break
-            consumed += block
-            round_index += 1
+        full_counts[r] = full_count

@@ -1,4 +1,4 @@
-"""Per-trajectory interaction streams for the replica-batched engine.
+"""Per-trajectory streams and the one lockstep driver of the replica stacks.
 
 Every Monte-Carlo estimator in :mod:`repro.analytics` runs ``R``
 trajectories in lockstep, and each trajectory owns a private
@@ -35,18 +35,29 @@ The warm-up schedule exists for exactly that reason: epidemics on
 well-connected graphs finish in ``Θ(n log n)`` steps, so the first blocks
 stay small and the block size only doubles up to 4096 for the
 long-running tail (cycles, renitent constructions).
+
+Every stack — epidemics, influence, hitting and meeting walks — runs on
+:func:`_run_lockstep`.  A process hands it only its per-row state, its
+kernel call (if it has one) and its block step; the driver owns the
+one-call path for private kernel rows on a static topology, the rounds
+clipped at epoch ends, the finish and result writes, the compaction of
+finished rows together with their RNG rows or streams, and the state
+write-back of caller-held streams.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
 from ..runtime.pairs import directed_tables
-from ..runtime.source import InteractionSource
+from ..runtime.source import InteractionSource, unpack_generator_state
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dynamics.schedule import TopologySchedule
 
 _FIRST_BLOCK = 1024
 _MAX_BLOCK = 4096
@@ -84,15 +95,6 @@ def resolve_base_seed(rng: RngLike) -> int:
     if isinstance(rng, np.random.Generator):
         return int(rng.integers(0, 1 << 63))
     return int(rng)
-
-
-def directed_pairs(graph: Graph):
-    """The ``2m`` ordered scheduler pairs as two parallel endpoint tables.
-
-    Re-exported from :func:`repro.runtime.pairs.directed_tables`, the
-    single home of the directed pair encoding.
-    """
-    return directed_tables(graph)
 
 
 class TrajectoryStream(InteractionSource):
@@ -149,3 +151,122 @@ def iter_width_chunks(count: int, width: Optional[int]) -> Iterator[range]:
         raise ValueError("replica_batch width must be positive")
     for lo in range(0, count, width):
         yield range(lo, min(lo + width, count))
+
+
+def _active_tables(
+    graph: Graph,
+    schedule: Optional["TopologySchedule"],
+    consumed: int,
+    block: int,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Directed endpoint tables for the block at ``consumed``, and its size.
+
+    On a static run (``schedule is None``) these are the graph's own
+    tables and the block size is untouched.  On a dynamic run the block
+    is clipped at the next epoch boundary, so every draw in it is made —
+    and decoded — against one epoch's edge table, and all co-resident
+    replicas cross the epoch switch together (they share ``consumed``).
+    The draw bound is the tables' length, ``2m`` of the active graph.
+    """
+    if schedule is not None:
+        index, _, end = schedule.epoch_at(consumed)
+        if end is not None:
+            block = min(block, end - consumed)
+        graph = schedule.epoch_graph(index)
+    directed_u, directed_v = directed_tables(graph)
+    return directed_u, directed_v, block
+
+
+def _writeback_stream_states(
+    streams: Sequence[TrajectoryStream],
+    rows: np.ndarray,
+    mask: np.ndarray,
+    draws_left: Optional[np.ndarray] = None,
+    bound: int = 0,
+) -> None:
+    """Import kernel RNG rows back into the caller-held streams in ``mask``.
+
+    The kernel stops drawing at a row's finishing step, while the NumPy
+    leg draws whole blocks up front.  ``draws_left[j]`` (the rest of the
+    block) is drawn here with one ``integers(0, bound)`` call on the
+    caller's generator.  Bounded ``integers`` is prefix-stable, buffered
+    32-bit half-word included, so the generator ends exactly where a
+    whole-block draw leaves it.
+    """
+    for j in np.flatnonzero(mask):
+        generator = streams[j].generator
+        unpack_generator_state(generator, rows[j])
+        if draws_left is not None and draws_left[j] > 0:
+            generator.integers(0, bound, size=int(draws_left[j]))
+
+
+def _compact(row: Any, keep: np.ndarray) -> Any:
+    """The entries of one per-row array or list that ``keep`` marks."""
+    if isinstance(row, list):
+        return [item for item, kept in zip(row, keep) if kept]
+    return None if row is None else row[keep]
+
+
+def _run_lockstep(
+    graph: Graph,
+    rows: List[Any],
+    block_step: Callable[..., None],
+    out: np.ndarray,
+    max_steps: int,
+    streams: Optional[List[TrajectoryStream]] = None,
+    rng_rows: Optional[np.ndarray] = None,
+    kernel_step: Optional[Callable[..., None]] = None,
+    schedule: Optional["TopologySchedule"] = None,
+) -> None:
+    """Advance one stack of co-resident trajectories to finish or budget.
+
+    ``rows`` is the process's per-row state: arrays or lists whose first
+    axis is the stack (``None`` for an absent one), compacted here as
+    rows finish.  Without ``rng_rows``, row ``j`` draws each block from
+    ``streams[j]`` in NumPy and ``block_step(rows, iu, iv, finish)``
+    applies the decoded ``(stack, block)`` endpoint matrices.  With
+    ``rng_rows`` the kernel draws instead, through ``kernel_step(rows,
+    rng_rows, directed_u, directed_v, block, finish)``; ``streams`` are
+    then the caller-held streams behind those rows (``None`` for private
+    rows) and get their state back as they leave the stack.  A step
+    writes each row's 1-based finishing offset in the block, or -1, into
+    ``finish``.  ``out`` starts at -1 (``BUDGET_EXHAUSTED``) and
+    receives each row's finishing step.
+    """
+    if rng_rows is not None and streams is None and schedule is None:
+        # Private rows on a static topology: one call over the whole
+        # budget draws what the rounds would (a row stops drawing at its
+        # finish) and writes each finishing step, or -1
+        # (BUDGET_EXHAUSTED), straight into the row's result slot.
+        if max_steps > 0:
+            directed_u, directed_v = directed_tables(graph)
+            kernel_step(rows, rng_rows, directed_u, directed_v, max_steps, out)
+        return
+    slots = np.arange(out.shape[0])
+    consumed = 0
+    round_index = 0
+    while slots.size and consumed < max_steps:
+        block = min(block_size(round_index), max_steps - consumed)
+        directed_u, directed_v, block = _active_tables(graph, schedule, consumed, block)
+        bound = directed_u.shape[0]
+        finish = np.full(slots.shape[0], -1, dtype=np.int64)
+        if rng_rows is not None:
+            kernel_step(rows, rng_rows, directed_u, directed_v, block, finish)
+        else:
+            draws = np.empty((slots.shape[0], block), dtype=np.int64)
+            fill_draw_rows(streams, draws, bound)
+            block_step(rows, directed_u.take(draws), directed_v.take(draws), finish)
+        done = finish >= 0
+        if done.any():
+            out[slots[done]] = consumed + finish[done]
+            keep = ~done
+            if rng_rows is not None and streams is not None:
+                _writeback_stream_states(streams, rng_rows, done, block - finish, bound)
+            rng_rows = _compact(rng_rows, keep)
+            streams = _compact(streams, keep)
+            rows = [_compact(row, keep) for row in rows]
+            slots = slots[keep]
+        consumed += block
+        round_index += 1
+    if rng_rows is not None and streams:
+        _writeback_stream_states(streams, rng_rows, np.ones(len(streams), dtype=bool))

@@ -12,20 +12,23 @@ the number of touch events equals the number of moves, so the cost scales
 with how often the walk actually moves, not with the raw step count.
 
 Trajectory streams, block schedule, budget conventions and replica-batch
-semantics match :mod:`repro.analytics.epidemics`: ``R`` walks advance in
-lockstep as position vectors, finished walks are compacted out of the
-stack, and results are bit-identical for any replica-batch width.
+semantics match :mod:`repro.analytics.epidemics`: ``R`` walks advance on
+the same lockstep driver (:mod:`repro.analytics.streams`) as position
+vectors, finished walks are compacted out of the stack, and results are
+bit-identical for any replica-batch width.  A walk stack supplies only
+its two position vectors and its per-walk block step
+(:func:`_hitting_block` or :func:`_meeting_block`); walks have no kernel.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from .epidemics import BUDGET_EXHAUSTED
-from .streams import TrajectoryStream, block_size, iter_width_chunks, make_streams
+from .streams import TrajectoryStream, _run_lockstep, iter_width_chunks, make_streams
 
 
 def default_walk_budget(graph: Graph) -> int:
@@ -55,17 +58,17 @@ def _next_touch(snodes: np.ndarray, ssteps: np.ndarray, node: int, after: int) -
 
 def _hitting_block(
     iu: np.ndarray, iv: np.ndarray, position: int, target: int
-) -> Tuple[int, int]:
-    """Advance one walk through one block; returns (position, finish offset)."""
+) -> Tuple[int, int, int]:
+    """Advance one walk through one block; returns (position, target, finish offset)."""
     snodes, ssteps = _touch_index(iu, iv)
     cursor = -1
     while True:
         event = _next_touch(snodes, ssteps, position, cursor)
         if event < 0:
-            return position, -1
+            return position, target, -1
         position = int(iu[event] + iv[event] - position)
         if position == target:
-            return position, event + 1
+            return position, target, event + 1
         cursor = event
 
 
@@ -92,6 +95,28 @@ def _meeting_block(
             cursor = next_b
 
 
+def _walk_stack(
+    graph: Graph,
+    pairs: Sequence[Tuple[int, int]],
+    streams: List[TrajectoryStream],
+    max_steps: int,
+    walk_block: Callable[..., Tuple[int, int, int]],
+) -> np.ndarray:
+    """Run one wave of walks to finish or budget; steps per walk."""
+
+    def apply(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
+        first, second = rows
+        for r in range(finish.shape[0]):
+            first[r], second[r], finish[r] = walk_block(
+                iu[r], iv[r], int(first[r]), int(second[r])
+            )
+
+    out = np.full(len(pairs), BUDGET_EXHAUSTED, dtype=np.int64)
+    first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    _run_lockstep(graph, [first, second], apply, out, max_steps, streams)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Batched drivers
 # ----------------------------------------------------------------------
@@ -112,17 +137,13 @@ def run_hitting_batch(
         raise ValueError("need exactly one seed per trajectory")
     if max_steps is None:
         max_steps = default_walk_budget(graph)
-    results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
+    results = np.zeros(count, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
-        live: List[Tuple[int, TrajectoryStream, int, int]] = []
-        for t in chunk:
-            start, target = int(pairs[t][0]), int(pairs[t][1])
-            if start == target:
-                results[t] = 0
-                continue
-            scheduler = make_streams(graph, [seeds[t]])[0]
-            live.append((t, scheduler, start, target))
-        _drain_walks(live, max_steps, results, meeting=False)
+        live = [t for t in chunk if int(pairs[t][0]) != int(pairs[t][1])]
+        streams = make_streams(graph, [seeds[t] for t in live])
+        results[live] = _walk_stack(
+            graph, [pairs[t] for t in live], streams, max_steps, _hitting_block
+        )
     return results
 
 
@@ -139,43 +160,13 @@ def run_meeting_batch(
         raise ValueError("need exactly one seed per trajectory")
     if max_steps is None:
         max_steps = default_walk_budget(graph)
-    results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
+    results = np.empty(count, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
-        live = [
-            (t, make_streams(graph, [seeds[t]])[0], int(pairs[t][0]), int(pairs[t][1]))
-            for t in chunk
-        ]
-        _drain_walks(live, max_steps, results, meeting=True)
+        streams = make_streams(graph, [seeds[t] for t in chunk])
+        results[chunk.start : chunk.stop] = _walk_stack(
+            graph, [pairs[t] for t in chunk], streams, max_steps, _meeting_block
+        )
     return results
-
-
-def _drain_walks(
-    live: List[Tuple[int, TrajectoryStream, int, int]],
-    max_steps: int,
-    results: np.ndarray,
-    meeting: bool,
-) -> None:
-    """Run one wave of walks in lockstep blocks until finished or budget."""
-    consumed = 0
-    round_index = 0
-    while live and consumed < max_steps:
-        block = min(block_size(round_index), max_steps - consumed)
-        survivors: List[Tuple[int, TrajectoryStream, int, int]] = []
-        for index, stream, first, second in live:
-            iu = np.empty(block, dtype=np.int64)
-            iv = np.empty(block, dtype=np.int64)
-            stream.next_into(iu, iv)
-            if meeting:
-                first, second, finish = _meeting_block(iu, iv, first, second)
-            else:
-                first, finish = _hitting_block(iu, iv, first, second)
-            if finish >= 0:
-                results[index] = consumed + finish
-            else:
-                survivors.append((index, stream, first, second))
-        live = survivors
-        consumed += block
-        round_index += 1
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +180,7 @@ def run_single_hitting(
     max_steps: int,
 ) -> Optional[int]:
     """One hitting-time trajectory on a caller-provided stream."""
-    results = np.full(1, BUDGET_EXHAUSTED, dtype=np.int64)
-    _drain_walks([(0, stream, int(start), int(target))], max_steps, results, meeting=False)
-    steps = int(results[0])
+    steps = int(_walk_stack(graph, [(start, target)], [stream], max_steps, _hitting_block)[0])
     return None if steps == BUDGET_EXHAUSTED else steps
 
 
@@ -203,7 +192,5 @@ def run_single_meeting(
     max_steps: int,
 ) -> Optional[int]:
     """One meeting-time trajectory on a caller-provided stream."""
-    results = np.full(1, BUDGET_EXHAUSTED, dtype=np.int64)
-    _drain_walks([(0, stream, int(start_a), int(start_b))], max_steps, results, meeting=True)
-    steps = int(results[0])
+    steps = int(_walk_stack(graph, [(start_a, start_b)], [stream], max_steps, _meeting_block)[0])
     return None if steps == BUDGET_EXHAUSTED else steps

@@ -11,9 +11,8 @@ The sampling machinery itself — the refill-size contract, the directed
 pair encoding, the epoch capping used by the dynamic twin — lives in
 :class:`repro.runtime.source.InteractionSource`; this module provides the
 population-model shells over it.  The pre-sample refill size is the
-runtime's :data:`repro.runtime.source.REFILL_SIZE` (re-exported here as
-``_DEFAULT_BATCH`` for backward compatibility) — it is part of the seeded
-stream definition, so it has exactly one home.
+runtime's :data:`repro.runtime.source.REFILL_SIZE` — it is part of the
+seeded stream definition, so it has exactly one home.
 
 :class:`SequenceScheduler` replays a fixed interaction sequence; the
 lower-bound experiments (isolating covers, influencer multigraphs) and the
@@ -30,9 +29,6 @@ from ..graphs.random_graphs import RngLike
 from ..runtime.source import REFILL_SIZE, InteractionSource
 
 Interaction = Tuple[int, int]
-
-#: Backward-compatible alias of the single-sourced refill size.
-_DEFAULT_BATCH = REFILL_SIZE
 
 
 class Scheduler(abc.ABC):
@@ -52,18 +48,7 @@ class Scheduler(abc.ABC):
             yield self.next_interaction()
 
 
-class BufferedSampler(InteractionSource, Scheduler):
-    """Pre-sampling stochastic scheduler (the runtime source as a Scheduler).
-
-    Kept as the common base of :class:`RandomScheduler` and
-    :class:`repro.dynamics.scheduler.DynamicScheduler`; all buffering,
-    refilling and consumption is inherited from
-    :class:`~repro.runtime.source.InteractionSource`, so the seeded-stream
-    contract is defined in exactly one place.
-    """
-
-
-class RandomScheduler(BufferedSampler):
+class RandomScheduler(InteractionSource, Scheduler):
     """The uniform stochastic scheduler of the population model.
 
     Parameters
@@ -76,7 +61,7 @@ class RandomScheduler(BufferedSampler):
         Number of interactions pre-sampled per numpy call.
     """
 
-    def __init__(self, graph: Graph, rng: RngLike = None, batch_size: int = _DEFAULT_BATCH) -> None:
+    def __init__(self, graph: Graph, rng: RngLike = None, batch_size: int = REFILL_SIZE) -> None:
         super().__init__(graph, rng=rng, batch_size=batch_size)
         self._graph = graph
 

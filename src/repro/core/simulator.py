@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
+from ..runtime.plan import ENGINES
 from .configuration import Configuration
 from .protocol import PopulationProtocol
 from .scheduler import Scheduler
@@ -97,10 +98,6 @@ class SimulationResult:
         if not self.stabilized:
             return self.steps_executed
         return max(self.last_output_change_step, 0)
-
-
-#: Engines accepted by :class:`Simulator`.
-ENGINES = ("reference", "compiled", "auto")
 
 
 def default_check_interval(graph: Graph) -> int:

@@ -29,13 +29,14 @@ runs stay bit-identical across all backends.
 
 from __future__ import annotations
 
-from ..core.scheduler import _DEFAULT_BATCH, BufferedSampler
+from ..core.scheduler import Scheduler
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
+from ..runtime.source import REFILL_SIZE, InteractionSource
 from .schedule import TopologySchedule
 
 
-class DynamicScheduler(BufferedSampler):
+class DynamicScheduler(InteractionSource, Scheduler):
     """Uniform stochastic scheduler over a :class:`TopologySchedule`.
 
     Parameters
@@ -53,7 +54,7 @@ class DynamicScheduler(BufferedSampler):
         self,
         schedule: TopologySchedule,
         rng: RngLike = None,
-        batch_size: int = _DEFAULT_BATCH,
+        batch_size: int = REFILL_SIZE,
     ) -> None:
         super().__init__(schedule, rng=rng, batch_size=batch_size)
 

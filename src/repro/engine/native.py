@@ -601,6 +601,67 @@ static int repro_identifier_agreed(const int64_t *codes, int64_t n, int64_t thre
     return 1;
 }
 
+/* ---- The replica fan-out shared by every stack kernel ----------- */
+
+/* Runs rows [lo, hi) of one kernel call; shared is the call's job. */
+typedef void (*repro_rows_fn)(const void *shared, int64_t lo, int64_t hi);
+
+typedef struct {
+    repro_rows_fn rows;
+    const void *shared;
+    int64_t lo;
+    int64_t hi;
+} repro_row_range;
+
+static void *repro_row_range_main(void *arg)
+{
+    const repro_row_range *range = (const repro_row_range *)arg;
+    range->rows(range->shared, range->lo, range->hi);
+    return 0;
+}
+
+/* Replica ranges are contiguous and every row touches only its own
+ * state, so any thread count (including 1) produces identical output.
+ * The count is clamped to nrep and REPRO_MAX_THREADS; range t holds
+ * base + (t < rem) rows, range 0 runs on the calling thread, and so does
+ * a range whose pthread_create fails. */
+static void repro_fan_out(repro_rows_fn rows, const void *shared,
+                          int64_t nrep, int64_t n_threads)
+{
+    repro_row_range ranges[REPRO_MAX_THREADS];
+    pthread_t tids[REPRO_MAX_THREADS];
+    int created[REPRO_MAX_THREADS];
+    int64_t base, rem, lo, t;
+    if (n_threads > nrep)
+        n_threads = nrep;
+    if (n_threads > REPRO_MAX_THREADS)
+        n_threads = REPRO_MAX_THREADS;
+    if (n_threads <= 1) {
+        rows(shared, 0, nrep);
+        return;
+    }
+    base = nrep / n_threads;
+    rem = nrep % n_threads;
+    lo = 0;
+    for (t = 0; t < n_threads; t++) {
+        ranges[t].rows = rows;
+        ranges[t].shared = shared;
+        ranges[t].lo = lo;
+        lo += base + (t < rem ? 1 : 0);
+        ranges[t].hi = lo;
+        created[t] = 0;
+        if (t > 0 && ranges[t].lo < ranges[t].hi)
+            created[t] = pthread_create(&tids[t], 0, repro_row_range_main, &ranges[t]) == 0;
+    }
+    rows(shared, ranges[0].lo, ranges[0].hi);
+    for (t = 1; t < n_threads; t++) {
+        if (created[t])
+            pthread_join(tids[t], 0);
+        else if (ranges[t].lo < ranges[t].hi)
+            rows(shared, ranges[t].lo, ranges[t].hi); /* pthread_create failed: run inline */
+    }
+}
+
 typedef struct {
     int64_t *codes;
     uint64_t *rng_state;
@@ -628,8 +689,6 @@ typedef struct {
     int64_t *leaders;
     uint8_t *status;
     int32_t precheck;
-    int64_t lo;
-    int64_t hi;
 } repro_epoch_job;
 
 /* Advance replica r until its next stop event: a certificate-cadence
@@ -775,22 +834,19 @@ static __attribute__((noinline)) void repro_run_epoch_row_identifier(
     repro_run_epoch_row(job, r, REPRO_RULE_IDENTIFIER);
 }
 
-static void *repro_epoch_worker(void *arg)
+static void repro_epoch_rows(const void *shared, int64_t lo, int64_t hi)
 {
-    repro_epoch_job *job = (repro_epoch_job *)arg;
+    const repro_epoch_job *job = (const repro_epoch_job *)shared;
     int64_t r;
-    for (r = job->lo; r < job->hi; r++) {
+    for (r = lo; r < hi; r++) {
         if (job->rule == REPRO_RULE_IDENTIFIER)
             repro_run_epoch_row_identifier(job, r);
         else
             repro_run_epoch_row_table(job, r);
     }
-    return 0;
 }
 
-/* Replica ranges are contiguous and every row touches only its own
- * state, so any thread count (including 1) produces identical output.
- * Table rule: seen is the (nrep x k) code bitmap; log and log_len are
+/* Table rule: seen is the (nrep x k) code bitmap; log and log_len are
  * unused.  Identifier rule: log is (nrep x log_cap) and log_len (nrep)
  * counts each row's entries (the caller empties it after LOG); seen is
  * unused.  All rows share one topology epoch: a row that stopped at
@@ -807,12 +863,7 @@ void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
                      int64_t *leaders, uint8_t *status, int32_t precheck,
                      int64_t n_threads)
 {
-    repro_epoch_job jobs[REPRO_MAX_THREADS];
-    pthread_t tids[REPRO_MAX_THREADS];
-    int created[REPRO_MAX_THREADS];
     repro_epoch_job shared;
-    int64_t base, rem, lo;
-    int64_t t;
     shared.codes = codes;
     shared.rng_state = rng_state;
     shared.src_state = src_state;
@@ -839,35 +890,7 @@ void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
     shared.leaders = leaders;
     shared.status = status;
     shared.precheck = precheck;
-    if (n_threads > nrep)
-        n_threads = nrep;
-    if (n_threads > REPRO_MAX_THREADS)
-        n_threads = REPRO_MAX_THREADS;
-    if (n_threads <= 1) {
-        shared.lo = 0;
-        shared.hi = nrep;
-        repro_epoch_worker(&shared);
-        return;
-    }
-    base = nrep / n_threads;
-    rem = nrep % n_threads;
-    lo = 0;
-    for (t = 0; t < n_threads; t++) {
-        jobs[t] = shared;
-        jobs[t].lo = lo;
-        lo += base + (t < rem ? 1 : 0);
-        jobs[t].hi = lo;
-        created[t] = 0;
-        if (t > 0 && jobs[t].lo < jobs[t].hi)
-            created[t] = pthread_create(&tids[t], 0, repro_epoch_worker, &jobs[t]) == 0;
-    }
-    repro_epoch_worker(&jobs[0]);
-    for (t = 1; t < n_threads; t++) {
-        if (created[t])
-            pthread_join(tids[t], 0);
-        else if (jobs[t].lo < jobs[t].hi)
-            repro_epoch_worker(&jobs[t]); /* pthread_create failed: run inline */
-    }
+    repro_fan_out(repro_epoch_rows, &shared, nrep, n_threads);
 }
 
 /* ---- Analytics epochs: in-kernel directed-dialect streams -------- */
@@ -892,16 +915,14 @@ typedef struct {
     const uint8_t *stopmask;
     int64_t *counts;
     int64_t *finish;
-    int64_t lo;
-    int64_t hi;
 } repro_bcast_job;
 
-static void *repro_bcast_worker(void *arg)
+static void repro_bcast_rows(const void *shared, int64_t lo, int64_t hi)
 {
-    repro_bcast_job *job = (repro_bcast_job *)arg;
+    const repro_bcast_job *job = (const repro_bcast_job *)shared;
     uint64_t rng = job->bound - 1;
     int64_t r;
-    for (r = job->lo; r < job->hi; r++) {
+    for (r = lo; r < hi; r++) {
         uint8_t *inf = job->informed + r * job->n;
         const uint8_t *stop = job->stopmask ? job->stopmask + r * job->n : 0;
         repro_pcg64 p;
@@ -928,7 +949,6 @@ static void *repro_bcast_worker(void *arg)
         job->counts[r] = count;
         job->finish[r] = fin;
     }
-    return 0;
 }
 
 void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
@@ -938,11 +958,7 @@ void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
                            int64_t *counts, int64_t *finish,
                            int64_t n_threads)
 {
-    repro_bcast_job jobs[REPRO_MAX_THREADS];
-    pthread_t tids[REPRO_MAX_THREADS];
-    int created[REPRO_MAX_THREADS];
     repro_bcast_job shared;
-    int64_t base, rem, lo, t;
     shared.informed = informed;
     shared.rng_state = rng_state;
     shared.du = du;
@@ -953,35 +969,7 @@ void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
     shared.stopmask = stopmask;
     shared.counts = counts;
     shared.finish = finish;
-    if (n_threads > nrep)
-        n_threads = nrep;
-    if (n_threads > REPRO_MAX_THREADS)
-        n_threads = REPRO_MAX_THREADS;
-    if (n_threads <= 1) {
-        shared.lo = 0;
-        shared.hi = nrep;
-        repro_bcast_worker(&shared);
-        return;
-    }
-    base = nrep / n_threads;
-    rem = nrep % n_threads;
-    lo = 0;
-    for (t = 0; t < n_threads; t++) {
-        jobs[t] = shared;
-        jobs[t].lo = lo;
-        lo += base + (t < rem ? 1 : 0);
-        jobs[t].hi = lo;
-        created[t] = 0;
-        if (t > 0 && jobs[t].lo < jobs[t].hi)
-            created[t] = pthread_create(&tids[t], 0, repro_bcast_worker, &jobs[t]) == 0;
-    }
-    repro_bcast_worker(&jobs[0]);
-    for (t = 1; t < n_threads; t++) {
-        if (created[t])
-            pthread_join(tids[t], 0);
-        else if (jobs[t].lo < jobs[t].hi)
-            repro_bcast_worker(&jobs[t]);
-    }
+    repro_fan_out(repro_bcast_rows, &shared, nrep, n_threads);
 }
 
 /* All-pairs influence block with in-kernel draws.  bits is (nrep x n x w)
@@ -1004,16 +992,14 @@ typedef struct {
     uint8_t *full_flags;
     int64_t *counts;
     int64_t *finish;
-    int64_t lo;
-    int64_t hi;
 } repro_infl_job;
 
-static void *repro_infl_worker(void *arg)
+static void repro_infl_rows(const void *shared, int64_t lo, int64_t hi)
 {
-    repro_infl_job *job = (repro_infl_job *)arg;
+    const repro_infl_job *job = (const repro_infl_job *)shared;
     uint64_t rng = job->bound - 1;
     int64_t r;
-    for (r = job->lo; r < job->hi; r++) {
+    for (r = lo; r < hi; r++) {
         uint64_t *rb = job->bits + r * job->n * job->w;
         uint8_t *flags = job->full_flags + r * job->n;
         repro_pcg64 p;
@@ -1055,7 +1041,6 @@ static void *repro_infl_worker(void *arg)
         job->counts[r] = count;
         job->finish[r] = fin;
     }
-    return 0;
 }
 
 void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
@@ -1065,11 +1050,7 @@ void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
                            uint8_t *full_flags, int64_t *counts,
                            int64_t *finish, int64_t n_threads)
 {
-    repro_infl_job jobs[REPRO_MAX_THREADS];
-    pthread_t tids[REPRO_MAX_THREADS];
-    int created[REPRO_MAX_THREADS];
     repro_infl_job shared;
-    int64_t base, rem, lo, t;
     shared.bits = bits;
     shared.rng_state = rng_state;
     shared.du = du;
@@ -1082,35 +1063,7 @@ void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
     shared.full_flags = full_flags;
     shared.counts = counts;
     shared.finish = finish;
-    if (n_threads > nrep)
-        n_threads = nrep;
-    if (n_threads > REPRO_MAX_THREADS)
-        n_threads = REPRO_MAX_THREADS;
-    if (n_threads <= 1) {
-        shared.lo = 0;
-        shared.hi = nrep;
-        repro_infl_worker(&shared);
-        return;
-    }
-    base = nrep / n_threads;
-    rem = nrep % n_threads;
-    lo = 0;
-    for (t = 0; t < n_threads; t++) {
-        jobs[t] = shared;
-        jobs[t].lo = lo;
-        lo += base + (t < rem ? 1 : 0);
-        jobs[t].hi = lo;
-        created[t] = 0;
-        if (t > 0 && jobs[t].lo < jobs[t].hi)
-            created[t] = pthread_create(&tids[t], 0, repro_infl_worker, &jobs[t]) == 0;
-    }
-    repro_infl_worker(&jobs[0]);
-    for (t = 1; t < n_threads; t++) {
-        if (created[t])
-            pthread_join(tids[t], 0);
-        else if (jobs[t].lo < jobs[t].hi)
-            repro_infl_worker(&jobs[t]);
-    }
+    repro_fan_out(repro_infl_rows, &shared, nrep, n_threads);
 }
 """
 

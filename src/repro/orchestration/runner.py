@@ -114,14 +114,14 @@ _GRAPH_CACHE: Dict[Tuple[str, int, int], Graph] = {}
 _GRAPH_CACHE_LIMIT = 64
 
 
-def _build_graph(scenario: Scenario, size_index: int) -> Graph:
-    seed = graph_seed(scenario.seed, size_index)
-    key = (scenario.workload, scenario.sizes[size_index], seed)
+def _cached_graph(workload: str, size: int, seed: int) -> Graph:
+    """The graph of ``(workload, size, graph seed)``, served from the memo."""
+    key = (workload, size, seed)
     graph = _GRAPH_CACHE.get(key)
     if graph is None:
         if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
             _GRAPH_CACHE.clear()
-        graph = get_workload(scenario.workload).build(scenario.sizes[size_index], seed=seed)
+        graph = get_workload(workload).build(size, seed=seed)
         _GRAPH_CACHE[key] = graph
     return graph
 
@@ -167,14 +167,7 @@ class UnitPlan:
 
     def build_graph(self) -> Graph:
         """The unit's interaction graph (served from the process memo)."""
-        key = (self.workload, self.size, self.graph_seed)
-        graph = _GRAPH_CACHE.get(key)
-        if graph is None:
-            if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
-                _GRAPH_CACHE.clear()
-            graph = get_workload(self.workload).build(self.size, seed=self.graph_seed)
-            _GRAPH_CACHE[key] = graph
-        return graph
+        return _cached_graph(self.workload, self.size, self.graph_seed)
 
     def build_spec(self) -> ProtocolSpec:
         builder, params = self.protocol
@@ -560,7 +553,10 @@ def aggregate_unit_payloads(
     local run uses — the byte-identity invariant rests on this.
     """
     specs = scenario.protocol_specs()
-    graphs = [_build_graph(scenario, index) for index in range(len(scenario.sizes))]
+    graphs = [
+        _cached_graph(scenario.workload, size, graph_seed(scenario.seed, index))
+        for index, size in enumerate(scenario.sizes)
+    ]
     by_cell: Dict[Tuple[int, int], List[WorkUnit]] = {}
     for unit in units:
         by_cell.setdefault((unit.spec_index, unit.size_index), []).append(unit)

@@ -23,6 +23,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
 from ..core.scheduler import RandomScheduler
+from .broadcast import default_broadcast_budget as _default_broadcast_budget
 
 
 @dataclass
@@ -217,12 +218,3 @@ def distance_k_propagation_steps(
     return run_single_epidemic(
         graph, source, TrajectoryStream(graph, rng), max_steps, stopmask=stopmask
     )
-
-
-def _default_broadcast_budget(graph: Graph) -> int:
-    # One budget for every epidemic estimator; the formula lives with the
-    # B(G) estimators in repro.propagation.broadcast (lazy import: this
-    # module loads before broadcast in the package __init__).
-    from .broadcast import default_broadcast_budget
-
-    return default_broadcast_budget(graph)

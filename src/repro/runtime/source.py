@@ -46,7 +46,7 @@ import numpy as np
 from ..engine.native import RNG_STATE_WORDS, SRC_STATE_WORDS, data_address, get_rng_kernels
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike, as_rng
-from .pairs import decode_pairs, directed_tables, encode_oriented
+from .pairs import directed_tables, encode_oriented
 
 #: Pre-sample size per RNG refill in the scheduler dialect.  4096 keeps
 #: the sampling fully vectorised while wasting little work on short runs
@@ -54,9 +54,8 @@ from .pairs import decode_pairs, directed_tables, encode_oriented
 #: interactions).  The refill size is part of the seeded stream
 #: definition — changing it changes every seeded trajectory (last
 #: changed from 65536 in the engine PR; see CHANGES.md).  This constant
-#: is the single source of truth; ``repro.core.scheduler`` re-exports it
-#: for backward compatibility and the orchestrator hashes it into
-#: scenario content hashes.
+#: is the single source of truth; the schedulers default to it and the
+#: orchestrator hashes it into scenario content hashes.
 REFILL_SIZE = 4096
 
 Interaction = Tuple[int, int]
@@ -126,11 +125,6 @@ class InteractionSource:
     def pair_count(self) -> int:
         """Size ``2m`` of the active epoch's directed pair-index space."""
         return 2 * self._edge_count
-
-    @property
-    def pair_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The active epoch's directed endpoint tables (kernel decode)."""
-        return self._tables()
 
     def _tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """The decode tables, built lazily on a static topology."""
@@ -237,9 +231,9 @@ class InteractionSource:
         """The next ``size`` draws as raw directed pair indices.
 
         Same stream, undecoded: kernels that hold the directed endpoint
-        tables (:attr:`pair_tables`) decode these themselves, saving two
-        Python-level gathers per block.  Only meaningful while the
-        tables are constant, i.e. on a static topology.
+        tables decode these themselves, saving two Python-level gathers
+        per block.  Only meaningful while the tables are constant, i.e. on
+        a static topology.
         """
         if size < 0:
             raise ValueError("batch size must be non-negative")
@@ -284,14 +278,6 @@ class InteractionSource:
         du, dv = self._tables()
         du.take(draws, out=initiators)
         dv.take(draws, out=responders)
-
-
-def decode_pair_indices(
-    graph: Graph, indices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode raw pair indices against ``graph``'s directed tables."""
-    du, dv = directed_tables(graph)
-    return decode_pairs(indices, du, dv)
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,53 @@ def test_influence_one_call_matches_rounds_and_fallback(cut, monkeypatch):
     assert (epidemics.BUDGET_EXHAUSTED in expected) == cut
 
 
+@pytest.mark.skipif(get_broadcast_epoch_kernel() is None, reason="no C compiler available")
+def test_kernel_threads_never_change_analytics_results(monkeypatch):
+    """The analytics kernels split their rows over any thread count alike.
+
+    ``repro_broadcast_epoch`` (one call, with and without stop masks, and
+    rounds under a single-epoch schedule) and ``repro_influence_epoch``
+    (one call and rounds) at stack widths 1, 5 and 7 give the 1-thread
+    results at 2, 3 and 64 threads.  Five and seven rows split unevenly
+    over two and three threads, so a range split that loses the remainder
+    rows leaves a trajectory unfinished.
+    """
+    graph = torus(5, 5)
+    sources = [0, 3, 7, 11, 17, 24, 20]
+    seeds = [derive_seed(4242, "threads", index) for index in range(len(sources))]
+    budget = default_broadcast_budget(graph)
+    stopmasks = np.zeros((len(sources), graph.n_nodes), dtype=np.uint8)
+    stopmasks[:, 12] = 1
+
+    def legs():
+        runs = {}
+        for width in (1, 5, 7):
+            rounds = StaticSchedule(graph)
+            runs[f"one-call/{width}"] = run_epidemic_batch(
+                graph, sources, seeds, budget, replica_batch=width
+            )
+            runs[f"stopmask/{width}"] = run_epidemic_batch(
+                graph, sources, seeds, budget, stopmasks=stopmasks, replica_batch=width
+            )
+            runs[f"rounds/{width}"] = run_epidemic_batch(
+                graph, sources, seeds, budget, replica_batch=width, schedule=rounds
+            )
+            runs[f"influence/{width}"] = run_influence_batch(
+                graph, seeds, budget, replica_batch=width
+            )
+            runs[f"influence-rounds/{width}"] = run_influence_batch(
+                graph, seeds, budget, replica_batch=width, schedule=rounds
+            )
+        return {leg: steps.tolist() for leg, steps in runs.items()}
+
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
+    expected = legs()
+    assert all(step > 0 for steps in expected.values() for step in steps)
+    for threads in ("2", "3", "64"):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", threads)
+        assert legs() == expected, f"{threads} threads changed results"
+
+
 class TestSeedPurity:
     """A batched trajectory equals the standalone run with its child seed."""
 
