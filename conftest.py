@@ -1,8 +1,7 @@
 """Repository-level pytest configuration.
 
 Makes the ``src`` layout importable even when the package has not been
-installed (fully offline environments cannot always run editable installs),
-and registers the ``slow`` marker.
+installed (fully offline environments cannot always run editable installs).
 """
 
 import os

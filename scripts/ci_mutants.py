@@ -45,6 +45,7 @@ GRAPH = "src/repro/graphs/graph.py"
 FAMILIES = "src/repro/graphs/families.py"
 ESTIMATORS = "src/repro/analysis/estimators.py"
 CONFIGURATION = "src/repro/core/configuration.py"
+STABILITY = "src/repro/core/stability.py"
 
 IDENTIFIER_TESTS = ("tests/test_identifier_kernel.py",)
 STOP_AT_FINISH = ("tests/test_kernel_rng.py::test_epoch_rows_stop_drawing_at_finish",)
@@ -74,6 +75,11 @@ ECCENTRICITIES = (
 RUN_PATH_IMPORTS = (
     "tests/test_imports.py::test_scenario_runs_import_nothing_after_the_orchestration_package",
 )
+TOKEN_ON_TRIANGLE = (
+    "tests/test_stability.py::TestAlmostSureStabilization::"
+    "test_token_protocol_always_stabilizes_on_triangle",
+)
+BROKEN_CERTIFICATE = ("tests/test_certificate_audit.py::test_audit_reports_a_broken_certificate",)
 
 
 @dataclass(frozen=True)
@@ -494,6 +500,63 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    if not plan.shard_workers or _shard_count(plan) < 2:",
         ("tests/test_sharding.py::TestFallbackChain::test_dynamic_schedule_is_ineligible_and_identical",),
     ),
+    # -- Certificates proven on one exploration and two closures -------
+    Mutant(
+        "closure-marks-only-its-seeds",
+        STABILITY,
+        "    stack = list(seeds)\n",
+        "    stack = []\n",
+        TOKEN_ON_TRIANGLE,
+    ),
+    Mutant(
+        "unstable-seeded-by-every-successor",
+        STABILITY,
+        "for i in sources if outputs[i] != outputs[j]],",
+        "for i in sources],",
+        TOKEN_ON_TRIANGLE,
+    ),
+    Mutant(
+        "audit-ignores-instability",
+        STABILITY,
+        "unsound=sum(1 for i in certified if unstable[i]),",
+        "unsound=0,",
+        BROKEN_CERTIFICATE,
+    ),
+    Mutant(
+        "audit-ignores-leader-count",
+        STABILITY,
+        "certified_without_one_leader=sum(1 for i in certified if leaders[i] != 1),",
+        "certified_without_one_leader=0,",
+        BROKEN_CERTIFICATE,
+    ),
+    Mutant(
+        "exploration-skips-length-check",
+        STABILITY,
+        "    start = _configuration(states, graph)\n",
+        "    start = tuple(states)\n",
+        ("tests/test_certificate_audit.py::test_configurations_of_the_wrong_length_raise",),
+    ),
+    Mutant(
+        "explored-counts-the-counterexample",
+        STABILITY,
+        "                if stop is not None and stop(nxt_tuple):\n"
+        "                    return order, predecessors, nxt_tuple\n"
+        "                if len(order) >= max_configurations:\n"
+        "                    raise StateSpaceTooLarge(\n"
+        "                        f\"more than {max_configurations} configurations reachable\"\n"
+        "                    )\n"
+        "                j = index[nxt_tuple] = len(order)\n"
+        "                order.append(nxt_tuple)\n",
+        "                if len(order) >= max_configurations:\n"
+        "                    raise StateSpaceTooLarge(\n"
+        "                        f\"more than {max_configurations} configurations reachable\"\n"
+        "                    )\n"
+        "                j = index[nxt_tuple] = len(order)\n"
+        "                order.append(nxt_tuple)\n"
+        "                if stop is not None and stop(nxt_tuple):\n"
+        "                    return order, predecessors, nxt_tuple\n",
+        ("tests/test_certificate_audit.py::test_verdicts_pin_explored_and_counterexample",),
+    ),
 )
 
 
@@ -502,6 +565,7 @@ def _copy_tree(destination: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis", "*.tmp*")
     shutil.copytree(ROOT / "src", destination / "src", ignore=ignore)
     shutil.copytree(ROOT / "tests", destination / "tests", ignore=ignore)
+    shutil.copytree(ROOT / "scripts", destination / "scripts", ignore=ignore)
     shutil.copy2(ROOT / "conftest.py", destination / "conftest.py")
 
 

@@ -158,13 +158,17 @@ def batched_broadcast_estimates(
     max_sources: int,
     max_steps: int,
     replica_batch: Optional[int] = None,
+    schedule: Optional["TopologySchedule"] = None,
 ) -> List[EstimateData]:
     """``B(G)`` estimates for several base seeds in one replica stack.
 
     This is the harness's fast-protocol hot path: one measurement's
     ``trials × sources × repetitions`` epidemics all advance in lockstep.
-    Entry ``i`` is bit-identical to the estimate a standalone call with
-    ``bases[i]`` produces.
+    Entry ``i`` is bit-identical to what
+    :func:`~repro.propagation.broadcast.broadcast_time_estimate` returns
+    for ``bases[i]``, because that call is this function with the one
+    base.  ``schedule`` runs the epidemics on a time-varying topology
+    (see :func:`repro.analytics.epidemics.run_epidemic_batch`).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
@@ -182,6 +186,7 @@ def batched_broadcast_estimates(
         np.concatenate(seeds) if seeds else np.zeros(0, dtype=np.uint64),
         max_steps,
         replica_batch=replica_batch,
+        schedule=schedule,
     )
     if (steps < 0).any():
         raise RuntimeError(

@@ -41,9 +41,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_leader_election",
         ),
         "stability": (
+            "CertificateAudit",
             "StabilityVerdict",
             "StateSpaceTooLarge",
             "always_reaches_single_leader",
+            "audit_certificates",
             "certificate_is_sound_on",
             "check_stability_by_reachability",
             "reachable_configurations",

@@ -30,7 +30,7 @@ and orchestrated sweeps alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
@@ -235,17 +235,18 @@ class Simulator:
 
     def run_fixed_schedule(
         self,
-        interactions: Sequence[Tuple[int, int]],
+        interactions: Iterable[Tuple[int, int]],
         inputs: Optional[Sequence[Any]] = None,
     ) -> SimulationResult:
         """Execute a specific interaction sequence (deterministic replay)."""
         from .scheduler import SequenceScheduler
 
         scheduler = SequenceScheduler(self.graph, interactions)
+        steps = scheduler.remaining
         return self.run(
-            max_steps=len(list(interactions)),
+            max_steps=steps,
             inputs=inputs,
-            check_interval=max(len(list(interactions)), 1),
+            check_interval=max(steps, 1),
             scheduler=scheduler,
         )
 

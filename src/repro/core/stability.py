@@ -2,25 +2,37 @@
 
 A configuration ``x`` is *stable* when every configuration reachable from
 ``x`` assigns every node the same output as ``x`` does (Section 2.2).  For
-small graphs and protocols with finitely many reachable states we can check
-this definition directly by breadth-first search over the configuration
-space, applying every one of the ``2m`` ordered interactions at each
-configuration.
+small graphs and protocols with finitely many reachable states, every
+question here is answered from one breadth-first exploration of the
+configuration graph: its nodes are the configurations reachable from a
+start, its edges the ``2m`` ordered interactions that change one.
 
-This is exponential and only used in tests, where it cross-validates the
+* :func:`reachable_configurations` is the exploration's order;
+* :func:`check_stability_by_reachability` is the exploration stopped at
+  the first new configuration whose outputs differ from the start's;
+* :func:`always_reaches_single_leader` and :func:`audit_certificates`
+  take two backward closures over the explored edges, as explicit-state
+  model checkers do: a configuration is *unstable* when it can reach an
+  interaction that changes the output vector, and *live* when it can
+  reach a stable configuration with exactly one leader.
+
+This is exponential and only used in tests and the certificate audit.
+There it proves, on every reachable configuration of small graphs, the
 per-protocol stability certificates (``is_output_stable_configuration``)
-used by the simulator on large instances.
+that the simulator evaluates on large instances, and the one-leader
+precheck behind which the v6 stack skips them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 from .protocol import LEADER, PopulationProtocol
 from .scheduler import all_ordered_pairs
+
+_Config = Tuple[Hashable, ...]
 
 
 class StateSpaceTooLarge(RuntimeError):
@@ -50,6 +62,125 @@ class StabilityVerdict:
     counterexample: Optional[Tuple[Hashable, ...]]
 
 
+@dataclass(frozen=True)
+class CertificateAudit:
+    """Counts of one exhaustive certificate audit (:func:`audit_certificates`).
+
+    Attributes
+    ----------
+    reachable:
+        Configurations reachable from the start.
+    certified:
+        Those the protocol's certificate accepts.
+    unsound:
+        Certified configurations that are not stable: some configuration
+        reachable from them changes an output.
+    certified_without_one_leader:
+        Certified configurations whose leader count differs from one: the
+        one-leader precheck would skip their certificate call.
+    not_live:
+        Reachable configurations that cannot reach a stable configuration
+        with exactly one leader.
+    """
+
+    reachable: int
+    certified: int
+    unsound: int
+    certified_without_one_leader: int
+    not_live: int
+
+
+def _configuration(states: Sequence[Hashable], graph: Graph) -> _Config:
+    configuration = tuple(states)
+    if len(configuration) != graph.n_nodes:
+        raise ValueError("configuration size does not match the graph")
+    return configuration
+
+
+def _explore(
+    protocol: PopulationProtocol,
+    states: Sequence[Hashable],
+    graph: Graph,
+    max_configurations: int,
+    stop: Optional[Callable[[_Config], bool]] = None,
+) -> Tuple[List[_Config], List[List[int]], Optional[_Config]]:
+    """Breadth-first exploration of the configurations reachable from ``states``.
+
+    Returns ``(order, predecessors, stopped)``: the configurations in BFS
+    order, per configuration the indices of those with an ordered
+    interaction leading to it (one entry per interaction), and the first
+    new configuration that ``stop`` accepted (``None`` when it accepted
+    none; the edges are then complete).
+    """
+    start = _configuration(states, graph)
+    pairs = all_ordered_pairs(graph)
+    index = {start: 0}
+    order = [start]
+    predecessors: List[List[int]] = [[]]
+    for i, current in enumerate(order):  # appending while iterating: a BFS queue
+        for initiator, responder in pairs:
+            a, b = current[initiator], current[responder]
+            new_a, new_b = protocol.transition(a, b)
+            if new_a == a and new_b == b:
+                continue
+            nxt = list(current)
+            nxt[initiator] = new_a
+            nxt[responder] = new_b
+            nxt_tuple = tuple(nxt)
+            j = index.get(nxt_tuple)
+            if j is None:
+                if stop is not None and stop(nxt_tuple):
+                    return order, predecessors, nxt_tuple
+                if len(order) >= max_configurations:
+                    raise StateSpaceTooLarge(
+                        f"more than {max_configurations} configurations reachable"
+                    )
+                j = index[nxt_tuple] = len(order)
+                order.append(nxt_tuple)
+                predecessors.append([])
+            predecessors[j].append(i)
+    return order, predecessors, None
+
+
+def _backward_closure(predecessors: List[List[int]], seeds: List[int]) -> List[bool]:
+    """Per configuration, whether it can reach a seed (seeds included)."""
+    marked = [False] * len(predecessors)
+    for seed in seeds:
+        marked[seed] = True
+    stack = list(seeds)
+    while stack:
+        for i in predecessors[stack.pop()]:
+            if not marked[i]:
+                marked[i] = True
+                stack.append(i)
+    return marked
+
+
+def _closures(
+    protocol: PopulationProtocol,
+    graph: Graph,
+    inputs: Optional[Sequence[Hashable]],
+    max_configurations: int,
+) -> Tuple[List[_Config], List[int], List[bool], List[bool]]:
+    """``(order, leaders, unstable, live)`` of the exploration from the
+    initial configuration (of ``inputs``, or all ``initial_state(None)``)."""
+    if inputs is None:
+        start = [protocol.initial_state(None)] * graph.n_nodes
+    else:
+        start = [protocol.initial_state(x) for x in inputs]
+    order, predecessors, _ = _explore(protocol, start, graph, max_configurations)
+    outputs = [tuple(map(protocol.output, config)) for config in order]
+    leaders = [output.count(LEADER) for output in outputs]
+    unstable = _backward_closure(
+        predecessors,
+        [i for j, sources in enumerate(predecessors) for i in sources if outputs[i] != outputs[j]],
+    )
+    live = _backward_closure(
+        predecessors, [i for i, count in enumerate(leaders) if count == 1 and not unstable[i]]
+    )
+    return order, leaders, unstable, live
+
+
 def check_stability_by_reachability(
     protocol: PopulationProtocol,
     states: Sequence[Hashable],
@@ -62,43 +193,19 @@ def check_stability_by_reachability(
     distinct configurations are reachable.
     """
     start = tuple(states)
-    if len(start) != graph.n_nodes:
-        raise ValueError("configuration size does not match the graph")
-    target_outputs = tuple(protocol.output(s) for s in start)
-    correct = sum(1 for o in target_outputs if o == LEADER) == 1
-    pairs = all_ordered_pairs(graph)
-
-    visited: Set[Tuple[Hashable, ...]] = {start}
-    frontier: deque = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        for initiator, responder in pairs:
-            a, b = current[initiator], current[responder]
-            new_a, new_b = protocol.transition(a, b)
-            if new_a == a and new_b == b:
-                continue
-            nxt = list(current)
-            nxt[initiator] = new_a
-            nxt[responder] = new_b
-            nxt_tuple = tuple(nxt)
-            if nxt_tuple in visited:
-                continue
-            outputs = tuple(protocol.output(s) for s in nxt_tuple)
-            if outputs != target_outputs:
-                return StabilityVerdict(
-                    stable=False,
-                    correct=correct,
-                    explored=len(visited),
-                    counterexample=nxt_tuple,
-                )
-            visited.add(nxt_tuple)
-            if len(visited) > max_configurations:
-                raise StateSpaceTooLarge(
-                    f"more than {max_configurations} configurations reachable"
-                )
-            frontier.append(nxt_tuple)
+    target_outputs = tuple(map(protocol.output, start))
+    order, _, counterexample = _explore(
+        protocol,
+        start,
+        graph,
+        max_configurations,
+        stop=lambda config: tuple(map(protocol.output, config)) != target_outputs,
+    )
     return StabilityVerdict(
-        stable=True, correct=correct, explored=len(visited), counterexample=None
+        stable=counterexample is None,
+        correct=target_outputs.count(LEADER) == 1,
+        explored=len(order),
+        counterexample=counterexample,
     )
 
 
@@ -109,32 +216,7 @@ def reachable_configurations(
     max_configurations: int = 200_000,
 ) -> List[Tuple[Hashable, ...]]:
     """All configurations reachable from ``states`` (small instances only)."""
-    start = tuple(states)
-    pairs = all_ordered_pairs(graph)
-    visited: Set[Tuple[Hashable, ...]] = {start}
-    order: List[Tuple[Hashable, ...]] = [start]
-    frontier: deque = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        for initiator, responder in pairs:
-            a, b = current[initiator], current[responder]
-            new_a, new_b = protocol.transition(a, b)
-            if new_a == a and new_b == b:
-                continue
-            nxt = list(current)
-            nxt[initiator] = new_a
-            nxt[responder] = new_b
-            nxt_tuple = tuple(nxt)
-            if nxt_tuple in visited:
-                continue
-            visited.add(nxt_tuple)
-            if len(visited) > max_configurations:
-                raise StateSpaceTooLarge(
-                    f"more than {max_configurations} configurations reachable"
-                )
-            order.append(nxt_tuple)
-            frontier.append(nxt_tuple)
-    return order
+    return _explore(protocol, states, graph, max_configurations)[0]
 
 
 def certificate_is_sound_on(
@@ -150,6 +232,7 @@ def certificate_is_sound_on(
     Returns ``True`` when either the certificate does not fire or the
     exhaustive check confirms stability and correctness.
     """
+    states = _configuration(states, graph)
     if not protocol.is_output_stable_configuration(list(states), graph):
         return True
     verdict = check_stability_by_reachability(
@@ -172,34 +255,34 @@ def always_reaches_single_leader(
     remains reachable (the stochastic scheduler realises every finite
     schedule with positive probability).  Exponential; tests only.
     """
-    if inputs is None:
-        start = [protocol.initial_state(None)] * graph.n_nodes
-    else:
-        start = [protocol.initial_state(x) for x in inputs]
-    configs = reachable_configurations(
-        protocol, start, graph, max_configurations=max_configurations
-    )
-    for config in configs:
-        if not _can_reach_stable_correct(protocol, config, graph, max_configurations):
-            return False
-    return True
+    return all(_closures(protocol, graph, inputs, max_configurations)[3])
 
 
-def _can_reach_stable_correct(
+def audit_certificates(
     protocol: PopulationProtocol,
-    states: Tuple[Hashable, ...],
     graph: Graph,
-    max_configurations: int,
-) -> bool:
-    for config in reachable_configurations(
-        protocol, states, graph, max_configurations=max_configurations
-    ):
-        leaders = sum(1 for s in config if protocol.output(s) == LEADER)
-        if leaders != 1:
-            continue
-        verdict = check_stability_by_reachability(
-            protocol, config, graph, max_configurations=max_configurations
-        )
-        if verdict.stable and verdict.correct:
-            return True
-    return False
+    max_configurations: int = 200_000,
+) -> CertificateAudit:
+    """Check the protocol's certificate on every reachable configuration.
+
+    Explores from the all-initial configuration (``initial_state(None)``
+    on every node) and evaluates the certificate once per reachable
+    configuration.  ``unsound == 0`` and ``certified_without_one_leader
+    == 0`` together prove that a certificate implies stability with
+    exactly one leader; the second alone that the one-leader precheck
+    never skips a certificate that would fire.  Exponential; tests and
+    the certificate-audit script only.
+    """
+    order, leaders, unstable, live = _closures(protocol, graph, None, max_configurations)
+    certified = [
+        i
+        for i, config in enumerate(order)
+        if protocol.is_output_stable_configuration(list(config), graph)
+    ]
+    return CertificateAudit(
+        reachable=len(order),
+        certified=len(certified),
+        unsound=sum(1 for i in certified if unstable[i]),
+        certified_without_one_leader=sum(1 for i in certified if leaders[i] != 1),
+        not_live=live.count(False),
+    )

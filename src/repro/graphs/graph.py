@@ -681,9 +681,6 @@ class Graph:
         )
         return int(info[2]) == 1
 
-    # Backwards-compatible private alias (pre-dates the public method).
-    _is_connected = is_connected
-
     def to_networkx(self):
         """Convert to a :class:`networkx.Graph` (for property computations)."""
         import networkx as nx

@@ -31,8 +31,8 @@ from ..analysis.estimators import SummaryStatistics, summarize_samples
 from ..analytics.epidemics import run_influence_batch
 from ..analytics.estimators import (
     FULL_INFORMATION_TAG,
+    batched_broadcast_estimates,
     batched_broadcast_samples,
-    select_sources,
 )
 from ..analytics.streams import resolve_base_seed
 from ..core.seeds import derive_seed
@@ -124,28 +124,19 @@ def broadcast_time_estimate(
     trajectories crossing epoch switches in lockstep.  Source selection
     and the default budget still use ``graph`` (the node universe).
     """
-    n = graph.n_nodes
-    if n == 1:
+    if graph.n_nodes == 1:
         return BroadcastTimeEstimate(value=0.0, per_source={0: 0.0}, repetitions=0, sources=(0,))
-    base = resolve_base_seed(rng)
-    if max_sources is None:
-        max_sources = 24
-    sources = select_sources(graph, max_sources, base)
-    if max_steps is None:
-        max_steps = _budget(graph)
-    samples = batched_broadcast_samples(
+    value, per_source, sources, repetitions = batched_broadcast_estimates(
         graph,
-        sources,
+        [resolve_base_seed(rng)],
         repetitions,
-        base,
-        max_steps,
+        24 if max_sources is None else max_sources,
+        _budget(graph) if max_steps is None else max_steps,
         replica_batch=replica_batch,
         schedule=schedule,
-    )
-    per_source = dict(zip(sources, samples.mean(axis=1).tolist()))
-    value = max(per_source.values())
+    )[0]
     return BroadcastTimeEstimate(
-        value=value, per_source=per_source, repetitions=repetitions, sources=tuple(sources)
+        value=value, per_source=per_source, repetitions=repetitions, sources=sources
     )
 
 

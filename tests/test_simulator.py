@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import LEADER, SequenceScheduler, Simulator, run_leader_election
-from repro.graphs import clique, cycle, star
+from repro.graphs import clique, cycle, path, star
 from repro.protocols import StarLeaderElection, TokenLeaderElection
 
 
@@ -102,6 +104,20 @@ class TestFixedSchedules:
         # candidate 1 immediately demoted.
         result = simulator.run_fixed_schedule([(0, 1)])
         assert result.leaders == graph.n_nodes - 1
+
+    def test_fixed_schedule_from_a_generator_matches_the_list(self):
+        graph = path(3)
+        schedule = [(0, 1), (1, 2), (1, 0), (2, 1)] * 3
+        results = [
+            dataclasses.replace(
+                Simulator(graph, TokenLeaderElection(), rng=0).run_fixed_schedule(pairs),
+                wall_time_seconds=0.0,
+            )
+            for pairs in (schedule, (pair for pair in schedule))
+        ]
+        assert results[0].steps_executed == 12
+        assert results[0].stabilized and results[0].leaders == 1
+        assert results[1] == results[0]
 
     def test_fixed_schedule_rejects_non_edges(self, small_cycle):
         simulator = Simulator(small_cycle, TokenLeaderElection(), rng=0)
