@@ -216,13 +216,6 @@ MUTANTS: Tuple[Mutant, ...] = (
         GRAPH_NO_UNIQUE,
     ),
     Mutant(
-        "lookup-block-misses-np-unique",
-        "src/repro/engine/compiler.py",
-        "            for flat in _sorted_distinct(pair[missing]).tolist():",
-        "            for flat in np.unique(pair[missing]).tolist():",
-        ("tests/test_engine_compiler.py::test_vector_backend_fills_misses_without_np_unique",),
-    ),
-    Mutant(
         "v6-initial-codes-np-unique",
         EXECUTE,
         "        present = (np.bincount(initial_codes, minlength=rule.stride) > 0).astype(np.uint8)",
@@ -356,6 +349,25 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            for result in execute_unsharded(_group_plan(plan, indices))\n"
         "        ]\n",
         ("tests/test_runtime_plan.py::test_key_groups_return_results_in_replica_order",),
+    ),
+    # -- One per-replica backend; backends checked before any run -------
+    Mutant(
+        "backend-not-validated",
+        "src/repro/runtime/plan.py",
+        "    if backend not in BACKENDS:\n"
+        "        raise ValueError(f\"unknown engine backend {backend!r}; expected one of {BACKENDS}\")\n",
+        "",
+        ("tests/test_runtime_plan.py::test_plan_validation_errors",),
+    ),
+    Mutant(
+        "scalar-loop-skips-responder-seen",
+        "src/repro/engine/stepper.py",
+        "                seen_add(nb)\n",
+        "",
+        (
+            "tests/test_engine_equivalence.py::"
+            "test_backends_match_reference_across_protocols_and_graphs[scalar]",
+        ),
     ),
     # -- One-trial unit set-up: one-call stacks, uniform encode, memos --
     Mutant(

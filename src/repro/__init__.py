@@ -7,7 +7,7 @@ A library-quality reproduction of Alistarh, Rybicki and Voitovych,
 * :mod:`repro.core` — the stochastic population-protocol model (states,
   schedulers, simulator, exact stability checking),
 * :mod:`repro.engine` — the compiled execution engine (protocol → lookup
-  tables, vectorized/native stepping, stacked multi-replica runs),
+  tables, native/scalar stepping, stacked multi-replica runs),
 * :mod:`repro.runtime` — the execution-plan runtime: the shared directed
   pair space, the unified interaction sampler behind every scheduler and
   stream, and plan compilation/execution for all consumer layers,

@@ -147,8 +147,7 @@ class PopulationProtocol(abc.ABC, Generic[State]):
 class LeaderElectionProtocol(PopulationProtocol[State]):
     """A population protocol whose outputs are ``LEADER`` / ``FOLLOWER``.
 
-    Adds convenience helpers for counting leaders and checking the
-    correctness condition (exactly one leader).
+    Adds convenience helpers for counting and locating leaders.
     """
 
     def count_leaders(self, states: Sequence[State]) -> int:
@@ -158,7 +157,3 @@ class LeaderElectionProtocol(PopulationProtocol[State]):
     def leader_nodes(self, states: Sequence[State]) -> Tuple[int, ...]:
         """Indices of the nodes currently outputting ``LEADER``."""
         return tuple(i for i, s in enumerate(states) if self.output(s) == LEADER)
-
-    def is_correct_configuration(self, states: Sequence[State]) -> bool:
-        """Exactly one leader and everyone else a follower (Section 2.2)."""
-        return self.count_leaders(states) == 1

@@ -134,8 +134,8 @@ class Simulator:
     backend:
         Compiled-engine backend: ``"auto"`` (the v6 epoch stack where it
         can serve the run, else the per-replica engine), ``"native"``
-        (the v6 stack only; raises where it cannot serve the run),
-        ``"vector"`` or ``"scalar"`` (see
+        (the v6 stack only; raises where it cannot serve the run) or
+        ``"scalar"`` (the per-replica engine only, see
         :class:`repro.engine.stepper.CompiledRun`).
     max_states:
         Bound on the compiled state table size (default

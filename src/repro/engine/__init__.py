@@ -3,7 +3,7 @@
 The engine turns a :class:`~repro.core.protocol.PopulationProtocol` whose
 transition function is a pure function of the two interacting states into
 dense lookup tables (:mod:`repro.engine.compiler`), and then executes
-scheduler batches against those tables with three interchangeable, exactly
+scheduler batches against those tables with two interchangeable, exactly
 equivalent backends:
 
 * ``native`` — the v6 epoch stack: a C kernel (:mod:`repro.engine.native`)
@@ -12,19 +12,17 @@ equivalent backends:
   replica of a plan, seeded streams drawn in-kernel, to its next
   certificate check or topology epoch switch (see
   :mod:`repro.runtime.execute`);
-* ``vector`` — NumPy block application with a conflict-splitting pass that
-  partitions each 64k-interaction block into node-disjoint segments
-  (:mod:`repro.engine.stepper`, one replica at a time);
-* ``scalar`` — a tight Python loop over integer state codes (likewise).
+* ``scalar`` — the per-replica engine: a tight Python loop over integer
+  state codes (:mod:`repro.engine.stepper`, one replica at a time).
 
 :mod:`repro.engine.replicas` runs R independent replicas of the same
 (graph, protocol) pair through one compiled table set — on the v6 epoch
-stack, with an exact per-replica fallback on the Python backends when
-the kernel is unavailable.  Single runs, harness measurements and
+stack, with an exact per-replica fallback on the scalar loop when the
+kernel is unavailable.  Single runs, harness measurements and
 orchestrator units of any width go through the same execution plans and
 so reach the same stack.
 
-All backends reproduce the reference simulator's sequential semantics
+Both backends reproduce the reference simulator's sequential semantics
 bit-for-bit: same scheduler stream, same stabilization step, same output
 history.  ``tests/test_engine_equivalence.py`` enforces this for every
 bundled protocol.

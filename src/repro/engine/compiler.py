@@ -6,7 +6,7 @@ can be *compiled*: every state is assigned a small integer code, and the
 transition function is materialised into a dense table indexed by the pair
 code ``a * K + b`` (``K`` is the current table stride, a power of two).
 
-Each table entry packs everything the execution backends need to apply one
+Each table entry packs everything the v6 epoch kernel needs to apply one
 interaction without calling back into Python::
 
     entry = ((na * K + nb) << 4) | ((dl + 2) << 1) | chg
@@ -43,7 +43,6 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..core.protocol import LEADER, PopulationProtocol
-from ..graphs.graph import _sorted_distinct
 
 #: Default bound on the number of distinct states the compiler will track.
 DEFAULT_MAX_STATES = 4096
@@ -97,8 +96,6 @@ class CompiledProtocol:
         self.out_index: Dict[Any, int] = {}
         self.out_codes: List[int] = []
         self.is_leader_list: List[bool] = []
-        #: Bumped whenever the tables grow (steppers may cache derived data).
-        self.generation = 0
         #: Number of filled (state, state) table entries.
         self.filled_pairs = 0
 
@@ -108,7 +105,6 @@ class CompiledProtocol:
         #: Scalar-path cache: ``a * _SCALAR_STRIDE + b`` -> ``None`` for an
         #: exact no-op, else ``(na, nb, dl, chg)``.
         self.scalar: Dict[int, Optional[Tuple[int, int, int, int]]] = {}
-        self._out_np = np.zeros(self._K, dtype=np.int32)
         self._leader_np = np.zeros(self._K, dtype=bool)
 
         enumerated = protocol.enumerate_states()
@@ -143,7 +139,7 @@ class CompiledProtocol:
         """True when every pair over the discovered states is filled.
 
         A complete table cannot miss or grow (transitions are closed over
-        the discovered states), so steppers may skip the miss check.
+        the discovered states), so executors may skip the miss check.
         """
         return self.filled_pairs == len(self.states) * len(self.states)
 
@@ -171,7 +167,6 @@ class CompiledProtocol:
         if code >= self._K:
             self._grow()
         else:
-            self._out_np[code] = out_code
             self._leader_np[code] = self.is_leader_list[code]
         return code
 
@@ -233,28 +228,6 @@ class CompiledProtocol:
             self.fill_pair(a, b)
             return self.scalar[key]
 
-    def lookup_block(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-        """Packed entries for parallel code arrays, filling misses.
-
-        May grow the tables; callers must re-read :attr:`stride` /
-        :attr:`kshift` afterwards (or check :attr:`generation`).
-        """
-        while True:
-            stride = self._K
-            pair = a_codes * stride + b_codes
-            packed = self.dpack[pair]
-            missing = packed < 0
-            if not missing.any():
-                return packed
-            # Ascending, like np.unique, which would hash on NumPy >= 2.3.
-            for flat in _sorted_distinct(pair[missing]).tolist():
-                a, b = divmod(int(flat), stride)
-                self.fill_pair(a, b)
-                if self._K != stride:
-                    # Growth re-packed the tables: the remaining flat pair
-                    # encodings are stale, recompute from scratch.
-                    break
-
     def ensure_pairs_among(self, codes: Sequence[int]) -> None:
         """Pre-fill all ordered pairs over ``codes`` (eager compilation)."""
         for a in codes:
@@ -268,16 +241,6 @@ class CompiledProtocol:
     def leader_count(self, codes: np.ndarray) -> int:
         """Number of codes whose output is ``LEADER``."""
         return int(self._leader_np[codes].sum())
-
-    @property
-    def out_np(self) -> np.ndarray:
-        """Output-symbol code per state code (padded to the stride)."""
-        return self._out_np
-
-    @property
-    def leader_np(self) -> np.ndarray:
-        """Leader mask per state code (padded to the stride)."""
-        return self._leader_np
 
     # ------------------------------------------------------------------
     # Growth
@@ -304,14 +267,9 @@ class CompiledProtocol:
         self.dpack = new_pack
         self._K = new_k
         self._kshift = new_k.bit_length() - 1
-        out_np = np.zeros(new_k, dtype=np.int32)
         leader_np = np.zeros(new_k, dtype=bool)
-        count = len(self.states)
-        out_np[:count] = self.out_codes
-        leader_np[:count] = self.is_leader_list
-        self._out_np = out_np
+        leader_np[: len(self.states)] = self.is_leader_list
         self._leader_np = leader_np
-        self.generation += 1
 
 
 # ----------------------------------------------------------------------

@@ -24,13 +24,13 @@ On machines with
 a system C compiler the source below is compiled once, the shared object
 is cached under ``src/repro/engine/_build/`` (named by a digest of the
 source text and compiler flags) and driven through :mod:`ctypes`.  The
-kernel executes the *same* table entries as the NumPy and scalar
-backends of :class:`~repro.engine.stepper.CompiledRun`.
+kernel executes the *same* table entries as the scalar loop of
+:class:`~repro.engine.stepper.CompiledRun`.
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_DISABLE_NATIVE=1`` simply means every getter here (for example
 :func:`get_run_epoch_kernel`) returns ``None``, plans run on the
-per-replica engine's NumPy/scalar backends, graph builds take their
+per-replica engine's scalar loop, graph builds take their
 NumPy twin (connectivity by a BFS), and eccentricities their NumPy
 matrix or per-source BFS forms.  The epoch runner stops a
 row at the first table miss, so lazy pair discovery (and table growth)
@@ -1274,7 +1274,7 @@ def _compile_kernel():
         return None
     flags = [*_CFLAGS, *_extra_cflags()]
     # One build: a host that cannot compile the full source (pthreads,
-    # 128-bit arithmetic) gets no kernel and runs the NumPy backends.
+    # 128-bit arithmetic) gets no kernel and runs the Python fallbacks.
     src_path, so_path = _build_paths(_build_directory(), _KERNEL_SOURCE, flags)
     if not os.path.exists(so_path):
         tmp = f".tmp{os.getpid()}"

@@ -7,9 +7,8 @@ protocol's transition tables once and the runtime executors
 (:mod:`repro.runtime.execute`) run every replica against them — through
 the v6 epoch stack, which advances all replicas with in-kernel seeded
 streams, or, where the stack cannot serve the plan (no v6 kernel, an
-explicit ``"vector"``/``"scalar"`` backend, seeds the kernel cannot
-reproduce), replica by replica through the per-replica engine's
-NumPy/scalar backends.
+explicit ``"scalar"`` backend, seeds the kernel cannot reproduce),
+replica by replica through the per-replica engine's scalar loop.
 Every replica draws from its own independent scheduler stream, so both
 paths are bit-identical to R separate reference runs with the same
 seeds.
@@ -58,10 +57,9 @@ def run_replicas(
         ``"auto"`` (default) runs the v6 epoch stack when the kernel is
         available and the seeds allow it, else the per-replica engine;
         ``"native"`` insists on the stack (it raises where the stack
-        cannot serve the plan); ``"vector"`` / ``"scalar"`` run each
-        replica through that backend of
-        :class:`~repro.engine.stepper.CompiledRun`.  All are exact —
-        they differ in wall time only.
+        cannot serve the plan); ``"scalar"`` runs each replica through
+        the per-replica engine, :class:`~repro.engine.stepper.CompiledRun`.
+        All are exact — they differ in wall time only.
     threads:
         Replica-axis kernel threads for the v6 stack executor (``None``
         defers to ``REPRO_KERNEL_THREADS``).  Results are bit-identical

@@ -26,9 +26,9 @@ of it into three layers:
   epoch stack (plans of any width, including 1, on static graphs and
   topology schedules, with the seeded streams drawn in-kernel; a plan
   of several ``compile_key`` groups runs one stack per group) → the
-  per-replica compiled engine on its NumPy/scalar backends (stream
-  overrides, traces, seeds the kernel cannot reproduce, explicit
-  Python backends, hosts without the kernel) → the reference
+  per-replica compiled engine, one scalar loop per replica (stream
+  overrides, traces, seeds the kernel cannot reproduce, an explicit
+  ``"scalar"`` backend, hosts without the kernel) → the reference
   interpreter.
 
 ``Simulator.run``, ``repro.engine.run_replicas`` and the experiment

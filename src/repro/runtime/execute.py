@@ -30,13 +30,13 @@ plan, from the plan's inputs alone:
   differ or lie below ``2^k``, which its certificate equally requires.
   Replicas whose certificate fires are compacted out of the stack; the
   loop ends, without a compaction, when the last rows finish.
-* **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`
-  blocks on its NumPy/scalar backends, one replica at a time) —
-  everything the stack cannot take: stream overrides, leader traces,
-  Generator or wider-than-64-bit seeds, an explicit
-  ``"vector"``/``"scalar"`` backend, and hosts without the v6 kernel.
-  It keeps the historical lazy-compilation semantics, including the
-  mid-run fallback to the reference interpreter.
+* **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`,
+  one scalar loop per replica, one replica at a time) — everything the
+  stack cannot take: stream overrides, leader traces, Generator or
+  wider-than-64-bit seeds, an explicit ``"scalar"`` backend, and hosts
+  without the v6 kernel.  It keeps the historical lazy-compilation
+  semantics, including the mid-run fallback to the reference
+  interpreter.  A ``backend="native"`` plan that reaches it raises.
 * **reference** — the pure-Python interpreter (the semantic ground
   truth), for ``engine="reference"`` and for protocols that ``auto``
   declines to compile (among them a kernel-rule protocol whose plan the
@@ -347,7 +347,19 @@ def _run_compiled_single(
     RNG stream is consumed identically), and the same certificate
     cadence.  Only the inner per-interaction application is replaced by
     :class:`repro.engine.stepper.CompiledRun`.
+
+    ``backend="native"`` names the v6 stack, so a plan that reaches this
+    engine with it raises: ``RuntimeError`` on a host without the
+    kernel, ``ValueError`` otherwise.
     """
+    if plan.backend == "native":
+        if native.get_run_epoch_kernel() is None:
+            raise RuntimeError("native engine backend unavailable (no C compiler)")
+        raise ValueError(
+            "backend='native' runs only on the v6 epoch stack, which cannot "
+            "serve this run (a leader trace, a scheduler override or a seed "
+            "the kernel cannot reproduce); use backend='auto'"
+        )
     from ..core.simulator import SimulationResult
     from ..engine.compiler import DEFAULT_MAX_STATES, get_compiled
     from ..engine.stepper import CompiledRun
@@ -372,7 +384,6 @@ def _run_compiled_single(
     run = CompiledRun(
         compiled,
         compiled.encode(states),
-        backend=plan.backend,
         record_trace=record_leader_trace,
         trace_every=trace_every,
     )

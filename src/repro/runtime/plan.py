@@ -39,7 +39,8 @@ anything.
   time, so each group can be shared.
 
 A topology schedule does not change the mode: the v6 stack and the
-per-replica engine both run ``"shared"`` schedule plans.
+per-replica engine (one scalar loop per replica) both run ``"shared"``
+schedule plans.
 
 The mode fixes *what* is shared, not which executor runs it: the
 executor is chosen from the plan's inputs (see
@@ -47,7 +48,8 @@ executor is chosen from the plan's inputs (see
 measured values: for any mode, replica ``i``'s result is bit-identical
 to a standalone reference run with seed ``seeds[i]``
 (``tests/test_runtime_plan.py`` pins this property across engines,
-backends and topology schedules).
+backends and topology schedules).  Every engine accepts the same
+:data:`BACKENDS`; any other value raises before anything runs.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 #: Engine choices accepted by :func:`compile_plan` (and ``Simulator``).
 ENGINES = ("reference", "compiled", "auto")
+
+#: Compiled-engine backends accepted by :func:`compile_plan`: ``"auto"``
+#: (the v6 epoch stack where it serves the plan, else the per-replica
+#: engine), ``"native"`` (the v6 stack only) and ``"scalar"`` (the
+#: per-replica engine only).
+BACKENDS = ("auto", "native", "scalar")
 
 
 @dataclass
@@ -152,7 +160,7 @@ def _homogeneous(protocols: Sequence["PopulationProtocol"]) -> bool:
 def v6_servable(backend: str, seeds: Sequence[Any]) -> bool:
     """Whether the v6 kernel can run these streams on this backend.
 
-    An explicit ``"vector"``/``"scalar"`` backend means that backend; a
+    An explicit ``"scalar"`` backend means the per-replica engine; a
     missing or disabled v6 kernel, or any seed the kernel cannot
     reproduce (a live Generator, or an integer outside ``[0, 2**64)``),
     rules the kernel out.
@@ -201,6 +209,8 @@ def compile_plan(
         raise ValueError("graph must be non-empty")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown engine backend {backend!r}; expected one of {BACKENDS}")
     if threads is not None and int(threads) < 1:
         raise ValueError("threads must be positive")
     if shards is not None and int(shards) < 1:

@@ -15,6 +15,22 @@ def rng():
 
 
 @pytest.fixture
+def engine_variants():
+    """Every executor of a run, as ``(engine, backend)`` pairs.
+
+    The reference interpreter, the per-replica engine (``scalar``) and,
+    where the kernel is built, the v6 epoch stack (``native``).  The
+    cross-engine tests loop over this one list.
+    """
+    from repro.engine.native import get_run_epoch_kernel
+
+    variants = [("reference", "auto"), ("compiled", "scalar")]
+    if get_run_epoch_kernel() is not None:
+        variants.append(("compiled", "native"))
+    return variants
+
+
+@pytest.fixture
 def small_clique():
     """Complete graph on 8 nodes."""
     return clique(8)

@@ -209,16 +209,13 @@ class TestSimulatorSchedules:
         )
         assert result_tuple(baseline) == result_tuple(scheduled)
 
-    def test_dynamic_run_identical_across_engines(self):
+    def test_dynamic_run_identical_across_engines(self, engine_variants):
         graph = clique(16)
         schedule = EpochSchedule.from_graphs(
             [clique(16), cycle(16), star(16)], epoch_length=256, repeat=True
         )
         outcomes = []
-        engines = [("reference", "auto"), ("compiled", "scalar"), ("compiled", "vector")]
-        if get_run_epoch_kernel() is not None:
-            engines.append(("compiled", "native"))
-        for engine, backend in engines:
+        for engine, backend in engine_variants:
             result = run_leader_election(
                 TokenLeaderElection(),
                 graph,

@@ -92,34 +92,25 @@ class TestCompiledProtocol:
                     assert compiled.states[na] == expected[0]
                     assert compiled.states[nb] == expected[1]
 
-    def test_lookup_block_fills_lazily(self):
-        compiled = compile_protocol(CountingProtocol(), max_states=64)
-        zero = compiled.code_for(0)
-        packed = compiled.lookup_block(
-            np.array([zero], dtype=np.int64), np.array([zero], dtype=np.int64)
-        )
-        successors = int(packed[0]) >> 4
-        na = successors >> compiled.kshift
-        assert compiled.states[na] == 1
-
     def test_growth_preserves_entries(self):
         compiled = compile_protocol(CountingProtocol(), max_states=512)
-        zero = compiled.code_for(0)
-        # Force discovery past the initial stride of 64.
-        codes = np.array([zero], dtype=np.int64)
+        code = compiled.code_for(0)
+        # Force discovery past the initial stride of 64 through the miss
+        # path both executors share.
         for _ in range(130):
-            packed = compiled.lookup_block(codes, codes)
-            successors = int(packed[0]) >> 4
-            codes = np.array([successors >> compiled.kshift], dtype=np.int64)
+            code = compiled.scalar_entry(code, code)[0]
         assert compiled.n_states > 64
         assert compiled.stride >= 128
-        # Every previously-filled entry survived the repack.
+        # Every entry filled before a growth survived the repack of the
+        # packed table (the one the v6 kernel reads).
+        stride = compiled.stride
         for value in range(compiled.n_states - 1):
-            entry = compiled.scalar_entry(
-                compiled.code_for(value), compiled.code_for(0)
-            )
-            assert entry is not None
-            assert compiled.states[entry[0]] == value + 1
+            code = compiled.code_for(value)
+            packed = int(compiled.dpack[code * stride + code])
+            assert packed >= 0
+            successors = packed >> 4
+            assert compiled.states[successors >> compiled.kshift] == value + 1
+            assert successors & (stride - 1) == code
 
     def test_state_explosion_raises(self):
         compiled = compile_protocol(CountingProtocol(), max_states=32)
@@ -151,50 +142,8 @@ def _registry(compiled):
         compiled.out_codes,
         compiled.is_leader_list,
         compiled.stride,
-        compiled.out_np.tolist(),
-        compiled.leader_np.tolist(),
+        compiled._leader_np.tolist(),
     )
-
-
-def test_vector_backend_fills_misses_without_np_unique(monkeypatch):
-    """Regression guard: ``lookup_block`` fills a block's missing table
-    entries in ascending pair order by sorting, not with ``np.unique``
-    (which hashes integers on NumPy >= 2.3 and imports ``numpy.ma``).
-
-    A per-replica ``backend="vector"`` plan of the lazily compiled
-    identifier protocol misses on most blocks and must still give the
-    reference interpreter's results (see
-    ``test_graph.py::test_graph_build_never_calls_np_unique``).
-    """
-    from repro.graphs import cycle
-    from repro.protocols.identifier import IdentifierLeaderElection
-    from repro.runtime import compile_plan, execute_plan
-
-    graph = cycle(10)
-    seeds = [5, 6]
-
-    def run(engine, backend="auto"):
-        protocol = IdentifierLeaderElection(graph.n_nodes, identifier_bits=7)
-        plan = compile_plan(
-            [protocol] * len(seeds), graph, seeds, max_steps=20_000,
-            engine=engine, backend=backend,
-        )
-        return [
-            (r.stabilized, r.steps_executed, r.leaders, r.distinct_states_observed,
-             r.final_configuration.states)
-            for r in execute_plan(plan)
-        ], protocol
-
-    reference, _ = run("reference")
-    clear_compilation_cache()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.unique called while filling table misses")
-
-    monkeypatch.setattr(np, "unique", refuse)
-    vector, protocol = run("compiled", backend="vector")
-    assert vector == reference
-    assert get_compiled(protocol).filled_pairs > 50  # the run missed, often
 
 
 class TestEncode:

@@ -5,8 +5,8 @@ Property-style coverage beyond the hand-picked equivalence cases in
 triples assert that
 
 * the reference interpreter and every compiled backend (native where
-  available, vector, scalar) produce bit-identical simulation results on
-  the same scheduler seed, and
+  available, scalar) produce bit-identical simulation results on the
+  same scheduler seed, and
 * the replica-batched analytics engine produces bit-identical epidemic
   samples for every replica-batch width, on static and dynamic
   topologies alike.
@@ -108,15 +108,12 @@ def _result_tuple(result):
 
 
 @pytest.mark.parametrize("case", _simulator_cases(), ids=_sim_id)
-def test_engines_bit_identical(case):
+def test_engines_bit_identical(case, engine_variants):
     graph_kind, size, protocol_kind, seed = case
     graph = _GRAPH_BUILDERS[graph_kind](size, derive_seed(seed, "graph"))
     max_steps = 6000
-    variants = [("reference", "auto"), ("compiled", "vector"), ("compiled", "scalar")]
-    if get_run_epoch_kernel() is not None:
-        variants.append(("compiled", "native"))
     outcomes = {}
-    for engine, backend in variants:
+    for engine, backend in engine_variants:
         protocol = _PROTOCOL_BUILDERS[protocol_kind](graph)
         result = run_leader_election(
             protocol,

@@ -72,7 +72,7 @@ def _assert_results_identical(reference, other, context):
     assert reference.leader_trace == other.leader_trace, context
 
 
-@pytest.mark.parametrize("backend", ["scalar", "vector", "native"])
+@pytest.mark.parametrize("backend", ["scalar", "native"])
 def test_backends_match_reference_across_protocols_and_graphs(backend):
     if backend not in available_backends():
         pytest.skip("native backend unavailable (no C compiler)")
@@ -99,7 +99,7 @@ def test_auto_engine_matches_reference():
             _assert_results_identical(reference, auto, (graph.name, name))
 
 
-@pytest.mark.parametrize("backend", ["scalar", "vector"])
+@pytest.mark.parametrize("backend", ["scalar"])
 def test_leader_trace_matches_reference(backend):
     graph = clique(20)
     protocol = TokenLeaderElection()

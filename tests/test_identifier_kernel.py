@@ -337,7 +337,7 @@ def _spy_on_reference(monkeypatch):
 _REFERENCE_CASES = {
     "generator": lambda g: (IdentifierLeaderElection(g.n_nodes), np.random.default_rng(5), {}),
     "wide-seed": lambda g: (IdentifierLeaderElection(g.n_nodes), 2**64, {}),
-    "vector": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"backend": "vector"}),
+    "scalar": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"backend": "scalar"}),
     "bits-60": lambda g: (IdentifierLeaderElection(g.n_nodes, identifier_bits=60), 5, {}),
     "trace": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"record_leader_trace": True}),
 }

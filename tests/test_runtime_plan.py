@@ -4,7 +4,7 @@ The central invariant of :mod:`repro.runtime`: executing a plan never
 changes measured values.  A single-replica :class:`ExecutionPlan` is
 bit-identical to the legacy ``Simulator.run`` entry point across the
 reference interpreter and every compiled backend (native where
-available, vector, scalar), on static and dynamic topologies alike; a
+available, scalar), on static and dynamic topologies alike; a
 multi-replica plan (the v6 epoch stack) is bit-identical to the same
 trials run one at a time through the reference interpreter.  The
 routing table — which plans the v6 stack serves, schedules and
@@ -38,6 +38,7 @@ from repro.protocols import StarLeaderElection, TokenLeaderElection
 from repro.protocols.identifier import IdentifierKernelRule, IdentifierLeaderElection
 from repro.runtime import compile_plan, execute_plan
 from repro.runtime.execute import _stack_v6_eligible
+from repro.runtime.plan import ENGINES
 
 MASTER_SEED = 20260728 + 5  # PR-5 case stream, disjoint from the differential suite
 
@@ -70,13 +71,6 @@ def _result_tuple(result):
     )
 
 
-def _engine_variants():
-    variants = [("reference", "auto"), ("compiled", "vector"), ("compiled", "scalar")]
-    if get_run_epoch_kernel() is not None:
-        variants.append(("compiled", "native"))
-    return variants
-
-
 def _single_cases():
     cases = []
     index = 0
@@ -99,7 +93,7 @@ def _case_id(case):
 
 
 @pytest.mark.parametrize("case", _single_cases(), ids=_case_id)
-def test_single_replica_plan_matches_simulator(case):
+def test_single_replica_plan_matches_simulator(case, engine_variants):
     """Plan execution ≡ legacy Simulator.run, engine by engine."""
     graph_kind, size, protocol_kind, dynamic, seed = case
     graph = _GRAPHS[graph_kind](size, derive_seed(seed, "graph"))
@@ -109,7 +103,7 @@ def test_single_replica_plan_matches_simulator(case):
             [graph, cycle(graph.n_nodes)], epoch_length=96, repeat=True
         )
     max_steps = 8000
-    for engine, backend in _engine_variants():
+    for engine, backend in engine_variants:
         protocol = _PROTOCOLS[protocol_kind](graph)
         plan = compile_plan(
             [protocol],
@@ -230,10 +224,15 @@ def test_plan_validation_errors():
         compile_plan([token], graph, [0], max_steps=-1)
     with pytest.raises(ValueError):
         compile_plan([token], graph, [0], max_steps=10, engine="warp")
+    # An unknown backend is refused under every engine, before any run.
+    for engine in ENGINES:
+        for backend in ("vector", "bogus"):
+            with pytest.raises(ValueError, match="'auto', 'native', 'scalar'"):
+                compile_plan([token], graph, [0], max_steps=10, engine=engine, backend=backend)
 
 
 # ----------------------------------------------------------------------
-# Executor routing and the v6 → per-replica → NumPy fallback chain
+# Executor routing and the v6 → per-replica → reference fallback chain
 # ----------------------------------------------------------------------
 def _spy_on_v6(monkeypatch):
     """Record the width of every plan that enters the v6 epoch stack."""
@@ -552,14 +551,13 @@ _PER_REPLICA_CASES = {
     "trace": lambda g: ([TokenLeaderElection()], [5], {"record_leader_trace": True}),
     "generator": lambda g: ([TokenLeaderElection()], [np.random.default_rng(5)], {}),
     "wide-seed": lambda g: ([TokenLeaderElection()], [2**64 + 5], {}),
-    "vector": lambda g: ([TokenLeaderElection()], [5], {"backend": "vector"}),
     "scalar": lambda g: ([TokenLeaderElection()] * 2, [5, 6], {"backend": "scalar"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PER_REPLICA_CASES))
 def test_per_replica_cases_never_enter_v6(case, monkeypatch):
-    """Overrides, traces, odd seeds and Python backends skip v6."""
+    """Overrides, traces, odd seeds and the scalar backend skip v6."""
     calls = _spy_on_v6(monkeypatch)
     graph = clique(12)
     protocols, seeds, kwargs = _PER_REPLICA_CASES[case](graph)
@@ -742,7 +740,7 @@ def test_fallback_chain_simulated_missing_kernels(monkeypatch):
 
     ``REPRO_DISABLE_NATIVE`` plus a cache reset simulates a host that
     cannot build the kernel: the plan drops from the v6 stack to the
-    per-replica engine on the NumPy backends.
+    per-replica engine's scalar loop.
     """
     calls = _spy_on_v6(monkeypatch)
     baseline = [_result_tuple(r) for r in execute_plan(_chain_plan())]
@@ -752,8 +750,8 @@ def test_fallback_chain_simulated_missing_kernels(monkeypatch):
         reset_kernel_cache()
         plan = _chain_plan()
         assert not _stack_v6_eligible(plan) and get_run_epoch_kernel() is None
-        via_numpy = [_result_tuple(r) for r in execute_plan(plan)]
-        assert via_numpy == baseline, "v6→NumPy fallback changed results"
+        via_scalar = [_result_tuple(r) for r in execute_plan(plan)]
+        assert via_scalar == baseline, "v6→scalar fallback changed results"
     finally:
         os.environ.pop("REPRO_DISABLE_NATIVE", None)
         reset_kernel_cache()
