@@ -80,6 +80,7 @@ TOKEN_ON_TRIANGLE = (
     "test_token_protocol_always_stabilizes_on_triangle",
 )
 BROKEN_CERTIFICATE = ("tests/test_certificate_audit.py::test_audit_reports_a_broken_certificate",)
+STORE = "src/repro/orchestration/store.py"
 
 
 @dataclass(frozen=True)
@@ -568,6 +569,44 @@ MUTANTS: Tuple[Mutant, ...] = (
         "                if stop is not None and stop(nxt_tuple):\n"
         "                    return order, predecessors, nxt_tuple\n",
         ("tests/test_certificate_audit.py::test_verdicts_pin_explored_and_counterexample",),
+    ),
+    # -- One thread setting, checked environment values ----------------
+    Mutant(
+        "per-replica-certificate-without-precheck",
+        EXECUTE,
+        "    # nor call it.\n"
+        "    precheck = bool(getattr(protocol, \"certificate_requires_unique_leader\", False))\n",
+        "    # nor call it.\n    precheck = False\n",
+        ("tests/test_runtime_plan.py::test_per_replica_certificate_behind_the_one_leader_precheck",),
+    ),
+    Mutant(
+        "v6-stack-ignores-thread-setting",
+        EXECUTE,
+        "    threads = kernel_thread_count()\n",
+        "    threads = 1\n",
+        ("tests/test_engine_differential.py::test_thread_setting_reaches_every_kernel",),
+    ),
+    Mutant(
+        "kernel-threads-accepts-malformed",
+        NATIVE,
+        "    if value < 1:\n"
+        "        raise ValueError(f\"REPRO_KERNEL_THREADS must be a positive integer, got {raw!r}\")\n"
+        "    return min(value, MAX_KERNEL_THREADS)",
+        "    return max(1, min(value, MAX_KERNEL_THREADS))",
+        (
+            "tests/test_engine_differential.py::"
+            "test_thread_setting_rejects_malformed_and_non_positive_values",
+        ),
+    ),
+    Mutant(
+        "lock-ttl-accepts-malformed",
+        STORE,
+        "                if not lock_stale_seconds > 0:\n"
+        "                    raise ValueError(\n"
+        "                        f\"{LOCK_TTL_ENV} must be a positive number of seconds, got {raw!r}\"\n"
+        "                    )\n",
+        "",
+        ("tests/test_result_store.py::TestLockTTLConfiguration",),
     ),
 )
 

@@ -4,21 +4,17 @@
 Runs a tiny two-protocol scenario three times through the stack —
 
 * serially (``jobs=1``),
-* sharded over two fork-worker processes (``jobs=2``),
+* split over two fork-worker processes (``jobs=2``),
 * through the simulation service: an in-process job server with two
   *remote* workers connected over real sockets on localhost,
-* with ``shards=4`` alone: without shard workers the dial must be
-  inert, so every unit runs on the unsharded executors,
-* on the shard-worker pool (``shards=4, shard_workers=4``): every chunk
-  fans out across four forked shard workers over shared-memory state,
 
 with the result store disabled for the local placements and a throwaway
 store for the server (CI must never read from or populate
 ``.repro_cache/``; cached results would mask a divergence, which is
-exactly what this job exists to catch).  All five canonical JSON
-aggregates must match byte for byte — for the pool placement this is
-the sharded engine's determinism contract itself (partitioning decides
-*where* a pair is applied, never *which* pair is drawn).
+exactly what this job exists to catch).  All three canonical JSON
+aggregates must match byte for byte.  The shard-worker pool is entered
+only through ``compile_plan``; its byte-identity is gated by
+``tests/test_sharding.py::TestShardWorkerPool``.
 
 Exit code 0 on equality, 1 with a diff summary otherwise.
 
@@ -70,12 +66,6 @@ def main() -> int:
     placements = {
         "2 fork workers": run_scenario(scenario, jobs=2, cache=False),
         "server + 2 remote workers": run_through_service(scenario),
-        "4 shards, no shard workers (inert dial)": run_scenario(
-            scenario.with_overrides(shards=4), jobs=1, cache=False
-        ),
-        "4 shards + 4 shard workers (pool)": run_scenario(
-            scenario.with_overrides(shards=4, shard_workers=4), jobs=1, cache=False
-        ),
     }
 
     serial_bytes = serial.canonical_json().encode("utf-8")
@@ -87,14 +77,11 @@ def main() -> int:
             print(f"  {label} ({len(result_bytes)} bytes): {result_bytes[:400]!r}")
             return 1
     print(
-        "OK: fork-worker, server and shard placements are byte-identical "
+        "OK: fork-worker and server placements are byte-identical "
         f"to the serial path ({len(serial_bytes)} canonical bytes, "
         f"{serial.total_units} work units, serial {serial.wall_time_seconds:.2f}s, "
         f"fork {placements['2 fork workers'].wall_time_seconds:.2f}s, "
-        f"service {placements['server + 2 remote workers'].wall_time_seconds:.2f}s, "
-        "shards only "
-        f"{placements['4 shards, no shard workers (inert dial)'].wall_time_seconds:.2f}s, "
-        f"pool {placements['4 shards + 4 shard workers (pool)'].wall_time_seconds:.2f}s)"
+        f"service {placements['server + 2 remote workers'].wall_time_seconds:.2f}s)"
     )
     return 0
 

@@ -141,25 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the execution engine",
     )
-    sweep.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="kernel threads per execution plan (default: REPRO_KERNEL_THREADS)",
-    )
-    sweep.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="graph shards per execution plan (used with --shard-workers)",
-    )
-    sweep.add_argument(
-        "--shard-workers",
-        dest="shard_workers",
-        type=int,
-        default=None,
-        help="shard-worker processes per execution plan (0 = unsharded)",
-    )
 
     serve = subparsers.add_parser(
         "serve", help="start the long-lived simulation job server"
@@ -278,25 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "compiled", "reference"],
         default=None,
         help="override the execution engine",
-    )
-    submit.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="kernel threads per unit on the workers",
-    )
-    submit.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="graph shards per unit on the workers (used with --shard-workers)",
-    )
-    submit.add_argument(
-        "--shard-workers",
-        dest="shard_workers",
-        type=int,
-        default=None,
-        help="shard-worker processes per unit on the workers (0 = unsharded)",
     )
     submit.add_argument(
         "--no-cache",
@@ -462,7 +424,7 @@ def _cmd_scenarios() -> int:
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict:
-    """The ``--sizes/--repetitions/--seed/--engine/--threads/--shards/--shard-workers`` overrides."""
+    """The ``--sizes/--repetitions/--seed/--engine`` overrides."""
     overrides = {}
     if getattr(args, "sizes", None) is not None:
         overrides["sizes"] = tuple(args.sizes)
@@ -472,12 +434,6 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
         overrides["seed"] = args.seed
     if getattr(args, "engine", None) is not None:
         overrides["engine"] = args.engine
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if getattr(args, "shards", None) is not None:
-        overrides["shards"] = args.shards
-    if getattr(args, "shard_workers", None) is not None:
-        overrides["shard_workers"] = args.shard_workers
     return overrides
 
 
@@ -632,7 +588,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     overrides = _scenario_overrides(args)
-    threads = overrides.pop("threads", None)
     if "sizes" in overrides:
         overrides["sizes"] = list(overrides["sizes"])  # JSON-native
 
@@ -648,7 +603,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         result = client.submit(
             name=args.scenario,
-            overrides={**overrides, **({"threads": threads} if threads else {})},
+            overrides=overrides,
             cache=not args.no_cache,
             on_event=_print_event,
         )

@@ -1232,9 +1232,12 @@ def data_address(array) -> int:
 def kernel_thread_count() -> int:
     """Replica-axis thread count requested via ``REPRO_KERNEL_THREADS``.
 
-    Defaults to 1 (fully sequential).  Results are bit-identical for any
-    value — threading only partitions independent replica rows — so this
-    is purely a throughput dial.
+    The one thread setting of every kernel (``repro_run_epoch`` and both
+    analytics kernels).  Unset or empty means 1 (fully sequential);
+    values above :data:`MAX_KERNEL_THREADS` are clamped to it; anything
+    but a positive integer raises ``ValueError``.  Results are
+    bit-identical for any value — threading only partitions independent
+    replica rows — so this is purely a throughput setting.
     """
     raw = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
     if not raw:
@@ -1242,8 +1245,10 @@ def kernel_thread_count() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return 1
-    return max(1, min(value, MAX_KERNEL_THREADS))
+        value = 0
+    if value < 1:
+        raise ValueError(f"REPRO_KERNEL_THREADS must be a positive integer, got {raw!r}")
+    return min(value, MAX_KERNEL_THREADS)
 
 
 def _build_directory() -> str:

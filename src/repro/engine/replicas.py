@@ -41,7 +41,6 @@ def run_replicas(
     check_interval: Optional[int] = None,
     backend: str = "auto",
     max_states: int = DEFAULT_MAX_STATES,
-    threads: Optional[int] = None,
 ) -> List["SimulationResult"]:
     """Run one replica per seed; results match the reference runs exactly.
 
@@ -60,10 +59,9 @@ def run_replicas(
         cannot serve the plan); ``"scalar"`` runs each replica through
         the per-replica engine, :class:`~repro.engine.stepper.CompiledRun`.
         All are exact — they differ in wall time only.
-    threads:
-        Replica-axis kernel threads for the v6 stack executor (``None``
-        defers to ``REPRO_KERNEL_THREADS``).  Results are bit-identical
-        for any value.
+
+    The v6 stack splits its replica rows over ``REPRO_KERNEL_THREADS``
+    threads (default 1); results are bit-identical for any value.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
@@ -82,6 +80,5 @@ def run_replicas(
         check_interval=check_interval,
         inputs=inputs,
         max_states=max_states,
-        threads=threads,
     )
     return execute_plan(plan)

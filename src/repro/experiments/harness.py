@@ -291,9 +291,6 @@ def run_measurement_trials(
     engine: str = "auto",
     backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
-    threads: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Tuple[List[SimulationResult], Optional[int]]:
     """Execute an arbitrary subset of a measurement's trials.
 
@@ -319,9 +316,6 @@ def run_measurement_trials(
         engine=engine,
         backend=backend,
         schedule=schedule,
-        threads=threads,
-        shards=shards,
-        shard_workers=shard_workers,
     )
 
 
@@ -333,9 +327,6 @@ def run_trials_with_seeds(
     engine: str = "auto",
     backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
-    threads: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Tuple[List[SimulationResult], Optional[int]]:
     """Execute trials whose scheduler seeds are already derived.
 
@@ -372,9 +363,6 @@ def run_trials_with_seeds(
         engine=engine,
         backend=backend,
         schedule=schedule,
-        threads=threads,
-        shards=shards,
-        shard_workers=shard_workers,
     )
     return execute_plan(plan), state_space
 
@@ -389,9 +377,6 @@ def measure_protocol_on_graph(
     engine: str = "auto",
     backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
-    threads: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Measurement:
     """Run ``spec`` on ``graph`` ``repetitions`` times and aggregate.
 
@@ -420,9 +405,6 @@ def measure_protocol_on_graph(
         engine=engine,
         backend=backend,
         schedule=schedule,
-        threads=threads,
-        shards=shards,
-        shard_workers=shard_workers,
     )
     return measurement_from_records(
         spec.name,
@@ -491,9 +473,6 @@ def sweep_protocol_over_sizes(
     max_steps_fn: Optional[Callable[[Graph], int]] = None,
     engine: str = "auto",
     backend: str = "auto",
-    threads: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> SweepResult:
     """Measure a protocol on a workload for each population size in ``sizes``.
 
@@ -516,9 +495,6 @@ def sweep_protocol_over_sizes(
                 max_steps=max_steps,
                 engine=engine,
                 backend=backend,
-                threads=threads,
-                shards=shards,
-                shard_workers=shard_workers,
             )
         )
     return SweepResult(

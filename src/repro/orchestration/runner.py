@@ -152,18 +152,6 @@ class UnitPlan:
     step_budget_multiplier: float
     schedule: Optional[Tuple[Tuple[str, Any], ...]] = None  # ScheduleConfig form
     schedule_seed: int = 0
-    #: Replica-axis kernel threads for the runtime executor; ``None``
-    #: defers to ``REPRO_KERNEL_THREADS``.  A throughput dial only —
-    #: results are bit-identical for any value (hence not part of the
-    #: unit's identity or the scenario content hash).
-    threads: Optional[int] = None
-    #: Shard count for the shard-worker pool (:mod:`repro.sharding`);
-    #: like ``threads``, never part of the unit's identity.
-    shards: Optional[int] = None
-    #: Shard-worker process count for the fork-based pool
-    #: (``None``/``0`` = unsharded); a throughput dial only —
-    #: byte-identical for any value, never part of the unit's identity.
-    shard_workers: Optional[int] = None
 
     def build_graph(self) -> Graph:
         """The unit's interaction graph (served from the process memo)."""
@@ -219,9 +207,6 @@ def build_unit_plans(
                     else None
                 ),
                 schedule_seed=cell_schedule_seed,
-                threads=scenario.threads,
-                shards=scenario.shards,
-                shard_workers=scenario.shard_workers,
             )
         )
     return plans
@@ -257,9 +242,6 @@ def unit_plan_to_wire(plan: UnitPlan) -> Dict[str, Any]:
             }
         ),
         "schedule_seed": plan.schedule_seed,
-        "threads": plan.threads,
-        "shards": plan.shards,
-        "shard_workers": plan.shard_workers,
     }
 
 
@@ -291,11 +273,6 @@ def unit_plan_from_wire(wire: Dict[str, Any]) -> UnitPlan:
             )
         ),
         schedule_seed=int(wire.get("schedule_seed", 0)),
-        threads=(int(wire["threads"]) if wire.get("threads") is not None else None),
-        shards=(int(wire["shards"]) if wire.get("shards") is not None else None),
-        shard_workers=(
-            int(wire["shard_workers"]) if wire.get("shard_workers") is not None else None
-        ),
     )
 
 
@@ -334,9 +311,6 @@ def execute_unit_plan(plan: UnitPlan) -> Dict[str, Any]:
         engine=plan.engine,
         backend=plan.backend,
         schedule=schedule,
-        threads=plan.threads,
-        shards=plan.shards,
-        shard_workers=plan.shard_workers,
     )
     return unit_payload(plan, results, state_space)
 

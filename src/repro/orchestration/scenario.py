@@ -22,7 +22,7 @@ import functools
 import hashlib
 import inspect
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.seeds import derive_seed
@@ -300,28 +300,6 @@ class Scenario:
         never the per-trial seeds, hence never the results.
     engine / backend:
         Execution engine for the simulations.
-    threads:
-        Optional replica-axis kernel-thread dial, forwarded to every
-        execution plan the scenario produces (``None`` defers to
-        ``REPRO_KERNEL_THREADS`` at execution time, the pre-existing
-        behaviour).  Purely a throughput dial: results are bit-identical
-        for any value, so it is *excluded* from :meth:`config_dict` and
-        the content hash — cached results are shared across thread
-        counts, exactly as they are across worker counts.
-    shards:
-        Optional shard count for the shard-worker pool
-        (:mod:`repro.sharding`), forwarded to every execution plan the
-        scenario produces; without ``shard_workers`` it changes
-        nothing.  Results are bit-identical for any value (gated by
-        ``tests/test_sharding.py``), so like ``threads`` it is
-        *excluded* from :meth:`config_dict` and the content hash.
-    shard_workers:
-        Optional process count for the fork-based shard-worker pool
-        (``0``/``None`` = unsharded, the default).  Purely a throughput
-        dial riding on ``shards``: results are byte-identical for any
-        worker count and a plan the pool cannot serve runs unsharded,
-        so it too is *excluded* from :meth:`config_dict` and the
-        content hash.
     schedule:
         Optional declarative topology schedule (:class:`ScheduleConfig`).
         ``None`` (the default) runs on the static workload graph; a
@@ -349,9 +327,6 @@ class Scenario:
     trials_per_shard: int = 1
     engine: str = "auto"
     backend: str = "auto"
-    threads: Optional[int] = None
-    shards: Optional[int] = None
-    shard_workers: Optional[int] = None
     schedule: Optional[ScheduleConfig] = None
     description: str = ""
 
@@ -368,21 +343,6 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name!r}: repetitions must be positive")
         if self.trials_per_shard < 1:
             raise ScenarioError(f"scenario {self.name!r}: trials_per_shard must be positive")
-        if self.threads is not None:
-            object.__setattr__(self, "threads", int(self.threads))
-            if self.threads < 1:
-                raise ScenarioError(f"scenario {self.name!r}: threads must be positive")
-        if self.shards is not None:
-            object.__setattr__(self, "shards", int(self.shards))
-            if self.shards < 1:
-                raise ScenarioError(f"scenario {self.name!r}: shards must be positive")
-        if self.shard_workers is not None:
-            object.__setattr__(self, "shard_workers", int(self.shard_workers))
-            if self.shard_workers < 0:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: shard_workers must be non-negative "
-                    "(0 = unsharded)"
-                )
 
     # ------------------------------------------------------------------
     # Validation / construction
@@ -419,7 +379,17 @@ class Scenario:
         return self.schedule.build(base_graph, self.schedule_seed(size_index))
 
     def with_overrides(self, **overrides: Any) -> "Scenario":
-        """A copy with some fields replaced (CLI ``--sizes``/``--repetitions``)."""
+        """A copy with some fields replaced (CLI ``--sizes``/``--repetitions``).
+
+        Raises :class:`ScenarioError` naming any key that is not a field.
+        """
+        accepted = [f.name for f in fields(self)]
+        unknown = sorted(set(overrides) - set(accepted))
+        if unknown:
+            raise ScenarioError(
+                f"scenario {self.name!r} has no field {', '.join(map(repr, unknown))}; "
+                f"accepts: {', '.join(accepted)}"
+            )
         if "sizes" in overrides:
             overrides["sizes"] = tuple(int(s) for s in overrides["sizes"])
         return replace(self, **overrides)
@@ -433,11 +403,11 @@ class Scenario:
         The ``schedule`` key is present only on dynamic scenarios: static
         configs serialise exactly as they did before schedules existed,
         so their content hashes — and hence their cache directories —
-        are unchanged.  ``threads``, ``shards`` and ``shard_workers``
-        are deliberately absent: all three are execution dials that
-        never change measured values, so runs differing only in thread,
-        shard or shard-worker count share one cache directory (and one
-        canonical result).
+        are unchanged.  Every other field but ``description`` is here.
+        How many kernel threads or worker processes run a scenario is
+        not a field: it is set where the scenario runs
+        (``REPRO_KERNEL_THREADS``, ``jobs``), so runs that differ only
+        in those share one cache directory (and one canonical result).
         """
         config = {
             "name": self.name,
@@ -466,6 +436,8 @@ class Scenario:
         are part of the config hashed here even though engines are
         bit-identical; a cache entry therefore never outlives a semantics
         change, at the cost of re-running when only the engine differs.
+        Kernel-thread and worker counts never enter it: they are not
+        scenario fields.
         """
         from .. import __version__
         from ..runtime.source import REFILL_SIZE
@@ -495,13 +467,6 @@ class Scenario:
             trials_per_shard=int(config["trials_per_shard"]),
             engine=str(config["engine"]),
             backend=str(config["backend"]),
-            threads=(int(config["threads"]) if config.get("threads") is not None else None),
-            shards=(int(config["shards"]) if config.get("shards") is not None else None),
-            shard_workers=(
-                int(config["shard_workers"])
-                if config.get("shard_workers") is not None
-                else None
-            ),
             schedule=(
                 ScheduleConfig.from_dict(config["schedule"])
                 if config.get("schedule") is not None

@@ -154,7 +154,9 @@ class ResultStore:
         Age past which a concurrent writer's per-unit lockfile is
         presumed abandoned (hard-killed owner) and broken.  ``None``
         (the default) reads the ``REPRO_STORE_LOCK_TTL`` environment
-        variable, falling back to :data:`DEFAULT_LOCK_STALE_SECONDS`.
+        variable, falling back to :data:`DEFAULT_LOCK_STALE_SECONDS` when
+        it is unset or empty; any other value that is not a positive
+        number raises ``ValueError``.
     """
 
     def __init__(
@@ -164,13 +166,17 @@ class ResultStore:
     ) -> None:
         self.root = Path(root) if root is not None else Path(DEFAULT_CACHE_DIR)
         if lock_stale_seconds is None:
-            raw = os.environ.get(LOCK_TTL_ENV)
-            try:
-                lock_stale_seconds = (
-                    float(raw) if raw else DEFAULT_LOCK_STALE_SECONDS
-                )
-            except ValueError:
-                lock_stale_seconds = DEFAULT_LOCK_STALE_SECONDS
+            raw = os.environ.get(LOCK_TTL_ENV, "").strip()
+            lock_stale_seconds = DEFAULT_LOCK_STALE_SECONDS
+            if raw:
+                try:
+                    lock_stale_seconds = float(raw)
+                except ValueError:
+                    lock_stale_seconds = 0.0
+                if not lock_stale_seconds > 0:
+                    raise ValueError(
+                        f"{LOCK_TTL_ENV} must be a positive number of seconds, got {raw!r}"
+                    )
         if lock_stale_seconds <= 0:
             raise ValueError("lock_stale_seconds must be positive")
         self.lock_stale_seconds = float(lock_stale_seconds)

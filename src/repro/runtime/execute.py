@@ -36,7 +36,8 @@ plan, from the plan's inputs alone:
   wider-than-64-bit seeds, an explicit ``"scalar"`` backend, and hosts
   without the v6 kernel.  It keeps the historical lazy-compilation
   semantics, including the mid-run fallback to the reference
-  interpreter.  A ``backend="native"`` plan that reaches it raises.
+  interpreter, and the stack's one-leader precheck.  A
+  ``backend="native"`` plan that reaches it raises.
 * **reference** — the pure-Python interpreter (the semantic ground
   truth), for ``engine="reference"`` and for protocols that ``auto``
   declines to compile (among them a kernel-rule protocol whose plan the
@@ -157,7 +158,6 @@ def _group_plan(plan: ExecutionPlan, indices: List[int]) -> ExecutionPlan:
         max_states=plan.max_states,
         record_leader_trace=plan.record_leader_trace,
         trace_resolution=plan.trace_resolution,
-        threads=plan.threads,
     )
 
 
@@ -346,7 +346,11 @@ def _run_compiled_single(
     ``min(check_interval, remaining)`` batch sizes (so the scheduler's
     RNG stream is consumed identically), and the same certificate
     cadence.  Only the inner per-interaction application is replaced by
-    :class:`repro.engine.stepper.CompiledRun`.
+    :class:`repro.engine.stepper.CompiledRun`, and, as on the v6 stack,
+    a ``certificate_requires_unique_leader`` protocol's certificate is
+    evaluated only where exactly one leader is left (sound by claim 2
+    of the certificate audit, docs/ARCHITECTURE.md "Certificates, proven
+    by exhaustion").
 
     ``backend="native"`` names the v6 stack, so a plan that reaches this
     engine with it raises: ``RuntimeError`` on a host without the
@@ -391,7 +395,13 @@ def _run_compiled_single(
     stabilized = False
     certified_step = 0
     certificate_graph = schedule.union_graph() if schedule is not None else graph
-    if protocol.is_output_stable_configuration(states, certificate_graph):
+    # The v6 stack's one-leader precheck, the initial check included:
+    # with != 1 leaders the certificate cannot pass, so neither decode
+    # nor call it.
+    precheck = bool(getattr(protocol, "certificate_requires_unique_leader", False))
+    if (not precheck or run.leader_count == 1) and protocol.is_output_stable_configuration(
+        states, certificate_graph
+    ):
         stabilized = True
 
     if not stabilized and run.step < max_steps and scheduler is None:
@@ -401,7 +411,9 @@ def _run_compiled_single(
         batch = min(check_interval, max_steps - run.step)
         initiators, responders = scheduler.next_arrays(batch)
         run.apply_block(initiators, responders)
-        if protocol.is_output_stable_configuration(run.current_states(), certificate_graph):
+        if (not precheck or run.leader_count == 1) and protocol.is_output_stable_configuration(
+            run.current_states(), certificate_graph
+        ):
             stabilized = True
             certified_step = run.step
 
@@ -514,8 +526,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     replica_count = plan.n_replicas
     max_steps = plan.max_steps
     check_interval = plan.check_interval
-    threads = plan.threads if plan.threads is not None else kernel_thread_count()
-    threads = max(1, int(threads))
+    threads = kernel_thread_count()
 
     start_time = time.perf_counter()
     # Without ``inputs`` every node starts in one state: encode it once,

@@ -102,10 +102,6 @@ class ExecutionPlan:
     scheduler: Optional[Any] = None  # single-replica stream override (replay)
     record_leader_trace: bool = False
     trace_resolution: int = 64
-    #: Replica-axis kernel threads for the v6 stack executor; ``None``
-    #: defers to ``REPRO_KERNEL_THREADS`` at execution time.  Purely a
-    #: throughput dial — results are bit-identical for any value.
-    threads: Optional[int] = None
     #: Shard count for the shard-worker pool (:mod:`repro.sharding`);
     #: it takes effect only together with ``shard_workers``.  Results
     #: are bit-identical for any value.
@@ -184,7 +180,6 @@ def compile_plan(
     scheduler: Optional[Any] = None,
     record_leader_trace: bool = False,
     trace_resolution: int = 64,
-    threads: Optional[int] = None,
     shards: Optional[int] = None,
     shard_workers: Optional[int] = None,
     collect_shard_stats: bool = False,
@@ -195,7 +190,10 @@ def compile_plan(
     replica) and :func:`repro.engine.run_replicas` (stacks); ``seeds``
     supplies one scheduler seed (or generator) per replica and must match
     ``protocols`` in length.  See the module docstring for the engine
-    resolution rules.
+    resolution rules.  ``shards``/``shard_workers`` enter the shard-worker
+    pool (:mod:`repro.sharding`), which nothing above this function sets.
+    The v6 stack's thread count is not a plan input: it is
+    ``REPRO_KERNEL_THREADS``, read at execution time.
     """
     protocols = list(protocols)
     seeds = list(seeds)
@@ -211,8 +209,6 @@ def compile_plan(
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if backend not in BACKENDS:
         raise ValueError(f"unknown engine backend {backend!r}; expected one of {BACKENDS}")
-    if threads is not None and int(threads) < 1:
-        raise ValueError("threads must be positive")
     if shards is not None and int(shards) < 1:
         raise ValueError("shards must be positive")
     if shard_workers is not None and int(shard_workers) < 0:
@@ -280,7 +276,6 @@ def compile_plan(
         scheduler=scheduler,
         record_leader_trace=record_leader_trace,
         trace_resolution=trace_resolution,
-        threads=None if threads is None else int(threads),
         shards=None if shards is None else int(shards),
         shard_workers=None if shard_workers is None else int(shard_workers),
         collect_shard_stats=bool(collect_shard_stats),

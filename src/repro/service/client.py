@@ -152,15 +152,6 @@ class ServiceClient:
             submit: Dict[str, Any] = {"type": "submit", "cache": bool(cache)}
             if scenario is not None:
                 submit["config"] = scenario.config_dict()
-                # The execution dials are excluded from the canonical
-                # config (they never change measured values), so they
-                # travel as explicit frame keys instead.
-                if scenario.threads is not None:
-                    submit["threads"] = scenario.threads
-                if scenario.shards is not None:
-                    submit["shards"] = scenario.shards
-                if scenario.shard_workers is not None:
-                    submit["shard_workers"] = scenario.shard_workers
             else:
                 submit["name"] = name
                 if overrides:

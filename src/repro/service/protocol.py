@@ -19,7 +19,7 @@ frame                direction  meaning
                                 the server was started on port 0)
 ``reject``           S → peer   handshake or submit refused (``reason``)
 ``submit``           client→S   run a scenario (``config`` or ``name`` +
-                                ``overrides``; optional ``threads``, ``cache``)
+                                ``overrides``; optional ``cache``)
 ``accepted``         S→client   job admitted (``job_id``, ``total_units``,
                                 ``content_hash``, echoed ``config``)
 ``event``            S→client   one unit changed state (``unit``, ``state`` ∈

@@ -472,14 +472,6 @@ class JobServer:
                     scenario = scenario.with_overrides(**overrides)
             else:
                 raise ScenarioError("submit needs a scenario 'config' or 'name'")
-            if frame.get("threads") is not None:
-                scenario = scenario.with_overrides(threads=int(frame["threads"]))
-            if frame.get("shards") is not None:
-                scenario = scenario.with_overrides(shards=int(frame["shards"]))
-            if frame.get("shard_workers") is not None:
-                scenario = scenario.with_overrides(
-                    shard_workers=int(frame["shard_workers"])
-                )
             scenario.validate()
         except (ScenarioError, KeyError, TypeError, ValueError) as error:
             await self._best_effort(writer, {"type": "reject", "reason": str(error)})

@@ -35,14 +35,17 @@ class TestParser:
         assert (serve.command, serve.port, serve.local_workers) == ("serve", 7070, 2)
         worker = parser.parse_args(["worker", "--connect", "10.0.0.5:7070"])
         assert (worker.command, worker.connect) == ("worker", "10.0.0.5:7070")
-        submit = parser.parse_args(
-            ["submit", "--connect", "h:1", "--scenario", "clique-n100", "--threads", "4"]
-        )
-        assert (submit.command, submit.scenario, submit.threads) == (
-            "submit",
-            "clique-n100",
-            4,
-        )
+        submit = parser.parse_args(["submit", "--connect", "h:1", "--scenario", "clique-n100"])
+        assert (submit.command, submit.scenario) == ("submit", "clique-n100")
+
+    @pytest.mark.parametrize("flag", ["--threads", "--shards", "--shard-workers"])
+    @pytest.mark.parametrize("command", ["sweep", "submit"])
+    def test_execution_dials_are_not_options(self, command, flag):
+        argv = [command, "--scenario", "table1-stars", flag, "2"]
+        if command == "submit":
+            argv[1:1] = ["--connect", "h:1"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_worker_requires_endpoint(self):
         with pytest.raises(SystemExit):

@@ -330,6 +330,7 @@ def test_dynamic_plans_on_v6_match_reference(schedule_kind, protocol_kind, monke
 
     monkeypatch.setattr(execute_module, "_execute_stack_v6", spy)
     for width, budget_kind, threads in _V6_RUNS:
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", str(threads))
         budget = _v6_budget(schedule, budget_kind)
         seeds = [derive_seed(20261017, schedule_kind, protocol_kind, r) for r in range(width)]
         where = f"{schedule_kind}/{protocol_kind} width {width}, budget {budget}, {threads} threads"
@@ -338,7 +339,7 @@ def test_dynamic_plans_on_v6_match_reference(schedule_kind, protocol_kind, monke
             protocols = [build_protocol(graph)] * width
             plan = compile_plan(
                 protocols, graph, seeds, max_steps=budget, engine=chosen,
-                schedule=schedule, threads=threads,
+                schedule=schedule,
             )
             return [result_tuple(r) for r in execute_plan(plan)]
 

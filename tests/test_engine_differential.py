@@ -19,16 +19,16 @@ in isolation.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.analytics.epidemics import run_epidemic_batch
+import repro.analytics.epidemics as epidemics_module
+import repro.engine.native as native
+from repro.analytics.epidemics import run_epidemic_batch, run_influence_batch
 from repro.core.seeds import derive_seed
 from repro.core.simulator import run_leader_election
 from repro.dynamics import EpochSchedule
-from repro.engine.native import get_run_epoch_kernel
+from repro.engine.native import MAX_KERNEL_THREADS, get_run_epoch_kernel, kernel_thread_count
 from repro.engine.replicas import run_replicas
 from repro.graphs import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
@@ -186,7 +186,7 @@ _THREAD_PROTOCOLS = {
 
 @pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
 @pytest.mark.parametrize("protocol_kind", sorted(_THREAD_PROTOCOLS))
-def test_thread_counts_bit_identical(protocol_kind):
+def test_thread_counts_bit_identical(protocol_kind, monkeypatch):
     """1, 2 and 8 kernel threads produce identical stack results.
 
     Threading only partitions independent replica rows, so every field of
@@ -198,22 +198,21 @@ def test_thread_counts_bit_identical(protocol_kind):
     max_steps = 60_000
     outcomes = {}
     for threads in (1, 2, 8):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", str(threads))
         protocol = _THREAD_PROTOCOLS[protocol_kind](graph)
-        results = run_replicas(
-            protocol, graph, seeds, max_steps=max_steps, threads=threads
-        )
+        results = run_replicas(protocol, graph, seeds, max_steps=max_steps)
         outcomes[threads] = [_result_tuple(result) for result in results]
     assert outcomes[2] == outcomes[1], f"{protocol_kind}: 2 threads != 1 thread"
     assert outcomes[8] == outcomes[1], f"{protocol_kind}: 8 threads != 1 thread"
 
 
 @pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-def test_thread_env_invariance_dynamic_schedule():
+def test_thread_env_invariance_dynamic_schedule(monkeypatch):
     """REPRO_KERNEL_THREADS never changes measured values, dynamic included.
 
     The dynamic schedule rides the v6 stack's epoch switches and the
     analytics batch rides the epoch kernels; both must ignore the thread
-    dial in everything but wall time.
+    count in everything but wall time.
     """
     graph = clique(16)
     n = graph.n_nodes
@@ -230,10 +229,57 @@ def test_thread_env_invariance_dynamic_schedule():
         batch = run_epidemic_batch(graph, sources, traj_seeds, 500_000, schedule=schedule)
         return _result_tuple(sim), batch.tolist()
 
+    monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
     baseline = run_everything()
     for threads in ("2", "8"):
-        os.environ["REPRO_KERNEL_THREADS"] = threads
-        try:
-            assert run_everything() == baseline, f"{threads} threads changed results"
-        finally:
-            del os.environ["REPRO_KERNEL_THREADS"]
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", threads)
+        assert run_everything() == baseline, f"{threads} threads changed results"
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+def test_thread_setting_reaches_every_kernel(monkeypatch):
+    """``REPRO_KERNEL_THREADS`` is the thread argument of all three kernels.
+
+    Each getter is wrapped where its stack looks it up, and each kernel
+    call records its last argument, the thread count.
+    """
+    received = {}
+
+    def spy_on(module, getter_name, kernel_name):
+        kernel = getattr(module, getter_name)()
+
+        def spying_kernel(*args):
+            received.setdefault(kernel_name, []).append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(module, getter_name, lambda: spying_kernel)
+
+    spy_on(native, "get_run_epoch_kernel", "repro_run_epoch")
+    spy_on(epidemics_module, "get_broadcast_epoch_kernel", "repro_broadcast_epoch")
+    spy_on(epidemics_module, "get_influence_epoch_kernel", "repro_influence_epoch")
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+    graph = clique(12)
+    seeds = [derive_seed(MASTER_SEED, "thread-spy", r) for r in range(4)]
+    run_replicas(TokenLeaderElection(), graph, seeds, max_steps=20_000)
+    run_epidemic_batch(graph, [0, 1, 2, 3], seeds, 100_000)
+    run_influence_batch(graph, seeds, 100_000)
+    assert set(received) == {"repro_run_epoch", "repro_broadcast_epoch", "repro_influence_epoch"}
+    assert all(threads == [3] * len(threads) for threads in received.values()), received
+
+
+@pytest.mark.parametrize("raw", ["four", "2.5", "0", "-3"])
+def test_thread_setting_rejects_malformed_and_non_positive_values(raw, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", raw)
+    with pytest.raises(ValueError, match=f"REPRO_KERNEL_THREADS.*{raw!r}"):
+        kernel_thread_count()
+
+
+def test_thread_setting_defaults_to_one_and_clamps(monkeypatch):
+    monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
+    assert kernel_thread_count() == 1
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", " ")
+    assert kernel_thread_count() == 1
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+    assert kernel_thread_count() == 3
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", str(MAX_KERNEL_THREADS + 1))
+    assert kernel_thread_count() == MAX_KERNEL_THREADS

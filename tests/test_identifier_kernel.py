@@ -249,21 +249,26 @@ def _seeds(case, replicas):
     return seeds
 
 
-def _plans(graph_kind, width_kind, budget, replicas, threads, engine):
+def _plans(graph_kind, width_kind, budget, replicas, threads, engine, monkeypatch):
+    """The case's plan; its kernel thread count is set for the test's duration."""
     case = (graph_kind, width_kind, budget, replicas, threads)
     graph = _GRAPHS[graph_kind](derive_seed(MASTER_SEED, "graph", graph_kind))
     protocol = _WIDTHS[width_kind](graph)
     max_steps = _BUDGETS[budget](default_check_interval(graph))
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", str(threads))
     return compile_plan(
         [protocol] * replicas, graph, _seeds(case, replicas),
-        max_steps=max_steps, engine=engine, threads=threads,
+        max_steps=max_steps, engine=engine,
     )
 
 
 def _assert_rule_plan_matches_reference(case, monkeypatch):
-    plan = _plans(*case, engine="auto")
+    plan = _plans(*case, engine="auto", monkeypatch=monkeypatch)
     assert plan.mode == "shared" and isinstance(plan.compiled, IdentifierKernelRule)
-    reference = [_result_tuple(r) for r in execute_plan(_plans(*case, engine="reference"))]
+    reference = [
+        _result_tuple(r)
+        for r in execute_plan(_plans(*case, engine="reference", monkeypatch=monkeypatch))
+    ]
     calls = _spy_on_reference(monkeypatch)
     assert [_result_tuple(r) for r in execute_plan(plan)] == reference, case
     assert calls == [], "a rule plan reached the reference interpreter"
@@ -305,14 +310,16 @@ def test_distinct_codes_fold_without_np_unique(monkeypatch):
     monkeypatch.setattr(execute_module, "_LOG_CAPACITY", 5)
     reference = [
         _result_tuple(r)
-        for r in execute_plan(_plans("torus", "k2", "full", 3, 1, engine="reference"))
+        for r in execute_plan(
+            _plans("torus", "k2", "full", 3, 1, engine="reference", monkeypatch=monkeypatch)
+        )
     ]
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called in the v6 stack")
 
     monkeypatch.setattr(np, "unique", refuse)
-    plan = _plans("torus", "k2", "full", 3, 1, engine="auto")
+    plan = _plans("torus", "k2", "full", 3, 1, engine="auto", monkeypatch=monkeypatch)
     assert [_result_tuple(r) for r in execute_plan(plan)] == reference
 
 

@@ -182,28 +182,6 @@ class TestBitIdentity:
         second = run_scenario(scenario, jobs=2, cache_dir=tmp_path)
         assert second.canonical_json() == first.canonical_json()
 
-    def test_threads_dial_bit_identical_and_shares_cache(self, tmp_path):
-        """``threads=`` is a throughput dial: same bytes, same cache dir."""
-        plain = token_clique_scenario()
-        threaded = token_clique_scenario(threads=2)
-        assert threaded.content_hash() == plain.content_hash()
-        assert "threads" not in threaded.config_dict()
-        first = run_scenario(plain, jobs=1, cache_dir=tmp_path)
-        second = run_scenario(threaded, jobs=1, cache_dir=tmp_path)
-        assert second.cache_hits == second.total_units  # shared store
-        assert second.canonical_json() == first.canonical_json()
-
-    def test_threads_flow_into_unit_plans(self):
-        from repro.orchestration import build_unit_plans
-
-        scenario = token_clique_scenario(threads=3)
-        plans = build_unit_plans(scenario, build_work_units(scenario))
-        assert all(plan.threads == 3 for plan in plans)
-        plain = build_unit_plans(
-            token_clique_scenario(), build_work_units(token_clique_scenario())
-        )
-        assert all(plan.threads is None for plan in plain)
-
 
 class TestCacheBehaviour:
     def test_completed_scenario_served_entirely_from_cache(self, tmp_path, monkeypatch):

@@ -197,6 +197,8 @@ class TestLockTTLConfiguration:
     def test_default_ttl(self, monkeypatch, tmp_path):
         monkeypatch.delenv(LOCK_TTL_ENV, raising=False)
         assert ResultStore(tmp_path).lock_stale_seconds == DEFAULT_LOCK_STALE_SECONDS
+        monkeypatch.setenv(LOCK_TTL_ENV, "")
+        assert ResultStore(tmp_path).lock_stale_seconds == DEFAULT_LOCK_STALE_SECONDS
 
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv(LOCK_TTL_ENV, "7.5")
@@ -206,9 +208,16 @@ class TestLockTTLConfiguration:
         monkeypatch.setenv(LOCK_TTL_ENV, "7.5")
         assert ResultStore(tmp_path, lock_stale_seconds=120.0).lock_stale_seconds == 120.0
 
-    def test_unparseable_env_falls_back_to_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(LOCK_TTL_ENV, "soon")
-        assert ResultStore(tmp_path).lock_stale_seconds == DEFAULT_LOCK_STALE_SECONDS
+    def test_unparseable_env_rejected(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(LOCK_TTL_ENV, "abc")
+        with pytest.raises(ValueError, match=f"{LOCK_TTL_ENV}.*'abc'"):
+            ResultStore(tmp_path)
+
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_non_positive_env_rejected(self, monkeypatch, tmp_path, raw):
+        monkeypatch.setenv(LOCK_TTL_ENV, raw)
+        with pytest.raises(ValueError, match=f"{LOCK_TTL_ENV}.*{raw!r}"):
+            ResultStore(tmp_path)
 
     def test_non_positive_ttl_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):

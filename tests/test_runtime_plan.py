@@ -24,6 +24,7 @@ import pytest
 
 import repro.engine.native as native
 import repro.runtime.execute as execute_module
+from repro.core.protocol import LEADER
 from repro.core.scheduler import RandomScheduler
 from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, default_check_interval
@@ -535,6 +536,40 @@ def test_v6_step_zero_certificate_behind_the_one_leader_precheck(case, monkeypat
     at_start = case == "one-candidate"
     assert [(r[0], r[1] == 0) for r in reference] == [(True, at_start)] * len(seeds)
     assert (kernel_calls == []) == at_start
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_ZERO_CASES))
+def test_per_replica_certificate_behind_the_one_leader_precheck(case, monkeypatch):
+    """The per-replica engine applies the stack's one-leader precheck, at
+    step 0 and at every boundary after it: a precheck protocol's
+    certificate sees only configurations with exactly one leader.  A
+    protocol without the precheck is certified at every boundary.
+    Results equal the reference interpreter's."""
+    make, inputs_of, _ = _STEP_ZERO_CASES[case]
+    graph = torus(5, 5)
+    seeds = [derive_seed(MASTER_SEED, "per-replica-precheck", r) for r in range(2)]
+
+    def plan(engine, backend):
+        return compile_plan(
+            [make()] * len(seeds), graph, seeds, max_steps=50_000,
+            inputs=inputs_of(graph), engine=engine, backend=backend,
+        )
+
+    reference = [_result_tuple(r) for r in execute_plan(plan("reference", "auto"))]
+    leaders_seen = []
+    certificate = TokenLeaderElection.is_output_stable_configuration
+
+    def counting_certificate(self, states, graph):
+        leaders_seen.append(sum(1 for state in states if self.output(state) == LEADER))
+        return certificate(self, states, graph)
+
+    monkeypatch.setattr(TokenLeaderElection, "is_output_stable_configuration", counting_certificate)
+    assert [_result_tuple(r) for r in execute_plan(plan("compiled", "scalar"))] == reference
+    assert all(r[0] for r in reference)
+    if make.certificate_requires_unique_leader:
+        assert leaders_seen and set(leaders_seen) == {1}, leaders_seen
+    else:
+        assert max(leaders_seen) > 1
 
 
 def _dynamic_schedule(graph):

@@ -121,6 +121,11 @@ class TestScenario:
         assert scenario.repetitions == 4
         assert scenario.name == "tiny"
 
+    @pytest.mark.parametrize("key", ["threads", "shards", "shard_workers"])
+    def test_with_overrides_rejects_unknown_fields_by_name(self, key):
+        with pytest.raises(ScenarioError, match=f"no field '{key}'.*accepts: name, "):
+            tiny_scenario().with_overrides(**{key: 2})
+
 
 class TestRegistry:
     def test_table1_families_reregistered(self):

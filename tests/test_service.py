@@ -127,16 +127,6 @@ class TestByteIdentity:
         assert resumed.cache_hits == resumed.total_units
         assert resumed.canonical_json() == first.canonical_json()
 
-    def test_threads_dial_does_not_change_bytes(self, tmp_path):
-        local = run_scenario(star_scenario(), jobs=1, cache=False)
-        threaded = star_scenario(threads=2)
-
-        async def submit(server, host, port):
-            return await ServiceClient(host, port).submit_async(threaded)
-
-        remote = run_service(submit, cache_dir=tmp_path / "server")
-        assert remote.canonical_json() == local.canonical_json()
-
     def test_local_workers_equivalent_to_remote(self, tmp_path):
         scenario = star_scenario()
         local = run_scenario(scenario, jobs=1, cache=False)
@@ -178,6 +168,15 @@ class TestSubmissionByName:
             with pytest.raises(ServiceError, match="rejected"):
                 await ServiceClient(host, port).submit_async(
                     name="clique-n100", overrides={"repetitions": -1}
+                )
+
+        run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
+
+    def test_unknown_override_rejected_by_name(self, tmp_path):
+        async def submit(server, host, port):
+            with pytest.raises(ServiceError, match="rejected: .*no field 'threads'"):
+                await ServiceClient(host, port).submit_async(
+                    name="clique-n100", overrides={"threads": 2}
                 )
 
         run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
@@ -478,7 +477,7 @@ class TestResiliencePaths:
 
 class TestWireFormat:
     def test_unit_plan_round_trip(self):
-        scenario = star_scenario(threads=3)
+        scenario = star_scenario()
         plans = build_unit_plans(scenario, build_work_units(scenario))
         for plan in plans:
             wire = json.loads(json.dumps(unit_plan_to_wire(plan)))

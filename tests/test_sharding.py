@@ -359,41 +359,12 @@ class TestRoutedSource:
 
 
 class TestScenarioDial:
-    def test_shards_excluded_from_content_hash(self):
-        from repro.orchestration import get_scenario
-
-        scenario = get_scenario("table1-clique")
-        assert scenario.with_overrides(shards=4).content_hash() == scenario.content_hash()
-
     def test_torus_million_registered(self):
         from repro.orchestration import get_scenario
 
         scenario = get_scenario("torus-million")
         scenario.validate()
         assert scenario.sizes == (1_000_000,)
-        assert scenario.shards is None
-
-    def test_unit_plan_wire_round_trip_carries_shards(self):
-        from repro.orchestration.runner import (
-            build_unit_plans,
-            build_work_units,
-            unit_plan_from_wire,
-            unit_plan_to_wire,
-        )
-        from repro.orchestration.scenario import Scenario
-
-        scenario = Scenario(
-            name="wire-shards",
-            workload="cycle",
-            sizes=(12,),
-            repetitions=2,
-            shards=3,
-        )
-        units = build_work_units(scenario)
-        plans = build_unit_plans(scenario, units)
-        assert plans and all(plan.shards == 3 for plan in plans)
-        for plan in plans:
-            assert unit_plan_from_wire(unit_plan_to_wire(plan)) == plan
 
 
 class TestSpanSchedule:
@@ -669,25 +640,7 @@ class TestShardStats:
 
 
 class TestShardWorkersDial:
-    def test_shard_workers_excluded_from_content_hash(self):
-        from repro.orchestration import get_scenario
-
-        scenario = get_scenario("table1-clique")
-        assert (
-            scenario.with_overrides(shards=4, shard_workers=4).content_hash()
-            == scenario.content_hash()
-        )
-
     def test_negative_shard_workers_rejected(self):
-        from repro.orchestration.scenario import Scenario, ScenarioError
-
-        with pytest.raises(ScenarioError, match="shard_workers"):
-            Scenario(
-                name="bad-workers",
-                workload="cycle",
-                sizes=(12,),
-                shard_workers=-1,
-            )
         with pytest.raises(ValueError, match="shard_workers"):
             compile_plan(
                 [TokenLeaderElection()],
@@ -696,26 +649,3 @@ class TestShardWorkersDial:
                 max_steps=100,
                 shard_workers=-2,
             )
-
-    def test_unit_plan_wire_round_trip_carries_shard_workers(self):
-        from repro.orchestration.runner import (
-            build_unit_plans,
-            build_work_units,
-            unit_plan_from_wire,
-            unit_plan_to_wire,
-        )
-        from repro.orchestration.scenario import Scenario
-
-        scenario = Scenario(
-            name="wire-shard-workers",
-            workload="cycle",
-            sizes=(12,),
-            repetitions=2,
-            shards=3,
-            shard_workers=2,
-        )
-        units = build_work_units(scenario)
-        plans = build_unit_plans(scenario, units)
-        assert plans and all(plan.shard_workers == 2 for plan in plans)
-        for plan in plans:
-            assert unit_plan_from_wire(unit_plan_to_wire(plan)) == plan
