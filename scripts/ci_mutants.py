@@ -81,6 +81,8 @@ TOKEN_ON_TRIANGLE = (
 )
 BROKEN_CERTIFICATE = ("tests/test_certificate_audit.py::test_audit_reports_a_broken_certificate",)
 STORE = "src/repro/orchestration/store.py"
+RUNNER = "src/repro/orchestration/runner.py"
+CELLS = "tests/test_orchestrator.py::TestCellPreparation"
 
 
 @dataclass(frozen=True)
@@ -219,9 +221,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "v6-initial-codes-np-unique",
         EXECUTE,
-        "        present = (np.bincount(initial_codes, minlength=rule.stride) > 0).astype(np.uint8)",
+        "        return (np.bincount(codes, minlength=rule.stride) > 0).astype(np.uint8)",
         "        present = np.zeros(rule.stride, dtype=np.uint8)\n"
-        "        present[np.unique(initial_codes)] = 1",
+        "        present[np.unique(codes)] = 1\n"
+        "        return present",
         ("tests/test_runtime_plan.py::test_v6_setup_counts_initial_states_without_np_unique",),
     ),
     # -- Graph build: in-place torus, one edge pass and its NumPy twin --
@@ -318,8 +321,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "v6-uniform-start-builds-initial-states",
         EXECUTE,
-        "        [protocol.initial_state(None)] if uniform else plan.initial_states()",
-        "        plan.initial_states()[:1] if uniform else plan.initial_states()",
+        "            rule, protocol.initial_state(None)\n",
+        "            rule, plan.initial_states()[0]\n",
         STEP_ZERO,
     ),
     # -- Topology schedules and key groups on the v6 stack -------------
@@ -607,6 +610,31 @@ MUTANTS: Tuple[Mutant, ...] = (
         "                    )\n",
         "",
         ("tests/test_result_store.py::TestLockTTLConfiguration",),
+    ),
+    # -- Each sweep cell prepared once; rule-only set-up kept on the rule
+    Mutant(
+        "cell-units-share-first-protocol",
+        RUNNER,
+        "        [cell.protocols[trial] for trial in range(plan.trial_lo, plan.trial_hi)],",
+        "        [next(iter(cell.protocols.values()))] * (plan.trial_hi - plan.trial_lo),",
+        (f"{CELLS}::test_every_placement_and_shard_size_is_byte_identical",),
+    ),
+    Mutant(
+        "store-served-units-prepared",
+        RUNNER,
+        "            for unit, plan in zip(pending, plans):",
+        "            for unit, plan in zip(units, build_unit_plans(scenario, units)):",
+        (
+            f"{CELLS}::test_cells_served_from_the_store_prepare_nothing",
+            f"{CELLS}::test_a_partly_stored_cell_prepares_only_its_missing_trials",
+        ),
+    ),
+    Mutant(
+        "start-cache-ignores-state",
+        EXECUTE,
+        "    start = rule.starts.get(state)\n",
+        "    start = next(iter(rule.starts.values()), None)\n",
+        ("tests/test_runtime_plan.py::test_v6_uniform_starts_are_kept_per_state_and_read_only",),
     ),
 )
 

@@ -1,15 +1,17 @@
 #!/usr/bin/env python
 """CI gate: every execution placement is byte-identical to the serial path.
 
-Runs a tiny two-protocol scenario three times through the stack —
+Runs a tiny four-protocol scenario three times through the stack —
 
-* serially (``jobs=1``),
+* serially (``jobs=1``), which prepares each (protocol, size) cell once
+  for all of its units,
 * split over two fork-worker processes (``jobs=2``),
 * through the simulation service: an in-process job server with two
-  *remote* workers connected over real sockets on localhost,
+  *remote* workers connected over real sockets on localhost
 
-with the result store disabled for the local placements and a throwaway
-store for the server (CI must never read from or populate
+(both parallel placements prepare every unit alone), with the result
+store disabled for the local placements and a throwaway store for the
+server (CI must never read from or populate
 ``.repro_cache/``; cached results would mask a divergence, which is
 exactly what this job exists to catch).  All three canonical JSON
 aggregates must match byte for byte.  The shard-worker pool is entered
@@ -58,7 +60,12 @@ def main() -> int:
         name="ci-parallel-equivalence",
         workload="clique",
         sizes=(10, 14),
-        protocols=(ProtocolConfig("token"), ProtocolConfig("star")),
+        protocols=(
+            ProtocolConfig("token"),
+            ProtocolConfig("star"),
+            ProtocolConfig("identifier"),
+            ProtocolConfig("fast"),
+        ),
         repetitions=4,
         seed=2022,
     )

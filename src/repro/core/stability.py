@@ -26,7 +26,7 @@ precheck behind which the v6 stack skips them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 from .protocol import LEADER, PopulationProtocol
@@ -110,17 +110,29 @@ def _explore(
     order, per configuration the indices of those with an ordered
     interaction leading to it (one entry per interaction), and the first
     new configuration that ``stop`` accepted (``None`` when it accepted
-    none; the edges are then complete).
+    none; the edges are then complete).  A protocol with
+    ``cacheable_transitions`` has its transition computed once per
+    ordered state pair, as in the reference interpreter.
     """
     start = _configuration(states, graph)
     pairs = all_ordered_pairs(graph)
     index = {start: 0}
     order = [start]
     predecessors: List[List[int]] = [[]]
+    transition = protocol.transition
+    memo: Optional[Dict[Tuple[Hashable, Hashable], Tuple[Hashable, Hashable]]] = (
+        {} if protocol.cacheable_transitions else None
+    )
     for i, current in enumerate(order):  # appending while iterating: a BFS queue
         for initiator, responder in pairs:
             a, b = current[initiator], current[responder]
-            new_a, new_b = protocol.transition(a, b)
+            if memo is None:
+                new_a, new_b = transition(a, b)
+            else:
+                step = memo.get((a, b))
+                if step is None:
+                    step = memo[a, b] = transition(a, b)
+                new_a, new_b = step
             if new_a == a and new_b == b:
                 continue
             nxt = list(current)

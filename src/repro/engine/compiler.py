@@ -106,6 +106,9 @@ class CompiledProtocol:
         #: exact no-op, else ``(na, nb, dl, chg)``.
         self.scalar: Dict[int, Optional[Tuple[int, int, int, int]]] = {}
         self._leader_np = np.zeros(self._K, dtype=bool)
+        #: The v6 stack's uniform starts, per initial state
+        #: (:func:`repro.runtime.execute._uniform_start`).
+        self.starts: Dict[Hashable, Tuple[np.ndarray, int, np.ndarray]] = {}
 
         enumerated = protocol.enumerate_states()
         if enumerated is not None:
@@ -279,6 +282,8 @@ _keyed_cache: Dict[Hashable, CompiledProtocol] = {}
 _instance_cache: "weakref.WeakKeyDictionary[PopulationProtocol, CompiledProtocol]" = (
     weakref.WeakKeyDictionary()
 )
+#: :func:`compilation_worthwhile`'s answer per ``(compile_key, max_states)``.
+_worthwhile_cache: Dict[Tuple[Hashable, Optional[int]], bool] = {}
 
 
 def compile_protocol(
@@ -317,6 +322,7 @@ def clear_compilation_cache() -> None:
     """Drop all cached compiled protocols (tests, memory pressure)."""
     _keyed_cache.clear()
     _instance_cache.clear()
+    _worthwhile_cache.clear()
 
 
 def compilation_worthwhile(
@@ -332,9 +338,24 @@ def compilation_worthwhile(
     within the table bound.  ``engine="compiled"`` ignores this heuristic,
     and ``compile_plan`` consults it only for protocols whose plan does
     not run on a kernel rule.
+
+    Instances with equal ``compile_key`` share one answer per
+    ``max_states``, memoised until :func:`clear_compilation_cache`: the
+    enumeration it looks at (136 states for the fast protocol on a
+    36-node regular graph) is built once per key, not once per plan.
     """
     if not protocol.cacheable_transitions:
         return False
+    key = protocol.compile_key()
+    if key is None:
+        return _enumerable_within(protocol, max_states)
+    answer = _worthwhile_cache.get((key, max_states))
+    if answer is None:
+        answer = _worthwhile_cache[key, max_states] = _enumerable_within(protocol, max_states)
+    return answer
+
+
+def _enumerable_within(protocol: PopulationProtocol, max_states: Optional[int]) -> bool:
     if protocol.enumerate_states() is not None:
         return True
     size = protocol.state_space_size()

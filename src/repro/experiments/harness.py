@@ -308,8 +308,8 @@ def run_measurement_trials(
     persists it alongside the trial records).
     """
     run_seeds = trial_seeds(seed, trial_indices)
-    return run_trials_with_seeds(
-        spec,
+    return run_protocol_trials(
+        build_trial_protocols(spec, graph, run_seeds),
         graph,
         run_seeds,
         max_steps=max_steps,
@@ -319,8 +319,27 @@ def run_measurement_trials(
     )
 
 
-def run_trials_with_seeds(
-    spec: ProtocolSpec,
+def build_trial_protocols(
+    spec: ProtocolSpec, graph: Graph, run_seeds: Sequence[int]
+) -> List[PopulationProtocol]:
+    """One protocol instance per trial seed, built in one call where possible.
+
+    With more than one seed a spec's ``batch_factory`` builds them all at
+    once (the fast protocol runs every trial's ``B(G)`` epidemics in one
+    replica stack); otherwise ``factory`` runs once per seed.  Entry
+    ``i`` is the protocol ``spec.factory(graph, run_seeds[i])`` builds, so
+    how seeds are grouped into calls never changes a result.  The
+    orchestrator builds a whole sweep cell's protocols in one call and
+    runs each unit's share through :func:`run_protocol_trials`.
+    """
+    run_seeds = list(run_seeds)
+    if spec.batch_factory is not None and len(run_seeds) > 1:
+        return spec.batch_factory(graph, run_seeds)
+    return [spec.factory(graph, run_seed) for run_seed in run_seeds]
+
+
+def run_protocol_trials(
+    protocols: Sequence[PopulationProtocol],
     graph: Graph,
     run_seeds: Sequence[int],
     max_steps: Optional[int] = None,
@@ -328,30 +347,20 @@ def run_trials_with_seeds(
     backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
 ) -> Tuple[List[SimulationResult], Optional[int]]:
-    """Execute trials whose scheduler seeds are already derived.
+    """Execute trials whose protocols are already built, one per seed.
 
-    This is the seed-level entry point the orchestrator ships to its
-    worker shards (a unit plan carries explicit seeds, so workers never
-    re-derive them); :func:`run_measurement_trials` is the index-level
-    wrapper.  Protocol instantiation still happens here — the fast
-    protocol's ``batch_factory`` runs all trials' ``B(G)`` epidemics in
-    one replica stack — and execution goes through a single
-    :class:`~repro.runtime.plan.ExecutionPlan`: one engine resolution,
-    one shared table set, and by default the replica-batched stack that
-    advances every trial of the measurement in lockstep blocks, on
-    static and dynamic topologies alike (trials whose protocol instances
-    differ in ``compile_key`` run as one stack per key; the reference
-    engine runs trial by trial).  Results are bit-identical for every
-    execution strategy.
+    Execution goes through a single :class:`~repro.runtime.plan.ExecutionPlan`:
+    one engine resolution, one shared table set, and by default the
+    replica-batched stack that advances every trial in lockstep blocks,
+    on static and dynamic topologies alike (trials whose protocol
+    instances differ in ``compile_key`` run as one stack per key; the
+    reference engine runs trial by trial).  Results are bit-identical for
+    every execution strategy.  Returns the results and the first
+    protocol's declared state-space size.
     """
-    run_seeds = list(run_seeds)
-    if spec.batch_factory is not None and len(run_seeds) > 1:
-        protocols = spec.batch_factory(graph, run_seeds)
-    else:
-        protocols = [spec.factory(graph, run_seed) for run_seed in run_seeds]
-    state_space = protocols[0].state_space_size() if protocols else None
+    protocols = list(protocols)
     if not protocols:
-        return [], state_space
+        return [], None
     from ..runtime import compile_plan, execute_plan
 
     budget = max_steps if max_steps is not None else default_max_steps(graph.n_nodes)
@@ -364,7 +373,7 @@ def run_trials_with_seeds(
         backend=backend,
         schedule=schedule,
     )
-    return execute_plan(plan), state_space
+    return execute_plan(plan), protocols[0].state_space_size()
 
 
 def measure_protocol_on_graph(

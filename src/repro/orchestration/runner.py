@@ -12,6 +12,12 @@ workers execute what they are shipped instead of re-deriving
 spec/engine/schedule per unit, and the actual trial execution goes
 through the same :mod:`repro.runtime` plans as direct harness calls.
 
+An in-process run prepares each **cell** once for all of its pending
+units (:func:`prepare_cell`: graph, spec, schedule and every pending
+trial's protocol, the fast protocol's ``B(G)`` calibration as one
+stack), then executes and stores the units one by one; a pool or
+service worker prepares the one unit it is sent.
+
 Bit-identity is the design invariant.  Trial ``t`` of cell ``(p, i)``
 always runs with scheduler seed ``trial_seed(measure_seed(seed, i), t)``
 and a graph built from ``graph_seed(seed, i)`` (see
@@ -42,15 +48,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.protocol import PopulationProtocol
 from ..core.seeds import graph_seed, measure_seed, trial_seeds
+from ..dynamics.schedule import TopologySchedule
 from ..experiments.harness import (
     DegenerateSweepError,
     Measurement,
     ProtocolSpec,
     SweepResult,
+    build_trial_protocols,
     default_step_budget,
     measurement_from_records,
-    run_trials_with_seeds,
+    run_protocol_trials,
     trial_record_from_result,
 )
 from ..experiments.workloads import get_workload
@@ -293,24 +302,67 @@ def unit_payload(plan: UnitPlan, results: Sequence[Any], state_space: Optional[i
     }
 
 
-def execute_unit_plan(plan: UnitPlan) -> Dict[str, Any]:
-    """Run one unit plan and return its JSON-native payload."""
-    graph = plan.build_graph()
-    spec = plan.build_spec()
+@dataclass(frozen=True)
+class PreparedCell:
+    """What the pending units of one (protocol, size) cell share.
+
+    Built once per cell by :func:`prepare_cell`: the graph, the topology
+    schedule and the step budget depend on the cell alone, and
+    ``protocols`` maps each prepared trial index to its protocol.
+    """
+
+    graph: Graph
+    schedule: Optional[TopologySchedule]
+    max_steps: int
+    protocols: Dict[int, PopulationProtocol]
+
+
+def prepare_cell(plans: Sequence[UnitPlan]) -> PreparedCell:
+    """Prepare the units ``plans`` of one cell, once for all of them.
+
+    The spec, graph and schedule are built once, and every trial's
+    protocol in one :func:`~repro.experiments.harness.build_trial_protocols`
+    call (the fast protocol's ``B(G)`` calibration becomes one stack for
+    the cell instead of one per unit).  Entry ``t`` is the protocol a
+    one-unit preparation builds for trial ``t``, so a unit's result does
+    not depend on which units it was prepared with.
+    """
+    first = plans[0]
+    graph = first.build_graph()
     schedule = None
-    if plan.schedule is not None:
-        kind, params = plan.schedule
+    if first.schedule is not None:
+        kind, params = first.schedule
         schedule = ScheduleConfig(kind=kind, params=tuple(params)).build(
-            graph, plan.schedule_seed
+            graph, first.schedule_seed
         )
-    results, state_space = run_trials_with_seeds(
-        spec,
-        graph,
+    trials = [trial for plan in plans for trial in range(plan.trial_lo, plan.trial_hi)]
+    run_seeds = [seed for plan in plans for seed in plan.run_seeds]
+    protocols = build_trial_protocols(first.build_spec(), graph, run_seeds)
+    return PreparedCell(
+        graph=graph,
+        schedule=schedule,
+        max_steps=default_step_budget(graph, multiplier=first.step_budget_multiplier),
+        protocols=dict(zip(trials, protocols)),
+    )
+
+
+def execute_unit_plan(plan: UnitPlan, cell: Optional[PreparedCell] = None) -> Dict[str, Any]:
+    """Run one unit plan and return its JSON-native payload.
+
+    ``cell`` is the unit's cell as :func:`prepare_cell` built it for a
+    group of pending units that includes this one; without it (pool and
+    service workers) the unit is prepared alone.  The bytes are the same.
+    """
+    if cell is None:
+        cell = prepare_cell([plan])
+    results, state_space = run_protocol_trials(
+        [cell.protocols[trial] for trial in range(plan.trial_lo, plan.trial_hi)],
+        cell.graph,
         plan.run_seeds,
-        max_steps=default_step_budget(graph, multiplier=plan.step_budget_multiplier),
+        max_steps=cell.max_steps,
         engine=plan.engine,
         backend=plan.backend,
-        schedule=schedule,
+        schedule=cell.schedule,
     )
     return unit_payload(plan, results, state_space)
 
@@ -501,8 +553,15 @@ def run_scenario(
                 ):
                     finished(unit_key, payload)
         else:
-            for plan in plans:
-                finished(plan.unit_key, execute_unit_plan(plan))
+            # Pending units of one cell are prepared together; each still
+            # runs, and is stored, as a unit of its own.
+            cells: Dict[Tuple[int, int], List[UnitPlan]] = {}
+            for unit, plan in zip(pending, plans):
+                cells.setdefault((unit.spec_index, unit.size_index), []).append(plan)
+            for cell_plans in cells.values():
+                cell = prepare_cell(cell_plans)
+                for plan in cell_plans:
+                    finished(plan.unit_key, execute_unit_plan(plan, cell))
 
     sweeps = aggregate_unit_payloads(scenario, units, payloads)
     return ScenarioResult(

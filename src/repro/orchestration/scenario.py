@@ -23,7 +23,7 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.seeds import derive_seed
 from ..dynamics.schedule import (
@@ -378,18 +378,23 @@ class Scenario:
             return None
         return self.schedule.build(base_graph, self.schedule_seed(size_index))
 
+    @classmethod
+    def _reject_unknown_fields(cls, owner: str, keys: Iterable[str]) -> None:
+        """Raise :class:`ScenarioError` naming every key that is not a field."""
+        accepted = [f.name for f in fields(cls)]
+        unknown = sorted(set(keys) - set(accepted))
+        if unknown:
+            raise ScenarioError(
+                f"{owner} has no field {', '.join(map(repr, unknown))}; "
+                f"accepts: {', '.join(accepted)}"
+            )
+
     def with_overrides(self, **overrides: Any) -> "Scenario":
         """A copy with some fields replaced (CLI ``--sizes``/``--repetitions``).
 
         Raises :class:`ScenarioError` naming any key that is not a field.
         """
-        accepted = [f.name for f in fields(self)]
-        unknown = sorted(set(overrides) - set(accepted))
-        if unknown:
-            raise ScenarioError(
-                f"scenario {self.name!r} has no field {', '.join(map(repr, unknown))}; "
-                f"accepts: {', '.join(accepted)}"
-            )
+        self._reject_unknown_fields(f"scenario {self.name!r}", overrides)
         if "sizes" in overrides:
             overrides["sizes"] = tuple(int(s) for s in overrides["sizes"])
         return replace(self, **overrides)
@@ -453,7 +458,14 @@ class Scenario:
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario from :meth:`config_dict` output."""
+        """Rebuild a scenario from :meth:`config_dict` output.
+
+        Accepts exactly the keys :meth:`config_dict` writes plus
+        ``description``, and raises :class:`ScenarioError` naming any
+        other key, so a removed or misspelt field is never dropped
+        silently.
+        """
+        cls._reject_unknown_fields("scenario config", config)
         return cls(
             name=str(config["name"]),
             workload=str(config["workload"]),

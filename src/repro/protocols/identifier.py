@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,9 @@ class IdentifierKernelRule:
         self.rule_id = RULE_IDENTIFIER
         self.threshold = 1 << identifier_bits
         self.table = _token_rule_table()
+        #: The v6 stack's uniform starts, per initial state
+        #: (:func:`repro.runtime.execute._uniform_start`).
+        self.starts: Dict[Any, Tuple[np.ndarray, int, np.ndarray]] = {}
 
     def encode(self, states: Iterable[IdentifierState]) -> np.ndarray:
         """The ``int64`` codes of a configuration."""

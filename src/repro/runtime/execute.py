@@ -11,7 +11,8 @@ plan, from the plan's inputs alone:
   ``[0, 2**64)``), when the ``backend`` is ``"auto"`` or ``"native"``
   and the v6 kernel is built (:func:`~repro.runtime.plan.v6_servable`).
   The codes of the whole plan live in one ``(R, n)`` matrix (a plan
-  without ``inputs`` starts every node in one state, encoded once) and
+  without ``inputs`` starts every node in one state, whose code the rule
+  keeps from its first plan on) and
   one ``repro_run_epoch`` call advances every active replica, with its
   seeded stream drawn in-kernel, to its next stop event.  The kernel
   applies either the plan's transition tables or, for a protocol with a
@@ -478,6 +479,36 @@ def _epoch_tables(plan: ExecutionPlan, position: int) -> Tuple[np.ndarray, np.nd
     return du, dv, graph.n_edges, NO_EPOCH_END if end is None else end
 
 
+def _seen_codes(rule: Any, codes: np.ndarray) -> np.ndarray:
+    """The codes of a start as a row's distinct-code record.
+
+    Transition tables keep a per-code bitmap of the current stride (a
+    shorter one grows with the tables); a kernel rule the sorted
+    distinct codes.
+    """
+    if rule.rule_id == RULE_TABLE:
+        return (np.bincount(codes, minlength=rule.stride) > 0).astype(np.uint8)
+    return _sorted_distinct(codes)
+
+
+def _uniform_start(rule: Any, state: Hashable) -> Tuple[np.ndarray, int, np.ndarray]:
+    """``(code, leaders per node, seen codes)`` of every node starting in ``state``.
+
+    These depend on the rule and the state alone, so they are derived
+    once and kept on the rule (``rule.starts``), keyed by the state, as
+    read-only arrays of at most ``stride`` entries; later plans of the
+    rule encode nothing.
+    """
+    start = rule.starts.get(state)
+    if start is None:
+        code = rule.encode([state])
+        seen = _seen_codes(rule, code)
+        code.flags.writeable = False
+        seen.flags.writeable = False
+        start = rule.starts[state] = (code, rule.leader_count(code), seen)
+    return start
+
+
 def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     """The v6 stack: whole epochs per kernel call, streams in-kernel.
 
@@ -529,17 +560,19 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     threads = kernel_thread_count()
 
     start_time = time.perf_counter()
-    # Without ``inputs`` every node starts in one state: encode it once,
-    # and build no per-node state list unless the certificate needs it.
+    # Without ``inputs`` every node starts in one state, whose code the
+    # rule keeps; no per-node state list is built unless the certificate
+    # needs it.
     uniform = plan.inputs is None
-    initial_codes = rule.encode(
-        [protocol.initial_state(None)] if uniform else plan.initial_states()
-    )
-    initial_leaders = rule.leader_count(initial_codes) * (n if uniform else 1)
-    if tables:
-        present = (np.bincount(initial_codes, minlength=rule.stride) > 0).astype(np.uint8)
+    if uniform:
+        initial_codes, initial_leaders, start_seen = _uniform_start(
+            rule, protocol.initial_state(None)
+        )
+        initial_leaders *= n
     else:
-        initial_known = _sorted_distinct(initial_codes)
+        initial_codes = rule.encode(plan.initial_states())
+        initial_leaders = rule.leader_count(initial_codes)
+        start_seen = _seen_codes(rule, initial_codes)
 
     results: List[Optional["SimulationResult"]] = [None] * replica_count
 
@@ -553,7 +586,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
         if uniform:
             initial_codes = np.full(n, initial_codes[0], dtype=np.int64)
         wall = time.perf_counter() - start_time
-        distinct = int(present.sum()) if tables else initial_known.size
+        distinct = int(start_seen.sum()) if tables else start_seen.size
         for index in range(replica_count):
             final = Configuration.from_codes(initial_codes, rule.decode_codes)
             result = _stack_result(final, initially_stable, 0, distinct, initial_leaders)
@@ -570,14 +603,14 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     codes = np.empty((replica_count, n), dtype=np.int64)
     codes[...] = initial_codes  # one code per node, or the uniform one broadcast
     if tables:
-        seen = present[None, :].repeat(replica_count, axis=0)
+        seen = start_seen[None, :].repeat(replica_count, axis=0)
         log = log_len = None
     else:
         assert _LOG_CAPACITY >= 2
         seen = None
         log = np.zeros((replica_count, _LOG_CAPACITY), dtype=np.int64)
         log_len = np.zeros(replica_count, dtype=np.int64)
-        known = [initial_known] * replica_count  # per replica id
+        known = [start_seen] * replica_count  # per replica id
     steps = np.zeros(replica_count, dtype=np.int64)
     last_change = np.zeros(replica_count, dtype=np.int64)
     leaders = np.full(replica_count, initial_leaders, dtype=np.int64)

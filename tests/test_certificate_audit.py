@@ -23,6 +23,7 @@ that is not live, so zeros above are evidence and not a default.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 import sys
@@ -160,6 +161,32 @@ def test_verdicts_pin_explored_and_counterexample():
     )
     assert (verdict.stable, verdict.explored) == (False, 5)
     assert verdict.counterexample == ((4, leader), (7, leader), (1, follower))
+
+
+class _CountingToken(TokenLeaderElection):
+    """Counts its transition calls per ordered state pair."""
+
+    def __init__(self) -> None:
+        self.calls = collections.Counter()
+
+    def transition(self, initiator, responder):
+        self.calls[initiator, responder] += 1
+        return super().transition(initiator, responder)
+
+
+class _UncachedCountingToken(_CountingToken):
+    cacheable_transitions = False
+
+
+def test_exploration_computes_each_state_pair_once_when_cacheable():
+    orders = []
+    for protocol in (_CountingToken(), _UncachedCountingToken()):
+        orders.append(
+            reachable_configurations(protocol, [protocol.initial_state(None)] * 4, cycle(4))
+        )
+        once_per_pair = max(protocol.calls.values()) == 1
+        assert once_per_pair == protocol.cacheable_transitions
+    assert orders[0] == orders[1]
 
 
 @pytest.mark.parametrize(

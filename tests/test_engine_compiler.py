@@ -214,6 +214,37 @@ class TestCompilationCache:
         # Narrow identifier instances enumerate their states.
         assert compilation_worthwhile(IdentifierLeaderElection(100, identifier_bits=4))
 
+    def test_worthwhile_answer_is_kept_per_key_until_the_cache_is_cleared(self, monkeypatch):
+        """Equal keys enumerate once per ``max_states``; keyless protocols every call."""
+        from repro.protocols import FastLeaderElection
+        from repro.protocols.clocks import ClockParameters
+
+        enumerated = []
+        real = FastLeaderElection.enumerate_states
+
+        def counted(self):
+            enumerated.append(self.compile_key())
+            return real(self)
+
+        monkeypatch.setattr(FastLeaderElection, "enumerate_states", counted)
+        clear_compilation_cache()
+        parameters = ClockParameters(streak_length=3, phase_length=2, max_level=5)
+        for _ in range(3):
+            assert compilation_worthwhile(FastLeaderElection(parameters))
+        assert compilation_worthwhile(FastLeaderElection(parameters), max_states=64)
+        assert len(enumerated) == 2
+        clear_compilation_cache()
+        assert compilation_worthwhile(FastLeaderElection(parameters))
+        assert len(enumerated) == 3
+
+        keyless = []
+        monkeypatch.setattr(
+            CountingProtocol, "enumerate_states", lambda self: keyless.append(1)
+        )
+        for _ in range(2):
+            compilation_worthwhile(CountingProtocol())
+        assert len(keyless) == 2
+
 
 class TestProtocolHooks:
     def test_enumerate_states_hooks(self):

@@ -11,6 +11,8 @@ Covers the acceptance criteria of the orchestration layer:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.orchestration.runner as runner_module
@@ -245,6 +247,136 @@ class TestCacheBehaviour:
         rerun = run_scenario(scenario, jobs=1, cache_dir=tmp_path)
         assert rerun.cache_hits == rerun.total_units - 1
         assert rerun.executed_units == 1
+        assert rerun.canonical_json() == first.canonical_json()
+
+
+def mixed_scenario(**overrides):
+    """Token, identifier and fast on random 3-regular graphs.
+
+    At seed 3 the fast protocol's per-trial ``B(G)`` calibration gives
+    the trials of one cell different clock parameters.
+    """
+    fields = dict(
+        name="orch-cells",
+        workload="random-regular",
+        sizes=(8, 12),
+        protocols=(
+            ProtocolConfig("token"),
+            ProtocolConfig("identifier"),
+            ProtocolConfig("fast"),
+        ),
+        repetitions=4,
+        seed=3,
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+def measured(result):
+    """The measured values of a run, without the scenario's identity."""
+    return [sweep["per_size"] for sweep in result.to_canonical_dict()["sweeps"]]
+
+
+def refuse_builder(monkeypatch, builder):
+    """Make every spec of ``builder`` raise when it builds a protocol."""
+    real = ProtocolConfig.build_spec
+
+    def build_spec(config):
+        spec = real(config)
+        if config.builder != builder:
+            return spec
+
+        def refuse(*args):
+            raise AssertionError(f"a {builder} cell was prepared")
+
+        return dataclasses.replace(spec, factory=refuse, batch_factory=refuse)
+
+    monkeypatch.setattr(ProtocolConfig, "build_spec", build_spec)
+
+
+class TestCellPreparation:
+    """In-process runs prepare each cell once; the bytes never change."""
+
+    def test_cells_carry_per_trial_protocols(self):
+        scenario = mixed_scenario()
+        units = build_work_units(scenario)
+        plans = build_unit_plans(scenario, units)
+        fast = [plan for unit, plan in zip(units, plans) if unit.spec_index == 2]
+        cells = [runner_module.prepare_cell(fast[lo : lo + 4]) for lo in (0, 4)]
+        keys = [{p.compile_key() for p in cell.protocols.values()} for cell in cells]
+        assert max(len(cell_keys) for cell_keys in keys) > 1
+
+    def test_every_placement_and_shard_size_is_byte_identical(self):
+        scenario = mixed_scenario()
+        serial = run_scenario(scenario, jobs=1, cache=False)
+        units = build_work_units(scenario)
+        one_by_one = {
+            plan.unit_key: execute_unit_plan(plan) for plan in build_unit_plans(scenario, units)
+        }
+        alone = dataclasses.replace(
+            serial, sweeps=runner_module.aggregate_unit_payloads(scenario, units, one_by_one)
+        )
+        assert alone.canonical_json() == serial.canonical_json()
+        assert run_scenario(scenario, jobs=2, cache=False).canonical_json() == (
+            serial.canonical_json()
+        )
+        for trials_per_shard in (1, 2, 3):
+            sharded = run_scenario(
+                scenario.with_overrides(trials_per_shard=trials_per_shard), jobs=1, cache=False
+            )
+            assert measured(sharded) == measured(serial)
+
+    def test_one_calibration_stack_per_pending_fast_cell(self, monkeypatch):
+        import repro.analytics.estimators as estimators
+
+        calls = []
+        real = estimators.batched_broadcast_estimates
+
+        def spy(graph, bases, *args, **kwargs):
+            calls.append(len(bases))
+            return real(graph, bases, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "batched_broadcast_estimates", spy)
+        scenario = mixed_scenario()
+        run_scenario(scenario, jobs=1, cache=False)
+        assert calls == [scenario.repetitions] * len(scenario.sizes)
+
+    def test_cells_served_from_the_store_prepare_nothing(self, tmp_path, monkeypatch):
+        scenario = mixed_scenario()
+        first = run_scenario(scenario, jobs=1, cache_dir=tmp_path)
+        store = ResultStore(tmp_path)
+        for unit in build_work_units(scenario):
+            if unit.spec_index == 0:
+                store.unit_path(scenario, unit.key).unlink()
+        refuse_builder(monkeypatch, "fast")
+        refuse_builder(monkeypatch, "identifier")
+        rerun = run_scenario(scenario, jobs=1, cache_dir=tmp_path)
+        assert rerun.executed_units == scenario.repetitions * len(scenario.sizes)
+        assert rerun.canonical_json() == first.canonical_json()
+
+    def test_a_partly_stored_cell_prepares_only_its_missing_trials(self, tmp_path, monkeypatch):
+        scenario = mixed_scenario()
+        first = run_scenario(scenario, jobs=1, cache_dir=tmp_path)
+        store = ResultStore(tmp_path)
+        missing = [
+            unit for unit in build_work_units(scenario)
+            if unit.spec_index == 2 and unit.size_index == 1 and unit.trial_lo in (1, 3)
+        ]
+        for unit in missing:
+            store.unit_path(scenario, unit.key).unlink()
+        prepared = []
+        real = runner_module.build_trial_protocols
+
+        def spy(spec, graph, run_seeds):
+            prepared.append((spec.name, list(run_seeds)))
+            return real(spec, graph, run_seeds)
+
+        monkeypatch.setattr(runner_module, "build_trial_protocols", spy)
+        rerun = run_scenario(scenario, jobs=1, cache_dir=tmp_path)
+        (plan_one, plan_three) = build_unit_plans(scenario, missing)
+        assert prepared == [
+            ("fast-space-efficient", list(plan_one.run_seeds + plan_three.run_seeds))
+        ]
         assert rerun.canonical_json() == first.canonical_json()
 
 

@@ -36,9 +36,14 @@ from repro.graphs import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.orchestration import get_scenario, run_scenario
 from repro.protocols import StarLeaderElection, TokenLeaderElection
-from repro.protocols.identifier import IdentifierKernelRule, IdentifierLeaderElection
+from repro.protocols.identifier import (
+    IdentifierKernelRule,
+    IdentifierLeaderElection,
+    _kernel_rule,
+)
+from repro.protocols.tokens import token_initial_state
 from repro.runtime import compile_plan, execute_plan
-from repro.runtime.execute import _stack_v6_eligible
+from repro.runtime.execute import _stack_v6_eligible, _uniform_start
 from repro.runtime.plan import ENGINES
 
 MASTER_SEED = 20260728 + 5  # PR-5 case stream, disjoint from the differential suite
@@ -312,12 +317,15 @@ _RULE_CASES = {
 @pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
 @pytest.mark.parametrize("rule", sorted(_RULE_CASES))
 def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
-    """Without ``inputs`` the stack encodes one state, not one per node.
+    """Without ``inputs`` a fresh rule encodes one state on its first
+    plan and none on the next: the start is kept on the rule.
 
-    A plan with ``inputs`` still takes the per-node encode, and both
-    equal the reference interpreter.
+    A plan with ``inputs`` still takes the per-node encode on every
+    plan, and all equal the reference interpreter.
     """
     make, engine, rule_class = _RULE_CASES[rule]
+    clear_compilation_cache()
+    _kernel_rule.cache_clear()
     graph = torus(5, 5)
     seeds = [derive_seed(MASTER_SEED, "uniform-encode", r) for r in range(2)]
     encoded = []
@@ -329,7 +337,9 @@ def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
         return real_encode(self, states)
 
     monkeypatch.setattr(rule_class, "encode", counting_encode)
-    for inputs in (None, [node % 4 == 0 for node in range(graph.n_nodes)]):
+    per_node = [node % 4 == 0 for node in range(graph.n_nodes)]
+    n = graph.n_nodes
+    for inputs, first, second in ((None, [1], []), (per_node, [n], [n])):
 
         def plan(plan_engine):
             return compile_plan(
@@ -338,9 +348,34 @@ def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
             )
 
         reference = [_result_tuple(r) for r in execute_plan(plan("reference"))]
-        encoded.clear()
-        assert [_result_tuple(r) for r in execute_plan(plan(engine))] == reference
-        assert encoded == [1 if inputs is None else graph.n_nodes]
+        for expected in (first, second):
+            encoded.clear()
+            assert [_result_tuple(r) for r in execute_plan(plan(engine))] == reference
+            assert encoded == expected
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("rule", sorted(_RULE_CASES))
+def test_v6_uniform_starts_are_kept_per_state_and_read_only(rule):
+    """A rule keeps one start per initial state; its arrays cannot be written."""
+    make, engine, _ = _RULE_CASES[rule]
+    graph = torus(3, 3)
+    rule_object = compile_plan(
+        [make(graph)], graph, [1], max_steps=10, engine=engine
+    ).compiled
+    if rule == "table":
+        states = [token_initial_state(True), token_initial_state(False)]
+    else:
+        states = [(1, token_initial_state(False)), (5, token_initial_state(True))]
+    for _ in range(2):
+        for state in states:
+            code, leaders, seen = _uniform_start(rule_object, state)
+            assert code.tolist() == rule_object.encode([state]).tolist()
+            assert leaders == rule_object.leader_count(code)
+            assert code.flags.writeable is False and seen.flags.writeable is False
+            with pytest.raises(ValueError):
+                code[0] = 0
+    assert [state for state in states if state in rule_object.starts] == states
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -91,6 +91,13 @@ class TestScenario:
         rebuilt = Scenario.from_config(scenario.config_dict())
         assert rebuilt.config_dict() == scenario.config_dict()
         assert rebuilt.content_hash() == scenario.content_hash()
+        described = {**scenario.config_dict(), "description": "round trip"}
+        assert Scenario.from_config(described).content_hash() == scenario.content_hash()
+
+    def test_config_with_an_unknown_key_raises_naming_it(self):
+        config = {**tiny_scenario().config_dict(), "threads": 2, "bogus": 1}
+        with pytest.raises(ScenarioError, match="no field 'bogus', 'threads'; accepts: name, "):
+            Scenario.from_config(config)
 
     def test_content_hash_stable(self):
         assert tiny_scenario().content_hash() == tiny_scenario().content_hash()
