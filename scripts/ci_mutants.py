@@ -636,6 +636,31 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    start = next(iter(rule.starts.values()), None)\n",
         ("tests/test_runtime_plan.py::test_v6_uniform_starts_are_kept_per_state_and_read_only",),
     ),
+    # -- One row block per v6 stack, seeded in-kernel on the first call
+    Mutant(
+        "stack-seeds-rows-on-every-call",
+        EXECUTE,
+        "        seeds = None  # every row is seeded\n",
+        "",
+        ("tests/test_runtime_plan.py::test_stack_rows_resume_their_streams_across_many_calls",),
+    ),
+    Mutant(
+        "stack-compaction-skips-row-block",
+        EXECUTE,
+        "            codes, rows, buffers = codes[keep], rows[keep], buffers[keep]\n",
+        "            codes, buffers = codes[keep], buffers[keep]\n",
+        (
+            "tests/test_runtime_plan.py::"
+            "test_stack_rows_finishing_in_different_calls_keep_replica_order",
+        ),
+    ),
+    Mutant(
+        "stack-leaders-word-starts-at-zero",
+        EXECUTE,
+        "    rows[:, ROW_LEADERS] = initial_leaders\n",
+        "",
+        STEP_ZERO,
+    ),
 )
 
 

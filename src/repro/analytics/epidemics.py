@@ -25,8 +25,9 @@ Two legs produce bit-identical results:
   to its finish or the step budget;
 * the no-kernel leg (no compiler, or a seed outside ``[0, 2**64)``): one
   NumPy-drawn :class:`~repro.analytics.streams.TrajectoryStream` per
-  trajectory, applied by a vectorized NumPy block or, in a round of
-  fewer than four rows, a scalar loop.
+  trajectory, applied by scalar loops: an epidemic round of
+  :data:`_SCALAR_MAX_REPLICAS` rows or more takes a vectorized NumPy
+  block instead, and influence always keeps Python-int bitsets.
 
 Both stacks run on the lockstep driver of :mod:`repro.analytics.streams`
 and supply only their state, their kernel call and their block step.
@@ -35,8 +36,8 @@ and a caller-held stream (below) advance the stack in lockstep rounds,
 one block per round (:func:`~repro.analytics.streams.block_size`);
 finished replicas are compacted out between rounds so stabilized
 stragglers do not drag the batch.  Influence picks its state once, when
-the stack starts: fewer than four rows without the kernel keep Python-int
-bitsets, any other stack packed words.
+the stack starts: Python-int bitsets without the kernel, packed words on
+it.
 
 :func:`run_single_epidemic` alone runs on a stream its caller holds (a
 shared generator).  On the kernel its PCG64 state is packed into a row,
@@ -65,10 +66,13 @@ from .streams import TrajectoryStream, _run_lockstep, iter_width_chunks, make_st
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dynamics.schedule import TopologySchedule
 
-#: Below this many co-resident replicas the scalar Python loop beats the
-#: per-step fancy-indexing overhead of the NumPy path.  Dispatch only —
-#: all paths compute identical results.
-_SCALAR_MAX_REPLICAS = 4
+#: Below this many co-resident replicas, an epidemic round without the
+#: kernel takes the scalar Python loop, which beats the NumPy block's
+#: per-step fancy indexing there: without the kernel, whole ``B(G)``
+#: stacks on cycles, cliques and tori ran at parity near 96 rows, the
+#: scalar loop ahead below it and the NumPy block above it (2-vCPU host).
+#: Dispatch only — both paths compute identical results.
+_SCALAR_MAX_REPLICAS = 96
 
 BUDGET_EXHAUSTED = -1
 
@@ -302,8 +306,9 @@ def run_influence_batch(
 ) -> np.ndarray:
     """Steps until every node is influenced by every node, per trajectory.
 
-    Influencer sets are packed 64 sources per uint64 word; one interaction
-    is a ``⌈n/64⌉``-word OR applied to both endpoints.  Same return
+    On the kernel, influencer sets are packed 64 sources per uint64 word
+    and one interaction is a ``⌈n/64⌉``-word OR applied to both
+    endpoints; without it, each node's set is one Python int.  Same return
     conventions, batching semantics and ``schedule`` behaviour as
     :func:`run_epidemic_batch`.
     """
@@ -329,12 +334,20 @@ def _run_influence_stack(
     n = graph.n_nodes
     active = len(seeds)
     rng_rows = kernel_rng_rows(seeds)
-    streams = make_streams(graph, seeds) if rng_rows is None else None
-    if rng_rows is None and active < _SCALAR_MAX_REPLICAS:
+    if rng_rows is None:
+        # Without the kernel, Python-int bitsets: the scalar loop was
+        # never slower than a NumPy block of packed words, at any stack
+        # width from 4 to 1024 rows on cycles, cliques and tori.
         bitsets = [[1 << v for v in range(n)] for _ in range(active)]
         rows = [bitsets, np.zeros(active, dtype=np.int64)]
         _run_lockstep(
-            graph, rows, _scalar_influence_block, out, max_steps, streams, schedule=schedule
+            graph,
+            rows,
+            _scalar_influence_block,
+            out,
+            max_steps,
+            make_streams(graph, seeds),
+            schedule=schedule,
         )
         return
     words = (n + 63) // 64
@@ -369,54 +382,15 @@ def _run_influence_stack(
             threads,
         )
 
-    def apply(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
-        _numpy_influence_block(*rows, iu, iv, full, finish, n)
-
     rows = [bits, np.zeros((active, n), dtype=np.uint8), np.zeros(active, dtype=np.int64)]
-    _run_lockstep(graph, rows, apply, out, max_steps, streams, rng_rows, advance, schedule)
-
-
-def _numpy_influence_block(
-    bits: np.ndarray,
-    flags: np.ndarray,
-    counts: np.ndarray,
-    iu: np.ndarray,
-    iv: np.ndarray,
-    full: np.ndarray,
-    finish: np.ndarray,
-    n: int,
-) -> None:
-    a, block = iu.shape
-    rows = np.arange(a)
-    active = np.ones(a, dtype=bool)
-    for i in range(block):
-        u = iu[:, i]
-        v = iv[:, i]
-        merged = bits[rows, u] | bits[rows, v]
-        bits[rows, u] = merged
-        bits[rows, v] = merged
-        newly_full = (merged == full).all(axis=1) & active
-        if not newly_full.any():
-            continue
-        flag_u = flags[rows, u]
-        flag_v = flags[rows, v]
-        counts[newly_full] += (
-            (1 - flag_u[newly_full].astype(np.int64))
-            + (1 - flag_v[newly_full].astype(np.int64))
-        )
-        touched = rows[newly_full]
-        flags[touched, u[newly_full]] = 1
-        flags[touched, v[newly_full]] = 1
-        hit = active & (counts == n)
-        if hit.any():
-            finish[hit] = i + 1
-            active &= ~hit
-            if not active.any():
-                return
+    _run_lockstep(
+        graph, rows, None, out, max_steps, rng_rows=rng_rows, kernel_step=advance,
+        schedule=schedule,
+    )
 
 
 def _scalar_influence_block(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
-    """Tiny-stack block: Python-int influencer bitsets, one per node."""
+    """The no-kernel block: Python-int influencer bitsets, one per node."""
     bitsets, full_counts = rows
     n = len(bitsets[0])
     full_mask = (1 << n) - 1

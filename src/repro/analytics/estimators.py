@@ -174,16 +174,20 @@ def batched_broadcast_estimates(
         raise ValueError("repetitions must be positive")
     plans: List[List[int]] = []
     trajectory_sources: List[int] = []
-    seeds: List[np.ndarray] = []
+    # Every base's (source, repetition) seeds fold in one grid: each
+    # source row continues its own base's (base, "bcast") prefix.
+    outer: List[int] = []
+    prefixes: List[int] = []
     for base in bases:
         sources = select_sources(graph, max_sources, int(base))
         plans.append(sources)
         trajectory_sources.extend(source for source in sources for _ in range(repetitions))
-        seeds.append(broadcast_trajectory_seed_array(int(base), sources, repetitions))
+        outer.extend(sources)
+        prefixes.extend([seed_prefix(int(base), BROADCAST_TAG)] * len(sources))
     steps = run_epidemic_batch(
         graph,
         trajectory_sources,
-        np.concatenate(seeds) if seeds else np.zeros(0, dtype=np.uint64),
+        prefixed_seed_grid(prefixes, outer, repetitions),
         max_steps,
         replica_batch=replica_batch,
         schedule=schedule,

@@ -210,7 +210,7 @@ def _compact(row: Any, keep: np.ndarray) -> Any:
 def _run_lockstep(
     graph: Graph,
     rows: List[Any],
-    block_step: Callable[..., None],
+    block_step: Optional[Callable[..., None]],
     out: np.ndarray,
     max_steps: int,
     streams: Optional[List[TrajectoryStream]] = None,
@@ -224,7 +224,8 @@ def _run_lockstep(
     axis is the stack (``None`` for an absent one), compacted here as
     rows finish.  Without ``rng_rows``, row ``j`` draws each block from
     ``streams[j]`` in NumPy and ``block_step(rows, iu, iv, finish)``
-    applies the decoded ``(stack, block)`` endpoint matrices.  With
+    applies the decoded ``(stack, block)`` endpoint matrices (a stack
+    that always has ``rng_rows`` passes ``None``).  With
     ``rng_rows`` the kernel draws instead, through ``kernel_step(rows,
     rng_rows, directed_u, directed_v, block, finish)``; ``streams`` are
     then the caller-held streams behind those rows (``None`` for private

@@ -104,15 +104,19 @@ def prefixed_seed(prefix: int, *words: SeedWord) -> int:
     return _fold(prefix, words) & _SEED_MASK
 
 
-def prefixed_seed_grid(prefix: int, outer: Sequence[int], inner: int) -> np.ndarray:
+def prefixed_seed_grid(
+    prefix: Union[int, Sequence[int]], outer: Sequence[int], inner: int
+) -> np.ndarray:
     """``prefixed_seed(prefix, a, b)`` for ``a`` in ``outer``, ``b`` in ``range(inner)``.
 
     Row-major (``outer``-major) as one ``uint64`` array, folded in a
     single vectorised pass: the same seeds as the scalar chain, without
-    a Python fold per seed.
+    a Python fold per seed.  ``prefix`` is one chain state, or a sequence
+    of states aligned with ``outer`` (row ``i`` continues ``prefix[i]``),
+    so grids of several prefixes fold in one pass.
     """
     words = np.array([int(word) & _MASK64 for word in outer], dtype=np.uint64)
-    rows = splitmix64_array(words ^ np.uint64(prefix))
+    rows = splitmix64_array(words ^ np.asarray(prefix, dtype=np.uint64))
     grid = splitmix64_array(rows[:, None] ^ np.arange(inner, dtype=np.uint64))
     return grid.ravel() & np.uint64(_SEED_MASK)
 

@@ -170,8 +170,22 @@ _KERNEL_SOURCE_V6 = r"""
 typedef unsigned __int128 repro_u128;
 
 #define REPRO_RNG_WORDS 8
-#define REPRO_SRC_WORDS 3
 #define REPRO_MAX_THREADS 64
+
+/* An epoch-runner row block: REPRO_ROW_WORDS int64 words per replica
+ * (mirrored in repro.engine.native).  Words [0, REPRO_RNG_WORDS) are the
+ * PCG64 state row; then the stream's cursor, fill and position; then the
+ * row's step count, last output change, leader count, stop status and
+ * code-log length (identifier rule). */
+#define REPRO_ROW_WORDS 16
+#define REPRO_ROW_CURSOR 8
+#define REPRO_ROW_FILL 9
+#define REPRO_ROW_POSITION 10
+#define REPRO_ROW_STEPS 11
+#define REPRO_ROW_LAST_CHANGE 12
+#define REPRO_ROW_LEADERS 13
+#define REPRO_ROW_STATUS 14
+#define REPRO_ROW_LOG_LEN 15
 
 /* Epoch-runner row statuses (mirrored in repro.runtime.execute). */
 #define REPRO_EPOCH_BUDGET 0
@@ -319,26 +333,31 @@ static inline __attribute__((always_inline)) uint32_t repro_pcg64_next32(repro_p
     return (uint32_t)v;
 }
 
-/* Seed one PCG64 per replica through SeedSequence(seed).generate_state(4):
+/* Seed one PCG64 state row through SeedSequence(seed).generate_state(4):
  * words [0,1] form the 128-bit initial state, [2,3] the stream. */
+static void repro_pcg64_seed(uint64_t seed, uint64_t *row)
+{
+    uint64_t w[4];
+    repro_pcg64 p;
+    repro_u128 initstate, initseq;
+    repro_seedseq_state(seed, w);
+    initstate = ((repro_u128)w[0] << 64) | w[1];
+    initseq = ((repro_u128)w[2] << 64) | w[3];
+    p.inc = (initseq << 1) | 1;
+    p.state = p.inc; /* = 0 * MULT + inc: the first srandom step */
+    p.state += initstate;
+    p.state = p.state * REPRO_PCG_MULT + p.inc;
+    p.has = 0;
+    p.buf = 0;
+    repro_pcg64_store(&p, row);
+}
+
+/* One seeded PCG64 state row per replica. */
 void repro_pcg64_init(const uint64_t *seeds, int64_t nrep, uint64_t *rng_state)
 {
     int64_t r;
-    for (r = 0; r < nrep; r++) {
-        uint64_t w[4];
-        repro_pcg64 p;
-        repro_u128 initstate, initseq;
-        repro_seedseq_state(seeds[r], w);
-        initstate = ((repro_u128)w[0] << 64) | w[1];
-        initseq = ((repro_u128)w[2] << 64) | w[3];
-        p.inc = (initseq << 1) | 1;
-        p.state = p.inc; /* = 0 * MULT + inc: the first srandom step */
-        p.state += initstate;
-        p.state = p.state * REPRO_PCG_MULT + p.inc;
-        p.has = 0;
-        p.buf = 0;
-        repro_pcg64_store(&p, rng_state + r * REPRO_RNG_WORDS);
-    }
+    for (r = 0; r < nrep; r++)
+        repro_pcg64_seed(seeds[r], rng_state + r * REPRO_RNG_WORDS);
 }
 
 /* Raw 64-bit outputs (differential tests against PCG64.random_raw). */
@@ -664,8 +683,8 @@ static void repro_fan_out(repro_rows_fn rows, const void *shared,
 
 typedef struct {
     int64_t *codes;
-    uint64_t *rng_state;
-    int64_t *src_state;
+    int64_t *rows;
+    const uint64_t *seeds;
     int64_t *buffers;
     int64_t buf_cap;
     const int64_t *du;
@@ -679,15 +698,10 @@ typedef struct {
     int32_t kshift;
     uint8_t *seen;
     int64_t *log;
-    int64_t *log_len;
     int64_t log_cap;
     int64_t batch;
     int64_t check_interval;
     int64_t max_steps;
-    int64_t *steps;
-    int64_t *last_change;
-    int64_t *leaders;
-    uint8_t *status;
     int32_t precheck;
 } repro_epoch_job;
 
@@ -707,7 +721,9 @@ typedef struct {
  * of the measurement run in one call.  Stream consumption (refill sizes
  * and draw order) is bit-identical to the Python InteractionSource read
  * in min(check_interval, remaining) blocks, as the single-run engine
- * does.
+ * does.  The row's stream state and counters live in its row block; with
+ * seeds set (the stack's first call), the row's PCG64 words are seeded
+ * from seeds[r] first.
  *
  * rule is a compile-time constant at each call site, so the table rule
  * (dpack lookups, the dense seen bitmap) and the identifier rule (k is
@@ -717,8 +733,8 @@ static inline __attribute__((always_inline)) void repro_run_epoch_row(
     const repro_epoch_job *job, int64_t r, const int32_t rule)
 {
     int64_t *codes = job->codes + r * job->n;
-    uint64_t *rngw = job->rng_state + r * REPRO_RNG_WORDS;
-    int64_t *src = job->src_state + r * REPRO_SRC_WORDS;
+    int64_t *row = job->rows + r * REPRO_ROW_WORDS;
+    uint64_t *rngw = (uint64_t *)row;
     int64_t *buffer = job->buffers + r * job->buf_cap;
     const int64_t *du = job->du;
     const int64_t *dv = job->dv;
@@ -734,15 +750,17 @@ static inline __attribute__((always_inline)) void repro_run_epoch_row(
     const int64_t check_interval = job->check_interval;
     const int64_t max_steps = job->max_steps;
     const int32_t precheck = job->precheck;
-    uint8_t *status = job->status + r;
+    int64_t *status = row + REPRO_ROW_STATUS;
     repro_pcg64 p;
-    int64_t cursor = src[0];
-    int64_t fill = src[1];
-    int64_t position = src[2];
-    int64_t step = job->steps[r];
-    int64_t last = job->last_change[r];
-    int64_t lead = job->leaders[r];
-    int64_t nlog = rule == REPRO_RULE_TABLE ? 0 : job->log_len[r];
+    int64_t cursor = row[REPRO_ROW_CURSOR];
+    int64_t fill = row[REPRO_ROW_FILL];
+    int64_t position = row[REPRO_ROW_POSITION];
+    int64_t step = row[REPRO_ROW_STEPS];
+    int64_t last = row[REPRO_ROW_LAST_CHANGE];
+    int64_t lead = row[REPRO_ROW_LEADERS];
+    int64_t nlog = rule == REPRO_RULE_TABLE ? 0 : row[REPRO_ROW_LOG_LEN];
+    if (job->seeds)
+        repro_pcg64_seed(job->seeds[r], rngw);
     repro_pcg64_load(rngw, &p);
     while (step < max_steps) {
         int64_t block_end = (step / check_interval + 1) * check_interval;
@@ -811,14 +829,14 @@ static inline __attribute__((always_inline)) void repro_run_epoch_row(
     *status = REPRO_EPOCH_BUDGET;
 done:
     repro_pcg64_store(&p, rngw);
-    src[0] = cursor;
-    src[1] = fill;
-    src[2] = position;
-    job->steps[r] = step;
-    job->last_change[r] = last;
-    job->leaders[r] = lead;
+    row[REPRO_ROW_CURSOR] = cursor;
+    row[REPRO_ROW_FILL] = fill;
+    row[REPRO_ROW_POSITION] = position;
+    row[REPRO_ROW_STEPS] = step;
+    row[REPRO_ROW_LAST_CHANGE] = last;
+    row[REPRO_ROW_LEADERS] = lead;
     if (rule != REPRO_RULE_TABLE)
-        job->log_len[r] = nlog;
+        row[REPRO_ROW_LOG_LEN] = nlog;
 }
 
 /* One specialised row loop per rule, each compiled on its own. */
@@ -846,27 +864,28 @@ static void repro_epoch_rows(const void *shared, int64_t lo, int64_t hi)
     }
 }
 
-/* Table rule: seen is the (nrep x k) code bitmap; log and log_len are
- * unused.  Identifier rule: log is (nrep x log_cap) and log_len (nrep)
- * counts each row's entries (the caller empties it after LOG); seen is
- * unused.  All rows share one topology epoch: a row that stopped at
- * SWITCH stops there again, drawing nothing, until the caller passes the
- * next epoch's tables. */
-void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
+/* rows is the (nrep x REPRO_ROW_WORDS) row block.  seeds (nrep) seeds
+ * every row's PCG64 words before it runs: the caller passes it on a
+ * stack's first call, on zeroed rows, and NULL on every later call.
+ * Table rule: seen is the (nrep x k) code bitmap; log is unused.
+ * Identifier rule: log is (nrep x log_cap) and each row's
+ * REPRO_ROW_LOG_LEN word counts its entries (the caller empties it after
+ * LOG); seen is unused.  All rows share one topology epoch: a row that
+ * stopped at SWITCH stops there again, drawing nothing, until the caller
+ * passes the next epoch's tables. */
+void repro_run_epoch(int64_t *codes, int64_t *rows, const uint64_t *seeds,
                      int64_t *buffers, int64_t buf_cap,
                      const int64_t *du, const int64_t *dv, int64_t m,
                      int64_t epoch_end, int64_t nrep, int64_t n,
                      int32_t rule, const int32_t *dpack, int64_t k, int32_t kshift,
-                     uint8_t *seen, int64_t *log, int64_t *log_len, int64_t log_cap,
-                     int64_t batch, int64_t check_interval,
-                     int64_t max_steps, int64_t *steps, int64_t *last_change,
-                     int64_t *leaders, uint8_t *status, int32_t precheck,
-                     int64_t n_threads)
+                     uint8_t *seen, int64_t *log, int64_t log_cap,
+                     int64_t batch, int64_t check_interval, int64_t max_steps,
+                     int32_t precheck, int64_t n_threads)
 {
     repro_epoch_job shared;
     shared.codes = codes;
-    shared.rng_state = rng_state;
-    shared.src_state = src_state;
+    shared.rows = rows;
+    shared.seeds = seeds;
     shared.buffers = buffers;
     shared.buf_cap = buf_cap;
     shared.du = du;
@@ -880,15 +899,10 @@ void repro_run_epoch(int64_t *codes, uint64_t *rng_state, int64_t *src_state,
     shared.kshift = kshift;
     shared.seen = seen;
     shared.log = log;
-    shared.log_len = log_len;
     shared.log_cap = log_cap;
     shared.batch = batch;
     shared.check_interval = check_interval;
     shared.max_steps = max_steps;
-    shared.steps = steps;
-    shared.last_change = last_change;
-    shared.leaders = leaders;
-    shared.status = status;
     shared.precheck = precheck;
     repro_fan_out(repro_epoch_rows, &shared, nrep, n_threads);
 }
@@ -1199,9 +1213,13 @@ _cached_kernel = _UNSET
 #: ``PCG64().state`` dict: state hi/lo, inc hi/lo, has_uint32, uinteger,
 #: plus two words of padding).
 RNG_STATE_WORDS = 8
-#: int64 words per replica in an InteractionSource state row
-#: (cursor, fill, position).
-SRC_STATE_WORDS = 3
+#: int64 words per replica in a ``repro_run_epoch`` row block (mirrors
+#: REPRO_ROW_WORDS): the PCG64 state row in words ``[0, RNG_STATE_WORDS)``,
+#: then one word per name below.  ``ROW_STATUS`` holds the row's stop
+#: status and ``ROW_LOG_LEN`` its code-log length (identifier rule).
+STACK_ROW_WORDS = 16
+ROW_CURSOR, ROW_FILL, ROW_POSITION = 8, 9, 10
+ROW_STEPS, ROW_LAST_CHANGE, ROW_LEADERS, ROW_STATUS, ROW_LOG_LEN = 11, 12, 13, 14, 15
 #: Upper bound on the kernel's pthread fan-out (mirrors REPRO_MAX_THREADS).
 MAX_KERNEL_THREADS = 64
 #: ``repro_run_epoch`` transition rules (mirror REPRO_RULE_*): packed
@@ -1341,8 +1359,8 @@ def _bind_v6(library):
     run_epoch.restype = None
     run_epoch.argtypes = [
         ctypes.c_void_p,  # codes (nrep x n)
-        ctypes.c_void_p,  # rng_state (nrep x RNG_STATE_WORDS)
-        ctypes.c_void_p,  # src_state (nrep x SRC_STATE_WORDS)
+        ctypes.c_void_p,  # rows (nrep x STACK_ROW_WORDS)
+        ctypes.c_void_p,  # seeds (nrep; the stack's first call) or None
         ctypes.c_void_p,  # buffers (nrep x buf_cap)
         ctypes.c_int64,  # buf_cap
         ctypes.c_void_p,  # du (2m)
@@ -1357,15 +1375,10 @@ def _bind_v6(library):
         ctypes.c_int32,  # kshift
         ctypes.c_void_p,  # seen (nrep x k; table rule)
         ctypes.c_void_p,  # log (nrep x log_cap; identifier rule)
-        ctypes.c_void_p,  # log_len (nrep; identifier rule)
         ctypes.c_int64,  # log_cap
         ctypes.c_int64,  # batch
         ctypes.c_int64,  # check_interval
         ctypes.c_int64,  # max_steps
-        ctypes.c_void_p,  # steps (nrep)
-        ctypes.c_void_p,  # last_change (nrep)
-        ctypes.c_void_p,  # leaders (nrep)
-        ctypes.c_void_p,  # status (nrep)
         ctypes.c_int32,  # precheck
         ctypes.c_int64,  # n_threads
     ]

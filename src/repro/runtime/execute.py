@@ -67,11 +67,23 @@ import numpy as np
 
 from ..core.configuration import Configuration
 from ..engine import native
-from ..engine.native import NO_EPOCH_END, RULE_TABLE, data_address, kernel_thread_count
+from ..engine.native import (
+    NO_EPOCH_END,
+    ROW_CURSOR,
+    ROW_LAST_CHANGE,
+    ROW_LEADERS,
+    ROW_LOG_LEN,
+    ROW_STATUS,
+    ROW_STEPS,
+    RULE_TABLE,
+    STACK_ROW_WORDS,
+    data_address,
+    kernel_thread_count,
+)
 from ..graphs.graph import _sorted_distinct
 from .pairs import directed_tables
 from .plan import ExecutionPlan, v6_servable
-from .source import KernelSource
+from .source import REFILL_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.simulator import SimulationResult
@@ -531,6 +543,13 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     ``tests/test_runtime_plan.py``, ``tests/test_kernel_rng.py`` and
     ``tests/test_identifier_kernel.py``).
 
+    Each replica's stream state and counters live in one row of an
+    ``(R, STACK_ROW_WORDS)`` int64 block, which the kernel seeds from the
+    plan's seeds on the first call; after each call every row's words
+    are read back with one ``tolist()``, and a compaction copies the
+    codes, the row block, the pre-sample buffers and the seen bitmap or
+    code log.
+
     ``plan.compiled`` picks the kernel's transition rule.  Transition
     tables (:class:`~repro.engine.compiler.CompiledProtocol`) count
     distinct codes in a dense per-row bitmap and resolve misses here.  A
@@ -595,36 +614,35 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
         return results  # type: ignore[return-value]
 
     directed_u, directed_v, edge_count, epoch_end = _epoch_tables(plan, 0)
-    # The plan's seeds passed v6_servable: as uint64 words they seed the
-    # kernel rows without a second per-seed check.
-    ksrc = KernelSource(
-        graph, np.array(plan.seeds, dtype=np.uint64), buffer_capacity=check_interval
-    )
+    # One row block per replica: the kernel seeds each row's generator on
+    # its first call, from the plan's seeds, which passed v6_servable, so
+    # as uint64 words they need no second per-seed check.
+    seeds = np.array(plan.seeds, dtype=np.uint64)
+    rows = np.zeros((replica_count, STACK_ROW_WORDS), dtype=np.int64)
+    rows[:, ROW_LEADERS] = initial_leaders
+    # The kernel writes a refill before it reads one.
+    buffers = np.empty((replica_count, max(REFILL_SIZE, check_interval)), dtype=np.int64)
     codes = np.empty((replica_count, n), dtype=np.int64)
     codes[...] = initial_codes  # one code per node, or the uniform one broadcast
     if tables:
         seen = start_seen[None, :].repeat(replica_count, axis=0)
-        log = log_len = None
+        log = None
+        stop = _MISS
     else:
         assert _LOG_CAPACITY >= 2
         seen = None
         log = np.zeros((replica_count, _LOG_CAPACITY), dtype=np.int64)
-        log_len = np.zeros(replica_count, dtype=np.int64)
         known = [start_seen] * replica_count  # per replica id
-    steps = np.zeros(replica_count, dtype=np.int64)
-    last_change = np.zeros(replica_count, dtype=np.int64)
-    leaders = np.full(replica_count, initial_leaders, dtype=np.int64)
-    status = np.zeros(replica_count, dtype=np.uint8)
-    replica_ids = np.arange(replica_count, dtype=np.int64)
+        stop = _LOG
+    replica_ids = list(range(replica_count))
 
-    def fold_log(row: int) -> None:
-        replica = int(replica_ids[row])
-        written = log[row, : log_len[row]]
-        known[replica] = _sorted_distinct(np.concatenate((known[replica], written)))
-        log_len[row] = 0
+    def fold_log(row: int, length: int) -> None:
+        replica = replica_ids[row]
+        known[replica] = _sorted_distinct(np.concatenate((known[replica], log[row, :length])))
+        rows[row, ROW_LOG_LEN] = 0
 
     while True:
-        width = replica_ids.size
+        width = len(replica_ids)
         if tables:
             if seen.shape[1] < rule.stride:
                 grown = np.zeros((width, rule.stride), dtype=np.uint8)
@@ -632,19 +650,19 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
                 seen = grown
             rule_args = (
                 rule.rule_id, data_address(rule.dpack), rule.stride, rule.kshift,
-                data_address(seen), None, None, 0,
+                data_address(seen), None, 0,
             )
         else:
             rule_args = (
                 rule.rule_id, rule.table.ctypes.data, rule.threshold, 0,
-                None, data_address(log), data_address(log_len), log.shape[1],
+                None, data_address(log), log.shape[1],
             )
         kernel(
             data_address(codes),
-            data_address(ksrc.rng_state),
-            data_address(ksrc.src_state),
-            data_address(ksrc.buffers),
-            ksrc.buffer_capacity,
+            data_address(rows),
+            None if seeds is None else data_address(seeds),
+            data_address(buffers),
+            buffers.shape[1],
             data_address(directed_u),
             data_address(directed_v),
             edge_count,
@@ -652,74 +670,74 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             width,
             n,
             *rule_args,
-            ksrc.batch_size,
+            REFILL_SIZE,
             check_interval,
             max_steps,
-            data_address(steps),
-            data_address(last_change),
-            data_address(leaders),
-            data_address(status),
             int(precheck),
             threads,
         )
-        # A row that stopped *before* consuming its draw resumes mid-block
-        # in the next kernel call: after its missing table entry is filled
-        # (possibly growing the tables), or after its full log is folded.
-        for row in np.nonzero(status == (_MISS if tables else _LOG))[0].tolist():
-            if tables:
-                index = int(ksrc.buffers[row, ksrc.src_state[row, 0]])
-                rule.scalar_entry(
-                    int(codes[row, directed_u[index]]), int(codes[row, directed_v[index]])
-                )
-            else:
-                fold_log(row)
+        seeds = None  # every row is seeded
         finished_rows: List[int] = []
-        for row in np.nonzero(status <= _BOUNDARY)[0].tolist():
-            # The exhausted step budget, or a certificate boundary
-            # (prefiltered in-kernel for precheck protocols, every
-            # cadence block otherwise).  Only a boundary decodes, for
-            # its certificate.
-            step = int(steps[row])
-            decoded = None
-            stabilized = False
-            if status[row] == _BOUNDARY:
-                decoded = rule.decode_codes(codes[row])
-                stabilized = bool(protocol.is_output_stable_configuration(decoded, graph))
-            if stabilized or step >= max_steps:
-                if decoded is not None:
-                    final = Configuration(decoded, step=step)
-                else:
-                    # A budget row's codes are never written again:
-                    # compaction copies the surviving rows, and the loop
-                    # ends when the last rows finish.  A wider stack's
-                    # row is copied, so the result does not keep its
-                    # siblings' codes alive.
-                    row_codes = codes[row] if width == 1 else codes[row].copy()
-                    final = Configuration.from_codes(row_codes, rule.decode_codes, step)
+        switching = 0
+        for row, words in enumerate(rows.tolist()):
+            status = words[ROW_STATUS]
+            if status == stop:
+                # The row stopped *before* consuming its draw and resumes
+                # mid-block in the next kernel call: after its missing
+                # table entry is filled (possibly growing the tables), or
+                # after its full log is folded.
                 if tables:
-                    distinct = int(np.count_nonzero(seen[row]))
+                    index = int(buffers[row, words[ROW_CURSOR]])
+                    rule.scalar_entry(
+                        int(codes[row, directed_u[index]]), int(codes[row, directed_v[index]])
+                    )
                 else:
-                    fold_log(row)
-                    distinct = known[int(replica_ids[row])].size
-                results[int(replica_ids[row])] = _stack_result(
-                    final,
-                    stabilized,
-                    int(last_change[row]),
-                    distinct,
-                    int(leaders[row]),
-                )
-                finished_rows.append(row)
+                    fold_log(row, words[ROW_LOG_LEN])
+            elif status == _SWITCH:
+                switching += 1
+            else:
+                # The exhausted step budget, or a certificate boundary
+                # (prefiltered in-kernel for precheck protocols, every
+                # cadence block otherwise).  Only a boundary decodes, for
+                # its certificate.
+                step = words[ROW_STEPS]
+                decoded = None
+                stabilized = False
+                if status == _BOUNDARY:
+                    decoded = rule.decode_codes(codes[row])
+                    stabilized = bool(protocol.is_output_stable_configuration(decoded, graph))
+                if stabilized or step >= max_steps:
+                    if decoded is not None:
+                        final = Configuration(decoded, step=step)
+                    else:
+                        # A budget row's codes are never written again:
+                        # compaction copies the surviving rows, and the
+                        # loop ends when the last rows finish.  A wider
+                        # stack's row is copied, so the result does not
+                        # keep its siblings' codes alive.
+                        row_codes = codes[row] if width == 1 else codes[row].copy()
+                        final = Configuration.from_codes(row_codes, rule.decode_codes, step)
+                    if tables:
+                        distinct = int(np.count_nonzero(seen[row]))
+                    else:
+                        fold_log(row, words[ROW_LOG_LEN])
+                        distinct = known[replica_ids[row]].size
+                    results[replica_ids[row]] = _stack_result(
+                        final, stabilized, words[ROW_LAST_CHANGE], distinct, words[ROW_LEADERS]
+                    )
+                    finished_rows.append(row)
         if finished_rows:
             if len(finished_rows) == width:
                 break  # the last rows finished: nothing left to compact
             keep = np.ones(width, dtype=bool)
             keep[finished_rows] = False
-            arrays = (codes, seen, log, log_len, steps, last_change, leaders, status, replica_ids)
-            (
-                codes, seen, log, log_len, steps, last_change, leaders, status, replica_ids
-            ) = (None if array is None else np.ascontiguousarray(array[keep]) for array in arrays)
-            ksrc.compact(keep)
-        if bool((status == _SWITCH).all()):
+            codes, rows, buffers = codes[keep], rows[keep], buffers[keep]
+            if tables:
+                seen = seen[keep]
+            else:
+                log = log[keep]
+            replica_ids = [replica for replica, kept in zip(replica_ids, keep.tolist()) if kept]
+        if switching == width - len(finished_rows):
             directed_u, directed_v, edge_count, epoch_end = _epoch_tables(plan, epoch_end)
 
     wall = time.perf_counter() - start_time

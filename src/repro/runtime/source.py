@@ -32,9 +32,9 @@ Internally the buffer holds raw directed pair indices; endpoints are
 decoded on consumption through the shared tables.  That lets the
 sharded engine (:mod:`repro.sharding`) read undecoded indices with
 :meth:`next_pair_indices` and resolve them itself, while ``next_batch`` /
-``next_arrays`` reproduce the historical decoded streams exactly.
-:class:`KernelSource` is the same scheduler dialect with its state held
-in C, for the v6 epoch stack (:mod:`repro.runtime.execute`).
+``next_arrays`` reproduce the historical decoded streams exactly.  The
+v6 epoch stack (:mod:`repro.runtime.execute`) runs the same scheduler
+dialect with its state held in C, in the kernel's row block.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.native import RNG_STATE_WORDS, SRC_STATE_WORDS, data_address, get_rng_kernels
+from ..engine.native import RNG_STATE_WORDS, data_address, get_rng_kernels
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike, as_rng
 from .pairs import directed_tables, encode_oriented
@@ -350,68 +350,3 @@ def kernel_rng_rows(seeds) -> Optional[np.ndarray]:
     kernels["pcg64_init"](data_address(words), words.size, data_address(rows))
     return rows
 
-
-class KernelSource:
-    """Replica-batched scheduler-dialect streams living in kernel state.
-
-    The v6 twin of a row of :class:`InteractionSource` objects: per
-    replica, one PCG64 state row (``rng_state``), one cursor/fill/
-    position triple (``src_state``) and one pre-sample buffer row
-    (``buffers``), all advanced *inside* the C kernel
-    (``repro_run_epoch`` / ``repro_source_fill``).  Seeding, refill
-    sizes and draw order are bit-identical to
-    ``InteractionSource(graph, np.random.default_rng(seed))``.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        seeds,
-        batch_size: int = REFILL_SIZE,
-        buffer_capacity: Optional[int] = None,
-    ) -> None:
-        rng_state = kernel_rng_rows(seeds)
-        if rng_state is None:
-            raise RuntimeError(
-                "kernel v6 is unavailable or a seed is not kernel-seedable; "
-                "use InteractionSource"
-            )
-        if graph.n_edges == 0:
-            raise ValueError("cannot schedule interactions on an edgeless graph")
-        self._graph = graph
-        self._batch = int(batch_size)
-        self._kernels = get_rng_kernels()
-        capacity = max(self._batch, int(buffer_capacity or 0))
-        count = len(seeds)
-        self.rng_state = rng_state
-        self.src_state = np.zeros((count, SRC_STATE_WORDS), dtype=np.int64)
-        self.buffers = np.zeros((count, capacity), dtype=np.int64)
-
-    @property
-    def batch_size(self) -> int:
-        return self._batch
-
-    @property
-    def buffer_capacity(self) -> int:
-        return self.buffers.shape[1]
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop finished replica rows (mirrors the executor's compaction)."""
-        self.rng_state = np.ascontiguousarray(self.rng_state[keep])
-        self.src_state = np.ascontiguousarray(self.src_state[keep])
-        self.buffers = np.ascontiguousarray(self.buffers[keep])
-
-    def fill(self, row: int, out: np.ndarray) -> None:
-        """``InteractionSource.next_pair_indices`` for one row, drawn in-kernel into ``out``."""
-        count = out.shape[0]
-        if count > self.buffer_capacity:
-            raise ValueError("draw exceeds the kernel buffer capacity")
-        self._kernels["source_fill"](
-            self.rng_state[row].ctypes.data,
-            self.src_state[row].ctypes.data,
-            self.buffers[row].ctypes.data,
-            self._graph.n_edges,
-            self._batch,
-            count,
-            out.ctypes.data,
-        )

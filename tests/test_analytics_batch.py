@@ -4,8 +4,8 @@ The engine's contract (see :mod:`repro.analytics`):
 
 * **width invariance** — every batched estimator returns bit-identical
   values for replica-batch widths 1, 3 and R;
-* **path invariance** — the v6 epoch kernels, the vectorized NumPy
-  blocks and the scalar loops compute identical results;
+* **path invariance** — the v6 epoch kernels, the epidemic's vectorized
+  NumPy block and the scalar loops compute identical results;
 * **kernel-resident streams** — on the kernel, private trajectory streams
   are seeded in C and never exist as Python generators, while a
   caller-held generator ends in the same state on every path;
@@ -132,12 +132,25 @@ class TestPathInvariance:
         native = run_epidemic_batch(g, sources, seeds, budget, stopmasks=stopmasks)
         return g, sources, seeds, budget, native
 
-    def test_epidemic_paths(self, no_native):
+    def test_epidemic_paths(self, no_native, monkeypatch):
+        """Without the kernel, the NumPy block (forced on every round, down
+        to one row) equals the scalar loop, with and without stop masks."""
         reset_kernel_cache()
         assert get_broadcast_epoch_kernel() is None
-        g, sources, seeds, budget, fallback = self._epidemic_all_paths()
-        scalar = run_epidemic_batch(g, sources, seeds, budget, replica_batch=2)
-        assert fallback.tolist() == scalar.tolist()
+        g = torus(5, 5)
+        masks = (np.arange(g.n_nodes)[None, :] % 7 == np.arange(8)[:, None] % 7).astype(np.uint8)
+        scalar = {
+            index: self._epidemic_all_paths(stopmasks)[1:]
+            for index, stopmasks in enumerate((None, masks))
+        }
+        monkeypatch.setattr(epidemics, "_SCALAR_MAX_REPLICAS", 1)
+        for index, stopmasks in enumerate((None, masks)):
+            sources, seeds, budget, expected = scalar[index]
+            for width in (None, 2):
+                vectorized = run_epidemic_batch(
+                    g, sources, seeds, budget, stopmasks=stopmasks, replica_batch=width
+                )
+                assert vectorized.tolist() == expected.tolist()
 
     def test_epidemic_native_vs_fallback(self, monkeypatch):
         if get_broadcast_epoch_kernel() is None:
@@ -401,6 +414,40 @@ class TestSeedPurity:
         ]
         assert broadcast_trajectory_seed_array(base, [], repetitions).size == 0
         assert broadcast_trajectory_seed_array(base, sources, 0).size == 0
+
+    @pytest.mark.parametrize(
+        "graph, max_sources",
+        [(cycle(6), 6), (cycle(5), 8), (torus(5, 5), 6)],
+        ids=["n-equals-max", "n-below-max", "sampled"],
+    )
+    def test_batched_seeds_equal_the_per_base_concatenation(self, graph, max_sources, monkeypatch):
+        """One grid over every base's sources seeds the ``B(G)`` stack with
+        each base's own trajectory seeds, base after base."""
+        bases = [0, 7, derive_seed(11, "bases"), 2**63 - 1, 2**64 - 1]
+        repetitions = 3
+        captured = []
+        real = estimators.run_epidemic_batch
+
+        def spy(graph, sources, seeds, *args, **kwargs):
+            captured.append((list(sources), seeds))
+            return real(graph, sources, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "run_epidemic_batch", spy)
+        batched_broadcast_estimates(
+            graph, bases, repetitions, max_sources, default_broadcast_budget(graph)
+        )
+        (sources, seeds), = captured
+        per_base = [select_sources(graph, max_sources, base) for base in bases]
+        expected = [
+            broadcast_trajectory_seed_array(base, base_sources, repetitions)
+            for base, base_sources in zip(bases, per_base)
+        ]
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == np.concatenate(expected).tolist()
+        assert sources == [
+            source for base_sources in per_base for source in base_sources
+            for _ in range(repetitions)
+        ]
 
     def test_wide_seeds_run_and_negative_seeds_raise(self):
         """Seeds outside ``[0, 2**64)`` keep the NumPy ``Generator`` leg."""

@@ -32,13 +32,22 @@ import repro.runtime.execute as execute_module
 from repro.core.protocol import LEADER
 from repro.core.seeds import derive_seed
 from repro.core.simulator import default_check_interval
-from repro.engine.native import NO_EPOCH_END, get_run_epoch_kernel, reset_kernel_cache
+from repro.engine.native import (
+    NO_EPOCH_END,
+    ROW_LAST_CHANGE,
+    ROW_LEADERS,
+    ROW_LOG_LEN,
+    ROW_STATUS,
+    ROW_STEPS,
+    STACK_ROW_WORDS,
+    get_run_epoch_kernel,
+    reset_kernel_cache,
+)
 from repro.graphs import clique, cycle, path, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.protocols.identifier import IdentifierKernelRule, IdentifierLeaderElection
 from repro.protocols.tokens import ALL_TOKEN_STATES
 from repro.runtime import compile_plan, execute_plan
-from repro.runtime.source import kernel_rng_rows
 
 MASTER_SEED = 20261016
 
@@ -70,33 +79,36 @@ def _kernel_step(bits, pairs):
     applies exactly ``Ξ(a, b)``.  The topology is static, the budget and
     the cadence are one step, with the unique-leader precheck on: the
     row status says whether the kernel would hand that boundary to
-    Python.
+    Python.  Steps, last change, leaders, status and log length are read
+    from the row block's words.
     """
     rule = IdentifierKernelRule(bits)
     nrep = len(pairs)
     codes = np.array(pairs, dtype=np.int64).reshape(nrep, 2)
-    leaders = rule.table[64 + (codes & 7)].sum(axis=1).astype(np.int64)
-    before = leaders.copy()
-    rng_state = kernel_rng_rows([derive_seed(MASTER_SEED, "parity", r) for r in range(nrep)])
-    src_state = np.zeros((nrep, 3), dtype=np.int64)
+    before = rule.table[64 + (codes & 7)].sum(axis=1).astype(np.int64)
+    rows = np.zeros((nrep, STACK_ROW_WORDS), dtype=np.int64)
+    rows[:, ROW_LEADERS] = before
+    rows[:, ROW_STATUS] = 255
+    seeds = np.array([derive_seed(MASTER_SEED, "parity", r) for r in range(nrep)], dtype=np.uint64)
     buffers = np.zeros((nrep, 1), dtype=np.int64)
     initiator = np.zeros(2, dtype=np.int64)
     responder = np.ones(2, dtype=np.int64)
     log = np.full((nrep, 2), -1, dtype=np.int64)
-    log_len = np.zeros(nrep, dtype=np.int64)
-    steps = np.zeros(nrep, dtype=np.int64)
-    last_change = np.zeros(nrep, dtype=np.int64)
-    status = np.full(nrep, 255, dtype=np.uint8)
     get_run_epoch_kernel()(
-        codes.ctypes.data, rng_state.ctypes.data, src_state.ctypes.data,
+        codes.ctypes.data, rows.ctypes.data, seeds.ctypes.data,
         buffers.ctypes.data, 1, initiator.ctypes.data, responder.ctypes.data, 1,
         NO_EPOCH_END, nrep, 2, rule.rule_id, rule.table.ctypes.data, rule.threshold, 0,
-        None, log.ctypes.data, log_len.ctypes.data, 2,
-        1, 1, 1, steps.ctypes.data, last_change.ctypes.data, leaders.ctypes.data,
-        status.ctypes.data, 1, 1,
+        None, log.ctypes.data, 2, 1, 1, 1, 1, 1,
     )
-    assert (steps == 1).all()
-    return codes, leaders - before, last_change, log, log_len, status
+    assert (rows[:, ROW_STEPS] == 1).all()
+    return (
+        codes,
+        rows[:, ROW_LEADERS] - before,
+        rows[:, ROW_LAST_CHANGE],
+        log,
+        rows[:, ROW_LOG_LEN],
+        rows[:, ROW_STATUS],
+    )
 
 
 def _decode(code):

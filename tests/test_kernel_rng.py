@@ -10,8 +10,8 @@ layer bit for bit: raw 64-bit words, bounded draws across chunk
 boundaries, decoded pair indices over randomized ``(seed, m, length)``
 triples including epoch-boundary caps at ``REFILL_SIZE``, refills that
 reject half-words or start on a buffered one (whole state rows compared),
-the per-row stream independence that stack compaction relies on, and the
-analytics kernels' stop-at-finish contract.
+and the analytics kernels' stop-at-finish contract.  Row compaction of
+the v6 stack is pinned end to end in ``tests/test_runtime_plan.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.runtime.pairs import directed_tables, encode_oriented
 from repro.runtime.source import (
     REFILL_SIZE,
     InteractionSource,
-    KernelSource,
     kernel_rng_rows,
     pack_generator_state,
     unpack_generator_state,
@@ -262,24 +261,6 @@ def test_generator_state_round_trip():
     assert (
         generator.integers(0, 2**63, size=16) == clone.integers(0, 2**63, size=16)
     ).all()
-
-
-def test_kernel_source_compaction_preserves_rows():
-    """Compacting finished rows leaves survivors' streams untouched."""
-    graph = cycle(11)
-    seeds = [derive_seed(MASTER_SEED, "compact", r) for r in range(5)]
-    ksrc = KernelSource(graph, seeds)
-    for row in range(len(seeds)):
-        ksrc.fill(row, np.zeros(10, dtype=np.int64))
-    keep = np.array([True, False, True, False, True])
-    ksrc.compact(keep)
-    survivors = [seed for seed, kept in zip(seeds, keep) if kept]
-    for row, seed in enumerate(survivors):
-        out = np.zeros(25, dtype=np.int64)
-        ksrc.fill(row, out)
-        reference = InteractionSource(graph, np.random.default_rng(seed))
-        reference.next_pair_indices(10)
-        assert (out == reference.next_pair_indices(25)).all()
 
 
 def _bounded_state(seed: int, bound: int, count: int) -> np.ndarray:

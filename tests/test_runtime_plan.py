@@ -45,6 +45,7 @@ from repro.protocols.tokens import token_initial_state
 from repro.runtime import compile_plan, execute_plan
 from repro.runtime.execute import _stack_v6_eligible, _uniform_start
 from repro.runtime.plan import ENGINES
+from repro.runtime.source import REFILL_SIZE
 
 MASTER_SEED = 20260728 + 5  # PR-5 case stream, disjoint from the differential suite
 
@@ -444,6 +445,40 @@ def test_stack_rows_finishing_in_different_calls_keep_replica_order(rule, monkey
             [make()], graph, [seed], max_steps=50_000, engine="reference", check_interval=8
         )
         assert result == _result_tuple(execute_plan(single)[0])
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("width", (1, 2))
+def test_stack_rows_resume_their_streams_across_many_calls(width, monkeypatch):
+    """Rows that stop on table misses many times, and run past their
+    first refill, resume their seeded streams where they stopped.
+
+    The fast protocol's freshly compiled tables miss over and over, so
+    every row returns to Python many times before it certifies; the
+    kernel seeds each row on the stack's first call only, and every
+    later call continues the row's stream.  Results equal the reference
+    interpreter's.
+    """
+    graph = cycle(40)
+    protocol = fast_protocol_spec().factory(graph, 7)
+    seeds = [derive_seed(99, "resume", r) for r in range(width)]
+    reference = execute_plan(
+        compile_plan([protocol] * width, graph, seeds, max_steps=200_000, engine="reference")
+    )
+    clear_compilation_cache()
+    calls = []
+    kernel = get_run_epoch_kernel()
+
+    def counting_kernel(*args):
+        calls.append(args[9])  # the active rows
+        return kernel(*args)
+
+    monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
+    plan = compile_plan([protocol] * width, graph, seeds, max_steps=200_000, engine="compiled")
+    results = execute_plan(plan)
+    assert len(calls) > 100, len(calls)
+    assert all(r.stabilized and r.steps_executed > REFILL_SIZE for r in results)
+    assert [_result_tuple(r) for r in results] == [_result_tuple(r) for r in reference]
 
 
 #: Stacks that end on their step budget, per transition rule: (protocol
