@@ -354,15 +354,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        ]\n",
         ("tests/test_runtime_plan.py::test_key_groups_return_results_in_replica_order",),
     ),
-    # -- One per-replica backend; backends checked before any run -------
-    Mutant(
-        "backend-not-validated",
-        "src/repro/runtime/plan.py",
-        "    if backend not in BACKENDS:\n"
-        "        raise ValueError(f\"unknown engine backend {backend!r}; expected one of {BACKENDS}\")\n",
-        "",
-        ("tests/test_runtime_plan.py::test_plan_validation_errors",),
-    ),
+    # -- Executors follow from a plan's inputs; no backend dial ---------
     Mutant(
         "scalar-loop-skips-responder-seen",
         "src/repro/engine/stepper.py",
@@ -370,8 +362,26 @@ MUTANTS: Tuple[Mutant, ...] = (
         "",
         (
             "tests/test_engine_equivalence.py::"
-            "test_backends_match_reference_across_protocols_and_graphs[scalar]",
+            "test_executors_match_reference_across_protocols_and_graphs[per-replica]",
         ),
+    ),
+    Mutant(
+        "v6-servable-ignores-seeds",
+        "src/repro/runtime/plan.py",
+        "    return all(map(kernel_seedable, seeds))",
+        "    return True",
+        ("tests/test_runtime_plan.py::test_per_replica_cases_never_enter_v6[generator]",),
+    ),
+    Mutant(
+        "scenario-accepts-any-backend",
+        "src/repro/orchestration/scenario.py",
+        "        if self.backend != \"auto\":\n"
+        "            raise ScenarioError(\n"
+        "                f\"scenario {self.name!r}: backend must be 'auto', got {self.backend!r}; \"\n"
+        "                \"the executor follows from each plan's inputs\"\n"
+        "            )\n",
+        "",
+        ("tests/test_scenarios.py::TestScenario::test_backend_is_the_constant_auto",),
     ),
     # -- One-trial unit set-up: one-call stacks, uniform encode, memos --
     Mutant(

@@ -114,7 +114,6 @@ def batched_broadcast_samples(
     repetitions: int,
     base: int,
     max_steps: int,
-    replica_batch: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
 ) -> np.ndarray:
     """Broadcast-step samples of every source, one replica stack.
@@ -135,7 +134,6 @@ def batched_broadcast_samples(
         [source for source in sources for _ in range(repetitions)],
         broadcast_trajectory_seed_array(base, sources, repetitions),
         max_steps,
-        replica_batch=replica_batch,
         schedule=schedule,
     )
     if (steps < 0).any():
@@ -157,7 +155,6 @@ def batched_broadcast_estimates(
     repetitions: int,
     max_sources: int,
     max_steps: int,
-    replica_batch: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
 ) -> List[EstimateData]:
     """``B(G)`` estimates for several base seeds in one replica stack.
@@ -189,7 +186,6 @@ def batched_broadcast_estimates(
         trajectory_sources,
         prefixed_seed_grid(prefixes, outer, repetitions),
         max_steps,
-        replica_batch=replica_batch,
         schedule=schedule,
     )
     if (steps < 0).any():

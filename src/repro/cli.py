@@ -4,7 +4,8 @@ Sub-commands:
 
 * ``workloads``       — list the available graph-family workloads.
 * ``scenarios``       — list the registered sweep scenarios.
-* ``engines``         — show the available execution engines / backends.
+* ``engines``         — show the execution engines and whether the v6
+  kernel is built.
 * ``elect``           — run one leader-election protocol on one workload
   and print the simulation result.
 * ``compare``         — run all three Table 1 protocols on one workload.
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("scenarios", help="list registered sweep scenarios")
 
-    subparsers.add_parser("engines", help="show available execution engines/backends")
+    subparsers.add_parser("engines", help="show execution engines and the v6 kernel")
 
     elect = subparsers.add_parser("elect", help="run a single leader election")
     _add_graph_arguments(elect)
@@ -684,10 +685,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_engines() -> int:
-    from .engine import available_backends
+    from .engine.native import get_run_epoch_kernel
     from .experiments.reporting import render_table
 
-    backends = available_backends()
+    kernel = "built" if get_run_epoch_kernel() is not None else "not built"
     rows = [
         {
             "engine": "reference",
@@ -695,8 +696,8 @@ def _cmd_engines() -> int:
         },
         {
             "engine": "compiled",
-            "description": "table-driven: the v6 epoch kernel (native) where it "
-            "serves the plan, else per replica; backends: " + ", ".join(backends),
+            "description": "table-driven: the v6 epoch kernel where it serves "
+            f"the plan, else per replica; v6 kernel: {kernel}",
         },
         {
             "engine": "auto",

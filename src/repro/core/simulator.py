@@ -131,12 +131,11 @@ class Simulator:
           which produces bit-identical results and is typically 3–100×
           faster; raises if the protocol cannot be compiled;
         * ``"auto"`` — compiled when possible, reference otherwise.
-    backend:
-        Compiled-engine backend: ``"auto"`` (the v6 epoch stack where it
-        can serve the run, else the per-replica engine), ``"native"``
-        (the v6 stack only; raises where it cannot serve the run) or
-        ``"scalar"`` (the per-replica engine only, see
-        :class:`repro.engine.stepper.CompiledRun`).
+
+        A compiled run takes the v6 epoch stack where it can serve the
+        run, else the per-replica engine
+        (:class:`repro.engine.stepper.CompiledRun`); the run's inputs
+        decide which (see :mod:`repro.runtime.execute`).
     max_states:
         Bound on the compiled state table size (default
         :data:`repro.engine.compiler.DEFAULT_MAX_STATES`).
@@ -148,7 +147,6 @@ class Simulator:
         protocol: PopulationProtocol,
         rng: RngLike = None,
         engine: str = "reference",
-        backend: str = "auto",
         max_states: Optional[int] = None,
     ) -> None:
         if graph.n_nodes < 1:
@@ -158,7 +156,6 @@ class Simulator:
         self.graph = graph
         self.protocol = protocol
         self.engine = engine
-        self.backend = backend
         self.max_states = max_states
         self._rng = rng
 
@@ -174,7 +171,6 @@ class Simulator:
         record_leader_trace: bool = False,
         trace_resolution: int = 64,
         engine: Optional[str] = None,
-        backend: Optional[str] = None,
         max_states: Optional[int] = None,
         schedule: Optional["TopologySchedule"] = None,
     ) -> SimulationResult:
@@ -191,21 +187,22 @@ class Simulator:
             How often (in steps) to evaluate the stability certificate.
             Defaults to ``max(1, m // 4)``, clamped to at most 4096.
         scheduler:
-            Override the default :class:`RandomScheduler` (used by replay
-            and lower-bound experiments).
+            Override the default stream, the one :class:`RandomScheduler`
+            draws (used by replay and lower-bound experiments).
         record_leader_trace:
             If true, record ``(step, leader_count)`` checkpoints.
         trace_resolution:
             Approximate number of trace checkpoints to record.
-        engine / backend / max_states:
+        engine / max_states:
             Override the simulator-level engine selection (see
             :class:`Simulator`).  The compiled engine consumes the same
             scheduler stream and reproduces the reference results exactly.
         schedule:
             Optional :class:`~repro.dynamics.schedule.TopologySchedule`:
             interactions are sampled from the epoch graph active at the
-            current step (via :class:`~repro.dynamics.scheduler.DynamicScheduler`)
-            and the stability certificate is evaluated against the
+            current step (the stream of
+            :class:`~repro.dynamics.scheduler.DynamicScheduler`) and the
+            stability certificate is evaluated against the
             schedule's union graph, which keeps certification sound under
             topology change.  A single-epoch schedule reproduces the
             equivalent static run bit for bit.  Mutually exclusive with
@@ -214,7 +211,6 @@ class Simulator:
         from ..runtime import compile_plan, execute_plan
 
         engine = self.engine if engine is None else engine
-        backend = self.backend if backend is None else backend
         max_states = self.max_states if max_states is None else max_states
         plan = compile_plan(
             [self.protocol],
@@ -222,7 +218,6 @@ class Simulator:
             [self._rng],
             max_steps=max_steps,
             engine=engine,
-            backend=backend,
             check_interval=check_interval,
             schedule=schedule,
             inputs=inputs,
@@ -272,7 +267,6 @@ def run_leader_election(
     check_interval: Optional[int] = None,
     record_leader_trace: bool = False,
     engine: str = "reference",
-    backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
 ) -> SimulationResult:
     """Convenience wrapper: simulate ``protocol`` on ``graph`` until stable.
@@ -288,7 +282,7 @@ def run_leader_election(
     """
     if max_steps is None:
         max_steps = default_max_steps(graph.n_nodes)
-    simulator = Simulator(graph, protocol, rng=rng, engine=engine, backend=backend)
+    simulator = Simulator(graph, protocol, rng=rng, engine=engine)
     return simulator.run(
         max_steps=max_steps,
         inputs=inputs,

@@ -19,12 +19,13 @@ single-epoch schedule no cap ever applies, so the stream — and therefore
 every downstream seeded result — is bit-identical to
 ``RandomScheduler(graph, rng=seed)`` on the same seed.
 
-The per-replica engine consumes this scheduler through the same
-:meth:`next_arrays` batches the static scheduler provides.  The v6
-epoch stack (:mod:`repro.runtime.execute`) draws the same stream in C:
-it caps each refill at the epoch boundary in the same way and swaps in
-the next epoch's tables there, so dynamic runs stay bit-identical
-across both backends.
+The per-replica engine and the reference interpreter
+(:mod:`repro.runtime.execute`) read the same stream from a bare
+:class:`~repro.runtime.source.InteractionSource` over the schedule, so a
+run never imports this module.  The v6 epoch stack draws the same
+stream in C: it caps each refill at the epoch boundary in the same way
+and swaps in the next epoch's tables there, so dynamic runs stay
+bit-identical across all three executors.
 """
 
 from __future__ import annotations

@@ -3,17 +3,18 @@
 The engine turns a :class:`~repro.core.protocol.PopulationProtocol` whose
 transition function is a pure function of the two interacting states into
 dense lookup tables (:mod:`repro.engine.compiler`), and then executes
-scheduler batches against those tables with two interchangeable, exactly
-equivalent backends:
+scheduler batches against those tables with one of two exactly
+equivalent executors, chosen from a plan's inputs
+(:mod:`repro.runtime.execute`):
 
-* ``native`` — the v6 epoch stack: a C kernel (:mod:`repro.engine.native`)
-  compiled on demand with the system C compiler and driven through
+* the v6 epoch stack: a C kernel (:mod:`repro.engine.native`) compiled
+  on demand with the system C compiler and driven through
   :mod:`ctypes`, in which one ``repro_run_epoch`` call advances every
   replica of a plan, seeded streams drawn in-kernel, to its next
-  certificate check or topology epoch switch (see
-  :mod:`repro.runtime.execute`);
-* ``scalar`` — the per-replica engine: a tight Python loop over integer
-  state codes (:mod:`repro.engine.stepper`, one replica at a time).
+  certificate check or topology epoch switch;
+* the per-replica engine: a tight Python loop over integer state codes
+  (:mod:`repro.engine.stepper`, one replica at a time), for the runs the
+  stack cannot serve.
 
 :mod:`repro.engine.replicas` runs R independent replicas of the same
 (graph, protocol) pair through one compiled table set — on the v6 epoch
@@ -22,7 +23,7 @@ kernel is unavailable.  Single runs, harness measurements and
 orchestrator units of any width go through the same execution plans and
 so reach the same stack.
 
-Both backends reproduce the reference simulator's sequential semantics
+Both executors reproduce the reference simulator's sequential semantics
 bit-for-bit: same scheduler stream, same stabilization step, same output
 history.  ``tests/test_engine_equivalence.py`` enforces this for every
 bundled protocol.
@@ -48,9 +49,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "get_compiled",
         ),
         "replicas": ("run_replicas",),
-        "stepper": (
-            "CompiledRun",
-            "available_backends",
-        ),
+        "stepper": ("CompiledRun",),
     },
 )

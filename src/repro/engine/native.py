@@ -6,9 +6,10 @@ One shared object holds every native entry point:
   of protocol replicas with their seeded pair streams drawn in C;
 * the analytics epidemics ``repro_broadcast_epoch`` and
   ``repro_influence_epoch``;
-* the RNG primitives behind them (``repro_splitmix64``,
-  ``repro_derive_seed``, ``repro_pcg64_init``, ``repro_pcg64_raw``,
-  ``repro_bounded_fill``, ``repro_source_fill``);
+* the RNG primitives behind them (``repro_pcg64_init``,
+  ``repro_pcg64_raw``, ``repro_bounded_fill``, ``repro_source_fill``),
+  which start from seeds :mod:`repro.core.seeds` has already derived in
+  Python and handed over as ``uint64`` words;
 * two block functions fed pre-drawn pairs from Python: the shard-worker
   pool's ``repro_run_shard_block`` and the stand-in serial baselines'
   ``repro_broadcast_block``;
@@ -155,9 +156,10 @@ int64_t repro_broadcast_block(uint8_t *informed,
 #: this package draws from — ``SeedSequence`` entropy pooling, the PCG64
 #: (XSL-RR 128/64) bit generator including its buffered 32-bit half-word,
 #: and ``Generator.integers``'s Lemire bounded sampling — plus the
-#: SplitMix64 word folding of :mod:`repro.core.seeds` and the scheduler
-#: dialect of :class:`repro.runtime.source.InteractionSource` (refills of
-#: ``max(batch, minimum)`` edge draws followed by orientation draws).
+#: scheduler dialect of :class:`repro.runtime.source.InteractionSource`
+#: (refills of ``max(batch, minimum)`` edge draws followed by orientation
+#: draws).  Seeds arrive already derived (:mod:`repro.core.seeds` folds
+#: them in Python), one ``uint64`` per stream.
 #: Every stream produced here is bit-identical to the NumPy draws; the
 #: differential contract lives in ``tests/test_kernel_rng.py`` and the
 #: golden fixtures.  Replicas are fully independent, so the optional
@@ -197,28 +199,6 @@ typedef unsigned __int128 repro_u128;
 /* Epoch-runner transition rules (mirrored in repro.engine.native). */
 #define REPRO_RULE_TABLE 0
 #define REPRO_RULE_IDENTIFIER 1
-
-/* ---- SplitMix64 (the finalizer behind repro.core.seeds) ---------- */
-
-uint64_t repro_splitmix64(uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-/* derive_seed word folding: words[0] is the (pre-folded) base, the rest
- * are tag/index words already reduced to uint64 by the Python side's
- * word_to_int.  Must stay aligned with repro.core.seeds.derive_seed. */
-uint64_t repro_derive_seed(const uint64_t *words, int64_t count)
-{
-    uint64_t state = repro_splitmix64(words[0]);
-    int64_t i;
-    for (i = 1; i < count; i++)
-        state = repro_splitmix64(state ^ words[i]);
-    return state & 0x7FFFFFFFFFFFFFFFULL;
-}
 
 /* ---- numpy SeedSequence (pool 4, entropy <= 2 uint32 words) ------ */
 
@@ -1316,12 +1296,6 @@ def _compile_kernel():
 
 def _bind_v6(library):
     """ctypes signatures for the v6 (in-kernel RNG) entry points."""
-    splitmix64 = library.repro_splitmix64
-    splitmix64.restype = ctypes.c_uint64
-    splitmix64.argtypes = [ctypes.c_uint64]
-    derive = library.repro_derive_seed
-    derive.restype = ctypes.c_uint64
-    derive.argtypes = [ctypes.c_void_p, ctypes.c_int64]  # words, count
     pcg64_init = library.repro_pcg64_init
     pcg64_init.restype = None
     pcg64_init.argtypes = [
@@ -1417,8 +1391,6 @@ def _bind_v6(library):
         ctypes.c_int64,  # n_threads
     ]
     return {
-        "splitmix64": splitmix64,
-        "derive_seed": derive,
         "pcg64_init": pcg64_init,
         "pcg64_raw": pcg64_raw,
         "bounded_fill": bounded_fill,
@@ -1431,8 +1403,6 @@ def _bind_v6(library):
 
 #: The v6 RNG/stream primitives :func:`get_rng_kernels` hands out.
 _RNG_KERNEL_NAMES = (
-    "splitmix64",
-    "derive_seed",
     "pcg64_init",
     "pcg64_raw",
     "bounded_fill",
@@ -1560,9 +1530,8 @@ def get_eccentricity_kernel():
 def get_rng_kernels():
     """The v6 RNG/stream primitives for the differential tests, or ``None``.
 
-    Keys: ``splitmix64``, ``derive_seed``, ``pcg64_init``, ``pcg64_raw``,
-    ``bounded_fill``, ``source_fill``.  One dict per kernel build,
-    shared by every caller.
+    Keys: ``pcg64_init``, ``pcg64_raw``, ``bounded_fill``,
+    ``source_fill``.  One dict per kernel build, shared by every caller.
     """
     kernels = _kernels()
     return None if kernels is None else kernels["rng"]

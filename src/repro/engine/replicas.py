@@ -6,9 +6,9 @@ with different seeds.  :func:`run_replicas` executes R such replicas as
 protocol's transition tables once and the runtime executors
 (:mod:`repro.runtime.execute`) run every replica against them — through
 the v6 epoch stack, which advances all replicas with in-kernel seeded
-streams, or, where the stack cannot serve the plan (no v6 kernel, an
-explicit ``"scalar"`` backend, seeds the kernel cannot reproduce),
-replica by replica through the per-replica engine's scalar loop.
+streams, or, where the stack cannot serve the plan (no v6 kernel, seeds
+the kernel cannot reproduce), replica by replica through the
+per-replica engine's scalar loop.
 Every replica draws from its own independent scheduler stream, so both
 paths are bit-identical to R separate reference runs with the same
 seeds.
@@ -39,7 +39,6 @@ def run_replicas(
     max_steps: int,
     inputs: Optional[Sequence[Any]] = None,
     check_interval: Optional[int] = None,
-    backend: str = "auto",
     max_states: int = DEFAULT_MAX_STATES,
 ) -> List["SimulationResult"]:
     """Run one replica per seed; results match the reference runs exactly.
@@ -52,16 +51,13 @@ def run_replicas(
         One scheduler seed (or generator) per replica.
     max_steps / inputs / check_interval:
         As in :meth:`repro.core.simulator.Simulator.run`.
-    backend:
-        ``"auto"`` (default) runs the v6 epoch stack when the kernel is
-        available and the seeds allow it, else the per-replica engine;
-        ``"native"`` insists on the stack (it raises where the stack
-        cannot serve the plan); ``"scalar"`` runs each replica through
-        the per-replica engine, :class:`~repro.engine.stepper.CompiledRun`.
-        All are exact — they differ in wall time only.
 
-    The v6 stack splits its replica rows over ``REPRO_KERNEL_THREADS``
-    threads (default 1); results are bit-identical for any value.
+    The replicas run on the v6 epoch stack when the kernel is built and
+    every seed is an integer in ``[0, 2**64)``, else one by one on the
+    per-replica engine, :class:`~repro.engine.stepper.CompiledRun`;
+    both are exact and differ in wall time only.  The v6 stack splits
+    its replica rows over ``REPRO_KERNEL_THREADS`` threads (default 1);
+    results are bit-identical for any value.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
@@ -76,7 +72,6 @@ def run_replicas(
         seeds,
         max_steps=max_steps,
         engine="compiled",
-        backend=backend,
         check_interval=check_interval,
         inputs=inputs,
         max_states=max_states,

@@ -5,8 +5,8 @@ execution and applies scheduler blocks against the scalar cache of a
 :class:`~repro.engine.compiler.CompiledProtocol`.  It is the per-replica
 engine of :mod:`repro.runtime.execute`, for the runs the v6 epoch stack
 cannot serve (leader traces, scheduler overrides, seeds the kernel
-cannot reproduce, ``backend="scalar"``, hosts without the kernel); the
-C kernel runs only whole plans, on that stack.
+cannot reproduce, hosts without the kernel); the C kernel runs only
+whole plans, on that stack.
 
 A block is applied by one tight Python loop over integer codes and the
 compiler's scalar cache, whose entries are pre-reduced to "exact no-op"
@@ -26,19 +26,6 @@ from typing import Hashable, List, Tuple
 import numpy as np
 
 from .compiler import CompiledProtocol, _SCALAR_STRIDE
-from .native import get_run_epoch_kernel
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Compiled-engine backends usable in this environment, fastest first.
-
-    ``"native"`` is the v6 epoch stack (:mod:`repro.runtime.execute`),
-    listed when the kernel is built; ``"scalar"`` is this module's
-    per-replica engine.
-    """
-    if get_run_epoch_kernel() is not None:
-        return ("native", "scalar")
-    return ("scalar",)
 
 
 class CompiledRun:

@@ -289,7 +289,6 @@ def run_measurement_trials(
     seed: int = 0,
     max_steps: Optional[int] = None,
     engine: str = "auto",
-    backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
 ) -> Tuple[List[SimulationResult], Optional[int]]:
     """Execute an arbitrary subset of a measurement's trials.
@@ -314,7 +313,6 @@ def run_measurement_trials(
         run_seeds,
         max_steps=max_steps,
         engine=engine,
-        backend=backend,
         schedule=schedule,
     )
 
@@ -344,7 +342,6 @@ def run_protocol_trials(
     run_seeds: Sequence[int],
     max_steps: Optional[int] = None,
     engine: str = "auto",
-    backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
 ) -> Tuple[List[SimulationResult], Optional[int]]:
     """Execute trials whose protocols are already built, one per seed.
@@ -370,7 +367,6 @@ def run_protocol_trials(
         run_seeds,
         max_steps=budget,
         engine=engine,
-        backend=backend,
         schedule=schedule,
     )
     return execute_plan(plan), protocols[0].state_space_size()
@@ -384,7 +380,6 @@ def measure_protocol_on_graph(
     max_steps: Optional[int] = None,
     keep_results: bool = False,
     engine: str = "auto",
-    backend: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
 ) -> Measurement:
     """Run ``spec`` on ``graph`` ``repetitions`` times and aggregate.
@@ -412,7 +407,6 @@ def measure_protocol_on_graph(
         seed=seed,
         max_steps=max_steps,
         engine=engine,
-        backend=backend,
         schedule=schedule,
     )
     return measurement_from_records(
@@ -481,7 +475,6 @@ def sweep_protocol_over_sizes(
     seed: int = 0,
     max_steps_fn: Optional[Callable[[Graph], int]] = None,
     engine: str = "auto",
-    backend: str = "auto",
 ) -> SweepResult:
     """Measure a protocol on a workload for each population size in ``sizes``.
 
@@ -503,7 +496,6 @@ def sweep_protocol_over_sizes(
                 seed=measure_seed(seed, index),
                 max_steps=max_steps,
                 engine=engine,
-                backend=backend,
             )
         )
     return SweepResult(
@@ -521,7 +513,6 @@ def compare_protocols_on_graph(
     seed: int = 0,
     max_steps: Optional[int] = None,
     engine: str = "auto",
-    backend: str = "auto",
 ) -> Dict[str, Measurement]:
     """Measure several protocols on the same graph (the per-row comparison)."""
     return {
@@ -532,7 +523,6 @@ def compare_protocols_on_graph(
             seed=seed,
             max_steps=max_steps,
             engine=engine,
-            backend=backend,
         )
         for spec in specs
     }

@@ -107,7 +107,6 @@ def run_table1_family(
     seed: int = 0,
     step_budget_multiplier: float = 60.0,
     engine: str = "auto",
-    backend: str = "auto",
     jobs: int = 1,
     cache: bool = False,
     cache_dir: Optional[str] = None,
@@ -128,7 +127,7 @@ def run_table1_family(
         Base seed for reproducibility.
     step_budget_multiplier:
         Scales the per-run step budget (see ``default_step_budget``).
-    engine / backend:
+    engine:
         Execution engine for the simulations (see
         :class:`~repro.core.simulator.Simulator`).  The default ``"auto"``
         uses the compiled engine where possible; measured values are
@@ -159,7 +158,6 @@ def run_table1_family(
         seed,
         step_budget_multiplier,
         engine,
-        backend,
         jobs,
         cache,
         cache_dir,
@@ -185,7 +183,6 @@ def _run_family_sweeps(
     seed: int,
     step_budget_multiplier: float,
     engine: str,
-    backend: str,
     jobs: int,
     cache: bool,
     cache_dir: Optional[str],
@@ -210,7 +207,6 @@ def _run_family_sweeps(
                     graph, multiplier=step_budget_multiplier
                 ),
                 engine=engine,
-                backend=backend,
             )
             for spec in specs
         ]
@@ -225,7 +221,6 @@ def _run_family_sweeps(
         seed=seed,
         step_budget_multiplier=step_budget_multiplier,
         engine=engine,
-        backend=backend,
     )
     return run_scenario(scenario, jobs=jobs, cache=cache, cache_dir=cache_dir).sweeps
 
@@ -256,7 +251,6 @@ def run_star_row(
     repetitions: int = 5,
     seed: int = 0,
     engine: str = "auto",
-    backend: str = "auto",
 ) -> Table1RowGroup:
     """The "Stars: O(1) time, O(1) states" row, using the trivial protocol."""
     return run_table1_family(
@@ -266,7 +260,6 @@ def run_star_row(
         repetitions=repetitions,
         seed=seed,
         engine=engine,
-        backend=backend,
     )
 
 

@@ -157,7 +157,6 @@ class UnitPlan:
     protocol: Tuple[Tuple[str, Any], ...]  # (builder, params) — ProtocolConfig form
     run_seeds: Tuple[int, ...]
     engine: str
-    backend: str
     step_budget_multiplier: float
     schedule: Optional[Tuple[Tuple[str, Any], ...]] = None  # ScheduleConfig form
     schedule_seed: int = 0
@@ -208,7 +207,6 @@ def build_unit_plans(
                 protocol=(protocol.builder, tuple(protocol.params)),
                 run_seeds=tuple(cell_run_seeds[unit.trial_lo - lo : unit.trial_hi - lo]),
                 engine=scenario.engine,
-                backend=scenario.backend,
                 step_budget_multiplier=scenario.step_budget_multiplier,
                 schedule=(
                     (scenario.schedule.kind, tuple(scenario.schedule.params))
@@ -240,7 +238,6 @@ def unit_plan_to_wire(plan: UnitPlan) -> Dict[str, Any]:
         "protocol": {"builder": builder, "params": [[k, _thaw(v)] for k, v in params]},
         "run_seeds": list(plan.run_seeds),
         "engine": plan.engine,
-        "backend": plan.backend,
         "step_budget_multiplier": plan.step_budget_multiplier,
         "schedule": (
             None
@@ -271,7 +268,6 @@ def unit_plan_from_wire(wire: Dict[str, Any]) -> UnitPlan:
         ),
         run_seeds=tuple(int(seed) for seed in wire["run_seeds"]),
         engine=str(wire["engine"]),
-        backend=str(wire["backend"]),
         step_budget_multiplier=float(wire["step_budget_multiplier"]),
         schedule=(
             None
@@ -361,7 +357,6 @@ def execute_unit_plan(plan: UnitPlan, cell: Optional[PreparedCell] = None) -> Di
         plan.run_seeds,
         max_steps=cell.max_steps,
         engine=plan.engine,
-        backend=plan.backend,
         schedule=cell.schedule,
     )
     return unit_payload(plan, results, state_space)

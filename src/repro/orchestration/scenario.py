@@ -298,8 +298,14 @@ class Scenario:
         How many trials one work unit (= one cache file, one worker task)
         covers.  Affects scheduling granularity and cache layout only —
         never the per-trial seeds, hence never the results.
-    engine / backend:
+    engine:
         Execution engine for the simulations.
+    backend:
+        Always ``"auto"``; any other value raises :class:`ScenarioError`.
+        Which executor runs a plan follows from the plan's inputs alone
+        (:mod:`repro.runtime.execute`), so this field decides nothing.
+        It is kept only so that the canonical JSON, and with it every
+        content hash and cache directory, stays as it was.
     schedule:
         Optional declarative topology schedule (:class:`ScheduleConfig`).
         ``None`` (the default) runs on the static workload graph; a
@@ -343,6 +349,11 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name!r}: repetitions must be positive")
         if self.trials_per_shard < 1:
             raise ScenarioError(f"scenario {self.name!r}: trials_per_shard must be positive")
+        if self.backend != "auto":
+            raise ScenarioError(
+                f"scenario {self.name!r}: backend must be 'auto', got {self.backend!r}; "
+                "the executor follows from each plan's inputs"
+            )
 
     # ------------------------------------------------------------------
     # Validation / construction
@@ -437,10 +448,11 @@ class Scenario:
         scenario config, the result schema version, the package version
         and the scheduler's seeded-stream parameters (the pre-sample
         refill size is part of the seeded trajectory definition — see
-        :data:`repro.runtime.source.REFILL_SIZE`).  The execution ``engine``/``backend``
-        are part of the config hashed here even though engines are
-        bit-identical; a cache entry therefore never outlives a semantics
-        change, at the cost of re-running when only the engine differs.
+        :data:`repro.runtime.source.REFILL_SIZE`).  The execution ``engine``
+        and the constant ``backend`` are part of the config hashed here
+        even though engines are bit-identical; a cache entry therefore
+        never outlives a semantics change, at the cost of re-running when
+        only the engine differs.
         Kernel-thread and worker counts never enter it: they are not
         scenario fields.
         """

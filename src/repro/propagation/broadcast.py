@@ -72,7 +72,6 @@ def expected_broadcast_time_from(
     repetitions: int = 10,
     rng: RngLike = None,
     max_steps: Optional[int] = None,
-    replica_batch: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
 ) -> SummaryStatistics:
     """Monte-Carlo estimate of ``E[T(source)]`` with summary statistics.
@@ -94,7 +93,6 @@ def expected_broadcast_time_from(
         repetitions,
         base,
         max_steps,
-        replica_batch=replica_batch,
         schedule=schedule,
     )[0]
     return summarize_samples([float(s) for s in samples])
@@ -106,7 +104,6 @@ def broadcast_time_estimate(
     max_sources: Optional[int] = None,
     rng: RngLike = None,
     max_steps: Optional[int] = None,
-    replica_batch: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
 ) -> BroadcastTimeEstimate:
     """Estimate ``B(G) = max_v E[T(v)]``.
@@ -116,8 +113,7 @@ def broadcast_time_estimate(
     maximiser of ``E[T(v)]`` tends to be a low-degree, peripheral node, so
     the sample always includes the minimum-degree and maximum-eccentricity
     nodes).  All ``sources × repetitions`` epidemics run in one replica
-    stack; ``replica_batch`` caps the stack width without changing any
-    sampled value.
+    stack.
 
     ``schedule`` estimates the dynamic-topology analogue of ``B(G)``:
     epidemics spread over the epoch graph active at each step, with all
@@ -132,7 +128,6 @@ def broadcast_time_estimate(
         repetitions,
         24 if max_sources is None else max_sources,
         _budget(graph) if max_steps is None else max_steps,
-        replica_batch=replica_batch,
         schedule=schedule,
     )[0]
     return BroadcastTimeEstimate(
@@ -145,7 +140,6 @@ def full_information_time(
     repetitions: int = 5,
     rng: RngLike = None,
     max_steps: Optional[int] = None,
-    replica_batch: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
 ) -> SummaryStatistics:
     """Monte-Carlo estimate of ``T(G)``: all nodes influenced by all nodes.
@@ -162,9 +156,7 @@ def full_information_time(
     if max_steps is None:
         max_steps = _budget(graph)
     seeds = [derive_seed(base, FULL_INFORMATION_TAG, t) for t in range(repetitions)]
-    steps = run_influence_batch(
-        graph, seeds, max_steps, replica_batch=replica_batch, schedule=schedule
-    )
+    steps = run_influence_batch(graph, seeds, max_steps, schedule=schedule)
     if (steps < 0).any():
         raise RuntimeError(
             "full-information dissemination did not finish within budget"

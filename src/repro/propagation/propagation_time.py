@@ -50,7 +50,6 @@ def propagation_time_from(
     repetitions: int = 10,
     rng: RngLike = None,
     max_steps: Optional[int] = None,
-    replica_batch: Optional[int] = None,
 ) -> Optional[SummaryStatistics]:
     """Monte-Carlo estimate of ``E[T_k(source)]``.
 
@@ -79,7 +78,6 @@ def propagation_time_from(
         seeds,
         max_steps,
         stopmasks=stopmasks,
-        replica_batch=replica_batch,
     )
     if (steps < 0).any():
         return None
@@ -142,7 +140,6 @@ def empirical_violation_rate(
     rng: RngLike = None,
     sources: Optional[Sequence[int]] = None,
     max_steps: Optional[int] = None,
-    replica_batch: Optional[int] = None,
 ) -> float:
     """Fraction of trials where ``T_k(source) < threshold`` (Lemma 14 check).
 
@@ -194,7 +191,6 @@ def empirical_violation_rate(
             trial_seeds,
             max_steps,
             stopmasks=np.asarray(stopmask_rows),
-            replica_batch=replica_batch,
         )
         violations += int(((steps >= 0) & (steps < threshold)).sum())
     return violations / trials

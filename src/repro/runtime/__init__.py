@@ -27,16 +27,14 @@ of it into three layers:
   topology schedules, with the seeded streams drawn in-kernel; a plan
   of several ``compile_key`` groups runs one stack per group) → the
   per-replica compiled engine, one scalar loop per replica (stream
-  overrides, traces, seeds the kernel cannot reproduce, an explicit
-  ``"scalar"`` backend, hosts without the kernel) → the reference
-  interpreter.
+  overrides, traces, seeds the kernel cannot reproduce, hosts without
+  the kernel) → the reference interpreter.
 
 ``Simulator.run``, ``repro.engine.run_replicas`` and the experiment
 harness are thin wrappers over :func:`compile_plan` +
 :func:`execute_plan`; the orchestrator ships serialised unit plans to
-its worker shards.  Adding a new backend (threads, GPU, remote shards)
-means adding one executor here — nothing else in the package needs to
-know.
+its worker shards.  A new executor (threads, GPU, remote shards) is
+added here alone — nothing else in the package needs to know.
 """
 
 from .pairs import (

@@ -8,8 +8,8 @@ plan, from the plan's inputs alone:
 * **v6 epoch stack** (:func:`_execute_stack_v6`) — every ``"shared"``
   plan of any width, including 1, on a static graph or a topology
   schedule, whose seeds the kernel can reproduce (plain integers in
-  ``[0, 2**64)``), when the ``backend`` is ``"auto"`` or ``"native"``
-  and the v6 kernel is built (:func:`~repro.runtime.plan.v6_servable`).
+  ``[0, 2**64)``), when the v6 kernel is built
+  (:func:`~repro.runtime.plan.v6_servable`).
   The codes of the whole plan live in one ``(R, n)`` matrix (a plan
   without ``inputs`` starts every node in one state, whose code the rule
   keeps from its first plan on) and
@@ -34,11 +34,10 @@ plan, from the plan's inputs alone:
 * **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`,
   one scalar loop per replica, one replica at a time) — everything the
   stack cannot take: stream overrides, leader traces, Generator or
-  wider-than-64-bit seeds, an explicit ``"scalar"`` backend, and hosts
-  without the v6 kernel.  It keeps the historical lazy-compilation
-  semantics, including the mid-run fallback to the reference
-  interpreter, and the stack's one-leader precheck.  A
-  ``backend="native"`` plan that reaches it raises.
+  wider-than-64-bit seeds, and hosts without the v6 kernel.  It keeps
+  the historical lazy-compilation semantics, including the mid-run
+  fallback to the reference interpreter, and the stack's one-leader
+  precheck.
 * **reference** — the pure-Python interpreter (the semantic ground
   truth), for ``engine="reference"`` and for protocols that ``auto``
   declines to compile (among them a kernel-rule protocol whose plan the
@@ -83,7 +82,7 @@ from ..engine.native import (
 from ..graphs.graph import _sorted_distinct
 from .pairs import directed_tables
 from .plan import ExecutionPlan, v6_servable
-from .source import REFILL_SIZE
+from .source import REFILL_SIZE, InteractionSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.simulator import SimulationResult
@@ -135,7 +134,7 @@ def _stack_v6_eligible(plan: ExecutionPlan) -> bool:
     """
     if plan.mode != "shared":
         return False
-    return plan.compiled.rule_id != RULE_TABLE or v6_servable(plan.backend, plan.seeds)
+    return plan.compiled.rule_id != RULE_TABLE or v6_servable(plan.seeds)
 
 
 def _key_groups(plan: ExecutionPlan) -> List[List[int]]:
@@ -164,7 +163,6 @@ def _group_plan(plan: ExecutionPlan, indices: List[int]) -> ExecutionPlan:
         [plan.seeds[index] for index in indices],
         max_steps=plan.max_steps,
         engine=plan.engine,
-        backend=plan.backend,
         check_interval=plan.check_interval,
         schedule=plan.schedule,
         inputs=plan.inputs,
@@ -212,15 +210,13 @@ def _execute_single(plan: ExecutionPlan, index: int) -> "SimulationResult":
     return _run_reference(plan, protocol, seed)
 
 
-def _make_scheduler(plan: ExecutionPlan, seed: Any):
-    """The default scheduler: dynamic when the plan carries a schedule."""
-    if plan.schedule is not None:
-        from ..dynamics.scheduler import DynamicScheduler
+def _make_scheduler(plan: ExecutionPlan, seed: Any) -> InteractionSource:
+    """The default stream: over the plan's schedule when it carries one.
 
-        return DynamicScheduler(plan.schedule, rng=seed)
-    from ..core.scheduler import RandomScheduler
-
-    return RandomScheduler(plan.graph, rng=seed)
+    ``RandomScheduler`` and ``DynamicScheduler`` are shells over this
+    same source, so the stream is theirs bit for bit.
+    """
+    return InteractionSource(plan.graph if plan.schedule is None else plan.schedule, rng=seed)
 
 
 def _initial_states_for(plan: ExecutionPlan, protocol) -> List[Hashable]:
@@ -364,19 +360,7 @@ def _run_compiled_single(
     evaluated only where exactly one leader is left (sound by claim 2
     of the certificate audit, docs/ARCHITECTURE.md "Certificates, proven
     by exhaustion").
-
-    ``backend="native"`` names the v6 stack, so a plan that reaches this
-    engine with it raises: ``RuntimeError`` on a host without the
-    kernel, ``ValueError`` otherwise.
     """
-    if plan.backend == "native":
-        if native.get_run_epoch_kernel() is None:
-            raise RuntimeError("native engine backend unavailable (no C compiler)")
-        raise ValueError(
-            "backend='native' runs only on the v6 epoch stack, which cannot "
-            "serve this run (a leader trace, a scheduler override or a seed "
-            "the kernel cannot reproduce); use backend='auto'"
-        )
     from ..core.simulator import SimulationResult
     from ..engine.compiler import DEFAULT_MAX_STATES, get_compiled
     from ..engine.stepper import CompiledRun

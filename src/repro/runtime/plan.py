@@ -19,8 +19,7 @@ anything.
   :meth:`~repro.core.protocol.PopulationProtocol.kernel_rule` (the
   identifier protocol while ``k + 4 <= 63``), when the v6 stack can
   serve the plan — homogeneous replicas, no stream override, no trace,
-  backend ``"auto"``/``"native"``, the v6 kernel built, every seed
-  kernel-seedable — shares that rule (``"shared"``,
+  the v6 kernel built, every seed kernel-seedable — shares that rule (``"shared"``,
   :attr:`ExecutionPlan.compiled` is the rule): the kernel computes the
   transitions, and no table is built.
 * ``engine="compiled"`` / ``"auto"`` with **homogeneous** replicas (same
@@ -48,8 +47,7 @@ executor is chosen from the plan's inputs (see
 measured values: for any mode, replica ``i``'s result is bit-identical
 to a standalone reference run with seed ``seeds[i]``
 (``tests/test_runtime_plan.py`` pins this property across engines,
-backends and topology schedules).  Every engine accepts the same
-:data:`BACKENDS`; any other value raises before anything runs.
+executors and topology schedules).
 """
 
 from __future__ import annotations
@@ -67,12 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 #: Engine choices accepted by :func:`compile_plan` (and ``Simulator``).
 ENGINES = ("reference", "compiled", "auto")
-
-#: Compiled-engine backends accepted by :func:`compile_plan`: ``"auto"``
-#: (the v6 epoch stack where it serves the plan, else the per-replica
-#: engine), ``"native"`` (the v6 stack only) and ``"scalar"`` (the
-#: per-replica engine only).
-BACKENDS = ("auto", "native", "scalar")
 
 
 @dataclass
@@ -92,7 +84,6 @@ class ExecutionPlan:
     seeds: List[Any]
     max_steps: int
     engine: str
-    backend: str
     check_interval: int
     mode: str  # "reference" | "shared" | "single"
     schedule: Optional["TopologySchedule"] = None
@@ -153,15 +144,14 @@ def _homogeneous(protocols: Sequence["PopulationProtocol"]) -> bool:
     return keys[0] is not None and all(key == keys[0] for key in keys)
 
 
-def v6_servable(backend: str, seeds: Sequence[Any]) -> bool:
-    """Whether the v6 kernel can run these streams on this backend.
+def v6_servable(seeds: Sequence[Any]) -> bool:
+    """Whether the v6 kernel can run these streams.
 
-    An explicit ``"scalar"`` backend means the per-replica engine; a
-    missing or disabled v6 kernel, or any seed the kernel cannot
+    A missing or disabled v6 kernel, or any seed the kernel cannot
     reproduce (a live Generator, or an integer outside ``[0, 2**64)``),
     rules the kernel out.
     """
-    if backend not in ("auto", "native") or native.get_run_epoch_kernel() is None:
+    if native.get_run_epoch_kernel() is None:
         return False
     return all(map(kernel_seedable, seeds))
 
@@ -172,7 +162,6 @@ def compile_plan(
     seeds: Sequence[Any],
     max_steps: int,
     engine: str = "auto",
-    backend: str = "auto",
     check_interval: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
     inputs: Optional[Sequence[Any]] = None,
@@ -207,8 +196,6 @@ def compile_plan(
         raise ValueError("graph must be non-empty")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown engine backend {backend!r}; expected one of {BACKENDS}")
     if shards is not None and int(shards) < 1:
         raise ValueError("shards must be positive")
     if shard_workers is not None and int(shard_workers) < 0:
@@ -243,7 +230,7 @@ def compile_plan(
         )
 
         rule = protocols[0].kernel_rule() if engine == "auto" else None
-        if rule is not None and _homogeneous(protocols) and v6_servable(backend, seeds):
+        if rule is not None and _homogeneous(protocols) and v6_servable(seeds):
             # The v6 kernel computes the transitions: no tables to build.
             mode, compiled = "shared", rule
         elif (
@@ -266,7 +253,6 @@ def compile_plan(
         seeds=seeds,
         max_steps=int(max_steps),
         engine=engine,
-        backend=backend,
         check_interval=check_interval,
         mode=mode,
         schedule=schedule,

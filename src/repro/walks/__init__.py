@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "theorem16_step_bound",
         ),
         "population_walk": (
-            "TokenWalkResult",
             "exact_meeting_times",
             "population_hitting_times_to",
             "population_worst_case_hitting_time",

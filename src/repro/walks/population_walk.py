@@ -19,7 +19,6 @@ Python loop, and the batched forms run all trajectories in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,15 +133,6 @@ def exact_meeting_times(graph: Graph) -> np.ndarray:
     return solution.reshape(n, n)
 
 
-@dataclass(frozen=True)
-class TokenWalkResult:
-    """Monte-Carlo estimates for token walks started at every node."""
-
-    mean_pairwise_meeting_steps: float
-    max_pairwise_meeting_steps: float
-    repetitions: int
-
-
 def simulate_meeting_time(
     graph: Graph,
     start_a: int,
@@ -184,20 +174,18 @@ def simulate_population_hitting_times(
     pairs: Sequence[Tuple[int, int]],
     rng: RngLike = None,
     max_steps: Optional[int] = None,
-    replica_batch: Optional[int] = None,
 ) -> np.ndarray:
     """Replica-batched hitting-time samples, one per ``(start, target)`` pair.
 
     Trajectory ``t`` reads the stream seeded by ``derive_seed(base,
     "hit", t)`` where ``base`` resolves from ``rng`` — so each sample is
-    a pure function of ``(base, t)``, bit-identical for any
-    ``replica_batch`` width.  Budget-exhausted trajectories report -1.
+    a pure function of ``(base, t)``, bit-identical for any stack width
+    (:func:`~repro.analytics.walks.run_hitting_batch`).  Budget-exhausted
+    trajectories report -1.
     """
     base = resolve_base_seed(rng)
     seeds = [derive_seed(base, HITTING_TAG, t) for t in range(len(pairs))]
-    return run_hitting_batch(
-        graph, pairs, seeds, max_steps=max_steps, replica_batch=replica_batch
-    )
+    return run_hitting_batch(graph, pairs, seeds, max_steps=max_steps)
 
 
 def simulate_meeting_times(
@@ -205,11 +193,8 @@ def simulate_meeting_times(
     pairs: Sequence[Tuple[int, int]],
     rng: RngLike = None,
     max_steps: Optional[int] = None,
-    replica_batch: Optional[int] = None,
 ) -> np.ndarray:
     """Replica-batched meeting-time samples, one per ``(start_a, start_b)`` pair."""
     base = resolve_base_seed(rng)
     seeds = [derive_seed(base, MEETING_TAG, t) for t in range(len(pairs))]
-    return run_meeting_batch(
-        graph, pairs, seeds, max_steps=max_steps, replica_batch=replica_batch
-    )
+    return run_meeting_batch(graph, pairs, seeds, max_steps=max_steps)

@@ -14,19 +14,33 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def int_seed(seed):
+    """The integer seed itself."""
+    return seed
+
+
+def generator_seed(seed):
+    """A fresh Generator on the stream of the integer seed."""
+    return np.random.default_rng(seed)
+
+
 @pytest.fixture
 def engine_variants():
-    """Every executor of a run, as ``(engine, backend)`` pairs.
+    """Every executor of a run, as ``(engine, seed_of)`` pairs.
 
-    The reference interpreter, the per-replica engine (``scalar``) and,
-    where the kernel is built, the v6 epoch stack (``native``).  The
-    cross-engine tests loop over this one list.
+    A run passes ``seed_of(seed)`` as its scheduler seed.  The pairs are
+    the reference interpreter with the integer seed (always first); the
+    per-replica engine with ``np.random.default_rng(seed)``, a fresh one
+    per call; and, where the kernel is built, the v6 epoch stack with the
+    integer seed.  A Generator is not kernel-seedable, so it routes the
+    run to the per-replica engine, on the same stream as the integer
+    seed.  The cross-engine tests loop over this one list.
     """
     from repro.engine.native import get_run_epoch_kernel
 
-    variants = [("reference", "auto"), ("compiled", "scalar")]
+    variants = [("reference", int_seed), ("compiled", generator_seed)]
     if get_run_epoch_kernel() is not None:
-        variants.append(("compiled", "native"))
+        variants.append(("compiled", int_seed))
     return variants
 
 

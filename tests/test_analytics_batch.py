@@ -23,16 +23,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.estimators import summarize_samples
 from repro.analytics import (
     TrajectoryStream,
     batched_broadcast_estimates,
+    resolve_base_seed,
     run_epidemic_batch,
     run_influence_batch,
     run_hitting_batch,
+    run_meeting_batch,
     run_single_epidemic,
 )
 from repro.analytics import epidemics, estimators, streams
 from repro.analytics.estimators import (
+    FULL_INFORMATION_TAG,
+    HITTING_TAG,
+    MEETING_TAG,
     broadcast_trajectory_seed,
     broadcast_trajectory_seed_array,
     broadcast_trajectory_seeds,
@@ -72,53 +78,85 @@ def no_native(monkeypatch):
 
 
 class TestWidthInvariance:
-    """Bit-identical results for replica-batch widths 1, 3 and R."""
+    """Bit-identical results for replica-batch widths 1, 3 and R.
+
+    Each case runs the chunking stack behind an estimator on that
+    estimator's own trajectory seeds, at every width, and checks that
+    the estimator (one full-width stack) returns the same values.
+    """
+
+    @staticmethod
+    def _broadcast_per_source(g, repetitions, rng, width):
+        """``broadcast_time_estimate``'s per-source means, from the stack."""
+        base = resolve_base_seed(rng)
+        sources = select_sources(g, 24, base)
+        steps = run_epidemic_batch(
+            g,
+            [source for source in sources for _ in range(repetitions)],
+            broadcast_trajectory_seed_array(base, sources, repetitions),
+            default_broadcast_budget(g),
+            replica_batch=width,
+        )
+        means = steps.reshape(-1, repetitions).mean(axis=1).tolist()
+        return dict(zip(sources, means))
 
     def test_broadcast_time_estimate(self):
         g = cycle(20)
-        full = broadcast_time_estimate(g, repetitions=4, rng=0)
+        full = self._broadcast_per_source(g, 4, 0, None)
         for width in (1, 3):
-            other = broadcast_time_estimate(g, repetitions=4, rng=0, replica_batch=width)
-            assert other.per_source == full.per_source
-            assert other.value == full.value
+            assert self._broadcast_per_source(g, 4, 0, width) == full
+        estimate = broadcast_time_estimate(g, repetitions=4, rng=0)
+        assert estimate.per_source == full
+        assert estimate.value == max(full.values())
 
     def test_expected_broadcast_time_from(self):
         g = torus(4, 4)
-        full = expected_broadcast_time_from(g, 3, repetitions=6, rng=1)
+        base = resolve_base_seed(1)
+        seeds = broadcast_trajectory_seed_array(base, [3], 6)
+        budget = default_broadcast_budget(g)
+        full = run_epidemic_batch(g, [3] * 6, seeds, budget)
         for width in (1, 3):
-            other = expected_broadcast_time_from(
-                g, 3, repetitions=6, rng=1, replica_batch=width
-            )
-            assert other == full
+            other = run_epidemic_batch(g, [3] * 6, seeds, budget, replica_batch=width)
+            assert other.tolist() == full.tolist()
+        assert expected_broadcast_time_from(g, 3, repetitions=6, rng=1) == summarize_samples(
+            [float(s) for s in full]
+        )
 
     def test_full_information_time(self):
         g = clique(10)
-        full = full_information_time(g, repetitions=5, rng=2)
+        base = resolve_base_seed(2)
+        seeds = [derive_seed(base, FULL_INFORMATION_TAG, t) for t in range(5)]
+        budget = default_broadcast_budget(g)
+        full = run_influence_batch(g, seeds, budget)
         for width in (1, 3):
-            assert full_information_time(g, repetitions=5, rng=2, replica_batch=width) == full
+            assert run_influence_batch(g, seeds, budget, replica_batch=width).tolist() == (
+                full.tolist()
+            )
+        assert full_information_time(g, repetitions=5, rng=2) == summarize_samples(
+            [float(s) for s in full]
+        )
 
     def test_hitting_and_meeting_times(self):
         g = cycle(8)
         pairs = [(3, 0)] * 9
-        full = simulate_population_hitting_times(g, pairs, rng=3)
+        seeds = [derive_seed(resolve_base_seed(3), HITTING_TAG, t) for t in range(9)]
+        full = run_hitting_batch(g, pairs, seeds)
         for width in (1, 3):
-            assert (
-                simulate_population_hitting_times(g, pairs, rng=3, replica_batch=width)
-                == full
-            ).all()
+            assert (run_hitting_batch(g, pairs, seeds, replica_batch=width) == full).all()
+        assert (simulate_population_hitting_times(g, pairs, rng=3) == full).all()
         mpairs = [(0, 4)] * 9
-        mfull = simulate_meeting_times(g, mpairs, rng=4)
+        mseeds = [derive_seed(resolve_base_seed(4), MEETING_TAG, t) for t in range(9)]
+        mfull = run_meeting_batch(g, mpairs, mseeds)
         for width in (1, 3):
-            assert (
-                simulate_meeting_times(g, mpairs, rng=4, replica_batch=width) == mfull
-            ).all()
+            assert (run_meeting_batch(g, mpairs, mseeds, replica_batch=width) == mfull).all()
+        assert (simulate_meeting_times(g, mpairs, rng=4) == mfull).all()
 
     def test_fallback_widths_match_native(self, no_native):
         g = cycle(20)
-        native_free = broadcast_time_estimate(g, repetitions=4, rng=0)
+        native_free = self._broadcast_per_source(g, 4, 0, None)
         for width in (1, 3):
-            other = broadcast_time_estimate(g, repetitions=4, rng=0, replica_batch=width)
-            assert other.per_source == native_free.per_source
+            assert self._broadcast_per_source(g, 4, 0, width) == native_free
+        assert broadcast_time_estimate(g, repetitions=4, rng=0).per_source == native_free
 
 
 class TestPathInvariance:

@@ -6,7 +6,7 @@ The two load-bearing invariants:
    equivalent fixed-graph run bit for bit, at every layer (scheduler
    stream, simulator engines, analytics stacks, orchestrator).
 2. **Execution-plan invariance** — dynamic runs are bit-identical across
-   engine backends, replica-batch widths, native/NumPy analytics paths
+   executors, replica-batch widths, native/NumPy analytics paths
    and orchestrator worker counts.  Dynamic protocol plans run on the
    v6 epoch stack's epoch switches; a table-driven differential pins
    them to the reference interpreter.
@@ -215,13 +215,12 @@ class TestSimulatorSchedules:
             [clique(16), cycle(16), star(16)], epoch_length=256, repeat=True
         )
         outcomes = []
-        for engine, backend in engine_variants:
+        for engine, seed_of in engine_variants:
             result = run_leader_election(
                 TokenLeaderElection(),
                 graph,
-                rng=11,
+                rng=seed_of(11),
                 engine=engine,
-                backend=backend,
                 schedule=schedule,
             )
             outcomes.append(result_tuple(result))

@@ -1,12 +1,12 @@
-"""Randomized differential tests: engines, backends, replica widths.
+"""Randomized differential tests: executors, replica widths.
 
 Property-style coverage beyond the hand-picked equivalence cases in
 ``test_engine_equivalence.py``: ~50 generated ``(graph, protocol, seed)``
 triples assert that
 
-* the reference interpreter and every compiled backend (native where
-  available, scalar) produce bit-identical simulation results on the
-  same scheduler seed, and
+* the reference interpreter and every compiled executor (the v6 stack
+  where available, the per-replica engine) produce bit-identical
+  simulation results on the same scheduler stream, and
 * the replica-batched analytics engine produces bit-identical epidemic
   samples for every replica-batch width, on static and dynamic
   topologies alike.
@@ -113,18 +113,17 @@ def test_engines_bit_identical(case, engine_variants):
     graph = _GRAPH_BUILDERS[graph_kind](size, derive_seed(seed, "graph"))
     max_steps = 6000
     outcomes = {}
-    for engine, backend in engine_variants:
+    for engine, seed_of in engine_variants:
         protocol = _PROTOCOL_BUILDERS[protocol_kind](graph)
         result = run_leader_election(
             protocol,
             graph,
-            rng=seed,
+            rng=seed_of(seed),
             max_steps=max_steps,
             engine=engine,
-            backend=backend,
         )
-        outcomes[(engine, backend)] = _result_tuple(result)
-    reference = outcomes[("reference", "auto")]
+        outcomes[(engine, seed_of.__name__)] = _result_tuple(result)
+    reference = outcomes[("reference", "int_seed")]
     for variant, outcome in outcomes.items():
         assert outcome == reference, (
             f"engine divergence on (graph={graph_kind}, n={size}, "

@@ -1,7 +1,7 @@
 """Property tests: the compiled engine reproduces the reference exactly.
 
 For every bundled protocol, across small graph families and seeds, each
-compiled backend must produce a :class:`SimulationResult` whose every
+compiled executor must produce a :class:`SimulationResult` whose every
 deterministic field — stabilization flag, certified step, last output
 change, executed steps, leader count, final configuration and the
 distinct-state count — equals the reference interpreter's, because both
@@ -11,10 +11,12 @@ the experiment harness switch engines freely.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.simulator import Simulator
-from repro.engine import available_backends, clear_compilation_cache
+from repro.engine import clear_compilation_cache
+from repro.engine.native import get_run_epoch_kernel
 from repro.graphs.families import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.propagation import broadcast_time_estimate
@@ -72,21 +74,28 @@ def _assert_results_identical(reference, other, context):
     assert reference.leader_trace == other.leader_trace, context
 
 
-@pytest.mark.parametrize("backend", ["scalar", "native"])
-def test_backends_match_reference_across_protocols_and_graphs(backend):
-    if backend not in available_backends():
-        pytest.skip("native backend unavailable (no C compiler)")
+#: The compiled executors, keyed by test id, as the seed a run passes:
+#: a Generator is not kernel-seedable, so it routes the run to the
+#: per-replica engine on the same stream; an integer seed takes the v6
+#: epoch stack.
+_EXECUTOR_SEEDS = {"per-replica": np.random.default_rng, "v6": int}
+
+
+@pytest.mark.parametrize("executor", ["per-replica", "v6"])
+def test_executors_match_reference_across_protocols_and_graphs(executor):
+    if executor == "v6" and get_run_epoch_kernel() is None:
+        pytest.skip("kernel v6 unavailable (no C compiler)")
     clear_compilation_cache()
     for graph in _graphs():
         for name, factory in _protocol_factories().items():
             for seed in (0, 1):
                 protocol = factory(graph)
                 reference = Simulator(graph, protocol, rng=seed).run(max_steps=MAX_STEPS)
-                compiled = Simulator(graph, protocol, rng=seed).run(
-                    max_steps=MAX_STEPS, engine="compiled", backend=backend
-                )
+                compiled = Simulator(
+                    graph, protocol, rng=_EXECUTOR_SEEDS[executor](seed)
+                ).run(max_steps=MAX_STEPS, engine="compiled")
                 _assert_results_identical(
-                    reference, compiled, (graph.name, name, seed, backend)
+                    reference, compiled, (graph.name, name, seed, executor)
                 )
 
 
@@ -99,8 +108,9 @@ def test_auto_engine_matches_reference():
             _assert_results_identical(reference, auto, (graph.name, name))
 
 
-@pytest.mark.parametrize("backend", ["scalar"])
-def test_leader_trace_matches_reference(backend):
+@pytest.mark.parametrize("executor", ["per-replica"])
+def test_leader_trace_matches_reference(executor):
+    """A leader trace routes a compiled run to the per-replica engine."""
     graph = clique(20)
     protocol = TokenLeaderElection()
     for seed in (0, 4):
@@ -112,9 +122,8 @@ def test_leader_trace_matches_reference(backend):
             record_leader_trace=True,
             trace_resolution=32,
             engine="compiled",
-            backend=backend,
         )
-        _assert_results_identical(reference, compiled, (backend, seed))
+        _assert_results_identical(reference, compiled, (executor, seed))
 
 
 def test_inputs_are_respected():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.simulator import Simulator, default_max_steps
@@ -36,20 +37,21 @@ def _assert_matches_reference(graph, protocol, seeds, results, context):
         ), (context, seed)
 
 
-#: The two ways a replica plan executes, keyed by test id: one replica at
-#: a time through the per-replica engine (an explicit Python backend), or
-#: all replicas stacked on the epoch kernel (the default backend; the
-#: per-replica engine again on hosts without the kernel).
-_PATH_BACKENDS = {"sequential": "scalar", "lockstep": "auto"}
+#: The two ways a replica plan executes, keyed by test id, as the seeds
+#: that route it: one replica at a time through the per-replica engine
+#: (Generator seeds, which the kernel cannot reproduce), or all replicas
+#: stacked on the epoch kernel (integer seeds; the per-replica engine
+#: again on hosts without the kernel).
+_PATH_SEEDS = {"sequential": np.random.default_rng, "lockstep": int}
 
 
-@pytest.mark.parametrize("path", sorted(_PATH_BACKENDS))
+@pytest.mark.parametrize("path", sorted(_PATH_SEEDS))
 def test_replicas_match_reference_runs(path):
     graph = clique(30)
     protocol = TokenLeaderElection()
     seeds = list(range(8))
     results = run_replicas(
-        protocol, graph, seeds, max_steps=MAX_STEPS, backend=_PATH_BACKENDS[path]
+        protocol, graph, [_PATH_SEEDS[path](seed) for seed in seeds], max_steps=MAX_STEPS
     )
     _assert_matches_reference(graph, protocol, seeds, results, path)
 

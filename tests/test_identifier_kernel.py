@@ -356,7 +356,6 @@ def _spy_on_reference(monkeypatch):
 _REFERENCE_CASES = {
     "generator": lambda g: (IdentifierLeaderElection(g.n_nodes), np.random.default_rng(5), {}),
     "wide-seed": lambda g: (IdentifierLeaderElection(g.n_nodes), 2**64, {}),
-    "scalar": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"backend": "scalar"}),
     "bits-60": lambda g: (IdentifierLeaderElection(g.n_nodes, identifier_bits=60), 5, {}),
     "trace": lambda g: (IdentifierLeaderElection(g.n_nodes), 5, {"record_leader_trace": True}),
 }
@@ -372,7 +371,6 @@ def test_unservable_plans_stay_on_reference(case, monkeypatch):
     via_auto = _result_tuple(execute_plan(plan)[0])
     assert len(calls) == 1
     protocol, seed, kwargs = _REFERENCE_CASES[case](graph)
-    kwargs.pop("backend", None)
     reference = compile_plan(
         [protocol], graph, [seed], max_steps=50_000, engine="reference", **kwargs
     )

@@ -49,6 +49,7 @@ OFF_THE_RUN_PATH = (
     "repro.graphs.properties",
     "repro.propagation.bounds",
     "repro.core.stability",
+    "repro.dynamics.scheduler",
     "repro.sharding",
     "repro.service",
     "repro.resilience",
@@ -149,11 +150,12 @@ def test_public_surface_works_as_before():
 
 def test_scenario_runs_import_nothing_after_the_orchestration_package():
     """After ``import repro.orchestration`` a cold run of ``torus-million``
-    (at n = 4096) and of every ``table1-*`` scenario (first two sizes,
-    one repetition) imports no ``repro`` module, and nothing off the run
-    path ever loads.  Without the kernel the first plan imports the
-    per-replica engine, the one module of that host's run path that is
-    left to first use."""
+    (at n = 4096), of every ``table1-*`` scenario (first two sizes, one
+    repetition) and of ``dynamic-edge-churn`` (first size, one
+    repetition) under ``auto`` and under ``reference`` imports no
+    ``repro`` module, and nothing off the run path ever loads.  Without
+    the kernel the first plan imports the per-replica engine, the one
+    module of that host's run path that is left to first use."""
     report = _fresh(
         "import json, sys\n"
         "import repro.orchestration as orchestration\n"
@@ -168,6 +170,10 @@ def test_scenario_runs_import_nothing_after_the_orchestration_package():
         "    if name.startswith('table1-'):\n"
         "        sizes = orchestration.get_scenario(name).sizes[:2]\n"
         "        imported[name] = run(name, sizes=sizes, repetitions=1)\n"
+        "churn = orchestration.get_scenario('dynamic-edge-churn').sizes[:1]\n"
+        "for engine in ('auto', 'reference'):\n"
+        "    imported[f'dynamic-edge-churn/{engine}'] = run(\n"
+        "        'dynamic-edge-churn', sizes=churn, repetitions=1, engine=engine)\n"
         "from repro.engine.native import get_run_epoch_kernel\n"
         "print(json.dumps({\n"
         "    'imported': imported,\n"
@@ -176,7 +182,7 @@ def test_scenario_runs_import_nothing_after_the_orchestration_package():
         "}))\n"
     )
     allowed = set() if report["kernel"] else set(NO_KERNEL_RUN_PATH)
-    assert len(report["imported"]) == 8
+    assert len(report["imported"]) == 10
     assert {name: set(modules) - allowed for name, modules in report["imported"].items()} == {
         name: set() for name in report["imported"]
     }

@@ -1,7 +1,7 @@
 """Differential tests of the in-kernel RNG against the NumPy reference.
 
 Kernel v6 reimplements, in C, every layer this package draws seeded
-streams from: the SplitMix64 word folding of :mod:`repro.core.seeds`,
+streams from, starting at a seed :mod:`repro.core.seeds` has derived:
 NumPy's ``SeedSequence`` entropy pooling, the PCG64 bit generator
 (including its buffered 32-bit half-word), ``Generator.integers``'s
 bounded sampling, and the scheduler-dialect refills of
@@ -21,7 +21,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from repro.core.seeds import _word_to_int, derive_seed
+from repro.core.seeds import derive_seed
 from repro.engine.native import (
     RNG_STATE_WORDS,
     get_broadcast_epoch_kernel,
@@ -216,38 +216,6 @@ def test_source_fill_rejections_and_carried_half_words(m, carried):
     expected = np.zeros(RNG_STATE_WORDS, dtype=np.uint64)
     pack_generator_state(generator, expected)
     assert row.tolist() == expected.tolist(), f"state row diverges for m={m}"
-
-
-def test_derive_seed_folding_matches_c():
-    """The C word folding ≡ derive_seed for every word shape.
-
-    Words reach the kernel pre-folded by ``_word_to_int`` (strings via
-    crc32, integers masked to 64 bits), so negative integers, >64-bit
-    integers and string tags all reduce to the same uint64 sequence on
-    both sides; the empty word list folds the base alone.
-    """
-    word_lists = [
-        (0,),
-        (12345,),
-        (-1,),
-        (2**64 + 17,),
-        (0, "trial", 3),
-        (-7, "graph", 2**100),
-        (2**63, "x", 10**9),
-        (MASTER_SEED, "kernel-rng", 19),
-    ]
-    for words in word_lists:
-        folded = np.array([_word_to_int(word) for word in words], dtype=np.uint64)
-        got = int(KERNELS["derive_seed"](_ptr(folded), folded.shape[0]))
-        want = derive_seed(words[0], *words[1:])
-        assert got == want, f"derive_seed mismatch for {words!r}: {got} != {want}"
-
-
-def test_splitmix64_matches_reference():
-    from repro.core.seeds import _splitmix64
-
-    for value in (0, 1, 0xDEADBEEF, 2**63, 2**64 - 1):
-        assert int(KERNELS["splitmix64"](value)) == _splitmix64(value)
 
 
 def test_generator_state_round_trip():

@@ -3,10 +3,10 @@
 The central invariant of :mod:`repro.runtime`: executing a plan never
 changes measured values.  A single-replica :class:`ExecutionPlan` is
 bit-identical to the legacy ``Simulator.run`` entry point across the
-reference interpreter and every compiled backend (native where
-available, scalar), on static and dynamic topologies alike; a
-multi-replica plan (the v6 epoch stack) is bit-identical to the same
-trials run one at a time through the reference interpreter.  The
+reference interpreter and every compiled executor (the v6 stack where
+available, the per-replica engine), on static and dynamic topologies
+alike; a multi-replica plan (the v6 epoch stack) is bit-identical to
+the same trials run one at a time through the reference interpreter.  The
 routing table — which plans the v6 stack serves, schedules and
 ``compile_key`` groups included, and which stay on the per-replica
 engine — is pinned case by case.  Cases are generated from
@@ -44,7 +44,6 @@ from repro.protocols.identifier import (
 from repro.protocols.tokens import token_initial_state
 from repro.runtime import compile_plan, execute_plan
 from repro.runtime.execute import _stack_v6_eligible, _uniform_start
-from repro.runtime.plan import ENGINES
 from repro.runtime.source import REFILL_SIZE
 
 MASTER_SEED = 20260728 + 5  # PR-5 case stream, disjoint from the differential suite
@@ -110,26 +109,25 @@ def test_single_replica_plan_matches_simulator(case, engine_variants):
             [graph, cycle(graph.n_nodes)], epoch_length=96, repeat=True
         )
     max_steps = 8000
-    for engine, backend in engine_variants:
+    for engine, seed_of in engine_variants:
         protocol = _PROTOCOLS[protocol_kind](graph)
         plan = compile_plan(
             [protocol],
             graph,
-            [seed],
+            [seed_of(seed)],
             max_steps=max_steps,
             engine=engine,
-            backend=backend,
             schedule=schedule,
         )
         via_plan = _result_tuple(execute_plan(plan)[0])
         protocol = _PROTOCOLS[protocol_kind](graph)
         via_simulator = _result_tuple(
-            Simulator(graph, protocol, rng=seed, engine=engine, backend=backend).run(
+            Simulator(graph, protocol, rng=seed_of(seed), engine=engine).run(
                 max_steps=max_steps, schedule=schedule
             )
         )
         assert via_plan == via_simulator, (
-            f"plan/simulator divergence on {_case_id(case)} ({engine}/{backend})\n"
+            f"plan/simulator divergence on {_case_id(case)} ({engine}/{seed_of.__name__})\n"
             f"plan:      {via_plan[:6]}\nsimulator: {via_simulator[:6]}"
         )
 
@@ -231,11 +229,6 @@ def test_plan_validation_errors():
         compile_plan([token], graph, [0], max_steps=-1)
     with pytest.raises(ValueError):
         compile_plan([token], graph, [0], max_steps=10, engine="warp")
-    # An unknown backend is refused under every engine, before any run.
-    for engine in ENGINES:
-        for backend in ("vector", "bogus"):
-            with pytest.raises(ValueError, match="'auto', 'native', 'scalar'"):
-                compile_plan([token], graph, [0], max_steps=10, engine=engine, backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -619,13 +612,13 @@ def test_per_replica_certificate_behind_the_one_leader_precheck(case, monkeypatc
     graph = torus(5, 5)
     seeds = [derive_seed(MASTER_SEED, "per-replica-precheck", r) for r in range(2)]
 
-    def plan(engine, backend):
+    def plan(engine, plan_seeds):
         return compile_plan(
-            [make()] * len(seeds), graph, seeds, max_steps=50_000,
-            inputs=inputs_of(graph), engine=engine, backend=backend,
+            [make()] * len(seeds), graph, plan_seeds, max_steps=50_000,
+            inputs=inputs_of(graph), engine=engine,
         )
 
-    reference = [_result_tuple(r) for r in execute_plan(plan("reference", "auto"))]
+    reference = [_result_tuple(r) for r in execute_plan(plan("reference", seeds))]
     leaders_seen = []
     certificate = TokenLeaderElection.is_output_stable_configuration
 
@@ -634,7 +627,10 @@ def test_per_replica_certificate_behind_the_one_leader_precheck(case, monkeypatc
         return certificate(self, states, graph)
 
     monkeypatch.setattr(TokenLeaderElection, "is_output_stable_configuration", counting_certificate)
-    assert [_result_tuple(r) for r in execute_plan(plan("compiled", "scalar"))] == reference
+    # Generator seeds are not kernel-seedable: the per-replica engine.
+    per_replica = plan("compiled", [np.random.default_rng(seed) for seed in seeds])
+    assert not _stack_v6_eligible(per_replica)
+    assert [_result_tuple(r) for r in execute_plan(per_replica)] == reference
     assert all(r[0] for r in reference)
     if make.certificate_requires_unique_leader:
         assert leaders_seen and set(leaders_seen) == {1}, leaders_seen
@@ -656,13 +652,12 @@ _PER_REPLICA_CASES = {
     "trace": lambda g: ([TokenLeaderElection()], [5], {"record_leader_trace": True}),
     "generator": lambda g: ([TokenLeaderElection()], [np.random.default_rng(5)], {}),
     "wide-seed": lambda g: ([TokenLeaderElection()], [2**64 + 5], {}),
-    "scalar": lambda g: ([TokenLeaderElection()] * 2, [5, 6], {"backend": "scalar"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PER_REPLICA_CASES))
 def test_per_replica_cases_never_enter_v6(case, monkeypatch):
-    """Overrides, traces, odd seeds and the scalar backend skip v6."""
+    """Overrides, traces and seeds the kernel cannot reproduce skip v6."""
     calls = _spy_on_v6(monkeypatch)
     graph = clique(12)
     protocols, seeds, kwargs = _PER_REPLICA_CASES[case](graph)
@@ -671,7 +666,6 @@ def test_per_replica_cases_never_enter_v6(case, monkeypatch):
     via_plan = [_result_tuple(r) for r in execute_plan(plan)]
     assert calls == []
     protocols, seeds, kwargs = _PER_REPLICA_CASES[case](graph)
-    kwargs.pop("backend", None)
     reference = compile_plan(
         protocols, graph, seeds, max_steps=20_000, engine="reference", **kwargs
     )
@@ -779,38 +773,6 @@ def test_scenarios_and_measurements_never_reach_the_per_replica_engine(monkeypat
         measure_protocol_on_graph(fast_protocol_spec(), graph, repetitions=8, seed=0)
     assert groups, "no measurement split into compile_key groups"
     assert singles == []
-
-
-@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-def test_native_backend_runs_only_on_the_stack():
-    """``backend="native"`` names the v6 stack: a plan the stack cannot
-    serve raises rather than running elsewhere, and so does a host
-    without the kernel (``RuntimeError``)."""
-    graph = clique(10)
-    for seeds, kwargs in (
-        ([np.random.default_rng(5)], {}),
-        ([5], {"record_leader_trace": True}),
-        ([5], {"scheduler": RandomScheduler(graph, rng=5)}),
-    ):
-        plan = compile_plan(
-            [TokenLeaderElection()], graph, seeds, max_steps=1000,
-            engine="compiled", backend="native", **kwargs,
-        )
-        with pytest.raises(ValueError, match="v6 epoch stack"):
-            execute_plan(plan)
-    try:
-        os.environ["REPRO_DISABLE_NATIVE"] = "1"
-        reset_kernel_cache()
-        plan = compile_plan(
-            [TokenLeaderElection()], graph, [5], max_steps=1000,
-            engine="compiled", backend="native",
-        )
-        with pytest.raises(RuntimeError, match="unavailable"):
-            execute_plan(plan)
-    finally:
-        os.environ.pop("REPRO_DISABLE_NATIVE", None)
-        reset_kernel_cache()
-    assert get_run_epoch_kernel() is not None  # restored for later tests
 
 
 def _chain_plan():

@@ -133,6 +133,20 @@ class TestScenario:
         with pytest.raises(ScenarioError, match=f"no field '{key}'.*accepts: name, "):
             tiny_scenario().with_overrides(**{key: 2})
 
+    @pytest.mark.parametrize("backend", ["native", "scalar", "vector"])
+    def test_backend_is_the_constant_auto(self, backend):
+        """``backend`` stays in the canonical JSON as ``"auto"`` (hash
+        continuity); any other value raises, naming the field, through
+        the constructor, ``with_overrides`` and ``from_config``."""
+        assert tiny_scenario().config_dict()["backend"] == "auto"
+        message = f"backend must be 'auto', got '{backend}'"
+        with pytest.raises(ScenarioError, match=message):
+            tiny_scenario(backend=backend)
+        with pytest.raises(ScenarioError, match=message):
+            tiny_scenario().with_overrides(backend=backend)
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_config({**tiny_scenario().config_dict(), "backend": backend})
+
 
 class TestRegistry:
     def test_table1_families_reregistered(self):

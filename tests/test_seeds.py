@@ -37,42 +37,27 @@ class TestDeriveSeed:
 
     def test_negative_ints_fold_to_two_complement(self):
         # Negative words are masked to their 64-bit two's complement, so
-        # the C kernel (which only sees uint64) agrees with Python.
+        # the uint64 seed grids (prefixed_seed_grid) agree with the chain.
         assert derive_seed(-1) == derive_seed(2**64 - 1)
         assert derive_seed(0, -7, "tag") == derive_seed(0, 2**64 - 7, "tag")
         assert derive_seed(-1) != derive_seed(1)
 
     def test_oversized_words_fold_to_low_bits(self):
         # Words beyond 64 bits keep only their low 64 bits — anything
-        # else could not round-trip through the kernel's uint64 lanes.
+        # else could not fold in the uint64 seed grids.
         assert derive_seed(2**64 + 17) == derive_seed(17)
         assert derive_seed(0, 2**100 + 5) == derive_seed(0, (2**100 + 5) % 2**64)
         assert derive_seed(2**64) == derive_seed(0)
 
     def test_empty_word_list(self):
         # derive_seed(base) is one SplitMix64 pass over the folded base
-        # with the top bit cleared; pin the exact values so the C-side
-        # folding has a fixed target.
+        # with the top bit cleared; pin the exact values.
         from repro.core.seeds import _splitmix64, _word_to_int
 
         for base in (0, 1, 12345, -3, 2**64 + 9, "tag"):
             expected = _splitmix64(_word_to_int(base)) & (2**63 - 1)
             assert derive_seed(base) == expected
         assert derive_seed(0) == 16294208416658607535 & (2**63 - 1)
-
-    def test_matches_kernel_folding(self):
-        # The v6 kernel re-implements this fold in C; both sides must
-        # produce the same seed for every word shape.
-        from repro.core.seeds import _word_to_int
-        from repro.engine.native import get_rng_kernels
-
-        kernels = get_rng_kernels()
-        if kernels is None:
-            pytest.skip("kernel v6 unavailable")
-        for words in ((0,), (-1,), (2**64 + 17,), (5, "trial", -9), ("base", 2**100)):
-            folded = np.array([_word_to_int(w) for w in words], dtype=np.uint64)
-            got = int(kernels["derive_seed"](folded.ctypes.data, folded.shape[0]))
-            assert got == derive_seed(words[0], *words[1:])
 
     @settings(max_examples=80, deadline=None)
     @given(base=_WORDS, head=st.lists(_WORDS, max_size=3), tail=st.lists(_WORDS, max_size=3))

@@ -199,6 +199,28 @@ class TestSubmissionByName:
         assert reply["type"] == "reject"
         assert "no field 'threads'" in reply["reason"]
 
+    def test_non_auto_backend_rejected_by_name(self, tmp_path):
+        config = {**star_scenario().config_dict(), "backend": "native"}
+
+        async def submit(server, host, port):
+            with pytest.raises(ServiceError, match="rejected: .*backend must be 'auto'"):
+                await ServiceClient(host, port).submit_async(
+                    name="clique-n100", overrides={"backend": "scalar"}
+                )
+            reader, writer = await open_service_connection(host, port, MAX_FRAME_BYTES)
+            try:
+                await write_frame(writer, hello_frame("client"))
+                welcome = await read_frame(reader, MAX_FRAME_BYTES)
+                assert welcome is not None and welcome["type"] == "welcome"
+                await write_frame(writer, {"type": "submit", "config": config})
+                return await read_frame(reader, MAX_FRAME_BYTES)
+            finally:
+                writer.close()
+
+        reply = run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
+        assert reply["type"] == "reject"
+        assert "backend must be 'auto', got 'native'" in reply["reason"]
+
 
 async def _worker_handshake(host, port):
     reader, writer = await open_service_connection(host, port, MAX_FRAME_BYTES)
