@@ -63,7 +63,8 @@ def _serial_single_source(graph, source, seed, max_steps):
         count = ctypes.c_int64(1)
         while step < max_steps:
             batch = min(8192, max_steps - step)
-            initiators, responders = scheduler.next_arrays(batch)
+            # The v5 block takes int64 node ids; the scheduler's are int32.
+            initiators, responders = (a.astype(np.int64) for a in scheduler.next_arrays(batch))
             consumed = kernel(
                 informed.ctypes.data,
                 initiators.ctypes.data,

@@ -275,20 +275,38 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "edge-pass-tail-copies-hi",
         NATIVE,
-        "            out[2 * m + i] = lo;\n",
-        "            out[2 * m + i] = hi;\n",
+        "            out[2 * m + i] = (int32_t)lo;\n",
+        "            out[2 * m + i] = (int32_t)hi;\n",
         CONCATENATION,
     ),
     Mutant(
         "numpy-twin-orients-min-then-max-in-place",
         GRAPH,
-        "    np.minimum(edges_u, edges_v, out=tail)\n"
-        "    np.maximum(edges_u, edges_v, out=high)\n"
+        "    np.minimum(low, high, out=tail)\n"
+        "    np.maximum(low, high, out=high)\n"
         "    low[...] = tail\n",
-        "    np.minimum(edges_u, edges_v, out=low)\n"
-        "    np.maximum(edges_u, edges_v, out=high)\n"
+        "    np.minimum(low, high, out=low)\n"
+        "    np.maximum(low, high, out=high)\n"
         "    tail[...] = low\n",
         BUILD_PATHS_AGREE,
+    ),
+    # -- Node ids are int32: narrowing never changes one -----------------
+    Mutant(
+        "edge-arrays-narrowed-before-range-check",
+        GRAPH,
+        "        for array in (edges_u, edges_v):\n"
+        "            if array.size and not 0 <= int(array.min()) <= int(array.max()) < n:\n",
+        "        edges_u, edges_v = edges_u.astype(np.int32), edges_v.astype(np.int32)\n"
+        "        for array in (edges_u, edges_v):\n"
+        "            if array.size and not 0 <= int(array.min()) <= int(array.max()) < n:\n",
+        ("tests/test_graph.py::test_wide_endpoints_are_refused_before_narrowing",),
+    ),
+    Mutant(
+        "duplicate-keys-in-buffer-dtype",
+        GRAPH,
+        "            keys = endpoints[:m] * np.int64(n_nodes) + endpoints[m : 2 * m]\n",
+        "            keys = endpoints[:m] * n_nodes + endpoints[m : 2 * m]\n",
+        ("tests/test_graph.py::test_duplicate_keys_are_exact_where_int32_keys_would_wrap",),
     ),
     Mutant(
         "node-count-truncated",
@@ -307,8 +325,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "union-find-drops-count-decrement",
         NATIVE,
-        "                parent[lo] = hi;\n            components--;\n",
-        "                parent[lo] = hi;\n",
+        "                parent[lo] = (int32_t)hi;\n            components--;\n",
+        "                parent[lo] = (int32_t)hi;\n",
         CONNECTIVITY,
     ),
     Mutant(
@@ -474,8 +492,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "eccentricity-distance-counts-from-one",
         NATIVE,
-        "        dist[s] = 0;\n        queue[0] = s;\n",
-        "        dist[s] = 1;\n        queue[0] = s;\n",
+        "        dist[s] = 0;\n        queue[0] = (int32_t)s;\n",
+        "        dist[s] = 1;\n        queue[0] = (int32_t)s;\n",
         ECCENTRICITIES,
     ),
     Mutant(

@@ -66,7 +66,7 @@ def _hitting_block(
         event = _next_touch(snodes, ssteps, position, cursor)
         if event < 0:
             return position, target, -1
-        position = int(iu[event] + iv[event] - position)
+        position = int(iu[event]) + int(iv[event]) - position
         if position == target:
             return position, target, event + 1
         cursor = event
@@ -88,10 +88,10 @@ def _meeting_block(
             # joining them (or any edge at a shared node): a meeting.
             return pos_a, pos_b, next_a + 1
         if next_b < 0 or (0 <= next_a < next_b):
-            pos_a = int(iu[next_a] + iv[next_a] - pos_a)
+            pos_a = int(iu[next_a]) + int(iv[next_a]) - pos_a
             cursor = next_a
         else:
-            pos_b = int(iu[next_b] + iv[next_b] - pos_b)
+            pos_b = int(iu[next_b]) + int(iv[next_b]) - pos_b
             cursor = next_b
 
 

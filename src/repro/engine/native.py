@@ -51,7 +51,8 @@ from typing import Sequence, Tuple
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 
 #: The v5 function set: shard-local runs and the single-epidemic block,
-#: both fed pre-drawn pairs from Python.
+#: both fed pre-drawn pairs from Python as ``int64`` node ids (the graph
+#: layer's are ``int32``; their callers widen at the call).
 _KERNEL_SOURCE_V5 = r"""
 #include <stdint.h>
 
@@ -667,8 +668,8 @@ typedef struct {
     const uint64_t *seeds;
     int64_t *buffers;
     int64_t buf_cap;
-    const int64_t *du;
-    const int64_t *dv;
+    const int32_t *du;
+    const int32_t *dv;
     int64_t m;
     int64_t epoch_end;
     int64_t n;
@@ -692,9 +693,10 @@ typedef struct {
  * nothing consumed), the topology epoch's end (SWITCH: the row's next
  * draw belongs to the next epoch, whose tables the caller swaps in), or
  * the step budget (BUDGET).  du/dv/m are the active epoch's directed
- * tables and edge count; epoch_end is that epoch's exclusive end in
- * draws (INT64_MAX on a static topology), and every refill is capped
- * there, as InteractionSource._refill caps it.  With precheck set,
+ * tables (int32 node ids, read from the graph's endpoint buffer) and
+ * edge count; epoch_end is that epoch's exclusive end in draws
+ * (INT64_MAX on a static topology), and every refill is capped there,
+ * as InteractionSource._refill caps it.  With precheck set,
  * boundaries where the kernel-maintained leader count is != 1 (for the
  * identifier rule, also where the identifiers differ or lie below 2^k)
  * are skipped — the certificate cannot hold there — so whole stretches
@@ -716,8 +718,8 @@ static inline __attribute__((always_inline)) void repro_run_epoch_row(
     int64_t *row = job->rows + r * REPRO_ROW_WORDS;
     uint64_t *rngw = (uint64_t *)row;
     int64_t *buffer = job->buffers + r * job->buf_cap;
-    const int64_t *du = job->du;
-    const int64_t *dv = job->dv;
+    const int32_t *du = job->du;
+    const int32_t *dv = job->dv;
     const int64_t m = job->m;
     const int32_t *dpack = job->dpack;
     const int64_t k = job->k;
@@ -855,7 +857,7 @@ static void repro_epoch_rows(const void *shared, int64_t lo, int64_t hi)
  * passes the next epoch's tables. */
 void repro_run_epoch(int64_t *codes, int64_t *rows, const uint64_t *seeds,
                      int64_t *buffers, int64_t buf_cap,
-                     const int64_t *du, const int64_t *dv, int64_t m,
+                     const int32_t *du, const int32_t *dv, int64_t m,
                      int64_t epoch_end, int64_t nrep, int64_t n,
                      int32_t rule, const int32_t *dpack, int64_t k, int32_t kshift,
                      uint8_t *seen, int64_t *log, int64_t log_cap,
@@ -890,7 +892,8 @@ void repro_run_epoch(int64_t *codes, int64_t *rows, const uint64_t *seeds,
 /* ---- Analytics epochs: in-kernel directed-dialect streams -------- */
 
 /* One lockstep block of the single-source epidemic with draws generated
- * in-kernel (integers(0, bound) per step, the directed dialect).  Row r
+ * in-kernel (integers(0, bound) per step, the directed dialect), decoded
+ * through the graph's int32 directed tables du/dv.  Row r
  * starts from informed row r, counts[r] informed nodes and stopmask row r
  * (NULL: finish when all n nodes are informed; else when a newly informed
  * node has its stop bit set — distance-k propagation).  finish[r] gets
@@ -901,8 +904,8 @@ void repro_run_epoch(int64_t *codes, int64_t *rows, const uint64_t *seeds,
 typedef struct {
     uint8_t *informed;
     uint64_t *rng_state;
-    const int64_t *du;
-    const int64_t *dv;
+    const int32_t *du;
+    const int32_t *dv;
     uint64_t bound;
     int64_t block;
     int64_t n;
@@ -946,7 +949,7 @@ static void repro_bcast_rows(const void *shared, int64_t lo, int64_t hi)
 }
 
 void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
-                           const int64_t *du, const int64_t *dv,
+                           const int32_t *du, const int32_t *dv,
                            uint64_t bound, int64_t nrep, int64_t block,
                            int64_t n, const uint8_t *stopmask,
                            int64_t *counts, int64_t *finish,
@@ -976,8 +979,8 @@ void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
 typedef struct {
     uint64_t *bits;
     uint64_t *rng_state;
-    const int64_t *du;
-    const int64_t *dv;
+    const int32_t *du;
+    const int32_t *dv;
     uint64_t bound;
     int64_t block;
     int64_t n;
@@ -1038,7 +1041,7 @@ static void repro_infl_rows(const void *shared, int64_t lo, int64_t hi)
 }
 
 void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
-                           const int64_t *du, const int64_t *dv,
+                           const int32_t *du, const int32_t *dv,
                            uint64_t bound, int64_t nrep, int64_t block,
                            int64_t n, int64_t w, const uint64_t *full,
                            uint8_t *full_flags, int64_t *counts,
@@ -1066,13 +1069,14 @@ void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
 #: all-sources BFS (every node's eccentricity).
 _KERNEL_SOURCE_GRAPH = r"""
 /* One pass over the m undirected edges (eu[i], ev[i]) of a graph on
- * nodes [0, n), in input order.  Edge i is oriented to (lo, hi), and,
- * when out is given, written to out[i], out[m + i] and out[2m + i]: out
- * is the graph's 3m-word endpoint buffer [lo | hi | lo].  eu and ev may
- * be its first two thirds, because each edge is read before its slots
- * are written.  The pass stops at the first edge with an end outside
- * [0, n), before anything is indexed with it, and returns that edge's
- * index; otherwise it returns m.  degrees (n words, zeroed by the
+ * nodes [0, n), in input order.  Node ids are int32 (n <= 2^31 - 1);
+ * each end is widened before it is compared or used.  Edge i is oriented
+ * to (lo, hi), and, when out is given, written to out[i], out[m + i] and
+ * out[2m + i]: out is the graph's 3m-word endpoint buffer [lo | hi | lo].
+ * eu and ev may be its first two thirds, because each edge is read before
+ * its slots are written.  The pass stops at the first edge with an end
+ * outside [0, n), before anything is indexed with it, and returns that
+ * edge's index; otherwise it returns m.  degrees (n words, zeroed by the
  * caller, or NULL) counts both ends of every edge; parent (n words of
  * scratch, or NULL) runs a union-find with path halving, each union
  * linking the larger root under the smaller.
@@ -1081,13 +1085,13 @@ _KERNEL_SOURCE_GRAPH = r"""
  * info[1]: 1 when every (lo, hi) strictly follows the one before it,
  *          lexicographically (the edges then hold no duplicate), else 0;
  * info[2]: the number of connected components (n without parent). */
-int64_t repro_edge_pass(const int64_t *eu,
-                        const int64_t *ev,
+int64_t repro_edge_pass(const int32_t *eu,
+                        const int32_t *ev,
                         int64_t m,
                         int64_t n,
-                        int64_t *out,
-                        int64_t *degrees,
-                        int64_t *parent,
+                        int32_t *out,
+                        int32_t *degrees,
+                        int32_t *parent,
                         int64_t *info)
 {
     int64_t self_loop = -1, increasing = 1, components = n;
@@ -1095,7 +1099,7 @@ int64_t repro_edge_pass(const int64_t *eu,
     int64_t i;
     if (parent)
         for (i = 0; i < n; i++)
-            parent[i] = i;
+            parent[i] = (int32_t)i;
     for (i = 0; i < m; i++) {
         int64_t a = eu[i];
         int64_t b = ev[i];
@@ -1104,9 +1108,9 @@ int64_t repro_edge_pass(const int64_t *eu,
         if (lo < 0 || hi >= n)
             break;
         if (out) {
-            out[i] = lo;
-            out[m + i] = hi;
-            out[2 * m + i] = lo;
+            out[i] = (int32_t)lo;
+            out[m + i] = (int32_t)hi;
+            out[2 * m + i] = (int32_t)lo;
         }
         if (lo == hi && self_loop < 0)
             self_loop = lo;
@@ -1130,9 +1134,9 @@ int64_t repro_edge_pass(const int64_t *eu,
             if (lo == hi)
                 continue;
             if (lo < hi)
-                parent[hi] = lo;
+                parent[hi] = (int32_t)lo;
             else
-                parent[lo] = hi;
+                parent[lo] = (int32_t)hi;
             components--;
         }
     }
@@ -1144,18 +1148,19 @@ int64_t repro_edge_pass(const int64_t *eu,
 
 /* The eccentricity of every node of a graph on nodes [0, n), given as
  * compressed sparse rows: the neighbours of v are indices[indptr[v]]
- * up to indices[indptr[v + 1] - 1].  One queue BFS per source, which
- * stops scanning rows once all n nodes are queued (on a dense graph,
- * after a row or two).  The queue holds nodes in order of distance, so
- * ecc[s] is the distance of the last node queued: the largest finite
- * distance from s (0 for an isolated node).  dist and queue are n words
- * of scratch: dist is -1 for every node between two sources, because
- * each BFS resets exactly the nodes it reached. */
+ * up to indices[indptr[v + 1] - 1] (int32 node ids; int64 offsets).  One
+ * queue BFS per source, which stops scanning rows once all n nodes are
+ * queued (on a dense graph, after a row or two).  The queue holds nodes
+ * in order of distance, so ecc[s] is the distance of the last node
+ * queued: the largest finite distance from s (0 for an isolated node).
+ * dist and queue are n words of scratch: dist is -1 for every node
+ * between two sources, because each BFS resets exactly the nodes it
+ * reached. */
 void repro_eccentricities(const int64_t *indptr,
-                          const int64_t *indices,
+                          const int32_t *indices,
                           int64_t n,
                           int64_t *dist,
-                          int64_t *queue,
+                          int32_t *queue,
                           int64_t *ecc)
 {
     int64_t s, k;
@@ -1164,7 +1169,7 @@ void repro_eccentricities(const int64_t *indptr,
     for (s = 0; s < n; s++) {
         int64_t head = 0, tail = 1;
         dist[s] = 0;
-        queue[0] = s;
+        queue[0] = (int32_t)s;
         while (head < tail && tail < n) {
             int64_t u = queue[head++];
             int64_t next = dist[u] + 1;
@@ -1172,7 +1177,7 @@ void repro_eccentricities(const int64_t *indptr,
                 int64_t w = indices[k];
                 if (dist[w] < 0) {
                     dist[w] = next;
-                    queue[tail++] = w;
+                    queue[tail++] = (int32_t)w;
                 }
             }
         }
@@ -1337,8 +1342,8 @@ def _bind_v6(library):
         ctypes.c_void_p,  # seeds (nrep; the stack's first call) or None
         ctypes.c_void_p,  # buffers (nrep x buf_cap)
         ctypes.c_int64,  # buf_cap
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
+        ctypes.c_void_p,  # du (2m int32)
+        ctypes.c_void_p,  # dv (2m int32)
         ctypes.c_int64,  # m (the active epoch's edge count)
         ctypes.c_int64,  # epoch_end (the active epoch's end; NO_EPOCH_END if none)
         ctypes.c_int64,  # nrep
@@ -1361,8 +1366,8 @@ def _bind_v6(library):
     broadcast_epoch.argtypes = [
         ctypes.c_void_p,  # informed (nrep x n)
         ctypes.c_void_p,  # rng_state (nrep x RNG_STATE_WORDS)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
+        ctypes.c_void_p,  # du (2m int32)
+        ctypes.c_void_p,  # dv (2m int32)
         ctypes.c_uint64,  # bound (2m)
         ctypes.c_int64,  # nrep
         ctypes.c_int64,  # block
@@ -1377,8 +1382,8 @@ def _bind_v6(library):
     influence_epoch.argtypes = [
         ctypes.c_void_p,  # bits (nrep x n x w)
         ctypes.c_void_p,  # rng_state (nrep x RNG_STATE_WORDS)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
+        ctypes.c_void_p,  # du (2m int32)
+        ctypes.c_void_p,  # dv (2m int32)
         ctypes.c_uint64,  # bound (2m)
         ctypes.c_int64,  # nrep
         ctypes.c_int64,  # block
@@ -1439,23 +1444,23 @@ def _bind_kernels(library):
     edge_pass = library.repro_edge_pass
     edge_pass.restype = ctypes.c_int64
     edge_pass.argtypes = [
-        ctypes.c_void_p,  # eu (m)
-        ctypes.c_void_p,  # ev (m)
+        ctypes.c_void_p,  # eu (m int32)
+        ctypes.c_void_p,  # ev (m int32)
         ctypes.c_int64,  # m
         ctypes.c_int64,  # n
-        ctypes.c_void_p,  # out (3m) or None
-        ctypes.c_void_p,  # degrees (n; zeroed) or None
-        ctypes.c_void_p,  # parent (n; scratch) or None
+        ctypes.c_void_p,  # out (3m int32) or None
+        ctypes.c_void_p,  # degrees (n int32; zeroed) or None
+        ctypes.c_void_p,  # parent (n int32; scratch) or None
         ctypes.c_void_p,  # info (3)
     ]
     eccentricities = library.repro_eccentricities
     eccentricities.restype = None
     eccentricities.argtypes = [
         ctypes.c_void_p,  # indptr (n + 1)
-        ctypes.c_void_p,  # indices (2m)
+        ctypes.c_void_p,  # indices (2m int32)
         ctypes.c_int64,  # n
         ctypes.c_void_p,  # dist (n; scratch)
-        ctypes.c_void_p,  # queue (n; scratch)
+        ctypes.c_void_p,  # queue (n int32; scratch)
         ctypes.c_void_p,  # ecc (n)
     ]
     kernels = {

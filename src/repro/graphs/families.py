@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .graph import Edge, Graph, GraphError
+from .graph import NODE_DTYPE, Edge, Graph, GraphError
 
 
 def clique(n: int) -> Graph:
@@ -78,13 +78,14 @@ def torus(rows: int, cols: int) -> Graph:
     # pattern shifted by ``r * cols``, and only the first and last rows
     # have patterns of their own.  The row blocks are written straight
     # into the graph's endpoint buffer, where the edge pass finds them
-    # strictly increasing and needs no duplicate sort.
-    first = _torus_row(rows, cols, down=True, up_wrap=True)
-    middle = _torus_row(rows, cols, down=True, up_wrap=False)
-    last = _torus_row(rows, cols, down=False, up_wrap=False)
-    shifts = np.arange(cols, (rows - 1) * cols, cols, dtype=np.int64)[:, None]
-
+    # strictly increasing and needs no duplicate sort.  The patterns are
+    # built in ``fill``, after the node count is checked, so every id
+    # fits the buffer's ``int32``.
     def fill(low: np.ndarray, high: np.ndarray) -> None:
+        first = _torus_row(rows, cols, down=True, up_wrap=True)
+        middle = _torus_row(rows, cols, down=True, up_wrap=False)
+        last = _torus_row(rows, cols, down=False, up_wrap=False)
+        shifts = np.arange(cols, (rows - 1) * cols, cols, dtype=NODE_DTYPE)[:, None]
         for out, top, inner, bottom in zip((low, high), first, middle, last):
             body_end = top.size + shifts.size * inner.size
             out[: top.size] = top
@@ -104,7 +105,7 @@ def _torus_row(rows: int, cols: int, down: bool, up_wrap: bool) -> Tuple[np.ndar
     column; left-wrap, from column 0 only; down, unless the row is the
     last; up-wrap, from row 0 only.
     """
-    c = np.arange(cols, dtype=np.int64)
+    c = np.arange(cols, dtype=NODE_DTYPE)
     candidates = (
         (c + 1, c < cols - 1),  # right
         (c + cols - 1, c == 0),  # left-wrap

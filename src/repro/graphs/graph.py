@@ -7,9 +7,17 @@ operation the simulator needs is "sample a uniformly random edge, then a
 uniformly random orientation of it".  :class:`Graph` therefore stores the
 edge list as flat ``numpy`` arrays (for vectorised batch sampling) next to
 plain-Python adjacency lists (for the propagation and random-walk modules).
-The endpoint arrays are two thirds of one ``int64`` buffer ``[u | v | u]``
-of ``3m`` words, whose first and last ``2m`` words are the directed pair
-tables of :func:`repro.runtime.pairs.directed_tables`.
+The endpoint arrays are two thirds of one buffer ``[u | v | u]`` of ``3m``
+words, whose first and last ``2m`` words are the directed pair tables of
+:func:`repro.runtime.pairs.directed_tables`.
+
+Every array that holds node ids is :data:`NODE_DTYPE` (``int32``): the
+endpoint buffer, the degrees, the CSR neighbour indices and the
+union-find scratch, so a graph has at most :data:`MAX_NODES` =
+``2**31 - 1`` nodes.  Inputs are range-checked at their own width before
+they are narrowed into the buffer, so an endpoint such as ``2**32 + 5`` is
+refused and never becomes node 5.  Pair indices, state codes, step counts
+and BFS distances stay ``int64``.
 
 The class is deliberately immutable: every protocol run, broadcast
 simulation and random-walk experiment shares a single graph object, and the
@@ -31,6 +39,13 @@ class GraphError(ValueError):
     """Raised when a graph is malformed for the population model."""
 
 
+#: The dtype of every array that holds node ids (or per-node degrees).
+NODE_DTYPE = np.int32
+
+#: The largest node count: every node id fits in :data:`NODE_DTYPE`.
+MAX_NODES = int(np.iinfo(NODE_DTYPE).max)
+
+
 #: Largest node count for which the dense all-pairs distance matrix may
 #: be materialised.  Above this, ``(n, n)`` bool + int16 scratch is
 #: multiple gigabytes (a ~1 TB request at n = 10^6) and dies in the
@@ -50,7 +65,7 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _node_count(n_nodes) -> int:
-    """``n_nodes`` as a positive ``int``.
+    """``n_nodes`` as an ``int`` in ``[1, MAX_NODES]``.
 
     It goes through ``operator.index``, so ``3.5`` raises instead of
     passing a range check against ``3.5`` and sizing buffers for 3.
@@ -61,10 +76,14 @@ def _node_count(n_nodes) -> int:
         raise GraphError(f"the node count must be an integer, not {n_nodes!r}") from None
     if n <= 0:
         raise GraphError("a graph must have at least one node")
+    if n > MAX_NODES:
+        raise GraphError(
+            f"a graph has at most 2**31 - 1 = {MAX_NODES} nodes (node ids are int32), not {n}"
+        )
     return n
 
 
-def _edge_pass_native(kernel, n, edges_u, edges_v, endpoints, connectivity):
+def _edge_pass_native(kernel, n, endpoints, connectivity):
     """The C edge pass (``repro_edge_pass``) for :meth:`Graph._adopt`.
 
     Returns ``(in_range, self_loop, increasing, degrees, components)``:
@@ -76,12 +95,12 @@ def _edge_pass_native(kernel, n, edges_u, edges_v, endpoints, connectivity):
     from ..engine.native import data_address
 
     m = endpoints.size // 3
-    degrees = np.zeros(n, dtype=np.int64)
-    parent = np.empty(n, dtype=np.int64) if connectivity else None
+    degrees = np.zeros(n, dtype=NODE_DTYPE)
+    parent = np.empty(n, dtype=NODE_DTYPE) if connectivity else None
     info = np.empty(3, dtype=np.int64)
     passed = kernel(
-        data_address(edges_u),
-        data_address(edges_v),
+        data_address(endpoints[:m]),
+        data_address(endpoints[m:]),
         m,
         n,
         data_address(endpoints),
@@ -93,21 +112,21 @@ def _edge_pass_native(kernel, n, edges_u, edges_v, endpoints, connectivity):
     return passed == m, self_loop, bool(increasing), degrees, components if connectivity else None
 
 
-def _edge_pass_numpy(n, edges_u, edges_v, endpoints):
+def _edge_pass_numpy(n, endpoints):
     """The NumPy twin of :func:`_edge_pass_native`, in whole-array passes.
 
     It has no union-find: its ``components`` is ``None``, and the
-    connectivity check takes a BFS.  The minimum goes to the tail
-    first, because ``edges_u`` and ``edges_v`` may be the buffer's own
-    first two thirds: both ufuncs read every input before it is
-    overwritten, and the tail is then already the copy of ``u``.
+    connectivity check takes a BFS.  The edges are oriented in place,
+    the minimum going to the tail first: both ufuncs read every input
+    before it is overwritten, and the tail is then already the copy of
+    ``u``.
     """
     m = endpoints.size // 3
     low, high, tail = endpoints[:m], endpoints[m : 2 * m], endpoints[2 * m :]
     if m == 0:
-        return True, -1, True, np.zeros(n, dtype=np.int64), None
-    np.minimum(edges_u, edges_v, out=tail)
-    np.maximum(edges_u, edges_v, out=high)
+        return True, -1, True, np.zeros(n, dtype=NODE_DTYPE), None
+    np.minimum(low, high, out=tail)
+    np.maximum(low, high, out=high)
     low[...] = tail
     if int(low.min()) < 0 or int(high.max()) >= n:
         return False, -1, False, None, None
@@ -115,7 +134,7 @@ def _edge_pass_numpy(n, edges_u, edges_v, endpoints):
     self_loop = int(low[loops[0]]) if loops.size else -1
     keys = low * np.int64(n) + high
     increasing = bool((keys[1:] > keys[:-1]).all())
-    degrees = np.bincount(endpoints[: 2 * m], minlength=n).astype(np.int64, copy=False)
+    degrees = np.bincount(endpoints[: 2 * m], minlength=n).astype(NODE_DTYPE)
     return True, self_loop, increasing, degrees, None
 
 
@@ -163,13 +182,12 @@ class Graph:
         n = _node_count(n_nodes)
         edge_list = self._normalise_edges(n, edges)
         m = len(edge_list)
-        endpoints = np.empty(3 * m, dtype=np.int64)
-        edges_u, edges_v = endpoints[:m], endpoints[m : 2 * m]
+        endpoints = np.empty(3 * m, dtype=NODE_DTYPE)
         if edge_list:
             arr = np.asarray(edge_list, dtype=np.int64)
-            edges_u[:] = arr[:, 0]
-            edges_v[:] = arr[:, 1]
-        self._adopt(n, edges_u, edges_v, endpoints, str(name), check_connected)
+            endpoints[:m] = arr[:, 0]
+            endpoints[m : 2 * m] = arr[:, 1]
+        self._adopt(n, endpoints, str(name), check_connected)
 
     @classmethod
     def from_edge_arrays(
@@ -190,71 +208,71 @@ class Graph:
         must hold integers; they are only read, and the graph never
         aliases them.
 
-        Validation — range, self-loop and duplicate checks, ``(min,
+        The ends are range-checked at the arrays' own width and then
+        narrowed once, into the graph's ``3m``-word endpoint buffer.  The
+        rest of the validation — self-loop and duplicate checks, ``(min,
         max)`` orientation, degrees and connectivity — is one pass over
-        the edges in C, which writes the oriented endpoints straight into
-        the graph's ``3m``-word endpoint buffer (see :meth:`_adopt`).
-        Duplicates need a second pass only when the oriented edges are
-        not strictly increasing (the order ``torus`` emits holds no
-        duplicate): their keys ``low * n + high`` are then sorted and
-        neighbours compared, not deduplicated with ``np.unique``, which
-        on NumPy >= 2.3 builds a hash table at about 1 µs per distinct
-        key.  Without the kernel, a NumPy twin makes the same checks in
-        whole-array passes, and connectivity takes a BFS.
+        the edges in C, in that buffer (see :meth:`_adopt`).  Duplicates
+        need a second pass only when the oriented edges are not strictly
+        increasing (the order ``torus`` emits holds no duplicate): their
+        keys ``low * n + high`` are then sorted and neighbours compared,
+        not deduplicated with ``np.unique``, which on NumPy >= 2.3 builds
+        a hash table at about 1 µs per distinct key.  Without the kernel,
+        a NumPy twin makes the same checks in whole-array passes, and
+        connectivity takes a BFS.
         """
         n = _node_count(n_nodes)
         edges_u, edges_v = np.asarray(edges_u), np.asarray(edges_v)
         for array in (edges_u, edges_v):
             if array.size and array.dtype.kind not in "iu":
                 raise GraphError(f"edge endpoint arrays must hold integers, not {array.dtype}")
-        edges_u = np.ascontiguousarray(edges_u, dtype=np.int64)
-        edges_v = np.ascontiguousarray(edges_v, dtype=np.int64)
         if edges_u.shape != edges_v.shape or edges_u.ndim != 1:
             raise GraphError("edge endpoint arrays must be parallel 1-d arrays")
-        graph = cls.__new__(cls)
-        endpoints = np.empty(3 * edges_u.size, dtype=np.int64)
-        graph._adopt(n, edges_u, edges_v, endpoints, str(name), check_connected)
-        return graph
+        # At full width: narrowed first, an end of 2**32 + 5 would be node 5.
+        for array in (edges_u, edges_v):
+            if array.size and not 0 <= int(array.min()) <= int(array.max()) < n:
+                raise GraphError(f"edge endpoint out of range for n={n}")
+
+        def fill(low: np.ndarray, high: np.ndarray) -> None:
+            low[:] = edges_u
+            high[:] = edges_v
+
+        return cls._from_filled_endpoints(n, edges_u.size, fill, name, check_connected)
 
     @classmethod
     def _from_filled_endpoints(
-        cls, n_nodes: int, n_edges: int, fill: Callable[[np.ndarray, np.ndarray], None], name: str
+        cls,
+        n_nodes: int,
+        n_edges: int,
+        fill: Callable[[np.ndarray, np.ndarray], None],
+        name: str,
+        check_connected: bool = True,
     ) -> "Graph":
-        """Build a connected graph whose builder writes its edges in place.
+        """Build a graph whose builder writes its edges in place.
 
         ``fill(edges_u, edges_v)`` writes the ``n_edges`` edges, in order,
-        into two ``int64`` arrays that are the first two thirds of the
-        graph's endpoint buffer; :meth:`_adopt` then validates and
+        into two ``NODE_DTYPE`` arrays that are the first two thirds of
+        the graph's endpoint buffer; :meth:`_adopt` then validates and
         orients them there, with no copy.  Every check of
         :meth:`from_edge_arrays` runs.
         """
         n = _node_count(n_nodes)
-        endpoints = np.empty(3 * n_edges, dtype=np.int64)
-        edges_u, edges_v = endpoints[:n_edges], endpoints[n_edges : 2 * n_edges]
-        fill(edges_u, edges_v)
+        endpoints = np.empty(3 * n_edges, dtype=NODE_DTYPE)
+        fill(endpoints[:n_edges], endpoints[n_edges : 2 * n_edges])
         graph = cls.__new__(cls)
-        graph._adopt(n, edges_u, edges_v, endpoints, str(name), True)
+        graph._adopt(n, endpoints, str(name), check_connected)
         return graph
 
-    def _adopt(
-        self,
-        n_nodes: int,
-        edges_u: np.ndarray,
-        edges_v: np.ndarray,
-        endpoints: np.ndarray,
-        name: str,
-        check_connected: bool,
-    ) -> None:
-        """Validate the edges ``(edges_u[i], edges_v[i])`` and adopt them.
+    def _adopt(self, n_nodes: int, endpoints: np.ndarray, name: str, check_connected: bool) -> None:
+        """Validate the edges in ``endpoints`` and adopt the buffer.
 
-        ``endpoints`` is a fresh ``3m``-word buffer; it ends up holding
-        ``[u | v | u]``, edge ``i`` oriented ``(min, max)`` in every
-        third.  ``edges_u`` and ``edges_v`` are ``int64`` arrays of ``m``
-        words: inputs that are only read, or the buffer's own first two
-        thirds, oriented in place.  Both build paths meet here, and this
-        is where the C pass or its NumPy twin is chosen.  Errors come in
-        this order: an end out of range; a self-loop (naming the node of
-        the first one); a duplicate edge; no edges, or not connected.
+        ``endpoints`` is a fresh ``3m``-word ``NODE_DTYPE`` buffer whose
+        first two thirds hold edge ``i`` as ``(endpoints[i], endpoints[m +
+        i])``; it ends up holding ``[u | v | u]``, edge ``i`` oriented
+        ``(min, max)`` in every third.  Every build path meets here, and
+        this is where the C pass or its NumPy twin is chosen.  Errors come
+        in this order: an end out of range; a self-loop (naming the node
+        of the first one); a duplicate edge; no edges, or not connected.
         """
         from ..engine.native import get_edge_pass_kernel
 
@@ -262,9 +280,9 @@ class Graph:
         connectivity = n_nodes > 1 and check_connected and m > 0
         kernel = get_edge_pass_kernel()
         if kernel is None:
-            checks = _edge_pass_numpy(n_nodes, edges_u, edges_v, endpoints)
+            checks = _edge_pass_numpy(n_nodes, endpoints)
         else:
-            checks = _edge_pass_native(kernel, n_nodes, edges_u, edges_v, endpoints, connectivity)
+            checks = _edge_pass_native(kernel, n_nodes, endpoints, connectivity)
         in_range, self_loop, increasing, degrees, components = checks
         if not in_range:
             raise GraphError(f"edge endpoint out of range for n={n_nodes}")
@@ -317,7 +335,7 @@ class Graph:
             keys.sort()
             indptr = np.zeros(self._n + 1, dtype=np.int64)
             np.cumsum(self._degrees, out=indptr[1:])
-            self._csr_cache = (indptr, keys % n)
+            self._csr_cache = (indptr, (keys % n).astype(NODE_DTYPE))
         return self._csr_cache
 
     @property
@@ -387,21 +405,21 @@ class Graph:
 
     @property
     def edges_u(self) -> np.ndarray:
-        """First endpoints of every edge (read-only view)."""
+        """First endpoints of every edge (read-only ``int32`` view)."""
         view = self._edges_u.view()
         view.flags.writeable = False
         return view
 
     @property
     def edges_v(self) -> np.ndarray:
-        """Second endpoints of every edge (read-only view)."""
+        """Second endpoints of every edge (read-only ``int32`` view)."""
         view = self._edges_v.view()
         view.flags.writeable = False
         return view
 
     @property
     def degrees(self) -> np.ndarray:
-        """Degree of every node (read-only view)."""
+        """Degree of every node (read-only ``int32`` view)."""
         view = self._degrees.view()
         view.flags.writeable = False
         return view
@@ -464,7 +482,7 @@ class Graph:
         indptr, indices = self._csr()
         dist = np.full(self._n, -1, dtype=np.int64)
         dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
+        frontier = np.array([source], dtype=NODE_DTYPE)
         d = 0
         while frontier.size:
             d += 1
@@ -531,7 +549,7 @@ class Graph:
 
         indptr, indices = self._csr()
         dist = np.empty(self._n, dtype=np.int64)
-        queue = np.empty(self._n, dtype=np.int64)
+        queue = np.empty(self._n, dtype=NODE_DTYPE)
         ecc = np.empty(self._n, dtype=np.int64)
         kernel(
             data_address(indptr),
@@ -667,7 +685,7 @@ class Graph:
         kernel = get_edge_pass_kernel()
         if kernel is None:
             return int((self.bfs_distances(0) >= 0).sum()) == self._n
-        parent = np.empty(self._n, dtype=np.int64)
+        parent = np.empty(self._n, dtype=NODE_DTYPE)
         info = np.empty(3, dtype=np.int64)
         kernel(
             data_address(self._edges_u),

@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .graph import Edge, Graph, GraphError
+from .graph import NODE_DTYPE, Edge, Graph, GraphError
 
 RngLike = Union[int, np.random.Generator, None]
 
@@ -100,7 +100,7 @@ def random_regular(
 def _configuration_model_attempt(
     n: int, degree: int, generator: np.random.Generator
 ) -> Optional[List[Edge]]:
-    stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
+    stubs = np.repeat(np.arange(n, dtype=NODE_DTYPE), degree)
     generator.shuffle(stubs)
     seen = set()
     edges: List[Edge] = []

@@ -41,6 +41,7 @@ from ..experiments.harness import (
 )
 from ..experiments.workloads import get_workload
 from ..graphs.graph import Graph
+from ..runtime.plan import ENGINES
 
 #: Bump when the meaning of persisted results changes (record schema,
 #: execution semantics).  Part of every scenario content hash, so stale
@@ -299,7 +300,9 @@ class Scenario:
         covers.  Affects scheduling granularity and cache layout only —
         never the per-trial seeds, hence never the results.
     engine:
-        Execution engine for the simulations.
+        Execution engine for the simulations: one of
+        :data:`repro.runtime.plan.ENGINES`; any other value raises
+        :class:`ScenarioError`.
     backend:
         Always ``"auto"``; any other value raises :class:`ScenarioError`.
         Which executor runs a plan follows from the plan's inputs alone
@@ -349,6 +352,11 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name!r}: repetitions must be positive")
         if self.trials_per_shard < 1:
             raise ScenarioError(f"scenario {self.name!r}: trials_per_shard must be positive")
+        if self.engine not in ENGINES:
+            raise ScenarioError(
+                f"scenario {self.name!r}: engine must be one of "
+                f"{', '.join(map(repr, ENGINES))}, got {self.engine!r}"
+            )
         if self.backend != "auto":
             raise ScenarioError(
                 f"scenario {self.name!r}: backend must be 'auto', got {self.backend!r}; "

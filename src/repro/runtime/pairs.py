@@ -10,8 +10,9 @@ This module is the single home of that encoding.  It provides
 
 * :func:`directed_tables` — the two parallel endpoint tables
   ``(initiators, responders)`` of length ``2m``, views of the graph's
-  own endpoint buffer ``[u | v | u]`` (the analytics engine's C kernels
-  and the multi-replica protocol kernel decode raw indices through them);
+  own ``int32`` endpoint buffer ``[u | v | u]`` (the analytics engine's
+  C kernels and the multi-replica protocol kernel decode raw indices
+  through them);
 * :func:`encode_oriented` — how the population scheduler's two-call draw
   (uniform edge index, then uniform orientation) maps into the index
   space, preserving the historical decode ``initiator = u if oriented
@@ -45,9 +46,10 @@ def directed_tables(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
 
     The tables are ``concat(u, v)`` and ``concat(v, u)`` without a copy:
     the first and last ``2m`` words of the graph's endpoint buffer
-    ``[u | v | u]``, so they live exactly as long as the graph.  They are
-    the graph's own storage, handed out writable so the kernels' address
-    lookup stays on its fast path: never write them.
+    ``[u | v | u]``, so they live exactly as long as the graph and hold
+    its ``int32`` node ids (the pair indices into them are ``int64``).
+    They are the graph's own storage, handed out writable so the
+    kernels' address lookup stays on its fast path: never write them.
     """
     m = graph.n_edges
     if m == 0:
@@ -81,5 +83,6 @@ def encode_oriented(
 def decode_pairs(
     indices: np.ndarray, initiators: np.ndarray, responders: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode pair indices through the directed endpoint tables."""
+    """Decode pair indices through the directed endpoint tables (node ids
+    come out in the tables' ``int32``)."""
     return initiators.take(indices), responders.take(indices)

@@ -44,7 +44,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..engine.native import RNG_STATE_WORDS, data_address, get_rng_kernels
-from ..graphs.graph import Graph
+from ..graphs.graph import NODE_DTYPE, Graph
 from ..graphs.random_graphs import RngLike, as_rng
 from .pairs import directed_tables, encode_oriented
 
@@ -105,7 +105,7 @@ class InteractionSource:
             self._schedule = topology
             self._epoch_graph = None
             self._epoch_end = 0  # forces epoch activation on the first refill
-            self._du = self._dv = np.zeros(0, dtype=np.int64)
+            self._du = self._dv = np.zeros(0, dtype=NODE_DTYPE)
             self._edge_count = 0
 
     # ------------------------------------------------------------------
@@ -216,9 +216,10 @@ class InteractionSource:
         return result
 
     def next_arrays(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`next_batch` but returns numpy arrays (hot loops)."""
-        initiators = np.empty(size, dtype=np.int64)
-        responders = np.empty(size, dtype=np.int64)
+        """Like :meth:`next_batch` but returns numpy arrays (hot loops),
+        ``int32`` like the graph's node ids."""
+        initiators = np.empty(size, dtype=NODE_DTYPE)
+        responders = np.empty(size, dtype=NODE_DTYPE)
         filled = 0
         for chunk, du, dv in self._consume(size):
             take = chunk.shape[0]
@@ -273,11 +274,12 @@ class InteractionSource:
         out[...] = self._rng.integers(0, limit, size=out.shape[0])
 
     def draw_pairs_into(self, initiators: np.ndarray, responders: np.ndarray) -> None:
-        """Directed-dialect draw decoded through the endpoint tables."""
+        """Directed-dialect draw decoded through the endpoint tables into
+        two integer arrays of any width that holds a node id."""
         draws = self._rng.integers(0, self.pair_count, size=initiators.shape[0])
         du, dv = self._tables()
-        du.take(draws, out=initiators)
-        dv.take(draws, out=responders)
+        initiators[...] = du.take(draws)
+        responders[...] = dv.take(draws)
 
 
 # ----------------------------------------------------------------------

@@ -117,6 +117,9 @@ def _worker_main(conn, codes_view, compiled, kernel) -> None:
             os._exit(1)
         chunks += 1
         _, iu, iv, steps, splits, syncs = msg
+        # The shard kernel takes int64 node ids; the graph's are int32.
+        iu = iu.astype(np.int64)
+        iv = iv.astype(np.int64)
         iu_ptr = iu.ctypes.data
         iv_ptr = iv.ctypes.data
         steps_ptr = steps.ctypes.data

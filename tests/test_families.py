@@ -29,6 +29,7 @@ from repro.graphs import (
     torus,
 )
 from repro.graphs.families import all_named_families, disjoint_union_with_path
+from repro.runtime.pairs import directed_tables
 
 
 class TestClique:
@@ -243,11 +244,11 @@ def test_torus_edges_match_sorted_set_reference(rows, cols):
             if numpy_twin:
                 patch.setattr(native, "get_edge_pass_kernel", lambda: None)
             g = torus(rows, cols)
-        assert g.edges_u.dtype == np.int64 and g.edges_v.dtype == np.int64
+        assert g.edges_u.dtype == np.int32 and g.edges_v.dtype == np.int32
         assert g.edges_u.tolist() == [u for u, _ in reference]
         assert g.edges_v.tolist() == [v for _, v in reference]
         assert g._endpoints[2 * g.n_edges :].tolist() == g.edges_u.tolist()
-        assert g.degrees.dtype == np.int64 and g.degrees.tolist() == [4] * g.n_nodes
+        assert g.degrees.dtype == np.int32 and g.degrees.tolist() == [4] * g.n_nodes
 
 
 @pytest.mark.skipif(native.get_edge_pass_kernel() is None, reason="native kernel unavailable")
@@ -257,8 +258,9 @@ def test_torus_build_peak_memory_is_its_buffers():
 
     The row blocks are written straight into the graph's ``3m``-word
     endpoint buffer, and the C edge pass validates them there, so the
-    traced peak stays within ``3m + 2n`` words plus 64 KiB for the row
-    patterns.  NumPy reports its data allocations to ``tracemalloc``.
+    traced peak stays within ``3m + 2n`` four-byte words plus 64 KiB for
+    the row patterns.  NumPy reports its data allocations to
+    ``tracemalloc``.
     """
     rows, cols = 200, 300
     n, m = rows * cols, 2 * rows * cols
@@ -270,4 +272,21 @@ def test_torus_build_peak_memory_is_its_buffers():
     finally:
         tracemalloc.stop()
     assert g.n_edges == m
-    assert peak <= 8 * (3 * m + 2 * n) + 64 * 1024, peak / (8 * m)
+    assert peak <= 4 * (3 * m + 2 * n) + 64 * 1024, peak / (4 * m)
+
+
+def test_million_node_torus_holds_node_ids_in_four_bytes():
+    """Memory contract: on either build path the million-node torus keeps
+    its ``3m`` endpoint words and its ``n`` degrees in four bytes each,
+    and the scheduler's directed pair tables are views of that buffer."""
+    sides = [True] if native.get_edge_pass_kernel() is None else [False, True]
+    for numpy_twin in sides:
+        with pytest.MonkeyPatch.context() as patch:
+            if numpy_twin:
+                patch.setattr(native, "get_edge_pass_kernel", lambda: None)
+            g = torus(1000, 1000)
+        n, m = g.n_nodes, g.n_edges
+        assert g._endpoints.nbytes == 12 * m and g.degrees.nbytes == 4 * n
+        du, dv = directed_tables(g)
+        assert du.dtype == dv.dtype == np.int32
+        assert np.shares_memory(du, g._endpoints) and np.shares_memory(dv, g._endpoints)

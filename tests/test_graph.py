@@ -124,11 +124,69 @@ def test_non_integral_inputs_raise(build, build_path):
 
 
 def test_integer_likes_are_accepted(build_path):
-    """NumPy integers pass ``operator.index``; narrow integer arrays are widened."""
+    """NumPy integers pass ``operator.index``; integer arrays of any width
+    are narrowed to the graph's ``int32`` node ids."""
     g = Graph(np.int64(3), [(np.int32(0), np.int64(1)), (1, 2)])
     h = Graph.from_edge_arrays(np.uint8(3), np.array([0, 1], np.int32), np.array([1, 2], np.uint16))
     assert g == h and g.n_nodes == h.n_nodes == 3 and type(h.n_nodes) is int
-    assert h.edges_u.dtype == np.int64 and h.degrees.tolist() == [1, 2, 1]
+    assert h.edges_u.dtype == np.int32 and h.degrees.tolist() == [1, 2, 1]
+
+
+# ----------------------------------------------------------------------
+# Node ids are int32: narrowing must never change one
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bad", [2**31, 2**32 + 5, -(2**31) - 1])
+def test_wide_endpoints_are_refused_before_narrowing(bad, build_path):
+    """An end outside ``[0, n)`` is refused at its own width.  Narrowed to
+    ``int32`` first, ``2**32 + 5`` would be node 5 and close this path on
+    six nodes, ``2**31`` would be negative and ``-(2**31) - 1`` would be
+    ``2**31 - 1``."""
+    u, v = [0, 1, 2, 3, 4], [1, 2, 3, 4, bad]
+    with pytest.raises(GraphError, match=r"^edge \(4, -?\d+\) out of range for n=6$"):
+        Graph(6, list(zip(u, v)))
+    with pytest.raises(GraphError, match=r"^edge endpoint out of range for n=6$"):
+        Graph.from_edge_arrays(6, np.array(u), np.array(v))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(2**31, []),
+        lambda: Graph.from_edge_arrays(2**31, np.array([0]), np.array([1])),
+        lambda: torus(2**16, 2**15),
+    ],
+    ids=["constructor", "edge-arrays", "torus"],
+)
+def test_node_count_is_limited_to_int32(build):
+    """``2**31`` nodes raise, naming the limit, before any buffer is sized."""
+    with pytest.raises(GraphError, match=r"at most 2\*\*31 - 1 = 2147483647 nodes"):
+        build()
+
+
+def _wide_key_edges():
+    """A cycle on ``2**17`` nodes plus the chords ``(1, 100000)`` and
+    ``(32769, 100000)``, shuffled.  The chords' keys ``low * n + high``
+    differ by exactly ``2**32``, so in ``int32`` both are 231072."""
+    n = 2**17
+    u = np.append(np.arange(n), [1, 32769])
+    v = np.append((np.arange(n) + 1) % n, [100000, 100000])
+    assert (1 * n + 100000) % 2**32 == (32769 * n + 100000) % 2**32 == 231072
+    order = np.random.default_rng(17).permutation(u.size)
+    return n, u[order], v[order]
+
+
+def test_duplicate_keys_are_exact_where_int32_keys_would_wrap(build_path):
+    """The duplicate check's keys are ``int64``: the two chords are
+    distinct edges and the graph builds; repeating one edge raises."""
+    n, u, v = _wide_key_edges()
+    g = Graph.from_edge_arrays(n, u, v)
+    assert g.n_edges == n + 2 and g.has_edge(1, 100000) and g.has_edge(32769, 100000)
+    assert Graph(n, list(zip(u.tolist(), v.tolist()))) == g
+    u, v = np.append(u, u[7]), np.append(v, v[7])
+    with pytest.raises(GraphError, match=r"^duplicate edge in endpoint arrays$"):
+        Graph.from_edge_arrays(n, u, v)
+    with pytest.raises(GraphError, match=r"^duplicate edge"):
+        Graph(n, list(zip(u.tolist(), v.tolist())))
 
 
 class TestAccessors:
@@ -349,7 +407,7 @@ class TestFromEdgeArrays:
         u = np.array([3, 0, 2, 4])
         v = np.array([1, 4, 1, 3])
         g = Graph.from_edge_arrays(5, u, v)
-        assert g.edges_u.dtype == np.int64 and g.edges_v.dtype == np.int64
+        assert g.edges_u.dtype == np.int32 and g.edges_v.dtype == np.int32
         assert g.edges_u.tolist() == [1, 0, 1, 3]
         assert g.edges_v.tolist() == [3, 4, 2, 4]
         tupled = Graph(5, list(zip(u.tolist(), v.tolist())))
@@ -613,11 +671,13 @@ def test_edge_pass_stops_before_indexing_an_out_of_range_end(bad):
     that let the end through shows up in a sentinel instead of
     corrupting the heap.
     """
-    n, u, v = 3, np.array([0, 1, bad[0], 0]), np.array([1, 2, bad[1], 2])
+    n = 3
+    u = np.array([0, 1, bad[0], 0], dtype=np.int32)
+    v = np.array([1, 2, bad[1], 2], dtype=np.int32)
     m = u.size
-    out = np.full(3 * m + 1, -7, dtype=np.int64)
-    degrees = np.zeros(n + 1, dtype=np.int64)
-    parent = np.full(n + 1, n, dtype=np.int64)
+    out = np.full(3 * m + 1, -7, dtype=np.int32)
+    degrees = np.zeros(n + 1, dtype=np.int32)
+    parent = np.full(n + 1, n, dtype=np.int32)
     info = np.full(3, -7, dtype=np.int64)
     passed = native.get_edge_pass_kernel()(
         native.data_address(u), native.data_address(v), m, n, native.data_address(out),
@@ -795,9 +855,9 @@ def test_eccentricity_pass_stays_inside_its_buffers():
     indptr, indices = graph._csr()
     n = graph.n_nodes
     indptr_padded = np.append(indptr, indptr[-1] + 1)
-    indices_padded = np.append(indices, n)
+    indices_padded = np.append(indices, np.int32(n))
     dist = np.full(n + 1, -7, dtype=np.int64)
-    queue = np.full(n + 1, -7, dtype=np.int64)
+    queue = np.full(n + 1, -7, dtype=np.int32)
     ecc = np.full(n + 1, -7, dtype=np.int64)
     native.get_eccentricity_kernel()(
         native.data_address(indptr_padded), native.data_address(indices_padded), n,

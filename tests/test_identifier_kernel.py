@@ -91,8 +91,8 @@ def _kernel_step(bits, pairs):
     rows[:, ROW_STATUS] = 255
     seeds = np.array([derive_seed(MASTER_SEED, "parity", r) for r in range(nrep)], dtype=np.uint64)
     buffers = np.zeros((nrep, 1), dtype=np.int64)
-    initiator = np.zeros(2, dtype=np.int64)
-    responder = np.ones(2, dtype=np.int64)
+    initiator = np.zeros(2, dtype=np.int32)
+    responder = np.ones(2, dtype=np.int32)
     log = np.full((nrep, 2), -1, dtype=np.int64)
     get_run_epoch_kernel()(
         codes.ctypes.data, rows.ctypes.data, seeds.ctypes.data,

@@ -135,7 +135,7 @@ def test_tables_equal_the_concatenation_reference(label):
     u, v = np.asarray(graph.edges_u), np.asarray(graph.edges_v)
     expected_u = np.concatenate((u, v))
     expected_v = np.concatenate((v, u))
-    assert du.dtype == dv.dtype == np.int64
+    assert du.dtype == dv.dtype == np.int32
     assert du.flags.c_contiguous and dv.flags.c_contiguous
     assert np.array_equal(du, expected_u) and np.array_equal(dv, expected_v)
     assert np.array_equal(graph.degrees, np.bincount(expected_u, minlength=graph.n_nodes))

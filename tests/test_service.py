@@ -221,6 +221,34 @@ class TestSubmissionByName:
         assert reply["type"] == "reject"
         assert "backend must be 'auto', got 'native'" in reply["reason"]
 
+    def test_unknown_engine_rejected_by_name(self, tmp_path):
+        """An unknown engine is refused at submit, not queued for a
+        worker that can never run it."""
+        config = {**star_scenario().config_dict(), "engine": "warp"}
+
+        async def submit(server, host, port):
+            with pytest.raises(ServiceError, match="rejected: .*engine must be one of"):
+                # Bounded: an accepted job with an unknown engine never ends.
+                await asyncio.wait_for(
+                    ServiceClient(host, port).submit_async(
+                        name="clique-n100", overrides={"engine": "warp"}
+                    ),
+                    timeout=30,
+                )
+            reader, writer = await open_service_connection(host, port, MAX_FRAME_BYTES)
+            try:
+                await write_frame(writer, hello_frame("client"))
+                welcome = await read_frame(reader, MAX_FRAME_BYTES)
+                assert welcome is not None and welcome["type"] == "welcome"
+                await write_frame(writer, {"type": "submit", "config": config})
+                return await read_frame(reader, MAX_FRAME_BYTES)
+            finally:
+                writer.close()
+
+        reply = run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
+        assert reply["type"] == "reject"
+        assert "engine must be one of 'reference', 'compiled', 'auto', got 'warp'" in reply["reason"]
+
 
 async def _worker_handshake(host, port):
     reader, writer = await open_service_connection(host, port, MAX_FRAME_BYTES)
