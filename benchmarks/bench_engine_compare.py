@@ -1,9 +1,10 @@
-"""Engine comparison: compiled vs reference on a clique with n = 100.
+"""Engine comparison: ``auto`` vs ``reference`` on a clique with n = 100.
 
 This benchmark isolates the execution engines from the experiment-harness
 overhead (graph analytics, broadcast estimation, scaling fits): it runs the
 same batch of seeded leader elections through the pure-Python reference
-interpreter and through the compiled engine, checks that every
+interpreter and through ``engine="auto"``, which runs the token protocol
+on its compiled tables, checks that every
 :class:`~repro.core.simulator.SimulationResult` field agrees bit-for-bit,
 and reports the wall-clock ratio.
 
@@ -64,14 +65,14 @@ def test_compiled_engine_speedup_on_clique_100(benchmark, report):
 
     # Warm the compilation cache and the native kernel so the timed section
     # measures steady-state execution, as the harness experiences it.
-    Simulator(graph, protocol, rng=0, engine="compiled").run(max_steps=10_000)
+    Simulator(graph, protocol, rng=0, engine="auto").run(max_steps=10_000)
 
     start = time.perf_counter()
     reference = _run_batch(graph, protocol, "reference")
     reference_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    compiled = run_once(benchmark, _run_batch, graph, protocol, "compiled")
+    compiled = run_once(benchmark, _run_batch, graph, protocol, "auto")
     compiled_seconds = time.perf_counter() - start
 
     for ref_result, comp_result in zip(reference, compiled):
@@ -87,7 +88,7 @@ def test_compiled_engine_speedup_on_clique_100(benchmark, report):
             "steps/s": f"{total_steps / max(reference_seconds, 1e-9):,.0f}",
         },
         {
-            "engine": f"compiled ({'v6 stack' if native else 'per-replica'})",
+            "engine": f"auto ({'v6 stack' if native else 'per-replica'})",
             "seconds": round(compiled_seconds, 4),
             "steps/s": f"{total_steps / max(compiled_seconds, 1e-9):,.0f}",
         },
@@ -145,7 +146,7 @@ def test_replica_runner_matches_reference(benchmark, report):
         render_table(
             [
                 {"mode": "reference (sequential)", "seconds": round(reference_seconds, 4)},
-                {"mode": "run_replicas (compiled)", "seconds": round(replica_seconds, 4)},
+                {"mode": "run_replicas (auto)", "seconds": round(replica_seconds, 4)},
                 {"mode": "speedup", "seconds": round(speedup, 2)},
             ],
             title=f"Replica runner: fast protocol on clique-{N_NODES}, {TRIALS} trials",

@@ -23,23 +23,25 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.runtime.plan import ENGINES  # noqa: E402
+
 
 def pytest_addoption(parser):
     """``--engine`` switches every benchmark between execution engines.
 
-    ``auto`` (default) uses the compiled engine where possible; ``reference``
-    forces the pure-Python interpreter (the escape hatch for semantic
-    comparisons); ``compiled`` requires compilation and fails loudly when a
-    protocol cannot be compiled.  The ``REPRO_ENGINE`` environment variable
-    provides the default so CI matrices can set it without editing
-    commands.  Measured *values* are identical across engines for a fixed
-    seed — only the wall-clock differs.
+    The choices are :data:`repro.runtime.plan.ENGINES`: ``auto`` (default)
+    uses the compiled engine where possible; ``reference`` forces the
+    pure-Python interpreter (the escape hatch for semantic comparisons).
+    The ``REPRO_ENGINE`` environment variable provides the default so CI
+    matrices can set it without editing commands.  Measured *values* are
+    identical across engines for a fixed seed — only the wall-clock
+    differs.
     """
     parser.addoption(
         "--engine",
         action="store",
         default=os.environ.get("REPRO_ENGINE", "auto"),
-        choices=["auto", "compiled", "reference"],
+        choices=ENGINES,
         help="execution engine for all benchmarks (default: auto)",
     )
 

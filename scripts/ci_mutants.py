@@ -689,6 +689,32 @@ MUTANTS: Tuple[Mutant, ...] = (
         "",
         STEP_ZERO,
     ),
+    # -- Two engines, one table bound: tables resolve before any draw --
+    Mutant(
+        "single-mode-compile-failure-propagates",
+        EXECUTE,
+        "        try:\n"
+        "            compiled = get_compiled(protocol)\n"
+        "        except ProtocolCompilationError:\n"
+        "            pass\n"
+        "        else:\n"
+        "            return _run_compiled_single(plan, protocol, seed, compiled)\n",
+        "        return _run_compiled_single(plan, protocol, seed, get_compiled(protocol))\n",
+        (
+            "tests/test_runtime_plan.py::"
+            "test_tables_beyond_the_bound_run_on_the_reference_for_every_seed_kind",
+        ),
+    ),
+    Mutant(
+        "worthwhile-ignores-table-bound",
+        "src/repro/engine/compiler.py",
+        "    return size is not None and size <= DEFAULT_MAX_STATES\n",
+        "    return size is not None\n",
+        (
+            "tests/test_engine_compiler.py::TestCompilationCache::"
+            "test_compilation_worthwhile_heuristic",
+        ),
+    ),
 )
 
 

@@ -27,12 +27,13 @@ Sub-commands:
 * ``broadcast``       — estimate ``B(G)`` and print the Theorem 6 bounds.
 * ``graph-info``      — structural properties of a workload graph.
 
-``elect``, ``compare`` and ``table1`` accept ``--engine
-{auto,compiled,reference}``: ``compiled`` runs through the table-driven
-engine (:mod:`repro.engine`), ``reference`` through the pure-Python
-interpreter, and ``auto`` (the default) prefers the compiled engine and
-falls back when a protocol cannot be compiled.  Results are identical
-across engines for a given seed.
+``elect``, ``compare``, ``table1``, ``sweep`` and ``submit`` accept
+``--engine`` with one of :data:`repro.runtime.plan.ENGINES`:
+``reference`` runs through the pure-Python interpreter, and ``auto``
+(the default) through the compiled engine (:mod:`repro.engine`: the v6
+kernel's transition tables or the identifier protocol's arithmetic
+rule), falling back to the interpreter when a protocol cannot be
+compiled.  Results are identical across engines for a given seed.
 
 Examples::
 
@@ -67,6 +68,7 @@ from .experiments.harness import (
 )
 from .experiments.workloads import available_workloads, get_workload
 from .orchestration import available_scenarios, get_scenario, run_scenario
+from .runtime.plan import ENGINES
 
 _PROTOCOL_CHOICES = {
     "token": token_protocol_spec,
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=None, help="override the base seed")
     sweep.add_argument(
         "--engine",
-        choices=["auto", "compiled", "reference"],
+        choices=ENGINES,
         default=None,
         help="override the execution engine",
     )
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=None, help="override the base seed")
     submit.add_argument(
         "--engine",
-        choices=["auto", "compiled", "reference"],
+        choices=ENGINES,
         default=None,
         help="override the execution engine",
     )
@@ -348,7 +350,7 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=["auto", "compiled", "reference"],
+        choices=ENGINES,
         default="auto",
         help="execution engine (results are seed-identical across engines)",
     )
@@ -695,13 +697,9 @@ def _cmd_engines() -> int:
             "description": "pure-Python interpreter (semantic reference)",
         },
         {
-            "engine": "compiled",
-            "description": "table-driven: the v6 epoch kernel where it serves "
-            f"the plan, else per replica; v6 kernel: {kernel}",
-        },
-        {
             "engine": "auto",
-            "description": "compiled when possible, reference otherwise (default)",
+            "description": "compiled (the v6 epoch kernel, else per replica) where "
+            f"possible, reference otherwise (default); v6 kernel: {kernel}",
         },
     ]
     print(render_table(rows, title="Execution engines"))

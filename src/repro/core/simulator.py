@@ -19,12 +19,14 @@ the certificate; the tests cross-validate both against an exhaustive
 reachability check on small instances.
 
 Since the runtime refactor, :class:`Simulator` is a thin facade: ``run``
-compiles a single-replica :class:`~repro.runtime.plan.ExecutionPlan` and
-hands it to the runtime executors (:mod:`repro.runtime.execute`), which
-own both the reference interpreter and the compiled block loops.  Engine
-selection, streams and certificate cadence are therefore resolved in
-exactly one place for single runs, replica stacks, harness measurements
-and orchestrated sweeps alike.
+compiles a single-replica :class:`~repro.runtime.plan.ExecutionPlan`
+under the engine the simulator was constructed with (``"reference"`` or
+``"auto"``; no run overrides it) and hands it to the runtime executors
+(:mod:`repro.runtime.execute`), which own both the reference interpreter
+and the compiled block loops.  Engine selection, streams and
+certificate cadence are therefore resolved in exactly one place for
+single runs, replica stacks, harness measurements and orchestrated
+sweeps alike.
 """
 
 from __future__ import annotations
@@ -123,22 +125,20 @@ class Simulator:
     rng:
         Seed or generator for the stochastic scheduler.
     engine:
-        Default execution engine for :meth:`run`:
+        The execution engine of every :meth:`run`:
 
         * ``"reference"`` — the pure-Python interpreter (the semantic
           reference; see :mod:`repro.runtime.execute`);
-        * ``"compiled"`` — the table-driven engine (:mod:`repro.engine`),
-          which produces bit-identical results and is typically 3–100×
-          faster; raises if the protocol cannot be compiled;
-        * ``"auto"`` — compiled when possible, reference otherwise.
+        * ``"auto"`` — compiled where the protocol allows it, reference
+          otherwise, with bit-identical results.  The identifier
+          protocol runs on the v6 kernel's arithmetic rule, other
+          protocols on transition tables of at most
+          :data:`repro.engine.compiler.DEFAULT_MAX_STATES` states.
 
         A compiled run takes the v6 epoch stack where it can serve the
         run, else the per-replica engine
         (:class:`repro.engine.stepper.CompiledRun`); the run's inputs
         decide which (see :mod:`repro.runtime.execute`).
-    max_states:
-        Bound on the compiled state table size (default
-        :data:`repro.engine.compiler.DEFAULT_MAX_STATES`).
     """
 
     def __init__(
@@ -147,7 +147,6 @@ class Simulator:
         protocol: PopulationProtocol,
         rng: RngLike = None,
         engine: str = "reference",
-        max_states: Optional[int] = None,
     ) -> None:
         if graph.n_nodes < 1:
             raise ValueError("graph must be non-empty")
@@ -156,7 +155,6 @@ class Simulator:
         self.graph = graph
         self.protocol = protocol
         self.engine = engine
-        self.max_states = max_states
         self._rng = rng
 
     # ------------------------------------------------------------------
@@ -170,8 +168,6 @@ class Simulator:
         scheduler: Optional[Scheduler] = None,
         record_leader_trace: bool = False,
         trace_resolution: int = 64,
-        engine: Optional[str] = None,
-        max_states: Optional[int] = None,
         schedule: Optional["TopologySchedule"] = None,
     ) -> SimulationResult:
         """Execute until the stability certificate holds or ``max_steps``.
@@ -193,10 +189,6 @@ class Simulator:
             If true, record ``(step, leader_count)`` checkpoints.
         trace_resolution:
             Approximate number of trace checkpoints to record.
-        engine / max_states:
-            Override the simulator-level engine selection (see
-            :class:`Simulator`).  The compiled engine consumes the same
-            scheduler stream and reproduces the reference results exactly.
         schedule:
             Optional :class:`~repro.dynamics.schedule.TopologySchedule`:
             interactions are sampled from the epoch graph active at the
@@ -210,18 +202,15 @@ class Simulator:
         """
         from ..runtime import compile_plan, execute_plan
 
-        engine = self.engine if engine is None else engine
-        max_states = self.max_states if max_states is None else max_states
         plan = compile_plan(
             [self.protocol],
             self.graph,
             [self._rng],
             max_steps=max_steps,
-            engine=engine,
+            engine=self.engine,
             check_interval=check_interval,
             schedule=schedule,
             inputs=inputs,
-            max_states=max_states,
             scheduler=scheduler,
             record_leader_trace=record_leader_trace,
             trace_resolution=trace_resolution,

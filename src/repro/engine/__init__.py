@@ -17,7 +17,7 @@ equivalent executors, chosen from a plan's inputs
   stack cannot serve.
 
 :mod:`repro.engine.replicas` runs R independent replicas of the same
-(graph, protocol) pair through one compiled table set — on the v6 epoch
+(graph, protocol) pair as one ``engine="auto"`` plan — on the v6 epoch
 stack, with an exact per-replica fallback on the scalar loop when the
 kernel is unavailable.  Single runs, harness measurements and
 orchestrator units of any width go through the same execution plans and

@@ -26,13 +26,18 @@ Correct is not always fast: the identifier protocol's ``O(n^4)`` states
 with random identifiers make a run meet new state pairs on most steps,
 so lazy discovery costs more than it saves.  ``engine="auto"`` therefore
 runs it without tables, on the v6 kernel's arithmetic rule
-(:meth:`~repro.core.protocol.PopulationProtocol.kernel_rule`);
-``engine="compiled"`` still compiles it here.
+(:meth:`~repro.core.protocol.PopulationProtocol.kernel_rule`), and
+compiles tables only for protocols that :func:`compilation_worthwhile`
+accepts.
 
 When state discovery outgrows the current stride the tables are re-packed
 to the next power of two, up to ``max_states``; beyond that the compiler
-raises :class:`ProtocolCompilationError` and callers fall back to the
-reference interpreter.
+raises :class:`ProtocolCompilationError`.  Every cached table set
+(:func:`get_compiled`) has the one bound :data:`DEFAULT_MAX_STATES`.
+Executors resolve a run's tables before its first draw: a protocol
+whose tables cannot be built runs on the reference interpreter, and
+tables that outgrow the bound mid-run (a protocol that understates its
+state space) raise.
 """
 
 from __future__ import annotations
@@ -72,7 +77,9 @@ class CompiledProtocol:
         function of the ordered state pair (``cacheable_transitions``).
     max_states:
         Bound on the number of distinct states tracked before compilation
-        fails (capped at :data:`HARD_MAX_STATES`).
+        fails (capped at :data:`HARD_MAX_STATES`).  Executors use the
+        default only, through :func:`get_compiled`; another bound makes a
+        fresh, uncached table set (:func:`compile_protocol`).
     """
 
     #: ``repro_run_epoch``'s packed-table rule (``RULE_TABLE`` in
@@ -282,8 +289,8 @@ _keyed_cache: Dict[Hashable, CompiledProtocol] = {}
 _instance_cache: "weakref.WeakKeyDictionary[PopulationProtocol, CompiledProtocol]" = (
     weakref.WeakKeyDictionary()
 )
-#: :func:`compilation_worthwhile`'s answer per ``(compile_key, max_states)``.
-_worthwhile_cache: Dict[Tuple[Hashable, Optional[int]], bool] = {}
+#: :func:`compilation_worthwhile`'s answer per ``compile_key``.
+_worthwhile_cache: Dict[Hashable, bool] = {}
 
 
 def compile_protocol(
@@ -293,9 +300,7 @@ def compile_protocol(
     return CompiledProtocol(protocol, max_states=max_states)
 
 
-def get_compiled(
-    protocol: PopulationProtocol, max_states: int = DEFAULT_MAX_STATES
-) -> CompiledProtocol:
+def get_compiled(protocol: PopulationProtocol) -> CompiledProtocol:
     """Compile ``protocol``, reusing tables across runs when possible.
 
     Protocols that implement
@@ -303,18 +308,17 @@ def get_compiled(
     table set per key (two instances with equal keys must have identical
     transition functions); others are cached per instance, so repeated runs
     of the same protocol object still reuse the lazily-learned tables.
+    Every table set is bounded by :data:`DEFAULT_MAX_STATES`.
     """
     key = protocol.compile_key()
     if key is not None:
         cached = _keyed_cache.get(key)
-        if cached is None or cached.max_states < max_states:
-            cached = CompiledProtocol(protocol, max_states=max_states)
-            _keyed_cache[key] = cached
+        if cached is None:
+            cached = _keyed_cache[key] = CompiledProtocol(protocol)
         return cached
     cached = _instance_cache.get(protocol)
-    if cached is None or cached.max_states < max_states:
-        cached = CompiledProtocol(protocol, max_states=max_states)
-        _instance_cache[protocol] = cached
+    if cached is None:
+        cached = _instance_cache[protocol] = CompiledProtocol(protocol)
     return cached
 
 
@@ -325,9 +329,7 @@ def clear_compilation_cache() -> None:
     _worthwhile_cache.clear()
 
 
-def compilation_worthwhile(
-    protocol: PopulationProtocol, max_states: Optional[int] = None
-) -> bool:
+def compilation_worthwhile(protocol: PopulationProtocol) -> bool:
     """Heuristic used by ``engine="auto"`` callers.
 
     Compiled execution is always *correct* for memoisable protocols, but
@@ -335,29 +337,27 @@ def compilation_worthwhile(
     (e.g. the identifier protocol at full width) lazy pair discovery can
     cost more than a short interpreted run saves.  Compilation is
     considered worthwhile when the state space is known to be enumerable
-    within the table bound.  ``engine="compiled"`` ignores this heuristic,
-    and ``compile_plan`` consults it only for protocols whose plan does
-    not run on a kernel rule.
+    or fits :data:`DEFAULT_MAX_STATES`.  ``compile_plan`` consults it only
+    for protocols whose plan does not run on a kernel rule.
 
-    Instances with equal ``compile_key`` share one answer per
-    ``max_states``, memoised until :func:`clear_compilation_cache`: the
-    enumeration it looks at (136 states for the fast protocol on a
-    36-node regular graph) is built once per key, not once per plan.
+    Instances with equal ``compile_key`` share one answer, memoised until
+    :func:`clear_compilation_cache`: the enumeration it looks at (136
+    states for the fast protocol on a 36-node regular graph) is built
+    once per key, not once per plan.
     """
     if not protocol.cacheable_transitions:
         return False
     key = protocol.compile_key()
     if key is None:
-        return _enumerable_within(protocol, max_states)
-    answer = _worthwhile_cache.get((key, max_states))
+        return _enumerable_within(protocol)
+    answer = _worthwhile_cache.get(key)
     if answer is None:
-        answer = _worthwhile_cache[key, max_states] = _enumerable_within(protocol, max_states)
+        answer = _worthwhile_cache[key] = _enumerable_within(protocol)
     return answer
 
 
-def _enumerable_within(protocol: PopulationProtocol, max_states: Optional[int]) -> bool:
+def _enumerable_within(protocol: PopulationProtocol) -> bool:
     if protocol.enumerate_states() is not None:
         return True
     size = protocol.state_space_size()
-    limit = max_states if max_states is not None else DEFAULT_MAX_STATES
-    return size is not None and size <= limit
+    return size is not None and size <= DEFAULT_MAX_STATES

@@ -2,15 +2,17 @@
 
 Monte-Carlo experiments run the same protocol on the same graph many times
 with different seeds.  :func:`run_replicas` executes R such replicas as
-*one* :class:`~repro.runtime.plan.ExecutionPlan`: the plan compiles the
-protocol's transition tables once and the runtime executors
-(:mod:`repro.runtime.execute`) run every replica against them — through
-the v6 epoch stack, which advances all replicas with in-kernel seeded
-streams, or, where the stack cannot serve the plan (no v6 kernel, seeds
-the kernel cannot reproduce), replica by replica through the
-per-replica engine's scalar loop.
-Every replica draws from its own independent scheduler stream, so both
-paths are bit-identical to R separate reference runs with the same
+*one* ``engine="auto"`` :class:`~repro.runtime.plan.ExecutionPlan`: the
+plan resolves the protocol's transition rule once (its transition
+tables, or the identifier protocol's arithmetic kernel rule) and the
+runtime executors (:mod:`repro.runtime.execute`) run every replica
+against it — through the v6 epoch stack, which advances all replicas
+with in-kernel seeded streams, or, where the stack cannot serve the
+plan (no v6 kernel, seeds the kernel cannot reproduce), replica by
+replica through the per-replica engine's scalar loop.  A protocol that
+``auto`` declines to compile runs on the reference interpreter.
+Every replica draws from its own independent scheduler stream, so every
+path is bit-identical to R separate reference runs with the same
 seeds.
 
 Stability certificates are evaluated at the same ``check_interval``
@@ -29,7 +31,6 @@ from ..core.protocol import PopulationProtocol
 # run_replicas then imports nothing.
 from ..core.simulator import SimulationResult
 from ..graphs.graph import Graph
-from .compiler import DEFAULT_MAX_STATES
 
 
 def run_replicas(
@@ -39,7 +40,6 @@ def run_replicas(
     max_steps: int,
     inputs: Optional[Sequence[Any]] = None,
     check_interval: Optional[int] = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> List["SimulationResult"]:
     """Run one replica per seed; results match the reference runs exactly.
 
@@ -54,8 +54,9 @@ def run_replicas(
 
     The replicas run on the v6 epoch stack when the kernel is built and
     every seed is an integer in ``[0, 2**64)``, else one by one on the
-    per-replica engine, :class:`~repro.engine.stepper.CompiledRun`;
-    both are exact and differ in wall time only.  The v6 stack splits
+    per-replica engine, :class:`~repro.engine.stepper.CompiledRun`, or,
+    for a protocol ``engine="auto"`` declines to compile, on the
+    reference interpreter; all are exact and differ in wall time only.  The v6 stack splits
     its replica rows over ``REPRO_KERNEL_THREADS`` threads (default 1);
     results are bit-identical for any value.
     """
@@ -71,9 +72,8 @@ def run_replicas(
         graph,
         seeds,
         max_steps=max_steps,
-        engine="compiled",
+        engine="auto",
         check_interval=check_interval,
         inputs=inputs,
-        max_states=max_states,
     )
     return execute_plan(plan)

@@ -210,8 +210,9 @@ class IdentifierLeaderElection(LeaderElectionProtocol):
         """The v6 kernel's arithmetic Theorem-21 rule, while codes fit.
 
         ``engine="auto"`` runs this protocol on it (no transition
-        tables); ``None`` when ``k + 4 > 63``, where ``id << 3 | sub``
-        overflows ``int64`` (``n > 16,384`` at ``k = 4⌈log₂ n⌉``).
+        tables) wherever the v6 stack serves the plan; ``None`` when
+        ``k + 4 > 63``, where ``id << 3 | sub`` overflows ``int64``
+        (``n > 16,384`` at ``k = 4⌈log₂ n⌉``).
         """
         if self.identifier_bits + 4 > 63:
             return None
@@ -221,9 +222,12 @@ class IdentifierLeaderElection(LeaderElectionProtocol):
         """Full enumeration only for small ``k``.
 
         This matters only to the transition tables, which serve the
-        protocol under ``engine="compiled"`` (``"auto"`` runs it on
-        :meth:`kernel_rule`).  At realistic widths the state universe is
-        ``O(n^4)`` while a run touches a few hundred states, so the
+        protocol where the v6 stack cannot take its plan (a stream
+        override, a leader trace, a Generator seed, no kernel) and the
+        state space fits the table bound (``k <= 8``); everywhere else
+        ``engine="auto"`` runs it on :meth:`kernel_rule` or the
+        reference interpreter.  At realistic widths the state universe
+        is ``O(n^4)`` while a run touches a few hundred states, so the
         tables discover states lazily and we return ``None``.
         """
         size = self.state_space_size()

@@ -34,16 +34,17 @@ plan, from the plan's inputs alone:
 * **per-replica compiled engine** (:class:`~repro.engine.stepper.CompiledRun`,
   one scalar loop per replica, one replica at a time) — everything the
   stack cannot take: stream overrides, leader traces, Generator or
-  wider-than-64-bit seeds, and hosts without the v6 kernel.  It keeps
-  the historical lazy-compilation semantics, including the mid-run
-  fallback to the reference interpreter, and the stack's one-leader
-  precheck.
+  wider-than-64-bit seeds, and hosts without the v6 kernel.  Each
+  replica's table set is resolved before its first draw; the engine
+  applies the stack's one-leader precheck.
 * **reference** — the pure-Python interpreter (the semantic ground
-  truth), for ``engine="reference"`` and for protocols that ``auto``
+  truth), for ``engine="reference"``, for protocols that ``auto``
   declines to compile (among them a kernel-rule protocol whose plan the
   v6 stack cannot take: :func:`~repro.runtime.plan.compile_plan` picks
   a kernel rule only for plans the stack serves, so a rule plan never
-  reaches the per-replica engine).
+  reaches the per-replica engine), and for replicas whose tables cannot
+  be built.  Tables that outgrow their bound mid-run raise on every
+  executor: nothing falls back after a replica has drawn.
 
 A plan whose replicas carry different ``compile_key``s (the fast
 protocol's per-trial ``B(G)`` calibration) runs each key group as a plan
@@ -162,18 +163,16 @@ def _group_plan(plan: ExecutionPlan, indices: List[int]) -> ExecutionPlan:
         plan.graph,
         [plan.seeds[index] for index in indices],
         max_steps=plan.max_steps,
-        engine=plan.engine,
         check_interval=plan.check_interval,
         schedule=plan.schedule,
         inputs=plan.inputs,
-        max_states=plan.max_states,
         record_leader_trace=plan.record_leader_trace,
         trace_resolution=plan.trace_resolution,
     )
 
 
 # ----------------------------------------------------------------------
-# Single-replica execution (reference + compiled, historical semantics)
+# Single-replica execution (reference + per-replica compiled engine)
 # ----------------------------------------------------------------------
 def _execute_single(plan: ExecutionPlan, index: int) -> "SimulationResult":
     protocol = plan.protocols[index]
@@ -183,30 +182,19 @@ def _execute_single(plan: ExecutionPlan, index: int) -> "SimulationResult":
     if plan.mode == "shared":
         return _run_compiled_single(plan, protocol, seed, plan.compiled)
 
-    # mode == "single": per-replica engine resolution (Simulator.run's
-    # historical dispatch, including the mid-run reference fallback).
-    from ..engine.compiler import ProtocolCompilationError, compilation_worthwhile
+    # mode == "single": the replica's tables are resolved before its
+    # first draw, so one that cannot be built leaves the whole run to
+    # the reference interpreter.
+    from ..engine.compiler import ProtocolCompilationError, compilation_worthwhile, get_compiled
 
-    engine = plan.engine
     scheduler_ok = plan.scheduler is None or hasattr(plan.scheduler, "next_arrays")
-    if not scheduler_ok and engine == "compiled":
-        raise ValueError(
-            "engine='compiled' requires a scheduler with next_arrays(); "
-            "use the reference engine for replayed schedules"
-        )
-    if engine == "auto" and not compilation_worthwhile(protocol, plan.max_states):
-        scheduler_ok = False
-    if scheduler_ok:
-        # A mid-run compilation failure cannot fall back cleanly when the
-        # scheduler stream is not re-creatable from a seed.
-        replayable = plan.scheduler is None and not isinstance(
-            seed, np.random.Generator
-        )
+    if scheduler_ok and compilation_worthwhile(protocol):
         try:
-            return _run_compiled_single(plan, protocol, seed, None)
+            compiled = get_compiled(protocol)
         except ProtocolCompilationError:
-            if engine == "compiled" or not replayable:
-                raise
+            pass
+        else:
+            return _run_compiled_single(plan, protocol, seed, compiled)
     return _run_reference(plan, protocol, seed)
 
 
@@ -346,7 +334,7 @@ def _run_compiled_single(
     plan: ExecutionPlan,
     protocol,
     seed: Any,
-    compiled: Optional["CompiledProtocol"],
+    compiled: "CompiledProtocol",
 ) -> "SimulationResult":
     """Compiled-engine twin of :func:`_run_reference` (identical semantics).
 
@@ -362,7 +350,6 @@ def _run_compiled_single(
     by exhaustion").
     """
     from ..core.simulator import SimulationResult
-    from ..engine.compiler import DEFAULT_MAX_STATES, get_compiled
     from ..engine.stepper import CompiledRun
 
     graph = plan.graph
@@ -373,11 +360,6 @@ def _run_compiled_single(
     scheduler = plan.scheduler
     record_leader_trace = plan.record_leader_trace
 
-    if compiled is None:
-        compiled = get_compiled(
-            protocol,
-            max_states=plan.max_states if plan.max_states is not None else DEFAULT_MAX_STATES,
-        )
     start_time = time.perf_counter()
     trace_every = (
         max(1, max_steps // max(plan.trace_resolution, 1)) if record_leader_trace else 0

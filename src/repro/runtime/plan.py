@@ -2,7 +2,7 @@
 
 An :class:`ExecutionPlan` captures everything needed to execute ``R``
 replicas of one ``(protocol, graph, topology schedule)`` workload — the
-per-replica scheduler seeds, the resolved engine, the shared compiled
+per-replica scheduler seeds, the resolved mode, the shared compiled
 transition tables, the certificate cadence — as one immutable object.
 :func:`compile_plan` performs the resolution exactly once; executors
 (:mod:`repro.runtime.execute`) then run the plan without re-deriving
@@ -22,20 +22,24 @@ anything.
   the v6 kernel built, every seed kernel-seedable — shares that rule (``"shared"``,
   :attr:`ExecutionPlan.compiled` is the rule): the kernel computes the
   transitions, and no table is built.
-* ``engine="compiled"`` / ``"auto"`` with **homogeneous** replicas (same
-  ``compile_key``, no stream override, no trace), at any width including
-  1 — one table set is compiled up front and shared (``"shared"``); a
-  compilation failure raises for ``"compiled"`` and demotes the whole
-  plan to the reference interpreter for ``"auto"``.  ``"auto"`` compiles
-  only protocols that :func:`~repro.engine.compiler.compilation_worthwhile`
-  accepts.
+* ``engine="auto"`` with **homogeneous** replicas (same ``compile_key``,
+  no stream override, no trace), at any width including 1, for a
+  protocol that :func:`~repro.engine.compiler.compilation_worthwhile`
+  accepts — one table set is compiled up front and shared
+  (``"shared"``); a compilation failure demotes the whole plan to the
+  reference interpreter.
 * everything else — per-replica resolution at execution time
-  (``"single"``), preserving ``Simulator.run``'s lazy-compilation
-  semantics including the mid-run fallback to the reference interpreter
-  when lazy state discovery outgrows the table bound and the scheduler
-  stream is re-creatable from its seed.  A ``"single"`` plan of several
+  (``"single"``): each replica's table set is resolved, at the one table
+  bound :data:`~repro.engine.compiler.DEFAULT_MAX_STATES`, before its
+  first draw, and a replica whose tables cannot be built runs on the
+  reference interpreter.  A ``"single"`` plan of several
   ``compile_key`` groups is resolved again group by group at execution
   time, so each group can be shared.
+
+Tables that outgrow the bound *during* a run (a protocol that
+understates its state space) raise
+:class:`~repro.engine.compiler.ProtocolCompilationError` on every
+executor; no run falls back after it has drawn.
 
 A topology schedule does not change the mode: the v6 stack and the
 per-replica engine (one scalar loop per replica) both run ``"shared"``
@@ -64,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..dynamics.schedule import TopologySchedule
 
 #: Engine choices accepted by :func:`compile_plan` (and ``Simulator``).
-ENGINES = ("reference", "compiled", "auto")
+ENGINES = ("reference", "auto")
 
 
 @dataclass
@@ -83,12 +87,10 @@ class ExecutionPlan:
     protocols: List["PopulationProtocol"]
     seeds: List[Any]
     max_steps: int
-    engine: str
     check_interval: int
     mode: str  # "reference" | "shared" | "single"
     schedule: Optional["TopologySchedule"] = None
     inputs: Optional[Sequence[Any]] = None
-    max_states: Optional[int] = None
     compiled: Optional[Any] = None  # CompiledProtocol or a kernel rule
     scheduler: Optional[Any] = None  # single-replica stream override (replay)
     record_leader_trace: bool = False
@@ -165,7 +167,6 @@ def compile_plan(
     check_interval: Optional[int] = None,
     schedule: Optional["TopologySchedule"] = None,
     inputs: Optional[Sequence[Any]] = None,
-    max_states: Optional[int] = None,
     scheduler: Optional[Any] = None,
     record_leader_trace: bool = False,
     trace_resolution: int = 64,
@@ -223,28 +224,20 @@ def compile_plan(
         mode = "reference"
     elif scheduler is None and not record_leader_trace:
         from ..engine.compiler import (
-            DEFAULT_MAX_STATES,
             ProtocolCompilationError,
             compilation_worthwhile,
             get_compiled,
         )
 
-        rule = protocols[0].kernel_rule() if engine == "auto" else None
+        rule = protocols[0].kernel_rule()
         if rule is not None and _homogeneous(protocols) and v6_servable(seeds):
             # The v6 kernel computes the transitions: no tables to build.
             mode, compiled = "shared", rule
-        elif (
-            engine == "compiled" or compilation_worthwhile(protocols[0], max_states)
-        ) and _homogeneous(protocols):
+        elif compilation_worthwhile(protocols[0]) and _homogeneous(protocols):
             try:
-                compiled = get_compiled(
-                    protocols[0],
-                    max_states=max_states if max_states is not None else DEFAULT_MAX_STATES,
-                )
+                compiled = get_compiled(protocols[0])
                 mode = "shared"
             except ProtocolCompilationError:
-                if engine == "compiled":
-                    raise
                 mode = "reference"
 
     return ExecutionPlan(
@@ -252,12 +245,10 @@ def compile_plan(
         protocols=protocols,
         seeds=seeds,
         max_steps=int(max_steps),
-        engine=engine,
         check_interval=check_interval,
         mode=mode,
         schedule=schedule,
         inputs=inputs,
-        max_states=max_states,
         compiled=compiled,
         scheduler=scheduler,
         record_leader_trace=record_leader_trace,

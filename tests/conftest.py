@@ -24,23 +24,44 @@ def generator_seed(seed):
     return np.random.default_rng(seed)
 
 
+#: The two compiled executors of ``engine="auto"``, by test id, as the
+#: seed a run passes.  A Generator is not kernel-seedable, so it routes
+#: the run to the per-replica engine, on the same stream as the integer
+#: seed; the integer seed takes the v6 epoch stack where the kernel is
+#: built.
+EXECUTOR_SEEDS = {"per-replica": generator_seed, "v6": int_seed}
+
+
+def _kernel_built():
+    from repro.engine.native import get_run_epoch_kernel
+
+    return get_run_epoch_kernel() is not None
+
+
+@pytest.fixture(params=sorted(EXECUTOR_SEEDS))
+def executor_seed(request):
+    """One compiled executor of ``engine="auto"`` (ids ``per-replica``
+    and ``v6``), as the ``seed_of`` a run passes; ``v6`` skips where the
+    kernel is not built."""
+    if request.param == "v6" and not _kernel_built():
+        pytest.skip("kernel v6 unavailable (no C compiler)")
+    return EXECUTOR_SEEDS[request.param]
+
+
 @pytest.fixture
 def engine_variants():
     """Every executor of a run, as ``(engine, seed_of)`` pairs.
 
     A run passes ``seed_of(seed)`` as its scheduler seed.  The pairs are
-    the reference interpreter with the integer seed (always first); the
-    per-replica engine with ``np.random.default_rng(seed)``, a fresh one
-    per call; and, where the kernel is built, the v6 epoch stack with the
-    integer seed.  A Generator is not kernel-seedable, so it routes the
-    run to the per-replica engine, on the same stream as the integer
-    seed.  The cross-engine tests loop over this one list.
+    the reference interpreter with the integer seed (always first), then
+    ``engine="auto"`` on each executor of :data:`EXECUTOR_SEEDS`: the
+    per-replica engine, and, where the kernel is built, the v6 epoch
+    stack.  The cross-engine tests loop over this one list.
     """
-    from repro.engine.native import get_run_epoch_kernel
-
-    variants = [("reference", int_seed), ("compiled", generator_seed)]
-    if get_run_epoch_kernel() is not None:
-        variants.append(("compiled", int_seed))
+    variants = [("reference", int_seed)]
+    for name in sorted(EXECUTOR_SEEDS):
+        if name != "v6" or _kernel_built():
+            variants.append(("auto", EXECUTOR_SEEDS[name]))
     return variants
 
 

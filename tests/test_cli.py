@@ -236,10 +236,11 @@ class TestCliErrorPaths:
         assert "dynamic-epoch-mix" in message
 
     def test_sweep_rejects_bad_engine_value(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--scenario", "table1-stars", "--engine", "warp-drive"])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        for engine in ("warp-drive", "compiled"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "--scenario", "table1-stars", "--engine", engine])
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_worker_rejects_malformed_endpoint(self, capsys):
         assert main(["worker", "--connect", "no-port-here"]) == 2

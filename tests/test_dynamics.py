@@ -200,7 +200,7 @@ class TestDynamicScheduler:
 # Simulator threading
 # ----------------------------------------------------------------------
 class TestSimulatorSchedules:
-    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
     def test_single_epoch_schedule_reproduces_static_run(self, engine):
         graph = clique(16)
         baseline = run_leader_election(TokenLeaderElection(), graph, rng=3, engine=engine)
@@ -229,9 +229,9 @@ class TestSimulatorSchedules:
     def test_dynamic_run_differs_from_static(self):
         graph = clique(16)
         schedule = EpochSchedule.from_graphs([cycle(16), clique(16)], epoch_length=64, repeat=True)
-        static = run_leader_election(TokenLeaderElection(), graph, rng=3, engine="compiled")
+        static = run_leader_election(TokenLeaderElection(), graph, rng=3, engine="auto")
         dynamic = run_leader_election(
-            TokenLeaderElection(), graph, rng=3, engine="compiled", schedule=schedule
+            TokenLeaderElection(), graph, rng=3, engine="auto", schedule=schedule
         )
         assert result_tuple(static) != result_tuple(dynamic)
 
@@ -239,7 +239,7 @@ class TestSimulatorSchedules:
         graph = clique(12)
         schedule = NodeChurnSchedule(graph, [6, 9, 12], epoch_length=128, repeat=False)
         result = run_leader_election(
-            TokenLeaderElection(), graph, rng=2, engine="compiled", schedule=schedule
+            TokenLeaderElection(), graph, rng=2, engine="auto", schedule=schedule
         )
         assert result.stabilized and result.leaders == 1
 
@@ -278,18 +278,24 @@ _V6_SCHEDULES = {
     )),
 }
 
-#: Protocol factories and the engine each runs under: the identifier
-#: protocol runs once on the kernel's arithmetic rule (``auto``) and
-#: once on lazily discovered tables (``compiled``: table misses inside
-#: epochs).
+class _TableIdentifier(IdentifierLeaderElection):
+    """The identifier protocol without its kernel rule: at
+    ``identifier_bits <= 8`` its declared state space fits the table
+    bound, so ``engine="auto"`` serves it on transition tables."""
+
+    def kernel_rule(self):
+        return None
+
+
+#: Protocol factories, each run under ``engine="auto"``: the identifier
+#: protocol runs once on the kernel's arithmetic rule and once on
+#: transition tables (no kernel rule: table misses inside epochs).
 _V6_PROTOCOLS = {
-    "token": (lambda g: TokenLeaderElection(), "auto"),
-    "star": (lambda g: StarLeaderElection(), "auto"),
-    "fast": (lambda g: FastLeaderElection.practical_for_graph(g, 2.0 * g.n_nodes), "auto"),
-    "identifier-rule": (lambda g: IdentifierLeaderElection(g.n_nodes), "auto"),
-    "identifier-tables": (
-        lambda g: IdentifierLeaderElection(g.n_nodes, identifier_bits=5), "compiled"
-    ),
+    "token": lambda g: TokenLeaderElection(),
+    "star": lambda g: StarLeaderElection(),
+    "fast": lambda g: FastLeaderElection.practical_for_graph(g, 2.0 * g.n_nodes),
+    "identifier-rule": lambda g: IdentifierLeaderElection(g.n_nodes),
+    "identifier-tables": lambda g: _TableIdentifier(g.n_nodes, identifier_bits=5),
 }
 
 #: ``(width, budget, threads)`` runs per case; the budget is 0, inside
@@ -317,7 +323,7 @@ def test_dynamic_plans_on_v6_match_reference(schedule_kind, protocol_kind, monke
     the kernel, on the per-replica engine instead: no stack at all).
     """
     n, build_schedule = _V6_SCHEDULES[schedule_kind]
-    build_protocol, engine = _V6_PROTOCOLS[protocol_kind]
+    build_protocol = _V6_PROTOCOLS[protocol_kind]
     schedule = build_schedule(n)
     graph = clique(n)
     widths = []
@@ -344,7 +350,7 @@ def test_dynamic_plans_on_v6_match_reference(schedule_kind, protocol_kind, monke
 
         reference = run("reference")
         widths.clear()
-        assert run(engine) == reference, where
+        assert run("auto") == reference, where
         assert widths == ([width] if get_run_epoch_kernel() is not None else []), where
 
 
@@ -383,7 +389,7 @@ def test_edgeless_epoch_raises_before_the_kernel_draws(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
-    for engine in ("reference", "compiled"):
+    for engine in ("reference", "auto"):
         plan = compile_plan(
             [TokenLeaderElection()], graph, [3], max_steps=10_000,
             engine=engine, schedule=schedule,

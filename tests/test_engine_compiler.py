@@ -213,9 +213,15 @@ class TestCompilationCache:
         assert not compilation_worthwhile(IdentifierLeaderElection(100))
         # Narrow identifier instances enumerate their states.
         assert compilation_worthwhile(IdentifierLeaderElection(100, identifier_bits=4))
+        # Without an enumeration the declared size meets the one table
+        # bound: k = 8 fits it, k = 9 does not.
+        fits, exceeds = (IdentifierLeaderElection(100, identifier_bits=k) for k in (8, 9))
+        assert fits.state_space_size() <= DEFAULT_MAX_STATES < exceeds.state_space_size()
+        assert compilation_worthwhile(fits)
+        assert not compilation_worthwhile(exceeds)
 
     def test_worthwhile_answer_is_kept_per_key_until_the_cache_is_cleared(self, monkeypatch):
-        """Equal keys enumerate once per ``max_states``; keyless protocols every call."""
+        """Equal keys enumerate once; keyless protocols every call."""
         from repro.protocols import FastLeaderElection
         from repro.protocols.clocks import ClockParameters
 
@@ -231,11 +237,10 @@ class TestCompilationCache:
         parameters = ClockParameters(streak_length=3, phase_length=2, max_level=5)
         for _ in range(3):
             assert compilation_worthwhile(FastLeaderElection(parameters))
-        assert compilation_worthwhile(FastLeaderElection(parameters), max_states=64)
-        assert len(enumerated) == 2
+        assert len(enumerated) == 1
         clear_compilation_cache()
         assert compilation_worthwhile(FastLeaderElection(parameters))
-        assert len(enumerated) == 3
+        assert len(enumerated) == 2
 
         keyless = []
         monkeypatch.setattr(

@@ -223,7 +223,7 @@ def test_thread_env_invariance_dynamic_schedule(monkeypatch):
     def run_everything():
         sim = run_leader_election(
             TokenLeaderElection(), graph, rng=seed, max_steps=8000,
-            engine="compiled", schedule=schedule,
+            engine="auto", schedule=schedule,
         )
         batch = run_epidemic_batch(graph, sources, traj_seeds, 500_000, schedule=schedule)
         return _result_tuple(sim), batch.tolist()

@@ -1,7 +1,9 @@
 """Property tests: the compiled engine reproduces the reference exactly.
 
 For every bundled protocol, across small graph families and seeds, each
-compiled executor must produce a :class:`SimulationResult` whose every
+compiled executor of ``engine="auto"`` (the executor table
+``EXECUTOR_SEEDS`` of ``tests/conftest.py``) must produce a
+:class:`SimulationResult` whose every
 deterministic field — stabilization flag, certified step, last output
 change, executed steps, leader count, final configuration and the
 distinct-state count — equals the reference interpreter's, because both
@@ -11,12 +13,10 @@ the experiment harness switch engines freely.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.simulator import Simulator
 from repro.engine import clear_compilation_cache
-from repro.engine.native import get_run_epoch_kernel
 from repro.graphs.families import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.propagation import broadcast_time_estimate
@@ -74,17 +74,7 @@ def _assert_results_identical(reference, other, context):
     assert reference.leader_trace == other.leader_trace, context
 
 
-#: The compiled executors, keyed by test id, as the seed a run passes:
-#: a Generator is not kernel-seedable, so it routes the run to the
-#: per-replica engine on the same stream; an integer seed takes the v6
-#: epoch stack.
-_EXECUTOR_SEEDS = {"per-replica": np.random.default_rng, "v6": int}
-
-
-@pytest.mark.parametrize("executor", ["per-replica", "v6"])
-def test_executors_match_reference_across_protocols_and_graphs(executor):
-    if executor == "v6" and get_run_epoch_kernel() is None:
-        pytest.skip("kernel v6 unavailable (no C compiler)")
+def test_executors_match_reference_across_protocols_and_graphs(executor_seed):
     clear_compilation_cache()
     for graph in _graphs():
         for name, factory in _protocol_factories().items():
@@ -92,10 +82,10 @@ def test_executors_match_reference_across_protocols_and_graphs(executor):
                 protocol = factory(graph)
                 reference = Simulator(graph, protocol, rng=seed).run(max_steps=MAX_STEPS)
                 compiled = Simulator(
-                    graph, protocol, rng=_EXECUTOR_SEEDS[executor](seed)
-                ).run(max_steps=MAX_STEPS, engine="compiled")
+                    graph, protocol, rng=executor_seed(seed), engine="auto"
+                ).run(max_steps=MAX_STEPS)
                 _assert_results_identical(
-                    reference, compiled, (graph.name, name, seed, executor)
+                    reference, compiled, (graph.name, name, seed, executor_seed.__name__)
                 )
 
 
@@ -104,7 +94,7 @@ def test_auto_engine_matches_reference():
         for name, factory in _protocol_factories().items():
             protocol = factory(graph)
             reference = Simulator(graph, protocol, rng=3).run(max_steps=MAX_STEPS)
-            auto = Simulator(graph, protocol, rng=3).run(max_steps=MAX_STEPS, engine="auto")
+            auto = Simulator(graph, protocol, rng=3, engine="auto").run(max_steps=MAX_STEPS)
             _assert_results_identical(reference, auto, (graph.name, name))
 
 
@@ -117,11 +107,8 @@ def test_leader_trace_matches_reference(executor):
         reference = Simulator(graph, protocol, rng=seed).run(
             max_steps=30_000, record_leader_trace=True, trace_resolution=32
         )
-        compiled = Simulator(graph, protocol, rng=seed).run(
-            max_steps=30_000,
-            record_leader_trace=True,
-            trace_resolution=32,
-            engine="compiled",
+        compiled = Simulator(graph, protocol, rng=seed, engine="auto").run(
+            max_steps=30_000, record_leader_trace=True, trace_resolution=32
         )
         _assert_results_identical(reference, compiled, (executor, seed))
 
@@ -131,8 +118,8 @@ def test_inputs_are_respected():
     protocol = TokenLeaderElection()
     inputs = [1, 0, 0, 1, 0, 0, 0, 1, 0, 0]
     reference = Simulator(graph, protocol, rng=2).run(max_steps=20_000, inputs=inputs)
-    compiled = Simulator(graph, protocol, rng=2).run(
-        max_steps=20_000, inputs=inputs, engine="compiled"
+    compiled = Simulator(graph, protocol, rng=2, engine="auto").run(
+        max_steps=20_000, inputs=inputs
     )
     _assert_results_identical(reference, compiled, "inputs")
 
@@ -141,23 +128,24 @@ def test_zero_step_budget_matches_reference():
     graph = star(8)
     protocol = StarLeaderElection()
     ref = Simulator(graph, protocol, rng=0).run(max_steps=0)
-    comp = Simulator(graph, protocol, rng=0).run(max_steps=0, engine="compiled")
+    comp = Simulator(graph, protocol, rng=0, engine="auto").run(max_steps=0)
     _assert_results_identical(ref, comp, "zero-budget")
     assert not ref.stabilized
 
 
-def test_compiled_engine_rejects_replayed_schedules():
+def test_auto_engine_runs_replayed_schedules_on_the_reference():
+    """A replayed schedule has no ``next_arrays``: ``auto`` interprets it."""
     from repro.core.scheduler import SequenceScheduler
 
     graph = clique(6)
     protocol = TokenLeaderElection()
     scheduler = SequenceScheduler(graph, [(0, 1), (2, 3)])
-    simulator = Simulator(graph, protocol, rng=0)
-    with pytest.raises(ValueError):
-        simulator.run(max_steps=2, scheduler=scheduler, engine="compiled")
-    # engine="auto" silently uses the reference path instead.
-    result = simulator.run(max_steps=2, scheduler=scheduler, engine="auto")
+    result = Simulator(graph, protocol, rng=0, engine="auto").run(max_steps=2, scheduler=scheduler)
+    reference = Simulator(graph, protocol, rng=0).run(
+        max_steps=2, scheduler=SequenceScheduler(graph, [(0, 1), (2, 3)])
+    )
     assert result.steps_executed == 2
+    _assert_results_identical(reference, result, "replayed")
 
 
 def test_run_fixed_schedule_still_uses_reference_semantics():

@@ -88,7 +88,7 @@ def test_replica_results_independent_of_batching():
     budget = default_max_steps(graph.n_nodes)
     stacked = run_replicas(protocol, graph, seeds, max_steps=budget)
     for seed, result in zip(seeds, stacked):
-        single = run_leader_election(protocol, graph, rng=seed, engine="compiled")
+        single = run_leader_election(protocol, graph, rng=seed, engine="auto")
         assert result.steps_executed == single.steps_executed
         assert tuple(result.final_configuration.states) == tuple(
             single.final_configuration.states

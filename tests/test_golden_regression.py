@@ -104,7 +104,7 @@ GOLDEN_CASES = (
     (
         "election/token-clique16-s5",
         lambda: _simulation_record(
-            run_leader_election(TokenLeaderElection(), clique(16), rng=5, engine="compiled")
+            run_leader_election(TokenLeaderElection(), clique(16), rng=5, engine="auto")
         ),
     ),
     (
@@ -114,7 +114,7 @@ GOLDEN_CASES = (
                 TokenLeaderElection(),
                 clique(16),
                 rng=5,
-                engine="compiled",
+                engine="auto",
                 schedule=_dynamic_schedule(16),
             )
         ),
@@ -126,14 +126,14 @@ GOLDEN_CASES = (
                 IdentifierLeaderElection(12, regular=True),
                 cycle(12),
                 rng=9,
-                engine="compiled",
+                engine="auto",
             )
         ),
     ),
     (
         "election/star-star12-s1",
         lambda: _simulation_record(
-            run_leader_election(StarLeaderElection(), star(12), rng=1, engine="compiled")
+            run_leader_election(StarLeaderElection(), star(12), rng=1, engine="auto")
         ),
     ),
     (

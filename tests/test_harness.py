@@ -184,7 +184,7 @@ class TestWallTimePropagation:
         from repro.experiments.harness import TRIAL_RECORD_FIELDS, trial_record_from_result
 
         result = run_leader_election(
-            token_protocol_spec().factory(clique(10), 0), clique(10), rng=3, engine="compiled"
+            token_protocol_spec().factory(clique(10), 0), clique(10), rng=3, engine="auto"
         )
         record = trial_record_from_result(result)
         assert "wall_time_seconds" in TRIAL_RECORD_FIELDS

@@ -403,22 +403,6 @@ def test_disabled_kernel_falls_back_to_reference(monkeypatch):
 
 
 @requires_kernel
-def test_compiled_engine_keeps_lazy_tables():
-    """``engine="compiled"`` still runs the identifier on transition tables."""
-    from repro.engine.compiler import CompiledProtocol
-
-    graph = cycle(12)
-    protocol = IdentifierLeaderElection(graph.n_nodes, regular=True)
-    plan = compile_plan([protocol] * 2, graph, [1, 2], max_steps=1000, engine="compiled")
-    assert isinstance(plan.compiled, CompiledProtocol)
-    auto = compile_plan([protocol] * 2, graph, [1, 2], max_steps=1000, engine="auto")
-    assert auto.compiled is protocol.kernel_rule()
-    assert [_result_tuple(r) for r in execute_plan(plan)] == [
-        _result_tuple(r) for r in execute_plan(auto)
-    ]
-
-
-@requires_kernel
 def test_heterogeneous_widths_stay_per_replica():
     graph = clique(10)
     protocols = [IdentifierLeaderElection(10, identifier_bits=bits) for bits in (3, 4)]

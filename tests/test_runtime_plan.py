@@ -24,12 +24,17 @@ import pytest
 
 import repro.engine.native as native
 import repro.runtime.execute as execute_module
-from repro.core.protocol import LEADER
+from repro.core.protocol import FOLLOWER, LEADER, PopulationProtocol
 from repro.core.scheduler import RandomScheduler
 from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, default_check_interval
 from repro.dynamics import EpochSchedule
-from repro.engine.compiler import CompiledProtocol, clear_compilation_cache
+from repro.engine.compiler import (
+    DEFAULT_MAX_STATES,
+    CompiledProtocol,
+    ProtocolCompilationError,
+    clear_compilation_cache,
+)
 from repro.engine.native import get_run_epoch_kernel, reset_kernel_cache
 from repro.experiments.harness import fast_protocol_spec, measure_protocol_on_graph
 from repro.graphs import clique, cycle, star, torus
@@ -41,7 +46,7 @@ from repro.protocols.identifier import (
     IdentifierLeaderElection,
     _kernel_rule,
 )
-from repro.protocols.tokens import token_initial_state
+from repro.protocols.tokens import ALL_TOKEN_STATES, token_initial_state
 from repro.runtime import compile_plan, execute_plan
 from repro.runtime.execute import _stack_v6_eligible, _uniform_start
 from repro.runtime.source import REFILL_SIZE
@@ -153,7 +158,7 @@ def test_replica_stack_matches_per_trial_runs(case):
     seeds = [derive_seed(seed, "replica", r) for r in range(9)]
     max_steps = 60_000
     plan = compile_plan(
-        [protocol] * len(seeds), graph, seeds, max_steps=max_steps, engine="compiled"
+        [protocol] * len(seeds), graph, seeds, max_steps=max_steps, engine="auto"
     )
     assert plan.mode == "shared"
     stacked = execute_plan(plan)
@@ -166,16 +171,28 @@ def test_replica_stack_matches_per_trial_runs(case):
         )
 
 
+class _TableIdentifier(IdentifierLeaderElection):
+    """The identifier protocol without its kernel rule.
+
+    At ``identifier_bits <= 8`` its declared state space fits the table
+    bound, so ``engine="auto"`` serves it on transition tables, which
+    discover its states lazily (``k = 8``: no enumeration).
+    """
+
+    def kernel_rule(self):
+        return None
+
+
 def test_stack_handles_lazily_compiled_tables():
     """Miss-resume: protocols without eager tables stay exact in the stack."""
     graph = cycle(12)
-    protocol = IdentifierLeaderElection(graph.n_nodes, regular=True)
+    protocol = _TableIdentifier(graph.n_nodes, identifier_bits=8)
     seeds = list(range(6))
     max_steps = 40_000
     plan = compile_plan(
-        [protocol] * len(seeds), graph, seeds, max_steps=max_steps, engine="compiled"
+        [protocol] * len(seeds), graph, seeds, max_steps=max_steps, engine="auto"
     )
-    assert plan.mode == "shared"
+    assert plan.mode == "shared" and isinstance(plan.compiled, CompiledProtocol)
     stacked = execute_plan(plan)
     for replica_seed, result in zip(seeds, stacked):
         single = Simulator(graph, protocol, rng=replica_seed, engine="reference").run(
@@ -188,11 +205,11 @@ def test_custom_check_interval_flows_through_the_plan():
     graph = clique(12)
     protocol = TokenLeaderElection()
     plan = compile_plan(
-        [protocol], graph, [7], max_steps=5000, engine="compiled", check_interval=97
+        [protocol], graph, [7], max_steps=5000, engine="auto", check_interval=97
     )
     via_plan = _result_tuple(execute_plan(plan)[0])
     via_simulator = _result_tuple(
-        Simulator(graph, protocol, rng=7, engine="compiled").run(
+        Simulator(graph, protocol, rng=7, engine="auto").run(
             max_steps=5000, check_interval=97
         )
     )
@@ -204,7 +221,7 @@ def test_plan_resolution_modes():
     token = TokenLeaderElection()
     plan = compile_plan([token] * 3, graph, [0, 1, 2], max_steps=100, engine="reference")
     assert plan.mode == "reference" and plan.compiled is None
-    plan = compile_plan([token] * 3, graph, [0, 1, 2], max_steps=100, engine="compiled")
+    plan = compile_plan([token] * 3, graph, [0, 1, 2], max_steps=100, engine="auto")
     assert plan.mode == "shared" and plan.compiled is not None
     assert plan.check_interval == default_check_interval(graph)
     # Heterogeneous compile keys are resolved per key group at execution.
@@ -227,8 +244,9 @@ def test_plan_validation_errors():
         compile_plan([token], graph, [0, 1], max_steps=10)
     with pytest.raises(ValueError):
         compile_plan([token], graph, [0], max_steps=-1)
-    with pytest.raises(ValueError):
-        compile_plan([token], graph, [0], max_steps=10, engine="warp")
+    for engine in ("warp", "compiled"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            compile_plan([token], graph, [0], max_steps=10, engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +266,7 @@ def _spy_on_v6(monkeypatch):
 
 
 @pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-@pytest.mark.parametrize("engine", ["auto", "compiled"])
+@pytest.mark.parametrize("engine", ["auto"])
 def test_width_one_plans_run_on_v6(engine, monkeypatch):
     """A single-replica plan (every sweep unit) is shared and runs v6."""
     calls = _spy_on_v6(monkeypatch)
@@ -291,18 +309,17 @@ def test_v6_setup_counts_initial_states_without_np_unique(max_steps, monkeypatch
         raise AssertionError("np.unique called in the v6 set-up")
 
     monkeypatch.setattr(np, "unique", refuse)
-    assert [_result_tuple(r) for r in execute_plan(plan("compiled"))] == reference
+    assert [_result_tuple(r) for r in execute_plan(plan("auto"))] == reference
     assert calls == [len(seeds)]
     assert reference[0][5] >= 2  # candidates and non-candidates
 
 
-#: Per transition rule of the stack: (protocol of a graph, engine, the
-#: rule class whose ``encode`` builds the initial codes).
+#: Per transition rule of the stack: (protocol of a graph, the rule
+#: class whose ``encode`` builds the initial codes).
 _RULE_CASES = {
-    "table": (lambda graph: TokenLeaderElection(), "compiled", CompiledProtocol),
+    "table": (lambda graph: TokenLeaderElection(), CompiledProtocol),
     "kernel-rule": (
         lambda graph: IdentifierLeaderElection(graph.n_nodes, regular=graph.is_regular()),
-        "auto",
         IdentifierKernelRule,
     ),
 }
@@ -317,7 +334,7 @@ def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
     A plan with ``inputs`` still takes the per-node encode on every
     plan, and all equal the reference interpreter.
     """
-    make, engine, rule_class = _RULE_CASES[rule]
+    make, rule_class = _RULE_CASES[rule]
     clear_compilation_cache()
     _kernel_rule.cache_clear()
     graph = torus(5, 5)
@@ -344,7 +361,7 @@ def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
         reference = [_result_tuple(r) for r in execute_plan(plan("reference"))]
         for expected in (first, second):
             encoded.clear()
-            assert [_result_tuple(r) for r in execute_plan(plan(engine))] == reference
+            assert [_result_tuple(r) for r in execute_plan(plan("auto"))] == reference
             assert encoded == expected
 
 
@@ -352,11 +369,9 @@ def test_v6_encodes_a_uniform_initial_configuration_once(rule, monkeypatch):
 @pytest.mark.parametrize("rule", sorted(_RULE_CASES))
 def test_v6_uniform_starts_are_kept_per_state_and_read_only(rule):
     """A rule keeps one start per initial state; its arrays cannot be written."""
-    make, engine, _ = _RULE_CASES[rule]
+    make, _ = _RULE_CASES[rule]
     graph = torus(3, 3)
-    rule_object = compile_plan(
-        [make(graph)], graph, [1], max_steps=10, engine=engine
-    ).compiled
+    rule_object = compile_plan([make(graph)], graph, [1], max_steps=10, engine="auto").compiled
     if rule == "table":
         states = [token_initial_state(True), token_initial_state(False)]
     else:
@@ -412,7 +427,7 @@ def test_stack_rows_finishing_in_different_calls_keep_replica_order(rule, monkey
         "table": _EveryBoundaryToken,
         "kernel-rule": lambda: _EveryBoundaryIdentifier(graph.n_nodes, regular=True),
     }[rule]
-    _, engine, rule_class = _RULE_CASES[rule]
+    _, rule_class = _RULE_CASES[rule]
     seeds = [derive_seed(20261017, "finish-order", r) for r in range(3)]
     widths = []
     kernel = get_run_epoch_kernel()
@@ -425,7 +440,7 @@ def test_stack_rows_finishing_in_different_calls_keep_replica_order(rule, monkey
     decodes = _count_calls(monkeypatch, rule_class, "decode_codes")
     certificates = _count_calls(monkeypatch, protocol_class, "is_output_stable_configuration")
     plan = compile_plan(
-        [make()] * len(seeds), graph, seeds, max_steps=50_000, engine=engine, check_interval=8
+        [make()] * len(seeds), graph, seeds, max_steps=50_000, engine="auto", check_interval=8
     )
     stacked = [_result_tuple(r) for r in execute_plan(plan)]
     assert widths[0] == 3 and widths[-1] < 3, widths
@@ -467,7 +482,7 @@ def test_stack_rows_resume_their_streams_across_many_calls(width, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
-    plan = compile_plan([protocol] * width, graph, seeds, max_steps=200_000, engine="compiled")
+    plan = compile_plan([protocol] * width, graph, seeds, max_steps=200_000, engine="auto")
     results = execute_plan(plan)
     assert len(calls) > 100, len(calls)
     assert all(r.stabilized and r.steps_executed > REFILL_SIZE for r in results)
@@ -475,22 +490,20 @@ def test_stack_rows_resume_their_streams_across_many_calls(width, monkeypatch):
 
 
 #: Stacks that end on their step budget, per transition rule: (protocol
-#: of a graph, engine, rule class, budget).  On a 5x5 torus the
-#: identifier protocol's rows reach these budgets without a certificate
-#: due (none holds one leader, or, on the kernel rule, one agreed
-#: identifier).  A width-4 stack's rows end in different kernel calls:
-#: table rows stop on misses of freshly compiled tables, kernel-rule
-#: rows on a full (shortened) code log.
+#: of a graph, rule class, budget).  On a 5x5 torus the identifier
+#: protocol's rows reach these budgets without a certificate due (none
+#: holds one leader, or, on the kernel rule, one agreed identifier).  A
+#: width-4 stack's rows end in different kernel calls: table rows stop
+#: on misses of freshly compiled tables, kernel-rule rows on a full
+#: (shortened) code log.
 _BUDGET_CASES = {
     "table": (
-        lambda graph: IdentifierLeaderElection(graph.n_nodes, identifier_bits=9),
-        "compiled",
+        lambda graph: _TableIdentifier(graph.n_nodes, identifier_bits=8),
         CompiledProtocol,
         80,
     ),
     "kernel-rule": (
         lambda graph: IdentifierLeaderElection(graph.n_nodes, regular=True),
-        "auto",
         IdentifierKernelRule,
         160,
     ),
@@ -504,7 +517,7 @@ def test_budget_rows_decode_on_demand(rule, width, monkeypatch):
     """The stack decodes a row only for a certificate.  A row that ends
     on its budget gets a final configuration that decodes once, on first
     use, to the reference interpreter's."""
-    make, engine, rule_class, max_steps = _BUDGET_CASES[rule]
+    make, rule_class, max_steps = _BUDGET_CASES[rule]
     graph = torus(5, 5)
     seeds = [derive_seed(MASTER_SEED, "budget-decode", r) for r in range(width)]
     references = [
@@ -528,8 +541,9 @@ def test_budget_rows_decode_on_demand(rule, width, monkeypatch):
         monkeypatch, IdentifierLeaderElection, "is_output_stable_configuration"
     )
     plan = compile_plan(
-        [make(graph)] * width, graph, seeds, max_steps=max_steps, engine=engine
+        [make(graph)] * width, graph, seeds, max_steps=max_steps, engine="auto"
     )
+    assert isinstance(plan.compiled, rule_class)
     results = execute_plan(plan)
     assert len(decodes) == len(certificates)
     if width > 1:
@@ -591,7 +605,7 @@ def test_v6_step_zero_certificate_behind_the_one_leader_precheck(case, monkeypat
 
     monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
     monkeypatch.setattr(TokenLeaderElection, "is_output_stable_configuration", counting_certificate)
-    compiled = plan("compiled")
+    compiled = plan("auto")
     assert [_result_tuple(r) for r in execute_plan(compiled)] == reference
     assert certificate_calls.count(0) == step_zero_calls
     assert (compiled._initial_states is not None) == (step_zero_calls > 0)
@@ -628,7 +642,7 @@ def test_per_replica_certificate_behind_the_one_leader_precheck(case, monkeypatc
 
     monkeypatch.setattr(TokenLeaderElection, "is_output_stable_configuration", counting_certificate)
     # Generator seeds are not kernel-seedable: the per-replica engine.
-    per_replica = plan("compiled", [np.random.default_rng(seed) for seed in seeds])
+    per_replica = plan("auto", [np.random.default_rng(seed) for seed in seeds])
     assert not _stack_v6_eligible(per_replica)
     assert [_result_tuple(r) for r in execute_plan(per_replica)] == reference
     assert all(r[0] for r in reference)
@@ -661,7 +675,7 @@ def test_per_replica_cases_never_enter_v6(case, monkeypatch):
     calls = _spy_on_v6(monkeypatch)
     graph = clique(12)
     protocols, seeds, kwargs = _PER_REPLICA_CASES[case](graph)
-    plan = compile_plan(protocols, graph, seeds, max_steps=20_000, engine="compiled", **kwargs)
+    plan = compile_plan(protocols, graph, seeds, max_steps=20_000, engine="auto", **kwargs)
     assert not _stack_v6_eligible(plan)
     via_plan = [_result_tuple(r) for r in execute_plan(plan)]
     assert calls == []
@@ -670,6 +684,111 @@ def test_per_replica_cases_never_enter_v6(case, monkeypatch):
         protocols, graph, seeds, max_steps=20_000, engine="reference", **kwargs
     )
     assert via_plan == [_result_tuple(r) for r in execute_plan(reference)]
+
+
+class _PaddedToken(TokenLeaderElection):
+    """The token protocol enumerating more states than a table holds.
+
+    Its six states come first, then padding up to 5,000 states, so its
+    tables fail to build, before any draw.  A key of its own keeps it
+    off the token protocol's cached tables.
+    """
+
+    def enumerate_states(self):
+        padding = range(5000 - len(ALL_TOKEN_STATES))
+        return ALL_TOKEN_STATES + tuple(("padding", index) for index in padding)
+
+    def compile_key(self):
+        return ("padded-token", 5000)
+
+
+#: Ways a run under ``auto`` reaches its tables: each entry builds fresh
+#: ``(seeds, compile_plan kwargs)`` for a graph, next to the mode the
+#: plan resolves to.  An integer seed resolves the tables in
+#: ``compile_plan``; a Generator seed with a trace and a stream override
+#: leave them to the per-replica resolution before the first draw.
+_SEED_KINDS = {
+    "int-seed": (lambda g: ([7], {}), "reference"),
+    "generator-trace": (
+        lambda g: ([np.random.default_rng(7)], {"record_leader_trace": True}),
+        "single",
+    ),
+    "scheduler": (lambda g: ([None], {"scheduler": RandomScheduler(g, rng=7)}), "single"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SEED_KINDS))
+def test_tables_beyond_the_bound_run_on_the_reference_for_every_seed_kind(kind):
+    """A protocol whose tables cannot be built runs on the reference
+    interpreter however its run is seeded: the tables are resolved
+    before the first draw, so falling back changes nothing measured."""
+    assert len(_PaddedToken().enumerate_states()) > DEFAULT_MAX_STATES
+    graph = clique(10)
+    build, mode = _SEED_KINDS[kind]
+    seeds, kwargs = build(graph)
+    plan = compile_plan([_PaddedToken()], graph, seeds, max_steps=20_000, engine="auto", **kwargs)
+    assert plan.mode == mode
+    result = execute_plan(plan)[0]
+    seeds, kwargs = build(graph)
+    reference = execute_plan(
+        compile_plan(
+            [_PaddedToken()], graph, seeds, max_steps=20_000, engine="reference", **kwargs
+        )
+    )[0]
+    assert _result_tuple(result) == _result_tuple(reference)
+    assert result.leader_trace == reference.leader_trace
+    assert result.stabilized
+
+
+class _UnderstatedCounter(PopulationProtocol):
+    """A counter that never stops growing, declaring eight states.
+
+    Its declared size passes every check before the first draw; its
+    tables outgrow :data:`DEFAULT_MAX_STATES` mid-run.
+    """
+
+    name = "understated-counter"
+
+    def initial_state(self, input_symbol=None):
+        return 0
+
+    def transition(self, initiator, responder):
+        return initiator + 1, responder
+
+    def output(self, state):
+        return LEADER if state == 0 else FOLLOWER
+
+    def state_space_size(self):
+        return 8
+
+
+#: Executors that meet the understated protocol's growth mid-run: the v6
+#: stack (an integer seed; the per-replica engine where the kernel is
+#: not built) and the per-replica engine, through a shared plan (a
+#: Generator seed) and through per-replica resolution (a leader trace).
+_MID_RUN_CASES = {
+    "int-seed": (lambda: 3, {}),
+    "generator": (lambda: np.random.default_rng(3), {}),
+    "trace": (lambda: 3, {"record_leader_trace": True}),
+}
+
+
+def test_tables_outgrowing_the_bound_mid_run_raise_on_every_executor():
+    """No run falls back after it has drawn: a protocol that understates
+    its state space raises the same error on every executor."""
+    graph = clique(2)
+    messages = set()
+    for case, (seed_of, kwargs) in _MID_RUN_CASES.items():
+        plan = compile_plan(
+            [_UnderstatedCounter()], graph, [seed_of()], max_steps=100_000,
+            engine="auto", check_interval=1024, **kwargs,
+        )
+        with pytest.raises(ProtocolCompilationError, match="max_states=4096") as raised:
+            execute_plan(plan)
+        messages.add(str(raised.value))
+    assert messages == {
+        "understated-counter: state space exceeds max_states=4096; use the reference engine"
+    }
 
 
 #: Plans the v6 stack serves although no one static table set covers
@@ -688,7 +807,7 @@ _V6_CASES = {
         lambda g: (
             [IdentifierLeaderElection(g.n_nodes)],
             [5],
-            {"schedule": _dynamic_schedule(g), "engine": "auto"},
+            {"schedule": _dynamic_schedule(g)},
         ),
         [1],
     ),
@@ -705,8 +824,7 @@ def test_plans_served_by_v6(case, monkeypatch):
     graph = clique(12)
     build, widths = _V6_CASES[case]
     protocols, seeds, kwargs = build(graph)
-    kwargs.setdefault("engine", "compiled")
-    plan = compile_plan(protocols, graph, seeds, max_steps=50_000, **kwargs)
+    plan = compile_plan(protocols, graph, seeds, max_steps=50_000, engine="auto", **kwargs)
     via_plan = [_result_tuple(r) for r in execute_plan(plan)]
     assert calls == (widths if get_run_epoch_kernel() is not None else [])
     protocols, seeds, kwargs = build(graph)
@@ -722,7 +840,7 @@ class _KeylessToken(TokenLeaderElection):
         return None
 
 
-@pytest.mark.parametrize("engine", ["auto", "compiled"])
+@pytest.mark.parametrize("engine", ["auto"])
 def test_key_groups_return_results_in_replica_order(engine, monkeypatch):
     """Interleaved keys A, B, A, C, B run as one stack per key, and every
     result lands at its replica's index; each ``None``-key replica is a
@@ -780,7 +898,7 @@ def _chain_plan():
     protocol = TokenLeaderElection()
     seeds = [derive_seed(MASTER_SEED, "chain", r) for r in range(7)]
     return compile_plan(
-        [protocol] * len(seeds), graph, seeds, max_steps=50_000, engine="compiled"
+        [protocol] * len(seeds), graph, seeds, max_steps=50_000, engine="auto"
     )
 
 
@@ -791,7 +909,7 @@ def test_v6_requires_kernel_seedable_seeds():
     protocol = TokenLeaderElection()
     seeds = [3, 2**64 + 5, 11]  # >64-bit entropy: NumPy-only seeding
     plan = compile_plan(
-        [protocol] * len(seeds), graph, seeds, max_steps=50_000, engine="compiled"
+        [protocol] * len(seeds), graph, seeds, max_steps=50_000, engine="auto"
     )
     assert plan.mode == "shared" and not _stack_v6_eligible(plan)
     for replica_seed, result in zip(seeds, execute_plan(plan)):
@@ -829,6 +947,6 @@ def test_fallback_chain_simulated_missing_kernels(monkeypatch):
 def test_wall_time_is_reported_per_replica():
     graph = clique(16)
     protocol = TokenLeaderElection()
-    plan = compile_plan([protocol] * 4, graph, list(range(4)), max_steps=50_000, engine="compiled")
+    plan = compile_plan([protocol] * 4, graph, list(range(4)), max_steps=50_000, engine="auto")
     results = execute_plan(plan)
     assert all(result.wall_time_seconds > 0.0 for result in results)

@@ -147,12 +147,12 @@ class TestScenario:
         with pytest.raises(ScenarioError, match=message):
             Scenario.from_config({**tiny_scenario().config_dict(), "backend": backend})
 
-    @pytest.mark.parametrize("engine", ["warp", "native", ""])
+    @pytest.mark.parametrize("engine", ["warp", "native", "", "compiled"])
     def test_unknown_engine_rejected_by_name(self, engine):
         """An ``engine`` outside ``ENGINES`` raises, naming the field and
         the accepted values, through the constructor, ``with_overrides``
         and ``from_config``."""
-        message = f"engine must be one of 'reference', 'compiled', 'auto', got '{engine}'"
+        message = f"engine must be one of 'reference', 'auto', got '{engine}'"
         with pytest.raises(ScenarioError, match=message):
             tiny_scenario(engine=engine)
         with pytest.raises(ScenarioError, match=message):

@@ -247,7 +247,7 @@ class TestSubmissionByName:
 
         reply = run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
         assert reply["type"] == "reject"
-        assert "engine must be one of 'reference', 'compiled', 'auto', got 'warp'" in reply["reason"]
+        assert "engine must be one of 'reference', 'auto', got 'warp'" in reply["reason"]
 
 
 async def _worker_handshake(host, port):

@@ -79,8 +79,26 @@ _PROTOCOLS = {
 }
 
 
+class _TableIdentifier(IdentifierLeaderElection):
+    """The identifier protocol without its kernel rule: at
+    ``identifier_bits <= 8`` its declared state space fits the table
+    bound, so ``engine="auto"`` serves it on transition tables, which
+    discover its states lazily (``k = 8``: no enumeration)."""
+
+    def kernel_rule(self):
+        return None
+
+
+#: Every protocol a plan here can run: the executor matrix's, and the
+#: identifier protocol on lazily discovered tables.
+_FACTORIES = {
+    **_PROTOCOLS,
+    "identifier-tables": lambda graph: _TableIdentifier(graph.n_nodes, identifier_bits=8),
+}
+
+
 def _plan(graph, protocol_kind, seeds, **kwargs):
-    factory = _PROTOCOLS[protocol_kind]
+    factory = _FACTORIES[protocol_kind]
     protocols = [factory(graph) for _ in seeds]
     return compile_plan(protocols, graph, list(seeds), max_steps=5000, **kwargs)
 
@@ -211,9 +229,9 @@ _UNSERVED_CASES = {
     # ``shards`` without workers changes nothing.
     "shards-alone": ("token", {"shards": 4}, {}),
     # Lazy state discovery must never run across processes.
-    "lazy-tables": ("identifier", {"shards": 4, "shard_workers": 2}, {}),
+    "lazy-tables": ("identifier-tables", {"shards": 4, "shard_workers": 2}, {}),
     # The workers apply table entries; the kernel's identifier rule has none.
-    "kernel-rule": ("identifier", {"engine": "auto", "shards": 4, "shard_workers": 2}, {}),
+    "kernel-rule": ("identifier", {"shards": 4, "shard_workers": 2}, {}),
     "pool-disabled": (
         "token",
         {"shards": 4, "shard_workers": 2},
@@ -232,7 +250,7 @@ def test_unserved_shard_plans_run_unsharded_on_v6(case, monkeypatch):
         monkeypatch.setenv(key, value)
     graph = torus(3, 4)
     seeds = [SEED + 750 + index for index in range(3)]
-    plain = _run(_plan(graph, protocol_kind, seeds, engine="compiled"))
+    plain = _run(_plan(graph, protocol_kind, seeds))
 
     partitions = []
     real_init = PartitionedGraph.__init__
@@ -243,7 +261,7 @@ def test_unserved_shard_plans_run_unsharded_on_v6(case, monkeypatch):
 
     v6_widths = _spy_on_v6(monkeypatch)
     monkeypatch.setattr(PartitionedGraph, "__init__", spy_init)
-    plan = _plan(graph, protocol_kind, seeds, **{"engine": "compiled", **dials})
+    plan = _plan(graph, protocol_kind, seeds, **dials)
     if case == "lazy-tables":
         assert not plan.compiled.tables_complete
     if case == "kernel-rule":
@@ -446,9 +464,7 @@ class TestShardWorkerPool:
 
         graph = cycle(9)
         seeds = [SEED + 950]
-        plan = _plan(
-            graph, "identifier", seeds, shards=3, shard_workers=2, engine="compiled"
-        )
+        plan = _plan(graph, "identifier-tables", seeds, shards=3, shard_workers=2)
         fresh = dataclasses.replace(plan, compiled=CompiledProtocol(plan.protocols[0]))
         assert fresh.compiled.tables_complete and not sharded_eligible(fresh)
         execute_plan(plan)  # discovers states lazily, leaving the tables open
