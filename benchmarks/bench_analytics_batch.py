@@ -3,19 +3,21 @@
 The fast protocol's harness cost is dominated by the ``B(G)`` analytics
 floor: ``repetitions × sources`` full epidemic simulations per trial.
 This benchmark measures the replica-batched engine (:mod:`repro.analytics`)
-against the pre-refactor trajectory-serial path — one epidemic at a time,
-re-implemented here verbatim (general-scheduler streams, 8192-interaction
-pre-samples) so the speedup is measured against what the code actually
-did before the refactor.
+against a trajectory-serial path — one epidemic at a time:
 
-Gates (ISSUE 3 acceptance):
+* with the native kernel, one width-1 call of the public
+  :func:`~repro.analytics.epidemics.run_epidemic_batch` per trajectory,
+  on the batched run's own seeds, so the serial and batched estimates
+  are equal;
+* without it, a benchmark-local Python loop over general-scheduler
+  streams (8192-interaction pre-samples), whose estimate agrees with the
+  batched one statistically (independent streams, same estimator and
+  sources).
 
-* clique ``n = 100`` ``B(G)`` estimate: **≥ 3×** speedup with the native
-  kernel (``repro_broadcast_epoch``), **≥ 2×** on the no-compiler NumPy
-  fallback;
-* the serial and batched estimates agree statistically (independent
-  streams, same estimator/sources).  Bit-identity across replica-batch
-  widths and execution paths is pinned by ``tests/test_analytics_batch.py``.
+Gates: clique ``n = 100`` ``B(G)`` estimate, **≥ 3×** speedup with the
+native kernel (``repro_broadcast_epoch``), **≥ 2×** on the no-compiler
+NumPy fallback.  Bit-identity across replica-batch widths and execution
+paths is pinned by ``tests/test_analytics_batch.py``.
 
 Batched hitting/meeting-time timings are reported alongside (no gate).
 """
@@ -27,9 +29,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.analytics.epidemics import BUDGET_EXHAUSTED, run_epidemic_batch
 from repro.analytics.estimators import broadcast_trajectory_seed, select_sources
 from repro.core.scheduler import RandomScheduler
-from repro.engine.native import get_broadcast_kernel, get_broadcast_epoch_kernel, reset_kernel_cache
+from repro.engine.native import get_broadcast_epoch_kernel, reset_kernel_cache
 from repro.experiments import render_table
 from repro.graphs import clique
 from repro.propagation import broadcast_time_estimate
@@ -45,38 +48,20 @@ BASE_SEED = 42
 
 
 def _serial_single_source(graph, source, seed, max_steps):
-    """The pre-refactor trajectory-serial epidemic (PR 1's hot loop, verbatim).
+    """One trajectory-serial epidemic: completion step, or ``None``.
 
-    One trajectory at a time on a general-scheduler stream: per-trajectory
-    scheduler construction, 8192-interaction pre-samples, one kernel call
-    (or Python loop) per block — every overhead is paid per trajectory.
+    With the native kernel, one width-1 call of the public batched entry
+    point on the trajectory's own seed.  Without it, a general-scheduler
+    stream with per-trajectory scheduler construction and
+    8192-interaction pre-samples feeding a Python loop — every overhead
+    is paid per trajectory.
     """
-    import ctypes
-
+    if get_broadcast_epoch_kernel() is not None:
+        (steps,) = run_epidemic_batch(graph, [source], [seed], max_steps)
+        return None if steps == BUDGET_EXHAUSTED else int(steps)
     n = graph.n_nodes
     scheduler = RandomScheduler(graph, rng=np.random.default_rng(seed))
-    kernel = get_broadcast_kernel()
     step = 0
-    if kernel is not None:
-        informed = np.zeros(n, dtype=np.uint8)
-        informed[source] = 1
-        count = ctypes.c_int64(1)
-        while step < max_steps:
-            batch = min(8192, max_steps - step)
-            # The v5 block takes int64 node ids; the scheduler's are int32.
-            initiators, responders = (a.astype(np.int64) for a in scheduler.next_arrays(batch))
-            consumed = kernel(
-                informed.ctypes.data,
-                initiators.ctypes.data,
-                responders.ctypes.data,
-                batch,
-                n,
-                ctypes.byref(count),
-            )
-            step += int(consumed)
-            if count.value == n:
-                return step
-        return None
     informed = np.zeros(n, dtype=bool)
     informed[source] = True
     informed_count = 1
@@ -119,12 +104,16 @@ def _measure(graph):
         graph, repetitions=REPETITIONS, max_sources=MAX_SOURCES, rng=BASE_SEED
     )
     batched_seconds = time.perf_counter() - start
-    # Same estimator, same source sample, independent streams: the two
-    # B(G) estimates (max of 24 means of 8 samples each) must agree
-    # statistically.  Bit-level invariances are covered by
-    # tests/test_analytics_batch.py.
     assert set(batched.per_source) == set(serial_per_source)
-    assert batched.value == pytest.approx(serial_value, rel=0.2)
+    if get_broadcast_epoch_kernel() is not None:
+        # Width-1 calls on the batched run's seeds: the same epidemics.
+        assert batched.per_source == serial_per_source
+        assert batched.value == serial_value
+    else:
+        # Same estimator and source sample, independent streams: the two
+        # B(G) estimates (max of 24 means of 8 samples each) must agree
+        # statistically.
+        assert batched.value == pytest.approx(serial_value, rel=0.2)
     return serial_seconds, batched_seconds, batched.value
 
 

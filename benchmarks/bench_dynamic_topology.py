@@ -7,13 +7,14 @@ Two questions, one workload (epidemics on a dynamic clique-100):
    switches topology every few hundred steps forces every wave through
    extra table swaps.  The gate requires the batched path to stay
    **≥ 4×** (native kernel; ≥ 2× on the no-compiler NumPy fallback) over
-   the *trajectory-serial* path: one epidemic at a time through the
-   simulator-grade :class:`~repro.dynamics.scheduler.DynamicScheduler` —
-   the path a dynamic workload would take without the batched analytics
-   engine, mirroring how ``bench_analytics_batch.py`` defines its static
-   baseline.  Serial and batched use independent (differently defined)
-   streams, so the gate also checks the two estimates agree
-   statistically; bit-level invariances (replica-width, execution path)
+   the *trajectory-serial* path, one epidemic at a time, defined as in
+   ``bench_analytics_batch.py``: with the native kernel, one width-1 call
+   of the public :func:`~repro.analytics.epidemics.run_epidemic_batch`
+   per trajectory on the batched run's own seeds, so serial and batched
+   results are equal; without it, a benchmark-local Python loop over the
+   simulator-grade :class:`~repro.dynamics.scheduler.DynamicScheduler`,
+   whose independent streams must agree with the batched ones
+   statistically.  Bit-level invariances (replica-width, execution path)
    are pinned by ``tests/test_dynamics.py``.
 
 2. **What does dynamism cost?**  A single-epoch (static) schedule must
@@ -27,20 +28,15 @@ trajectory crosses several epoch boundaries before finishing.
 
 from __future__ import annotations
 
-import ctypes
 import time
 
 import numpy as np
 import pytest
 
 from repro.analytics.estimators import broadcast_trajectory_seed, select_sources
-from repro.analytics.epidemics import run_epidemic_batch
+from repro.analytics.epidemics import BUDGET_EXHAUSTED, run_epidemic_batch
 from repro.dynamics import DynamicScheduler, EpochSchedule, StaticSchedule
-from repro.engine.native import (
-    get_broadcast_kernel,
-    get_broadcast_epoch_kernel,
-    reset_kernel_cache,
-)
+from repro.engine.native import get_broadcast_epoch_kernel, reset_kernel_cache
 from repro.experiments import render_table
 from repro.graphs import clique, cycle
 from repro.propagation.broadcast import default_broadcast_budget
@@ -65,37 +61,20 @@ def _trajectory_plan(graph):
     return plan_sources, plan_seeds
 
 
-def _serial_single_source(schedule, source, seed, max_steps):
-    """One dynamic epidemic on the simulator-grade scheduler path.
+def _serial_single_source(graph, schedule, source, seed, max_steps):
+    """One trajectory-serial dynamic epidemic: completion step, or ``None``.
 
-    ``DynamicScheduler`` blocks (epoch-clipped internally) feed either
-    the single-replica C kernel or a plain Python spread loop — exactly
+    With the native kernel, one width-1 call of the public batched entry
+    point on the trajectory's own seed.  Without it, ``DynamicScheduler``
+    blocks (epoch-clipped internally) feed a plain Python spread loop —
     the structure a caller without the batched engine would write.
     """
+    if get_broadcast_epoch_kernel() is not None:
+        (steps,) = run_epidemic_batch(graph, [source], [seed], max_steps, schedule=schedule)
+        return None if steps == BUDGET_EXHAUSTED else int(steps)
     n = schedule.n_nodes
     scheduler = DynamicScheduler(schedule, rng=np.random.default_rng(seed))
-    kernel = get_broadcast_kernel()
     step = 0
-    if kernel is not None:
-        informed = np.zeros(n, dtype=np.uint8)
-        informed[source] = 1
-        count = ctypes.c_int64(1)
-        while step < max_steps:
-            batch = min(1024, max_steps - step)
-            # The v5 block takes int64 node ids; the scheduler's are int32.
-            initiators, responders = (a.astype(np.int64) for a in scheduler.next_arrays(batch))
-            consumed = kernel(
-                informed.ctypes.data,
-                initiators.ctypes.data,
-                responders.ctypes.data,
-                batch,
-                n,
-                ctypes.byref(count),
-            )
-            step += int(consumed)
-            if count.value == n:
-                return step
-        return None
     informed = np.zeros(n, dtype=bool)
     informed[source] = True
     informed_count = 1
@@ -119,13 +98,13 @@ def _measure_dynamic(graph, schedule, budget):
 
     # Untimed warm-up of both paths: kernel compilation and the
     # epoch-graph cache land outside the measurement.
-    _serial_single_source(schedule, plan_sources[0], plan_seeds[0], budget)
+    _serial_single_source(graph, schedule, plan_sources[0], plan_seeds[0], budget)
     run_epidemic_batch(graph, plan_sources[:2], plan_seeds[:2], budget, schedule=schedule)
 
     start = time.perf_counter()
     serial = np.array(
         [
-            _serial_single_source(schedule, source, seed, budget)
+            _serial_single_source(graph, schedule, source, seed, budget)
             for source, seed in zip(plan_sources, plan_seeds)
         ],
         dtype=np.float64,
@@ -145,9 +124,13 @@ def _measure_dynamic(graph, schedule, budget):
 
     assert (batched >= 0).all(), "batched epidemic exhausted its budget"
     assert not np.isnan(serial).any(), "serial epidemic exhausted its budget"
-    # Independent streams, same process: the mean completion times must
-    # agree statistically (they average 192 trajectories each).
-    assert float(batched.mean()) == pytest.approx(float(serial.mean()), rel=0.2)
+    if get_broadcast_epoch_kernel() is not None:
+        # Width-1 calls on the batched run's seeds: the same epidemics.
+        assert (serial == batched).all(), "width-1 calls diverged from the batched run"
+    else:
+        # Independent streams, same process: the mean completion times
+        # must agree statistically (they average 192 trajectories each).
+        assert float(batched.mean()) == pytest.approx(float(serial.mean()), rel=0.2)
     return serial_seconds, batched_seconds, serial, batched
 
 

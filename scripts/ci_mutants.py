@@ -689,22 +689,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "",
         STEP_ZERO,
     ),
-    # -- Two engines, one table bound: tables resolve before any draw --
-    Mutant(
-        "single-mode-compile-failure-propagates",
-        EXECUTE,
-        "        try:\n"
-        "            compiled = get_compiled(protocol)\n"
-        "        except ProtocolCompilationError:\n"
-        "            pass\n"
-        "        else:\n"
-        "            return _run_compiled_single(plan, protocol, seed, compiled)\n",
-        "        return _run_compiled_single(plan, protocol, seed, get_compiled(protocol))\n",
-        (
-            "tests/test_runtime_plan.py::"
-            "test_tables_beyond_the_bound_run_on_the_reference_for_every_seed_kind",
-        ),
-    ),
+    # -- Two engines, one table bound, checked before any table is built
     Mutant(
         "worthwhile-ignores-table-bound",
         "src/repro/engine/compiler.py",
@@ -713,6 +698,37 @@ MUTANTS: Tuple[Mutant, ...] = (
         (
             "tests/test_engine_compiler.py::TestCompilationCache::"
             "test_compilation_worthwhile_heuristic",
+        ),
+    ),
+    Mutant(
+        "worthwhile-ignores-enumeration-size",
+        "src/repro/engine/compiler.py",
+        "        return len(enumeration) <= DEFAULT_MAX_STATES\n",
+        "        return True\n",
+        ("tests/test_runtime_plan.py::test_tables_beyond_the_bound_are_never_built",),
+    ),
+    # -- One sweep path; the service degrades to in-process execution
+    Mutant(
+        "scaling-series-rows-spec-major",
+        "src/repro/experiments/figures.py",
+        "    for size_index in range(len(scenario.sizes)):\n"
+        "        for sweep in sweeps:\n",
+        "    for sweep in sweeps:\n"
+        "        for size_index in range(len(scenario.sizes)):\n",
+        (
+            "tests/test_figures.py::TestStabilizationSeries::"
+            "test_rows_are_the_per_cell_measurements_size_by_size",
+        ),
+    ),
+    Mutant(
+        "degrade-watchdog-never-executes",
+        "src/repro/service/server.py",
+        "                await self._send_event(task, \"running\")\n"
+        "                await self._execute_task_locally(task)\n",
+        "                await self._send_event(task, \"running\")\n",
+        (
+            "tests/test_service.py::TestResiliencePaths::"
+            "test_empty_pool_degrades_to_in_process_execution",
         ),
     ),
 )

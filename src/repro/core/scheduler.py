@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Tuple
 
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
-from ..runtime.source import REFILL_SIZE, InteractionSource
+from ..runtime.source import InteractionSource
 
 Interaction = Tuple[int, int]
 
@@ -57,12 +57,10 @@ class RandomScheduler(InteractionSource, Scheduler):
         The interaction graph.
     rng:
         Seed or :class:`numpy.random.Generator` for reproducibility.
-    batch_size:
-        Number of interactions pre-sampled per numpy call.
     """
 
-    def __init__(self, graph: Graph, rng: RngLike = None, batch_size: int = REFILL_SIZE) -> None:
-        super().__init__(graph, rng=rng, batch_size=batch_size)
+    def __init__(self, graph: Graph, rng: RngLike = None) -> None:
+        super().__init__(graph, rng=rng)
         self._graph = graph
 
     @property

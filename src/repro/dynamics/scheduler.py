@@ -33,7 +33,7 @@ from __future__ import annotations
 from ..core.scheduler import Scheduler
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
-from ..runtime.source import REFILL_SIZE, InteractionSource
+from ..runtime.source import InteractionSource
 from .schedule import TopologySchedule
 
 
@@ -46,18 +46,10 @@ class DynamicScheduler(InteractionSource, Scheduler):
         The time-varying topology to sample from.
     rng:
         Seed or :class:`numpy.random.Generator` for reproducibility.
-    batch_size:
-        Pre-sample size per numpy refill (shared with the static
-        scheduler's seeded-stream definition).
     """
 
-    def __init__(
-        self,
-        schedule: TopologySchedule,
-        rng: RngLike = None,
-        batch_size: int = REFILL_SIZE,
-    ) -> None:
-        super().__init__(schedule, rng=rng, batch_size=batch_size)
+    def __init__(self, schedule: TopologySchedule, rng: RngLike = None) -> None:
+        super().__init__(schedule, rng=rng)
 
     @property
     def schedule(self) -> TopologySchedule:

@@ -34,10 +34,11 @@ When state discovery outgrows the current stride the tables are re-packed
 to the next power of two, up to ``max_states``; beyond that the compiler
 raises :class:`ProtocolCompilationError`.  Every cached table set
 (:func:`get_compiled`) has the one bound :data:`DEFAULT_MAX_STATES`.
-Executors resolve a run's tables before its first draw: a protocol
-whose tables cannot be built runs on the reference interpreter, and
-tables that outgrow the bound mid-run (a protocol that understates its
-state space) raise.
+Executors resolve a run's tables before its first draw, and build them
+only for a protocol whose enumeration (or, without one, declared state
+space) fits that bound (:func:`compilation_worthwhile`); any other
+protocol runs on the reference interpreter.  Tables that outgrow the
+bound anyway (a protocol that understates its state space) raise.
 """
 
 from __future__ import annotations
@@ -336,9 +337,11 @@ def compilation_worthwhile(protocol: PopulationProtocol) -> bool:
     for a protocol with a huge state universe and no enumeration hook
     (e.g. the identifier protocol at full width) lazy pair discovery can
     cost more than a short interpreted run saves.  Compilation is
-    considered worthwhile when the state space is known to be enumerable
-    or fits :data:`DEFAULT_MAX_STATES`.  ``compile_plan`` consults it only
-    for protocols whose plan does not run on a kernel rule.
+    considered worthwhile when the protocol's enumeration, or without
+    one its declared state space, fits :data:`DEFAULT_MAX_STATES`, so
+    the tables of a worthwhile protocol always build.  ``compile_plan``
+    consults it only for protocols whose plan does not run on a kernel
+    rule.
 
     Instances with equal ``compile_key`` share one answer, memoised until
     :func:`clear_compilation_cache`: the enumeration it looks at (136
@@ -357,7 +360,8 @@ def compilation_worthwhile(protocol: PopulationProtocol) -> bool:
 
 
 def _enumerable_within(protocol: PopulationProtocol) -> bool:
-    if protocol.enumerate_states() is not None:
-        return True
+    enumeration = protocol.enumerate_states()
+    if enumeration is not None:
+        return len(enumeration) <= DEFAULT_MAX_STATES
     size = protocol.state_space_size()
     return size is not None and size <= DEFAULT_MAX_STATES

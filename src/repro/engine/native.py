@@ -10,9 +10,8 @@ One shared object holds every native entry point:
   ``repro_pcg64_raw``, ``repro_bounded_fill``, ``repro_source_fill``),
   which start from seeds :mod:`repro.core.seeds` has already derived in
   Python and handed over as ``uint64`` words;
-* two block functions fed pre-drawn pairs from Python: the shard-worker
-  pool's ``repro_run_shard_block`` and the stand-in serial baselines'
-  ``repro_broadcast_block``;
+* one block function fed pre-drawn pairs from Python, the shard-worker
+  pool's ``repro_run_shard_block``;
 * the graph layer's ``repro_edge_pass``, one pass over a graph's edges
   that orients and checks them, fills its endpoint buffer and degrees,
   and counts its components with a union-find (behind every
@@ -50,9 +49,9 @@ from typing import Sequence, Tuple
 #: Compiler flags of every kernel build (``REPRO_KERNEL_CFLAGS`` appends).
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 
-#: The v5 function set: shard-local runs and the single-epidemic block,
-#: both fed pre-drawn pairs from Python as ``int64`` node ids (the graph
-#: layer's are ``int32``; their callers widen at the call).
+#: The v5 function set: shard-local runs, fed pre-drawn pairs from
+#: Python as ``int64`` node ids (the graph layer's are ``int32``; the
+#: caller widens at the call).
 _KERNEL_SOURCE_V5 = r"""
 #include <stdint.h>
 
@@ -113,41 +112,6 @@ int64_t repro_run_shard_block(int64_t *codes,
     }
     *last_change_io = last;
     *leaders_io = leaders;
-    return i;
-}
-
-/* One block of the single-source epidemic on pre-drawn pairs (served only
- * to the trajectory-serial baselines of the analytics benchmarks).
- *
- * Spreads the informed flag across interactions until either the block is
- * exhausted or all n nodes are informed.  Returns the number of
- * interactions consumed; *count_io holds the updated informed count.
- */
-int64_t repro_broadcast_block(uint8_t *informed,
-                              const int64_t *iu,
-                              const int64_t *iv,
-                              int64_t nsteps,
-                              int64_t n,
-                              int64_t *count_io)
-{
-    int64_t count = *count_io;
-    int64_t i;
-    for (i = 0; i < nsteps; i++) {
-        int64_t u = iu[i];
-        int64_t v = iv[i];
-        uint8_t a = informed[u];
-        uint8_t b = informed[v];
-        if (a != b) {
-            informed[u] = 1;
-            informed[v] = 1;
-            count++;
-            if (count == n) {
-                i++;
-                break;
-            }
-        }
-    }
-    *count_io = count;
     return i;
 }
 """
@@ -1431,16 +1395,6 @@ def _bind_kernels(library):
         ctypes.POINTER(ctypes.c_int64),  # last_change_io
         ctypes.POINTER(ctypes.c_int64),  # leaders_io
     ]
-    broadcast_block = library.repro_broadcast_block
-    broadcast_block.restype = ctypes.c_int64
-    broadcast_block.argtypes = [
-        ctypes.c_void_p,  # informed
-        ctypes.c_void_p,  # iu
-        ctypes.c_void_p,  # iv
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.POINTER(ctypes.c_int64),  # count_io
-    ]
     edge_pass = library.repro_edge_pass
     edge_pass.restype = ctypes.c_int64
     edge_pass.argtypes = [
@@ -1465,7 +1419,6 @@ def _bind_kernels(library):
     ]
     kernels = {
         "run_shard_block": run_shard_block,
-        "broadcast_block": broadcast_block,
         "edge_pass": edge_pass,
         "eccentricities": eccentricities,
         **_bind_v6(library),
@@ -1492,12 +1445,6 @@ def get_run_shard_kernel():
     """The shard-local block-run entry point (explicit step array), or ``None``."""
     kernels = _kernels()
     return None if kernels is None else kernels["run_shard_block"]
-
-
-def get_broadcast_kernel():
-    """The compiled single-source-epidemic entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["broadcast_block"]
 
 
 def get_run_epoch_kernel():

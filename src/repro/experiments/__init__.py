@@ -28,7 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "measurement_from_records",
             "run_measurement_trials",
             "star_protocol_spec",
-            "sweep_protocol_over_sizes",
             "token_protocol_spec",
             "trial_record_from_result",
         ),

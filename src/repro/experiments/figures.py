@@ -7,6 +7,10 @@ usage vs size per protocol.  This module produces those series as plain
 lists of dictionaries — ready to be dumped to CSV (:func:`write_csv`) or
 rendered with any plotting tool — and is what the `repro-popsim`-driven
 reproducibility workflow uses to archive raw numbers behind EXPERIMENTS.md.
+
+The stabilization series is a size sweep and runs through
+:func:`repro.orchestration.run_scenario`, as the Table 1 row groups do; the
+broadcast and hitting-time series measure one graph per size directly.
 """
 
 from __future__ import annotations
@@ -20,12 +24,7 @@ from ..analysis.scaling import fit_power_law
 from ..core.seeds import graph_seed, measure_seed
 from ..propagation.broadcast import broadcast_time_estimate
 from ..walks.classic import worst_case_hitting_time
-from .harness import (
-    ProtocolSpec,
-    default_protocol_specs,
-    default_step_budget,
-    measure_protocol_on_graph,
-)
+from .harness import ProtocolSpec, default_protocol_specs
 from .workloads import get_workload
 
 PathLike = Union[str, Path]
@@ -43,30 +42,34 @@ def stabilization_scaling_series(
     """Stabilization steps vs population size for every protocol.
 
     Returns one row per (protocol, size) with mean/q90 steps, success rate
-    and observed state counts — the raw data behind a Table 1 row group.
+    and observed state counts — the raw data behind a Table 1 row group —
+    size by size, each size's rows in ``specs`` order.  The sweep is one
+    uncached scenario, ``series-<family>``, run through
+    :func:`repro.orchestration.run_scenario`.
     """
-    workload = get_workload(family)
-    if specs is None:
-        specs = default_protocol_specs()
+    from ..orchestration import Scenario, run_scenario
+
+    scenario = Scenario.from_specs(
+        name=f"series-{family}",
+        workload=family,
+        sizes=sizes,
+        specs=default_protocol_specs() if specs is None else specs,
+        repetitions=repetitions,
+        seed=seed,
+        step_budget_multiplier=step_budget_multiplier,
+        engine=engine,
+    )
+    sweeps = run_scenario(scenario, cache=False).sweeps
     rows: List[Dict[str, object]] = []
-    for index, size in enumerate(sizes):
-        graph = workload.build(size, seed=graph_seed(seed, index))
-        budget = default_step_budget(graph, multiplier=step_budget_multiplier)
-        for spec in specs:
-            measurement = measure_protocol_on_graph(
-                spec,
-                graph,
-                repetitions=repetitions,
-                seed=measure_seed(seed, index),
-                max_steps=budget,
-                engine=engine,
-            )
+    for size_index in range(len(scenario.sizes)):
+        for sweep in sweeps:
+            measurement = sweep.measurements[size_index]
             rows.append(
                 {
                     "family": family,
-                    "protocol": spec.name,
-                    "n": graph.n_nodes,
-                    "m": graph.n_edges,
+                    "protocol": sweep.protocol_name,
+                    "n": measurement.n_nodes,
+                    "m": measurement.n_edges,
                     "mean_steps": measurement.stabilization_steps.mean,
                     "q90_steps": measurement.stabilization_steps.q90,
                     "success_rate": measurement.success_rate,

@@ -1,13 +1,18 @@
-"""Experiment harness: repeated measurements, sweeps and scaling fits.
+"""Experiment harness: repeated measurements, sweep results and scaling fits.
 
 This is the layer the benchmarks and the CLI are built on.  It knows how to
 
 * instantiate each of the paper's protocols for a given graph (the fast
   protocol needs a broadcast-time estimate, the identifier protocol needs
   ``n``),
-* run repeated leader-election measurements and aggregate them,
-* sweep a workload over a range of population sizes and fit the measured
-  stabilization times to a power law for comparison against Table 1.
+* run repeated leader-election measurements on one graph and aggregate
+  them,
+* hold a protocol's measurements across population sizes
+  (:class:`SweepResult`) and fit the measured stabilization times to a
+  power law for comparison against Table 1.
+
+Size sweeps run through :func:`repro.orchestration.run_scenario`, which
+derives every size's graph seed, measurement seed and step budget.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..analysis.estimators import SummaryStatistics, summarize_samples
 from ..analysis.scaling import PowerLawFit, fit_power_law
 from ..core.protocol import PopulationProtocol
-from ..core.seeds import graph_seed, measure_seed, trial_seeds
+from ..core.seeds import trial_seeds
 from ..core.simulator import SimulationResult, default_max_steps
 from ..graphs.graph import Graph
 from ..propagation.broadcast import broadcast_time_estimate
@@ -32,7 +37,6 @@ from ..protocols.fast import FastLeaderElection
 from ..protocols.identifier import IdentifierLeaderElection
 from ..protocols.star import StarLeaderElection
 from ..protocols.tokens import TokenLeaderElection
-from .workloads import Workload
 
 ProtocolFactory = Callable[[Graph, Optional[int]], PopulationProtocol]
 ProtocolBatchFactory = Callable[
@@ -48,7 +52,9 @@ class ProtocolSpec:
     plus the keyword arguments that produced it.  The orchestrator
     (:mod:`repro.orchestration`) ships this plain data to worker processes
     and hashes it into scenario cache keys; specs constructed from a raw
-    factory (``spec_config=None``) cannot be orchestrated or cached.
+    factory (``spec_config=None``) cannot be orchestrated, so they can be
+    measured on one graph (:func:`measure_protocol_on_graph`) but not
+    swept over sizes.
 
     ``batch_factory``, when present, instantiates one protocol per trial
     seed in a single call and MUST produce, for each seed, exactly the
@@ -465,45 +471,6 @@ class SweepResult:
                 f"pairs: {bad}"
             )
         return fit_power_law(actual_sizes, means, log_exponent=log_exponent)
-
-
-def sweep_protocol_over_sizes(
-    spec: ProtocolSpec,
-    workload: Workload,
-    sizes: Sequence[int],
-    repetitions: int = 3,
-    seed: int = 0,
-    max_steps_fn: Optional[Callable[[Graph], int]] = None,
-    engine: str = "auto",
-) -> SweepResult:
-    """Measure a protocol on a workload for each population size in ``sizes``.
-
-    Size index ``i`` builds its graph with ``graph_seed(seed, i)`` and
-    measures with base seed ``measure_seed(seed, i)`` (see
-    :mod:`repro.core.seeds`) — the same derivation the parallel
-    orchestrator uses, so orchestrated sweeps reproduce this function's
-    measurements exactly.
-    """
-    measurements: List[Measurement] = []
-    for index, size in enumerate(sizes):
-        graph = workload.build(size, seed=graph_seed(seed, index))
-        max_steps = max_steps_fn(graph) if max_steps_fn is not None else None
-        measurements.append(
-            measure_protocol_on_graph(
-                spec,
-                graph,
-                repetitions=repetitions,
-                seed=measure_seed(seed, index),
-                max_steps=max_steps,
-                engine=engine,
-            )
-        )
-    return SweepResult(
-        protocol_name=spec.name,
-        workload_name=workload.name,
-        sizes=list(sizes),
-        measurements=measurements,
-    )
 
 
 def compare_protocols_on_graph(

@@ -9,6 +9,10 @@ of one row group: for every protocol a sweep over population sizes, the
 fitted growth exponent, and the analytic quantity the paper parameterises
 the bound with (``B(G)``, ``H(G)``, conductance) so the two can be printed
 side by side.
+
+The sweeps run through :func:`repro.orchestration.run_scenario`, the
+package's one size-sweep entry point: a row group is one scenario, and
+this module only turns its sweeps into rows.
 """
 
 from __future__ import annotations
@@ -27,12 +31,9 @@ from .harness import (
     ProtocolSpec,
     SweepResult,
     default_protocol_specs,
-    default_step_budget,
     star_protocol_spec,
-    sweep_protocol_over_sizes,
 )
 from .reporting import render_table
-from .workloads import Workload, get_workload
 
 
 @dataclass
@@ -140,78 +141,19 @@ def run_table1_family(
         by default here because benchmarks call this driver to *measure*
         wall-clock.
 
-    The sweep itself runs through the orchestration layer
-    (:mod:`repro.orchestration`) when every spec is declarative (all the
-    bundled spec builders are); raw-factory specs fall back to the
-    in-process harness loop, which only supports ``jobs=1``.
+    The sweep runs as one scenario, ``table1-<family>``, through
+    :func:`repro.orchestration.run_scenario`, so every spec must be
+    declarative (every bundled spec is): a spec built from a raw factory
+    is refused with a :class:`~repro.orchestration.scenario.ScenarioError`
+    naming it.
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes for a scaling fit")
-    workload = get_workload(family)
+    from ..orchestration import Scenario, run_scenario
+    from ..orchestration.runner import scenario_graph
+
     if specs is None:
         specs = default_protocol_specs()
-    sweeps = _run_family_sweeps(
-        family,
-        sizes,
-        specs,
-        repetitions,
-        seed,
-        step_budget_multiplier,
-        engine,
-        jobs,
-        cache,
-        cache_dir,
-    )
-    rows = [
-        _row_from_sweep(family, spec, sweep) for spec, sweep in zip(specs, sweeps)
-    ]
-    from ..core.seeds import graph_seed
-
-    reference_graph = workload.build(sizes[-1], seed=graph_seed(seed, len(sizes) - 1))
-    return Table1RowGroup(
-        family=family,
-        rows=rows,
-        graph_parameters=graph_parameters_for(reference_graph, seed=seed),
-    )
-
-
-def _run_family_sweeps(
-    family: str,
-    sizes: Sequence[int],
-    specs: Sequence[ProtocolSpec],
-    repetitions: int,
-    seed: int,
-    step_budget_multiplier: float,
-    engine: str,
-    jobs: int,
-    cache: bool,
-    cache_dir: Optional[str],
-) -> List[SweepResult]:
-    """One sweep per spec, via the orchestrator when the specs allow it."""
-    declarative = all(spec.spec_config is not None for spec in specs)
-    if not declarative:
-        if jobs != 1 or cache:
-            raise ValueError(
-                "jobs > 1 / cache=True require declarative protocol specs "
-                "(built via the token/identifier/fast/star spec builders)"
-            )
-        workload = get_workload(family)
-        return [
-            sweep_protocol_over_sizes(
-                spec,
-                workload,
-                sizes,
-                repetitions=repetitions,
-                seed=seed,
-                max_steps_fn=lambda graph: default_step_budget(
-                    graph, multiplier=step_budget_multiplier
-                ),
-                engine=engine,
-            )
-            for spec in specs
-        ]
-    from ..orchestration import Scenario, run_scenario
-
     scenario = Scenario.from_specs(
         name=f"table1-{family}",
         workload=family,
@@ -222,7 +164,17 @@ def _run_family_sweeps(
         step_budget_multiplier=step_budget_multiplier,
         engine=engine,
     )
-    return run_scenario(scenario, jobs=jobs, cache=cache, cache_dir=cache_dir).sweeps
+    sweeps = run_scenario(scenario, jobs=jobs, cache=cache, cache_dir=cache_dir).sweeps
+    rows = [
+        _row_from_sweep(family, spec, sweep) for spec, sweep in zip(specs, sweeps)
+    ]
+    return Table1RowGroup(
+        family=family,
+        rows=rows,
+        graph_parameters=graph_parameters_for(
+            scenario_graph(scenario, len(sizes) - 1), seed=seed
+        ),
+    )
 
 
 def _row_from_sweep(family: str, spec: ProtocolSpec, sweep: SweepResult) -> Table1Row:

@@ -25,10 +25,12 @@ and a graph built from ``graph_seed(seed, i)`` (see
 config, unit bounds).  Shard boundaries, worker counts and cache state
 therefore change *where* a trial executes, never its result, and the
 aggregate of any execution plan equals the serial plan's byte for byte
-(:meth:`ScenarioResult.canonical_json`).  The serial path and
-:func:`~repro.experiments.harness.sweep_protocol_over_sizes` share the
-same derivation, so orchestrated sweeps also match direct harness calls
-measurement for measurement.
+(:meth:`ScenarioResult.canonical_json`).  This module is the only
+place those per-size seeds and step budgets are derived: every size
+sweep, the Table 1 row groups and scaling series included, runs through
+:func:`run_scenario`, and each cell's measurement equals
+:func:`~repro.experiments.harness.measure_protocol_on_graph` on that
+cell's graph, seed and budget.
 
 Worker processes are started with the ``fork`` method where the platform
 offers it: the parent compiles each protocol's transition tables once and
@@ -133,6 +135,15 @@ def _cached_graph(workload: str, size: int, seed: int) -> Graph:
         graph = get_workload(workload).build(size, seed=seed)
         _GRAPH_CACHE[key] = graph
     return graph
+
+
+def scenario_graph(scenario: Scenario, size_index: int) -> Graph:
+    """The graph of the scenario's size cell ``size_index`` (memoised)."""
+    return _cached_graph(
+        scenario.workload,
+        scenario.sizes[size_index],
+        graph_seed(scenario.seed, size_index),
+    )
 
 
 @dataclass(frozen=True)
@@ -380,7 +391,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 def _warm_compilation_cache(plans: Sequence[UnitPlan]) -> None:
     """Compile each pending protocol's tables once before forking workers."""
-    from ..engine.compiler import ProtocolCompilationError, compilation_worthwhile, get_compiled
+    from ..engine.compiler import compilation_worthwhile, get_compiled
 
     seen: set = set()
     for plan in plans:
@@ -390,12 +401,8 @@ def _warm_compilation_cache(plans: Sequence[UnitPlan]) -> None:
         seen.add(cell)
         graph = plan.build_graph()
         protocol = plan.build_spec().factory(graph, plan.run_seeds[0])
-        if not compilation_worthwhile(protocol):
-            continue
-        try:
+        if compilation_worthwhile(protocol):
             get_compiled(protocol)
-        except ProtocolCompilationError:
-            pass
 
 
 @dataclass
@@ -581,10 +588,7 @@ def aggregate_unit_payloads(
     local run uses — the byte-identity invariant rests on this.
     """
     specs = scenario.protocol_specs()
-    graphs = [
-        _cached_graph(scenario.workload, size, graph_seed(scenario.seed, index))
-        for index, size in enumerate(scenario.sizes)
-    ]
+    graphs = [scenario_graph(scenario, index) for index in range(len(scenario.sizes))]
     by_cell: Dict[Tuple[int, int], List[WorkUnit]] = {}
     for unit in units:
         by_cell.setdefault((unit.spec_index, unit.size_index), []).append(unit)

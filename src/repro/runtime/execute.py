@@ -42,9 +42,10 @@ plan, from the plan's inputs alone:
   declines to compile (among them a kernel-rule protocol whose plan the
   v6 stack cannot take: :func:`~repro.runtime.plan.compile_plan` picks
   a kernel rule only for plans the stack serves, so a rule plan never
-  reaches the per-replica engine), and for replicas whose tables cannot
-  be built.  Tables that outgrow their bound mid-run raise on every
-  executor: nothing falls back after a replica has drawn.
+  reaches the per-replica engine) and for protocols whose tables would
+  not fit their bound.  Tables that outgrow their bound anyway raise on
+  every executor: nothing falls back from tables it has started to
+  build.
 
 A plan whose replicas carry different ``compile_key``s (the fast
 protocol's per-trial ``B(G)`` calibration) runs each key group as a plan
@@ -183,18 +184,13 @@ def _execute_single(plan: ExecutionPlan, index: int) -> "SimulationResult":
         return _run_compiled_single(plan, protocol, seed, plan.compiled)
 
     # mode == "single": the replica's tables are resolved before its
-    # first draw, so one that cannot be built leaves the whole run to
-    # the reference interpreter.
-    from ..engine.compiler import ProtocolCompilationError, compilation_worthwhile, get_compiled
+    # first draw; a protocol whose tables would not fit the bound runs
+    # on the reference interpreter.
+    from ..engine.compiler import compilation_worthwhile, get_compiled
 
     scheduler_ok = plan.scheduler is None or hasattr(plan.scheduler, "next_arrays")
     if scheduler_ok and compilation_worthwhile(protocol):
-        try:
-            compiled = get_compiled(protocol)
-        except ProtocolCompilationError:
-            pass
-        else:
-            return _run_compiled_single(plan, protocol, seed, compiled)
+        return _run_compiled_single(plan, protocol, seed, get_compiled(protocol))
     return _run_reference(plan, protocol, seed)
 
 

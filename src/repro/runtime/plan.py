@@ -26,20 +26,20 @@ anything.
   no stream override, no trace), at any width including 1, for a
   protocol that :func:`~repro.engine.compiler.compilation_worthwhile`
   accepts — one table set is compiled up front and shared
-  (``"shared"``); a compilation failure demotes the whole plan to the
-  reference interpreter.
+  (``"shared"``).  A worthwhile protocol's tables fit the one table
+  bound :data:`~repro.engine.compiler.DEFAULT_MAX_STATES`, so they
+  always build.
 * everything else — per-replica resolution at execution time
-  (``"single"``): each replica's table set is resolved, at the one table
-  bound :data:`~repro.engine.compiler.DEFAULT_MAX_STATES`, before its
-  first draw, and a replica whose tables cannot be built runs on the
-  reference interpreter.  A ``"single"`` plan of several
-  ``compile_key`` groups is resolved again group by group at execution
-  time, so each group can be shared.
+  (``"single"``): each replica's table set is resolved before its first
+  draw, and a replica whose protocol ``compilation_worthwhile``
+  declines runs on the reference interpreter.  A ``"single"`` plan of
+  several ``compile_key`` groups is resolved again group by group at
+  execution time, so each group can be shared.
 
-Tables that outgrow the bound *during* a run (a protocol that
-understates its state space) raise
+Tables that outgrow the bound anyway (a protocol that understates its
+state space, whether at the build or during a run) raise
 :class:`~repro.engine.compiler.ProtocolCompilationError` on every
-executor; no run falls back after it has drawn.
+executor; no plan falls back from tables it has started to build.
 
 A topology schedule does not change the mode: the v6 stack and the
 per-replica engine (one scalar loop per replica) both run ``"shared"``
@@ -223,22 +223,14 @@ def compile_plan(
     if engine == "reference":
         mode = "reference"
     elif scheduler is None and not record_leader_trace:
-        from ..engine.compiler import (
-            ProtocolCompilationError,
-            compilation_worthwhile,
-            get_compiled,
-        )
+        from ..engine.compiler import compilation_worthwhile, get_compiled
 
         rule = protocols[0].kernel_rule()
         if rule is not None and _homogeneous(protocols) and v6_servable(seeds):
             # The v6 kernel computes the transitions: no tables to build.
             mode, compiled = "shared", rule
         elif compilation_worthwhile(protocols[0]) and _homogeneous(protocols):
-            try:
-                compiled = get_compiled(protocols[0])
-                mode = "shared"
-            except ProtocolCompilationError:
-                mode = "reference"
+            mode, compiled = "shared", get_compiled(protocols[0])
 
     return ExecutionPlan(
         graph=graph,

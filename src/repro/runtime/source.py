@@ -13,11 +13,10 @@ for bit:
 * the **scheduler dialect** (protocol simulations): refills draw
   ``integers(0, m)`` (a uniform edge) followed by ``integers(0, 2)`` (a
   uniform orientation), in that order, with refill size
-  ``max(batch_size, minimum)`` where ``minimum`` is the draws still
-  needed by the current call.  The default ``batch_size`` is
-  :data:`REFILL_SIZE`; because certificate-cadence blocks never exceed
-  it, the refill sequence — and hence every seeded trajectory — is
-  independent of how consumers chunk their reads.
+  ``max(REFILL_SIZE, minimum)`` where ``minimum`` is the draws still
+  needed by the current call.  Because certificate-cadence blocks never
+  exceed :data:`REFILL_SIZE`, the refill sequence — and hence every
+  seeded trajectory — is independent of how consumers chunk their reads.
 * the **directed dialect** (analytics streams): demand-sized single
   draws ``integers(0, 2m)`` straight into the directed pair-index space
   (:mod:`repro.runtime.pairs`), via :meth:`draw_pair_indices`.
@@ -54,7 +53,7 @@ from .pairs import directed_tables, encode_oriented
 #: interactions).  The refill size is part of the seeded stream
 #: definition — changing it changes every seeded trajectory (last
 #: changed from 65536 in the engine PR; see CHANGES.md).  This constant
-#: is the single source of truth; the schedulers default to it and the
+#: is the single source of truth: every scheduler refills by it, and the
 #: orchestrator hashes it into scenario content hashes.
 REFILL_SIZE = 4096
 
@@ -73,18 +72,12 @@ class InteractionSource:
         module needs no import of :mod:`repro.dynamics`).
     rng:
         Seed or :class:`numpy.random.Generator` for reproducibility.
-    batch_size:
-        Scheduler-dialect pre-sample size per refill (see
-        :data:`REFILL_SIZE`).
+
+    Scheduler-dialect refills pre-sample :data:`REFILL_SIZE` pairs.
     """
 
-    def __init__(
-        self, topology, rng: RngLike = None, batch_size: int = REFILL_SIZE
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
+    def __init__(self, topology, rng: RngLike = None) -> None:
         self._rng = as_rng(rng)
-        self._batch_size = int(batch_size)
         self._buffer: np.ndarray = np.zeros(0, dtype=np.int64)
         self._cursor = 0
         self._position = 0
@@ -165,7 +158,7 @@ class InteractionSource:
         position = self._position
         if self._epoch_end is not None and position >= self._epoch_end:
             self._activate_epoch(position)
-        size = max(self._batch_size, minimum)
+        size = max(REFILL_SIZE, minimum)
         if self._epoch_end is not None:
             size = min(size, self._epoch_end - position)
         edge_indices = self._rng.integers(0, self._edge_count, size=size)

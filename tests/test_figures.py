@@ -6,10 +6,15 @@ import json
 
 import pytest
 
+from repro.core.seeds import graph_seed, measure_seed
 from repro.experiments import (
     broadcast_scaling_series,
+    default_step_budget,
     fit_series_exponents,
+    get_workload,
     hitting_time_scaling_series,
+    identifier_protocol_spec,
+    measure_protocol_on_graph,
     read_csv,
     stabilization_scaling_series,
     token_protocol_spec,
@@ -34,6 +39,40 @@ class TestStabilizationSeries:
             assert row["protocol"] == "token-6state"
             assert row["mean_steps"] > 0
             assert row["success_rate"] == 1.0
+
+    def test_rows_are_the_per_cell_measurements_size_by_size(self):
+        """Row ``(size i, spec j)`` is spec ``j`` measured on size ``i``'s
+        graph with that size's measurement seed and step budget, and the
+        rows run size by size, each size's rows in spec order."""
+        specs = [token_protocol_spec(), identifier_protocol_spec()]
+        sizes, repetitions, seed, multiplier = [8, 12], 2, 1, 100.0
+        rows = stabilization_scaling_series(
+            "cycle", sizes, specs=specs, repetitions=repetitions, seed=seed
+        )
+        expected = []
+        for index, size in enumerate(sizes):
+            graph = get_workload("cycle").build(size, seed=graph_seed(seed, index))
+            for spec in specs:
+                measurement = measure_protocol_on_graph(
+                    spec,
+                    graph,
+                    repetitions=repetitions,
+                    seed=measure_seed(seed, index),
+                    max_steps=default_step_budget(graph, multiplier=multiplier),
+                )
+                expected.append(
+                    {
+                        "family": "cycle",
+                        "protocol": spec.name,
+                        "n": graph.n_nodes,
+                        "m": graph.n_edges,
+                        "mean_steps": measurement.stabilization_steps.mean,
+                        "q90_steps": measurement.stabilization_steps.q90,
+                        "success_rate": measurement.success_rate,
+                        "states_observed": measurement.max_states_observed,
+                    }
+                )
+        assert rows == expected
 
     def test_star_series_with_trivial_protocol(self):
         rows = stabilization_scaling_series(

@@ -10,11 +10,10 @@ from repro.experiments import (
     default_protocol_specs,
     default_step_budget,
     fast_protocol_spec,
-    get_workload,
     identifier_protocol_spec,
     measure_protocol_on_graph,
+    run_table1_family,
     star_protocol_spec,
-    sweep_protocol_over_sizes,
     token_protocol_spec,
 )
 from repro.graphs import clique, star
@@ -92,20 +91,15 @@ class TestMeasurements:
 
 class TestSweeps:
     def test_sweep_and_fit(self):
-        sweep = sweep_protocol_over_sizes(
-            token_protocol_spec(),
-            get_workload("clique"),
-            sizes=[10, 16, 24],
-            repetitions=2,
-            seed=0,
-        )
-        assert len(sweep.measurements) == 3
-        assert sweep.sizes == [10, 16, 24]
-        fit = sweep.fit()
+        (row,) = run_table1_family(
+            "clique", sizes=[10, 16, 24], specs=[token_protocol_spec()], repetitions=2, seed=0
+        ).rows
+        assert len(row.mean_steps) == 3
+        assert row.sizes == [10, 16, 24]
         # Θ(n^2) on cliques: the fitted exponent should be clearly
         # super-linear even at these tiny sizes.
-        assert fit.exponent > 1.2
-        assert all(steps > 0 for steps in sweep.mean_steps())
+        assert row.fitted_exponent > 1.2
+        assert all(steps > 0 for steps in row.mean_steps)
 
     def test_step_budget_monotone_in_n(self):
         assert default_step_budget(clique(40)) > default_step_budget(clique(10))

@@ -3,7 +3,7 @@
 Covers the acceptance criteria of the orchestration layer:
 
 * parallel (``jobs=N``) aggregates are bit-identical to the serial path,
-* the serial path is bit-identical to the direct harness sweep,
+* the serial path is bit-identical to direct per-cell harness measurements,
 * a repeated sweep of a completed scenario is served entirely from the
   result store — zero work units executed, no simulator steps,
 * interrupted sweeps resume (only missing shards recompute).
@@ -19,8 +19,8 @@ import repro.orchestration.runner as runner_module
 from repro.core.seeds import graph_seed, measure_seed, trial_seed
 from repro.experiments.harness import (
     default_step_budget,
+    measure_protocol_on_graph,
     star_protocol_spec,
-    sweep_protocol_over_sizes,
     token_protocol_spec,
 )
 from repro.experiments.workloads import get_workload
@@ -149,20 +149,20 @@ class TestUnitPlanSpecs:
 
 class TestBitIdentity:
     def test_serial_matches_direct_harness_sweep(self):
+        """Each orchestrated cell is the direct measurement on that cell's
+        graph, measurement seed and step budget."""
         scenario = token_clique_scenario()
-        orchestrated = run_scenario(scenario, jobs=1, cache=False)
-        direct = sweep_protocol_over_sizes(
-            token_protocol_spec(),
-            get_workload("clique"),
-            scenario.sizes,
-            repetitions=scenario.repetitions,
-            seed=scenario.seed,
-            max_steps_fn=lambda graph: default_step_budget(
-                graph, multiplier=scenario.step_budget_multiplier
-            ),
-        )
-        sweep = orchestrated.sweeps[0]
-        for measured, expected in zip(sweep.measurements, direct.measurements):
+        (sweep,) = run_scenario(scenario, jobs=1, cache=False).sweeps
+        assert len(sweep.measurements) == len(scenario.sizes)
+        for index, (size, measured) in enumerate(zip(scenario.sizes, sweep.measurements)):
+            graph = get_workload("clique").build(size, seed=graph_seed(scenario.seed, index))
+            expected = measure_protocol_on_graph(
+                token_protocol_spec(),
+                graph,
+                repetitions=scenario.repetitions,
+                seed=measure_seed(scenario.seed, index),
+                max_steps=default_step_budget(graph, multiplier=scenario.step_budget_multiplier),
+            )
             assert measured.stabilization_steps == expected.stabilization_steps
             assert measured.certified_steps == expected.certified_steps
             assert measured.success_rate == expected.success_rate
@@ -429,12 +429,11 @@ class TestTable1Integration:
         assert parallel.rows[0].mean_steps == serial.rows[0].mean_steps
         assert parallel.rows[0].fitted_exponent == serial.rows[0].fitted_exponent
 
-    def test_raw_factory_specs_fall_back_to_in_process(self):
+    def test_raw_factory_specs_are_refused_by_name(self):
         from repro.experiments import ProtocolSpec, run_table1_family
         from repro.protocols.star import StarLeaderElection
 
         raw = ProtocolSpec(name="raw-star", factory=lambda graph, seed: StarLeaderElection())
-        group = run_table1_family("star", sizes=[6, 10], specs=[raw], repetitions=1)
-        assert group.rows[0].protocol == "raw-star"
-        with pytest.raises(ValueError):
-            run_table1_family("star", sizes=[6, 10], specs=[raw], repetitions=1, jobs=2)
+        for jobs in (1, 2):
+            with pytest.raises(ScenarioError, match="'raw-star' was built from a raw factory"):
+                run_table1_family("star", sizes=[6, 10], specs=[raw], repetitions=1, jobs=jobs)

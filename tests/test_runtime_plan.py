@@ -690,8 +690,8 @@ class _PaddedToken(TokenLeaderElection):
     """The token protocol enumerating more states than a table holds.
 
     Its six states come first, then padding up to 5,000 states, so its
-    tables fail to build, before any draw.  A key of its own keeps it
-    off the token protocol's cached tables.
+    tables would not fit the bound and are never built.  A key of its
+    own keeps it off the token protocol's cached tables.
     """
 
     def enumerate_states(self):
@@ -703,31 +703,28 @@ class _PaddedToken(TokenLeaderElection):
 
 
 #: Ways a run under ``auto`` reaches its tables: each entry builds fresh
-#: ``(seeds, compile_plan kwargs)`` for a graph, next to the mode the
-#: plan resolves to.  An integer seed resolves the tables in
-#: ``compile_plan``; a Generator seed with a trace and a stream override
-#: leave them to the per-replica resolution before the first draw.
+#: ``(seeds, compile_plan kwargs)`` for a graph.  An integer seed is
+#: resolved in ``compile_plan``; a Generator seed with a trace and a
+#: stream override leave it to the per-replica resolution before the
+#: first draw.
 _SEED_KINDS = {
-    "int-seed": (lambda g: ([7], {}), "reference"),
-    "generator-trace": (
-        lambda g: ([np.random.default_rng(7)], {"record_leader_trace": True}),
-        "single",
-    ),
-    "scheduler": (lambda g: ([None], {"scheduler": RandomScheduler(g, rng=7)}), "single"),
+    "int-seed": lambda g: ([7], {}),
+    "generator-trace": lambda g: ([np.random.default_rng(7)], {"record_leader_trace": True}),
+    "scheduler": lambda g: ([None], {"scheduler": RandomScheduler(g, rng=7)}),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_SEED_KINDS))
 def test_tables_beyond_the_bound_run_on_the_reference_for_every_seed_kind(kind):
-    """A protocol whose tables cannot be built runs on the reference
-    interpreter however its run is seeded: the tables are resolved
-    before the first draw, so falling back changes nothing measured."""
+    """A protocol whose tables would not fit the bound runs on the
+    reference interpreter however its run is seeded: the choice is made
+    before the first draw, so it changes nothing measured."""
     assert len(_PaddedToken().enumerate_states()) > DEFAULT_MAX_STATES
     graph = clique(10)
-    build, mode = _SEED_KINDS[kind]
+    build = _SEED_KINDS[kind]
     seeds, kwargs = build(graph)
     plan = compile_plan([_PaddedToken()], graph, seeds, max_steps=20_000, engine="auto", **kwargs)
-    assert plan.mode == mode
+    assert plan.mode == "single"
     result = execute_plan(plan)[0]
     seeds, kwargs = build(graph)
     reference = execute_plan(
@@ -738,6 +735,24 @@ def test_tables_beyond_the_bound_run_on_the_reference_for_every_seed_kind(kind):
     assert _result_tuple(result) == _result_tuple(reference)
     assert result.leader_trace == reference.leader_trace
     assert result.stabilized
+
+
+def test_tables_beyond_the_bound_are_never_built(monkeypatch):
+    """The table bound is checked before any table set is built, so
+    plan after plan of a protocol enumerating beyond it builds none."""
+    builds = []
+    build = CompiledProtocol.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledProtocol, "__init__", counted)
+    graph = clique(10)
+    for seed in range(20):
+        plan = compile_plan([_PaddedToken()], graph, [seed], max_steps=20_000, engine="auto")
+        assert execute_plan(plan)[0].stabilized
+    assert builds == []
 
 
 class _UnderstatedCounter(PopulationProtocol):

@@ -25,7 +25,7 @@ class TestRandomScheduler:
         assert scheduler.steps_emitted == 11
 
     def test_batches_match_requested_size(self, small_clique):
-        scheduler = RandomScheduler(small_clique, rng=1, batch_size=16)
+        scheduler = RandomScheduler(small_clique, rng=1)
         assert len(scheduler.next_batch(100)) == 100
         initiators, responders = scheduler.next_arrays(50)
         assert initiators.shape == (50,)
@@ -62,8 +62,6 @@ class TestRandomScheduler:
             RandomScheduler(graph)
 
     def test_rejects_bad_batch_size(self, small_cycle):
-        with pytest.raises(ValueError):
-            RandomScheduler(small_cycle, batch_size=0)
         scheduler = RandomScheduler(small_cycle)
         with pytest.raises(ValueError):
             scheduler.next_batch(-1)

@@ -542,6 +542,28 @@ class TestResiliencePaths:
         assert len(breakers) == 1
         assert next(iter(breakers.values())).state == "closed"
 
+    def test_empty_pool_degrades_to_in_process_execution(self, tmp_path):
+        """With no worker at all, ``degrade_to_local`` runs every unit in
+        the server's own process, byte-identical to a local run."""
+        scenario = star_scenario()
+        local = run_scenario(scenario, jobs=1, cache=False)
+
+        async def submit(server, host, port):
+            # Bounded: without the watchdog the job would wait forever.
+            return await asyncio.wait_for(
+                ServiceClient(host, port).submit_async(scenario), timeout=30
+            )
+
+        served = run_service(
+            submit,
+            n_workers=0,
+            degrade_to_local=True,
+            degrade_after=0.05,
+            cache_dir=tmp_path / "server",
+        )
+        assert served.canonical_json() == local.canonical_json()
+        assert served.executed_units == served.total_units
+
 
 class TestWireFormat:
     def test_unit_plan_round_trip(self):
