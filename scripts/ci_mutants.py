@@ -49,7 +49,6 @@ STABILITY = "src/repro/core/stability.py"
 
 IDENTIFIER_TESTS = ("tests/test_identifier_kernel.py",)
 STOP_AT_FINISH = ("tests/test_kernel_rng.py::test_epoch_rows_stop_drawing_at_finish",)
-CALLER_HELD = ("tests/test_analytics_batch.py::test_caller_held_generator_matches_fallback",)
 GRAPH_NO_UNIQUE = ("tests/test_graph.py::test_graph_build_never_calls_np_unique",)
 CONNECTIVITY = ("tests/test_graph.py::test_is_connected_agrees_with_bfs_and_networkx",)
 BUILD_PATHS_AGREE = ("tests/test_graph.py::test_build_paths_agree_on_faulty_edge_arrays",)
@@ -63,6 +62,7 @@ DYNAMIC_ENGINES = (
 )
 DYNAMIC_V6 = ("tests/test_dynamics.py::test_dynamic_plans_on_v6_match_reference",)
 STREAMS = "src/repro/analytics/streams.py"
+INFLUENCE = "src/repro/propagation/influence.py"
 ONE_CALL = ("tests/test_analytics_batch.py::test_one_call_stack_matches_rounds_and_fallback",)
 ANALYTICS_THREADS = (
     "tests/test_analytics_batch.py::test_kernel_threads_never_change_analytics_results",
@@ -167,7 +167,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
         "            if (fin >= 0)\n                break;\n"
         "            int64_t u = job->du[idx];",
-        STOP_AT_FINISH + CALLER_HELD,
+        STOP_AT_FINISH,
     ),
     Mutant(
         "influence-draws-past-finish",
@@ -182,19 +182,28 @@ MUTANTS: Tuple[Mutant, ...] = (
         STOP_AT_FINISH,
     ),
     Mutant(
-        "caller-stream-skips-block-completion",
-        STREAMS,
-        "        if draws_left is not None and draws_left[j] > 0:\n"
-        "            generator.integers(0, bound, size=int(draws_left[j]))\n",
-        "",
-        CALLER_HELD,
-    ),
-    Mutant(
         "kernel-rows-accept-wide-seeds",
         "src/repro/runtime/source.py",
         "    if kernels is None or not all(map(kernel_seedable, seeds)):",
         "    if kernels is None:",
         ("tests/test_analytics_batch.py::TestSeedPurity::test_wide_seeds_run_and_negative_seeds_raise",),
+    ),
+    Mutant(
+        "single-epidemic-int-seed-on-numpy-leg",
+        INFLUENCE,
+        "    if rng is None or isinstance(rng, (int, np.integer)):",
+        "    if False:",
+        ("tests/test_analytics_batch.py::test_kernel_leg_builds_no_python_streams",),
+    ),
+    Mutant(
+        "single-epidemic-generator-on-private-rows",
+        INFLUENCE,
+        "    if rng is None or isinstance(rng, (int, np.integer)):",
+        "    if True:",
+        (
+            "tests/test_analytics_batch.py::"
+            "test_wrappers_read_the_same_stream_for_a_seed_and_its_generator",
+        ),
     ),
     # -- Hash-free builds: no np.unique on graph build or v6 set-up ----
     Mutant(
@@ -402,13 +411,6 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/test_scenarios.py::TestScenario::test_backend_is_the_constant_auto",),
     ),
     # -- One-trial unit set-up: one-call stacks, uniform encode, memos --
-    Mutant(
-        "one-call-for-caller-held-streams",
-        STREAMS,
-        "    if rng_rows is not None and streams is None and schedule is None:",
-        "    if rng_rows is not None and schedule is None:",
-        CALLER_HELD,
-    ),
     Mutant(
         "one-call-block-past-budget",
         STREAMS,

@@ -3,8 +3,8 @@
 Runs all ``R`` trajectories of a Monte-Carlo estimator — one-way
 epidemics for ``B(G)``, all-pairs influence for ``T(G)``, population
 walks for hitting and meeting times — in lockstep, each trajectory on a
-private SplitMix64-child-seeded scheduler stream.  Results are a pure
-function of ``(base seed, trajectory identity)``: bit-identical for any
+private SplitMix64-child-seeded stream.  Results are a pure function of
+``(base seed, trajectory identity)``: bit-identical for any
 replica-batch width and identical across the C-kernel, NumPy and scalar
 execution paths (on the kernel, epidemic and influence streams live only
 in C-seeded RNG rows).
@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "select_sources",
         ),
         "streams": (
-            "TrajectoryStream",
             "block_size",
             "iter_width_chunks",
             "make_streams",

@@ -24,26 +24,24 @@ Two legs produce bit-identical results:
   on a static topology one kernel call per width chunk runs every row
   to its finish or the step budget;
 * the no-kernel leg (no compiler, or a seed outside ``[0, 2**64)``): one
-  NumPy-drawn :class:`~repro.analytics.streams.TrajectoryStream` per
+  NumPy-drawn :class:`~repro.runtime.source.InteractionSource` per
   trajectory, applied by scalar loops: an epidemic round of
   :data:`_SCALAR_MAX_REPLICAS` rows or more takes a vectorized NumPy
   block instead, and influence always keeps Python-int bitsets.
 
 Both stacks run on the lockstep driver of :mod:`repro.analytics.streams`
 and supply only their state, their kernel call and their block step.
-The no-kernel leg, a topology schedule (blocks end at epoch switches)
-and a caller-held stream (below) advance the stack in lockstep rounds,
-one block per round (:func:`~repro.analytics.streams.block_size`);
-finished replicas are compacted out between rounds so stabilized
-stragglers do not drag the batch.  Influence picks its state once, when
-the stack starts: Python-int bitsets without the kernel, packed words on
-it.
+The no-kernel leg and a topology schedule (blocks end at epoch
+switches) advance the stack in lockstep rounds, one block per round
+(:func:`~repro.analytics.streams.block_size`); finished replicas are
+compacted out between rounds so stabilized stragglers do not drag the
+batch.  Influence picks its state once, when the stack starts:
+Python-int bitsets without the kernel, packed words on it.
 
-:func:`run_single_epidemic` alone runs on a stream its caller holds (a
-shared generator).  On the kernel its PCG64 state is packed into a row,
-and when the row leaves the stack the state is written back and the rest
-of the block is drawn on the caller's generator, so the generator ends
-exactly where the no-kernel leg, which draws whole blocks, leaves it.
+:func:`run_single_epidemic` runs one epidemic on a stream its caller
+holds (a shared generator).  It always draws in NumPy, whole blocks
+included, so the caller's generator ends in the same state whether or
+not the kernel is built; kernel RNG rows are only ever seeded in C.
 """
 
 from __future__ import annotations
@@ -53,15 +51,14 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from ..engine.native import (
-    RNG_STATE_WORDS,
     data_address,
     get_broadcast_epoch_kernel,
     get_influence_epoch_kernel,
     kernel_thread_count,
 )
 from ..graphs.graph import Graph
-from ..runtime.source import kernel_rng_rows, pack_generator_state
-from .streams import TrajectoryStream, _run_lockstep, iter_width_chunks, make_streams
+from ..runtime.source import InteractionSource, kernel_rng_rows
+from .streams import _run_lockstep, iter_width_chunks, make_streams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dynamics.schedule import TopologySchedule
@@ -75,24 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _SCALAR_MAX_REPLICAS = 96
 
 BUDGET_EXHAUSTED = -1
-
-
-def _pack_stream_states(streams: Sequence[TrajectoryStream]) -> Optional[np.ndarray]:
-    """Export caller-held streams' PCG64 states into kernel RNG rows.
-
-    Returns ``None`` (keeping the streams on the NumPy leg) when the
-    kernel is not built or a stream rides a bit generator the kernel
-    cannot continue.
-    """
-    if get_broadcast_epoch_kernel() is None:
-        return None
-    rows = np.zeros((len(streams), RNG_STATE_WORDS), dtype=np.uint64)
-    try:
-        for j, stream in enumerate(streams):
-            pack_generator_state(stream.generator, rows[j])
-    except (KeyError, TypeError, ValueError):
-        return None
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -154,23 +133,20 @@ def run_epidemic_batch(
 def run_single_epidemic(
     graph: Graph,
     source: int,
-    stream: TrajectoryStream,
+    stream: InteractionSource,
     max_steps: int,
     stopmask: Optional[np.ndarray] = None,
 ) -> Optional[int]:
     """One epidemic on a caller-held stream (shared-generator wrappers).
 
-    Consumes the stream with the same block schedule as the batched
-    engine, whole blocks included, so e.g. a distance-``k`` run and a full
-    broadcast with the same seed share their interaction schedule step
-    for step, and a shared generator ends in the same state on every leg.
+    Draws on the stream in NumPy with the same block schedule as the
+    batched engine, whole blocks included, so a trajectory equals the
+    batched one on the same seed step for step, and a shared generator
+    ends in the same state whether or not the kernel is built.
     """
     results = np.full(1, BUDGET_EXHAUSTED, dtype=np.int64)
     masks = None if stopmask is None else np.ascontiguousarray(stopmask, dtype=np.uint8)[None, :]
-    streams = [stream]
-    _run_epidemic_stack(
-        graph, _pack_stream_states(streams), streams, [int(source)], masks, max_steps, results
-    )
+    _run_epidemic_stack(graph, None, [stream], [int(source)], masks, max_steps, results)
     steps = int(results[0])
     return None if steps == BUDGET_EXHAUSTED else steps
 
@@ -178,7 +154,7 @@ def run_single_epidemic(
 def _run_epidemic_stack(
     graph: Graph,
     rng_rows: Optional[np.ndarray],
-    streams: Optional[List[TrajectoryStream]],
+    streams: Optional[List[InteractionSource]],
     sources: List[int],
     stopmasks: Optional[np.ndarray],
     max_steps: int,
@@ -187,9 +163,8 @@ def _run_epidemic_stack(
 ) -> None:
     """Run one wave of co-resident epidemics to completion or budget.
 
-    With ``rng_rows`` the kernel draws; ``streams`` are then the
-    caller-held streams behind the rows (``None`` for private rows).
-    Without ``rng_rows`` the ``streams`` draw each block in NumPy.
+    With ``rng_rows`` the kernel draws (``streams`` is ``None``);
+    without them the ``streams`` draw each block in NumPy.
     """
     n = graph.n_nodes
     active = len(sources)

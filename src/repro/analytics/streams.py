@@ -1,9 +1,9 @@
 """Per-trajectory streams and the one lockstep driver of the replica stacks.
 
 Every Monte-Carlo estimator in :mod:`repro.analytics` runs ``R``
-trajectories in lockstep, and each trajectory owns a private
-:class:`TrajectoryStream` derived from a SplitMix64 child seed
-(:mod:`repro.core.seeds`).  Determinism rests on two invariants:
+trajectories in lockstep, and each trajectory owns a private stream
+derived from a SplitMix64 child seed (:mod:`repro.core.seeds`).
+Determinism rests on two invariants:
 
 1. **Seed purity** — the stream of trajectory ``t`` is a pure function of
    ``(base seed, domain tag, trajectory identity)``, never of how many
@@ -17,19 +17,20 @@ trajectories in lockstep, and each trajectory owns a private
    additionally prefix-stable — one draw of ``n`` equals concatenated
    smaller draws — which makes the stream robust to the schedule itself.)
 
-A ``TrajectoryStream`` is the *directed dialect* of the runtime's
-unified :class:`~repro.runtime.source.InteractionSource`: one
-bounded-integers draw over ``[0, 2m)`` per block, decoded through the
-shared directed endpoint tables of :mod:`repro.runtime.pairs`.  On the
-C kernel the epidemic and influence stacks build no ``TrajectoryStream``
-at all: the same draws are made in C from rows seeded by
-``repro_pcg64_init`` (:mod:`repro.analytics.epidemics`).  That is ~3 array
-operations per block against the general scheduler's seven, and draws
-are demand-sized — a trajectory that finishes after 900 steps has
-sampled ~1.5k interactions, not a full pre-sample buffer.  Protocol
-simulations keep the scheduler dialect (``RandomScheduler`` and its
-refill contract) unchanged; both dialects are defined in
-:mod:`repro.runtime.source`.
+A stream drawn in NumPy is a plain
+:class:`~repro.runtime.source.InteractionSource` read in its *directed
+dialect*: one bounded-integers draw over ``[0, 2m)`` per block
+(:meth:`~repro.runtime.source.InteractionSource.draw_pair_indices`),
+decoded through the shared directed endpoint tables of
+:mod:`repro.runtime.pairs`.  On the C kernel the epidemic and influence
+stacks build no Python stream at all: the same draws are made in C from
+rows seeded by ``repro_pcg64_init`` (:mod:`repro.analytics.epidemics`),
+and those rows never leave C.  That is ~3 array operations per block
+against the general scheduler's seven, and draws are demand-sized — a
+trajectory that finishes after 900 steps has sampled ~1.5k interactions,
+not a full pre-sample buffer.  Protocol simulations keep the scheduler
+dialect (``RandomScheduler`` and its refill contract) unchanged; both
+dialects are defined in :mod:`repro.runtime.source`.
 
 The warm-up schedule exists for exactly that reason: epidemics on
 well-connected graphs finish in ``Θ(n log n)`` steps, so the first blocks
@@ -38,15 +39,16 @@ long-running tail (cycles, renitent constructions).
 
 Every stack — epidemics, influence, hitting and meeting walks — runs on
 :func:`_run_lockstep`.  A process hands it only its per-row state, its
-kernel call (if it has one) and its block step; the driver owns the
-one-call path for private kernel rows on a static topology, the rounds
-clipped at epoch ends, the finish and result writes, the compaction of
-finished rows together with their RNG rows or streams, and the state
-write-back of caller-held streams.
+draws (kernel RNG rows or Python streams, never both), its kernel call
+or block step, and the driver owns the one-call path for kernel rows on
+a static topology, the rounds clipped at epoch ends, the finish and
+result writes, and the compaction of finished rows together with their
+RNG rows or streams.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +56,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
 from ..runtime.pairs import directed_tables
-from ..runtime.source import InteractionSource, unpack_generator_state
+from ..runtime.source import InteractionSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dynamics.schedule import TopologySchedule
@@ -88,54 +90,36 @@ def resolve_base_seed(rng: RngLike) -> int:
     existing :class:`numpy.random.Generator` contributes a single draw —
     so estimators called with a shared generator stay deterministic in
     that generator's state while their trajectories still get
-    batch-width-independent child streams.
+    batch-width-independent child streams.  Anything else that is not an
+    integer (a float seed, say) raises :class:`TypeError`, as
+    ``np.random.default_rng`` does, rather than being truncated.
     """
     if rng is None:
         return int(np.random.SeedSequence().generate_state(1, np.uint64)[0] >> 1)
     if isinstance(rng, np.random.Generator):
         return int(rng.integers(0, 1 << 63))
-    return int(rng)
+    return operator.index(rng)
 
 
-class TrajectoryStream(InteractionSource):
-    """One trajectory's private, demand-sized interaction stream."""
-
-    def __init__(self, graph: Graph, rng: RngLike) -> None:
-        super().__init__(graph, rng=rng)
-
-    def draws_into(self, out: np.ndarray, count: Optional[int] = None) -> None:
-        """Fill a preallocated row with raw ordered-pair indices.
-
-        The undecoded form: the stack decodes a whole ``(R, block)``
-        draws matrix with one gather per endpoint table instead of two
-        per stream.  ``count`` overrides the draw bound
-        (the dynamic-topology stacks pass the active epoch's ``2m_k``);
-        the default is the stream graph's own ``2m``.
-        """
-        self.draw_pair_indices(out, count)
-
-    def next_into(self, initiators: np.ndarray, responders: np.ndarray) -> None:
-        """Fill two preallocated arrays with the next ``len`` ordered pairs."""
-        self.draw_pairs_into(initiators, responders)
-
-
-def make_streams(graph: Graph, seeds: Sequence[int]) -> List[TrajectoryStream]:
-    """One private stream per trajectory seed."""
-    return [TrajectoryStream(graph, np.random.default_rng(int(seed))) for seed in seeds]
+def make_streams(graph: Graph, seeds: Sequence[int]) -> List[InteractionSource]:
+    """One private NumPy stream per trajectory seed."""
+    return [InteractionSource(graph, np.random.default_rng(int(seed))) for seed in seeds]
 
 
 def fill_draw_rows(
-    streams: Sequence[TrajectoryStream],
+    streams: Sequence[InteractionSource],
     draws: np.ndarray,
     count: Optional[int] = None,
 ) -> None:
     """Fill row ``j`` of the ``(R, block)`` draws matrix from stream ``j``.
 
-    ``count`` overrides the per-draw bound (active epoch's ``2m_k`` on
-    dynamic topologies); ``None`` keeps each stream's own bound.
+    The rows hold raw ordered-pair indices: the stack decodes the whole
+    matrix with one gather per endpoint table.  ``count`` overrides the
+    per-draw bound (active epoch's ``2m_k`` on dynamic topologies);
+    ``None`` keeps each stream's own bound.
     """
     for j, stream in enumerate(streams):
-        stream.draws_into(draws[j], count)
+        stream.draw_pair_indices(draws[j], count)
 
 
 def iter_width_chunks(count: int, width: Optional[int]) -> Iterator[range]:
@@ -177,29 +161,6 @@ def _active_tables(
     return directed_u, directed_v, block
 
 
-def _writeback_stream_states(
-    streams: Sequence[TrajectoryStream],
-    rows: np.ndarray,
-    mask: np.ndarray,
-    draws_left: Optional[np.ndarray] = None,
-    bound: int = 0,
-) -> None:
-    """Import kernel RNG rows back into the caller-held streams in ``mask``.
-
-    The kernel stops drawing at a row's finishing step, while the NumPy
-    leg draws whole blocks up front.  ``draws_left[j]`` (the rest of the
-    block) is drawn here with one ``integers(0, bound)`` call on the
-    caller's generator.  Bounded ``integers`` is prefix-stable, buffered
-    32-bit half-word included, so the generator ends exactly where a
-    whole-block draw leaves it.
-    """
-    for j in np.flatnonzero(mask):
-        generator = streams[j].generator
-        unpack_generator_state(generator, rows[j])
-        if draws_left is not None and draws_left[j] > 0:
-            generator.integers(0, bound, size=int(draws_left[j]))
-
-
 def _compact(row: Any, keep: np.ndarray) -> Any:
     """The entries of one per-row array or list that ``keep`` marks."""
     if isinstance(row, list):
@@ -213,7 +174,7 @@ def _run_lockstep(
     block_step: Optional[Callable[..., None]],
     out: np.ndarray,
     max_steps: int,
-    streams: Optional[List[TrajectoryStream]] = None,
+    streams: Optional[List[InteractionSource]] = None,
     rng_rows: Optional[np.ndarray] = None,
     kernel_step: Optional[Callable[..., None]] = None,
     schedule: Optional["TopologySchedule"] = None,
@@ -222,20 +183,19 @@ def _run_lockstep(
 
     ``rows`` is the process's per-row state: arrays or lists whose first
     axis is the stack (``None`` for an absent one), compacted here as
-    rows finish.  Without ``rng_rows``, row ``j`` draws each block from
-    ``streams[j]`` in NumPy and ``block_step(rows, iu, iv, finish)``
-    applies the decoded ``(stack, block)`` endpoint matrices (a stack
-    that always has ``rng_rows`` passes ``None``).  With
-    ``rng_rows`` the kernel draws instead, through ``kernel_step(rows,
-    rng_rows, directed_u, directed_v, block, finish)``; ``streams`` are
-    then the caller-held streams behind those rows (``None`` for private
-    rows) and get their state back as they leave the stack.  A step
-    writes each row's 1-based finishing offset in the block, or -1, into
-    ``finish``.  ``out`` starts at -1 (``BUDGET_EXHAUSTED``) and
-    receives each row's finishing step.
+    rows finish.  A stack draws either on kernel RNG rows or on Python
+    streams, never on both.  With ``rng_rows`` the kernel draws, through
+    ``kernel_step(rows, rng_rows, directed_u, directed_v, block,
+    finish)``.  Otherwise row ``j`` draws each block from ``streams[j]``
+    in NumPy and ``block_step(rows, iu, iv, finish)`` applies the decoded
+    ``(stack, block)`` endpoint matrices (a stack that always has
+    ``rng_rows`` passes ``None``).  A step writes each row's 1-based
+    finishing offset in the block, or -1, into ``finish``.  ``out``
+    starts at -1 (``BUDGET_EXHAUSTED``) and receives each row's finishing
+    step.
     """
-    if rng_rows is not None and streams is None and schedule is None:
-        # Private rows on a static topology: one call over the whole
+    if rng_rows is not None and schedule is None:
+        # Kernel rows on a static topology: one call over the whole
         # budget draws what the rounds would (a row stops drawing at its
         # finish) and writes each finishing step, or -1
         # (BUDGET_EXHAUSTED), straight into the row's result slot.
@@ -249,25 +209,20 @@ def _run_lockstep(
     while slots.size and consumed < max_steps:
         block = min(block_size(round_index), max_steps - consumed)
         directed_u, directed_v, block = _active_tables(graph, schedule, consumed, block)
-        bound = directed_u.shape[0]
         finish = np.full(slots.shape[0], -1, dtype=np.int64)
         if rng_rows is not None:
             kernel_step(rows, rng_rows, directed_u, directed_v, block, finish)
         else:
             draws = np.empty((slots.shape[0], block), dtype=np.int64)
-            fill_draw_rows(streams, draws, bound)
+            fill_draw_rows(streams, draws, directed_u.shape[0])
             block_step(rows, directed_u.take(draws), directed_v.take(draws), finish)
         done = finish >= 0
         if done.any():
             out[slots[done]] = consumed + finish[done]
             keep = ~done
-            if rng_rows is not None and streams is not None:
-                _writeback_stream_states(streams, rng_rows, done, block - finish, bound)
             rng_rows = _compact(rng_rows, keep)
             streams = _compact(streams, keep)
             rows = [_compact(row, keep) for row in rows]
             slots = slots[keep]
         consumed += block
         round_index += 1
-    if rng_rows is not None and streams:
-        _writeback_stream_states(streams, rng_rows, np.ones(len(streams), dtype=bool))

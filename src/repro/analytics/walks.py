@@ -27,8 +27,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..runtime.source import InteractionSource
 from .epidemics import BUDGET_EXHAUSTED
-from .streams import TrajectoryStream, _run_lockstep, iter_width_chunks, make_streams
+from .streams import _run_lockstep, iter_width_chunks, make_streams
 
 
 def default_walk_budget(graph: Graph) -> int:
@@ -98,7 +99,7 @@ def _meeting_block(
 def _walk_stack(
     graph: Graph,
     pairs: Sequence[Tuple[int, int]],
-    streams: List[TrajectoryStream],
+    streams: List[InteractionSource],
     max_steps: int,
     walk_block: Callable[..., Tuple[int, int, int]],
 ) -> np.ndarray:
@@ -176,7 +177,7 @@ def run_single_hitting(
     graph: Graph,
     start: int,
     target: int,
-    stream: TrajectoryStream,
+    stream: InteractionSource,
     max_steps: int,
 ) -> Optional[int]:
     """One hitting-time trajectory on a caller-provided stream."""
@@ -188,7 +189,7 @@ def run_single_meeting(
     graph: Graph,
     start_a: int,
     start_b: int,
-    stream: TrajectoryStream,
+    stream: InteractionSource,
     max_steps: int,
 ) -> Optional[int]:
     """One meeting-time trajectory on a caller-provided stream."""

@@ -20,10 +20,10 @@ reachability check on small instances.
 
 Since the runtime refactor, :class:`Simulator` is a thin facade: ``run``
 compiles a single-replica :class:`~repro.runtime.plan.ExecutionPlan`
-under the engine the simulator was constructed with (``"reference"`` or
-``"auto"``; no run overrides it) and hands it to the runtime executors
-(:mod:`repro.runtime.execute`), which own both the reference interpreter
-and the compiled block loops.  Engine selection, streams and
+under the engine the simulator was constructed with (``"auto"``, the
+default, or ``"reference"``; no run overrides it) and hands it to the
+runtime executors (:mod:`repro.runtime.execute`), which own both the
+reference interpreter and the compiled block loops.  Engine selection, streams and
 certificate cadence are therefore resolved in exactly one place for
 single runs, replica stacks, harness measurements and orchestrated
 sweeps alike.
@@ -127,13 +127,14 @@ class Simulator:
     engine:
         The execution engine of every :meth:`run`:
 
-        * ``"reference"`` — the pure-Python interpreter (the semantic
-          reference; see :mod:`repro.runtime.execute`);
-        * ``"auto"`` — compiled where the protocol allows it, reference
-          otherwise, with bit-identical results.  The identifier
-          protocol runs on the v6 kernel's arithmetic rule, other
+        * ``"auto"`` (the default, as in :func:`repro.runtime.compile_plan`
+          and every layer above it) — compiled where the protocol allows
+          it, reference otherwise, with bit-identical results.  The
+          identifier protocol runs on the v6 kernel's arithmetic rule, other
           protocols on transition tables of at most
-          :data:`repro.engine.compiler.DEFAULT_MAX_STATES` states.
+          :data:`repro.engine.compiler.DEFAULT_MAX_STATES` states;
+        * ``"reference"`` — the pure-Python interpreter (the semantic
+          reference; see :mod:`repro.runtime.execute`).
 
         A compiled run takes the v6 epoch stack where it can serve the
         run, else the per-replica engine
@@ -146,7 +147,7 @@ class Simulator:
         graph: Graph,
         protocol: PopulationProtocol,
         rng: RngLike = None,
-        engine: str = "reference",
+        engine: str = "auto",
     ) -> None:
         if graph.n_nodes < 1:
             raise ValueError("graph must be non-empty")
@@ -255,7 +256,7 @@ def run_leader_election(
     inputs: Optional[Sequence[Any]] = None,
     check_interval: Optional[int] = None,
     record_leader_trace: bool = False,
-    engine: str = "reference",
+    engine: str = "auto",
     schedule: Optional["TopologySchedule"] = None,
 ) -> SimulationResult:
     """Convenience wrapper: simulate ``protocol`` on ``graph`` until stable.

@@ -23,6 +23,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
 from ..core.scheduler import RandomScheduler
+from ..runtime.source import InteractionSource
 from .broadcast import default_broadcast_budget as _default_broadcast_budget
 
 
@@ -180,10 +181,7 @@ def single_source_broadcast_steps(
         return 0
     if max_steps is None:
         max_steps = _default_broadcast_budget(graph)
-    from ..analytics.epidemics import run_single_epidemic
-    from ..analytics.streams import TrajectoryStream
-
-    return run_single_epidemic(graph, source, TrajectoryStream(graph, rng), max_steps)
+    return _single_epidemic(graph, source, rng, max_steps)
 
 
 def distance_k_propagation_steps(
@@ -210,11 +208,37 @@ def distance_k_propagation_steps(
         return 0
     if max_steps is None:
         max_steps = _default_broadcast_budget(graph)
-    from ..analytics.epidemics import run_single_epidemic
-    from ..analytics.streams import TrajectoryStream
-
     stopmask = np.zeros(n, dtype=np.uint8)
     stopmask[targets] = 1
-    return run_single_epidemic(
-        graph, source, TrajectoryStream(graph, rng), max_steps, stopmask=stopmask
-    )
+    return _single_epidemic(graph, source, rng, max_steps, stopmask)
+
+
+def _single_epidemic(
+    graph: Graph,
+    source: int,
+    rng: RngLike,
+    max_steps: int,
+    stopmask: Optional[np.ndarray] = None,
+) -> Optional[int]:
+    """One epidemic from ``source`` on the canonical stream of ``rng``.
+
+    An integer seed (or ``None``) runs as a width-1
+    :func:`~repro.analytics.epidemics.run_epidemic_batch`, on an RNG row
+    seeded in C where the kernel can seed it.  Any other ``rng`` — a
+    shared :class:`numpy.random.Generator`, a bit generator or a
+    ``SeedSequence`` — is drawn in NumPy through ``as_rng``, whole blocks
+    included, and a shared generator is left where the run leaves it.  A
+    seed and ``np.random.default_rng(seed)`` read the same stream either
+    way.
+    """
+    from ..analytics.epidemics import BUDGET_EXHAUSTED, run_epidemic_batch, run_single_epidemic
+    from ..analytics.streams import resolve_base_seed
+
+    if rng is None or isinstance(rng, (int, np.integer)):
+        stopmasks = None if stopmask is None else stopmask[None, :]
+        (steps,) = run_epidemic_batch(
+            graph, [source], [resolve_base_seed(rng)], max_steps, stopmasks=stopmasks
+        )
+        return None if steps == BUDGET_EXHAUSTED else int(steps)
+    stream = InteractionSource(graph, rng)
+    return run_single_epidemic(graph, source, stream, max_steps, stopmask)

@@ -33,6 +33,10 @@ from ..core.scheduler import Interaction, Scheduler
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike, as_rng
 
+#: Interactions pre-sampled per refill.  Part of the node-sampling
+#: stream's definition: changing it changes every seeded run.
+_REFILL_SIZE = 65536
+
 
 class NodeSamplingScheduler(Scheduler):
     """Scheduler for the node-sampling (asynchronous push–pull) dynamics.
@@ -43,16 +47,13 @@ class NodeSamplingScheduler(Scheduler):
     identical to the population model's; on irregular graphs it is not.
     """
 
-    def __init__(self, graph: Graph, rng: RngLike = None, batch_size: int = 65536) -> None:
+    def __init__(self, graph: Graph, rng: RngLike = None) -> None:
         if graph.n_edges == 0:
             raise ValueError("cannot schedule interactions on an edgeless graph")
         if graph.min_degree == 0:
             raise ValueError("every node must have at least one neighbour")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self._graph = graph
         self._rng = as_rng(rng)
-        self._batch_size = int(batch_size)
         self._neighbors = [np.asarray(graph.neighbors(v), dtype=np.int64) for v in graph.nodes]
         self._buffer: List[Interaction] = []
         self._cursor = 0
@@ -69,7 +70,7 @@ class NodeSamplingScheduler(Scheduler):
         return self._steps_emitted
 
     def _refill(self, minimum: int) -> None:
-        size = max(self._batch_size, minimum)
+        size = max(_REFILL_SIZE, minimum)
         initiators = self._rng.integers(0, self._graph.n_nodes, size=size)
         picks = self._rng.random(size)
         buffer: List[Interaction] = []

@@ -14,11 +14,13 @@ of it into three layers:
   of cached endpoint tables, one place that defines how a
   ``(edge, orientation)`` draw maps onto it.
 * :mod:`repro.runtime.source` — :class:`InteractionSource`, the one
-  buffered sampling engine behind ``RandomScheduler``,
-  ``DynamicScheduler`` and the analytics streams: same refill-size
-  contract, same epoch-boundary capping, one consume loop.  Every
-  seeded stream produced before this package existed is reproduced bit
-  for bit.
+  buffered sampling engine: ``RandomScheduler`` and ``DynamicScheduler``
+  are thin shells over it and the analytics streams drawn in NumPy are
+  plain instances of it — same refill-size contract, same
+  epoch-boundary capping, one consume loop.  Every seeded stream
+  produced before this package existed is reproduced bit for bit.  The
+  kernel RNG rows it seeds (:func:`~repro.runtime.source.kernel_rng_rows`)
+  are private to C.
 * :mod:`repro.runtime.plan` / :mod:`repro.runtime.execute` —
   :class:`ExecutionPlan`, which compiles a run once (engine resolution,
   shared transition tables, per-replica seeds) and then executes it

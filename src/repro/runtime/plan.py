@@ -130,12 +130,6 @@ class ExecutionPlan:
             self._initial_states = states
         return self._initial_states
 
-    def execute(self) -> List[Any]:
-        """Run the plan (see :func:`repro.runtime.execute.execute_plan`)."""
-        from .execute import execute_plan
-
-        return execute_plan(self)
-
 
 def _homogeneous(protocols: Sequence["PopulationProtocol"]) -> bool:
     """Whether all replicas can share one compiled table set."""

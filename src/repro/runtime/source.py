@@ -2,10 +2,10 @@
 
 :class:`InteractionSource` is the single implementation of buffered
 ordered-pair sampling in this package.  ``RandomScheduler`` (static
-graphs), ``DynamicScheduler`` (time-varying topologies) and the
-analytics trajectory streams are all thin shells over it; before this
-module existed each of the three carried its own refill/consume
-machinery.
+graphs) and ``DynamicScheduler`` (time-varying topologies) are thin
+shells over it, and the analytics engine's trajectory streams are plain
+instances of it (:mod:`repro.analytics.streams`); before this module
+existed each of the three carried its own refill/consume machinery.
 
 Two seeded *dialects* coexist, both defined here and both preserved bit
 for bit:
@@ -31,9 +31,14 @@ Internally the buffer holds raw directed pair indices; endpoints are
 decoded on consumption through the shared tables.  That lets the
 sharded engine (:mod:`repro.sharding`) read undecoded indices with
 :meth:`next_pair_indices` and resolve them itself, while ``next_batch`` /
-``next_arrays`` reproduce the historical decoded streams exactly.  The
-v6 epoch stack (:mod:`repro.runtime.execute`) runs the same scheduler
-dialect with its state held in C, in the kernel's row block.
+``next_arrays`` reproduce the historical decoded streams exactly.
+
+Both dialects also run in C, on kernel RNG rows that
+:func:`kernel_rng_rows` seeds from integer seeds: the v6 epoch stack
+(:mod:`repro.runtime.execute`) draws the scheduler dialect in its row
+block, and the analytics epidemic and influence kernels draw the
+directed dialect.  Those rows are private to C: no Python generator is
+ever exported into one or restored from one.
 """
 
 from __future__ import annotations
@@ -108,11 +113,6 @@ class InteractionSource:
     def steps_emitted(self) -> int:
         """Total number of interactions handed out so far."""
         return self._position
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying seeded Generator (kernel state export/import)."""
-        return self._rng
 
     @property
     def pair_count(self) -> int:
@@ -266,53 +266,10 @@ class InteractionSource:
         limit = self.pair_count if bound is None else int(bound)
         out[...] = self._rng.integers(0, limit, size=out.shape[0])
 
-    def draw_pairs_into(self, initiators: np.ndarray, responders: np.ndarray) -> None:
-        """Directed-dialect draw decoded through the endpoint tables into
-        two integer arrays of any width that holds a node id."""
-        draws = self._rng.integers(0, self.pair_count, size=initiators.shape[0])
-        du, dv = self._tables()
-        initiators[...] = du.take(draws)
-        responders[...] = dv.take(draws)
-
 
 # ----------------------------------------------------------------------
 # Kernel-resident streams (the v6 dialect)
 # ----------------------------------------------------------------------
-def pack_generator_state(generator: np.random.Generator, out: np.ndarray) -> None:
-    """Export a PCG64-backed Generator into one kernel RNG state row.
-
-    The row layout mirrors numpy's ``PCG64().state`` dict — state hi/lo,
-    inc hi/lo, ``has_uint32``, ``uinteger`` — so the kernel continues the
-    exact stream, buffered 32-bit half-word included.
-    """
-    state = generator.bit_generator.state
-    if state["bit_generator"] != "PCG64":  # pragma: no cover - guarded by callers
-        raise ValueError("kernel streams require a PCG64 bit generator")
-    inner = state["state"]
-    mask = (1 << 64) - 1
-    out[0] = (inner["state"] >> 64) & mask
-    out[1] = inner["state"] & mask
-    out[2] = (inner["inc"] >> 64) & mask
-    out[3] = inner["inc"] & mask
-    out[4] = int(state["has_uint32"])
-    out[5] = int(state["uinteger"])
-    out[6] = 0
-    out[7] = 0
-
-
-def unpack_generator_state(generator: np.random.Generator, row: np.ndarray) -> None:
-    """Import one kernel RNG state row back into a PCG64-backed Generator."""
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {
-            "state": (int(row[0]) << 64) | int(row[1]),
-            "inc": (int(row[2]) << 64) | int(row[3]),
-        },
-        "has_uint32": int(row[4]),
-        "uinteger": int(row[5]),
-    }
-
-
 def kernel_seedable(seed) -> bool:
     """Whether ``seed`` can seed an in-kernel stream.
 

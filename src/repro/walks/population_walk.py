@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..analytics.estimators import HITTING_TAG, MEETING_TAG
-from ..analytics.streams import TrajectoryStream, resolve_base_seed
+from ..analytics.streams import resolve_base_seed
 from ..analytics.walks import (
     default_walk_budget,
     run_hitting_batch,
@@ -35,6 +35,7 @@ from ..analytics.walks import (
 from ..core.seeds import derive_seed
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike, as_rng
+from ..runtime.source import InteractionSource
 
 _EXACT_NODE_LIMIT = 400
 _EXACT_MEETING_NODE_LIMIT = 45
@@ -148,7 +149,7 @@ def simulate_meeting_time(
     generator = as_rng(rng)
     if max_steps is None:
         max_steps = default_walk_budget(graph)
-    stream = TrajectoryStream(graph, generator)
+    stream = InteractionSource(graph, generator)
     return run_single_meeting(graph, int(start_a), int(start_b), stream, max_steps)
 
 
@@ -165,7 +166,7 @@ def simulate_population_hitting_time(
     generator = as_rng(rng)
     if max_steps is None:
         max_steps = default_walk_budget(graph)
-    stream = TrajectoryStream(graph, generator)
+    stream = InteractionSource(graph, generator)
     return run_single_hitting(graph, int(start), int(target), stream, max_steps)
 
 

@@ -8,7 +8,8 @@ The engine's contract (see :mod:`repro.analytics`):
   NumPy block and the scalar loops compute identical results;
 * **kernel-resident streams** — on the kernel, private trajectory streams
   are seeded in C and never exist as Python generators, while a
-  caller-held generator ends in the same state on every path;
+  caller-held generator draws in NumPy and ends in the same state on
+  every path;
 * **seed purity** — a batched trajectory equals the standalone
   single-trajectory run with the same child seed;
 * **distributional fidelity** — batched estimator means match the exact
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.estimators import summarize_samples
 from repro.analytics import (
-    TrajectoryStream,
     batched_broadcast_estimates,
     resolve_base_seed,
     run_epidemic_batch,
@@ -59,6 +59,8 @@ from repro.propagation import (
 )
 from repro.propagation.broadcast import default_broadcast_budget
 from repro.propagation.influence import InfluenceProcess
+from repro.runtime.pairs import directed_tables
+from repro.runtime.source import InteractionSource
 from repro.walks import (
     exact_meeting_times,
     population_hitting_times_to,
@@ -230,7 +232,7 @@ def _epidemic_legs(graph, sources, seeds, budget, stopmasks, widths):
     ``one-call`` legs are private static stacks (one kernel call per width
     chunk on the kernel); ``rounds`` is the same stack under a
     single-epoch schedule (kernel rounds); ``caller-held`` replays each
-    trajectory on its own stream (kernel rounds with state write-back).
+    trajectory on its own stream (NumPy rounds).
     """
     legs = {}
     for width in widths:
@@ -246,7 +248,7 @@ def _epidemic_legs(graph, sources, seeds, budget, stopmasks, widths):
             run_single_epidemic(
                 graph,
                 source,
-                TrajectoryStream(graph, seed),
+                InteractionSource(graph, seed),
                 budget,
                 None if stopmasks is None else stopmasks[index],
             )
@@ -494,7 +496,7 @@ class TestSeedPurity:
         wide = [2**64 + 5, 2**70 + 1, 5]
         steps = run_epidemic_batch(g, [0, 6, 9], wide, budget)
         replayed = [
-            run_single_epidemic(g, source, TrajectoryStream(g, seed), budget)
+            run_single_epidemic(g, source, InteractionSource(g, seed), budget)
             for source, seed in zip([0, 6, 9], wide)
         ]
         assert steps.tolist() == replayed
@@ -570,14 +572,18 @@ def test_select_sources_memo_survives_a_cycle_of_twenty_graphs(monkeypatch):
 
 @pytest.mark.skipif(get_broadcast_epoch_kernel() is None, reason="no C compiler available")
 def test_kernel_leg_builds_no_python_streams(monkeypatch):
-    """On the kernel, private streams are seeded in C: no Generator exists."""
+    """On the kernel, private streams are seeded in C: no Generator exists.
+
+    That holds for the integer-seeded broadcast wrappers too: they run on
+    a private kernel row, never on a stream built from the seed.
+    """
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Python stream was built on the kernel leg")
 
     monkeypatch.setattr(epidemics, "make_streams", refuse)
     monkeypatch.setattr(streams, "make_streams", refuse)
-    monkeypatch.setattr(TrajectoryStream, "__init__", refuse)
+    monkeypatch.setattr(InteractionSource, "__init__", refuse)
     g = torus(5, 5)
     budget = default_broadcast_budget(g)
     assert broadcast_time_estimate(g, repetitions=3, max_sources=4, rng=9).value > 0
@@ -590,6 +596,58 @@ def test_kernel_leg_builds_no_python_streams(monkeypatch):
     ).all()
     for seeds in ([11, 12], [11, 12, 13, 14, 15]):
         assert (run_influence_batch(g, seeds, budget) > 0).all()
+    for seed in (0, 5, 2**64 - 1):
+        assert single_source_broadcast_steps(g, 3, rng=seed) > 0
+        assert single_source_broadcast_steps(g, 3, rng=seed, max_steps=10) is None
+        for distance in (1, 3):
+            assert distance_k_propagation_steps(g, 3, distance, rng=seed) > 0
+
+
+_WRAPPER_SEEDS = [0, 7, 2**63 + 5, 2**64 - 1, 2**70 + 1]
+
+
+@pytest.mark.parametrize("budget", [None, "cut"])
+@pytest.mark.parametrize("seed", _WRAPPER_SEEDS, ids=str)
+def test_wrappers_read_the_same_stream_for_a_seed_and_its_generator(seed, budget):
+    """``rng=seed`` and ``rng=np.random.default_rng(seed)`` give equal steps.
+
+    The seed runs a width-1 batched stack (on a kernel row where the
+    kernel can seed it), the Generator draws in NumPy: both read the
+    stream of ``default_rng(seed)``, whether the run finishes or its
+    budget cuts the broadcast one step short.  A bit generator or a
+    ``SeedSequence`` over the seed is drawn in NumPy like the Generator,
+    never reduced to a seed.
+    """
+    for graph, source in ((cycle(40), 3), (torus(6, 6), 0), (_renitent_star(), 5)):
+        full = single_source_broadcast_steps(graph, source, rng=seed)
+        assert full is not None
+        max_steps = None if budget is None else full - 1
+
+        def steps(make_rng):
+            broadcast = single_source_broadcast_steps(
+                graph, source, rng=make_rng(), max_steps=max_steps
+            )
+            return [broadcast] + [
+                distance_k_propagation_steps(graph, source, k, rng=make_rng(), max_steps=max_steps)
+                for k in (0, 1, 3)
+            ]
+
+        by_seed = steps(lambda: seed)
+        for make_rng in (np.random.default_rng, np.random.PCG64, np.random.SeedSequence):
+            assert by_seed == steps(lambda: make_rng(seed)), make_rng.__name__
+        assert (by_seed[0] is None) == (budget is not None)
+
+
+def test_seeds_that_are_not_integers_raise():
+    """A float seed raises, as ``np.random.default_rng`` does; it is never truncated."""
+    g = cycle(20)
+    for call in (
+        lambda: single_source_broadcast_steps(g, 0, rng=3.7),
+        lambda: distance_k_propagation_steps(g, 0, 2, rng=3.0),
+        lambda: broadcast_time_estimate(g, repetitions=2, rng=3.7),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def _shared_generator_run(generator):
@@ -625,9 +683,9 @@ def _plain(value):
 def test_caller_held_generator_matches_fallback(bit_generator, monkeypatch):
     """A shared Generator ends exactly where the NumPy leg leaves it.
 
-    The kernel stops drawing at a finished row; the caller's generator
-    must still end on a whole-block boundary, so both the returned steps
-    and the final ``bit_generator.state`` equal the no-kernel run's.
+    A caller-held generator always draws whole blocks in NumPy, kernel or
+    not, so both the returned steps and the final ``bit_generator.state``
+    equal the no-kernel run's.
     """
 
     def make():
@@ -695,15 +753,16 @@ def _reference_influence_steps(graph: Graph, seed: int, max_steps: int) -> int:
 
     n = graph.n_nodes
     stream = make_streams(graph, [seed])[0]
+    directed_u, directed_v = directed_tables(graph)
     sets = [{v} for v in range(n)]
     everyone = set(range(n))
     consumed = 0
     round_index = 0
     while consumed < max_steps:
         block = min(block_size(round_index), max_steps - consumed)
-        iu = np.empty(block, dtype=np.int64)
-        iv = np.empty(block, dtype=np.int64)
-        stream.next_into(iu, iv)
+        draws = np.empty(block, dtype=np.int64)
+        stream.draw_pair_indices(draws)
+        iu, iv = directed_u.take(draws), directed_v.take(draws)
         for i, (u, v) in enumerate(zip(iu.tolist(), iv.tolist()), start=1):
             merged = sets[u] | sets[v]
             sets[u] = merged

@@ -80,7 +80,9 @@ def test_executors_match_reference_across_protocols_and_graphs(executor_seed):
         for name, factory in _protocol_factories().items():
             for seed in (0, 1):
                 protocol = factory(graph)
-                reference = Simulator(graph, protocol, rng=seed).run(max_steps=MAX_STEPS)
+                reference = Simulator(graph, protocol, rng=seed, engine="reference").run(
+                    max_steps=MAX_STEPS
+                )
                 compiled = Simulator(
                     graph, protocol, rng=executor_seed(seed), engine="auto"
                 ).run(max_steps=MAX_STEPS)
@@ -93,7 +95,9 @@ def test_auto_engine_matches_reference():
     for graph in (clique(20), cycle(12)):
         for name, factory in _protocol_factories().items():
             protocol = factory(graph)
-            reference = Simulator(graph, protocol, rng=3).run(max_steps=MAX_STEPS)
+            reference = Simulator(graph, protocol, rng=3, engine="reference").run(
+                max_steps=MAX_STEPS
+            )
             auto = Simulator(graph, protocol, rng=3, engine="auto").run(max_steps=MAX_STEPS)
             _assert_results_identical(reference, auto, (graph.name, name))
 
@@ -104,7 +108,7 @@ def test_leader_trace_matches_reference(executor):
     graph = clique(20)
     protocol = TokenLeaderElection()
     for seed in (0, 4):
-        reference = Simulator(graph, protocol, rng=seed).run(
+        reference = Simulator(graph, protocol, rng=seed, engine="reference").run(
             max_steps=30_000, record_leader_trace=True, trace_resolution=32
         )
         compiled = Simulator(graph, protocol, rng=seed, engine="auto").run(
@@ -117,7 +121,9 @@ def test_inputs_are_respected():
     graph = clique(10)
     protocol = TokenLeaderElection()
     inputs = [1, 0, 0, 1, 0, 0, 0, 1, 0, 0]
-    reference = Simulator(graph, protocol, rng=2).run(max_steps=20_000, inputs=inputs)
+    reference = Simulator(graph, protocol, rng=2, engine="reference").run(
+        max_steps=20_000, inputs=inputs
+    )
     compiled = Simulator(graph, protocol, rng=2, engine="auto").run(
         max_steps=20_000, inputs=inputs
     )
@@ -127,7 +133,7 @@ def test_inputs_are_respected():
 def test_zero_step_budget_matches_reference():
     graph = star(8)
     protocol = StarLeaderElection()
-    ref = Simulator(graph, protocol, rng=0).run(max_steps=0)
+    ref = Simulator(graph, protocol, rng=0, engine="reference").run(max_steps=0)
     comp = Simulator(graph, protocol, rng=0, engine="auto").run(max_steps=0)
     _assert_results_identical(ref, comp, "zero-budget")
     assert not ref.stabilized
@@ -141,7 +147,7 @@ def test_auto_engine_runs_replayed_schedules_on_the_reference():
     protocol = TokenLeaderElection()
     scheduler = SequenceScheduler(graph, [(0, 1), (2, 3)])
     result = Simulator(graph, protocol, rng=0, engine="auto").run(max_steps=2, scheduler=scheduler)
-    reference = Simulator(graph, protocol, rng=0).run(
+    reference = Simulator(graph, protocol, rng=0, engine="reference").run(
         max_steps=2, scheduler=SequenceScheduler(graph, [(0, 1), (2, 3)])
     )
     assert result.steps_executed == 2

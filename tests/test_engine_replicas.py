@@ -25,7 +25,9 @@ COMPARED_FIELDS = (
 def _assert_matches_reference(graph, protocol, seeds, results, context):
     assert len(results) == len(seeds)
     for seed, result in zip(seeds, results):
-        reference = Simulator(graph, protocol, rng=seed).run(max_steps=MAX_STEPS)
+        reference = Simulator(graph, protocol, rng=seed, engine="reference").run(
+            max_steps=MAX_STEPS
+        )
         for field in COMPARED_FIELDS:
             assert getattr(reference, field) == getattr(result, field), (
                 context,
@@ -65,7 +67,7 @@ def test_initially_stable_replicas_return_immediately():
     inputs = [1, 0, 0, 0, 0]
     results = run_replicas(protocol, graph, [0, 1], max_steps=1_000, inputs=inputs)
     for seed, result in zip([0, 1], results):
-        reference = Simulator(graph, protocol, rng=seed).run(
+        reference = Simulator(graph, protocol, rng=seed, engine="reference").run(
             max_steps=1_000, inputs=inputs
         )
         assert reference.stabilized and reference.steps_executed == 0

@@ -51,8 +51,6 @@ class TestNodeSamplingScheduler:
             NodeSamplingScheduler(Graph(3, [(0, 1)], check_connected=False))
 
     def test_rejects_bad_batch_sizes(self, small_cycle):
-        with pytest.raises(ValueError):
-            NodeSamplingScheduler(small_cycle, batch_size=0)
         scheduler = NodeSamplingScheduler(small_cycle, rng=0)
         with pytest.raises(ValueError):
             scheduler.next_batch(-1)

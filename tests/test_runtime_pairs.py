@@ -175,23 +175,6 @@ class TestEncodeDecode:
 
 
 class TestDialectConsistency:
-    def test_trajectory_stream_decodes_through_the_shared_tables(self):
-        """The analytics dialect's decoded draws match a manual decode."""
-        from repro.analytics.streams import TrajectoryStream
-
-        graph = clique(9)
-        stream = TrajectoryStream(graph, np.random.default_rng(5))
-        raw = np.empty(256, dtype=np.int64)
-        stream.draws_into(raw)
-        manual = decode_pairs(raw, *directed_tables(graph))
-        # Same seed, same single bounded draw, decoded two ways.
-        replay = TrajectoryStream(graph, np.random.default_rng(5))
-        iu = np.empty(256, dtype=np.int64)
-        iv = np.empty(256, dtype=np.int64)
-        replay.next_into(iu, iv)
-        assert (iu == manual[0]).all()
-        assert (iv == manual[1]).all()
-
     def test_scheduler_raw_indices_decode_to_its_own_arrays(self):
         from repro.core.scheduler import RandomScheduler
 
