@@ -11,11 +11,11 @@ this size:
   A subprocess is mandatory: ``ru_maxrss`` is a process-lifetime
   high-water mark, so measuring in the pytest process would report the
   residue of whatever ran before.  The ceiling defaults to 2048 MB
-  (``REPRO_BENCH_RSS_MB`` to tune).  With node ids in four bytes the run
-  sets the peak, a few MB above the graph build: the graph's ``int32``
-  endpoint buffer and degrees stay resident while the run adds its
-  ``int64`` state codes (71 MB against 67 MB after the build, on a
-  2-vCPU host).
+  (``REPRO_BENCH_RSS_MB`` to tune).  With node ids in four bytes and
+  table codes in two, the graph build sets the peak: its transient
+  union-find scratch lifts the high-water mark to 67 MB, while the run
+  adds its ``uint16`` state codes (2 MB) to the 63 MB that stay resident
+  after the build (2-vCPU host).
 
 **Throughput record** — the shard-worker pool against the best existing
 path, width-1 v6 (a one-replica plan on the kernel-v6 epoch stack):

@@ -691,6 +691,23 @@ MUTANTS: Tuple[Mutant, ...] = (
         "",
         STEP_ZERO,
     ),
+    # -- Table codes in two bytes on the v6 stack ----------------------
+    Mutant(
+        "stack-table-codes-one-byte",
+        NATIVE,
+        "                tcodes[u] = (repro_table_code)na;\n"
+        "                tcodes[v] = (repro_table_code)nb;\n",
+        "                tcodes[u] = (uint8_t)na;\n"
+        "                tcodes[v] = (uint8_t)nb;\n",
+        ("tests/test_runtime_plan.py::test_table_codes_past_one_byte_match_the_reference",),
+    ),
+    Mutant(
+        "stack-start-codes-int64",
+        EXECUTE,
+        "        initial_codes = np.broadcast_to(initial_codes, n).astype(code_dtype)\n",
+        "        initial_codes = np.broadcast_to(initial_codes, n).astype(np.int64)\n",
+        ("tests/test_runtime_plan.py::test_stack_results_keep_table_codes_in_two_bytes",),
+    ),
     # -- Two engines, one table bound, checked before any table is built
     Mutant(
         "worthwhile-ignores-table-bound",

@@ -49,12 +49,18 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..core.protocol import LEADER, PopulationProtocol
+from .native import TABLE_CODE_DTYPE
 
 #: Default bound on the number of distinct states the compiler will track.
 DEFAULT_MAX_STATES = 4096
 
 #: Hard bound imposed by the int32 packed-entry layout (2*13 + 4 = 30 bits).
 HARD_MAX_STATES = 8192
+
+# The v6 stack keeps table codes in TABLE_CODE_DTYPE: every code below
+# the hard bound must fit it.
+if HARD_MAX_STATES - 1 > np.iinfo(TABLE_CODE_DTYPE).max:  # pragma: no cover
+    raise ImportError(f"table codes below {HARD_MAX_STATES} do not fit {TABLE_CODE_DTYPE}")
 
 #: Fixed stride used for scalar-cache keys, stable across table growth.
 _SCALAR_STRIDE = 1 << 14

@@ -165,6 +165,11 @@ typedef unsigned __int128 repro_u128;
 #define REPRO_RULE_TABLE 0
 #define REPRO_RULE_IDENTIFIER 1
 
+/* A table-rule code (mirrored in repro.engine.native as TABLE_CODE_DTYPE):
+ * every table code is below HARD_MAX_STATES, so it fits two bytes.  The
+ * identifier rule's codes id << 3 | sub are int64. */
+typedef uint16_t repro_table_code;
+
 /* ---- numpy SeedSequence (pool 4, entropy <= 2 uint32 words) ------ */
 
 static void repro_seedseq_state(uint64_t seed, uint64_t out[4])
@@ -627,7 +632,7 @@ static void repro_fan_out(repro_rows_fn rows, const void *shared,
 }
 
 typedef struct {
-    int64_t *codes;
+    void *codes;
     int64_t *rows;
     const uint64_t *seeds;
     int64_t *buffers;
@@ -672,13 +677,16 @@ typedef struct {
  * from seeds[r] first.
  *
  * rule is a compile-time constant at each call site, so the table rule
- * (dpack lookups, the dense seen bitmap) and the identifier rule (k is
- * the threshold 2^bits, dpack its table; each written code is appended
- * to the row's log) each get their own loop. */
+ * (repro_table_code codes, dpack lookups, the dense seen bitmap) and the
+ * identifier rule (int64 codes; k is the threshold 2^bits, dpack its
+ * table; each written code is appended to the row's log) each get their
+ * own loop. */
 static inline __attribute__((always_inline)) void repro_run_epoch_row(
     const repro_epoch_job *job, int64_t r, const int32_t rule)
 {
-    int64_t *codes = job->codes + r * job->n;
+    repro_table_code *tcodes
+        = rule == REPRO_RULE_TABLE ? (repro_table_code *)job->codes + r * job->n : 0;
+    int64_t *codes = rule == REPRO_RULE_TABLE ? 0 : (int64_t *)job->codes + r * job->n;
     int64_t *row = job->rows + r * REPRO_ROW_WORDS;
     uint64_t *rngw = (uint64_t *)row;
     int64_t *buffer = job->buffers + r * job->buf_cap;
@@ -727,8 +735,8 @@ static inline __attribute__((always_inline)) void repro_run_epoch_row(
             idx = buffer[cursor];
             u = du[idx];
             v = dv[idx];
-            a = codes[u];
-            b = codes[v];
+            a = rule == REPRO_RULE_TABLE ? tcodes[u] : codes[u];
+            b = rule == REPRO_RULE_TABLE ? tcodes[v] : codes[v];
             if (rule == REPRO_RULE_TABLE) {
                 int64_t val;
                 pk = dpack[a * k + b];
@@ -748,12 +756,14 @@ static inline __attribute__((always_inline)) void repro_run_epoch_row(
             }
             cursor++;
             position++;
-            codes[u] = na;
-            codes[v] = nb;
             if (rule == REPRO_RULE_TABLE) {
+                tcodes[u] = (repro_table_code)na;
+                tcodes[v] = (repro_table_code)nb;
                 seen[na] = 1;
                 seen[nb] = 1;
             } else {
+                codes[u] = na;
+                codes[v] = nb;
                 if (na != a)
                     log[nlog++] = na;
                 if (nb != b)
@@ -810,16 +820,17 @@ static void repro_epoch_rows(const void *shared, int64_t lo, int64_t hi)
     }
 }
 
-/* rows is the (nrep x REPRO_ROW_WORDS) row block.  seeds (nrep) seeds
- * every row's PCG64 words before it runs: the caller passes it on a
- * stack's first call, on zeroed rows, and NULL on every later call.
- * Table rule: seen is the (nrep x k) code bitmap; log is unused.
- * Identifier rule: log is (nrep x log_cap) and each row's
- * REPRO_ROW_LOG_LEN word counts its entries (the caller empties it after
- * LOG); seen is unused.  All rows share one topology epoch: a row that
- * stopped at SWITCH stops there again, drawing nothing, until the caller
- * passes the next epoch's tables. */
-void repro_run_epoch(int64_t *codes, int64_t *rows, const uint64_t *seeds,
+/* codes is the (nrep x n) code block and rows the (nrep x
+ * REPRO_ROW_WORDS) row block.  seeds (nrep) seeds every row's PCG64 words
+ * before it runs: the caller passes it on a stack's first call, on zeroed
+ * rows, and NULL on every later call.  Table rule: codes are
+ * repro_table_code and seen is the (nrep x k) code bitmap; log is unused.
+ * Identifier rule: codes are int64, log is (nrep x log_cap) and each
+ * row's REPRO_ROW_LOG_LEN word counts its entries (the caller empties it
+ * after LOG); seen is unused.  All rows share one topology epoch: a row
+ * that stopped at SWITCH stops there again, drawing nothing, until the
+ * caller passes the next epoch's tables. */
+void repro_run_epoch(void *codes, int64_t *rows, const uint64_t *seeds,
                      int64_t *buffers, int64_t buf_cap,
                      const int32_t *du, const int32_t *dv, int64_t m,
                      int64_t epoch_end, int64_t nrep, int64_t n,
@@ -1176,6 +1187,11 @@ MAX_KERNEL_THREADS = 64
 #: Theorem 21 computed arithmetically on codes ``id << 3 | sub``
 #: (:meth:`repro.protocols.identifier.IdentifierLeaderElection.kernel_rule`).
 RULE_TABLE, RULE_IDENTIFIER = 0, 1
+#: The dtype of a table-rule code on the v6 stack (mirrors
+#: ``repro_table_code``): every table code is below
+#: :data:`repro.engine.compiler.HARD_MAX_STATES`, which checks that it
+#: fits.  The identifier rule's codes are ``int64``.
+TABLE_CODE_DTYPE = "uint16"
 #: ``repro_run_epoch``'s ``epoch_end`` on a static topology (INT64_MAX:
 #: no refill is capped and no row stops to switch epochs).
 NO_EPOCH_END = (1 << 63) - 1
@@ -1301,7 +1317,7 @@ def _bind_v6(library):
     run_epoch = library.repro_run_epoch
     run_epoch.restype = None
     run_epoch.argtypes = [
-        ctypes.c_void_p,  # codes (nrep x n)
+        ctypes.c_void_p,  # codes (nrep x n; TABLE_CODE_DTYPE, or int64 for RULE_IDENTIFIER)
         ctypes.c_void_p,  # rows (nrep x STACK_ROW_WORDS)
         ctypes.c_void_p,  # seeds (nrep; the stack's first call) or None
         ctypes.c_void_p,  # buffers (nrep x buf_cap)

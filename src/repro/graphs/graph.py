@@ -16,8 +16,10 @@ endpoint buffer, the degrees, the CSR neighbour indices and the
 union-find scratch, so a graph has at most :data:`MAX_NODES` =
 ``2**31 - 1`` nodes.  Inputs are range-checked at their own width before
 they are narrowed into the buffer, so an endpoint such as ``2**32 + 5`` is
-refused and never becomes node 5.  Pair indices, state codes, step counts
-and BFS distances stay ``int64``.
+refused and never becomes node 5.  Pair indices, step counts and BFS
+distances stay ``int64``; state codes are ``uint16`` on the v6 stack's
+table rule (:data:`repro.engine.native.TABLE_CODE_DTYPE`) and ``int64``
+for the identifier rule.
 
 The class is deliberately immutable: every protocol run, broadcast
 simulation and random-walk experiment shares a single graph object, and the

@@ -10,12 +10,13 @@ plan, from the plan's inputs alone:
   schedule, whose seeds the kernel can reproduce (plain integers in
   ``[0, 2**64)``), when the v6 kernel is built
   (:func:`~repro.runtime.plan.v6_servable`).
-  The codes of the whole plan live in one ``(R, n)`` matrix (a plan
-  without ``inputs`` starts every node in one state, whose code the rule
-  keeps from its first plan on) and
-  one ``repro_run_epoch`` call advances every active replica, with its
-  seeded stream drawn in-kernel, to its next stop event.  The kernel
-  applies either the plan's transition tables or, for a protocol with a
+  The codes of the whole plan live in one ``(R, n)`` matrix, ``uint16``
+  for transition tables and ``int64`` for a kernel rule (a plan without
+  ``inputs`` starts every node in one state, whose code the rule keeps
+  from its first plan on), and one ``repro_run_epoch`` call advances
+  every active replica, with its seeded stream drawn in-kernel, to its
+  next stop event.  The kernel applies either the plan's transition
+  tables or, for a protocol with a
   :meth:`~repro.core.protocol.PopulationProtocol.kernel_rule` (the
   identifier protocol under ``engine="auto"``), that arithmetic rule.
   On a schedule every refill is capped at the active epoch's end and a
@@ -78,6 +79,7 @@ from ..engine.native import (
     ROW_STEPS,
     RULE_TABLE,
     STACK_ROW_WORDS,
+    TABLE_CODE_DTYPE,
     data_address,
     kernel_thread_count,
 )
@@ -510,7 +512,11 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     plan's seeds on the first call; after each call every row's words
     are read back with one ``tolist()``, and a compaction copies the
     codes, the row block, the pre-sample buffers and the seen bitmap or
-    code log.
+    code log.  Table codes are below ``HARD_MAX_STATES``, so the codes
+    block, its compactions and every code row a result keeps (the
+    initially-stable and zero-budget rows included) hold them as
+    :data:`~repro.engine.native.TABLE_CODE_DTYPE`, two bytes a node; a
+    kernel rule's codes are ``int64``.
 
     ``plan.compiled`` picks the kernel's transition rule.  Transition
     tables (:class:`~repro.engine.compiler.CompiledProtocol`) count
@@ -532,6 +538,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     rule = plan.compiled
     assert rule is not None
     tables = rule.rule_id == RULE_TABLE
+    code_dtype = TABLE_CODE_DTYPE if tables else np.int64
     kernel = native.get_run_epoch_kernel()
     assert kernel is not None
     n = graph.n_nodes
@@ -564,8 +571,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
         protocol.is_output_stable_configuration(plan.initial_states(), graph)
     )
     if initially_stable or max_steps == 0:
-        if uniform:
-            initial_codes = np.full(n, initial_codes[0], dtype=np.int64)
+        initial_codes = np.broadcast_to(initial_codes, n).astype(code_dtype)
         wall = time.perf_counter() - start_time
         distinct = int(start_seen.sum()) if tables else start_seen.size
         for index in range(replica_count):
@@ -584,7 +590,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     rows[:, ROW_LEADERS] = initial_leaders
     # The kernel writes a refill before it reads one.
     buffers = np.empty((replica_count, max(REFILL_SIZE, check_interval)), dtype=np.int64)
-    codes = np.empty((replica_count, n), dtype=np.int64)
+    codes = np.empty((replica_count, n), dtype=code_dtype)
     codes[...] = initial_codes  # one code per node, or the uniform one broadcast
     if tables:
         seen = start_seen[None, :].repeat(replica_count, axis=0)

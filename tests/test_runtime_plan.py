@@ -17,6 +17,7 @@ replay a failure in isolation.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -557,6 +558,61 @@ def test_budget_rows_decode_on_demand(rule, width, monkeypatch):
     assert len(decodes) - boundary_decodes == width
 
 
+#: Stack results whose kept code row the layout pin reads: (protocol and
+#: inputs of a graph, step budget, the row's dtype).  Table codes fit two
+#: bytes on a budget run and on the initially-stable and zero-budget
+#: paths; the identifier rule's codes ``id << 3 | sub`` stay ``int64``.
+_CODE_ROW_CASES = {
+    "table-budget": (lambda g: (TokenLeaderElection(), None), 160, np.uint16),
+    "table-zero-budget": (lambda g: (TokenLeaderElection(), None), 0, np.uint16),
+    "table-initially-stable": (
+        lambda g: (TokenLeaderElection(), [v == 0 for v in g.nodes]),
+        160,
+        np.uint16,
+    ),
+    "identifier-budget": (
+        lambda g: (IdentifierLeaderElection(g.n_nodes, regular=True), None),
+        160,
+        np.int64,
+    ),
+    "identifier-zero-budget": (
+        lambda g: (IdentifierLeaderElection(g.n_nodes, regular=True), None),
+        0,
+        np.int64,
+    ),
+}
+
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+@pytest.mark.parametrize("width", (1, 3))
+@pytest.mark.parametrize("case", sorted(_CODE_ROW_CASES))
+def test_stack_results_keep_table_codes_in_two_bytes(case, width):
+    """The code row a v6 result keeps holds a table code in two bytes:
+    ``uint16``, ``2n`` bytes, whether the row ran out its budget or never
+    ran.  A kernel rule's row stays ``int64``.  Results equal the
+    reference interpreter's."""
+    make, max_steps, dtype = _CODE_ROW_CASES[case]
+    graph = torus(5, 5)
+    seeds = [derive_seed(MASTER_SEED, "code-rows", r) for r in range(width)]
+
+    def plan(engine):
+        protocol, inputs = make(graph)
+        return compile_plan(
+            [protocol] * width, graph, seeds, max_steps=max_steps, inputs=inputs, engine=engine
+        )
+
+    stacked = plan("auto")
+    assert _stack_v6_eligible(stacked)
+    results = execute_plan(stacked)
+    for result in results:
+        codes = result.final_configuration._codes  # the row, not yet decoded
+        assert codes.dtype == dtype and codes.shape == (graph.n_nodes,)
+        assert codes.nbytes == np.dtype(dtype).itemsize * graph.n_nodes
+        assert result.stabilized == (case == "table-initially-stable")
+    reference = execute_plan(plan("reference"))
+    assert [_result_tuple(r) for r in results] == [_result_tuple(r) for r in reference]
+
+
 #: Step-0 certificate cases: (protocol, inputs of a graph, expected
 #: step-0 certificate calls).  The one-leader precheck spares an
 #: all-candidate start; a one-candidate token start certifies at step 0.
@@ -804,6 +860,62 @@ def test_tables_outgrowing_the_bound_mid_run_raise_on_every_executor():
     assert messages == {
         "understated-counter: state space exceeds max_states=4096; use the reference engine"
     }
+
+
+class _SaturatingCounter(PopulationProtocol):
+    """A counter that climbs to its top state and stays there.
+
+    It declares its 1,000 states, so ``compilation_worthwhile`` accepts
+    it, but enumerates none: its tables start at stride 64 and grow
+    through ``_MISS`` stops mid-run.  States are met in increasing order,
+    so each state's code is the state itself.
+    """
+
+    name = "saturating-counter"
+    top = 999
+
+    def initial_state(self, input_symbol=None):
+        return 0
+
+    def transition(self, initiator, responder):
+        return min(initiator + 1, self.top), responder
+
+    def output(self, state):
+        return LEADER if state % 2 == 0 else FOLLOWER
+
+    def state_space_size(self):
+        return self.top + 1
+
+
+def _measured_fields(result):
+    """Every field of a result but its wall time; the final configuration
+    as its step and states."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    del fields["wall_time_seconds"]
+    final = fields.pop("final_configuration")
+    fields["final_configuration"] = (final.step, final.states)
+    return fields
+
+
+def test_table_codes_past_one_byte_match_the_reference(engine_variants):
+    """Table codes above 255 stay exact on every executor: a run whose
+    codes climb past one byte, with tables growing mid-run, equals the
+    reference interpreter's result field for field."""
+    graph = cycle(6)
+    seed = derive_seed(MASTER_SEED, "wide-codes")
+    results = {}
+    for engine, seed_of in engine_variants:
+        plan = compile_plan(
+            [_SaturatingCounter()], graph, [seed_of(seed)], max_steps=3000, engine=engine
+        )
+        tables = plan.compiled
+        assert tables is None or tables.stride == 64
+        results[f"{engine}/{seed_of.__name__}"] = _measured_fields(execute_plan(plan)[0])
+        assert tables is None or tables.stride == 1024
+    reference = results.pop("reference/int_seed")
+    assert min(reference["final_configuration"][1]) > 255
+    assert reference["distinct_states_observed"] > 256
+    assert results and results == {name: reference for name in results}
 
 
 #: Plans the v6 stack serves although no one static table set covers
