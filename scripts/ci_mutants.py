@@ -64,9 +64,7 @@ DYNAMIC_V6 = ("tests/test_dynamics.py::test_dynamic_plans_on_v6_match_reference"
 STREAMS = "src/repro/analytics/streams.py"
 INFLUENCE = "src/repro/propagation/influence.py"
 ONE_CALL = ("tests/test_analytics_batch.py::test_one_call_stack_matches_rounds_and_fallback",)
-ANALYTICS_THREADS = (
-    "tests/test_analytics_batch.py::test_kernel_threads_never_change_analytics_results",
-)
+FLOAT_SEEDS = ("tests/test_analytics_batch.py::test_batch_drivers_reject_float_seeds",)
 REFILL_HALVES = ("tests/test_kernel_rng.py::test_source_fill_rejections_and_carried_half_words",)
 ECCENTRICITIES = (
     "tests/test_graph.py::test_eccentricities_agree_on_named_families",
@@ -160,22 +158,22 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "epidemic-draws-past-finish",
         NATIVE,
-        "        for (i = 0; i < job->block && fin < 0; i++) {\n"
+        "        for (i = 0; i < block && fin < 0; i++) {\n"
         "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
-        "            int64_t u = job->du[idx];",
-        "        for (i = 0; i < job->block; i++) {\n"
+        "            int64_t u = du[idx];",
+        "        for (i = 0; i < block; i++) {\n"
         "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
         "            if (fin >= 0)\n                break;\n"
-        "            int64_t u = job->du[idx];",
+        "            int64_t u = du[idx];",
         STOP_AT_FINISH,
     ),
     Mutant(
         "influence-draws-past-finish",
         NATIVE,
-        "        for (i = 0; i < job->block && fin < 0; i++) {\n"
+        "        for (i = 0; i < block && fin < 0; i++) {\n"
         "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
         "            int64_t u, v, j;",
-        "        for (i = 0; i < job->block; i++) {\n"
+        "        for (i = 0; i < block; i++) {\n"
         "            int64_t idx = (int64_t)repro_bounded64(&p, rng);\n"
         "            if (fin >= 0)\n                break;\n"
         "            int64_t u, v, j;",
@@ -422,7 +420,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            kernel_step(rows, rng_rows, directed_u, directed_v, max_steps + 1, out)",
         ONE_CALL,
     ),
-    # -- One lockstep driver, one replica fan-out ----------------------
+    # -- One lockstep driver; every kernel row runs --------------------
     Mutant(
         "lockstep-compaction-keeps-finished-rows",
         STREAMS,
@@ -431,11 +429,34 @@ MUTANTS: Tuple[Mutant, ...] = (
         ONE_CALL,
     ),
     Mutant(
-        "fan-out-drops-remainder-rows",
+        "epidemic-kernel-skips-last-row",
         NATIVE,
-        "        lo += base + (t < rem ? 1 : 0);",
-        "        lo += base;",
-        ANALYTICS_THREADS,
+        "    for (r = 0; r < nrep; r++) {\n        uint8_t *inf = informed + r * n;",
+        "    for (r = 0; r < nrep - 1; r++) {\n        uint8_t *inf = informed + r * n;",
+        ONE_CALL,
+    ),
+    # -- Analytics inputs: stop masks checked, seeds never truncated ---
+    Mutant(
+        "stop-mask-shape-unchecked",
+        "src/repro/analytics/epidemics.py",
+        "    if masks.shape != shape:\n"
+        "        raise ValueError(f\"stop masks must have shape {shape}, got {masks.shape}\")\n",
+        "",
+        ("tests/test_analytics_batch.py::test_stop_masks_of_another_shape_raise",),
+    ),
+    Mutant(
+        "stream-seeds-truncated",
+        STREAMS,
+        "np.random.default_rng(operator.index(seed))",
+        "np.random.default_rng(int(seed))",
+        FLOAT_SEEDS,
+    ),
+    Mutant(
+        "influence-chunk-seeds-truncated",
+        "src/repro/analytics/epidemics.py",
+        "        chunk_seeds = [operator.index(seeds[t]) for t in chunk]",
+        "        chunk_seeds = [int(seeds[t]) for t in chunk]",
+        FLOAT_SEEDS,
     ),
     Mutant(
         "uniform-encode-with-inputs",
@@ -603,7 +624,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "                    return order, predecessors, nxt_tuple\n",
         ("tests/test_certificate_audit.py::test_verdicts_pin_explored_and_counterexample",),
     ),
-    # -- One thread setting, checked environment values ----------------
+    # -- The per-replica precheck; checked environment values ---------
     Mutant(
         "per-replica-certificate-without-precheck",
         EXECUTE,
@@ -611,25 +632,6 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    precheck = bool(getattr(protocol, \"certificate_requires_unique_leader\", False))\n",
         "    # nor call it.\n    precheck = False\n",
         ("tests/test_runtime_plan.py::test_per_replica_certificate_behind_the_one_leader_precheck",),
-    ),
-    Mutant(
-        "v6-stack-ignores-thread-setting",
-        EXECUTE,
-        "    threads = kernel_thread_count()\n",
-        "    threads = 1\n",
-        ("tests/test_engine_differential.py::test_thread_setting_reaches_every_kernel",),
-    ),
-    Mutant(
-        "kernel-threads-accepts-malformed",
-        NATIVE,
-        "    if value < 1:\n"
-        "        raise ValueError(f\"REPRO_KERNEL_THREADS must be a positive integer, got {raw!r}\")\n"
-        "    return min(value, MAX_KERNEL_THREADS)",
-        "    return max(1, min(value, MAX_KERNEL_THREADS))",
-        (
-            "tests/test_engine_differential.py::"
-            "test_thread_setting_rejects_malformed_and_non_positive_values",
-        ),
     ),
     Mutant(
         "lock-ttl-accepts-malformed",

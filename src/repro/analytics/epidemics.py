@@ -46,6 +46,7 @@ not the kernel is built; kernel RNG rows are only ever seeded in C.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -54,7 +55,6 @@ from ..engine.native import (
     data_address,
     get_broadcast_epoch_kernel,
     get_influence_epoch_kernel,
-    kernel_thread_count,
 )
 from ..graphs.graph import Graph
 from ..runtime.source import InteractionSource, kernel_rng_rows
@@ -89,13 +89,15 @@ def run_epidemic_batch(
     """Steps until completion for ``R`` independent epidemics.
 
     Trajectory ``t`` starts at ``sources[t]`` and reads the stream seeded
-    by ``seeds[t]``.  Without ``stopmasks`` an epidemic completes when all
-    ``n`` nodes are informed; with ``stopmasks`` (an ``(R, n)`` uint8
-    matrix) it completes when a newly informed node has its mask bit set
-    (distance-``k`` propagation).  Returns an int64 array with the 1-based
-    completion step per trajectory, or :data:`BUDGET_EXHAUSTED` where
-    ``max_steps`` ran out.  ``replica_batch`` caps how many trajectories
-    are co-resident; it never changes the results.
+    by ``seeds[t]``, an integer (a float seed raises ``TypeError``).
+    Without ``stopmasks`` an epidemic completes when all ``n`` nodes are
+    informed; with ``stopmasks`` (an ``(R, n)`` array; any other shape
+    raises ``ValueError``) it completes when a newly informed node has a
+    nonzero mask entry (distance-``k`` propagation).  Returns an int64
+    array with the 1-based completion step per trajectory, or
+    :data:`BUDGET_EXHAUSTED` where ``max_steps`` ran out.
+    ``replica_batch`` caps how many trajectories are co-resident; it
+    never changes the results.
 
     ``schedule`` runs the epidemics on a time-varying topology: blocks
     are clipped at epoch boundaries so all co-resident trajectories
@@ -111,12 +113,14 @@ def run_epidemic_batch(
     for source in sources:
         if not (0 <= int(source) < graph.n_nodes):
             raise ValueError("source out of range")
+    if stopmasks is not None:
+        stopmasks = _target_masks(stopmasks, (count, graph.n_nodes))
     results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
         chunk_seeds = seeds[chunk.start : chunk.stop]
         rng_rows = kernel_rng_rows(chunk_seeds)
         chunk_sources = [int(source) for source in sources[chunk.start : chunk.stop]]
-        chunk_masks = None if stopmasks is None else stopmasks[list(chunk)]
+        chunk_masks = None if stopmasks is None else stopmasks[chunk.start : chunk.stop]
         _run_epidemic_stack(
             graph,
             rng_rows,
@@ -145,10 +149,22 @@ def run_single_epidemic(
     ends in the same state whether or not the kernel is built.
     """
     results = np.full(1, BUDGET_EXHAUSTED, dtype=np.int64)
-    masks = None if stopmask is None else np.ascontiguousarray(stopmask, dtype=np.uint8)[None, :]
+    masks = None if stopmask is None else _target_masks(stopmask, (graph.n_nodes,))[None, :]
     _run_epidemic_stack(graph, None, [stream], [int(source)], masks, max_steps, results)
     steps = int(results[0])
     return None if steps == BUDGET_EXHAUSTED else steps
+
+
+def _target_masks(masks, shape) -> np.ndarray:
+    """Stop masks as a contiguous 0/1 ``uint8`` array of ``shape``.
+
+    Any nonzero entry marks a target, so the kernel, the scalar loop and
+    the NumPy block read the same stop set.
+    """
+    masks = np.asarray(masks)
+    if masks.shape != shape:
+        raise ValueError(f"stop masks must have shape {shape}, got {masks.shape}")
+    return (masks != 0).view(np.uint8)
 
 
 def _run_epidemic_stack(
@@ -170,9 +186,7 @@ def _run_epidemic_stack(
     active = len(sources)
     informed = np.zeros((active, n), dtype=np.uint8)
     informed[np.arange(active), np.asarray(sources, dtype=np.int64)] = 1
-    masks = None if stopmasks is None else np.ascontiguousarray(stopmasks, dtype=np.uint8)
     kernel = get_broadcast_epoch_kernel()
-    threads = kernel_thread_count()
 
     def advance(rows, rng_rows, directed_u, directed_v, block: int, finish: np.ndarray) -> None:
         """Every row up to ``block`` draws, in one kernel call."""
@@ -189,7 +203,6 @@ def _run_epidemic_stack(
             None if masks is None else data_address(masks),
             data_address(counts),
             data_address(finish),
-            threads,
         )
 
     def apply(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
@@ -199,7 +212,7 @@ def _run_epidemic_stack(
         else:
             _scalar_epidemic_block(*rows, iu, iv, finish, n)
 
-    rows = [informed, np.ones(active, dtype=np.int64), masks]
+    rows = [informed, np.ones(active, dtype=np.int64), stopmasks]
     _run_lockstep(graph, rows, apply, out, max_steps, streams, rng_rows, advance, schedule)
 
 
@@ -292,7 +305,7 @@ def run_influence_batch(
         raise ValueError("schedule universe does not match the graph")
     results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
-        chunk_seeds = [int(seeds[t]) for t in chunk]
+        chunk_seeds = [operator.index(seeds[t]) for t in chunk]
         _run_influence_stack(
             graph, chunk_seeds, max_steps, results[chunk.start : chunk.stop], schedule
         )
@@ -335,7 +348,6 @@ def _run_influence_stack(
         [(1 << min(64, n - 64 * j)) - 1 for j in range(words)], dtype=np.uint64
     )
     kernel = get_influence_epoch_kernel()
-    threads = kernel_thread_count()
 
     def advance(rows, rng_rows, directed_u, directed_v, block: int, finish: np.ndarray) -> None:
         """Every row up to ``block`` draws, in one kernel call."""
@@ -354,7 +366,6 @@ def _run_influence_stack(
             data_address(flags),
             data_address(counts),
             data_address(finish),
-            threads,
         )
 
     rows = [bits, np.zeros((active, n), dtype=np.uint8), np.zeros(active, dtype=np.int64)]

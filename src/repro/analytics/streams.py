@@ -102,8 +102,14 @@ def resolve_base_seed(rng: RngLike) -> int:
 
 
 def make_streams(graph: Graph, seeds: Sequence[int]) -> List[InteractionSource]:
-    """One private NumPy stream per trajectory seed."""
-    return [InteractionSource(graph, np.random.default_rng(int(seed))) for seed in seeds]
+    """One private NumPy stream per trajectory seed.
+
+    A seed that is not an integer (a float, say) raises :class:`TypeError`
+    rather than being truncated.
+    """
+    return [
+        InteractionSource(graph, np.random.default_rng(operator.index(seed))) for seed in seeds
+    ]
 
 
 def fill_draw_rows(

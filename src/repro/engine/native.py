@@ -47,7 +47,7 @@ import subprocess
 from typing import Sequence, Tuple
 
 #: Compiler flags of every kernel build (``REPRO_KERNEL_CFLAGS`` appends).
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 #: The v5 function set: shard-local runs, fed pre-drawn pairs from
 #: Python as ``int64`` node ids (the graph layer's are ``int32``; the
@@ -127,17 +127,14 @@ int64_t repro_run_shard_block(int64_t *codes,
 #: them in Python), one ``uint64`` per stream.
 #: Every stream produced here is bit-identical to the NumPy draws; the
 #: differential contract lives in ``tests/test_kernel_rng.py`` and the
-#: golden fixtures.  Replicas are fully independent, so the optional
-#: pthread fan-out over the replica axis cannot change results for any
-#: thread count.
+#: golden fixtures.  Every kernel call runs its replica rows in order on
+#: the calling thread; parallelism comes from processes.
 _KERNEL_SOURCE_V6 = r"""
 #include <string.h>
-#include <pthread.h>
 
 typedef unsigned __int128 repro_u128;
 
 #define REPRO_RNG_WORDS 8
-#define REPRO_MAX_THREADS 64
 
 /* An epoch-runner row block: REPRO_ROW_WORDS int64 words per replica
  * (mirrored in repro.engine.native).  Words [0, REPRO_RNG_WORDS) are the
@@ -570,67 +567,7 @@ static int repro_identifier_agreed(const int64_t *codes, int64_t n, int64_t thre
     return 1;
 }
 
-/* ---- The replica fan-out shared by every stack kernel ----------- */
-
-/* Runs rows [lo, hi) of one kernel call; shared is the call's job. */
-typedef void (*repro_rows_fn)(const void *shared, int64_t lo, int64_t hi);
-
-typedef struct {
-    repro_rows_fn rows;
-    const void *shared;
-    int64_t lo;
-    int64_t hi;
-} repro_row_range;
-
-static void *repro_row_range_main(void *arg)
-{
-    const repro_row_range *range = (const repro_row_range *)arg;
-    range->rows(range->shared, range->lo, range->hi);
-    return 0;
-}
-
-/* Replica ranges are contiguous and every row touches only its own
- * state, so any thread count (including 1) produces identical output.
- * The count is clamped to nrep and REPRO_MAX_THREADS; range t holds
- * base + (t < rem) rows, range 0 runs on the calling thread, and so does
- * a range whose pthread_create fails. */
-static void repro_fan_out(repro_rows_fn rows, const void *shared,
-                          int64_t nrep, int64_t n_threads)
-{
-    repro_row_range ranges[REPRO_MAX_THREADS];
-    pthread_t tids[REPRO_MAX_THREADS];
-    int created[REPRO_MAX_THREADS];
-    int64_t base, rem, lo, t;
-    if (n_threads > nrep)
-        n_threads = nrep;
-    if (n_threads > REPRO_MAX_THREADS)
-        n_threads = REPRO_MAX_THREADS;
-    if (n_threads <= 1) {
-        rows(shared, 0, nrep);
-        return;
-    }
-    base = nrep / n_threads;
-    rem = nrep % n_threads;
-    lo = 0;
-    for (t = 0; t < n_threads; t++) {
-        ranges[t].rows = rows;
-        ranges[t].shared = shared;
-        ranges[t].lo = lo;
-        lo += base + (t < rem ? 1 : 0);
-        ranges[t].hi = lo;
-        created[t] = 0;
-        if (t > 0 && ranges[t].lo < ranges[t].hi)
-            created[t] = pthread_create(&tids[t], 0, repro_row_range_main, &ranges[t]) == 0;
-    }
-    rows(shared, ranges[0].lo, ranges[0].hi);
-    for (t = 1; t < n_threads; t++) {
-        if (created[t])
-            pthread_join(tids[t], 0);
-        else if (ranges[t].lo < ranges[t].hi)
-            rows(shared, ranges[t].lo, ranges[t].hi); /* pthread_create failed: run inline */
-    }
-}
-
+/* The arguments of one repro_run_epoch call, bundled for its row loop. */
 typedef struct {
     void *codes;
     int64_t *rows;
@@ -642,7 +579,6 @@ typedef struct {
     int64_t m;
     int64_t epoch_end;
     int64_t n;
-    int32_t rule;
     const int32_t *dpack;
     int64_t k;
     int32_t kshift;
@@ -808,18 +744,6 @@ static __attribute__((noinline)) void repro_run_epoch_row_identifier(
     repro_run_epoch_row(job, r, REPRO_RULE_IDENTIFIER);
 }
 
-static void repro_epoch_rows(const void *shared, int64_t lo, int64_t hi)
-{
-    const repro_epoch_job *job = (const repro_epoch_job *)shared;
-    int64_t r;
-    for (r = lo; r < hi; r++) {
-        if (job->rule == REPRO_RULE_IDENTIFIER)
-            repro_run_epoch_row_identifier(job, r);
-        else
-            repro_run_epoch_row_table(job, r);
-    }
-}
-
 /* codes is the (nrep x n) code block and rows the (nrep x
  * REPRO_ROW_WORDS) row block.  seeds (nrep) seeds every row's PCG64 words
  * before it runs: the caller passes it on a stack's first call, on zeroed
@@ -837,31 +761,19 @@ void repro_run_epoch(void *codes, int64_t *rows, const uint64_t *seeds,
                      int32_t rule, const int32_t *dpack, int64_t k, int32_t kshift,
                      uint8_t *seen, int64_t *log, int64_t log_cap,
                      int64_t batch, int64_t check_interval, int64_t max_steps,
-                     int32_t precheck, int64_t n_threads)
+                     int32_t precheck)
 {
-    repro_epoch_job shared;
-    shared.codes = codes;
-    shared.rows = rows;
-    shared.seeds = seeds;
-    shared.buffers = buffers;
-    shared.buf_cap = buf_cap;
-    shared.du = du;
-    shared.dv = dv;
-    shared.m = m;
-    shared.epoch_end = epoch_end;
-    shared.n = n;
-    shared.rule = rule;
-    shared.dpack = dpack;
-    shared.k = k;
-    shared.kshift = kshift;
-    shared.seen = seen;
-    shared.log = log;
-    shared.log_cap = log_cap;
-    shared.batch = batch;
-    shared.check_interval = check_interval;
-    shared.max_steps = max_steps;
-    shared.precheck = precheck;
-    repro_fan_out(repro_epoch_rows, &shared, nrep, n_threads);
+    const repro_epoch_job job = {
+        codes, rows, seeds, buffers, buf_cap, du, dv, m, epoch_end, n,
+        dpack, k, kshift, seen, log, log_cap, batch, check_interval, max_steps, precheck,
+    };
+    int64_t r;
+    for (r = 0; r < nrep; r++) {
+        if (rule == REPRO_RULE_IDENTIFIER)
+            repro_run_epoch_row_identifier(&job, r);
+        else
+            repro_run_epoch_row_table(&job, r);
+    }
 }
 
 /* ---- Analytics epochs: in-kernel directed-dialect streams -------- */
@@ -876,36 +788,26 @@ void repro_run_epoch(void *codes, int64_t *rows, const uint64_t *seeds,
  * at its finishing step, so its RNG row has advanced by exactly
  * finish[r] draws (the whole block when unfinished); a caller that holds
  * the stream completes the block itself. */
-typedef struct {
-    uint8_t *informed;
-    uint64_t *rng_state;
-    const int32_t *du;
-    const int32_t *dv;
-    uint64_t bound;
-    int64_t block;
-    int64_t n;
-    const uint8_t *stopmask;
-    int64_t *counts;
-    int64_t *finish;
-} repro_bcast_job;
-
-static void repro_bcast_rows(const void *shared, int64_t lo, int64_t hi)
+void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
+                           const int32_t *du, const int32_t *dv,
+                           uint64_t bound, int64_t nrep, int64_t block,
+                           int64_t n, const uint8_t *stopmask,
+                           int64_t *counts, int64_t *finish)
 {
-    const repro_bcast_job *job = (const repro_bcast_job *)shared;
-    uint64_t rng = job->bound - 1;
+    const uint64_t rng = bound - 1;
     int64_t r;
-    for (r = lo; r < hi; r++) {
-        uint8_t *inf = job->informed + r * job->n;
-        const uint8_t *stop = job->stopmask ? job->stopmask + r * job->n : 0;
+    for (r = 0; r < nrep; r++) {
+        uint8_t *inf = informed + r * n;
+        const uint8_t *stop = stopmask ? stopmask + r * n : 0;
         repro_pcg64 p;
-        int64_t count = job->counts[r];
+        int64_t count = counts[r];
         int64_t fin = -1;
         int64_t i;
-        repro_pcg64_load(job->rng_state + r * REPRO_RNG_WORDS, &p);
-        for (i = 0; i < job->block && fin < 0; i++) {
+        repro_pcg64_load(rng_state + r * REPRO_RNG_WORDS, &p);
+        for (i = 0; i < block && fin < 0; i++) {
             int64_t idx = (int64_t)repro_bounded64(&p, rng);
-            int64_t u = job->du[idx];
-            int64_t v = job->dv[idx];
+            int64_t u = du[idx];
+            int64_t v = dv[idx];
             uint8_t a = inf[u];
             uint8_t b = inf[v];
             if (a != b) {
@@ -913,35 +815,14 @@ static void repro_bcast_rows(const void *shared, int64_t lo, int64_t hi)
                 inf[u] = 1;
                 inf[v] = 1;
                 count++;
-                if (stop ? stop[fresh] : (count == job->n))
+                if (stop ? stop[fresh] : (count == n))
                     fin = i + 1;
             }
         }
-        repro_pcg64_store(&p, job->rng_state + r * REPRO_RNG_WORDS);
-        job->counts[r] = count;
-        job->finish[r] = fin;
+        repro_pcg64_store(&p, rng_state + r * REPRO_RNG_WORDS);
+        counts[r] = count;
+        finish[r] = fin;
     }
-}
-
-void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
-                           const int32_t *du, const int32_t *dv,
-                           uint64_t bound, int64_t nrep, int64_t block,
-                           int64_t n, const uint8_t *stopmask,
-                           int64_t *counts, int64_t *finish,
-                           int64_t n_threads)
-{
-    repro_bcast_job shared;
-    shared.informed = informed;
-    shared.rng_state = rng_state;
-    shared.du = du;
-    shared.dv = dv;
-    shared.bound = bound;
-    shared.block = block;
-    shared.n = n;
-    shared.stopmask = stopmask;
-    shared.counts = counts;
-    shared.finish = finish;
-    repro_fan_out(repro_bcast_rows, &shared, nrep, n_threads);
 }
 
 /* All-pairs influence block with in-kernel draws.  bits is (nrep x n x w)
@@ -951,91 +832,57 @@ void repro_broadcast_epoch(uint8_t *informed, uint64_t *rng_state,
  * compare runs only on merges that can improve.  A row finishes when all
  * n nodes are full (counts[r] == n); finish[] and the stop-at-finish RNG
  * contract are as in repro_broadcast_epoch. */
-typedef struct {
-    uint64_t *bits;
-    uint64_t *rng_state;
-    const int32_t *du;
-    const int32_t *dv;
-    uint64_t bound;
-    int64_t block;
-    int64_t n;
-    int64_t w;
-    const uint64_t *full;
-    uint8_t *full_flags;
-    int64_t *counts;
-    int64_t *finish;
-} repro_infl_job;
-
-static void repro_infl_rows(const void *shared, int64_t lo, int64_t hi)
+void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
+                           const int32_t *du, const int32_t *dv,
+                           uint64_t bound, int64_t nrep, int64_t block,
+                           int64_t n, int64_t w, const uint64_t *full,
+                           uint8_t *full_flags, int64_t *counts,
+                           int64_t *finish)
 {
-    const repro_infl_job *job = (const repro_infl_job *)shared;
-    uint64_t rng = job->bound - 1;
+    const uint64_t rng = bound - 1;
     int64_t r;
-    for (r = lo; r < hi; r++) {
-        uint64_t *rb = job->bits + r * job->n * job->w;
-        uint8_t *flags = job->full_flags + r * job->n;
+    for (r = 0; r < nrep; r++) {
+        uint64_t *rb = bits + r * n * w;
+        uint8_t *flags = full_flags + r * n;
         repro_pcg64 p;
-        int64_t count = job->counts[r];
+        int64_t count = counts[r];
         int64_t fin = -1;
         int64_t i;
-        repro_pcg64_load(job->rng_state + r * REPRO_RNG_WORDS, &p);
-        for (i = 0; i < job->block && fin < 0; i++) {
+        repro_pcg64_load(rng_state + r * REPRO_RNG_WORDS, &p);
+        for (i = 0; i < block && fin < 0; i++) {
             int64_t idx = (int64_t)repro_bounded64(&p, rng);
             int64_t u, v, j;
             uint8_t fu, fv;
             uint64_t *pu, *pv;
             int alleq;
-            u = job->du[idx];
-            v = job->dv[idx];
+            u = du[idx];
+            v = dv[idx];
             fu = flags[u];
             fv = flags[v];
             if (fu && fv)
                 continue;
-            pu = rb + u * job->w;
-            pv = rb + v * job->w;
+            pu = rb + u * w;
+            pv = rb + v * w;
             alleq = 1;
-            for (j = 0; j < job->w; j++) {
+            for (j = 0; j < w; j++) {
                 uint64_t merged = pu[j] | pv[j];
                 pu[j] = merged;
                 pv[j] = merged;
-                if (merged != job->full[j])
+                if (merged != full[j])
                     alleq = 0;
             }
             if (alleq) {
                 count += (fu == 0) + (fv == 0);
                 flags[u] = 1;
                 flags[v] = 1;
-                if (count == job->n)
+                if (count == n)
                     fin = i + 1;
             }
         }
-        repro_pcg64_store(&p, job->rng_state + r * REPRO_RNG_WORDS);
-        job->counts[r] = count;
-        job->finish[r] = fin;
+        repro_pcg64_store(&p, rng_state + r * REPRO_RNG_WORDS);
+        counts[r] = count;
+        finish[r] = fin;
     }
-}
-
-void repro_influence_epoch(uint64_t *bits, uint64_t *rng_state,
-                           const int32_t *du, const int32_t *dv,
-                           uint64_t bound, int64_t nrep, int64_t block,
-                           int64_t n, int64_t w, const uint64_t *full,
-                           uint8_t *full_flags, int64_t *counts,
-                           int64_t *finish, int64_t n_threads)
-{
-    repro_infl_job shared;
-    shared.bits = bits;
-    shared.rng_state = rng_state;
-    shared.du = du;
-    shared.dv = dv;
-    shared.bound = bound;
-    shared.block = block;
-    shared.n = n;
-    shared.w = w;
-    shared.full = full;
-    shared.full_flags = full_flags;
-    shared.counts = counts;
-    shared.finish = finish;
-    repro_fan_out(repro_infl_rows, &shared, nrep, n_threads);
 }
 """
 
@@ -1180,8 +1027,6 @@ RNG_STATE_WORDS = 8
 STACK_ROW_WORDS = 16
 ROW_CURSOR, ROW_FILL, ROW_POSITION = 8, 9, 10
 ROW_STEPS, ROW_LAST_CHANGE, ROW_LEADERS, ROW_STATUS, ROW_LOG_LEN = 11, 12, 13, 14, 15
-#: Upper bound on the kernel's pthread fan-out (mirrors REPRO_MAX_THREADS).
-MAX_KERNEL_THREADS = 64
 #: ``repro_run_epoch`` transition rules (mirror REPRO_RULE_*): packed
 #: table lookups (:class:`repro.engine.compiler.CompiledProtocol`), or
 #: Theorem 21 computed arithmetically on codes ``id << 3 | sub``
@@ -1212,28 +1057,6 @@ def data_address(array) -> int:
         return array.ctypes.data
 
 
-def kernel_thread_count() -> int:
-    """Replica-axis thread count requested via ``REPRO_KERNEL_THREADS``.
-
-    The one thread setting of every kernel (``repro_run_epoch`` and both
-    analytics kernels).  Unset or empty means 1 (fully sequential);
-    values above :data:`MAX_KERNEL_THREADS` are clamped to it; anything
-    but a positive integer raises ``ValueError``.  Results are
-    bit-identical for any value — threading only partitions independent
-    replica rows — so this is purely a throughput setting.
-    """
-    raw = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"REPRO_KERNEL_THREADS must be a positive integer, got {raw!r}")
-    return min(value, MAX_KERNEL_THREADS)
-
-
 def _build_directory() -> str:
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_build")
     os.makedirs(path, exist_ok=True)
@@ -1261,7 +1084,7 @@ def _compile_kernel():
     if compiler is None:
         return None
     flags = [*_CFLAGS, *_extra_cflags()]
-    # One build: a host that cannot compile the full source (pthreads,
+    # One build: a host that cannot compile the full source (it needs
     # 128-bit arithmetic) gets no kernel and runs the Python fallbacks.
     src_path, so_path = _build_paths(_build_directory(), _KERNEL_SOURCE, flags)
     if not os.path.exists(so_path):
@@ -1339,7 +1162,6 @@ def _bind_v6(library):
         ctypes.c_int64,  # check_interval
         ctypes.c_int64,  # max_steps
         ctypes.c_int32,  # precheck
-        ctypes.c_int64,  # n_threads
     ]
     broadcast_epoch = library.repro_broadcast_epoch
     broadcast_epoch.restype = None
@@ -1355,7 +1177,6 @@ def _bind_v6(library):
         ctypes.c_void_p,  # stopmask (nrep x n) or None
         ctypes.c_void_p,  # counts (nrep)
         ctypes.c_void_p,  # finish (nrep)
-        ctypes.c_int64,  # n_threads
     ]
     influence_epoch = library.repro_influence_epoch
     influence_epoch.restype = None
@@ -1373,7 +1194,6 @@ def _bind_v6(library):
         ctypes.c_void_p,  # full_flags (nrep x n)
         ctypes.c_void_p,  # counts (nrep)
         ctypes.c_void_p,  # finish (nrep)
-        ctypes.c_int64,  # n_threads
     ]
     return {
         "pcg64_init": pcg64_init,

@@ -56,9 +56,8 @@ def run_replicas(
     every seed is an integer in ``[0, 2**64)``, else one by one on the
     per-replica engine, :class:`~repro.engine.stepper.CompiledRun`, or,
     for a protocol ``engine="auto"`` declines to compile, on the
-    reference interpreter; all are exact and differ in wall time only.  The v6 stack splits
-    its replica rows over ``REPRO_KERNEL_THREADS`` threads (default 1);
-    results are bit-identical for any value.
+    reference interpreter; all are exact and differ in wall time only.
+    The v6 stack runs its replica rows in order on the calling thread.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")

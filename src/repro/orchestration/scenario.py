@@ -428,10 +428,9 @@ class Scenario:
         configs serialise exactly as they did before schedules existed,
         so their content hashes — and hence their cache directories —
         are unchanged.  Every other field but ``description`` is here.
-        How many kernel threads or worker processes run a scenario is
-        not a field: it is set where the scenario runs
-        (``REPRO_KERNEL_THREADS``, ``jobs``), so runs that differ only
-        in those share one cache directory (and one canonical result).
+        How many worker processes run a scenario is not a field: it is
+        set where the scenario runs (``jobs``), so runs that differ only
+        in it share one cache directory (and one canonical result).
         """
         config = {
             "name": self.name,
@@ -461,8 +460,7 @@ class Scenario:
         even though engines are bit-identical; a cache entry therefore
         never outlives a semantics change, at the cost of re-running when
         only the engine differs.
-        Kernel-thread and worker counts never enter it: they are not
-        scenario fields.
+        Worker counts never enter it: they are not scenario fields.
         """
         from .. import __version__
         from ..runtime.source import REFILL_SIZE

@@ -81,7 +81,6 @@ from ..engine.native import (
     STACK_ROW_WORDS,
     TABLE_CODE_DTYPE,
     data_address,
-    kernel_thread_count,
 )
 from ..graphs.graph import _sorted_distinct
 from .pairs import directed_tables
@@ -545,7 +544,6 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     replica_count = plan.n_replicas
     max_steps = plan.max_steps
     check_interval = plan.check_interval
-    threads = kernel_thread_count()
 
     start_time = time.perf_counter()
     # Without ``inputs`` every node starts in one state, whose code the
@@ -642,7 +640,6 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             check_interval,
             max_steps,
             int(precheck),
-            threads,
         )
         seeds = None  # every row is seeded
         finished_rows: List[int] = []

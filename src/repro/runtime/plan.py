@@ -4,9 +4,12 @@ An :class:`ExecutionPlan` captures everything needed to execute ``R``
 replicas of one ``(protocol, graph, topology schedule)`` workload — the
 per-replica scheduler seeds, the resolved mode, the shared compiled
 transition tables, the certificate cadence — as one immutable object.
-:func:`compile_plan` performs the resolution exactly once; executors
-(:mod:`repro.runtime.execute`) then run the plan without re-deriving
-anything.
+:func:`compile_plan` resolves a ``"reference"`` or ``"shared"`` plan
+once, and the executors (:mod:`repro.runtime.execute`) run it as
+resolved.  A ``"single"`` plan is resolved again when it executes: one
+of several ``compile_key`` groups is compiled afresh group by group, and
+each replica of a single group resolves its own table set before its
+first draw (see the rules below).
 
 ``Simulator.run`` (single runs), ``repro.engine.replicas.run_replicas``
 (replica stacks), ``repro.experiments.harness`` (measurements) and
@@ -176,8 +179,6 @@ def compile_plan(
     ``protocols`` in length.  See the module docstring for the engine
     resolution rules.  ``shards``/``shard_workers`` enter the shard-worker
     pool (:mod:`repro.sharding`), which nothing above this function sets.
-    The v6 stack's thread count is not a plan input: it is
-    ``REPRO_KERNEL_THREADS``, read at execution time.
     """
     protocols = list(protocols)
     seeds = list(seeds)

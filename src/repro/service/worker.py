@@ -14,8 +14,7 @@ byte-identical to any other placement.
 The plan executes on an executor thread so the connection stays
 responsive (a ``shutdown`` frame or a dropped socket is noticed even
 mid-unit); one unit runs at a time per worker — parallelism comes from
-connecting more workers, and within a unit from the kernel threads the
-worker's host sets with ``REPRO_KERNEL_THREADS``.
+connecting more workers.
 
 Resilience behaviours (PR 8):
 

@@ -19,6 +19,8 @@ The engine's contract (see :mod:`repro.analytics`):
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,14 @@ def no_native(monkeypatch):
     yield
     monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
     reset_kernel_cache()
+
+
+@pytest.fixture(params=["kernel", "no-kernel"])
+def leg(request):
+    """Run a test on the default leg, then once more without the kernel."""
+    if request.param == "no-kernel":
+        request.getfixturevalue("no_native")
+    return request.param
 
 
 class TestWidthInvariance:
@@ -351,53 +361,6 @@ def test_influence_one_call_matches_rounds_and_fallback(cut, monkeypatch):
     assert (epidemics.BUDGET_EXHAUSTED in expected) == cut
 
 
-@pytest.mark.skipif(get_broadcast_epoch_kernel() is None, reason="no C compiler available")
-def test_kernel_threads_never_change_analytics_results(monkeypatch):
-    """The analytics kernels split their rows over any thread count alike.
-
-    ``repro_broadcast_epoch`` (one call, with and without stop masks, and
-    rounds under a single-epoch schedule) and ``repro_influence_epoch``
-    (one call and rounds) at stack widths 1, 5 and 7 give the 1-thread
-    results at 2, 3 and 64 threads.  Five and seven rows split unevenly
-    over two and three threads, so a range split that loses the remainder
-    rows leaves a trajectory unfinished.
-    """
-    graph = torus(5, 5)
-    sources = [0, 3, 7, 11, 17, 24, 20]
-    seeds = [derive_seed(4242, "threads", index) for index in range(len(sources))]
-    budget = default_broadcast_budget(graph)
-    stopmasks = np.zeros((len(sources), graph.n_nodes), dtype=np.uint8)
-    stopmasks[:, 12] = 1
-
-    def legs():
-        runs = {}
-        for width in (1, 5, 7):
-            rounds = StaticSchedule(graph)
-            runs[f"one-call/{width}"] = run_epidemic_batch(
-                graph, sources, seeds, budget, replica_batch=width
-            )
-            runs[f"stopmask/{width}"] = run_epidemic_batch(
-                graph, sources, seeds, budget, stopmasks=stopmasks, replica_batch=width
-            )
-            runs[f"rounds/{width}"] = run_epidemic_batch(
-                graph, sources, seeds, budget, replica_batch=width, schedule=rounds
-            )
-            runs[f"influence/{width}"] = run_influence_batch(
-                graph, seeds, budget, replica_batch=width
-            )
-            runs[f"influence-rounds/{width}"] = run_influence_batch(
-                graph, seeds, budget, replica_batch=width, schedule=rounds
-            )
-        return {leg: steps.tolist() for leg, steps in runs.items()}
-
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
-    expected = legs()
-    assert all(step > 0 for steps in expected.values() for step in steps)
-    for threads in ("2", "3", "64"):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", threads)
-        assert legs() == expected, f"{threads} threads changed results"
-
-
 class TestSeedPurity:
     """A batched trajectory equals the standalone run with its child seed."""
 
@@ -648,6 +611,60 @@ def test_seeds_that_are_not_integers_raise():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+def test_batch_drivers_reject_float_seeds(leg):
+    """Every batch driver raises on a float seed rather than truncating it,
+    and runs NumPy integer seeds and ``uint64`` seed arrays as ints."""
+    g = cycle(16)
+    budget = default_broadcast_budget(g)
+    drivers = {
+        "epidemic": lambda seeds: run_epidemic_batch(g, [0] * len(seeds), seeds, budget),
+        "influence": lambda seeds: run_influence_batch(g, seeds, budget),
+        "hitting": lambda seeds: run_hitting_batch(g, [(3, 0)] * len(seeds), seeds),
+        "meeting": lambda seeds: run_meeting_batch(g, [(0, 8)] * len(seeds), seeds),
+    }
+    for name, run in drivers.items():
+        for seed in (3.7, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                run([seed])
+        expected = run([3, 4]).tolist()
+        assert run([np.int64(3), np.uint32(4)]).tolist() == expected, name
+        assert run(np.array([3, 4], dtype=np.uint64)).tolist() == expected, name
+
+
+def test_stop_masks_of_another_shape_raise(leg):
+    """A batch takes ``(R, n)`` stop masks and a single epidemic an
+    ``(n,)`` one; any other shape raises before anything is drawn."""
+    g = cycle(64)
+    for shape in ((3, 64), (2, 64, 2), (2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"shape (2, 64), got {shape}")):
+            run_epidemic_batch(g, [0, 5], [1, 2], 100_000, stopmasks=np.ones(shape, np.uint8))
+    with pytest.raises(ValueError, match=re.escape("shape (64,), got (63,)")):
+        run_single_epidemic(g, 0, InteractionSource(g, 1), 100_000, np.ones(63, np.uint8))
+
+
+def test_stop_mask_entries_above_one_mark_targets(leg):
+    """Any nonzero entry marks a target: masks marked 2 or 256 stop where
+    their 0/1 form does, in stacks below and above the width at which the
+    no-kernel leg switches from the scalar loop to the NumPy block."""
+    g = cycle(16)
+    count = epidemics._SCALAR_MAX_REPLICAS + 4
+    sources = [t % 16 for t in range(count)]
+    seeds = [derive_seed(4242, "marked", t) for t in range(count)]
+    ones = np.zeros((count, 16), dtype=np.uint8)
+    ones[np.arange(count), [(source + 5) % 16 for source in sources]] = 1
+    budget = default_broadcast_budget(g)
+    for width in (8, None):
+        expected = run_epidemic_batch(
+            g, sources, seeds, budget, stopmasks=ones, replica_batch=width
+        ).tolist()
+        assert all(steps > 0 for steps in expected)
+        for marked in (2 * ones, 256 * ones.astype(np.int64)):
+            steps = run_epidemic_batch(
+                g, sources, seeds, budget, stopmasks=marked, replica_batch=width
+            )
+            assert steps.tolist() == expected, (width, int(marked.max()))
 
 
 def _shared_generator_run(generator):

@@ -298,9 +298,9 @@ _V6_PROTOCOLS = {
     "identifier-tables": lambda g: _TableIdentifier(g.n_nodes, identifier_bits=5),
 }
 
-#: ``(width, budget, threads)`` runs per case; the budget is 0, inside
-#: the second epoch, exactly at its end, or enough to finish.
-_V6_RUNS = ((1, "full", 1), (4, "full", 4), (3, "mid", 4), (4, "end", 1), (3, "zero", 1))
+#: ``(width, budget)`` runs per case; the budget is 0, inside the second
+#: epoch, exactly at its end, or enough to finish.
+_V6_RUNS = ((1, "full"), (4, "full"), (3, "mid"), (4, "end"), (3, "zero"))
 
 
 def _v6_budget(schedule, kind):
@@ -334,11 +334,10 @@ def test_dynamic_plans_on_v6_match_reference(schedule_kind, protocol_kind, monke
         return real(plan)
 
     monkeypatch.setattr(execute_module, "_execute_stack_v6", spy)
-    for width, budget_kind, threads in _V6_RUNS:
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", str(threads))
+    for width, budget_kind in _V6_RUNS:
         budget = _v6_budget(schedule, budget_kind)
         seeds = [derive_seed(20261017, schedule_kind, protocol_kind, r) for r in range(width)]
-        where = f"{schedule_kind}/{protocol_kind} width {width}, budget {budget}, {threads} threads"
+        where = f"{schedule_kind}/{protocol_kind} width {width}, budget {budget}"
 
         def run(chosen):
             protocols = [build_protocol(graph)] * width

@@ -244,42 +244,39 @@ def _differential_cases():
         for width_kind in sorted(_WIDTHS):
             budget = sorted(_BUDGETS)[index % len(_BUDGETS)]
             replicas = 1 if index % 3 == 0 else 4
-            threads = 4 if index % 2 else 1
-            cases.append((graph_kind, width_kind, budget, replicas, threads))
+            cases.append((graph_kind, width_kind, budget, replicas))
             index += 1
     # Every budget on every graph at the default width, as a 3-wide stack.
     for graph_kind in sorted(_GRAPHS):
         for budget in sorted(_BUDGETS):
-            cases.append((graph_kind, "default", budget, 3, 1))
+            cases.append((graph_kind, "default", budget, 3))
     return cases
 
 
-def _seeds(case, replicas):
-    seeds = [derive_seed(MASTER_SEED, "plan", *map(str, case), r) for r in range(replicas)]
+def _seeds(case, replicas, run):
+    seeds = [derive_seed(MASTER_SEED, "plan", *map(str, case), run, r) for r in range(replicas)]
     if replicas > 1:
         seeds[-1] = 2**64 - 1  # the widest kernel-seedable seed
     return seeds
 
 
-def _plans(graph_kind, width_kind, budget, replicas, threads, engine, monkeypatch):
-    """The case's plan; its kernel thread count is set for the test's duration."""
-    case = (graph_kind, width_kind, budget, replicas, threads)
+def _plans(graph_kind, width_kind, budget, replicas, engine, run=0):
+    """The case's plan; each ``run`` index seeds the case afresh."""
+    case = (graph_kind, width_kind, budget, replicas)
     graph = _GRAPHS[graph_kind](derive_seed(MASTER_SEED, "graph", graph_kind))
     protocol = _WIDTHS[width_kind](graph)
     max_steps = _BUDGETS[budget](default_check_interval(graph))
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", str(threads))
     return compile_plan(
-        [protocol] * replicas, graph, _seeds(case, replicas),
+        [protocol] * replicas, graph, _seeds(case, replicas, run),
         max_steps=max_steps, engine=engine,
     )
 
 
-def _assert_rule_plan_matches_reference(case, monkeypatch):
-    plan = _plans(*case, engine="auto", monkeypatch=monkeypatch)
+def _assert_rule_plan_matches_reference(case, monkeypatch, run=0):
+    plan = _plans(*case, engine="auto", run=run)
     assert plan.mode == "shared" and isinstance(plan.compiled, IdentifierKernelRule)
     reference = [
-        _result_tuple(r)
-        for r in execute_plan(_plans(*case, engine="reference", monkeypatch=monkeypatch))
+        _result_tuple(r) for r in execute_plan(_plans(*case, engine="reference", run=run))
     ]
     calls = _spy_on_reference(monkeypatch)
     assert [_result_tuple(r) for r in execute_plan(plan)] == reference, case
@@ -307,9 +304,9 @@ def test_full_log_stops_mid_block(capacity, graph_kind, monkeypatch):
         return real_fold(codes)
 
     monkeypatch.setattr(execute_module, "_sorted_distinct", counting_fold)
-    for threads in (1, 4):
+    for run in range(2):
         _assert_rule_plan_matches_reference(
-            (graph_kind, "default", "full", 5, threads), monkeypatch
+            (graph_kind, "default", "full", 5), monkeypatch, run=run
         )
     # One fold per replica at its finish, the rest at full logs.
     assert len(folds) > 2 * 5 + 40, "the log never filled"
@@ -320,18 +317,14 @@ def test_distinct_codes_fold_without_np_unique(monkeypatch):
     """Log folds sort and compare neighbours; ``np.unique`` would hash
     (see ``test_graph.py::test_graph_build_never_calls_np_unique``)."""
     monkeypatch.setattr(execute_module, "_LOG_CAPACITY", 5)
-    reference = [
-        _result_tuple(r)
-        for r in execute_plan(
-            _plans("torus", "k2", "full", 3, 1, engine="reference", monkeypatch=monkeypatch)
-        )
-    ]
+    reference_plan = _plans("torus", "k2", "full", 3, engine="reference")
+    reference = [_result_tuple(r) for r in execute_plan(reference_plan)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called in the v6 stack")
 
     monkeypatch.setattr(np, "unique", refuse)
-    plan = _plans("torus", "k2", "full", 3, 1, engine="auto", monkeypatch=monkeypatch)
+    plan = _plans("torus", "k2", "full", 3, engine="auto")
     assert [_result_tuple(r) for r in execute_plan(plan)] == reference
 
 
