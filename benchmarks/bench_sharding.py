@@ -20,14 +20,16 @@ this size:
 **Throughput record** — the shard-worker pool against the best existing
 path, width-1 v6 (a one-replica plan on the kernel-v6 epoch stack):
 
-* ``test_shard_worker_pool_speedup`` runs 4 shard workers and width-1 v6
-  on a ring of four bridged cliques — the pool's own best case: the
-  partition aligns with the cliques, so only the bridge draws
-  (~0.002 %) cross shards and the workers run essentially
-  handshake-free.  It asserts both results are byte-identical and
-  records both paths' steps/sec in ``benchmark.extra_info``; it asserts
-  no speedup floor (on a 2-vCPU host the pool measured ≤ 0.16× of v6).
-  It runs only where 4 cores exist.
+* ``test_shard_worker_pool_speedup`` runs 4 shard workers
+  (``execute_sharded``, the pool's only entry) and width-1 v6
+  (``execute_plan``) on a ring of four bridged cliques — the pool's own
+  best case: the partition aligns with the cliques, so only the bridge
+  draws (~0.002 %) cross shards and the workers run essentially
+  handshake-free.  It asserts both results are byte-identical and that
+  every pool run started a 4-worker pool, and records both paths'
+  steps/sec in ``benchmark.extra_info``; it asserts no speedup floor (on
+  a 2-vCPU host the pool measured ≤ 0.16× of v6).  It runs only where 4
+  cores exist.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.engine.native import get_run_shard_kernel
 from repro.experiments import render_table
 from repro.protocols import TokenLeaderElection
 from repro.runtime import compile_plan, execute_plan
-from repro.sharding import sharded_eligible
+from repro.sharding import ShardWorkerPool, execute_sharded, sharded_eligible
 
 from _helpers import run_once
 
@@ -148,6 +150,7 @@ THROUGHPUT_SEED = 20260808
 POOL_CLIQUES = 4  # ring of 4 bridged cliques, one per shard/worker
 POOL_CLIQUE_SIZE = 300
 POOL_WORKERS = 4
+POOL_ROUNDS = 3  # timed rounds per path, after one untimed warm-up
 
 
 def _ring_of_cliques(k, c):
@@ -178,87 +181,77 @@ def _result_tuple(result):
     )
 
 
-def _throughput_plan(graph, **kwargs):
+def _throughput_plan(graph):
     return compile_plan(
-        [TokenLeaderElection()],
-        graph,
-        [THROUGHPUT_SEED],
-        max_steps=THROUGHPUT_STEPS,
-        **kwargs,
+        [TokenLeaderElection()], graph, [THROUGHPUT_SEED], max_steps=THROUGHPUT_STEPS
     )
 
 
-def _measure_pool_and_v6(graph, rounds=3):
-    """(pool seconds, v6 seconds, pool result, v6 result, pool stats).
+def _measure_pool_and_v6(graph, rounds=POOL_ROUNDS):
+    """(pool seconds, v6 seconds, pool result, v6 result).
 
     Interleaved min-of-N rounds: transient machine load hits both paths
     alike instead of biasing whichever side ran during it.  Both sides
-    run the same plan; only the pool side sets ``shards`` and
-    ``shard_workers``.  Each pool run builds its partition and forks its
-    workers, as a scenario unit does.
+    run the same plan; the pool side hands it to ``execute_sharded``
+    with ``POOL_CLIQUES`` shards and ``POOL_WORKERS`` workers.  Each pool
+    run builds its partition and forks its workers, as a scenario unit
+    would.
     """
-    pool_kwargs = {"shards": POOL_CLIQUES, "shard_workers": POOL_WORKERS}
-    assert sharded_eligible(_throughput_plan(graph, **pool_kwargs))
+    assert sharded_eligible(_throughput_plan(graph), POOL_CLIQUES, POOL_WORKERS)
 
-    def run(**kwargs):
-        (result,) = execute_plan(_throughput_plan(graph, **kwargs))
+    def run_pool():
+        (result,) = execute_sharded(_throughput_plan(graph), POOL_CLIQUES, POOL_WORKERS)
+        return result
+
+    def run_v6():
+        (result,) = execute_plan(_throughput_plan(graph))
         return result
 
     # Untimed warm-up: table/kernel compilation lands outside the
     # measurement.
-    run(**pool_kwargs)
-    run()
+    run_pool()
+    run_v6()
 
     pool_seconds = float("inf")
     v6_seconds = float("inf")
     pool = v6 = None
     for _ in range(rounds):
         start = time.perf_counter()
-        pool = run(**pool_kwargs)
+        pool = run_pool()
         pool_seconds = min(pool_seconds, time.perf_counter() - start)
 
         start = time.perf_counter()
-        v6 = run()
+        v6 = run_v6()
         v6_seconds = min(v6_seconds, time.perf_counter() - start)
 
     # The record is meaningless unless both paths agree bit for bit.
     assert _result_tuple(pool) == _result_tuple(v6), (
         "shard-worker pool diverged from width-1 v6 — determinism contract broken"
     )
-    stats = run(collect_shard_stats=True, **pool_kwargs).shard_stats
-    return pool_seconds, v6_seconds, pool, v6, stats
-
-
-def _print_shard_stats(stats):
-    histogram = {int(k): v for k, v in stats["run_length_histogram"].items()}
-    rows = [
-        {
-            "path": stats["path"],
-            "shards": stats["shards"],
-            "workers": stats["workers"],
-            "boundary pairs": stats["boundary_pairs"],
-            "runs": sum(histogram.values()),
-            "run lengths": " ".join(
-                f"{length}:{count}" for length, count in sorted(histogram.items())
-            ),
-            "exchange posted": stats["exchange_posted"],
-            "in flight": stats["exchange_in_flight"],
-        }
-    ]
-    print(render_table(rows, title="Shard observability (collect_shard_stats)"))
+    return pool_seconds, v6_seconds, pool, v6
 
 
 @pytest.mark.benchmark(group="sharding")
 @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs >= 4 cores")
-def test_shard_worker_pool_speedup(benchmark):
+def test_shard_worker_pool_speedup(benchmark, monkeypatch):
     """4 shard workers against width-1 v6 on the pool's best case.
 
     Records both paths' steps/sec; asserts byte-identity, not a floor.
+    A pool that fell back to ``execute_plan`` would time v6 against
+    itself, so the test also counts the worker pools the runs started.
     """
     if get_run_shard_kernel() is None:
         pytest.skip("native kernel unavailable")
+    pools = []
+    real_init = ShardWorkerPool.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        pools.append(self.n_workers)
+
+    monkeypatch.setattr(ShardWorkerPool, "__init__", counting_init)
     graph = _ring_of_cliques(POOL_CLIQUES, POOL_CLIQUE_SIZE)
-    pool_s, v6_s, result, _, stats = run_once(benchmark, _measure_pool_and_v6, graph)
+    pool_s, v6_s, result, _ = run_once(benchmark, _measure_pool_and_v6, graph)
     steps = result.steps_executed
     benchmark.extra_info.update(
         {
@@ -287,8 +280,8 @@ def test_shard_worker_pool_speedup(benchmark):
             title="SHARDING: 4-worker pool vs width-1 v6",
         )
     )
-    _print_shard_stats(stats)
-    assert stats["path"] == "pool" and stats["workers"] == POOL_WORKERS
+    # The warm-up and every timed round each started one 4-worker pool.
+    assert pools == [POOL_WORKERS] * (POOL_ROUNDS + 1)
 
 
 if __name__ == "__main__":

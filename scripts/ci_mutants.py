@@ -368,15 +368,15 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "key-groups-in-group-order",
         EXECUTE,
-        "        results: List[Any] = [None] * plan.n_replicas\n"
-        "        for indices in groups:\n"
-        "            for index, result in zip(indices, execute_unsharded(_group_plan(plan, indices))):\n"
-        "                results[index] = result\n"
-        "        return results\n",
-        "        return [\n"
-        "            result for indices in groups\n"
-        "            for result in execute_unsharded(_group_plan(plan, indices))\n"
-        "        ]\n",
+        "    results: List[Any] = [None] * plan.n_replicas\n"
+        "    for indices in groups:\n"
+        "        for index, result in zip(indices, _execute_group(_group_plan(plan, indices))):\n"
+        "            results[index] = result\n"
+        "    return results\n",
+        "    return [\n"
+        "        result for indices in groups\n"
+        "        for result in _execute_group(_group_plan(plan, indices))\n"
+        "    ]\n",
         ("tests/test_runtime_plan.py::test_key_groups_return_results_in_replica_order",),
     ),
     # -- Executors follow from a plan's inputs; no backend dial ---------
@@ -435,7 +435,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    for (r = 0; r < nrep - 1; r++) {\n        uint8_t *inf = informed + r * n;",
         ONE_CALL,
     ),
-    # -- Analytics inputs: stop masks checked, seeds never truncated ---
+    # -- Inputs checked: stop masks, ids, budgets; nothing truncated ----
     Mutant(
         "stop-mask-shape-unchecked",
         "src/repro/analytics/epidemics.py",
@@ -457,6 +457,20 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        chunk_seeds = [operator.index(seeds[t]) for t in chunk]",
         "        chunk_seeds = [int(seeds[t]) for t in chunk]",
         FLOAT_SEEDS,
+    ),
+    Mutant(
+        "walk-ids-unchecked",
+        "src/repro/analytics/walks.py",
+        "        positions[t] = node_id(first, graph.n_nodes), node_id(second, graph.n_nodes)\n",
+        "        positions[t] = first, second\n",
+        ("tests/test_analytics_batch.py::test_walk_drivers_reject_bad_ids_pairs_and_budgets",),
+    ),
+    Mutant(
+        "plan-budget-truncated",
+        "src/repro/runtime/plan.py",
+        "    max_steps = operator.index(max_steps)\n",
+        "    max_steps = int(max_steps)\n",
+        ("tests/test_runtime_plan.py::test_step_budget_and_cadence_are_never_truncated",),
     ),
     Mutant(
         "uniform-encode-with-inputs",
@@ -563,8 +577,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "sharding-accepts-schedules",
         "src/repro/sharding/executor.py",
-        "    if not plan.shard_workers or plan.schedule is not None or _shard_count(plan) < 2:",
-        "    if not plan.shard_workers or _shard_count(plan) < 2:",
+        "    if plan.schedule is not None or _shard_count(plan, shards) < 2:",
+        "    if _shard_count(plan, shards) < 2:",
         ("tests/test_sharding.py::TestFallbackChain::test_dynamic_schedule_is_ineligible_and_identical",),
     ),
     # -- Certificates proven on one exploration and two closures -------

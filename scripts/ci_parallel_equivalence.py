@@ -15,7 +15,8 @@ server (CI must never read from or populate
 ``.repro_cache/``; cached results would mask a divergence, which is
 exactly what this job exists to catch).  All three canonical JSON
 aggregates must match byte for byte.  The shard-worker pool is entered
-only through ``compile_plan``; its byte-identity is gated by
+only through ``repro.sharding.execute_sharded``, which no scenario
+calls; its byte-identity is gated by
 ``tests/test_sharding.py::TestShardWorkerPool``.
 
 Exit code 0 on equality, 1 with a diff summary otherwise.

@@ -58,7 +58,7 @@ from ..engine.native import (
 )
 from ..graphs.graph import Graph
 from ..runtime.source import InteractionSource, kernel_rng_rows
-from .streams import _run_lockstep, iter_width_chunks, make_streams
+from .streams import _run_lockstep, iter_width_chunks, make_streams, node_id, step_budget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dynamics.schedule import TopologySchedule
@@ -89,7 +89,9 @@ def run_epidemic_batch(
     """Steps until completion for ``R`` independent epidemics.
 
     Trajectory ``t`` starts at ``sources[t]`` and reads the stream seeded
-    by ``seeds[t]``, an integer (a float seed raises ``TypeError``).
+    by ``seeds[t]``.  Sources, seeds and ``max_steps`` are integers (a
+    float raises ``TypeError``); a source outside ``[0, n)`` or a negative
+    budget raises ``ValueError``.
     Without ``stopmasks`` an epidemic completes when all ``n`` nodes are
     informed; with ``stopmasks`` (an ``(R, n)`` array; any other shape
     raises ``ValueError``) it completes when a newly informed node has a
@@ -110,16 +112,15 @@ def run_epidemic_batch(
         raise ValueError("need exactly one seed per trajectory")
     if schedule is not None and schedule.n_nodes != graph.n_nodes:
         raise ValueError("schedule universe does not match the graph")
-    for source in sources:
-        if not (0 <= int(source) < graph.n_nodes):
-            raise ValueError("source out of range")
+    sources = [node_id(source, graph.n_nodes) for source in sources]
+    max_steps = step_budget(max_steps)
     if stopmasks is not None:
         stopmasks = _target_masks(stopmasks, (count, graph.n_nodes))
     results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
         chunk_seeds = seeds[chunk.start : chunk.stop]
         rng_rows = kernel_rng_rows(chunk_seeds)
-        chunk_sources = [int(source) for source in sources[chunk.start : chunk.stop]]
+        chunk_sources = sources[chunk.start : chunk.stop]
         chunk_masks = None if stopmasks is None else stopmasks[chunk.start : chunk.stop]
         _run_epidemic_stack(
             graph,
@@ -150,7 +151,8 @@ def run_single_epidemic(
     """
     results = np.full(1, BUDGET_EXHAUSTED, dtype=np.int64)
     masks = None if stopmask is None else _target_masks(stopmask, (graph.n_nodes,))[None, :]
-    _run_epidemic_stack(graph, None, [stream], [int(source)], masks, max_steps, results)
+    sources = [node_id(source, graph.n_nodes)]
+    _run_epidemic_stack(graph, None, [stream], sources, masks, step_budget(max_steps), results)
     steps = int(results[0])
     return None if steps == BUDGET_EXHAUSTED else steps
 
@@ -303,6 +305,7 @@ def run_influence_batch(
     count = len(seeds)
     if schedule is not None and schedule.n_nodes != graph.n_nodes:
         raise ValueError("schedule universe does not match the graph")
+    max_steps = step_budget(max_steps)
     results = np.full(count, BUDGET_EXHAUSTED, dtype=np.int64)
     for chunk in iter_width_chunks(count, replica_batch):
         chunk_seeds = [operator.index(seeds[t]) for t in chunk]

@@ -101,6 +101,31 @@ def resolve_base_seed(rng: RngLike) -> int:
     return operator.index(rng)
 
 
+def node_id(node: int, n: int) -> int:
+    """``node`` as a node id of an ``n``-node graph.
+
+    A value that is not an integer (a float, say) raises
+    :class:`TypeError` rather than being truncated, and an id outside
+    ``[0, n)`` raises :class:`ValueError`.
+    """
+    node = operator.index(node)
+    if not 0 <= node < n:
+        raise ValueError(f"node id {node} out of range [0, {n})")
+    return node
+
+
+def step_budget(max_steps: int) -> int:
+    """``max_steps`` as an integer budget.
+
+    A float raises :class:`TypeError` rather than being truncated, and a
+    negative budget raises :class:`ValueError`.
+    """
+    max_steps = operator.index(max_steps)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    return max_steps
+
+
 def make_streams(graph: Graph, seeds: Sequence[int]) -> List[InteractionSource]:
     """One private NumPy stream per trajectory seed.
 

@@ -22,6 +22,7 @@ its two position vectors and its per-walk block step
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..runtime.source import InteractionSource
 from .epidemics import BUDGET_EXHAUSTED
-from .streams import _run_lockstep, iter_width_chunks, make_streams
+from .streams import _run_lockstep, iter_width_chunks, make_streams, node_id, step_budget
 
 
 def default_walk_budget(graph: Graph) -> int:
@@ -96,6 +97,23 @@ def _meeting_block(
             cursor = next_b
 
 
+def _walk_pairs(graph: Graph, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """``pairs`` as an ``(R, 2)`` int64 array of node ids.
+
+    Each id goes through :func:`~repro.analytics.streams.node_id` (a float
+    raises ``TypeError``, an id outside ``[0, n)`` ``ValueError``), and an
+    entry that is not two ids raises ``ValueError``.
+    """
+    positions = np.empty((len(pairs), 2), dtype=np.int64)
+    for t, pair in enumerate(pairs):
+        try:
+            first, second = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"pair {t} is not two node ids: {pair!r}") from None
+        positions[t] = node_id(first, graph.n_nodes), node_id(second, graph.n_nodes)
+    return positions
+
+
 def _walk_stack(
     graph: Graph,
     pairs: Sequence[Tuple[int, int]],
@@ -103,7 +121,10 @@ def _walk_stack(
     max_steps: int,
     walk_block: Callable[..., Tuple[int, int, int]],
 ) -> np.ndarray:
-    """Run one wave of walks to finish or budget; steps per walk."""
+    """Run one wave of walks to finish or budget; steps per walk.
+
+    The pairs and the budget are checked as the batch drivers check them.
+    """
 
     def apply(rows, iu: np.ndarray, iv: np.ndarray, finish: np.ndarray) -> None:
         first, second = rows
@@ -112,9 +133,9 @@ def _walk_stack(
                 iu[r], iv[r], int(first[r]), int(second[r])
             )
 
-    out = np.full(len(pairs), BUDGET_EXHAUSTED, dtype=np.int64)
-    first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    _run_lockstep(graph, [first, second], apply, out, max_steps, streams)
+    first, second = _walk_pairs(graph, pairs).T
+    out = np.full(first.shape[0], BUDGET_EXHAUSTED, dtype=np.int64)
+    _run_lockstep(graph, [first, second], apply, out, step_budget(max_steps), streams)
     return out
 
 
@@ -131,20 +152,16 @@ def run_hitting_batch(
     """Hitting steps for ``R`` walks; ``pairs[t]`` is ``(start, target)``.
 
     Walks starting on their target report 0.  Same return conventions as
-    :func:`repro.analytics.epidemics.run_epidemic_batch`.
+    :func:`repro.analytics.epidemics.run_epidemic_batch`, whose checks
+    the node ids, seeds and ``max_steps`` pass too; every check runs
+    before the first walk.
     """
-    count = len(pairs)
-    if len(seeds) != count:
-        raise ValueError("need exactly one seed per trajectory")
-    if max_steps is None:
-        max_steps = default_walk_budget(graph)
-    results = np.zeros(count, dtype=np.int64)
-    for chunk in iter_width_chunks(count, replica_batch):
-        live = [t for t in chunk if int(pairs[t][0]) != int(pairs[t][1])]
+    positions, seeds, max_steps = _checked_batch(graph, pairs, seeds, max_steps)
+    results = np.zeros(len(seeds), dtype=np.int64)
+    for chunk in iter_width_chunks(len(seeds), replica_batch):
+        live = [t for t in chunk if positions[t, 0] != positions[t, 1]]
         streams = make_streams(graph, [seeds[t] for t in live])
-        results[live] = _walk_stack(
-            graph, [pairs[t] for t in live], streams, max_steps, _hitting_block
-        )
+        results[live] = _walk_stack(graph, positions[live], streams, max_steps, _hitting_block)
     return results
 
 
@@ -155,19 +172,33 @@ def run_meeting_batch(
     max_steps: Optional[int] = None,
     replica_batch: Optional[int] = None,
 ) -> np.ndarray:
-    """Meeting steps for ``R`` walk pairs; ``pairs[t]`` is ``(start_a, start_b)``."""
-    count = len(pairs)
-    if len(seeds) != count:
-        raise ValueError("need exactly one seed per trajectory")
-    if max_steps is None:
-        max_steps = default_walk_budget(graph)
-    results = np.empty(count, dtype=np.int64)
-    for chunk in iter_width_chunks(count, replica_batch):
+    """Meeting steps for ``R`` walk pairs; ``pairs[t]`` is ``(start_a, start_b)``.
+
+    Checked as :func:`run_hitting_batch` checks its arguments.
+    """
+    positions, seeds, max_steps = _checked_batch(graph, pairs, seeds, max_steps)
+    results = np.empty(len(seeds), dtype=np.int64)
+    for chunk in iter_width_chunks(len(seeds), replica_batch):
         streams = make_streams(graph, [seeds[t] for t in chunk])
         results[chunk.start : chunk.stop] = _walk_stack(
-            graph, [pairs[t] for t in chunk], streams, max_steps, _meeting_block
+            graph, positions[chunk.start : chunk.stop], streams, max_steps, _meeting_block
         )
     return results
+
+
+def _checked_batch(
+    graph: Graph,
+    pairs: Sequence[Tuple[int, int]],
+    seeds: Sequence[int],
+    max_steps: Optional[int],
+) -> Tuple[np.ndarray, List[int], int]:
+    """A walk batch's positions, seeds and budget, each checked up front."""
+    if len(seeds) != len(pairs):
+        raise ValueError("need exactly one seed per trajectory")
+    positions = _walk_pairs(graph, pairs)
+    seeds = [operator.index(seed) for seed in seeds]
+    max_steps = default_walk_budget(graph) if max_steps is None else step_budget(max_steps)
+    return positions, seeds, max_steps
 
 
 # ----------------------------------------------------------------------

@@ -73,14 +73,9 @@ class SimulationResult:
     wall_time_seconds:
         Wall-clock duration of the run.  Replicas executed in a batched
         stack report the stack's wall time divided evenly across its
-        replicas; the sharded executor times each replica individually.
-    shard_stats:
-        Optional per-shard observability from the sharded executor
-        (steps applied per shard, boundary-pair count, local-run length
-        histogram, exchange-queue accounting).  Populated only when the
-        plan opts in (``collect_shard_stats=True``) and deliberately
-        excluded from trial records and canonical aggregates — it is
-        diagnostics, never a measured value.
+        replicas; the shard-worker pool
+        (:func:`repro.sharding.execute_sharded`) times each replica
+        individually.
     """
 
     stabilized: bool
@@ -92,7 +87,6 @@ class SimulationResult:
     distinct_states_observed: int
     leader_trace: List[Tuple[int, int]] = field(default_factory=list)
     wall_time_seconds: float = 0.0
-    shard_stats: Optional[dict] = None
 
     @property
     def stabilization_step(self) -> int:

@@ -54,10 +54,9 @@ of its own, so every group can reach the stack; results come back in
 replica order.  A v6 row does not depend on the stack's width, so this
 is byte-identical to per-replica execution.
 
-A plan with ``shard_workers`` set goes to the shard-worker pool
-(:func:`repro.sharding.execute_sharded`) instead when the pool can
-serve it; the pool hands any replica it cannot finish back to this
-chain (:func:`execute_unsharded`).
+Nothing here routes a plan to the shard-worker pool: its one entry is
+:func:`repro.sharding.execute_sharded`, which hands every plan or
+replica it cannot serve back to :func:`execute_plan`.
 """
 
 from __future__ import annotations
@@ -101,29 +100,24 @@ _LOG_CAPACITY = 4096
 
 
 def execute_plan(plan: ExecutionPlan) -> List["SimulationResult"]:
-    """Run every replica of ``plan`` and return results in replica order."""
-    if plan.shard_workers:
-        from ..sharding.executor import execute_sharded, sharded_eligible
-
-        if sharded_eligible(plan):
-            return execute_sharded(plan)
-    return execute_unsharded(plan)
-
-
-def execute_unsharded(plan: ExecutionPlan) -> List["SimulationResult"]:
-    """The unsharded chain: v6 stack, else the per-replica executors.
+    """Run every replica of ``plan`` and return results in replica order.
 
     A plan of several ``compile_key`` groups runs group by group.
     """
+    groups = _key_groups(plan)
+    if len(groups) == 1:
+        return _execute_group(plan)
+    results: List[Any] = [None] * plan.n_replicas
+    for indices in groups:
+        for index, result in zip(indices, _execute_group(_group_plan(plan, indices))):
+            results[index] = result
+    return results
+
+
+def _execute_group(plan: ExecutionPlan) -> List["SimulationResult"]:
+    """One key group: the v6 stack, else the per-replica executors."""
     if _stack_v6_eligible(plan):
         return _execute_stack_v6(plan)
-    groups = _key_groups(plan)
-    if len(groups) > 1:
-        results: List[Any] = [None] * plan.n_replicas
-        for indices in groups:
-            for index, result in zip(indices, execute_unsharded(_group_plan(plan, indices))):
-                results[index] = result
-        return results
     return [_execute_single(plan, index) for index in range(plan.n_replicas)]
 
 

@@ -59,6 +59,7 @@ executors and topology schedules).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
@@ -98,21 +99,6 @@ class ExecutionPlan:
     scheduler: Optional[Any] = None  # single-replica stream override (replay)
     record_leader_trace: bool = False
     trace_resolution: int = 64
-    #: Shard count for the shard-worker pool (:mod:`repro.sharding`);
-    #: it takes effect only together with ``shard_workers``.  Results
-    #: are bit-identical for any value.
-    shards: Optional[int] = None
-    #: Process count for the fork-based shard-worker pool; ``None`` or
-    #: ``0`` (the default) runs the plan unsharded, whatever ``shards``
-    #: says.  Purely a throughput dial — results are byte-identical for
-    #: any value, and a plan the pool cannot serve (one shard, no fork,
-    #: incomplete tables, a killed worker) runs unsharded.
-    shard_workers: Optional[int] = None
-    #: Opt-in per-shard observability: when set, the shard-worker pool
-    #: attaches a ``shard_stats`` dict to every ``SimulationResult``
-    #: (excluded from canonical aggregates — it never affects measured
-    #: values or cache bytes).
-    collect_shard_stats: bool = False
     _initial_states: Optional[List[Any]] = field(default=None, repr=False)
 
     @property
@@ -167,9 +153,6 @@ def compile_plan(
     scheduler: Optional[Any] = None,
     record_leader_trace: bool = False,
     trace_resolution: int = 64,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
-    collect_shard_stats: bool = False,
 ) -> ExecutionPlan:
     """Resolve one workload into an :class:`ExecutionPlan`.
 
@@ -177,11 +160,14 @@ def compile_plan(
     replica) and :func:`repro.engine.run_replicas` (stacks); ``seeds``
     supplies one scheduler seed (or generator) per replica and must match
     ``protocols`` in length.  See the module docstring for the engine
-    resolution rules.  ``shards``/``shard_workers`` enter the shard-worker
-    pool (:mod:`repro.sharding`), which nothing above this function sets.
+    resolution rules.  ``max_steps`` and ``check_interval`` decide a
+    result, so they are taken through :func:`operator.index` (a float
+    raises ``TypeError`` rather than being truncated); a negative budget
+    or a cadence below 1 raises ``ValueError``.
     """
     protocols = list(protocols)
     seeds = list(seeds)
+    max_steps = operator.index(max_steps)
     if not protocols:
         raise ValueError("a plan needs at least one replica")
     if len(seeds) != len(protocols):
@@ -192,10 +178,6 @@ def compile_plan(
         raise ValueError("graph must be non-empty")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if shards is not None and int(shards) < 1:
-        raise ValueError("shards must be positive")
-    if shard_workers is not None and int(shard_workers) < 0:
-        raise ValueError("shard_workers must be non-negative (0 = unsharded)")
     if schedule is not None:
         if scheduler is not None:
             raise ValueError("pass either schedule or scheduler, not both")
@@ -211,7 +193,9 @@ def compile_plan(
         from ..core.simulator import default_check_interval
 
         check_interval = default_check_interval(graph)
-    check_interval = max(1, int(check_interval))
+    check_interval = operator.index(check_interval)
+    if check_interval < 1:
+        raise ValueError("check_interval must be positive")
 
     mode = "single"
     compiled: Any = None
@@ -231,7 +215,7 @@ def compile_plan(
         graph=graph,
         protocols=protocols,
         seeds=seeds,
-        max_steps=int(max_steps),
+        max_steps=max_steps,
         check_interval=check_interval,
         mode=mode,
         schedule=schedule,
@@ -240,7 +224,4 @@ def compile_plan(
         scheduler=scheduler,
         record_leader_trace=record_leader_trace,
         trace_resolution=trace_resolution,
-        shards=None if shards is None else int(shards),
-        shard_workers=None if shard_workers is None else int(shard_workers),
-        collect_shard_stats=bool(collect_shard_stats),
     )

@@ -11,14 +11,16 @@ calls against a shared global code array, while the boundary events —
 the only order-critical draws — apply in the parent in global draw order
 through explicit exchange queues (:class:`ExchangeQueue`).
 
-The pool serves a plan only when :func:`sharded_eligible` accepts it
-(``shard_workers >= 1``, at least two shards, complete tables, a built
-kernel, fork); every other plan — ``shards`` without workers included —
-runs on the unsharded executor chain.  The determinism contract (gated
-by ``tests/test_sharding.py`` and ``scripts/ci_parallel_equivalence.py``):
-a pool run is byte-identical to the same plan without ``shards`` for any
-seed, shard count and worker count.  Neither dial ever changes what is
-measured.
+The package's one entry is ``execute_sharded(plan, shards, workers)``;
+the runtime never routes a plan here, and no scenario, CLI flag or
+service frame reaches it.  The pool serves a plan only when
+:func:`sharded_eligible` accepts it (at least two shards, complete
+tables, a built kernel, fork); every other plan runs on
+:func:`repro.runtime.execute.execute_plan`.  ``shards`` or ``workers``
+below 1 raises ``ValueError``.  The determinism contract (gated by
+``tests/test_sharding.py``): a pool run is byte-identical to
+``execute_plan`` on the same plan for any seed, shard count and worker
+count.  Neither count ever changes what is measured.
 """
 
 from .executor import execute_sharded, sharded_eligible

@@ -1,14 +1,15 @@
 """The shard-worker pool executor.
 
 :func:`execute_sharded` runs an :class:`~repro.runtime.plan.ExecutionPlan`
-on the fork-based shard-worker pool (:mod:`repro.sharding.pool`).  The
-global seeded stream, the ``min(check_interval, remaining)`` block
-sizes, the initial and per-block certificate checks, the unique-leader
-precheck and all per-replica bookkeeping (last output change, leader
-count, distinct-code mask) mirror
-:func:`repro.runtime.execute._execute_stack_v6` exactly, so results are
-byte-identical to the same plan without ``shards`` — gated for 2 and 4
-workers in CI.
+on the fork-based shard-worker pool (:mod:`repro.sharding.pool`); it is
+the pool's only entry, and the shard and worker counts are its own
+arguments, not fields of the plan.  The global seeded stream, the
+``min(check_interval, remaining)`` block sizes, the initial and
+per-block certificate checks, the unique-leader precheck and all
+per-replica bookkeeping (last output change, leader count, distinct-code
+mask) mirror :func:`repro.runtime.execute._execute_stack_v6` exactly, so
+results are byte-identical to :func:`repro.runtime.execute.execute_plan`
+on the same plan — gated for 2 and 4 workers in CI.
 
 Execution follows the *span* schedule
 (:meth:`~repro.sharding.source.ShardedInteractionSource.next_spans`): a
@@ -22,29 +23,30 @@ draw order, in this process, always.  The span arrays are split per
 owning worker, and the boundary events become pairwise handshakes
 inside a per-chunk super-step barrier.
 
-:func:`repro.runtime.execute.execute_plan` sends a plan here only when
-:func:`sharded_eligible` accepts it; everything else — ``shards``
-without workers and topology schedules included — runs on the
-unsharded chain (v6 stack → per-replica engine → reference).  A pool
-that will not start, or a worker that dies mid-run, hands the affected
-replica and every later one to that same chain; the streams are
-re-creatable from their seeds, so the results do not change.
+The pool serves a plan only when :func:`sharded_eligible` accepts it;
+everything else — one shard and topology schedules included — runs on
+:func:`~repro.runtime.execute.execute_plan` (v6 stack → per-replica
+engine → reference).  A pool that will not start, or a worker that dies
+mid-run, hands the affected replica and every later one to that same
+chain; the streams are re-creatable from their seeds, so the results do
+not change.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
+import operator
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
+from ..runtime.execute import _stack_v6_eligible, execute_plan
 from ..runtime.plan import ExecutionPlan
 from .partition import MAX_SHARDS, PartitionedGraph
 from .pool import ShardPoolError, ShardWorkerPool
-from .source import ExchangeQueue, ShardedInteractionSource, SpanBlock
+from .source import ExchangeQueue, ShardedInteractionSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.simulator import SimulationResult
@@ -52,32 +54,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _MISSING = object()
 
 
-def _shard_count(plan: ExecutionPlan) -> int:
-    return min(int(plan.shards or 1), plan.graph.n_nodes, MAX_SHARDS)
+def _pool_size(shards: int, workers: int) -> Tuple[int, int]:
+    """``(shards, workers)`` as ints; either below 1 raises ``ValueError``."""
+    shards, workers = operator.index(shards), operator.index(workers)
+    if shards < 1:
+        raise ValueError(f"shards must be positive, got {shards}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    return shards, workers
 
 
-def sharded_eligible(plan: ExecutionPlan) -> bool:
-    """Whether the shard-worker pool can serve this plan (the probe).
+def _shard_count(plan: ExecutionPlan, shards: int) -> int:
+    return min(shards, plan.graph.n_nodes, MAX_SHARDS)
 
-    The pool needs ``shard_workers >= 1``, at least two shards, a static
-    topology (the pool has no epoch logic), a plan the v6 stack would
-    serve (one compiled table set, kernel-seedable seeds, the native
-    kernel built — so the unsharded chain can take over any replica
-    byte-identically), transition
-    tables complete over every reachable state (parallel lazy state
-    discovery would assign codes in process-dependent order), a
-    forkable platform and ``REPRO_DISABLE_SHARD_WORKERS`` unset.  The
-    workers apply table entries only, so a plan on a protocol's kernel
-    rule (the identifier protocol under ``engine="auto"``) runs
-    unsharded on the v6 stack.
+
+def sharded_eligible(plan: ExecutionPlan, shards: int, workers: int) -> bool:
+    """Whether ``workers`` pool processes can serve ``plan`` in ``shards``
+    shards (the probe).
+
+    The pool needs at least two shards, a static topology (the pool has
+    no epoch logic), a plan the v6 stack would serve (one compiled table
+    set, kernel-seedable seeds, the native kernel built — so the
+    unsharded chain can take over any replica byte-identically),
+    transition tables complete over every reachable state (parallel lazy
+    state discovery would assign codes in process-dependent order) and a
+    forkable platform.  The workers apply table entries only, so a plan
+    on a protocol's kernel rule (the identifier protocol under
+    ``engine="auto"``) runs unsharded on the v6 stack.  ``shards`` or
+    ``workers`` below 1 raises ``ValueError``.
     """
-    if not plan.shard_workers or plan.schedule is not None or _shard_count(plan) < 2:
+    shards, workers = _pool_size(shards, workers)
+    if plan.schedule is not None or _shard_count(plan, shards) < 2:
         return False
-    if os.environ.get("REPRO_DISABLE_SHARD_WORKERS") or plan.graph.n_edges == 0:
-        return False
-    from ..runtime.execute import _stack_v6_eligible
-
-    if not _stack_v6_eligible(plan):
+    if plan.graph.n_edges == 0 or not _stack_v6_eligible(plan):
         return False
     from ..engine.compiler import CompiledProtocol
 
@@ -92,31 +101,38 @@ def sharded_eligible(plan: ExecutionPlan) -> bool:
 
 
 def execute_sharded(
-    plan: ExecutionPlan, partition: Optional[PartitionedGraph] = None
+    plan: ExecutionPlan,
+    shards: int,
+    workers: int,
+    partition: Optional[PartitionedGraph] = None,
 ) -> List["SimulationResult"]:
-    """Run every replica of an eligible ``plan`` on the pool, in replica order.
+    """Run every replica of ``plan`` on ``workers`` pool processes, in
+    replica order.
 
-    ``partition`` injects a prebuilt layout (the differential tests pass
-    hash partitions); by default the plan's graph is range-partitioned
-    into ``min(plan.shards, n, MAX_SHARDS)`` shards.  Every replica is
-    timed individually (``wall_time_seconds`` is that replica's own
-    measurement, never a smeared share of the plan's).
+    A plan :func:`sharded_eligible` declines runs on
+    :func:`~repro.runtime.execute.execute_plan` instead, with the same
+    results.  ``partition`` injects a prebuilt layout of the plan's graph
+    (the differential tests pass hash partitions); by default the graph
+    is range-partitioned into ``min(shards, n, MAX_SHARDS)`` shards.
+    Every replica is timed individually (``wall_time_seconds`` is that
+    replica's own measurement, never a smeared share of the plan's).
     """
-    from ..runtime.execute import execute_unsharded
-
+    shards, workers = _pool_size(shards, workers)
+    if not sharded_eligible(plan, shards, workers):
+        return execute_plan(plan)
     initial_states = plan.initial_states()
     initial_codes = np.ascontiguousarray(plan.compiled.encode(initial_states), dtype=np.int64)
     initially_stable = plan.protocols[0].is_output_stable_configuration(
         initial_states, plan.graph
     )
     if partition is None:
-        partition = PartitionedGraph(plan.graph, _shard_count(plan))
+        partition = PartitionedGraph(plan.graph, _shard_count(plan, shards))
     try:
-        pool = ShardWorkerPool(partition, plan.compiled, n_workers=plan.shard_workers)
+        pool = ShardWorkerPool(partition, plan.compiled, n_workers=workers)
     except Exception:
         # No pool here (a daemonic parent may not fork, shared memory
         # may be exhausted): the unsharded chain gives the same results.
-        return execute_unsharded(plan)
+        return execute_plan(plan)
 
     results: List["SimulationResult"] = []
     try:
@@ -142,7 +158,7 @@ def execute_sharded(
                 rest = dataclasses.replace(
                     plan, protocols=plan.protocols[index:], seeds=plan.seeds[index:]
                 )
-                return results + execute_unsharded(rest)
+                return results + execute_plan(rest)
             result.wall_time_seconds = time.perf_counter() - start
             results.append(result)
     finally:
@@ -184,11 +200,6 @@ def _run_replica(
     seen = np.zeros(compiled.stride, dtype=np.uint8)
     seen[np.unique(initial_codes)] = 1
     state = _ReplicaState(compiled.leader_count(initial_codes), seen)
-    stats = (
-        _StatsCollector(partition.n_shards, pool.n_workers)
-        if plan.collect_shard_stats
-        else None
-    )
 
     max_steps = plan.max_steps
     check_interval = plan.check_interval
@@ -197,9 +208,7 @@ def _run_replica(
     certified_step = 0
     while not stabilized and step < max_steps:
         chunk = min(check_interval, max_steps - step)
-        block = _run_pool_chunk(backend, routed, chunk, step, state, exchange, compiled)
-        if stats is not None:
-            stats.observe_block(block)
+        _run_pool_chunk(backend, routed, chunk, step, state, exchange, compiled)
         step += chunk
         # Certificate boundary: the exchange fabric must be globally
         # quiescent, then the same precheck-gated certificate the stack
@@ -214,7 +223,7 @@ def _run_replica(
     backend.end_replica(state)
 
     decoded = compiled.decode_codes(backend.assemble())
-    result = SimulationResult(
+    return SimulationResult(
         stabilized=stabilized,
         certified_step=certified_step if stabilized else step,
         last_output_change_step=state.last_change,
@@ -225,9 +234,6 @@ def _run_replica(
         leader_trace=[],
         wall_time_seconds=0.0,
     )
-    if stats is not None:
-        result.shard_stats = stats.summary(exchange)
-    return result
 
 
 def _run_pool_chunk(
@@ -238,7 +244,7 @@ def _run_pool_chunk(
     state: _ReplicaState,
     exchange: ExchangeQueue,
     compiled: Any,
-) -> SpanBlock:
+) -> None:
     """One super-step of the worker pool.
 
     The workers run their shard-local runs ahead on their own programs;
@@ -277,53 +283,4 @@ def _run_pool_chunk(
                     state.last_change = changed_at
         backend.release_boundary(seg)
     backend.finish_chunk(state)
-    return block
 
-
-class _StatsCollector:
-    """Per-replica shard observability (opt-in, never canonical)."""
-
-    def __init__(self, n_shards: int, workers: int) -> None:
-        self.n_shards = n_shards
-        self.workers = workers
-        self.steps_applied = np.zeros(n_shards, dtype=np.int64)
-        self.boundary_pairs = 0
-        self.run_lengths: Dict[int, int] = {}
-
-    def observe_block(self, block: SpanBlock) -> None:
-        # The span schedule never materialises runs; recover the
-        # (segment, shard) grouping arithmetically.
-        si = block.init_shard.astype(np.int64)
-        sj = block.resp_shard.astype(np.int64)
-        boundary = si != sj
-        seg = np.cumsum(boundary, dtype=np.int64) - boundary
-        local = ~boundary
-        key = seg[local] * self.n_shards + si[local]
-        runs, lengths = np.unique(key, return_counts=True)
-        run_shard = runs % self.n_shards
-        if lengths.size:
-            np.add.at(self.steps_applied, run_shard, lengths)
-            # Power-of-two buckets: run of length L lands in 2^(bits(L)-1).
-            buckets = np.frexp(lengths.astype(np.float64))[1] - 1
-            for bucket, count in zip(*np.unique(buckets, return_counts=True)):
-                key = 1 << int(bucket)
-                self.run_lengths[key] = self.run_lengths.get(key, 0) + int(count)
-        if block.n_boundary:
-            self.boundary_pairs += block.n_boundary
-            np.add.at(self.steps_applied, si[block.boundary_pos], 1)
-            np.add.at(self.steps_applied, sj[block.boundary_pos], 1)
-
-    def summary(self, exchange: ExchangeQueue) -> Dict[str, Any]:
-        return {
-            "path": "pool",
-            "shards": self.n_shards,
-            "workers": self.workers,
-            "steps_applied": self.steps_applied.tolist(),
-            "boundary_pairs": int(self.boundary_pairs),
-            "run_length_histogram": {
-                str(k): v for k, v in sorted(self.run_lengths.items())
-            },
-            "exchange_posted": int(exchange.posted.sum()),
-            "exchange_delivered": int(exchange.delivered.sum()),
-            "exchange_in_flight": exchange.in_flight,
-        }

@@ -33,7 +33,7 @@ closing the pool and rerunning the replica unsharded, byte-identically
 (the stream is re-creatable from its seed).
 ``REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS=<n>`` makes every worker die at
 the start of its ``n``-th super-step (0-based) — the failure-path tests
-use it; ``REPRO_DISABLE_SHARD_WORKERS=1`` disables the pool entirely.
+use it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..analytics.estimators import HITTING_TAG, MEETING_TAG
-from ..analytics.streams import resolve_base_seed
+from ..analytics.streams import node_id, resolve_base_seed, step_budget
 from ..analytics.walks import (
     default_walk_budget,
     run_hitting_batch,
@@ -150,7 +150,7 @@ def simulate_meeting_time(
     if max_steps is None:
         max_steps = default_walk_budget(graph)
     stream = InteractionSource(graph, generator)
-    return run_single_meeting(graph, int(start_a), int(start_b), stream, max_steps)
+    return run_single_meeting(graph, start_a, start_b, stream, max_steps)
 
 
 def simulate_population_hitting_time(
@@ -160,14 +160,17 @@ def simulate_population_hitting_time(
     rng: RngLike = None,
     max_steps: Optional[int] = None,
 ) -> Optional[int]:
-    """Steps until a population-model walk from ``start`` reaches ``target``."""
-    if start == target:
+    """Steps until a population-model walk from ``start`` reaches ``target``.
+
+    Node ids and ``max_steps`` are checked as
+    :func:`~repro.analytics.walks.run_hitting_batch` checks them, also
+    for a walk that starts on its target, which reports 0.
+    """
+    max_steps = default_walk_budget(graph) if max_steps is None else step_budget(max_steps)
+    if node_id(start, graph.n_nodes) == node_id(target, graph.n_nodes):
         return 0
-    generator = as_rng(rng)
-    if max_steps is None:
-        max_steps = default_walk_budget(graph)
-    stream = InteractionSource(graph, generator)
-    return run_single_hitting(graph, int(start), int(target), stream, max_steps)
+    stream = InteractionSource(graph, as_rng(rng))
+    return run_single_hitting(graph, start, target, stream, max_steps)
 
 
 def simulate_population_hitting_times(

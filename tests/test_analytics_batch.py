@@ -66,7 +66,9 @@ from repro.runtime.source import InteractionSource
 from repro.walks import (
     exact_meeting_times,
     population_hitting_times_to,
+    simulate_meeting_time,
     simulate_meeting_times,
+    simulate_population_hitting_time,
     simulate_population_hitting_times,
 )
 
@@ -631,6 +633,80 @@ def test_batch_drivers_reject_float_seeds(leg):
         expected = run([3, 4]).tolist()
         assert run([np.int64(3), np.uint32(4)]).tolist() == expected, name
         assert run(np.array([3, 4], dtype=np.uint64)).tolist() == expected, name
+
+
+def test_epidemic_drivers_reject_bad_sources_and_budgets(leg):
+    """Sources and budgets go through ``operator.index`` like seeds: a
+    float raises ``TypeError`` rather than running as its floor (source
+    3.7 used to run as source 3), and a source outside ``[0, n)`` or a
+    negative budget raises ``ValueError``."""
+    g = cycle(16)
+    budget = default_broadcast_budget(g)
+    for source in (3.7, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            run_epidemic_batch(g, [source], [1], budget)
+        with pytest.raises(TypeError):
+            run_single_epidemic(g, source, InteractionSource(g, 1), budget)
+    for source in (-1, 16):
+        with pytest.raises(ValueError, match="out of range"):
+            run_epidemic_batch(g, [source], [1], budget)
+    drivers = {
+        "epidemic": lambda steps: run_epidemic_batch(g, [0], [1], steps),
+        "influence": lambda steps: run_influence_batch(g, [1], steps),
+        "single": lambda steps: run_single_epidemic(g, 0, InteractionSource(g, 1), steps),
+    }
+    for name, run in drivers.items():
+        with pytest.raises(ValueError, match="max_steps"):
+            run(-1)
+        with pytest.raises(TypeError):
+            run(float(budget))
+        assert run(np.int64(budget)) == run(budget), name
+    expected = run_epidemic_batch(g, [3, 5], [1, 2], budget).tolist()
+    assert run_epidemic_batch(g, [np.int64(3), np.uint8(5)], [1, 2], budget).tolist() == expected
+
+
+def test_walk_drivers_reject_bad_ids_pairs_and_budgets(leg):
+    """Walk node ids go through ``operator.index`` and a range check, in
+    the batch drivers and in the single-trajectory wrappers: a float id
+    raises ``TypeError`` (``(3.7, 0.2)`` used to run as ``(3, 0)``), an id
+    outside ``[0, n)`` ``ValueError`` (it used to run the whole budget and
+    report -1), a pair that is not two ids ``ValueError`` (a 3-tuple used
+    to raise ``IndexError`` inside the stack), and so does a negative
+    budget.  A walk that starts on its target checks its seed too."""
+    g = cycle(16)
+    for run in (run_hitting_batch, run_meeting_batch):
+        for pair in ((3.7, 0.2), (3, np.float64(0.0))):
+            with pytest.raises(TypeError):
+                run(g, [pair], [1])
+        for pair in ((0, 99), (-1, 3), (16, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                run(g, [(2, 5), pair], [1, 2])
+        for pair in ((0, 1, 2), (0,), 5):
+            with pytest.raises(ValueError, match="not two node ids"):
+                run(g, [pair], [1])
+        with pytest.raises(ValueError, match="max_steps"):
+            run(g, [(3, 0)], [1], max_steps=-1)
+        with pytest.raises(TypeError):
+            run(g, [(3, 0)], [1], max_steps=1e6)
+        expected = run(g, [(3, 0), (5, 9)], [1, 2]).tolist()
+        assert run(g, [(np.int64(3), np.uint8(0)), (5, 9)], [1, 2]).tolist() == expected
+        assert run(g, np.array([[3, 0], [5, 9]]), [1, 2]).tolist() == expected
+    with pytest.raises(TypeError):
+        run_hitting_batch(g, [(0, 0)], [3.7])
+    with pytest.raises(TypeError):
+        simulate_population_hitting_time(g, 3.7, 0.2, rng=1)
+    with pytest.raises(TypeError):
+        simulate_meeting_time(g, 0.5, 3, rng=1)
+    for start, target in ((99, 99), (0, 99), (-1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            simulate_population_hitting_time(g, start, target, rng=1)
+        with pytest.raises(ValueError, match="out of range"):
+            simulate_meeting_time(g, start, target, rng=1)
+    with pytest.raises(ValueError, match="max_steps"):
+        simulate_population_hitting_time(g, 3, 0, rng=1, max_steps=-1)
+    with pytest.raises(ValueError, match="max_steps"):
+        simulate_meeting_time(g, 3, 0, rng=1, max_steps=-1)
+    assert simulate_population_hitting_time(g, np.int64(2), 2, rng=1) == 0
 
 
 def test_stop_masks_of_another_shape_raise(leg):

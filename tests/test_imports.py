@@ -10,6 +10,7 @@ imported most of the package.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -73,6 +74,25 @@ def _fresh(script: str):
 
 def _within(name: str, prefixes) -> bool:
     return any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
+
+
+def _imported_names(path: str, module: str):
+    """Every module name an import statement anywhere in ``path`` (the
+    source of ``module``) may load, relative imports resolved."""
+    package = module if path.endswith("__init__.py") else module.rpartition(".")[0]
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                anchor = parts[: len(parts) - node.level + 1]
+                base = ".".join(anchor + [node.module] if node.module else anchor)
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
 def test_import_repro_loads_only_the_lazy_helper():
@@ -208,3 +228,27 @@ def test_cli_imports_only_what_its_subcommands_run():
     ]
     assert [name for name in deferred if name in loaded] == []
     assert "repro.orchestration.runner" in loaded
+
+
+def test_runtime_core_and_engine_never_import_the_shard_pool():
+    """The dependency runs one way: ``repro.sharding`` builds on the
+    runtime, and no module under ``repro.runtime``, ``repro.core`` or
+    ``repro.engine`` imports it, at module level or inside a function.
+    So no plan reaches the shard-worker pool unless its caller enters
+    ``repro.sharding`` itself, and the package can go without touching
+    them."""
+    offenders = []
+    for package in ("runtime", "core", "engine"):
+        for directory, _, files in os.walk(os.path.join(SRC, "repro", package)):
+            for filename in sorted(files):
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(directory, filename)
+                module = os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
+                module = module.removesuffix(".__init__")
+                offenders += [
+                    f"{module} imports {name}"
+                    for name in _imported_names(path, module)
+                    if _within(name, ("repro.sharding",))
+                ]
+    assert offenders == []

@@ -250,6 +250,32 @@ def test_plan_validation_errors():
             compile_plan([token], graph, [0], max_steps=10, engine=engine)
 
 
+def test_step_budget_and_cadence_are_never_truncated():
+    """``max_steps`` and ``check_interval`` decide a result, so a float
+    raises ``TypeError`` (2.9 steps used to run 2 steps, and cadence 2.5
+    ran at 2) and a cadence below 1 raises ``ValueError`` (0 and -3 used
+    to run at cadence 1).  NumPy integers are integers."""
+    graph = cycle(8)
+    token = TokenLeaderElection()
+    simulator = Simulator(graph, token, rng=1)
+    for kwargs in (
+        {"max_steps": 2.9},
+        {"max_steps": np.float64(100)},
+        {"max_steps": 100, "check_interval": 2.5},
+    ):
+        with pytest.raises(TypeError):
+            simulator.run(**kwargs)
+    for cadence in (0, -3):
+        with pytest.raises(ValueError, match="check_interval"):
+            simulator.run(max_steps=100, check_interval=cadence)
+    plan = compile_plan([token], graph, [1], max_steps=np.int64(100), check_interval=np.int32(2))
+    assert (plan.max_steps, plan.check_interval) == (100, 2)
+    assert type(plan.max_steps) is int and type(plan.check_interval) is int
+    assert _result_tuple(execute_plan(plan)[0]) == _result_tuple(
+        simulator.run(max_steps=100, check_interval=2)
+    )
+
+
 # ----------------------------------------------------------------------
 # Executor routing and the v6 → per-replica → reference fallback chain
 # ----------------------------------------------------------------------

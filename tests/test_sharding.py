@@ -1,14 +1,13 @@
 """Differential, routing and structural tests for the sharded graph engine.
 
-The determinism contract of :mod:`repro.sharding` is gated here (and,
-across process placements, by ``scripts/ci_parallel_equivalence.py``):
-a plan run on the shard-worker pool is byte-identical to the same plan
-without ``shards`` — for any seed, shard count, worker count and node
+The determinism contract of :mod:`repro.sharding` is gated here: a
+plan run on the shard-worker pool (``execute_sharded(plan, shards,
+workers)``, the pool's only entry) is byte-identical to ``execute_plan``
+on the same plan — for any seed, shard count, worker count and node
 assignment — because partitioning decides *where* a pair is applied,
-never *which* pair is drawn.  Every plan the pool cannot serve
-(``shards`` without workers, one shard, lazy tables, a disabled pool, a
-killed worker) runs on the unsharded chain instead, with the same
-results.
+never *which* pair is drawn.  Every plan the pool cannot serve (one
+shard, a topology schedule, lazy tables, a kernel rule, a killed
+worker) runs on ``execute_plan`` instead, with the same results.
 
 The structural half pins the partitioner itself: a seeded golden
 fixture freezes the hash assignment and the partition fingerprint, so
@@ -37,6 +36,7 @@ from repro.sharding import (
     PartitionedGraph,
     ShardedInteractionSource,
     ShardWorkerPool,
+    execute_sharded,
     sharded_eligible,
 )
 from repro.sharding.partition import node_assignment
@@ -97,14 +97,17 @@ _FACTORIES = {
 }
 
 
-def _plan(graph, protocol_kind, seeds, **kwargs):
+def _plan(graph, protocol_kind, seeds):
     factory = _FACTORIES[protocol_kind]
     protocols = [factory(graph) for _ in seeds]
-    return compile_plan(protocols, graph, list(seeds), max_steps=5000, **kwargs)
+    return compile_plan(protocols, graph, list(seeds), max_steps=5000)
 
 
-def _run(plan):
-    return [result_tuple(r) for r in execute_plan(plan)]
+def _run(plan, shards=None, workers=None):
+    """``plan``'s results: on the pool when given its counts, else on
+    ``execute_plan``."""
+    results = execute_plan(plan) if shards is None else execute_sharded(plan, shards, workers)
+    return [result_tuple(r) for r in results]
 
 
 #: Token inputs for star(8) with a single candidate: stable from step 0.
@@ -132,36 +135,34 @@ class TestExecutorEquivalence:
         graph = _GRAPHS[graph_kind]()
         seeds = [SEED + index for index in range(3)]
         batched = _run(_plan(graph, protocol_kind, seeds))
-        sharded_plan = _plan(graph, protocol_kind, seeds, shards=1, shard_workers=2)
-        assert not sharded_eligible(sharded_plan)
-        assert _run(sharded_plan) == batched
+        sharded_plan = _plan(graph, protocol_kind, seeds)
+        assert not sharded_eligible(sharded_plan, 1, 2)
+        assert _run(sharded_plan, 1, 2) == batched
 
     @pytest.mark.parametrize("k", [2, 4, 7])
     @pytest.mark.parametrize("graph_kind", sorted(_GRAPHS))
     def test_k_shards_match_one_shard(self, k, graph_kind):
         graph = _GRAPHS[graph_kind]()
         seeds = [SEED + 100 + index for index in range(3)]
-        one = _run(_plan(graph, "token", seeds, shards=1))
-        many = _run(_plan(graph, "token", seeds, shards=k, shard_workers=2))
+        one = _run(_plan(graph, "token", seeds))
+        many = _run(_plan(graph, "token", seeds), k, 2)
         assert many == one
 
     def test_hash_partition_matches_range_partition(self):
         """The executor result is invariant to the assignment policy."""
-        from repro.sharding import execute_sharded
-
         graph = torus(3, 4)
         seeds = [SEED + 200 + index for index in range(2)]
-        plan = _plan(graph, "token", seeds, shards=3, shard_workers=2)
-        by_range = [result_tuple(r) for r in execute_sharded(plan)]
+        plan = _plan(graph, "token", seeds)
+        by_range = _run(plan, 3, 2)
         hashed = PartitionedGraph(graph, 3, mode="hash", seed=7)
-        by_hash = [result_tuple(r) for r in execute_sharded(plan, partition=hashed)]
+        by_hash = [result_tuple(r) for r in execute_sharded(plan, 3, 2, partition=hashed)]
         assert by_hash == by_range == _run(_plan(graph, "token", seeds))
 
     def test_single_replica_plan(self):
         graph = clique(10)
         seeds = [SEED + 300]
         plain = _run(_plan(graph, "token", seeds))
-        sharded = _run(_plan(graph, "token", seeds, shards=3, shard_workers=2))
+        sharded = _run(_plan(graph, "token", seeds), 3, 2)
         assert sharded == plain
 
     def test_initially_stable_and_zero_budget(self):
@@ -171,21 +172,11 @@ class TestExecutorEquivalence:
         # configuration is already stable.  Also pin max_steps=0.
         tokens = [TokenLeaderElection() for _ in seeds]
         base = compile_plan(tokens, graph, seeds, max_steps=5000, inputs=_ONE_CANDIDATE)
-        shard = compile_plan(
-            tokens,
-            graph,
-            seeds,
-            max_steps=5000,
-            inputs=_ONE_CANDIDATE,
-            shards=2,
-            shard_workers=2,
-        )
-        stable = _run(shard)
+        stable = _run(base, 2, 2)
         assert stable == _run(base)
         assert all(result[0] and result[3] == 0 for result in stable)
         base0 = compile_plan(tokens, graph, seeds, max_steps=0)
-        shard0 = compile_plan(tokens, graph, seeds, max_steps=0, shards=2, shard_workers=2)
-        assert _run(shard0) == _run(base0)
+        assert _run(base0, 2, 2) == _run(base0)
 
 
 class TestFallbackChain:
@@ -195,48 +186,24 @@ class TestFallbackChain:
         schedule = EpochSchedule([(graph, 64), (star(12), 64)], repeat=True)
         seeds = [SEED + 500, SEED + 501]
         tokens = [TokenLeaderElection() for _ in seeds]
-        base = compile_plan(tokens, graph, seeds, max_steps=3000, schedule=schedule)
-        shard = compile_plan(
-            tokens, graph, seeds, max_steps=3000, schedule=schedule, shards=4, shard_workers=2
-        )
-        assert not sharded_eligible(shard)
-        assert _run(shard) == _run(base)
-
-    @requires_kernel
-    def test_disable_env_var_falls_back(self, monkeypatch):
-        graph = clique(10)
-        seeds = [SEED + 600, SEED + 601]
-        plan = _plan(graph, "token", seeds, shards=4, shard_workers=2)
-        monkeypatch.setenv("REPRO_DISABLE_SHARD_WORKERS", "1")
-        assert not sharded_eligible(plan)
-        disabled = _run(plan)
-        monkeypatch.delenv("REPRO_DISABLE_SHARD_WORKERS")
-        assert sharded_eligible(plan)
-        assert _run(plan) == disabled
+        plan = compile_plan(tokens, graph, seeds, max_steps=3000, schedule=schedule)
+        assert not sharded_eligible(plan, 4, 2)
+        assert _run(plan, 4, 2) == _run(plan)
 
     def test_reference_engine_is_ineligible(self):
         graph = cycle(8)
         seeds = [SEED + 700, SEED + 701]
         tokens = [TokenLeaderElection() for _ in seeds]
-        plan = compile_plan(
-            tokens, graph, seeds, max_steps=2000, engine="reference", shards=2, shard_workers=2
-        )
-        assert not sharded_eligible(plan)
-        execute_plan(plan)  # must run through the reference path, not raise
+        plan = compile_plan(tokens, graph, seeds, max_steps=2000, engine="reference")
+        assert not sharded_eligible(plan, 2, 2)
+        execute_sharded(plan, 2, 2)  # must run through the reference path, not raise
 
 
 _UNSERVED_CASES = {
-    # ``shards`` without workers changes nothing.
-    "shards-alone": ("token", {"shards": 4}, {}),
     # Lazy state discovery must never run across processes.
-    "lazy-tables": ("identifier-tables", {"shards": 4, "shard_workers": 2}, {}),
+    "lazy-tables": "identifier-tables",
     # The workers apply table entries; the kernel's identifier rule has none.
-    "kernel-rule": ("identifier", {"shards": 4, "shard_workers": 2}, {}),
-    "pool-disabled": (
-        "token",
-        {"shards": 4, "shard_workers": 2},
-        {"REPRO_DISABLE_SHARD_WORKERS": "1"},
-    ),
+    "kernel-rule": "identifier",
 }
 
 
@@ -245,9 +212,7 @@ _UNSERVED_CASES = {
 def test_unserved_shard_plans_run_unsharded_on_v6(case, monkeypatch):
     """A plan the pool cannot serve runs on the v6 stack and is never
     partitioned."""
-    protocol_kind, dials, env = _UNSERVED_CASES[case]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+    protocol_kind = _UNSERVED_CASES[case]
     graph = torus(3, 4)
     seeds = [SEED + 750 + index for index in range(3)]
     plain = _run(_plan(graph, protocol_kind, seeds))
@@ -261,12 +226,12 @@ def test_unserved_shard_plans_run_unsharded_on_v6(case, monkeypatch):
 
     v6_widths = _spy_on_v6(monkeypatch)
     monkeypatch.setattr(PartitionedGraph, "__init__", spy_init)
-    plan = _plan(graph, protocol_kind, seeds, **dials)
+    plan = _plan(graph, protocol_kind, seeds)
     if case == "lazy-tables":
         assert not plan.compiled.tables_complete
     if case == "kernel-rule":
         assert plan.compiled is plan.protocols[0].kernel_rule()
-    assert _run(plan) == plain
+    assert _run(plan, 4, 2) == plain
     assert v6_widths == [len(seeds)]
     assert partitions == []
 
@@ -451,9 +416,7 @@ class TestShardWorkerPool:
         seeds = [SEED + 900 + index for index in range(2)]
         unsharded = _run(_plan(graph, protocol_kind, seeds))
         for workers in (2, 4):
-            pooled = _run(
-                _plan(graph, protocol_kind, seeds, shards=k, shard_workers=workers)
-            )
+            pooled = _run(_plan(graph, protocol_kind, seeds), k, workers)
             assert pooled == unsharded, (k, graph_kind, protocol_kind, workers)
 
     def test_pool_requires_complete_tables(self):
@@ -464,43 +427,34 @@ class TestShardWorkerPool:
 
         graph = cycle(9)
         seeds = [SEED + 950]
-        plan = _plan(graph, "identifier-tables", seeds, shards=3, shard_workers=2)
+        plan = _plan(graph, "identifier-tables", seeds)
         fresh = dataclasses.replace(plan, compiled=CompiledProtocol(plan.protocols[0]))
-        assert fresh.compiled.tables_complete and not sharded_eligible(fresh)
+        assert fresh.compiled.tables_complete and not sharded_eligible(fresh, 3, 2)
         execute_plan(plan)  # discovers states lazily, leaving the tables open
         assert not plan.compiled.tables_complete
-        assert not sharded_eligible(plan)
+        assert not sharded_eligible(plan, 3, 2)
 
     @requires_kernel
-    def test_pool_used_when_eligible(self):
+    def test_pool_used_when_eligible(self, monkeypatch):
         graph = torus(3, 4)
         seeds = [SEED + 960]
-        plan = _plan(graph, "token", seeds, shards=3, shard_workers=2)
-        assert plan.compiled.tables_complete and sharded_eligible(plan)
-        pool = ShardWorkerPool(PartitionedGraph(graph, 3), plan.compiled, n_workers=2)
-        try:
-            assert pool.n_workers == 2
-        finally:
-            pool.close()
+        plan = _plan(graph, "token", seeds)
+        assert plan.compiled.tables_complete and sharded_eligible(plan, 3, 2)
+        pools = []
+        real_init = ShardWorkerPool.__init__
+
+        def spy_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            pools.append(self.n_workers)
+
+        monkeypatch.setattr(ShardWorkerPool, "__init__", spy_init)
+        assert _run(plan, 3, 2) == _run(plan)
+        assert pools == [2]
 
 
 class TestWorkerPoolFailure:
     """Failure paths: a broken or unavailable pool hands its replicas to
     the unsharded chain byte-identically."""
-
-    @requires_kernel
-    def test_disable_env_var_skips_the_pool(self, monkeypatch):
-        graph = torus(3, 4)
-        seeds = [SEED + 1000, SEED + 1001]
-        plan = _plan(
-            graph, "token", seeds, shards=4, shard_workers=2, collect_shard_stats=True
-        )
-        pooled = execute_plan(plan)
-        assert all(r.shard_stats is not None for r in pooled)
-        monkeypatch.setenv("REPRO_DISABLE_SHARD_WORKERS", "1")
-        disabled = execute_plan(plan)
-        assert all(r.shard_stats is None for r in disabled)
-        assert [result_tuple(r) for r in disabled] == [result_tuple(r) for r in pooled]
 
     @requires_kernel
     def test_worker_killed_mid_super_step_demotes_identically(self, monkeypatch):
@@ -512,7 +466,7 @@ class TestWorkerPoolFailure:
         # reruns the replica (and all later ones) unsharded.
         monkeypatch.setenv("REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS", "2")
         widths = _spy_on_v6(monkeypatch)
-        killed = _run(_plan(graph, "token", seeds, shards=4, shard_workers=2))
+        killed = _run(_plan(graph, "token", seeds), 4, 2)
         assert killed == base
         assert len(widths) == 1 and 1 <= widths[0] <= len(seeds)
 
@@ -523,7 +477,7 @@ class TestWorkerPoolFailure:
         base = _run(_plan(graph, "token", seeds))
         monkeypatch.setenv("REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS", "0")
         widths = _spy_on_v6(monkeypatch)
-        killed = _run(_plan(graph, "token", seeds, shards=4, shard_workers=4))
+        killed = _run(_plan(graph, "token", seeds), 4, 4)
         assert killed == base
         assert widths == [1]
 
@@ -543,125 +497,33 @@ class TestPerReplicaTiming:
         )
 
     def test_each_replica_times_itself(self, monkeypatch):
-        from repro.sharding import execute_sharded
-
         graph = torus(3, 4)
         seeds = [SEED + 1300 + index for index in range(3)]
-        plan = _plan(graph, "token", seeds, shards=3, shard_workers=2)
+        plan = _plan(graph, "token", seeds)
         self._tick(monkeypatch)
-        results = execute_sharded(plan)
+        results = execute_sharded(plan, 3, 2)
         # The fake clock advances 1.0 per call; each replica makes
         # exactly one start/end pair, so a smeared wall (total / 3)
         # would read ~1.67 while per-replica timing reads exactly 1.0.
         assert [r.wall_time_seconds for r in results] == [1.0, 1.0, 1.0]
 
     def test_initially_stable_replicas_time_individually(self, monkeypatch):
-        from repro.sharding import execute_sharded
-
         graph = star(8)
         seeds = [SEED + 1400, SEED + 1401]
         protocols = [TokenLeaderElection() for _ in seeds]
-        plan = compile_plan(
-            protocols,
-            graph,
-            seeds,
-            max_steps=5000,
-            inputs=_ONE_CANDIDATE,
-            shards=2,
-            shard_workers=2,
-        )
+        plan = compile_plan(protocols, graph, seeds, max_steps=5000, inputs=_ONE_CANDIDATE)
         self._tick(monkeypatch)
-        results = execute_sharded(plan)
+        results = execute_sharded(plan, 2, 2)
         assert [r.steps_executed for r in results] == [0, 0]
         assert [r.wall_time_seconds for r in results] == [1.0, 1.0]
 
 
-@requires_kernel
-class TestShardStats:
-    """Opt-in per-shard observability (never part of canonical records)."""
-
-    def test_stats_absent_by_default(self):
-        graph = torus(3, 4)
-        plan = _plan(graph, "token", [SEED + 1500], shards=3, shard_workers=2)
-        (result,) = execute_plan(plan)
-        assert result.shard_stats is None
-
-    def test_stats_shape_and_accounting(self):
-        graph = torus(3, 4)
-        plan = _plan(
-            graph,
-            "token",
-            [SEED + 1500],
-            shards=3,
-            shard_workers=2,
-            collect_shard_stats=True,
-        )
-        (result,) = execute_plan(plan)
-        stats = result.shard_stats
-        assert stats is not None
-        assert stats["path"] == "pool"
-        assert stats["shards"] == 3
-        assert stats["workers"] == 2
-        assert len(stats["steps_applied"]) == 3
-        # Every local draw counts once, every boundary draw once per
-        # touched shard; local + boundary = total steps executed.
-        assert (
-            sum(stats["steps_applied"])
-            == result.steps_executed + stats["boundary_pairs"]
-        )
-        assert stats["boundary_pairs"] > 0
-        # The histogram buckets all local runs, and the exchange drained.
-        local_draws = result.steps_executed - stats["boundary_pairs"]
-        histogram = {int(k): v for k, v in stats["run_length_histogram"].items()}
-        assert sum(length * count for length, count in histogram.items()) <= local_draws
-        assert all(length & (length - 1) == 0 for length in histogram)
-        assert stats["exchange_posted"] == stats["exchange_delivered"]
-        assert stats["exchange_in_flight"] == 0
-
-    def test_pool_stats_report_the_pool_path(self):
-        def stats_for(workers):
-            plan = _plan(
-                torus(3, 4),
-                "token",
-                [SEED + 1500],
-                shards=3,
-                shard_workers=workers,
-                collect_shard_stats=True,
-            )
-            return execute_plan(plan)[0].shard_stats
-
-        two, three = stats_for(2), stats_for(3)
-        assert two["path"] == three["path"] == "pool"
-        assert (two["workers"], three["workers"]) == (2, 3)
-        # The schedule — hence the stats — is placement-invariant.
-        for key in ("steps_applied", "boundary_pairs", "run_length_histogram"):
-            assert two[key] == three[key]
-
-    def test_stats_excluded_from_trial_records(self):
-        from repro.experiments.harness import trial_record_from_result
-
-        graph = torus(3, 4)
-        plan = _plan(
-            graph,
-            "token",
-            [SEED + 1500],
-            shards=3,
-            shard_workers=2,
-            collect_shard_stats=True,
-        )
-        (result,) = execute_plan(plan)
-        assert result.shard_stats is not None
-        record = trial_record_from_result(result)
-        assert "shard_stats" not in record
-
-
 class TestShardWorkersDial:
     def test_negative_shard_workers_rejected(self):
-        with pytest.raises(ValueError, match="shard_workers"):
-            compile_plan(
-                [TokenLeaderElection()],
-                cycle(8),
-                [SEED],
-                max_steps=100,
-                shard_workers=-2,
-            )
+        """The pool's counts are its entry's own arguments: a count below
+        1 raises, naming the argument, before any plan is probed."""
+        plan = compile_plan([TokenLeaderElection()], cycle(8), [SEED], max_steps=100)
+        for shards, workers, name in ((4, -2, "workers"), (4, 0, "workers"), (0, 2, "shards")):
+            for entry in (sharded_eligible, execute_sharded):
+                with pytest.raises(ValueError, match=name):
+                    entry(plan, shards, workers)
