@@ -726,21 +726,58 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     # -- Two engines, one table bound, checked before any table is built
     Mutant(
-        "worthwhile-ignores-table-bound",
-        "src/repro/engine/compiler.py",
-        "    return size is not None and size <= DEFAULT_MAX_STATES\n",
-        "    return size is not None\n",
-        (
-            "tests/test_engine_compiler.py::TestCompilationCache::"
-            "test_compilation_worthwhile_heuristic",
-        ),
-    ),
-    Mutant(
         "worthwhile-ignores-enumeration-size",
         "src/repro/engine/compiler.py",
         "        return len(enumeration) <= DEFAULT_MAX_STATES\n",
         "        return True\n",
         ("tests/test_runtime_plan.py::test_tables_beyond_the_bound_are_never_built",),
+    ),
+    # -- Tables fixed when built: codes come from the enumeration only -
+    Mutant(
+        "unenumerated-successor-registered",
+        "src/repro/engine/compiler.py",
+        "        try:\n"
+        "            return self.index[state]\n"
+        "        except KeyError:\n"
+        "            raise self._outside(state) from None\n",
+        "        if state not in self.index and len(self.states) < self.stride:\n"
+        "            self.index[state] = len(self.states)\n"
+        "            self.states.append(state)\n"
+        "            self.outputs.append(None)\n"
+        "            self.is_leader_list.append(False)\n"
+        "        return self.index[state]  # KeyError once the stride is full\n",
+        ("tests/test_runtime_plan.py::test_states_outside_the_enumeration_raise_on_every_executor",),
+    ),
+    Mutant(
+        "tables-from-declared-size",
+        "src/repro/engine/compiler.py",
+        "        return len(enumeration) <= DEFAULT_MAX_STATES\n    return False\n",
+        "        return len(enumeration) <= DEFAULT_MAX_STATES\n"
+        "    size = protocol.state_space_size()\n"
+        "    return size is not None and size <= DEFAULT_MAX_STATES\n",
+        (
+            "tests/test_runtime_plan.py::"
+            "test_declared_size_without_enumeration_runs_on_the_reference",
+            "tests/test_engine_compiler.py::TestCompilationCache::"
+            "test_compilation_worthwhile_heuristic",
+        ),
+    ),
+    # -- Estimator sources and single walks checked like the drivers --
+    Mutant(
+        "single-hitting-walks-off-its-target",
+        "src/repro/analytics/walks.py",
+        "    if node_id(start, graph.n_nodes) == node_id(target, graph.n_nodes):\n"
+        "        step_budget(max_steps)\n"
+        "        return 0\n",
+        "",
+        ("tests/test_analytics_batch.py::test_single_hitting_walk_on_its_target_reports_zero",),
+    ),
+    Mutant(
+        "broadcast-sources-truncated",
+        "src/repro/analytics/estimators.py",
+        "    sources = [node_id(source, graph.n_nodes) for source in sources]\n",
+        "    sources = [int(source) for source in sources]\n",
+        ("tests/test_analytics_batch.py::test_estimator_sources_are_checked_before_they_seed",),
     ),
     # -- One sweep path; the service degrades to in-process execution
     Mutant(

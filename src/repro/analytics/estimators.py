@@ -23,6 +23,7 @@ import numpy as np
 from ..core.seeds import derive_seed, prefixed_seed_grid, seed_prefix
 from ..graphs.graph import Graph
 from .epidemics import run_epidemic_batch
+from .streams import node_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dynamics.schedule import TopologySchedule
@@ -125,10 +126,13 @@ def batched_broadcast_samples(
     exhausts ``max_steps`` (matching the serial estimators' budget
     contract).  ``schedule`` runs the epidemics on a time-varying
     topology (see :func:`repro.analytics.epidemics.run_epidemic_batch`).
+    Every source is checked by :func:`~repro.analytics.streams.node_id`
+    before it seeds anything: a float raises ``TypeError``, an id outside
+    ``[0, n)`` ``ValueError``.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
-    sources = [int(source) for source in sources]
+    sources = [node_id(source, graph.n_nodes) for source in sources]
     steps = run_epidemic_batch(
         graph,
         [source for source in sources for _ in range(repetitions)],

@@ -211,7 +211,15 @@ def run_single_hitting(
     stream: InteractionSource,
     max_steps: int,
 ) -> Optional[int]:
-    """One hitting-time trajectory on a caller-provided stream."""
+    """One hitting-time trajectory on a caller-provided stream.
+
+    A walk that starts on its target reports 0 and draws nothing from
+    ``stream``, as in :func:`run_hitting_batch`; its ids and budget are
+    checked all the same.
+    """
+    if node_id(start, graph.n_nodes) == node_id(target, graph.n_nodes):
+        step_budget(max_steps)
+        return 0
     steps = int(_walk_stack(graph, [(start, target)], [stream], max_steps, _hitting_block)[0])
     return None if steps == BUDGET_EXHAUSTED else steps
 

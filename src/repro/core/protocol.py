@@ -87,10 +87,12 @@ class PopulationProtocol(abc.ABC, Generic[State]):
     def enumerate_states(self) -> Optional[Sequence[State]]:
         """All states of ``Λ``, if they can be enumerated cheaply.
 
-        Used by the compiled engine (:mod:`repro.engine`) to pre-register
-        state codes and size its lookup tables once.  Returning ``None``
-        (the default) makes the engine discover states lazily as they
-        appear in an execution, which is the right choice for protocols
+        The compiled engine (:mod:`repro.engine`) gives the ``i``-th
+        state code ``i`` and sizes its lookup tables once; a successor
+        outside the enumeration is an error.  Returning ``None`` (the
+        default) keeps the protocol off transition tables:
+        ``engine="auto"`` runs it on its :meth:`kernel_rule`, where it
+        has one, or on the reference interpreter, which suits protocols
         whose state *universe* is huge but whose reachable set is small
         (e.g. the identifier protocol's ``O(n^4)`` states).
         """

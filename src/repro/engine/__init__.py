@@ -45,7 +45,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ProtocolCompilationError",
             "clear_compilation_cache",
             "compilation_worthwhile",
-            "compile_protocol",
             "get_compiled",
         ),
         "replicas": ("run_replicas",),

@@ -33,8 +33,9 @@ Everything degrades gracefully: no compiler, a failed build, or
 per-replica engine's scalar loop, graph builds take their
 NumPy twin (connectivity by a BFS), and eccentricities their NumPy
 matrix or per-source BFS forms.  The epoch runner stops a
-row at the first table miss, so lazy pair discovery (and table growth)
-stays in Python.
+row at the first table miss, so filling a table entry stays in Python;
+a table set never moves or grows, so the row resumes on the same
+``dpack``.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ typedef unsigned __int128 repro_u128;
 #define REPRO_RULE_IDENTIFIER 1
 
 /* A table-rule code (mirrored in repro.engine.native as TABLE_CODE_DTYPE):
- * every table code is below HARD_MAX_STATES, so it fits two bytes.  The
+ * every table code is below DEFAULT_MAX_STATES, so it fits two bytes.  The
  * identifier rule's codes id << 3 | sub are int64. */
 typedef uint16_t repro_table_code;
 
@@ -1034,7 +1035,7 @@ ROW_STEPS, ROW_LAST_CHANGE, ROW_LEADERS, ROW_STATUS, ROW_LOG_LEN = 11, 12, 13, 1
 RULE_TABLE, RULE_IDENTIFIER = 0, 1
 #: The dtype of a table-rule code on the v6 stack (mirrors
 #: ``repro_table_code``): every table code is below
-#: :data:`repro.engine.compiler.HARD_MAX_STATES`, which checks that it
+#: :data:`repro.engine.compiler.DEFAULT_MAX_STATES`, which checks that it
 #: fits.  The identifier rule's codes are ``int64``.
 TABLE_CODE_DTYPE = "uint16"
 #: ``repro_run_epoch``'s ``epoch_end`` on a static topology (INT64_MAX:

@@ -10,9 +10,11 @@ whole plans, on that stack.
 
 A block is applied by one tight Python loop over integer codes and the
 compiler's scalar cache, whose entries are pre-reduced to "exact no-op"
-or ``(successor codes, leader delta, output-changed)``; a missing entry
-is filled through :meth:`~repro.engine.compiler.CompiledProtocol.scalar_entry`,
-the same miss path as the v6 stack's.
+or ``(successor codes, leader delta, output-changed)`` and keyed by the
+table's own pair index ``a * stride + b`` (a table set's stride is fixed
+when it is built); a missing entry is filled through
+:meth:`~repro.engine.compiler.CompiledProtocol.scalar_entry`, the same
+miss path as the v6 stack's.
 
 Bookkeeping (``last_output_change_step``, leader counts, the distinct-state
 set and the optional leader trace) matches the reference simulator exactly;
@@ -25,7 +27,7 @@ from typing import Hashable, List, Tuple
 
 import numpy as np
 
-from .compiler import CompiledProtocol, _SCALAR_STRIDE
+from .compiler import CompiledProtocol
 
 
 class CompiledRun:
@@ -74,7 +76,7 @@ class CompiledRun:
         fill = comp.scalar_entry
         codes = self.codes_list
         seen_add = self._seen_set.add
-        stride = _SCALAR_STRIDE
+        stride = comp.stride
         step = self.step
         last = self.last_change
         leaders = self.leader_count

@@ -34,7 +34,7 @@ from ..analytics.estimators import (
     batched_broadcast_estimates,
     batched_broadcast_samples,
 )
-from ..analytics.streams import resolve_base_seed
+from ..analytics.streams import node_id, resolve_base_seed
 from ..core.seeds import derive_seed
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike
@@ -78,10 +78,12 @@ def expected_broadcast_time_from(
 
     ``schedule`` estimates the broadcast time over a time-varying
     topology; ``graph`` then names the node universe and supplies the
-    default step budget.
+    default step budget.  ``source`` is checked by
+    :func:`~repro.analytics.streams.node_id`, also on a one-node graph.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
+    source = node_id(source, graph.n_nodes)
     if graph.n_nodes == 1:
         return summarize_samples([0.0] * repetitions)
     base = resolve_base_seed(rng)

@@ -22,7 +22,7 @@ import numpy as np
 from ..analysis.estimators import SummaryStatistics, summarize_samples
 from ..analytics.epidemics import run_epidemic_batch
 from ..analytics.estimators import DISTANCE_K_TAG
-from ..analytics.streams import resolve_base_seed
+from ..analytics.streams import node_id, resolve_base_seed
 from ..core.seeds import derive_seed
 from ..graphs.graph import Graph
 from ..graphs.random_graphs import RngLike, as_rng
@@ -55,10 +55,14 @@ def propagation_time_from(
 
     Returns ``None`` when no node lies at the requested distance from the
     source (``T_k(source) = ∞`` in the paper's notation) or when any
-    repetition exhausts its step budget.
+    repetition exhausts its step budget.  ``source`` is checked by
+    :func:`~repro.analytics.streams.node_id` before it seeds or indexes
+    anything (a float raises ``TypeError``, an id outside ``[0, n)``
+    ``ValueError``).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
+    source = node_id(source, graph.n_nodes)
     targets = _distance_targets(graph, source, distance)
     if targets.size == 0:
         return None
@@ -70,11 +74,11 @@ def propagation_time_from(
     stopmasks = np.zeros((repetitions, graph.n_nodes), dtype=np.uint8)
     stopmasks[:, targets] = 1
     seeds = [
-        derive_seed(base, DISTANCE_K_TAG, int(source), t) for t in range(repetitions)
+        derive_seed(base, DISTANCE_K_TAG, source, t) for t in range(repetitions)
     ]
     steps = run_epidemic_batch(
         graph,
-        [int(source)] * repetitions,
+        [source] * repetitions,
         seeds,
         max_steps,
         stopmasks=stopmasks,
@@ -146,10 +150,13 @@ def empirical_violation_rate(
     Lemma 14 claims this rate is at most ``1/n`` when the threshold is
     ``k·m/(Δ·e^3)`` and ``k >= ln n``; the benchmark compares the measured
     rate against that guarantee.  All trials advance in one replica stack,
-    trial ``t`` starting at ``sources[t % len(sources)]``.
+    trial ``t`` starting at ``sources[t % len(sources)]``.  Every given
+    source is checked as :func:`propagation_time_from` checks its own.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if sources is not None:
+        sources = [node_id(source, graph.n_nodes) for source in sources]
     base = resolve_base_seed(rng)
     if sources is None:
         eligible = [
@@ -168,7 +175,7 @@ def empirical_violation_rate(
     stopmask_rows: List[np.ndarray] = []
     zero_hits = 0
     for trial in range(trials):
-        source = int(sources[trial % len(sources)])
+        source = sources[trial % len(sources)]
         if source not in target_cache:
             target_cache[source] = _distance_targets(graph, source, distance)
         targets = target_cache[source]

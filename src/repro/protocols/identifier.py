@@ -223,12 +223,13 @@ class IdentifierLeaderElection(LeaderElectionProtocol):
 
         This matters only to the transition tables, which serve the
         protocol where the v6 stack cannot take its plan (a stream
-        override, a leader trace, a Generator seed, no kernel) and the
-        state space fits the table bound (``k <= 8``); everywhere else
-        ``engine="auto"`` runs it on :meth:`kernel_rule` or the
-        reference interpreter.  At realistic widths the state universe
-        is ``O(n^4)`` while a run touches a few hundred states, so the
-        tables discover states lazily and we return ``None``.
+        override, a leader trace, a Generator seed, no kernel) and it
+        enumerates its states (``k <= 7``, at most 1,530 states).  From
+        ``k = 8`` (``n = 3`` or ``4`` at the width ``⌈4 log2 n⌉``) the
+        ``O(n^4)`` universe is not enumerated, since a run touches a few
+        hundred of its states, and ``engine="auto"`` runs the protocol
+        on :meth:`kernel_rule` or, where the rule cannot serve, on the
+        reference interpreter.
         """
         size = self.state_space_size()
         if size is None or size > 2048:

@@ -43,10 +43,10 @@ plan, from the plan's inputs alone:
   declines to compile (among them a kernel-rule protocol whose plan the
   v6 stack cannot take: :func:`~repro.runtime.plan.compile_plan` picks
   a kernel rule only for plans the stack serves, so a rule plan never
-  reaches the per-replica engine) and for protocols whose tables would
-  not fit their bound.  Tables that outgrow their bound anyway raise on
-  every executor: nothing falls back from tables it has started to
-  build.
+  reaches the per-replica engine) and for protocols without an
+  enumeration that fits the table bound.  A successor or initial state
+  outside a table set's enumeration raises on every executor: nothing
+  falls back from tables it has started to use.
 
 A plan whose replicas carry different ``compile_key``s (the fast
 protocol's per-trial ``B(G)`` calibration) runs each key group as a plan
@@ -179,8 +179,8 @@ def _execute_single(plan: ExecutionPlan, index: int) -> "SimulationResult":
         return _run_compiled_single(plan, protocol, seed, plan.compiled)
 
     # mode == "single": the replica's tables are resolved before its
-    # first draw; a protocol whose tables would not fit the bound runs
-    # on the reference interpreter.
+    # first draw; a protocol without an enumeration that fits the bound
+    # runs on the reference interpreter.
     from ..engine.compiler import compilation_worthwhile, get_compiled
 
     scheduler_ok = plan.scheduler is None or hasattr(plan.scheduler, "next_arrays")
@@ -451,9 +451,8 @@ def _epoch_tables(plan: ExecutionPlan, position: int) -> Tuple[np.ndarray, np.nd
 def _seen_codes(rule: Any, codes: np.ndarray) -> np.ndarray:
     """The codes of a start as a row's distinct-code record.
 
-    Transition tables keep a per-code bitmap of the current stride (a
-    shorter one grows with the tables); a kernel rule the sorted
-    distinct codes.
+    Transition tables keep a per-code bitmap of their stride; a kernel
+    rule the sorted distinct codes.
     """
     if rule.rule_id == RULE_TABLE:
         return (np.bincount(codes, minlength=rule.stride) > 0).astype(np.uint8)
@@ -505,7 +504,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     plan's seeds on the first call; after each call every row's words
     are read back with one ``tolist()``, and a compaction copies the
     codes, the row block, the pre-sample buffers and the seen bitmap or
-    code log.  Table codes are below ``HARD_MAX_STATES``, so the codes
+    code log.  Table codes are below ``DEFAULT_MAX_STATES``, so the codes
     block, its compactions and every code row a result keeps (the
     initially-stable and zero-budget rows included) hold them as
     :data:`~repro.engine.native.TABLE_CODE_DTYPE`, two bytes a node; a
@@ -604,10 +603,6 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
     while True:
         width = len(replica_ids)
         if tables:
-            if seen.shape[1] < rule.stride:
-                grown = np.zeros((width, rule.stride), dtype=np.uint8)
-                grown[:, : seen.shape[1]] = seen
-                seen = grown
             rule_args = (
                 rule.rule_id, data_address(rule.dpack), rule.stride, rule.kshift,
                 data_address(seen), None, 0,
@@ -643,8 +638,7 @@ def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
             if status == stop:
                 # The row stopped *before* consuming its draw and resumes
                 # mid-block in the next kernel call: after its missing
-                # table entry is filled (possibly growing the tables), or
-                # after its full log is folded.
+                # table entry is filled, or after its full log is folded.
                 if tables:
                     index = int(buffers[row, words[ROW_CURSOR]])
                     rule.scalar_entry(

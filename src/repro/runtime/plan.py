@@ -29,9 +29,9 @@ first draw (see the rules below).
   no stream override, no trace), at any width including 1, for a
   protocol that :func:`~repro.engine.compiler.compilation_worthwhile`
   accepts — one table set is compiled up front and shared
-  (``"shared"``).  A worthwhile protocol's tables fit the one table
-  bound :data:`~repro.engine.compiler.DEFAULT_MAX_STATES`, so they
-  always build.
+  (``"shared"``).  A worthwhile protocol enumerates at most the one
+  table bound :data:`~repro.engine.compiler.DEFAULT_MAX_STATES` of
+  states, and its codes are fixed when its tables are built.
 * everything else — per-replica resolution at execution time
   (``"single"``): each replica's table set is resolved before its first
   draw, and a replica whose protocol ``compilation_worthwhile``
@@ -39,10 +39,10 @@ first draw (see the rules below).
   several ``compile_key`` groups is resolved again group by group at
   execution time, so each group can be shared.
 
-Tables that outgrow the bound anyway (a protocol that understates its
-state space, whether at the build or during a run) raise
+A successor or initial state outside a table set's enumeration, met
+while the tables are built or during a run, raises
 :class:`~repro.engine.compiler.ProtocolCompilationError` on every
-executor; no plan falls back from tables it has started to build.
+executor; no plan falls back from tables it has started to use.
 
 A topology schedule does not change the mode: the v6 stack and the
 per-replica engine (one scalar loop per replica) both run ``"shared"``

@@ -76,10 +76,10 @@ def sharded_eligible(plan: ExecutionPlan, shards: int, workers: int) -> bool:
     no epoch logic), a plan the v6 stack would serve (one compiled table
     set, kernel-seedable seeds, the native kernel built — so the
     unsharded chain can take over any replica byte-identically),
-    transition tables complete over every reachable state (parallel lazy
-    state discovery would assign codes in process-dependent order) and a
-    forkable platform.  The workers apply table entries only, so a plan
-    on a protocol's kernel rule (the identifier protocol under
+    transition tables complete over the enumerated states (the workers
+    read forked copies of the tables, so no entry may be filled during a
+    run) and a forkable platform.  The workers apply table entries only,
+    so a plan on a protocol's kernel rule (the identifier protocol under
     ``engine="auto"``) runs unsharded on the v6 stack.  ``shards`` or
     ``workers`` below 1 raises ``ValueError``.
     """
@@ -91,11 +91,7 @@ def sharded_eligible(plan: ExecutionPlan, shards: int, workers: int) -> bool:
     from ..engine.compiler import CompiledProtocol
 
     compiled = plan.compiled
-    if not isinstance(compiled, CompiledProtocol):
-        return False
-    # Complete over the discovered states, and the initial states are
-    # among them (an empty table set is vacuously complete).
-    if not compiled.tables_complete or not compiled.index.keys() >= set(plan.initial_states()):
+    if not isinstance(compiled, CompiledProtocol) or not compiled.tables_complete:
         return False
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -252,15 +248,14 @@ def _run_pool_chunk(
     event is applied *here*, in global draw order, through the exchange
     fabric — plus the per-chunk ``done`` barrier.
     """
-    from ..engine.compiler import _SCALAR_STRIDE
-
     scalar = compiled.scalar
+    stride = compiled.stride
     block = backend.begin_chunk(routed, size, base_step)
     for seg in range(block.n_boundary):
         backend.sync_boundary(seg)
         # Boundary event: the one order-critical draw.
         si, sj, gi, gj, a, b = backend.boundary(seg)
-        entry = scalar.get(a * _SCALAR_STRIDE + b, _MISSING)
+        entry = scalar.get(a * stride + b, _MISSING)
         if entry is _MISSING:
             # Complete tables cannot miss; a miss here means the
             # workers' forked table copies are stale.

@@ -25,8 +25,8 @@ lost or reordered hand-off shows up as a non-quiescent fabric, not as a
 silently wrong result.  Results are byte-identical to the unsharded
 executors for any worker count.
 
-The pool requires *complete* transition tables (parallel lazy state
-discovery would assign codes in process-dependent order); any breakage
+The pool requires *complete* transition tables (every worker reads a
+forked copy, so no entry may be filled during a run); any breakage
 at run time — a worker killed mid-super-step, a closed pipe, a table
 miss — raises :class:`ShardPoolError`, which the executor answers by
 closing the pool and rerunning the replica unsharded, byte-identically

@@ -35,6 +35,7 @@ from repro.analytics import (
     run_hitting_batch,
     run_meeting_batch,
     run_single_epidemic,
+    run_single_hitting,
 )
 from repro.analytics import epidemics, estimators, streams
 from repro.analytics.estimators import (
@@ -42,6 +43,7 @@ from repro.analytics.estimators import (
     HITTING_TAG,
     MEETING_TAG,
     broadcast_trajectory_seed,
+    batched_broadcast_samples,
     broadcast_trajectory_seed_array,
     broadcast_trajectory_seeds,
     select_sources,
@@ -55,8 +57,10 @@ from repro.graphs import Graph, clique, cycle, path, star, torus
 from repro.propagation import (
     broadcast_time_estimate,
     distance_k_propagation_steps,
+    empirical_violation_rate,
     expected_broadcast_time_from,
     full_information_time,
+    propagation_time_from,
     single_source_broadcast_steps,
 )
 from repro.propagation.broadcast import default_broadcast_budget
@@ -707,6 +711,70 @@ def test_walk_drivers_reject_bad_ids_pairs_and_budgets(leg):
     with pytest.raises(ValueError, match="max_steps"):
         simulate_meeting_time(g, 3, 0, rng=1, max_steps=-1)
     assert simulate_population_hitting_time(g, np.int64(2), 2, rng=1) == 0
+
+
+def test_single_hitting_walk_on_its_target_reports_zero(leg):
+    """The single-stream hitting wrapper reports 0 for a walk that starts
+    on its target and draws nothing, as the batch driver does (it used
+    to run the walk to its first return: 18 steps on ``cycle(16)`` for
+    seed 1).  Off the target both drivers agree on a seed's stream, and
+    ids and budgets are checked either way."""
+    g = cycle(16)
+    for node in (2, np.int64(9)):
+        stream = InteractionSource(g, 1)
+        assert run_single_hitting(g, node, node, stream, 10**6) == 0
+        assert stream.steps_emitted == 0
+        assert run_hitting_batch(g, [(node, node)], [1]).tolist() == [0]
+    single = run_single_hitting(g, 2, 5, InteractionSource(g, 1), 10**6)
+    assert [single] == run_hitting_batch(g, [(2, 5)], [1]).tolist()
+    stream = InteractionSource(g, 1)
+    with pytest.raises(TypeError):
+        run_single_hitting(g, 2.0, 2, stream, 10**6)
+    with pytest.raises(ValueError, match="out of range"):
+        run_single_hitting(g, 16, 16, stream, 10**6)
+    with pytest.raises(ValueError, match="max_steps"):
+        run_single_hitting(g, 2, 2, stream, -1)
+    assert stream.steps_emitted == 0
+
+
+def test_estimator_sources_are_checked_before_they_seed(leg):
+    """The broadcast and distance-``k`` estimators pass every source
+    through ``node_id`` before it seeds or indexes anything: a float
+    raises ``TypeError`` (source 3.7 used to run as source 3, or raise
+    ``IndexError`` from the BFS) and an id outside ``[0, n)``
+    ``ValueError``.  Integer and NumPy-integer sources keep their seeds
+    and results."""
+    g = cycle(16)
+    budget = default_broadcast_budget(g)
+    runs = {
+        "samples": lambda source: batched_broadcast_samples(g, [source], 2, 1, budget).tolist(),
+        "expected": lambda source: expected_broadcast_time_from(
+            g, source, repetitions=2, rng=1
+        ).mean,
+        "propagation": lambda source: propagation_time_from(
+            g, source, 2, repetitions=2, rng=1
+        ).mean,
+        "violation": lambda source: empirical_violation_rate(
+            g, 2, 40.0, trials=4, rng=1, sources=[source]
+        ),
+    }
+    for name, run in runs.items():
+        for source in (3.7, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                run(source)
+        for source in (-1, 16):
+            with pytest.raises(ValueError, match="out of range"):
+                run(source)
+        assert run(np.int64(3)) == run(3), name
+    assert runs["samples"](3) == [[100, 147]]
+    assert runs["expected"](3) == 123.5
+    # A one-node graph needs no draw, but its source is checked all the same.
+    lone = Graph.from_edge_arrays(1, np.zeros(0, np.int32), np.zeros(0, np.int32))
+    assert expected_broadcast_time_from(lone, 0, repetitions=2, rng=1).mean == 0.0
+    with pytest.raises(TypeError):
+        expected_broadcast_time_from(lone, 0.5, repetitions=2, rng=1)
+    with pytest.raises(ValueError, match="out of range"):
+        expected_broadcast_time_from(lone, 1, repetitions=2, rng=1)
 
 
 def test_stop_masks_of_another_shape_raise(leg):

@@ -19,7 +19,6 @@ from repro.engine.compiler import (
     ProtocolCompilationError,
     clear_compilation_cache,
     compilation_worthwhile,
-    compile_protocol,
     get_compiled,
 )
 from repro.protocols import (
@@ -31,9 +30,16 @@ from repro.protocols import (
 
 
 class CountingProtocol(PopulationProtocol):
-    """Unbounded counter protocol used to exercise table growth."""
+    """A counter enumerating its first ``states`` values.
+
+    Each interaction raises the initiator by one, so every run climbs
+    out of the enumeration: the tables' successors outside it raise.
+    """
 
     name = "counting"
+
+    def __init__(self, states: int = 200) -> None:
+        self.states = states
 
     def initial_state(self, input_symbol=None):
         return 0
@@ -44,18 +50,29 @@ class CountingProtocol(PopulationProtocol):
     def output(self, state):
         return LEADER if state == 0 else FOLLOWER
 
+    def enumerate_states(self):
+        return tuple(range(self.states))
+
+
+def _outside_message(state, states=200):
+    return (
+        f"counting: state {state} is not among its {states} enumerated states; "
+        "use the reference engine"
+    )
+
 
 class TestCompiledProtocol:
     def test_token_states_enumerated_eagerly(self):
-        compiled = compile_protocol(TokenLeaderElection())
+        compiled = CompiledProtocol(TokenLeaderElection())
         assert compiled.n_states == len(ALL_TOKEN_STATES)
+        assert compiled.states == list(ALL_TOKEN_STATES)
         # Eager pair fill for tiny protocols: tables are complete up front.
         assert compiled.tables_complete
         assert compiled.filled_pairs == len(ALL_TOKEN_STATES) ** 2
 
     def test_packed_entries_roundtrip(self):
         protocol = TokenLeaderElection()
-        compiled = compile_protocol(protocol)
+        compiled = CompiledProtocol(protocol)
         stride = compiled.stride
         for a, state_a in enumerate(compiled.states):
             for b, state_b in enumerate(compiled.states):
@@ -79,7 +96,7 @@ class TestCompiledProtocol:
 
     def test_scalar_entries_match_tables(self):
         protocol = StarLeaderElection()
-        compiled = compile_protocol(protocol)
+        compiled = CompiledProtocol(protocol)
         for a in range(compiled.n_states):
             for b in range(compiled.n_states):
                 entry = compiled.scalar_entry(a, b)
@@ -92,42 +109,106 @@ class TestCompiledProtocol:
                     assert compiled.states[na] == expected[0]
                     assert compiled.states[nb] == expected[1]
 
-    def test_growth_preserves_entries(self):
-        compiled = compile_protocol(CountingProtocol(), max_states=512)
+    @pytest.mark.parametrize("states", [1, 63, 64, 65, 128, 129, 1000])
+    def test_stride_is_fixed_by_the_enumeration(self, states):
+        """The stride is the smallest power of two >= max(64, states),
+        laid out once: every array is sized by it when the tables are
+        built."""
+        compiled = CompiledProtocol(_SaturatingCounting(states))
+        stride = 64
+        while stride < states:
+            stride *= 2
+        assert compiled.stride == stride and compiled.kshift == stride.bit_length() - 1
+        assert compiled.dpack.shape == (stride * stride,)
+        assert compiled._leader_np.shape == (stride,)
+        assert compiled.states == list(range(states))
+        assert compiled.index == {state: state for state in range(states)}
+
+    def test_bundled_strides_follow_their_enumerations(self):
+        """Every bundled protocol that reaches tables is laid out at the
+        smallest power of two >= max(64, its enumerated states), and its
+        codes are its enumeration in order."""
+        from repro.protocols import FastLeaderElection, IdentifierLeaderElection
+        from repro.protocols.clocks import ClockParameters
+
+        protocols = [TokenLeaderElection(), StarLeaderElection()]
+        protocols += [IdentifierLeaderElection(100, identifier_bits=k) for k in range(1, 8)]
+        protocols += [
+            FastLeaderElection(ClockParameters(streak_length=s, phase_length=2, max_level=level))
+            for s in (2, 5)
+            for level in (5, 14, 20)
+        ]
+        strides = set()
+        for protocol in protocols:
+            enumerated = list(protocol.enumerate_states())
+            compiled = CompiledProtocol(protocol)
+            expected = 1 << max(6, (len(enumerated) - 1).bit_length())
+            assert compiled.stride == expected, protocol.describe()
+            assert compiled.states == enumerated
+            strides.add(expected)
+        assert strides == {64, 128, 256, 512, 1024, 2048}
+
+    def test_lazy_fill_keeps_the_layout(self):
+        """Entries filled lazily, through the miss path both executors
+        share, pack successor codes at the one stride; no fill moves an
+        array or registers a code."""
+        compiled = CompiledProtocol(CountingProtocol(130))
+        assert compiled.filled_pairs == 0 and not compiled.tables_complete
+        dpack, stride = compiled.dpack, compiled.stride
+        assert stride == 256
         code = compiled.code_for(0)
-        # Force discovery past the initial stride of 64 through the miss
-        # path both executors share.
-        for _ in range(130):
+        for _ in range(129):
             code = compiled.scalar_entry(code, code)[0]
-        assert compiled.n_states > 64
-        assert compiled.stride >= 128
-        # Every entry filled before a growth survived the repack of the
-        # packed table (the one the v6 kernel reads).
-        stride = compiled.stride
-        for value in range(compiled.n_states - 1):
-            code = compiled.code_for(value)
-            packed = int(compiled.dpack[code * stride + code])
+        assert code == 129 and compiled.filled_pairs == 129
+        assert compiled.dpack is dpack and compiled.stride == stride
+        assert compiled.n_states == 130
+        for value in range(129):
+            packed = int(compiled.dpack[value * stride + value])
             assert packed >= 0
             successors = packed >> 4
             assert compiled.states[successors >> compiled.kshift] == value + 1
-            assert successors & (stride - 1) == code
+            assert successors & (stride - 1) == value
 
     def test_state_explosion_raises(self):
-        compiled = compile_protocol(CountingProtocol(), max_states=32)
-        with pytest.raises(ProtocolCompilationError):
-            for value in range(40):
-                compiled.code_for(value)
+        """A successor outside the enumeration raises, naming the protocol
+        and the state, and leaves the tables as they were."""
+        compiled = CompiledProtocol(CountingProtocol(200))
+        compiled.scalar_entry(198, 5)
+        with pytest.raises(ProtocolCompilationError) as raised:
+            compiled.scalar_entry(199, 5)
+        assert str(raised.value) == _outside_message(200)
+        assert compiled.filled_pairs == 1 and compiled.dpack[199 * 256 + 5] == -1
+        assert compiled.n_states == 200 and 200 not in compiled.index
+
+    def test_eager_tables_raise_while_they_are_built(self):
+        with pytest.raises(ProtocolCompilationError, match=re.escape(_outside_message(8, 8))):
+            CompiledProtocol(CountingProtocol(8))
 
     def test_non_memoisable_protocol_rejected(self):
         class RandomisedProtocol(CountingProtocol):
             cacheable_transitions = False
 
         with pytest.raises(ProtocolCompilationError):
-            compile_protocol(RandomisedProtocol())
+            CompiledProtocol(RandomisedProtocol())
 
-    def test_max_states_capped_at_packing_limit(self):
-        compiled = compile_protocol(TokenLeaderElection(), max_states=10**9)
-        assert compiled.max_states <= 8192
+    def test_protocols_without_a_fitting_enumeration_rejected(self):
+        """Tables take only an enumeration within the bound."""
+        with pytest.raises(ProtocolCompilationError, match="no state enumeration"):
+            CompiledProtocol(_NotEnumerated())
+        with pytest.raises(ProtocolCompilationError, match="exceed the table bound 4096"):
+            CompiledProtocol(CountingProtocol(DEFAULT_MAX_STATES + 1))
+
+
+class _NotEnumerated(CountingProtocol):
+    def enumerate_states(self):
+        return None
+
+
+class _SaturatingCounting(CountingProtocol):
+    """The counter stopping at its top enumerated state."""
+
+    def transition(self, initiator, responder):
+        return min(initiator + 1, self.states - 1), responder
 
 
 def _encode_by_code_for(compiled, states):
@@ -139,7 +220,7 @@ def _registry(compiled):
     return (
         compiled.states,
         compiled.index,
-        compiled.out_codes,
+        compiled.outputs,
         compiled.is_leader_list,
         compiled.stride,
         compiled._leader_np.tolist(),
@@ -151,17 +232,16 @@ class TestEncode:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        states=st.lists(st.integers(min_value=0, max_value=90), max_size=80),
-        known=st.lists(st.integers(min_value=0, max_value=90), max_size=5),
-        max_states=st.integers(min_value=1, max_value=100),
+        states=st.lists(st.integers(min_value=0, max_value=160), max_size=80),
+        # Above 64 states the counter's tables fill lazily, so they build.
+        enumerated=st.integers(min_value=65, max_value=160),
     )
-    def test_matches_per_element_loop(self, states, known, max_states):
-        """Same codes, same registration order, same error and prefix."""
-        fast = compile_protocol(CountingProtocol(), max_states=max_states)
-        slow = compile_protocol(CountingProtocol(), max_states=max_states)
-        for compiled in (fast, slow):
-            for state in known[:max_states]:
-                compiled.code_for(state)
+    def test_matches_per_element_loop(self, states, enumerated):
+        """Same codes, or the same error on the same first state outside
+        the enumeration; neither registers anything."""
+        fast = CompiledProtocol(CountingProtocol(enumerated))
+        slow = CompiledProtocol(CountingProtocol(enumerated))
+        before = _registry(fast)
         try:
             expected = _encode_by_code_for(slow, states)
         except ProtocolCompilationError as error:
@@ -171,21 +251,21 @@ class TestEncode:
             codes = fast.encode(states)
             assert codes.dtype == np.int64
             assert codes.tolist() == expected.tolist()
-        assert _registry(fast) == _registry(slow)
+        assert _registry(fast) == _registry(slow) == before
 
     def test_generator_input(self):
         states = [4, 1, 4, 0, 1, 9, 4]
-        fast = compile_protocol(CountingProtocol())
-        slow = compile_protocol(CountingProtocol())
+        fast = CompiledProtocol(CountingProtocol())
+        slow = CompiledProtocol(CountingProtocol())
         codes = fast.encode(state for state in states)
-        assert codes.tolist() == _encode_by_code_for(slow, states).tolist() == [0, 1, 0, 2, 1, 3, 0]
-        assert fast.states == slow.states == [4, 1, 0, 9]
+        assert codes.tolist() == _encode_by_code_for(slow, states).tolist() == states
 
-    def test_overflow_keeps_first_seen_prefix(self):
-        compiled = compile_protocol(CountingProtocol(), max_states=3)
-        with pytest.raises(ProtocolCompilationError, match="max_states=3"):
-            compiled.encode([7, 5, 7, 2, 5, 8, 1])
-        assert compiled.states == [7, 5, 2]
+    def test_first_state_outside_the_enumeration_is_named(self):
+        compiled = CompiledProtocol(CountingProtocol())
+        with pytest.raises(ProtocolCompilationError) as raised:
+            compiled.encode([7, 5, 7, 250, 5, 300, 1])
+        assert str(raised.value) == _outside_message(250)
+        assert compiled.states == list(range(200))
 
 
 class TestCompilationCache:
@@ -211,14 +291,16 @@ class TestCompilationCache:
         assert compilation_worthwhile(StarLeaderElection())
         # Full-width identifier protocol: huge universe, no enumeration.
         assert not compilation_worthwhile(IdentifierLeaderElection(100))
-        # Narrow identifier instances enumerate their states.
+        # Narrow identifier instances enumerate their states: k = 7 fits
+        # the one table bound.  From k = 8 there is no enumeration, so a
+        # declared size within the bound is not enough.
         assert compilation_worthwhile(IdentifierLeaderElection(100, identifier_bits=4))
-        # Without an enumeration the declared size meets the one table
-        # bound: k = 8 fits it, k = 9 does not.
-        fits, exceeds = (IdentifierLeaderElection(100, identifier_bits=k) for k in (8, 9))
-        assert fits.state_space_size() <= DEFAULT_MAX_STATES < exceeds.state_space_size()
+        fits, declared = (IdentifierLeaderElection(100, identifier_bits=k) for k in (7, 8))
+        assert len(fits.enumerate_states()) <= DEFAULT_MAX_STATES
         assert compilation_worthwhile(fits)
-        assert not compilation_worthwhile(exceeds)
+        assert declared.enumerate_states() is None
+        assert declared.state_space_size() <= DEFAULT_MAX_STATES
+        assert not compilation_worthwhile(declared)
 
     def test_worthwhile_answer_is_kept_per_key_until_the_cache_is_cleared(self, monkeypatch):
         """Equal keys enumerate once; keyless protocols every call."""

@@ -35,6 +35,7 @@ from repro.engine.compiler import (
     CompiledProtocol,
     ProtocolCompilationError,
     clear_compilation_cache,
+    get_compiled,
 )
 from repro.engine.native import get_run_epoch_kernel, reset_kernel_cache
 from repro.experiments.harness import fast_protocol_spec, measure_protocol_on_graph
@@ -175,9 +176,10 @@ def test_replica_stack_matches_per_trial_runs(case):
 class _TableIdentifier(IdentifierLeaderElection):
     """The identifier protocol without its kernel rule.
 
-    At ``identifier_bits <= 8`` its declared state space fits the table
-    bound, so ``engine="auto"`` serves it on transition tables, which
-    discover its states lazily (``k = 8``: no enumeration).
+    At ``identifier_bits <= 7`` it enumerates its states, so
+    ``engine="auto"`` serves it on transition tables; at ``k = 5`` its
+    378 states make tables of stride 512 that fill lazily, pair by pair,
+    so a run stops on table misses mid-run.
     """
 
     def kernel_rule(self):
@@ -186,15 +188,18 @@ class _TableIdentifier(IdentifierLeaderElection):
 
 def test_stack_handles_lazily_compiled_tables():
     """Miss-resume: protocols without eager tables stay exact in the stack."""
+    clear_compilation_cache()
     graph = cycle(12)
-    protocol = _TableIdentifier(graph.n_nodes, identifier_bits=8)
+    protocol = _TableIdentifier(graph.n_nodes, identifier_bits=5)
     seeds = list(range(6))
     max_steps = 40_000
     plan = compile_plan(
         [protocol] * len(seeds), graph, seeds, max_steps=max_steps, engine="auto"
     )
     assert plan.mode == "shared" and isinstance(plan.compiled, CompiledProtocol)
+    assert (plan.compiled.n_states, plan.compiled.stride) == (378, 512)
     stacked = execute_plan(plan)
+    assert not plan.compiled.tables_complete
     for replica_seed, result in zip(seeds, stacked):
         single = Simulator(graph, protocol, rng=replica_seed, engine="reference").run(
             max_steps=max_steps
@@ -492,7 +497,8 @@ def test_stack_rows_resume_their_streams_across_many_calls(width, monkeypatch):
     every row returns to Python many times before it certifies; the
     kernel seeds each row on the stack's first call only, and every
     later call continues the row's stream.  Results equal the reference
-    interpreter's.
+    interpreter's.  The misses fill entries only: the table set keeps
+    its ``dpack`` array, stride, states and codes.
     """
     graph = cycle(40)
     protocol = fast_protocol_spec().factory(graph, 7)
@@ -510,8 +516,13 @@ def test_stack_rows_resume_their_streams_across_many_calls(width, monkeypatch):
 
     monkeypatch.setattr(native, "get_run_epoch_kernel", lambda: counting_kernel)
     plan = compile_plan([protocol] * width, graph, seeds, max_steps=200_000, engine="auto")
+    tables = plan.compiled
+    layout = (tables.dpack, tables.stride, list(tables.states), dict(tables.index))
     results = execute_plan(plan)
     assert len(calls) > 100, len(calls)
+    assert tables.dpack is layout[0] and tables.stride == layout[1]
+    assert (tables.states, tables.index) == layout[2:]
+    assert not tables.tables_complete
     assert all(r.stabilized and r.steps_executed > REFILL_SIZE for r in results)
     assert [_result_tuple(r) for r in results] == [_result_tuple(r) for r in reference]
 
@@ -525,7 +536,7 @@ def test_stack_rows_resume_their_streams_across_many_calls(width, monkeypatch):
 #: (shortened) code log.
 _BUDGET_CASES = {
     "table": (
-        lambda graph: _TableIdentifier(graph.n_nodes, identifier_bits=8),
+        lambda graph: _TableIdentifier(graph.n_nodes, identifier_bits=5),
         CompiledProtocol,
         80,
     ),
@@ -582,6 +593,8 @@ def test_budget_rows_decode_on_demand(rule, width, monkeypatch):
         assert result.final_configuration == reference.final_configuration
         assert _result_tuple(result) == _result_tuple(reference)
     assert len(decodes) - boundary_decodes == width
+    if rule == "table":
+        assert not plan.compiled.tables_complete
 
 
 #: Stack results whose kept code row the layout pin reads: (protocol and
@@ -837,11 +850,21 @@ def test_tables_beyond_the_bound_are_never_built(monkeypatch):
     assert builds == []
 
 
+def _measured_fields(result):
+    """Every field of a result but its wall time; the final configuration
+    as its step and states."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    del fields["wall_time_seconds"]
+    final = fields.pop("final_configuration")
+    fields["final_configuration"] = (final.step, final.states)
+    return fields
+
+
 class _UnderstatedCounter(PopulationProtocol):
     """A counter that never stops growing, declaring eight states.
 
-    Its declared size passes every check before the first draw; its
-    tables outgrow :data:`DEFAULT_MAX_STATES` mid-run.
+    It enumerates none, so no table set takes it, whatever size it
+    declares.
     """
 
     name = "understated-counter"
@@ -859,42 +882,104 @@ class _UnderstatedCounter(PopulationProtocol):
         return 8
 
 
-#: Executors that meet the understated protocol's growth mid-run: the v6
-#: stack (an integer seed; the per-replica engine where the kernel is
-#: not built) and the per-replica engine, through a shared plan (a
-#: Generator seed) and through per-replica resolution (a leader trace).
-_MID_RUN_CASES = {
+@pytest.mark.parametrize("kind", sorted(_SEED_KINDS))
+def test_declared_size_without_enumeration_runs_on_the_reference(kind, monkeypatch):
+    """A protocol that declares its state space but enumerates none runs
+    on the reference interpreter under ``auto``, however its run is
+    seeded: no table set is built, and every field equals
+    ``engine="reference"``'s."""
+    builds = _count_calls(monkeypatch, CompiledProtocol, "__init__")
+    graph = clique(2)
+    build = _SEED_KINDS[kind]
+    results = {}
+    for engine in ("auto", "reference"):
+        seeds, kwargs = build(graph)
+        plan = compile_plan(
+            [_UnderstatedCounter()], graph, seeds, max_steps=2000, engine=engine, **kwargs
+        )
+        assert plan.compiled is None
+        results[engine] = _measured_fields(execute_plan(plan)[0])
+    assert builds == []
+    assert results["auto"] == results["reference"]
+    assert results["auto"]["distinct_states_observed"] > 8
+
+
+class _EscapingCounter(PopulationProtocol):
+    """A counter that enumerates its first ``states`` values but never
+    stops climbing; an input starts a node at that value."""
+
+    name = "escaping-counter"
+
+    def __init__(self, states):
+        self.states = states
+
+    def initial_state(self, input_symbol=None):
+        return 0 if input_symbol is None else input_symbol
+
+    def transition(self, initiator, responder):
+        return initiator + 1, responder
+
+    def output(self, state):
+        return LEADER if state == 0 else FOLLOWER
+
+    def enumerate_states(self):
+        return tuple(range(self.states))
+
+
+#: States outside the enumeration: (enumerated states, inputs, the state
+#: the error names).  Eight states fill their tables when built, so the
+#: successor 8 raises there; a hundred fill lazily, so the first run
+#: that meets ``(99, x)`` raises mid-run; an initial state raises before
+#: the first draw.
+_OUTSIDE_CASES = {
+    "successor-eager": (8, None, 8),
+    "successor-lazy": (100, None, 100),
+    "initial-state": (100, [150, 0], 150),
+}
+
+#: Executors that meet a state outside the enumeration: the v6 stack (an
+#: integer seed; the per-replica engine where the kernel is not built)
+#: and the per-replica engine, through a shared plan (a Generator seed)
+#: and through per-replica resolution (a leader trace).
+_OUTSIDE_EXECUTORS = {
     "int-seed": (lambda: 3, {}),
     "generator": (lambda: np.random.default_rng(3), {}),
     "trace": (lambda: 3, {"record_leader_trace": True}),
 }
 
 
-def test_tables_outgrowing_the_bound_mid_run_raise_on_every_executor():
-    """No run falls back after it has drawn: a protocol that understates
-    its state space raises the same error on every executor."""
+@pytest.mark.parametrize("case", sorted(_OUTSIDE_CASES))
+def test_states_outside_the_enumeration_raise_on_every_executor(case):
+    """A table set is closed: a successor or initial state outside the
+    protocol's enumeration raises the same error, naming the protocol
+    and the state, on every executor, and no code is registered."""
+    states, inputs, outside = _OUTSIDE_CASES[case]
     graph = clique(2)
     messages = set()
-    for case, (seed_of, kwargs) in _MID_RUN_CASES.items():
-        plan = compile_plan(
-            [_UnderstatedCounter()], graph, [seed_of()], max_steps=100_000,
-            engine="auto", check_interval=1024, **kwargs,
-        )
-        with pytest.raises(ProtocolCompilationError, match="max_states=4096") as raised:
+    for seed_of, kwargs in _OUTSIDE_EXECUTORS.values():
+        protocol = _EscapingCounter(states)
+        with pytest.raises(ProtocolCompilationError) as raised:
+            plan = compile_plan(
+                [protocol], graph, [seed_of()], max_steps=100_000, engine="auto",
+                inputs=inputs, check_interval=1024, **kwargs,
+            )
             execute_plan(plan)
         messages.add(str(raised.value))
+        if states > 64:
+            tables = get_compiled(protocol)
+            assert (tables.n_states, tables.stride) == (states, 128)
     assert messages == {
-        "understated-counter: state space exceeds max_states=4096; use the reference engine"
+        f"escaping-counter: state {outside} is not among its {states} enumerated states; "
+        "use the reference engine"
     }
 
 
 class _SaturatingCounter(PopulationProtocol):
     """A counter that climbs to its top state and stays there.
 
-    It declares its 1,000 states, so ``compilation_worthwhile`` accepts
-    it, but enumerates none: its tables start at stride 64 and grow
-    through ``_MISS`` stops mid-run.  States are met in increasing order,
-    so each state's code is the state itself.
+    It enumerates its 1,000 states, so its tables have stride 1024 from
+    the start and fill lazily through ``_MISS`` stops mid-run.  Each
+    state's code is the state itself.
     """
 
     name = "saturating-counter"
@@ -909,24 +994,15 @@ class _SaturatingCounter(PopulationProtocol):
     def output(self, state):
         return LEADER if state % 2 == 0 else FOLLOWER
 
-    def state_space_size(self):
-        return self.top + 1
-
-
-def _measured_fields(result):
-    """Every field of a result but its wall time; the final configuration
-    as its step and states."""
-    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    del fields["wall_time_seconds"]
-    final = fields.pop("final_configuration")
-    fields["final_configuration"] = (final.step, final.states)
-    return fields
+    def enumerate_states(self):
+        return tuple(range(self.top + 1))
 
 
 def test_table_codes_past_one_byte_match_the_reference(engine_variants):
     """Table codes above 255 stay exact on every executor: a run whose
-    codes climb past one byte, with tables growing mid-run, equals the
-    reference interpreter's result field for field."""
+    codes climb past one byte, on tables filled mid-run, equals the
+    reference interpreter's result field for field.  Every ``auto`` plan
+    holds transition tables of stride 1024 before and after its run."""
     graph = cycle(6)
     seed = derive_seed(MASTER_SEED, "wide-codes")
     results = {}
@@ -935,9 +1011,12 @@ def test_table_codes_past_one_byte_match_the_reference(engine_variants):
             [_SaturatingCounter()], graph, [seed_of(seed)], max_steps=3000, engine=engine
         )
         tables = plan.compiled
-        assert tables is None or tables.stride == 64
+        assert (engine == "reference") == (tables is None)
+        if tables is not None:
+            assert isinstance(tables, CompiledProtocol) and tables.stride == 1024
         results[f"{engine}/{seed_of.__name__}"] = _measured_fields(execute_plan(plan)[0])
-        assert tables is None or tables.stride == 1024
+        if tables is not None:
+            assert tables.stride == 1024
     reference = results.pop("reference/int_seed")
     assert min(reference["final_configuration"][1]) > 255
     assert reference["distinct_states_observed"] > 256

@@ -6,8 +6,8 @@ workers)``, the pool's only entry) is byte-identical to ``execute_plan``
 on the same plan — for any seed, shard count, worker count and node
 assignment — because partitioning decides *where* a pair is applied,
 never *which* pair is drawn.  Every plan the pool cannot serve (one
-shard, a topology schedule, lazy tables, a kernel rule, a killed
-worker) runs on ``execute_plan`` instead, with the same results.
+shard, a topology schedule, lazily filled tables, a kernel rule, a
+killed worker) runs on ``execute_plan`` instead, with the same results.
 
 The structural half pins the partitioner itself: a seeded golden
 fixture freezes the hash assignment and the partition fingerprint, so
@@ -81,19 +81,19 @@ _PROTOCOLS = {
 
 class _TableIdentifier(IdentifierLeaderElection):
     """The identifier protocol without its kernel rule: at
-    ``identifier_bits <= 8`` its declared state space fits the table
-    bound, so ``engine="auto"`` serves it on transition tables, which
-    discover its states lazily (``k = 8``: no enumeration)."""
+    ``identifier_bits <= 7`` it enumerates its states, so
+    ``engine="auto"`` serves it on transition tables, which fill lazily
+    (``k = 5``: 378 states, more than the 64 filled when built)."""
 
     def kernel_rule(self):
         return None
 
 
 #: Every protocol a plan here can run: the executor matrix's, and the
-#: identifier protocol on lazily discovered tables.
+#: identifier protocol on lazily filled tables.
 _FACTORIES = {
     **_PROTOCOLS,
-    "identifier-tables": lambda graph: _TableIdentifier(graph.n_nodes, identifier_bits=8),
+    "identifier-tables": lambda graph: _TableIdentifier(graph.n_nodes, identifier_bits=5),
 }
 
 
@@ -200,7 +200,7 @@ class TestFallbackChain:
 
 
 _UNSERVED_CASES = {
-    # Lazy state discovery must never run across processes.
+    # Table entries must never be filled across processes.
     "lazy-tables": "identifier-tables",
     # The workers apply table entries; the kernel's identifier rule has none.
     "kernel-rule": "identifier",
@@ -234,6 +234,8 @@ def test_unserved_shard_plans_run_unsharded_on_v6(case, monkeypatch):
     assert _run(plan, 4, 2) == plain
     assert v6_widths == [len(seeds)]
     assert partitions == []
+    if case == "lazy-tables":
+        assert not plan.compiled.tables_complete
 
 
 class TestPartitionStructure:
@@ -420,17 +422,18 @@ class TestShardWorkerPool:
             assert pooled == unsharded, (k, graph_kind, protocol_kind, workers)
 
     def test_pool_requires_complete_tables(self):
-        """Lazy-discovery protocols run unsharded (the worker pool must
-        never assign state codes concurrently) — before their first run
-        too, when the empty table set is vacuously complete."""
+        """Lazily filled tables run unsharded (the worker pool must never
+        fill table entries concurrently) — before their first run, with
+        no entry filled, and after it."""
         from repro.engine.compiler import CompiledProtocol
 
         graph = cycle(9)
         seeds = [SEED + 950]
         plan = _plan(graph, "identifier-tables", seeds)
         fresh = dataclasses.replace(plan, compiled=CompiledProtocol(plan.protocols[0]))
-        assert fresh.compiled.tables_complete and not sharded_eligible(fresh, 3, 2)
-        execute_plan(plan)  # discovers states lazily, leaving the tables open
+        assert fresh.compiled.filled_pairs == 0 and not fresh.compiled.tables_complete
+        assert not sharded_eligible(fresh, 3, 2)
+        execute_plan(plan)  # fills entries lazily, leaving the tables open
         assert not plan.compiled.tables_complete
         assert not sharded_eligible(plan, 3, 2)
 
